@@ -1,12 +1,13 @@
 // Google-benchmark kernel timings for the library's hot paths: shape
 // curve composition, budget layout, Polish-expression moves, Gseq
 // extraction, multi-source BFS (target-area assignment), affinity
-// inference, full per-level layout annealing, and the parallel runtime
-// (task dispatch overhead, parallel_for scaling).
+// inference, full per-level layout annealing, the evaluation placer, and
+// the parallel runtime (task dispatch overhead, parallel_for scaling).
 
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <chrono>
 #include <numeric>
 #include <span>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "baseline/flat_cost.hpp"
 #include "core/dataflow_inference.hpp"
 #include "core/decluster.hpp"
+#include "core/hidap.hpp"
 #include "core/layout_optimizer.hpp"
 #include "core/target_area.hpp"
 #include "dataflow/seq_extract.hpp"
@@ -23,6 +25,7 @@
 #include "gen/suite.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "place/quadratic_placer.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/failpoint.hpp"
 #include "util/log.hpp"
@@ -511,6 +514,33 @@ void BM_FlatDeltaCost(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FlatDeltaCost);
+
+// Evaluation placer through a shared per-design model, as compare_flows
+// runs it once per evaluation: c1 at scale 0.002 under one fixed HiDaP
+// macro placement. ns_per_link_sweep divides the whole place_cells time
+// (fixed-pin resolve, Gauss-Seidel sweeps, spreading) by links x sweeps.
+void BM_PlaceCells(benchmark::State& state) {
+  static const Design* design = [] {
+    set_log_level(LogLevel::Warn);
+    return new Design(generate_circuit(suite_circuit("c1", 0.002).spec));
+  }();
+  static const PlacementContext* context = new PlacementContext(*design);
+  static const PlacementResult* placement =
+      new PlacementResult(place_macros(*design, *context, HiDaPOptions{}));
+  const auto model = std::make_shared<const CellPlacementModel>(*design, context->ht);
+  double seconds = 0.0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    const PlacedDesign placed = place_cells(model, *placement);
+    benchmark::DoNotOptimize(placed.cluster_positions().data());
+    seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  }
+  const double link_sweeps = static_cast<double>(model->link_count()) * model->sweeps();
+  state.counters["links"] = static_cast<double>(model->link_count());
+  state.counters["ns_per_link_sweep"] =
+      seconds * 1e9 / (link_sweeps * static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_PlaceCells)->Unit(benchmark::kMillisecond);
 
 // --- parallel runtime ------------------------------------------------
 

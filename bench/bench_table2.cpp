@@ -5,6 +5,11 @@
 //   IndEDA  WL 1.143  WNS -39.1%  effort 10-30 min (CPU)
 //   HiDaP   WL 1.013  WNS -24.6%  effort 0.5-2 h   (CPU)
 //   handFP  WL 1.000  WNS -17.9%  effort 2-4 weeks (engineers)
+//
+// "Effort" is placement time only: the sum of the flow's macro-placement
+// runs (every sweep configuration). Evaluating the placements -- cell
+// placement, HPWL, congestion, timing -- is the measurement, not the
+// flow, and is not counted.
 
 #include <cstdio>
 #include <vector>

@@ -1,5 +1,7 @@
 // Reproduces paper Table III: per-circuit WL (m, normalized), congestion
 // GRC% and timing (WNS%, TNS) for IndEDA / HiDaP / handFP on c1..c8.
+// Every column comes from the evaluation placer; flow effort (placement
+// time only, see bench_table2) is not part of this table.
 
 #include <cstdio>
 

@@ -22,15 +22,23 @@ namespace {
 struct SweepSlot {
   PlacementResult result;
   Metrics metrics;
-  double seconds = 0.0;  ///< this configuration's own wall time
+  double seconds = 0.0;  ///< this configuration's placement time
 };
 
-// The flow's reported effort is the SUM of its configurations' own task
+// A sweep's winning placement with the evaluation its slot already ran.
+struct SweepWinner {
+  PlacementResult placement;
+  Metrics metrics;
+};
+
+// The flow's reported effort is the SUM of its configurations' placement
 // times, not the fork-join span: on a shared pool the span overlaps the
 // other flows' and circuits' work, which would inflate the Table II/III
-// effort columns and make them thread-count dependent.
-PlacementResult take_best(std::vector<SweepSlot>& slots, const char* flow_name) {
-  PlacementResult best;
+// effort columns and make them thread-count dependent. Evaluation is not
+// effort: it is the measurement, not the flow.
+SweepWinner take_best(std::vector<SweepSlot>& slots, const char* flow_name,
+                      const PlacementEvaluator& evaluator) {
+  SweepWinner best;
   double effort = 0.0;
   std::size_t winner = slots.size();
   double best_wl = std::numeric_limits<double>::max();
@@ -41,10 +49,69 @@ PlacementResult take_best(std::vector<SweepSlot>& slots, const char* flow_name) 
       winner = i;
     }
   }
-  if (winner < slots.size()) best = std::move(slots[winner].result);
-  best.runtime_seconds = effort;
-  best.flow_name = flow_name;
+  if (winner < slots.size()) {
+    best.placement = std::move(slots[winner].result);
+    best.metrics = std::move(slots[winner].metrics);
+  } else {
+    best.metrics = evaluator.evaluate(best.placement);  // empty sweep
+  }
+  best.placement.runtime_seconds = effort;
+  best.placement.flow_name = flow_name;
+  best.metrics.runtime_s = effort;
+  best.metrics.flow = flow_name;
   return best;
+}
+
+SweepWinner hidap_sweep(const Design& design, const PlacementContext& context,
+                        const PlacementEvaluator& evaluator, const FlowOptions& options) {
+  std::vector<SweepSlot> slots(std::size(HiDaPOptions::kLambdaSweep));
+  parallel_for(
+      slots.size(),
+      [&](std::size_t i) {
+        HiDaPOptions opts = options.hidap;  // copies the job state too
+        opts.lambda = HiDaPOptions::kLambdaSweep[i];
+        opts.job.seed = options.seed;
+        const Timer task_timer;
+        slots[i].result = place_macros(design, context, opts);
+        slots[i].seconds = task_timer.seconds();
+        slots[i].metrics = evaluator.evaluate(slots[i].result);
+        if (JobControl* control = options.hidap.job.control) {
+          control->post_progress("hidap lambda=%.1f: WL=%.3f m (%.2fs)",
+                                 HiDaPOptions::kLambdaSweep[i], slots[i].metrics.wl_m,
+                                 slots[i].seconds);
+        }
+      },
+      effective_thread_count(options.hidap.num_threads));
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    HIDAP_LOG_INFO("HiDaP lambda=%.1f: WL=%.3f m", HiDaPOptions::kLambdaSweep[i],
+                   slots[i].metrics.wl_m);
+  }
+  return take_best(slots, "HiDaP", evaluator);
+}
+
+SweepWinner handfp_sweep(const Design& design, const PlacementContext& context,
+                         const PlacementEvaluator& evaluator, const FlowOptions& options) {
+  constexpr std::size_t kLambdas = std::size(HiDaPOptions::kLambdaSweep);
+  std::vector<SweepSlot> slots(static_cast<std::size_t>(options.handfp_seeds) * kLambdas);
+  parallel_for(
+      slots.size(),
+      [&](std::size_t t) {
+        const int s = static_cast<int>(t / kLambdas);
+        HiDaPOptions opts = options.hidap;  // copies the job state too
+        opts.lambda = HiDaPOptions::kLambdaSweep[t % kLambdas];
+        // Seed 0 re-runs the tool's own configuration at expert effort (the
+        // engineer starts from the tool output); later seeds explore.
+        opts.job.seed =
+            s == 0 ? options.seed
+                   : options.seed * 7919 + static_cast<std::uint64_t>(s) * 104729 + 13;
+        opts.scale_effort(options.handfp_effort);
+        const Timer task_timer;
+        slots[t].result = place_macros(design, context, opts);
+        slots[t].seconds = task_timer.seconds();
+        slots[t].metrics = evaluator.evaluate(slots[t].result);
+      },
+      effective_thread_count(options.hidap.num_threads));
+  return take_best(slots, "handFP", evaluator);
 }
 
 }  // namespace
@@ -77,76 +144,31 @@ PlacementResult run_indeda_flow(const Design& design, const PlacementContext& co
 
 PlacementResult run_hidap_flow(const Design& design, const PlacementContext& context,
                                const FlowOptions& options) {
-  std::vector<SweepSlot> slots(std::size(HiDaPOptions::kLambdaSweep));
-  parallel_for(
-      slots.size(),
-      [&](std::size_t i) {
-        const Timer task_timer;
-        HiDaPOptions opts = options.hidap;  // copies the job state too
-        opts.lambda = HiDaPOptions::kLambdaSweep[i];
-        opts.job.seed = options.seed;
-        slots[i].result = place_macros(design, context, opts);
-        slots[i].metrics = evaluate_placement(design, context.ht, context.seq,
-                                              slots[i].result, options.eval);
-        slots[i].seconds = task_timer.seconds();
-        if (JobControl* control = options.hidap.job.control) {
-          control->post_progress("hidap lambda=%.1f: WL=%.3f m (%.2fs)",
-                                 HiDaPOptions::kLambdaSweep[i], slots[i].metrics.wl_m,
-                                 slots[i].seconds);
-        }
-      },
-      effective_thread_count(options.hidap.num_threads));
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    HIDAP_LOG_INFO("HiDaP lambda=%.1f: WL=%.3f m", HiDaPOptions::kLambdaSweep[i],
-                   slots[i].metrics.wl_m);
-  }
-  return take_best(slots, "HiDaP");
+  const PlacementEvaluator evaluator(design, context.ht, context.seq, options.eval);
+  return hidap_sweep(design, context, evaluator, options).placement;
 }
 
 PlacementResult run_handfp_flow(const Design& design, const PlacementContext& context,
                                 const FlowOptions& options) {
-  constexpr std::size_t kLambdas = std::size(HiDaPOptions::kLambdaSweep);
-  std::vector<SweepSlot> slots(static_cast<std::size_t>(options.handfp_seeds) * kLambdas);
-  parallel_for(
-      slots.size(),
-      [&](std::size_t t) {
-        const Timer task_timer;
-        const int s = static_cast<int>(t / kLambdas);
-        HiDaPOptions opts = options.hidap;  // copies the job state too
-        opts.lambda = HiDaPOptions::kLambdaSweep[t % kLambdas];
-        // Seed 0 re-runs the tool's own configuration at expert effort (the
-        // engineer starts from the tool output); later seeds explore.
-        opts.job.seed =
-            s == 0 ? options.seed
-                   : options.seed * 7919 + static_cast<std::uint64_t>(s) * 104729 + 13;
-        opts.scale_effort(options.handfp_effort);
-        slots[t].result = place_macros(design, context, opts);
-        slots[t].metrics = evaluate_placement(design, context.ht, context.seq,
-                                              slots[t].result, options.eval);
-        slots[t].seconds = task_timer.seconds();
-      },
-      effective_thread_count(options.hidap.num_threads));
-  return take_best(slots, "handFP");
+  const PlacementEvaluator evaluator(design, context.ht, context.seq, options.eval);
+  return handfp_sweep(design, context, evaluator, options).placement;
 }
 
 FlowComparison compare_flows(const Design& design, const FlowOptions& options) {
   const PlacementContext context(design, options.hidap.seq);
+  // One cell-placement model for every evaluation of this design.
+  const PlacementEvaluator evaluator(design, context.ht, context.seq, options.eval);
   FlowComparison cmp;
 
-  // The three flows only read the shared design/context; each task fills
-  // its own Metrics member. Inner sweeps nest on the same pool.
-  const auto run_into = [&](Metrics& out,
-                            PlacementResult (*flow)(const Design&, const PlacementContext&,
-                                                    const FlowOptions&)) {
-    return [&out, &design, &context, &options, flow]() {
-      const PlacementResult result = flow(design, context, options);
-      out = evaluate_placement(design, context.ht, context.seq, result, options.eval);
-    };
-  };
-  parallel_invoke({run_into(cmp.indeda, run_indeda_flow),
-                   run_into(cmp.hidap, run_hidap_flow),
-                   run_into(cmp.handfp, run_handfp_flow)},
-                  effective_thread_count(options.hidap.num_threads));
+  // The three flows only read the shared design/context/evaluator; each
+  // task fills its own Metrics member. Inner sweeps nest on the same
+  // pool. The sweeps' winners come with their slot's evaluation, so only
+  // the IndEDA result is evaluated here.
+  parallel_invoke(
+      {[&] { cmp.indeda = evaluator.evaluate(run_indeda_flow(design, context, options)); },
+       [&] { cmp.hidap = hidap_sweep(design, context, evaluator, options).metrics; },
+       [&] { cmp.handfp = handfp_sweep(design, context, evaluator, options).metrics; }},
+      effective_thread_count(options.hidap.num_threads));
 
   const double ref = cmp.handfp.wl_m > 0 ? cmp.handfp.wl_m : 1.0;
   cmp.indeda.wl_norm = cmp.indeda.wl_m / ref;

@@ -27,15 +27,18 @@ PlacementResult run_indeda_flow(const Design& design, const PlacementContext& co
                                 const FlowOptions& options = {});
 
 /// Lambda sweep; selection by fully evaluated wirelength (paper: "best WL
-/// of three").
+/// of three"). runtime_seconds is the sum of the sweep's placement times.
 PlacementResult run_hidap_flow(const Design& design, const PlacementContext& context,
                                const FlowOptions& options = {});
 
 PlacementResult run_handfp_flow(const Design& design, const PlacementContext& context,
                                 const FlowOptions& options = {});
 
-/// All three flows evaluated; wl_norm is filled relative to handFP
-/// (handFP = 1.000, like Table III).
+/// All three flows evaluated through one shared PlacementEvaluator; the
+/// sweep winners keep the metrics their slot computed, so only the IndEDA
+/// result is evaluated after its flow. wl_norm is filled relative to
+/// handFP (handFP = 1.000, like Table III); runtime_s is placement time
+/// only.
 struct FlowComparison {
   Metrics indeda;
   Metrics hidap;

@@ -6,28 +6,38 @@
 
 namespace hidap {
 
-Metrics evaluate_placement(const Design& design, const HierTree& ht,
-                           const SeqGraph& seq, const PlacementResult& placement,
-                           const EvalOptions& options) {
+PlacementEvaluator::PlacementEvaluator(const Design& design, const HierTree& ht,
+                                       const SeqGraph& seq, const EvalOptions& options)
+    : model_(std::make_shared<const CellPlacementModel>(design, ht, options.place)),
+      seq_(&seq),
+      options_(options) {}
+
+Metrics PlacementEvaluator::evaluate(const PlacementResult& placement) const {
   Metrics m;
   m.flow = placement.flow_name;
   m.runtime_s = placement.runtime_seconds;
 
-  const PlacedDesign placed = place_cells(design, ht, placement, options.place);
+  const PlacedDesign placed = place_cells(model_, placement);
 
   const WirelengthReport wl = total_hpwl(placed);
   m.wl_m = wl.total_m;
 
-  const CongestionReport cong = estimate_congestion(placed, options.congestion);
+  const CongestionReport cong = estimate_congestion(placed, options_.congestion);
   m.grc_percent = cong.grc_percent;
 
-  const TimingReport timing = analyze_timing(placed, seq, options.timing);
+  const TimingReport timing = analyze_timing(placed, *seq_, options_.timing);
   m.wns_percent = timing.wns_percent;
   m.tns_ns = timing.tns_ns;
 
-  const DensityMap density = compute_density(placed, options.density_grid);
+  const DensityMap density = compute_density(placed, options_.density_grid);
   m.peak_density_near_macros = density.peak_density_near_macros();
   return m;
+}
+
+Metrics evaluate_placement(const Design& design, const HierTree& ht,
+                           const SeqGraph& seq, const PlacementResult& placement,
+                           const EvalOptions& options) {
+  return PlacementEvaluator(design, ht, seq, options).evaluate(placement);
 }
 
 double quick_wirelength(const Design& design, const HierTree& ht, const SeqGraph& seq,

@@ -3,6 +3,7 @@
 // wirelength, congestion, timing, density -- the paper's "metrics after
 // placement using the same tool" protocol (Table III columns).
 
+#include <memory>
 #include <string>
 
 #include "core/result.hpp"
@@ -33,8 +34,26 @@ struct Metrics {
   double peak_density_near_macros = 0.0;  ///< Fig. 9 discussion metric
 };
 
-/// Places cells under the given macro placement and measures everything.
-/// `ht`/`seq` must come from the same design (see PlacementContext).
+/// Evaluates any number of macro placements of one design. The cell
+/// placement model (clustering + link template) is built once, in the
+/// constructor, and shared read-only by every evaluate() call, which may
+/// run concurrently. `ht`/`seq` must come from the same design (see
+/// PlacementContext) and outlive the evaluator.
+class PlacementEvaluator {
+ public:
+  PlacementEvaluator(const Design& design, const HierTree& ht, const SeqGraph& seq,
+                     const EvalOptions& options = {});
+
+  /// Places cells under the given macro placement and measures everything.
+  Metrics evaluate(const PlacementResult& placement) const;
+
+ private:
+  std::shared_ptr<const CellPlacementModel> model_;
+  const SeqGraph* seq_;
+  EvalOptions options_;
+};
+
+/// One-shot PlacementEvaluator(design, ht, seq, options).evaluate(placement).
 Metrics evaluate_placement(const Design& design, const HierTree& ht,
                            const SeqGraph& seq, const PlacementResult& placement,
                            const EvalOptions& options = {});

@@ -65,18 +65,16 @@ DensityMap compute_density(const PlacedDesign& placed, int grid) {
   const double bin_area = bw * bh;
 
   // Macro coverage: exact overlap.
-  for (const CellId m : placed.design().macros()) {
-    const MacroPlacement* mp = placed.macro_of(m);
-    if (!mp) continue;
-    const int x0 = std::clamp(static_cast<int>((mp->rect.x - die.x) / bw), 0, grid - 1);
-    const int x1 = std::clamp(static_cast<int>((mp->rect.xmax() - die.x) / bw), 0, grid - 1);
-    const int y0 = std::clamp(static_cast<int>((mp->rect.y - die.y) / bh), 0, grid - 1);
-    const int y1 = std::clamp(static_cast<int>((mp->rect.ymax() - die.y) / bh), 0, grid - 1);
+  for (const Rect& macro : placed.macro_blockages()) {
+    const int x0 = std::clamp(static_cast<int>((macro.x - die.x) / bw), 0, grid - 1);
+    const int x1 = std::clamp(static_cast<int>((macro.xmax() - die.x) / bw), 0, grid - 1);
+    const int y0 = std::clamp(static_cast<int>((macro.y - die.y) / bh), 0, grid - 1);
+    const int y1 = std::clamp(static_cast<int>((macro.ymax() - die.y) / bh), 0, grid - 1);
     for (int y = y0; y <= y1; ++y) {
       for (int x = x0; x <= x1; ++x) {
         const Rect bin{die.x + x * bw, die.y + y * bh, bw, bh};
         map.macro[static_cast<std::size_t>(y) * grid + x] +=
-            bin.overlap_area(mp->rect) / bin_area;
+            bin.overlap_area(macro) / bin_area;
       }
     }
   }

@@ -2,20 +2,112 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "util/log.hpp"
+#include <iterator>
+#include <utility>
 
 namespace hidap {
 
-PlacedDesign::PlacedDesign(const Design& design, const HierTree& ht,
-                           const PlacementResult& macros, Clustering clustering, Rect die)
-    : design_(&design), ht_(&ht), clustering_(std::move(clustering)), die_(die) {
-  macros_ = macros.macros;
+CellPlacementModel::CellPlacementModel(const Design& design, const HierTree& ht,
+                                       const PlaceOptions& options)
+    : design_(&design),
+      options_(options),
+      clustering_(cluster_cells(design, ht,
+                                options.target_clusters > 0
+                                    ? options.target_clusters
+                                    : 3 * options.grid * options.grid)),
+      die_{0, 0, design.die().w, design.die().h} {
+  // Clique model with 1/(p-1) weighting over each net's distinct
+  // endpoints at cluster granularity; fixed endpoints (macro pins, ports,
+  // unclustered cells) are kept as pins and resolved per placement.
+  struct Emitted {
+    int owner;
+    int other;
+    double weight;
+  };
+  std::vector<Emitted> emitted;
+  std::vector<std::pair<int, NetPin>> ends;  // (cluster or -1, pin)
+  std::vector<int> fixed;                    // per end: ~fixed-pin index
+  for (const Net& net : design.nets()) {
+    // Small nets dominate; a flat scan is fine.
+    ends.clear();
+    bool clustered = false;
+    const auto add_end = [&](const NetPin& p) {
+      const int cl = clustering_.cluster_of[static_cast<std::size_t>(p.cell)];
+      if (cl >= 0) {
+        for (const auto& [c, pin] : ends) {
+          if (c == cl) return;
+        }
+        clustered = true;
+      }
+      ends.emplace_back(cl, p);
+    };
+    if (net.driver.cell != kInvalidId) add_end(net.driver);
+    for (const NetPin& p : net.sinks) add_end(p);
+    if (ends.size() < 2 || !clustered) continue;
+    const double w = 1.0 / static_cast<double>(ends.size() - 1);
+    fixed.assign(ends.size(), 0);
+    for (std::size_t i = 0; i < ends.size(); ++i) {
+      if (ends[i].first >= 0) continue;
+      fixed[i] = ~static_cast<int>(fixed_pins_.size());
+      fixed_pins_.push_back(ends[i].second);
+    }
+    for (std::size_t i = 0; i < ends.size(); ++i) {
+      for (std::size_t j = i + 1; j < ends.size(); ++j) {
+        const int ci = ends[i].first;
+        const int cj = ends[j].first;
+        if (ci >= 0 && cj >= 0) {
+          emitted.push_back({ci, cj, w});
+          emitted.push_back({cj, ci, w});
+        } else if (ci >= 0) {
+          emitted.push_back({ci, fixed[j], w});
+        } else if (cj >= 0) {
+          emitted.push_back({cj, fixed[i], w});
+        }
+      }
+    }
+  }
+
+  // Stable bucket by owner: each cluster's links keep emission order.
+  const std::size_t n = clustering_.clusters.size();
+  begin_.assign(n + 1, 0);
+  for (const Emitted& e : emitted) ++begin_[static_cast<std::size_t>(e.owner) + 1];
+  for (std::size_t i = 0; i < n; ++i) begin_[i + 1] += begin_[i];
+  other_.resize(emitted.size());
+  weight_.resize(emitted.size());
+  std::vector<std::size_t> cursor(begin_.begin(), begin_.end() - 1);
+  for (const Emitted& e : emitted) {
+    const std::size_t slot = cursor[static_cast<std::size_t>(e.owner)]++;
+    other_[slot] = e.other;
+    weight_[slot] = e.weight;
+  }
+  wsum_.assign(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t l = begin_[i]; l < begin_[i + 1]; ++l) wsum_[i] += weight_[l];
+  }
+}
+
+PlacedDesign::PlacedDesign(std::shared_ptr<const CellPlacementModel> model,
+                           const PlacementResult& macros)
+    : model_(std::move(model)), macros_(macros.macros) {
+  const Design& design = model_->design();
   macro_index_.assign(design.cell_count(), -1);
   for (std::size_t i = 0; i < macros_.size(); ++i) {
     macro_index_[static_cast<std::size_t>(macros_[i].cell)] = static_cast<int>(i);
   }
-  cluster_pos_.assign(clustering_.clusters.size(), die_.center());
+  // The blockage list visits macro cells in CellId order, each with its
+  // last placement entry -- the order every grid map sums in.
+  std::vector<CellId> placed;
+  for (std::size_t i = 0; i < macros_.size(); ++i) {
+    const CellId cell = macros_[i].cell;
+    if (macro_index_[static_cast<std::size_t>(cell)] == static_cast<int>(i) &&
+        design.cell(cell).kind == CellKind::Macro) {
+      placed.push_back(cell);
+    }
+  }
+  std::sort(placed.begin(), placed.end());
+  blockages_.reserve(placed.size());
+  for (const CellId cell : placed) blockages_.push_back(macro_of(cell)->rect);
+  cluster_pos_.assign(clustering().clusters.size(), die().center());
 }
 
 const MacroPlacement* PlacedDesign::macro_of(CellId cell) const {
@@ -24,12 +116,12 @@ const MacroPlacement* PlacedDesign::macro_of(CellId cell) const {
 }
 
 Point PlacedDesign::cell_position(CellId cell) const {
-  const Cell& c = design_->cell(cell);
+  const Cell& c = design().cell(cell);
   if (const MacroPlacement* m = macro_of(cell)) return m->rect.center();
   if (c.fixed_pos) return *c.fixed_pos;
-  const int cl = clustering_.cluster_of[static_cast<std::size_t>(cell)];
+  const int cl = clustering().cluster_of[static_cast<std::size_t>(cell)];
   if (cl >= 0) return cluster_pos_[static_cast<std::size_t>(cl)];
-  return die_.center();
+  return die().center();
 }
 
 Point PlacedDesign::pin_position(const NetPin& pin) const {
@@ -43,86 +135,25 @@ Point PlacedDesign::pin_position(const NetPin& pin) const {
   return cell_position(pin.cell);
 }
 
-namespace {
-
-// Connections of the cluster-level star model: cluster <-> cluster and
-// cluster <-> fixed point, each with an accumulated weight.
-struct ClusterSystem {
-  struct Link {
-    int other;  ///< cluster index, or -1 for fixed
-    Point fixed;
-    double weight;
-  };
-  std::vector<std::vector<Link>> links;  // per cluster
-};
-
-ClusterSystem build_system(const Design& design, const PlacedDesign& placed) {
-  const Clustering& clustering = placed.clustering();
-  ClusterSystem sys;
-  sys.links.resize(clustering.clusters.size());
-
-  const auto endpoint_cluster = [&](CellId cell) {
-    return clustering.cluster_of[static_cast<std::size_t>(cell)];
-  };
-
-  for (std::size_t n = 0; n < design.net_count(); ++n) {
-    const Net& net = design.net(static_cast<NetId>(n));
-    // Collect distinct endpoints of the net at cluster granularity.
-    // Small nets dominate; a flat scan is fine.
-    std::vector<std::pair<int, Point>> ends;  // (cluster or -1, fixed pos)
-    auto add_end = [&](const NetPin& p) {
-      const int cl = endpoint_cluster(p.cell);
-      if (cl >= 0) {
-        for (const auto& [c, pos] : ends) {
-          if (c == cl) return;
-        }
-        ends.emplace_back(cl, Point{});
-      } else {
-        ends.emplace_back(-1, placed.pin_position(p));
-      }
-    };
-    if (net.driver.cell != kInvalidId) add_end(net.driver);
-    for (const NetPin& p : net.sinks) add_end(p);
-    if (ends.size() < 2) continue;
-    // Clique model with 1/(p-1) weighting.
-    const double w = 1.0 / static_cast<double>(ends.size() - 1);
-    for (std::size_t i = 0; i < ends.size(); ++i) {
-      for (std::size_t j = i + 1; j < ends.size(); ++j) {
-        const auto& [ci, pi] = ends[i];
-        const auto& [cj, pj] = ends[j];
-        if (ci < 0 && cj < 0) continue;  // fixed-fixed: constant
-        if (ci >= 0 && cj >= 0) {
-          sys.links[static_cast<std::size_t>(ci)].push_back({cj, {}, w});
-          sys.links[static_cast<std::size_t>(cj)].push_back({ci, {}, w});
-        } else if (ci >= 0) {
-          sys.links[static_cast<std::size_t>(ci)].push_back({-1, pj, w});
-        } else {
-          sys.links[static_cast<std::size_t>(cj)].push_back({-1, pi, w});
-        }
-      }
-    }
-  }
-  return sys;
-}
-
-// Gauss-Seidel sweeps on the star model. When `anchors` is non-null each
-// cluster is additionally pulled toward anchors[i] with a weight that is
-// `anchor_strength` times its own connectivity weight (the SimPL-style
-// legalization pull).
-void solve_gauss_seidel(const ClusterSystem& sys, std::vector<Point>& pos,
-                        const Rect& die, int iterations,
-                        const std::vector<Point>* anchors = nullptr,
-                        double anchor_strength = 0.0) {
+// Gauss-Seidel sweeps on the star model. `fixed` holds the positions of
+// the model's fixed pins under the current placement. When `anchors` is
+// non-null each cluster is additionally pulled toward anchors[i] with a
+// weight that is `anchor_strength` times its own connectivity weight
+// (the SimPL-style legalization pull).
+void CellPlacementModel::solve(const std::vector<Point>& fixed, std::vector<Point>& pos,
+                               int iterations, const std::vector<Point>* anchors,
+                               double anchor_strength) const {
   for (int it = 0; it < iterations; ++it) {
     for (std::size_t i = 0; i < pos.size(); ++i) {
-      double wx = 0.0, wy = 0.0, wsum = 0.0;
-      for (const auto& link : sys.links[i]) {
-        const Point p = link.other >= 0 ? pos[static_cast<std::size_t>(link.other)]
-                                        : link.fixed;
-        wx += link.weight * p.x;
-        wy += link.weight * p.y;
-        wsum += link.weight;
+      double wx = 0.0, wy = 0.0;
+      for (std::size_t l = begin_[i]; l < begin_[i + 1]; ++l) {
+        const int o = other_[l];
+        const Point& p = o >= 0 ? pos[static_cast<std::size_t>(o)]
+                                : fixed[static_cast<std::size_t>(~o)];
+        wx += weight_[l] * p.x;
+        wy += weight_[l] * p.y;
       }
+      double wsum = wsum_[i];
       if (anchors && wsum > 0) {
         const double aw = anchor_strength * wsum;
         wx += aw * (*anchors)[i].x;
@@ -130,11 +161,30 @@ void solve_gauss_seidel(const ClusterSystem& sys, std::vector<Point>& pos,
         wsum += aw;
       }
       if (wsum <= 0) continue;
-      pos[i].x = std::clamp(wx / wsum, die.x, die.xmax());
-      pos[i].y = std::clamp(wy / wsum, die.y, die.ymax());
+      pos[i].x = std::clamp(wx / wsum, die_.x, die_.xmax());
+      pos[i].y = std::clamp(wy / wsum, die_.y, die_.ymax());
     }
   }
 }
+
+std::vector<double> bin_capacity(const PlacedDesign& placed, const PlaceOptions& options) {
+  const Rect die = placed.die();
+  const int g = options.grid;
+  const double bw = die.w / g, bh = die.h / g;
+  std::vector<double> capacity(static_cast<std::size_t>(g) * g, 0.0);
+  for (int by = 0; by < g; ++by) {
+    for (int bx = 0; bx < g; ++bx) {
+      const Rect bin{die.x + bx * bw, die.y + by * bh, bw, bh};
+      double blocked = 0.0;
+      for (const Rect& macro : placed.macro_blockages()) blocked += bin.overlap_area(macro);
+      capacity[static_cast<std::size_t>(by) * g + bx] =
+          std::max(0.0, (bin.area() - blocked) * options.bin_capacity_ratio);
+    }
+  }
+  return capacity;
+}
+
+namespace {
 
 // Grid spreading: clusters leave overfull bins for the least-full
 // neighbor, iterated; capacity excludes macro-covered area.
@@ -143,21 +193,7 @@ void spread_clusters(const PlacedDesign& placed, std::vector<Point>& pos,
   const Rect die = placed.die();
   const int g = options.grid;
   const double bw = die.w / g, bh = die.h / g;
-
-  std::vector<double> capacity(static_cast<std::size_t>(g) * g, 0.0);
-  for (int by = 0; by < g; ++by) {
-    for (int bx = 0; bx < g; ++bx) {
-      const Rect bin{die.x + bx * bw, die.y + by * bh, bw, bh};
-      double blocked = 0.0;
-      for (const CellId m : placed.design().macros()) {
-        if (const MacroPlacement* mp = placed.macro_of(m)) {
-          blocked += bin.overlap_area(mp->rect);
-        }
-      }
-      capacity[static_cast<std::size_t>(by) * g + bx] =
-          std::max(0.0, (bin.area() - blocked) * options.bin_capacity_ratio);
-    }
-  }
+  const std::vector<double> capacity = bin_capacity(placed, options);
 
   const auto bin_of = [&](const Point& p) {
     const int bx = std::clamp(static_cast<int>((p.x - die.x) / bw), 0, g - 1);
@@ -276,29 +312,43 @@ void spread_clusters(const PlacedDesign& placed, std::vector<Point>& pos,
   }
 }
 
+// SimPL-style loop after the initial solve: legalize, then re-solve for
+// half the iterations with a pull of this strength toward the legal
+// slots; the interleave preserves connectivity order far better than a
+// single destructive spreading pass.
+constexpr double kAnchorStrengths[] = {0.25, 0.6};
+
 }  // namespace
 
-PlacedDesign place_cells(const Design& design, const HierTree& ht,
-                         const PlacementResult& macros, const PlaceOptions& options) {
-  const int target = options.target_clusters > 0 ? options.target_clusters
-                                                 : 3 * options.grid * options.grid;
-  Clustering clustering = cluster_cells(design, ht, target);
-  const Rect die{0, 0, design.die().w, design.die().h};
-  PlacedDesign placed(design, ht, macros, std::move(clustering), die);
+int CellPlacementModel::sweeps() const {
+  return options_.solver_iterations +
+         static_cast<int>(std::size(kAnchorStrengths)) * (options_.solver_iterations / 2);
+}
 
-  const ClusterSystem sys = build_system(design, placed);
+PlacedDesign place_cells(std::shared_ptr<const CellPlacementModel> model,
+                         const PlacementResult& macros) {
+  const CellPlacementModel& m = *model;
+  PlacedDesign placed(std::move(model), macros);
+  const PlaceOptions& options = m.options();
+
+  std::vector<Point> fixed;
+  fixed.reserve(m.fixed_pins_.size());
+  for (const NetPin& pin : m.fixed_pins_) fixed.push_back(placed.pin_position(pin));
+
   std::vector<Point>& pos = placed.cluster_positions();
-  solve_gauss_seidel(sys, pos, die, options.solver_iterations);
-  // SimPL-style loop: legalize, then re-solve with a pull toward the
-  // legal slots; the interleave preserves connectivity order far better
-  // than a single destructive spreading pass.
-  for (const double strength : {0.25, 0.6}) {
+  m.solve(fixed, pos, options.solver_iterations);
+  for (const double strength : kAnchorStrengths) {
     std::vector<Point> legal = pos;
     spread_clusters(placed, legal, options);
-    solve_gauss_seidel(sys, pos, die, options.solver_iterations / 2, &legal, strength);
+    m.solve(fixed, pos, options.solver_iterations / 2, &legal, strength);
   }
   spread_clusters(placed, pos, options);
   return placed;
+}
+
+PlacedDesign place_cells(const Design& design, const HierTree& ht,
+                         const PlacementResult& macros, const PlaceOptions& options) {
+  return place_cells(std::make_shared<const CellPlacementModel>(design, ht, options), macros);
 }
 
 }  // namespace hidap

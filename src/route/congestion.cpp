@@ -18,17 +18,15 @@ CongestionReport estimate_congestion(const PlacedDesign& placed,
   std::vector<double> vcap(static_cast<std::size_t>(g) * g, bw * options.tracks_per_um);
 
   // Derate capacity over macros.
-  for (const CellId m : placed.design().macros()) {
-    const MacroPlacement* mp = placed.macro_of(m);
-    if (!mp) continue;
-    const int x0 = std::clamp(static_cast<int>((mp->rect.x - die.x) / bw), 0, g - 1);
-    const int x1 = std::clamp(static_cast<int>((mp->rect.xmax() - die.x) / bw), 0, g - 1);
-    const int y0 = std::clamp(static_cast<int>((mp->rect.y - die.y) / bh), 0, g - 1);
-    const int y1 = std::clamp(static_cast<int>((mp->rect.ymax() - die.y) / bh), 0, g - 1);
+  for (const Rect& macro : placed.macro_blockages()) {
+    const int x0 = std::clamp(static_cast<int>((macro.x - die.x) / bw), 0, g - 1);
+    const int x1 = std::clamp(static_cast<int>((macro.xmax() - die.x) / bw), 0, g - 1);
+    const int y0 = std::clamp(static_cast<int>((macro.y - die.y) / bh), 0, g - 1);
+    const int y1 = std::clamp(static_cast<int>((macro.ymax() - die.y) / bh), 0, g - 1);
     for (int y = y0; y <= y1; ++y) {
       for (int x = x0; x <= x1; ++x) {
         const Rect bin{die.x + x * bw, die.y + y * bh, bw, bh};
-        const double frac = bin.overlap_area(mp->rect) / bin.area();
+        const double frac = bin.overlap_area(macro) / bin.area();
         const double derate = 1.0 - options.macro_blockage * frac;
         hcap[static_cast<std::size_t>(y) * g + x] *= derate;
         vcap[static_cast<std::size_t>(y) * g + x] *= derate;

@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include "eval/flows.hpp"
+#include "force_pool_lanes.hpp"
 #include "gen/suite.hpp"
 #include "util/log.hpp"
 
 namespace hidap {
 namespace {
+
+// Enough lanes that a 4-lane comparison really runs its flows and sweeps
+// concurrently, even on a single-core host.
+const int kForcedPoolLanes = test_support::force_pool_lanes();
 
 FlowOptions quick_flow_options() {
   FlowOptions o;
@@ -102,6 +107,39 @@ TEST(Eval, CompareFlowsNormalizesToHandfp) {
   EXPECT_NEAR(cmp.indeda.wl_norm, cmp.indeda.wl_m / cmp.handfp.wl_m, 1e-9);
   EXPECT_NEAR(cmp.hidap.wl_norm, cmp.hidap.wl_m / cmp.handfp.wl_m, 1e-9);
   EXPECT_GT(cmp.indeda.wl_m, 0.0);
+}
+
+void expect_same_metrics(const Metrics& reported, const Metrics& fresh) {
+  EXPECT_EQ(reported.flow, fresh.flow);
+  EXPECT_EQ(reported.wl_m, fresh.wl_m);
+  EXPECT_EQ(reported.grc_percent, fresh.grc_percent);
+  EXPECT_EQ(reported.wns_percent, fresh.wns_percent);
+  EXPECT_EQ(reported.tns_ns, fresh.tns_ns);
+  EXPECT_EQ(reported.peak_density_near_macros, fresh.peak_density_near_macros);
+}
+
+TEST(Eval, CompareFlowsReusesWinnerEvaluationBitExactly) {
+  // compare_flows reports each sweep winner with the evaluation its slot
+  // ran on the shared per-design model; that must be exactly what a fresh,
+  // standalone evaluation of the winning placement gives.
+  auto& fx = fixture();
+  for (const int lanes : {1, 4}) {
+    SCOPED_TRACE(lanes);
+    FlowOptions opt = quick_flow_options();
+    opt.handfp_seeds = 2;
+    opt.hidap.num_threads = lanes;
+    const FlowComparison cmp = compare_flows(fx.d, opt);
+    const PlacementResult hidap = run_hidap_flow(fx.d, fx.ctx, opt);
+    const PlacementResult handfp = run_handfp_flow(fx.d, fx.ctx, opt);
+    const Metrics fresh_hidap = evaluate_placement(fx.d, fx.ctx.ht, fx.ctx.seq, hidap, opt.eval);
+    const Metrics fresh_handfp =
+        evaluate_placement(fx.d, fx.ctx.ht, fx.ctx.seq, handfp, opt.eval);
+    expect_same_metrics(cmp.hidap, fresh_hidap);
+    expect_same_metrics(cmp.handfp, fresh_handfp);
+    EXPECT_EQ(cmp.hidap.wl_norm, fresh_hidap.wl_m / fresh_handfp.wl_m);
+    EXPECT_GT(cmp.hidap.runtime_s, 0.0);  // placement effort, timed per slot
+    EXPECT_GT(cmp.handfp.runtime_s, 0.0);
+  }
 }
 
 }  // namespace

@@ -17,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "force_pool_lanes.hpp"
 #include "gen/circuit_gen.hpp"
 #include "gen/suite.hpp"
@@ -44,7 +46,10 @@ class FaultSweepTest : public ::testing::Test {
     std::ostringstream verilog;
     write_verilog(design, verilog);
     verilog_text_ = new std::string(verilog.str());
-    verilog_path_ = new std::string("fault_sweep_input.v");
+    // ctest runs every case as its own process in the suite's working
+    // directory; a per-process name keeps one case's teardown from
+    // deleting the input under a concurrent neighbour.
+    verilog_path_ = new std::string(scratch_name("fault_sweep_input") + ".v");
     std::ofstream out(*verilog_path_, std::ios::binary);
     out << *verilog_text_;
     ASSERT_TRUE(out.good());
@@ -58,6 +63,11 @@ class FaultSweepTest : public ::testing::Test {
     verilog_path_ = nullptr;
   }
   void TearDown() override { failpoints::disarm_all(); }
+
+  // Per-process scratch file stem in the shared working directory.
+  static std::string scratch_name(const char* stem) {
+    return std::string(stem) + "_" + std::to_string(::getpid());
+  }
 
   static HiDaPOptions quick_base() {
     HiDaPOptions o;
@@ -91,6 +101,10 @@ class FaultSweepTest : public ::testing::Test {
       PlacementSession session(quick_base());
       const JobOutcome outcome = session.run(file_spec("baseline"));
       EXPECT_EQ(outcome.status, JobStatus::Completed);
+      if (!outcome.design) {
+        ADD_FAILURE() << "baseline job produced no design: " << outcome.error;
+        return std::string();
+      }
       return def_bytes(outcome);
     }();
     return def;
@@ -144,6 +158,7 @@ TEST_F(FaultSweepTest, EveryInjectedFaultYieldsTypedErrorAndCleanRetry) {
       EXPECT_FALSE(faulted.error.empty());
     } else {
       // Degraded-but-completed: the result is still the real placement.
+      ASSERT_TRUE(faulted.design);
       EXPECT_EQ(def_bytes(faulted), baseline_def());
     }
 
@@ -154,6 +169,7 @@ TEST_F(FaultSweepTest, EveryInjectedFaultYieldsTypedErrorAndCleanRetry) {
     const JobOutcome retried = session.run(file_spec(std::string("retry-") + c.point));
     EXPECT_EQ(retried.status, JobStatus::Completed);
     EXPECT_EQ(retried.error_code, ErrorCode::Ok);
+    ASSERT_TRUE(retried.design);
     EXPECT_EQ(def_bytes(retried), baseline_def());
   }
 }
@@ -169,6 +185,7 @@ TEST_F(FaultSweepTest, TransientReadFaultHealsViaRetry) {
   const JobOutcome outcome = session.run(file_spec("healed"));
   EXPECT_EQ(outcome.status, JobStatus::Completed);
   EXPECT_EQ(point.fire_count(), 1u);
+  ASSERT_TRUE(outcome.design);
   EXPECT_EQ(def_bytes(outcome), baseline_def());
 }
 
@@ -182,6 +199,7 @@ TEST_F(FaultSweepTest, OversizedInputShedsWithResourceExhausted) {
   // The limit must not have poisoned anything for correctly-sized jobs.
   const JobOutcome retried = session.run(file_spec("after-oversized"));
   EXPECT_EQ(retried.status, JobStatus::Completed);
+  ASSERT_TRUE(retried.design);
   EXPECT_EQ(def_bytes(retried), baseline_def());
 }
 
@@ -220,6 +238,7 @@ TEST_F(FaultSweepTest, SingleFlightParseFaultIsSharedTypedAndRetriable) {
       EXPECT_EQ(outcome.error_code, ErrorCode::ParseError);
     } else {
       EXPECT_EQ(outcome.status, JobStatus::Completed);
+      ASSERT_TRUE(outcome.design);
       EXPECT_EQ(def_bytes(outcome), baseline_def());
     }
   }
@@ -229,6 +248,7 @@ TEST_F(FaultSweepTest, SingleFlightParseFaultIsSharedTypedAndRetriable) {
   // re-parses and completes with the reference bytes.
   const JobOutcome after = session.run(file_spec("after-flight"));
   EXPECT_EQ(after.status, JobStatus::Completed);
+  ASSERT_TRUE(after.design);
   EXPECT_EQ(def_bytes(after), baseline_def());
   const ArtifactCache::Stats stats = session.cache_stats();
   EXPECT_GT(stats.design_misses, 0u);
@@ -242,6 +262,7 @@ TEST_F(FaultSweepTest, DisarmedSweepIsByteIdenticalToBaseline) {
   PlacementSession session(quick_base());
   const JobOutcome outcome = session.run(file_spec("disarmed"));
   ASSERT_EQ(outcome.status, JobStatus::Completed);
+  ASSERT_TRUE(outcome.design);
   EXPECT_EQ(def_bytes(outcome), baseline_def());
 }
 
@@ -267,7 +288,8 @@ TEST_F(FaultSweepTest, FileReaderFaultsAreTypedIoErrors) {
   PlacementSession session(quick_base());
   const JobOutcome outcome = session.run(file_spec("def-source"));
   ASSERT_EQ(outcome.status, JobStatus::Completed);
-  const std::string def_path = "fault_sweep_roundtrip.def";
+  const std::string def_path = scratch_name("fault_sweep_roundtrip") + ".def";
+  ASSERT_TRUE(outcome.design);
   write_def_file(*outcome.design, outcome.placement, def_path);
   EXPECT_FALSE(parse_def_file(def_path).components.empty());
   ASSERT_TRUE(failpoints::arm("netlist.def_read", "throw"));
@@ -285,19 +307,21 @@ TEST_F(FaultSweepTest, BookshelfReaderFaultIsTypedIoError) {
   PlacementSession session(quick_base());
   const JobOutcome outcome = session.run(file_spec("bookshelf-source"));
   ASSERT_EQ(outcome.status, JobStatus::Completed);
-  write_bookshelf(*outcome.design, outcome.placement, "fault_sweep_bs");
-  EXPECT_GT(read_bookshelf("fault_sweep_bs").design.cell_count(), 0u);
+  ASSERT_TRUE(outcome.design);
+  const std::string stem = scratch_name("fault_sweep_bs");
+  write_bookshelf(*outcome.design, outcome.placement, stem);
+  EXPECT_GT(read_bookshelf(stem).design.cell_count(), 0u);
 
   ASSERT_TRUE(failpoints::arm("netlist.bookshelf_read", "throw"));
   try {
-    read_bookshelf("fault_sweep_bs");
+    read_bookshelf(stem);
     FAIL() << "armed reader fault did not surface";
   } catch (const HidapError& e) {
     EXPECT_EQ(e.code(), ErrorCode::IoError);
   }
   failpoints::disarm("netlist.bookshelf_read");
   for (const char* ext : {".nodes", ".nets", ".pl", ".aux"}) {
-    std::remove((std::string("fault_sweep_bs") + ext).c_str());
+    std::remove((stem + ext).c_str());
   }
 }
 

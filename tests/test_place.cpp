@@ -1,7 +1,10 @@
 // Cell-placement proxy tests: clustering, quadratic solve, spreading,
-// HPWL, density maps.
+// HPWL, density maps, and the shared per-design placement model.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
 
 #include "core/hidap.hpp"
 #include "gen/suite.hpp"
@@ -165,6 +168,119 @@ TEST(Density, PeakNearMacrosBounded) {
   const PlacedDesign placed = place_cells(fx.d, fx.ctx.ht, fx.placement);
   const DensityMap map = compute_density(placed, 32);
   EXPECT_GE(map.peak_cell_density(), map.peak_density_near_macros() * 0.999);
+}
+
+
+// --- Shared per-design model: differential checks ---
+
+// Macros packed row by row from the die origin, in the given order. Not a
+// good floorplan, but a deterministic one that needs no annealing.
+PlacementResult row_placement(const Design& d, const std::vector<CellId>& macros) {
+  PlacementResult r;
+  double x = 0.0, y = 0.0, row_h = 0.0;
+  for (const CellId m : macros) {
+    const MacroDef& def = d.macro_def_of(m);
+    if (x + def.w > d.die().w) {
+      x = 0.0;
+      y += row_h;
+      row_h = 0.0;
+    }
+    r.macros.push_back({m, Rect{x, y, def.w, def.h}, Orientation::R0});
+    x += def.w;
+    row_h = std::max(row_h, def.h);
+  }
+  return r;
+}
+
+PlaceOptions small_place_options() {
+  PlaceOptions o;
+  o.grid = 16;
+  o.target_clusters = 300;
+  o.solver_iterations = 20;
+  return o;
+}
+
+void expect_same_positions(const PlacedDesign& a, const PlacedDesign& b) {
+  ASSERT_EQ(a.cluster_positions().size(), b.cluster_positions().size());
+  for (std::size_t i = 0; i < a.cluster_positions().size(); ++i) {
+    EXPECT_EQ(a.cluster_positions()[i].x, b.cluster_positions()[i].x) << "cluster " << i;
+    EXPECT_EQ(a.cluster_positions()[i].y, b.cluster_positions()[i].y) << "cluster " << i;
+  }
+}
+
+TEST(PlacementModel, SharedModelMatchesStandaloneWrapper) {
+  set_log_level(LogLevel::Warn);
+  for (const char* name : {"c1", "c5", "c8"}) {
+    SCOPED_TRACE(name);
+    Design d = generate_circuit(suite_circuit(name, 0.002).spec);
+    // Every other port loses its die-boundary pin: such fixed endpoints
+    // resolve to the die center.
+    bool drop = false;
+    for (std::size_t c = 0; c < d.cell_count(); ++c) {
+      Cell& cell = d.cell_mutable(static_cast<CellId>(c));
+      if (!is_port(cell.kind)) continue;
+      drop = !drop;
+      if (drop) cell.fixed_pos.reset();
+    }
+    const HierTree ht(d);
+    const PlaceOptions options = small_place_options();
+
+    std::vector<CellId> macros = d.macros();
+    const PlacementResult full = row_placement(d, macros);
+    const PlacementResult partial = [&] {
+      std::reverse(macros.begin(), macros.end());
+      PlacementResult r = row_placement(d, macros);
+      r.macros.resize(r.macros.size() / 2);  // the rest are unplaced
+      return r;
+    }();
+
+    // One model serves every placement, in any order; each result equals
+    // a model built for that placement alone.
+    const auto model = std::make_shared<const CellPlacementModel>(d, ht, options);
+    EXPECT_GT(model->link_count(), 0u);
+    for (const PlacementResult* placement : {&full, &partial, &full}) {
+      const PlacedDesign shared = place_cells(model, *placement);
+      const PlacedDesign standalone = place_cells(d, ht, *placement, options);
+      expect_same_positions(shared, standalone);
+      EXPECT_EQ(total_hpwl(shared).total_um, total_hpwl(standalone).total_um);
+    }
+    // The two placements really differ, so the fixed pins were re-resolved.
+    EXPECT_NE(total_hpwl(place_cells(model, full)).total_um,
+              total_hpwl(place_cells(model, partial)).total_um);
+  }
+}
+
+TEST(PlacementModel, HoistedBlockageCapacityEqualsPerBinMacroScan) {
+  auto& fx = fixture();
+  const PlaceOptions options = small_place_options();
+  // Placement entries out of CellId order, one macro listed twice (the
+  // later entry wins) and one left unplaced: the hoisted list must still
+  // sum each bin in CellId order over the placed footprints.
+  PlacementResult shuffled = fx.placement;
+  std::reverse(shuffled.macros.begin(), shuffled.macros.end());
+  MacroPlacement moved = shuffled.macros.front();
+  moved.rect.x = std::max(0.0, moved.rect.x - moved.rect.w / 2);
+  shuffled.macros.push_back(moved);
+  shuffled.macros.erase(shuffled.macros.begin() + 1);
+  const PlacedDesign placed = place_cells(fx.d, fx.ctx.ht, shuffled, options);
+
+  const std::vector<double> capacity = bin_capacity(placed, options);
+  const Rect die = placed.die();
+  const int g = options.grid;
+  const double bw = die.w / g, bh = die.h / g;
+  ASSERT_EQ(capacity.size(), static_cast<std::size_t>(g) * g);
+  for (int by = 0; by < g; ++by) {
+    for (int bx = 0; bx < g; ++bx) {
+      const Rect bin{die.x + bx * bw, die.y + by * bh, bw, bh};
+      double blocked = 0.0;
+      for (const CellId m : fx.d.macros()) {
+        if (const MacroPlacement* mp = placed.macro_of(m)) blocked += bin.overlap_area(mp->rect);
+      }
+      const double expected = std::max(0.0, (bin.area() - blocked) * options.bin_capacity_ratio);
+      EXPECT_EQ(capacity[static_cast<std::size_t>(by) * g + bx], expected)
+          << "bin " << bx << "," << by;
+    }
+  }
 }
 
 }  // namespace
