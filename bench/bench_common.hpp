@@ -9,14 +9,6 @@
 //   HIDAP_CIRCUITS=c1,c3 -- restrict the suite
 //   HIDAP_THREADS=n -- lanes for the parallel suite driver (default:
 //                   hardware concurrency; results are identical at any n)
-//   HIDAP_LEGACY_ESTIMATES=1 -- pre-scheduler estimate semantics (each
-//                   level's inference sees earlier siblings' refinements;
-//                   sequential recursion). Default: snapshot semantics
-//                   with the task-graph scheduler on.
-//   HIDAP_ANNEAL_AUTOSCALE=1 -- per-level SA effort auto-scaling
-//                   (HiDaPOptions::anneal_autoscale; moves-per-step
-//                   scaled by subtree block count). Default off, like
-//                   the CLI's --anneal-autoscale.
 
 #include <cmath>
 #include <cstdio>
@@ -42,16 +34,6 @@ inline double env_scale(double fallback) {
 
 inline bool env_fast() {
   const char* s = std::getenv("HIDAP_FAST");
-  return s && std::string(s) != "0";
-}
-
-inline bool env_legacy_estimates() {
-  const char* s = std::getenv("HIDAP_LEGACY_ESTIMATES");
-  return s && std::string(s) != "0";
-}
-
-inline bool env_anneal_autoscale() {
-  const char* s = std::getenv("HIDAP_ANNEAL_AUTOSCALE");
   return s && std::string(s) != "0";
 }
 
@@ -86,8 +68,6 @@ inline FlowOptions bench_flow_options(std::uint64_t seed = 1) {
   o.handfp_seeds = 2;
   o.eval.place.target_clusters = 0;  // auto: sized to the spreading grid
   o.eval.place.solver_iterations = 50;
-  o.hidap.legacy_estimate_order = env_legacy_estimates();
-  o.hidap.anneal_autoscale = env_anneal_autoscale();
   if (env_fast()) {
     o.hidap.layout_anneal.moves_per_temperature = 40;
     o.hidap.shape_fp.anneal.moves_per_temperature = 30;

@@ -307,158 +307,6 @@ void BM_IncrementalEvaluateNoSplitSkip(benchmark::State& state) {
 }
 BENCHMARK(BM_IncrementalEvaluateNoSplitSkip)->Arg(8)->Arg(16)->Arg(32);
 
-// Batched speculation: the same rejected-move ring consumed 8 candidates
-// at a time through propose_batch + discard_batch -- the all-rejected
-// case that dominates a cooled schedule, where batching amortizes the
-// shape-curve walk and scores every lane in one SoA reduction. Reported
-// per candidate, so the number is directly comparable against
-// BM_IncrementalEvaluate.
-void BM_BatchedEvaluate(benchmark::State& state) {
-  LayoutBenchProblem lp = make_layout_problem(static_cast<int>(state.range(0)));
-  lp.problem.affinity = &lp.affinity;
-  Rng rng(17);
-  PolishExpression base;
-  const std::vector<PolishExpression> ring =
-      make_move_ring(static_cast<int>(lp.problem.blocks.size()), rng, base);
-  IncrementalLayoutEval eval(lp.problem.blocks, lp.problem.region, lp.problem.terminals,
-                             lp.affinity, base);
-  constexpr std::size_t kBatch = 8;
-  std::array<double, kBatch> costs{};
-  std::size_t k = 0;
-  for (auto _ : state) {
-    eval.propose_batch(
-        kBatch,
-        [&](std::size_t, PolishExpression& expr) {
-          expr = ring[k];
-          k = (k + 1) % ring.size();
-        },
-        costs.data());
-    benchmark::DoNotOptimize(costs);
-    eval.discard_batch();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kBatch));
-  // Shared-prefix occupancy (the sa.lane_nodes* counters' source):
-  // walked/lane_nodes is the fraction of per-lane tree nodes that were
-  // actually dirty and re-parsed; the rest rode the committed caches.
-  const auto& walk = eval.lane_walk_stats();
-  state.counters["lane_nodes"] = static_cast<double>(walk.lane_nodes);
-  state.counters["nodes_walked"] = static_cast<double>(walk.nodes_walked);
-}
-BENCHMARK(BM_BatchedEvaluate)->Arg(8)->Arg(16)->Arg(32);
-
-// Lane-walk ablation pair: the identical 16-wide all-rejected batch
-// stream evaluated by the shared changed-prefix walk (propose_batch:
-// one classification pass, clean subtrees served from the committed
-// caches, lane-divergent suffixes composed vertically in SoA form) vs
-// the pre-lane-walk path (propose_batch_serial: one full scalar tree
-// evaluation per lane). Bit-identical outputs by contract -- the delta
-// is pure walk-sharing, reported per candidate.
-template <bool kShared>
-void lane_walk_bench(benchmark::State& state) {
-  LayoutBenchProblem lp = make_layout_problem(static_cast<int>(state.range(0)));
-  lp.problem.affinity = &lp.affinity;
-  Rng rng(17);
-  PolishExpression base;
-  const std::vector<PolishExpression> ring =
-      make_move_ring(static_cast<int>(lp.problem.blocks.size()), rng, base);
-  IncrementalLayoutEval eval(lp.problem.blocks, lp.problem.region, lp.problem.terminals,
-                             lp.affinity, base);
-  constexpr std::size_t kBatch = IncrementalLayoutEval::kMaxBatch;
-  std::array<double, kBatch> costs{};
-  std::size_t k = 0;
-  const auto generate = [&](std::size_t, PolishExpression& expr) {
-    expr = ring[k];
-    k = (k + 1) % ring.size();
-  };
-  for (auto _ : state) {
-    if constexpr (kShared) {
-      eval.propose_batch(kBatch, generate, costs.data());
-    } else {
-      eval.propose_batch_serial(kBatch, generate, costs.data());
-    }
-    benchmark::DoNotOptimize(costs);
-    eval.discard_batch();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kBatch));
-}
-
-void BM_LaneTreeWalk(benchmark::State& state) { lane_walk_bench<true>(state); }
-BENCHMARK(BM_LaneTreeWalk)->Arg(8)->Arg(16)->Arg(32);
-
-void BM_SerialLaneWalk(benchmark::State& state) { lane_walk_bench<false>(state); }
-BENCHMARK(BM_SerialLaneWalk)->Arg(8)->Arg(16)->Arg(32);
-
-// The SoA reduction in isolation: K lanes of sparse per-term overrides
-// summed against a committed term vector (LaneTermBatch::reduce) vs the
-// scalar baseline of K copy-and-resum passes over the same terms. Both
-// walk the identical left-to-right add order per lane, so this ablation
-// prices the vertical vectorization alone. Arg is the term count; 5% of
-// terms are overridden per lane, the density a couple of relocated
-// blocks produce.
-void BM_SoAAffinityKernel(benchmark::State& state) {
-  const std::size_t terms = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kLanes = 8;
-  Rng rng(23);
-  std::vector<double> committed(terms);
-  for (double& t : committed) t = rng.next_double(0.0, 10.0);
-  LaneTermBatch batch;
-  batch.begin(kLanes, terms);
-  const std::size_t touched = std::max<std::size_t>(1, terms / 20);
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    for (std::size_t i = 0; i < touched; ++i) {
-      batch.set(lane, static_cast<std::uint32_t>(rng.next_below(terms)),
-                rng.next_double(0.0, 10.0));
-    }
-  }
-  std::array<double, kLanes> sums{};
-  for (auto _ : state) {
-    batch.reduce(committed.data(), sums.data());
-    benchmark::DoNotOptimize(sums);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kLanes * terms));
-}
-BENCHMARK(BM_SoAAffinityKernel)->Arg(64)->Arg(512)->Arg(4096);
-
-// The scalar reference for BM_SoAAffinityKernel: K independent
-// copy-then-override-then-resum passes, which is exactly what K scalar
-// propose() calls pay for their term reduction.
-void BM_ScalarAffinityKernel(benchmark::State& state) {
-  const std::size_t terms = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kLanes = 8;
-  Rng rng(23);
-  std::vector<double> committed(terms);
-  for (double& t : committed) t = rng.next_double(0.0, 10.0);
-  const std::size_t touched = std::max<std::size_t>(1, terms / 20);
-  std::vector<std::pair<std::uint32_t, double>> overrides;
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    for (std::size_t i = 0; i < touched; ++i) {
-      overrides.emplace_back(static_cast<std::uint32_t>(rng.next_below(terms)),
-                             rng.next_double(0.0, 10.0));
-    }
-  }
-  std::vector<double> scratch(terms);
-  std::array<double, kLanes> sums{};
-  for (auto _ : state) {
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      scratch = committed;
-      for (std::size_t i = 0; i < touched; ++i) {
-        const auto& [idx, v] = overrides[lane * touched + i];
-        scratch[idx] = v;
-      }
-      double sum = 0.0;
-      for (const double t : scratch) sum += t;
-      sums[lane] = sum;
-    }
-    benchmark::DoNotOptimize(sums);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kLanes * terms));
-}
-BENCHMARK(BM_ScalarAffinityKernel)->Arg(64)->Arg(512)->Arg(4096);
-
 // Flat-SA objective, full recompute per move (position map + all-pairs
 // overlap) vs the per-net / per-pair delta cache.
 const SeqGraph& flat_seq() {

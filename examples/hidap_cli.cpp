@@ -49,9 +49,6 @@ struct Args {
   int threads = 0, chains = 1;
   bool incremental = true;
   bool parallel_levels = true;
-  bool legacy_estimate_order = false;
-  bool batch_moves = true;
-  bool anneal_autoscale = false;
   bool phase_summary = false;
 };
 
@@ -79,18 +76,8 @@ struct Args {
                "  --no-incremental  full-recompute SA move evaluation (the\n"
                "               reference oracle; results are identical, only slower)\n"
                "  --no-parallel-levels  run the recursion scheduler as a plain\n"
-               "               sequential DFS (same snapshot estimate semantics;\n"
-               "               results are identical, the scheduler's oracle)\n"
-               "  --legacy-estimate-order  pre-scheduler estimate semantics: each\n"
-               "               level's inference sees earlier siblings' refinements\n"
-               "               (sequential only; a different, golden-pinned result)\n"
-               "  --no-batch-moves  score SA moves one at a time instead of in\n"
-               "               speculative SoA batches (the batched oracle path;\n"
-               "               results are byte-identical, only slower;\n"
-               "               batch width: HIDAP_SA_BATCH, default 8)\n"
-               "  --anneal-autoscale  scale each level's SA moves-per-step by its\n"
-               "               block count (quality/wall tradeoff; changes the\n"
-               "               accept stream, so results differ from default)\n"
+               "               sequential DFS (results are identical; the\n"
+               "               scheduler's oracle)\n"
                "  --log-level {debug,info,warn,error}  console verbosity\n"
                "               (default warn; progress lines are always on)\n"
                "  observability (any command; placements are byte-identical\n"
@@ -132,9 +119,6 @@ Args parse_args(int argc, char** argv) {
     else if (flag == "--chains") args.chains = std::atoi(next().c_str());
     else if (flag == "--no-incremental") args.incremental = false;
     else if (flag == "--no-parallel-levels") args.parallel_levels = false;
-    else if (flag == "--legacy-estimate-order") args.legacy_estimate_order = true;
-    else if (flag == "--no-batch-moves") args.batch_moves = false;
-    else if (flag == "--anneal-autoscale") args.anneal_autoscale = true;
     else if (flag == "--trace-json") args.trace_json = next();
     else if (flag == "--metrics-json") args.metrics_json = next();
     else if (flag == "--phase-summary") args.phase_summary = true;
@@ -154,11 +138,8 @@ int cmd_place(const Args& args) {
   options.job.seed = args.seed;
   options.num_threads = args.threads;
   options.parallel_levels = args.parallel_levels;
-  options.legacy_estimate_order = args.legacy_estimate_order;
   options.layout_anneal.chains = std::max(1, args.chains);
   options.layout_anneal.incremental = args.incremental;
-  options.layout_anneal.batch_moves = args.batch_moves;
-  options.anneal_autoscale = args.anneal_autoscale;
   options.scale_effort(args.effort);
   if (!args.fix.empty()) {
     const DefContents fixed = parse_def_file(args.fix);
@@ -231,11 +212,8 @@ int cmd_flows(const Args& args) {
   options.seed = args.seed;
   options.hidap.num_threads = args.threads;
   options.hidap.parallel_levels = args.parallel_levels;
-  options.hidap.legacy_estimate_order = args.legacy_estimate_order;
   options.hidap.layout_anneal.chains = std::max(1, args.chains);
   options.hidap.layout_anneal.incremental = args.incremental;
-  options.hidap.layout_anneal.batch_moves = args.batch_moves;
-  options.hidap.anneal_autoscale = args.anneal_autoscale;
   const FlowComparison cmp = compare_flows(design, options);
   ReportTable table({"flow", "WL(m)", "norm", "GRC%", "WNS%", "TNS(ns)", "time(s)"});
   for (const Metrics* m : {&cmp.indeda, &cmp.hidap, &cmp.handfp}) {

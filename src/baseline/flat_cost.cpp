@@ -203,65 +203,6 @@ double IncrementalFlatCost::propose(const std::vector<MacroPlacement>& macros,
   return proposed_cost_;
 }
 
-void IncrementalFlatCost::begin_batch(std::size_t lanes) {
-  assert(!pending_ && !batch_pending_ && "resolve the previous proposal/batch first");
-  assert(lanes >= 1 && lanes <= kMaxBatch);
-  lane_wl_.begin(lanes, wl_terms_.size());
-  lane_ov_.begin(lanes, ov_terms_.size());
-  batch_lanes_ = lanes;
-  batch_pending_ = true;
-}
-
-void IncrementalFlatCost::add_candidate(std::size_t lane,
-                                        const std::vector<MacroPlacement>& macros,
-                                        std::span<const std::size_t> moved) {
-  assert(batch_pending_ && lane < batch_lanes_);
-  assert(macros.size() == macro_count_);
-  // Same epoch dedup as propose(): a two-macro move overrides each
-  // shared term once per candidate.
-  ++epoch_;
-  for (const std::size_t k : moved) {
-    for (const std::uint32_t idx : touched_wl_[k]) {
-      if (epoch_wl_[idx] == epoch_) continue;
-      epoch_wl_[idx] = epoch_;
-      lane_wl_.set(lane, idx, wl_term_value(idx, macros));
-    }
-    for (const std::uint32_t idx : touched_ov_[k]) {
-      if (epoch_ov_[idx] == epoch_) continue;
-      epoch_ov_[idx] = epoch_;
-      lane_ov_.set(lane, idx, ov_term_value(idx, macros));
-    }
-  }
-}
-
-void IncrementalFlatCost::finish_batch(double* costs) {
-  assert(batch_pending_);
-  // Both reductions replay reduce()'s left-to-right order per lane, and
-  // the final combine is the same wl + weight * overlap expression, so
-  // every lane's cost is bit-identical to a scalar propose().
-  std::array<double, kMaxBatch> wl_sums{};
-  std::array<double, kMaxBatch> ov_sums{};
-  lane_wl_.reduce(wl_terms_.data(), wl_sums.data());
-  lane_ov_.reduce(ov_terms_.data(), ov_sums.data());
-  for (std::size_t l = 0; l < batch_lanes_; ++l) {
-    costs[l] = batch_costs_[l] = wl_sums[l] + model_.overlap_weight() * ov_sums[l];
-  }
-}
-
-void IncrementalFlatCost::commit_candidate(std::size_t lane) {
-  assert(batch_pending_ && lane < batch_lanes_);
-  lane_wl_.apply(lane, wl_terms_.data());
-  lane_ov_.apply(lane, ov_terms_.data());
-  committed_cost_ = batch_costs_[lane];
-  batch_pending_ = false;
-}
-
-void IncrementalFlatCost::discard_batch() {
-  assert(batch_pending_);
-  // Overrides only ever lived in the lane overlay; nothing to undo.
-  batch_pending_ = false;
-}
-
 void IncrementalFlatCost::commit() {
   assert(pending_ && "commit() without a pending proposal");
   committed_cost_ = proposed_cost_;

@@ -17,7 +17,6 @@
 // accept/reject sequence -- and the final placement -- byte-identical
 // whether AnnealOptions::incremental is on or off.
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -25,7 +24,6 @@
 
 #include "core/result.hpp"
 #include "dataflow/seq_graph.hpp"
-#include "floorplan/soa_terms.hpp"
 #include "geometry/geometry.hpp"
 #include "netlist/netlist.hpp"
 
@@ -79,23 +77,6 @@ class IncrementalFlatCost {
   void commit();
   void rollback();
 
-  /// Lane capacity of the batched evaluation below.
-  static constexpr std::size_t kMaxBatch = LaneTermBatch::kMaxLanes;
-
-  /// Batched speculative evaluation against the committed terms. The
-  /// caller mutates `macros` for candidate i, calls add_candidate(i,
-  /// macros, moved), restores `macros`, repeats, then finish_batch()
-  /// writes every candidate's cost (bit-identical to what propose()
-  /// would have returned) and must be followed by exactly one
-  /// commit_candidate() -- which folds that lane's terms in; the caller
-  /// re-applies the placements -- or discard_batch().
-  void begin_batch(std::size_t lanes);
-  void add_candidate(std::size_t lane, const std::vector<MacroPlacement>& macros,
-                     std::span<const std::size_t> moved);
-  void finish_batch(double* costs);
-  void commit_candidate(std::size_t lane);
-  void discard_batch();
-
  private:
   double wl_term_value(std::size_t idx, const std::vector<MacroPlacement>& macros) const;
   double ov_term_value(std::size_t idx, const std::vector<MacroPlacement>& macros) const;
@@ -131,14 +112,6 @@ class IncrementalFlatCost {
   std::vector<Undo> undo_wl_, undo_ov_;
   std::vector<std::uint32_t> epoch_wl_, epoch_ov_;
   std::uint32_t epoch_ = 0;
-
-  // Batch overlay: per-lane sparse overrides of the wirelength and
-  // overlap term arrays (floorplan/soa_terms.hpp). The committed terms
-  // are never touched until commit_candidate applies one lane.
-  LaneTermBatch lane_wl_, lane_ov_;
-  std::array<double, kMaxBatch> batch_costs_{};
-  std::size_t batch_lanes_ = 0;
-  bool batch_pending_ = false;
 
   double committed_cost_ = 0.0;
   double proposed_cost_ = 0.0;

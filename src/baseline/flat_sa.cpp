@@ -93,17 +93,6 @@ PlacementResult place_macros_flat_sa(const Design& design, const SeqGraph& seq,
   std::array<UndoEntry, 2> undo;  // incremental mode only
   std::size_t undo_count = 0;
 
-  // Batched speculation (incremental mode): per candidate, the post-move
-  // placements of its macros plus a move-RNG snapshot taken right after
-  // its generation. Accepting lane i re-applies its placements and
-  // rewinds the RNG to exactly where the scalar stream would stand.
-  struct LaneMove {
-    std::array<UndoEntry, 2> placed;
-    std::size_t count = 0;
-    Rng rng_after{0};
-  };
-  std::array<LaneMove, IncrementalFlatCost::kMaxBatch> lanes;
-
   if (options.anneal.incremental) {
     inc.emplace(cost, state);
     hooks.propose = [&]() {
@@ -118,35 +107,6 @@ PlacementResult place_macros_flat_sa(const Design& design, const SeqGraph& seq,
       for (std::size_t u = undo_count; u-- > 0;) state[undo[u].idx] = undo[u].m;
       inc->rollback();
     };
-    hooks.propose_batch = [&](std::size_t k, double* costs) {
-      inc->begin_batch(k);
-      for (std::size_t lane = 0; lane < k; ++lane) {
-        // Generate against the committed state (the scalar engine also
-        // proposes from it while rejecting), record, then restore.
-        undo_count = 0;
-        std::array<std::size_t, 2> moved{};
-        const std::size_t count = propose_move(
-            state, [&](std::size_t m) { undo[undo_count++] = {m, state[m]}; }, moved);
-        inc->add_candidate(lane, state, std::span<const std::size_t>(moved.data(), count));
-        LaneMove& lm = lanes[lane];
-        lm.count = undo_count;
-        for (std::size_t u = 0; u < undo_count; ++u) {
-          lm.placed[u] = {undo[u].idx, state[undo[u].idx]};
-        }
-        lm.rng_after = rng;
-        for (std::size_t u = undo_count; u-- > 0;) state[undo[u].idx] = undo[u].m;
-      }
-      inc->finish_batch(costs);
-    };
-    hooks.accept_batch = [&](std::size_t lane) {
-      const LaneMove& lm = lanes[lane];
-      for (std::size_t u = 0; u < lm.count; ++u) {
-        state[lm.placed[u].idx] = lm.placed[u].m;
-      }
-      rng = lm.rng_after;
-      inc->commit_candidate(lane);
-    };
-    hooks.discard_batch = [&]() { inc->discard_batch(); };
   } else {
     hooks.propose = [&]() {
       backup = state;

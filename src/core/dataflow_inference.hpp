@@ -28,8 +28,8 @@ struct LevelDataflow {
   /// Center of Gdf node `j` given this level's block rectangles: movable
   /// nodes (j < movable_count) read the layout rects, fixed terminals
   /// their stored positions. The single implementation behind every
-  /// attraction computation, so the scheduler and legacy recursion paths
-  /// cannot drift apart on the terminal index offset.
+  /// attraction computation, so the scheduler and sequential recursion
+  /// paths cannot drift apart on the terminal index offset.
   Point node_center(std::size_t j, const std::vector<Rect>& block_rects) const;
 
   /// Affinity-weighted centroid of every Gdf node other than block `b`
@@ -40,11 +40,9 @@ struct LevelDataflow {
 };
 
 /// `estimates` carries the current position guess of every macro cell
-/// (block-center prototypes refined during the recursion). Under
-/// snapshot semantics this is the parent level's committed snapshot;
-/// under the legacy estimate order, the live store at the DFS visit.
-/// Macros outside nh without an estimate are skipped (only possible at
-/// the first level, where there is no outside).
+/// (block-center prototypes refined during the recursion): the parent
+/// level's committed snapshot. Macros outside nh without an estimate are
+/// skipped (only possible at the first level, where there is no outside).
 LevelDataflow infer_level_dataflow(const Design& design, const HierTree& ht,
                                    const SeqGraph& seq, HtNodeId nh,
                                    const std::vector<HtNodeId>& hcb,

@@ -23,11 +23,6 @@
 //    prototypes), never the live store, which is what makes sibling
 //    subtrees data-independent and schedulable in any order -- including
 //    concurrently -- with bit-identical results.
-//
-// The legacy (pre-scheduler) estimate order is expressible in the same
-// vocabulary: a sequential DFS that snapshots the live store at each
-// level entry reads exactly the refinements committed by earlier
-// siblings, which is the old behavior verbatim.
 
 #include <cassert>
 #include <cstdint>
@@ -127,8 +122,8 @@ class EstimateStore {
   }
 
   /// Copy of the current live estimates. Only meaningful from code that
-  /// is sequenced against every writer (the legacy DFS, or run() setup /
-  /// teardown); taking one while sibling tasks run would tear.
+  /// is sequenced against every writer (run() setup / teardown); taking
+  /// one while sibling tasks run would tear.
   EstimateSnapshot snapshot() const;
 
   /// Region assigned to an HT node during the recursion. Same

@@ -58,10 +58,10 @@ PlacementResult place_macros(const Design& design, const PlacementContext& conte
       floorplanner.adopt_recursion_plan(*artifacts->recursion_plan);
     }
   }
-  // Curve generation is left to run(): under overlap_curves the shards
-  // run as a pool task overlapped with the recursion front (joined at
-  // the level-0 anneal's first curve read), and with one lane run()
-  // generates eagerly -- both with the same per-node seeds, so results
+  // Curve generation is left to run(): with more than one lane the
+  // shards run as a pool task overlapped with the recursion front
+  // (joined at the level-0 anneal's first curve read), and with one lane
+  // run() generates eagerly -- both with the same per-node seeds, so results
   // are bit-identical to the old eager call. The phase clock comes from
   // the floorplanner itself (an outer timer would misattribute the
   // overlapped span). Adopted curves cost nothing and report nothing.

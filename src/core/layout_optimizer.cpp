@@ -1,14 +1,11 @@
 #include "core/layout_optimizer.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <memory>
 
 #include "floorplan/annealer.hpp"
 #include "floorplan/incremental_eval.hpp"
-#include "obs/metrics.hpp"
-#include "util/job_control.hpp"
 #include "util/log.hpp"
 
 namespace hidap {
@@ -88,10 +85,6 @@ LayoutSolution optimize_layout(const LayoutProblem& problem,
     PolishExpression current, backup, best;
     std::unique_ptr<IncrementalLayoutEval> inc;
     Rng rng{0};
-    /// Move-RNG snapshots taken after generating each batch candidate:
-    /// accepting lane i rewinds rng to lane_rng[i], exactly where the
-    /// scalar engine's stream would stand after proposing candidate i.
-    std::array<Rng, IncrementalLayoutEval::kMaxBatch> lane_rng;
   };
   std::vector<ChainState> states(static_cast<std::size_t>(std::max(1, opts.chains)));
   const auto perturb_retry = [](PolishExpression& expr, Rng& rng) {
@@ -117,23 +110,6 @@ LayoutSolution optimize_layout(const LayoutProblem& problem,
       chain.hooks.commit = [&st]() { st.inc->commit(); };
       chain.hooks.reject = [&st]() { st.inc->rollback(); };
       chain.hooks.on_new_best = [&st](double) { st.best = st.inc->expression(); };
-      // Batched path: every candidate perturbs a copy of the committed
-      // expression with the shared move RNG (the same draws, in the same
-      // order, the scalar loop would make while rejecting).
-      chain.hooks.propose_batch = [&st, perturb_retry](std::size_t k, double* costs) {
-        st.inc->propose_batch(
-            k,
-            [&st, perturb_retry](std::size_t lane, PolishExpression& expr) {
-              perturb_retry(expr, st.rng);
-              st.lane_rng[lane] = st.rng;
-            },
-            costs);
-      };
-      chain.hooks.accept_batch = [&st](std::size_t lane) {
-        st.rng = st.lane_rng[lane];
-        st.inc->commit_candidate(lane);
-      };
-      chain.hooks.discard_batch = [&st]() { st.inc->discard_batch(); };
     } else {
       st.current = PolishExpression::initial(static_cast<int>(n));
       st.backup = st.current;
@@ -153,27 +129,6 @@ LayoutSolution optimize_layout(const LayoutProblem& problem,
   int winner = 0;
   anneal_multichain(opts, make_chain, &winner, problem.num_threads);
   PolishExpression& best = states[static_cast<std::size_t>(winner)].best;
-
-  // Shared-prefix occupancy of the lane-batched tree walk, summed over
-  // the chains and flushed once per optimize (the annealer's own
-  // counters flush per schedule; these live in the evaluators, which the
-  // annealer never sees). Hit ratio = 1 - lane_nodes_walked / lane_nodes.
-  IncrementalLayoutEval::LaneWalkStats walk{};
-  for (const ChainState& st : states) {
-    if (st.inc == nullptr) continue;
-    walk.batches += st.inc->lane_walk_stats().batches;
-    walk.lane_nodes += st.inc->lane_walk_stats().lane_nodes;
-    walk.nodes_walked += st.inc->lane_walk_stats().nodes_walked;
-  }
-  if (walk.batches > 0) {
-    obs::MetricsRegistry* registries[2] = {&obs::default_registry(), nullptr};
-    if (opts.control != nullptr) registries[1] = opts.control->job_metrics();
-    for (obs::MetricsRegistry* registry : registries) {
-      if (registry == nullptr) continue;
-      registry->counter("sa.lane_nodes").add(walk.lane_nodes);
-      registry->counter("sa.lane_nodes_walked").add(walk.nodes_walked);
-    }
-  }
 
   BudgetResult res;
   solution.cost = evaluate_layout_full(problem, best, &res);

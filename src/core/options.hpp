@@ -54,38 +54,13 @@ struct HiDaPOptions {
   int num_threads = 0;
 
   // Hierarchical task-graph scheduler (Algorithm 2's recursion as pool
-  // tasks): independent sibling subtrees anneal concurrently. Under the
-  // snapshot estimate semantics below, siblings are data-independent by
-  // construction, so placements are bit-identical at any thread count;
-  // `false` runs the same snapshot-semantics recursion as a plain
-  // sequential DFS (the differential oracle for the scheduler).
+  // tasks): independent sibling subtrees anneal concurrently. Every
+  // level's dataflow inference reads its parent's committed estimate
+  // snapshot, so siblings are data-independent and placements are
+  // bit-identical at any thread count; `false` runs the same recursion
+  // as a plain sequential DFS (the differential oracle for the
+  // scheduler).
   bool parallel_levels = true;
-
-  // Pre-scheduler estimate semantics: a level's dataflow inference sees
-  // every refinement already committed by earlier siblings in DFS order
-  // (order-dependent, hence sequential-only). Kept reachable for the
-  // estimate-semantics golden pair and as the bit-exact continuation of
-  // the pre-PR5 flow; overrides parallel_levels when set.
-  bool legacy_estimate_order = false;
-
-  // Overlap shape-curve generation with the recursion front: run() then
-  // dispatches the depth-rank curve shards as a sibling pool task and
-  // joins it right before the level-0 anneal first reads a curve, hiding
-  // the curve wall behind recursion planning, target-area assignment and
-  // dataflow inference. Curves and placements are bit-identical either
-  // way (the shards write only shape_curves_, which nothing in the
-  // overlap window reads, and per-node seeds ignore scheduling); with
-  // one thread the dispatch degenerates to the eager call.
-  bool overlap_curves = true;
-
-  // Per-level anneal effort auto-scaling (off by default; --anneal-
-  // autoscale to opt in): moves-per-temperature of each level's layout
-  // anneal scales with the level's block count via autoscaled_moves(),
-  // spending schedule length where the move space is large instead of
-  // uniformly. Changes the accept stream by design, so it is excluded
-  // from all bit-identity contracts; BENCH_pr10.json records its
-  // Table II quality/wall tradeoff.
-  bool anneal_autoscale = false;
 
   /// Scales SA effort (moves per temperature, cooling) by a factor;
   /// benches use ~0.3-1, the handFP proxy ~3.

@@ -10,7 +10,6 @@
 #include "core/decluster.hpp"
 #include "core/layout_optimizer.hpp"
 #include "core/target_area.hpp"
-#include "floorplan/annealer.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/log.hpp"
@@ -142,7 +141,7 @@ void RecursiveFloorplanner::generate_shape_curves() {
 
 PlacementResult RecursiveFloorplanner::run(const Rect& die) {
   if (!curves_ready_ && !curves_task_.valid()) {
-    if (options_.overlap_curves && effective_thread_count(options_.num_threads) > 1) {
+    if (effective_thread_count(options_.num_threads) > 1) {
       // Overlap the curve shards with the recursion front: everything up
       // to the level-0 anneal (planning, target areas, dataflow
       // inference) reads no curve, so the dispatch hides the curve wall
@@ -192,9 +191,9 @@ int RecursiveFloorplanner::unfixed_macro_count(HtNodeId node) const {
 // The recursion structure is a pure function of the hierarchy tree, the
 // declustering thresholds and the preplaced set -- never of the evolving
 // estimates -- so the whole schedule is computable before any layout
-// runs. Ordinals are assigned in DFS preorder, exactly the order the
-// legacy sequential DFS incremented its level counter, so anneal seeds
-// are unchanged and independent of execution order.
+// runs. Ordinals are assigned in DFS preorder, exactly the order a
+// sequential DFS increments its level counter, so anneal seeds are
+// independent of execution order.
 void RecursiveFloorplanner::plan_recursion() {
   for (LevelPlan& p : plan_) p = LevelPlan{};
   std::uint64_t counter = 0;
@@ -270,18 +269,10 @@ void RecursiveFloorplanner::floorplan_level(HtNodeId nh, const Rect& region, int
   // --- Algorithm 2, step 4: target area assignment.
   const TargetAreaResult areas = assign_target_areas(design_, adjacency_, ht_, nh, hcb);
 
-  // --- step 5: dataflow inference. Snapshot semantics anchor every
-  // outside-macro terminal to the parent's committed layout; the legacy
-  // order reads the live store at this (sequential) DFS visit, which
-  // includes the refinements of earlier siblings. The per-level
-  // snapshot() copy that expresses "live" in snapshot vocabulary is
-  // O(cells) but disappears next to the level's anneal (legacy-mode
-  // suite walls match the pre-refactor runs; see BENCH_pr5.json).
-  const bool legacy = options_.legacy_estimate_order;
-  const EstimateSnapshot live = legacy ? store_.snapshot() : EstimateSnapshot{};
-  const EstimateSnapshot& estimates = legacy ? live : inherited;
+  // --- step 5: dataflow inference. Every outside-macro terminal is
+  // anchored to the parent's committed layout (the inherited snapshot).
   const LevelDataflow flow =
-      infer_level_dataflow(design_, ht_, seq_, nh, hcb, estimates, options_);
+      infer_level_dataflow(design_, ht_, seq_, nh, hcb, inherited, options_);
 
   // --- step 6: layout generation. First curve read of the recursion:
   // join the overlapped curve dispatch (a no-op below level 0).
@@ -304,12 +295,6 @@ void RecursiveFloorplanner::floorplan_level(HtNodeId nh, const Rect& region, int
   AnnealOptions anneal = options_.layout_anneal;
   anneal.seed = options_.job.seed * 0xd1342543de82ef95ULL + plan.ordinal;
   anneal.control = control;
-  if (options_.anneal_autoscale) {
-    // Opt-in effort scaling by this level's block count (see
-    // HiDaPOptions::anneal_autoscale; outside the bit-identity contract).
-    anneal.moves_per_temperature =
-        autoscaled_moves(anneal.moves_per_temperature, hcb.size());
-  }
   const LayoutSolution layout = optimize_layout(problem, anneal);
 
   // Snapshot for Fig. 1-style visualization.
@@ -323,7 +308,7 @@ void RecursiveFloorplanner::floorplan_level(HtNodeId nh, const Rect& region, int
   out.snapshots.push_back(std::move(snap));
 
   // First pass: commit this level's prototype centers so deeper levels
-  // (and, in legacy order, later siblings) see each block's position.
+  // see each block's position.
   // The child snapshot is the inherited view plus exactly these writes,
   // shared read-only by every child task -- and only materialized when
   // some block actually recurses (leaf-most levels skip the copy).
@@ -335,8 +320,8 @@ void RecursiveFloorplanner::floorplan_level(HtNodeId nh, const Rect& region, int
     any_recurse = any_recurse || unfixed[b] > 1;
   }
   EstimateSnapshot child_snap;
-  if (!legacy && any_recurse) child_snap = inherited;
-  EstimateSnapshot* mirror = (legacy || !any_recurse) ? nullptr : &child_snap;
+  if (any_recurse) child_snap = inherited;
+  EstimateSnapshot* mirror = any_recurse ? &child_snap : nullptr;
   for (std::size_t b = 0; b < nb; ++b) {
     store_.set_region(hcb[b], layout.rects[b]);
     if (unfixed[b] > 0) {
@@ -360,10 +345,9 @@ void RecursiveFloorplanner::floorplan_level(HtNodeId nh, const Rect& region, int
       fix_single_macro(block, layout.rects[b], attract, child[b]);
     }
   };
-  if (legacy || !options_.parallel_levels) {
-    // Sequential DFS. With snapshot semantics this computes exactly what
-    // the scheduler computes (the differential oracle); with the legacy
-    // order the interleaving is load-bearing and must stay sequential.
+  if (!options_.parallel_levels) {
+    // Sequential DFS: computes exactly what the scheduler computes (the
+    // differential oracle).
     for (std::size_t b = 0; b < nb; ++b) process_block(b);
   } else {
     std::vector<std::function<void()>> tasks;
@@ -455,8 +439,8 @@ void RecursiveFloorplanner::fallback_grid_place(HtNodeId nh, const Rect& region,
   // On a cooperative stop this fallback can be handed an arbitrarily
   // small region deep in the recursion, where the unclamped grid would
   // spill macros outside the die. Validity (every macro inside the die)
-  // outranks overlap on that path; the legacy degenerate-hierarchy
-  // calls keep the historical unclamped geometry bit for bit.
+  // outranks overlap on that path; the degenerate-hierarchy calls keep
+  // the historical unclamped geometry bit for bit.
   const JobControl* control = options_.job.control;
   const bool clamp_to_die = control != nullptr && control->should_stop();
   for (std::size_t i = 0; i < macros.size(); ++i) {

@@ -22,17 +22,14 @@
 //  2. Precomputed anneal ordinals. The recursion structure depends only
 //     on the hierarchy tree and the preplaced set, so plan_recursion()
 //     assigns each level its DFS-preorder ordinal up front and seeds are
-//     identical regardless of execution order (they equal the sequential
-//     ++counter seeds of the legacy DFS by construction).
+//     identical regardless of execution order (they equal the ++counter
+//     seeds of a sequential DFS by construction).
 //  3. Slot-indexed result collection. Each subtree fills a private
 //     SubtreeResult; fragments are spliced in DFS block order after the
 //     join, so PlacementResult is byte-stable at any thread count.
 //
-// parallel_levels = false runs the identical snapshot-semantics
-// computation as a plain sequential DFS -- the differential oracle for
-// the scheduler. legacy_estimate_order = true restores the pre-scheduler
-// behavior (inference sees earlier siblings' refinements; sequential
-// only), kept golden-pinned for comparison.
+// parallel_levels = false runs the identical computation as a plain
+// sequential DFS -- the differential oracle for the scheduler.
 
 #include <atomic>
 #include <future>
@@ -82,10 +79,13 @@ class RecursiveFloorplanner {
   ~RecursiveFloorplanner();  // joins an in-flight curve dispatch
 
   /// Runs shape-curve generation followed by the recursion over the die.
-  /// With HiDaPOptions::overlap_curves (and more than one lane) the
-  /// curve shards run as a sibling pool task overlapped with recursion
-  /// planning and the level-0 target-area / dataflow work, joined just
-  /// before the level-0 anneal first reads a curve.
+  /// With more than one lane the curve shards run as a sibling pool task
+  /// overlapped with recursion planning and the level-0 target-area /
+  /// dataflow work, joined just before the level-0 anneal first reads a
+  /// curve; with one lane they run eagerly. Curves and placements are
+  /// bit-identical either way (the shards write only shape_curves_,
+  /// which nothing in the overlap window reads, and per-node seeds
+  /// ignore scheduling).
   PlacementResult run(const Rect& die);
 
   /// Adopts cached precomputes instead of recomputing them in run().
@@ -107,7 +107,7 @@ class RecursiveFloorplanner {
   void generate_shape_curves();
 
   /// Wall seconds the last generate_shape_curves() spent (the phase's
-  /// own clock: under overlap_curves the work runs concurrently with the
+  /// own clock: overlapped, the work runs concurrently with the
   /// recursion front, so an outer timer would misattribute it).
   double curves_seconds() const { return curves_seconds_; }
 
@@ -156,7 +156,7 @@ class RecursiveFloorplanner {
   Rect die_{};  // run()'s die; bounds the stop-path grid fallback
   bool curves_ready_ = false;
   bool plan_adopted_ = false;
-  /// Overlapped curve generation in flight (overlap_curves); the shards
+  /// Overlapped curve generation in flight (see run()); the shards
   /// write only shape_curves_ / curves_seconds_, which nothing in the
   /// overlap window reads, and the join publishes them. The claim flag
   /// decides who runs the generation -- the first of the pool task and

@@ -4,26 +4,15 @@
 #include <cmath>
 #include <vector>
 
-#include "floorplan/soa_terms.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
-#include "util/env.hpp"
 #include "util/job_control.hpp"
 #include "util/log.hpp"
 
 namespace hidap {
 
 namespace {
-
-// batch_size = 0 defers to HIDAP_SA_BATCH; either way the result is
-// clamped to the lane-mask width of LaneTermBatch.
-int resolve_batch_size(const AnnealOptions& options) {
-  long size = options.batch_size;
-  if (size <= 0) size = env_long("HIDAP_SA_BATCH", 8, 1, LaneTermBatch::kMaxLanes);
-  return static_cast<int>(
-      std::clamp<long>(size, 1, static_cast<long>(LaneTermBatch::kMaxLanes)));
-}
 
 // One flush per completed schedule: the move loop keeps its counts in
 // AnnealStats exactly as before (zero added work per move) and the
@@ -46,22 +35,10 @@ void flush_anneal_metrics(const AnnealOptions& options, const AnnealStats& stats
     registry->counter("sa.temperature_steps")
         .add(static_cast<std::uint64_t>(stats.temperature_steps));
     if (stats.stopped) registry->counter("sa.stopped_runs").add(1);
-    if (stats.batches > 0) {
-      registry->counter("sa.batches").add(static_cast<std::uint64_t>(stats.batches));
-      registry->counter("sa.batch_candidates")
-          .add(static_cast<std::uint64_t>(stats.batch_candidates));
-      registry->counter("sa.batch_wasted")
-          .add(static_cast<std::uint64_t>(stats.batch_wasted));
-    }
   }
 }
 
 }  // namespace
-
-int autoscaled_moves(int base, std::size_t blocks) {
-  const double scale = std::clamp(static_cast<double>(blocks) / 8.0, 0.5, 4.0);
-  return std::max(1, static_cast<int>(base * scale));
-}
 
 AnnealStats anneal(double initial_cost, const AnnealOptions& options,
                    const AnnealHooks& hooks) {
@@ -114,125 +91,36 @@ AnnealStats anneal(double initial_cost, const AnnealOptions& options,
   double temperature = std::max(t0, 1e-12);
   const double t_frozen = temperature * options.frozen_temperature_ratio;
 
-  const int batch = resolve_batch_size(options);
-  const bool use_batch = options.batch_moves && batch > 1 && hooks.propose_batch &&
-                         hooks.accept_batch && hooks.discard_batch;
-  std::vector<double> batch_costs;
-  if (use_batch) batch_costs.resize(static_cast<std::size_t>(batch));
-
-  // Observed acceptance rate of the previous temperature step, seeding
-  // with the calibration target. Drives the speculation width only --
-  // the accept/reject stream itself is width-independent, so adapting
-  // the width never perturbs the trajectory.
-  double accept_rate = options.initial_acceptance;
   int stagnant = 0;
   while (!stats.stopped && temperature > t_frozen &&
          stagnant < options.max_stagnant_temperatures) {
     obs::Span temperature_span("sa_temp", "sa");
     temperature_span.arg("step", stats.temperature_steps);
     bool improved = false;
-    long temp_attempted = 0;
-    long temp_accepted = 0;
-    // Speculation pays only when most candidates are rejected: an
-    // accepted lane discards the rest of its batch, so at acceptance
-    // rate p a width-k batch evaluates k*p/(1-(1-p)^k) candidates per
-    // consumed move. Sizing k so k*p stays near 1/4 bounds that waste
-    // at ~13% while still opening to the full width in the cooled
-    // phase -- where nearly every move is rejected and the bulk of the
-    // schedule's moves are spent. Width 1 drops to the plain scalar
-    // loop for the step (same stream, none of the batch bookkeeping).
-    const int k_width =
-        use_batch
-            ? std::clamp(static_cast<int>(0.25 / std::max(accept_rate, 1e-3)), 1, batch)
-            : 1;
-    if (k_width > 1) {
-      // Speculative batches over the scalar accept stream: score k
-      // candidates against the committed state in one pass, then walk
-      // the costs in proposal order drawing the accept RNG exactly as
-      // the scalar loop would (next_double only on uphill deltas). The
-      // first acceptance commits that candidate and invalidates the
-      // rest of the batch -- the scalar engine would have generated its
-      // remaining moves from the post-commit state, so they are waste,
-      // not reusable. All-rejected batches leave the committed state
-      // untouched, which is exactly what k scalar rejections do.
-      int m = 0;
-      while (m < options.moves_per_temperature && !stats.stopped) {
-        const std::size_t k = static_cast<std::size_t>(
-            std::min(k_width, options.moves_per_temperature - m));
-        hooks.propose_batch(k, batch_costs.data());
-        ++stats.batches;
-        stats.batch_candidates += static_cast<long>(k);
-        std::size_t used = 0;
-        bool accepted_one = false;
-        for (std::size_t idx = 0; idx < k; ++idx) {
-          // Poll before counting, mirroring the scalar loop: a stop
-          // mid-batch leaves moves_attempted at the scalar value.
-          if (stop_requested()) {
-            stats.stopped = true;
-            break;
-          }
-          ++used;
-          ++m;
-          ++stats.moves_attempted;
-          ++temp_attempted;
-          const double cost = batch_costs[idx];
-          const double delta = cost - current;
-          const bool accept =
-              delta <= 0 || rng.next_double() < std::exp(-delta / temperature);
-          if (!accept) continue;
-          ++stats.moves_accepted;
-          ++temp_accepted;
-          current = cost;
-          hooks.accept_batch(idx);
-          accepted_one = true;
-          if (anneal_improves_best(current, stats.best_cost)) {
-            stats.best_cost = current;
-            improved = true;
-            ++stats.best_improvements;
-            if (hooks.on_new_best) hooks.on_new_best(current);
-          }
-          break;
-        }
-        // Waste is the lanes an acceptance invalidated, and only those:
-        // a cooperative stop also leaves trailing lanes unconsumed, but
-        // those were abandoned, not wasted on speculation -- counting
-        // them would overstate the wasted-vs-offered ratio
-        // (batch_wasted / batch_candidates) of every stopped run.
-        if (accepted_one) stats.batch_wasted += static_cast<long>(k - used);
-        if (!accepted_one) hooks.discard_batch();
+    for (int m = 0; m < options.moves_per_temperature; ++m) {
+      if (stop_requested()) {
+        stats.stopped = true;
+        break;
       }
-    } else {
-      for (int m = 0; m < options.moves_per_temperature; ++m) {
-        if (stop_requested()) {
-          stats.stopped = true;
-          break;
+      ++stats.moves_attempted;
+      const double cost = hooks.propose();
+      const double delta = cost - current;
+      const bool accept = delta <= 0 || rng.next_double() < std::exp(-delta / temperature);
+      if (accept) {
+        ++stats.moves_accepted;
+        current = cost;
+        if (hooks.commit) hooks.commit();
+        if (anneal_improves_best(current, stats.best_cost)) {
+          stats.best_cost = current;
+          improved = true;
+          ++stats.best_improvements;
+          if (hooks.on_new_best) hooks.on_new_best(current);
         }
-        ++stats.moves_attempted;
-        ++temp_attempted;
-        const double cost = hooks.propose();
-        const double delta = cost - current;
-        const bool accept =
-            delta <= 0 || rng.next_double() < std::exp(-delta / temperature);
-        if (accept) {
-          ++stats.moves_accepted;
-          ++temp_accepted;
-          current = cost;
-          if (hooks.commit) hooks.commit();
-          if (anneal_improves_best(current, stats.best_cost)) {
-            stats.best_cost = current;
-            improved = true;
-            ++stats.best_improvements;
-            if (hooks.on_new_best) hooks.on_new_best(current);
-          }
-        } else {
-          hooks.reject();
-        }
+      } else {
+        hooks.reject();
       }
     }
     ++stats.temperature_steps;
-    if (temp_attempted > 0) {
-      accept_rate = static_cast<double>(temp_accepted) / temp_attempted;
-    }
     stagnant = improved ? 0 : stagnant + 1;
     temperature *= options.cooling;
   }

@@ -7,7 +7,7 @@
 // geometric cooling, a fixed number of attempted moves per temperature,
 // and freezing on temperature floor or stagnation.
 
-#include <cstddef>
+#include <cstdint>
 #include <functional>
 
 #include "util/rng.hpp"
@@ -36,30 +36,6 @@ struct AnnealOptions {
   /// produce bit-identical costs, so the result is the same either way;
   /// the switch exists for differential testing and as an escape hatch.
   bool incremental = true;
-
-  /// Evaluate speculative moves in batches of batch_size lanes against
-  /// the committed state (one SoA reduction pass scores the whole batch;
-  /// floorplan/soa_terms.hpp), replaying the accept decisions in
-  /// proposal order so exactly the move the scalar engine would have
-  /// accepted is committed. The accept/reject sequence, every RNG draw,
-  /// and the final placement are bit-identical to batch_moves = false;
-  /// only the evaluation schedule changes. Requires the caller to supply
-  /// the batch hooks (propose_batch/accept_batch/discard_batch); falls
-  /// back to the scalar loop when they are absent. Calibration always
-  /// runs scalar (every calibration move commits, so there is nothing
-  /// speculative to batch).
-  bool batch_moves = true;
-
-  /// Maximum candidates per batch, 1..16. 0 = resolve from
-  /// HIDAP_SA_BATCH (default 8). 1 disables batching (the scalar loop
-  /// runs, batch counters stay zero). The engine adapts the actual
-  /// width per temperature step to the observed acceptance rate: hot
-  /// steps fall all the way back to the scalar loop -- an accepted lane
-  /// discards the rest of its batch, so wide speculation only pays once
-  /// most candidates are rejected -- and cooled steps open to the full
-  /// width. The width choice never affects the trajectory, only the
-  /// waste.
-  int batch_size = 0;
 
   /// Cooperative stop handle, polled before every calibration and
   /// cooling move (promptness is bounded by one move, microseconds on
@@ -106,21 +82,6 @@ struct AnnealHooks {
   /// Called when a new global best cost is observed (after acceptance
   /// and after `commit`). Typical use: snapshot the current solution.
   std::function<void(double)> on_new_best;
-
-  /// Batched evaluation (AnnealOptions::batch_moves). propose_batch
-  /// generates k candidate moves against the committed state and writes
-  /// their costs to costs[0..k): cost i must be bit-identical to what k
-  /// sequential propose() calls would return for candidate i, and the
-  /// move-generation RNG must end as if all k candidates were generated.
-  /// The engine then replays the accept stream over the costs in order:
-  /// on the first acceptance at index i it calls accept_batch(i) -- the
-  /// evaluator commits candidate i, rewinds move generation to just
-  /// after candidate i, and discards the rest -- and on none it calls
-  /// discard_batch(). All three must be set for batching to engage;
-  /// propose/reject/commit above stay in use for calibration.
-  std::function<void(std::size_t k, double* costs)> propose_batch;
-  std::function<void(std::size_t index)> accept_batch;
-  std::function<void()> discard_batch;
 };
 
 struct AnnealStats {
@@ -135,29 +96,11 @@ struct AnnealStats {
   /// True when AnnealOptions::control stopped the schedule early; the
   /// best cost/solution seen so far is still valid.
   bool stopped = false;
-  /// Batched-evaluation accounting (zero when the scalar loop ran).
-  /// batch_candidates counts speculative evaluations offered;
-  /// batch_wasted counts only those discarded because an earlier
-  /// candidate in the batch was accepted first -- lanes left unconsumed
-  /// by a cooperative stop are abandoned, not wasted, and are excluded
-  /// (occupancy = batch_candidates / batches, wasted-vs-offered ratio =
-  /// batch_wasted / batch_candidates).
-  long batches = 0;
-  long batch_candidates = 0;
-  long batch_wasted = 0;
 };
 
 /// Runs the schedule; `initial_cost` is the cost of the starting state.
 AnnealStats anneal(double initial_cost, const AnnealOptions& options,
                    const AnnealHooks& hooks);
-
-/// Per-level anneal effort auto-scaling (HiDaPOptions::anneal_autoscale):
-/// scales a base moves-per-temperature with the level's block count --
-/// linear around a reference of 8 blocks, clamped to [0.5x, 4x] so tiny
-/// levels still mix and huge levels stay bounded. A pure function of its
-/// arguments (unit-tested directly); opting in changes the accept stream
-/// by design, so it sits outside every bit-identity contract.
-int autoscaled_moves(int base, std::size_t blocks);
 
 /// One chain of a multi-chain run: hooks bound to chain-local state plus
 /// the cost of that chain's starting solution.

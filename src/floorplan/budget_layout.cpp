@@ -34,9 +34,110 @@ BudgetNodeInfo budget_compose_info(int op, const BudgetNodeInfo& l, const Budget
 
 namespace {
 
-// Minimal extent of a subtree info (see budget_min_extent).
+// Minimal extent a subtree needs along the split axis, given the fixed
+// extent of the other axis; 0 when the subtree has no macros. When the
+// curve cannot fit the cross extent at all, the cheapest (min-area)
+// point defines the demand. Replicates ShapeCurve::min_width_for_height
+// / min_height_for_width / min_area_shape bit for bit (same partition
+// boundaries, same eps, first minimum wins).
 double min_extent(const BudgetNodeInfo& info, double cross, bool along_width) {
-  return budget_min_extent(BudgetCurveRef::of(info.gamma), cross, along_width);
+  const std::vector<Shape>& pts = info.gamma.points();
+  const std::size_t n = pts.size();
+  if (n == 0) return 0.0;
+  const double limit = cross + 1e-9;
+  if (along_width) {
+    // Fitting points (h <= limit) are a suffix; the first of them has the
+    // smallest width.
+    std::size_t lo = 0, hi = n;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (pts[mid].h > limit) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    if (lo < n) return pts[lo].w;
+  } else {
+    // Fitting points (w <= limit) are a prefix; the last of them has the
+    // smallest height.
+    std::size_t lo = 0, hi = n;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (pts[mid].w <= limit) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    if (lo > 0) return pts[lo - 1].h;
+  }
+  // No point fits the cross extent: the cheapest (min-area) point defines
+  // the demand; the overflow is charged as macro deficit at the leaves.
+  // First minimum wins ties, as std::min_element keeps the first.
+  std::size_t best = 0;
+  double best_area = pts[0].w * pts[0].h;
+  for (std::size_t i = 1; i < n; ++i) {
+    const double area = pts[i].w * pts[i].h;
+    if (area < best_area) {
+      best = i;
+      best_area = area;
+    }
+  }
+  return along_width ? pts[best].w : pts[best].h;
+}
+
+// Grades the final rectangle of a leaf block against its <Gamma, am, at>.
+BudgetLeafAdds leaf_adds(const BudgetBlock& b, const Rect& rect) {
+  BudgetLeafAdds a;
+  const double area = rect.area();
+  if (area + 1e-9 < b.at) {
+    a.at_add = b.at - area;
+    a.flags |= BudgetLeafAdds::kAt;
+  }
+  if (area + 1e-9 < b.am) {
+    a.am_add = b.am - area;
+    a.flags |= BudgetLeafAdds::kAm;
+  }
+  if (!b.gamma.empty() && !b.gamma.fits(rect.w, rect.h)) {
+    a.flags |= BudgetLeafAdds::kMacro;
+    // Overflow area of the best attempt: how much macro bounding box
+    // sticks out of the rectangle.
+    double overflow = 0.0;
+    double best_overflow = -1.0;
+    for (const Shape& s : b.gamma.points()) {
+      const double ow = std::max(0.0, s.w - rect.w);
+      const double oh = std::max(0.0, s.h - rect.h);
+      overflow = ow * rect.h + oh * rect.w + ow * oh;
+      if (best_overflow < 0 || overflow < best_overflow) best_overflow = overflow;
+    }
+    a.macro_add = std::max(best_overflow, 0.0);
+  }
+  return a;
+}
+
+// Applies fired adds to the accumulator in a fixed operation order (at,
+// am, infeasible count, macro). Shared between leaf grading and skip
+// replay so the sequence cannot drift.
+void apply_adds(const BudgetLeafAdds& a, BudgetViolations& v) {
+  if ((a.flags & BudgetLeafAdds::kAt) != 0) v.at_deficit += a.at_add;
+  if ((a.flags & BudgetLeafAdds::kAm) != 0) v.am_deficit += a.am_add;
+  if ((a.flags & BudgetLeafAdds::kMacro) != 0) {
+    ++v.infeasible_leaves;
+    v.macro_deficit += a.macro_add;
+  }
+}
+
+// Bit equality (not operator==) for skip decisions: a -0.0/+0.0 mismatch
+// must fail the comparison, or a sign-of-zero divergence could smuggle
+// into downstream arithmetic. Failing is always safe (the pass recurses).
+bool bits_equal(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool bits_equal(const Rect& a, const Rect& b) {
+  return bits_equal(a.x, b.x) && bits_equal(a.y, b.y) && bits_equal(a.w, b.w) &&
+         bits_equal(a.h, b.h);
 }
 
 // One skip rule (full-pass-equivalent, valid from ANY accumulator
@@ -53,7 +154,7 @@ void assign(const SlicingTree& tree, const BudgetNodeInfo* const* infos,
   const auto idx = static_cast<std::size_t>(node_id);
   if (skip != nullptr) {
     if (skip->committed != nullptr && skip->clean[idx] &&
-        budget_bits_equal(skip->committed->node_rect[idx], rect)) {
+        bits_equal(skip->committed->node_rect[idx], rect)) {
       const auto span = static_cast<std::uint32_t>(skip->span_start[idx]);
       const std::vector<BudgetSplitCache::FiredLeaf>& fired = skip->committed->fired;
       auto it = std::lower_bound(
@@ -61,7 +162,7 @@ void assign(const SlicingTree& tree, const BudgetNodeInfo* const* infos,
           [](const BudgetSplitCache::FiredLeaf& f, std::uint32_t p) { return f.pos < p; });
       const auto first = it;
       for (; it != fired.end() && it->pos <= idx; ++it) {
-        budget_apply_adds(it->adds, result.violations);
+        apply_adds(it->adds, result.violations);
       }
       // The span's leaf rects keep their committed (identical) values:
       // copied here when the committed rects are at hand, pre-seeded by
@@ -95,9 +196,8 @@ void assign(const SlicingTree& tree, const BudgetNodeInfo* const* infos,
   const SlicingTree::Node& node = tree.nodes[idx];
   if (node.is_leaf()) {
     result.leaf_rects[static_cast<std::size_t>(node.leaf)] = rect;
-    const BudgetLeafAdds adds =
-        budget_leaf_adds(blocks[static_cast<std::size_t>(node.leaf)], rect);
-    budget_apply_adds(adds, result.violations);
+    const BudgetLeafAdds adds = leaf_adds(blocks[static_cast<std::size_t>(node.leaf)], rect);
+    apply_adds(adds, result.violations);
     if (adds.fired() && skip != nullptr && skip->record != nullptr) {
       skip->record->fired.push_back({static_cast<std::uint32_t>(idx), adds});
     }
@@ -113,7 +213,9 @@ void assign(const SlicingTree& tree, const BudgetNodeInfo* const* infos,
       const double min_l = min_extent(l, rect.h, /*along_width=*/true);
       const double min_r = min_extent(r, rect.h, /*along_width=*/true);
       if (min_l + min_r <= rect.w) {
-        wl = std::clamp(wl, min_l, rect.w - min_r);
+        // std::clamp's body, spelled out: in floating point the test above
+        // does not imply min_l <= rect.w - min_r, which clamp requires.
+        wl = std::min(std::max(wl, min_l), rect.w - min_r);
       } else {
         // Even the minima do not fit; split the shortfall proportionally.
         wl = rect.w * (min_l / (min_l + min_r));
@@ -128,7 +230,7 @@ void assign(const SlicingTree& tree, const BudgetNodeInfo* const* infos,
       const double min_l = min_extent(l, rect.w, /*along_width=*/false);
       const double min_r = min_extent(r, rect.w, /*along_width=*/false);
       if (min_l + min_r <= rect.h) {
-        hl = std::clamp(hl, min_l, rect.h - min_r);
+        hl = std::min(std::max(hl, min_l), rect.h - min_r);
       } else {
         hl = rect.h * (min_l / (min_l + min_r));
       }

@@ -11,8 +11,6 @@
 // free slack above at (cheapest), target area at, minimum area am, or
 // outright macro infeasibility (most severe).
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -93,18 +91,6 @@ struct BudgetLeafAdds {
   bool fired() const { return flags != 0; }
 };
 
-/// Applies fired adds to the accumulator in budget_score_leaf's exact
-/// operation order (at, am, infeasible count, macro). Shared between leaf
-/// grading and skip replay so the sequence cannot drift.
-inline void budget_apply_adds(const BudgetLeafAdds& a, BudgetViolations& v) {
-  if ((a.flags & BudgetLeafAdds::kAt) != 0) v.at_deficit += a.at_add;
-  if ((a.flags & BudgetLeafAdds::kAm) != 0) v.am_deficit += a.am_add;
-  if ((a.flags & BudgetLeafAdds::kMacro) != 0) {
-    ++v.infeasible_leaves;
-    v.macro_deficit += a.macro_add;
-  }
-}
-
 /// Per-node record of one top-down assignment pass: the rectangle handed
 /// to every slicing-tree node, plus a position-sorted journal of the
 /// violation adds the pass's leaves fired. Node indexing follows the
@@ -153,181 +139,6 @@ struct BudgetSkipContext {
   /// `result.leaf_rects` with them instead.
   const std::vector<Rect>* committed_leaf_rects = nullptr;
 };
-
-/// Read-only reference to a shape-curve frontier in either representation:
-/// the committed AoS `ShapeCurve` or a lane SoA frontier (parallel w/h
-/// arrays; floorplan/lane_tree.hpp). The budget-split queries below run
-/// over this so both representations go through one implementation --
-/// identical comparisons, identical arithmetic -- which is what keeps the
-/// lane-batched probe bit-identical to the scalar pass.
-struct BudgetCurveRef {
-  const Shape* pts = nullptr;  ///< AoS curve (exclusive with w/h)
-  const double* w = nullptr;   ///< SoA widths, increasing
-  const double* h = nullptr;   ///< SoA heights, strictly decreasing
-  std::size_t n = 0;
-
-  bool empty() const { return n == 0; }
-  double width(std::size_t i) const { return pts != nullptr ? pts[i].w : w[i]; }
-  double height(std::size_t i) const { return pts != nullptr ? pts[i].h : h[i]; }
-
-  static BudgetCurveRef of(const ShapeCurve& c) {
-    BudgetCurveRef r;
-    r.pts = c.points().data();
-    r.n = c.points().size();
-    return r;
-  }
-  static BudgetCurveRef of_soa(const double* w, const double* h, std::size_t n) {
-    BudgetCurveRef r;
-    r.w = w;
-    r.h = h;
-    r.n = n;
-    return r;
-  }
-};
-
-/// Minimal extent a subtree needs along the split axis, given the fixed
-/// extent of the other axis; 0 when the subtree has no macros. When the
-/// curve cannot fit the cross extent at all, the cheapest (min-area)
-/// point defines the demand. Replicates ShapeCurve::min_width_for_height
-/// / min_height_for_width / min_area_shape bit for bit (same partition
-/// boundaries, same eps, first minimum wins).
-///
-/// Header-inline and templated over the point accessor: the budget walk
-/// calls this twice per internal node, so the binary searches must
-/// compile with direct AoS/SoA loads rather than a representation branch
-/// per comparison (budget_min_extent dispatches on the representation
-/// once, outside the loops). Both instantiations perform the identical
-/// comparison/arithmetic sequence, so the dispatch never changes a bit.
-template <typename Curve>
-inline double budget_min_extent_impl(const Curve& gamma, std::size_t n, double cross,
-                                     bool along_width) {
-  if (n == 0) return 0.0;
-  const double limit = cross + 1e-9;
-  if (along_width) {
-    // Fitting points (h <= limit) are a suffix; the first of them has the
-    // smallest width.
-    std::size_t lo = 0, hi = n;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (gamma.height(mid) > limit) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (lo < n) return gamma.width(lo);
-  } else {
-    // Fitting points (w <= limit) are a prefix; the last of them has the
-    // smallest height.
-    std::size_t lo = 0, hi = n;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (gamma.width(mid) <= limit) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (lo > 0) return gamma.height(lo - 1);
-  }
-  // No point fits the cross extent: the cheapest (min-area) point defines
-  // the demand; the overflow is charged as macro deficit at the leaves.
-  // First minimum wins ties, as std::min_element keeps the first.
-  std::size_t best = 0;
-  double best_area = gamma.width(0) * gamma.height(0);
-  for (std::size_t i = 1; i < n; ++i) {
-    const double area = gamma.width(i) * gamma.height(i);
-    if (area < best_area) {
-      best = i;
-      best_area = area;
-    }
-  }
-  return along_width ? gamma.width(best) : gamma.height(best);
-}
-
-namespace detail {
-struct BudgetCurveAoSView {
-  const Shape* pts;
-  double width(std::size_t i) const { return pts[i].w; }
-  double height(std::size_t i) const { return pts[i].h; }
-};
-struct BudgetCurveSoAView {
-  const double* w;
-  const double* h;
-  double width(std::size_t i) const { return w[i]; }
-  double height(std::size_t i) const { return h[i]; }
-};
-}  // namespace detail
-
-inline double budget_min_extent(const BudgetCurveRef& gamma, double cross,
-                                bool along_width) {
-  if (gamma.pts != nullptr) {
-    return budget_min_extent_impl(detail::BudgetCurveAoSView{gamma.pts}, gamma.n, cross,
-                                  along_width);
-  }
-  return budget_min_extent_impl(detail::BudgetCurveSoAView{gamma.w, gamma.h}, gamma.n,
-                                cross, along_width);
-}
-
-/// Grades the final rectangle of a leaf block against its <Gamma, am, at>,
-/// accumulating into `v`. Returns true iff any violation op fired (feeds
-/// BudgetSplitCache::touched). Exposed so the lane-batched probe scores
-/// leaves through the exact same arithmetic as the committed pass.
-inline BudgetLeafAdds budget_leaf_adds(const BudgetBlock& b, const Rect& rect) {
-  BudgetLeafAdds a;
-  const double area = rect.area();
-  if (area + 1e-9 < b.at) {
-    a.at_add = b.at - area;
-    a.flags |= BudgetLeafAdds::kAt;
-  }
-  if (area + 1e-9 < b.am) {
-    a.am_add = b.am - area;
-    a.flags |= BudgetLeafAdds::kAm;
-  }
-  if (!b.gamma.empty() && !b.gamma.fits(rect.w, rect.h)) {
-    a.flags |= BudgetLeafAdds::kMacro;
-    // Overflow area of the best attempt: how much macro bounding box
-    // sticks out of the rectangle.
-    double overflow = 0.0;
-    double best_overflow = -1.0;
-    for (const Shape& s : b.gamma.points()) {
-      const double ow = std::max(0.0, s.w - rect.w);
-      const double oh = std::max(0.0, s.h - rect.h);
-      overflow = ow * rect.h + oh * rect.w + ow * oh;
-      if (best_overflow < 0 || overflow < best_overflow) best_overflow = overflow;
-    }
-    a.macro_add = std::max(best_overflow, 0.0);
-  }
-  return a;
-}
-
-inline bool budget_score_leaf(const BudgetBlock& b, const Rect& rect,
-                              BudgetViolations& v) {
-  const BudgetLeafAdds a = budget_leaf_adds(b, rect);
-  budget_apply_adds(a, v);
-  return a.fired();
-}
-
-/// Bit equality (not operator==) for skip decisions: a -0.0/+0.0 mismatch
-/// must fail the comparison, or a sign-of-zero divergence could smuggle
-/// into downstream arithmetic. Failing is always safe (the pass recurses).
-namespace detail {
-inline bool double_bits_equal(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-}  // namespace detail
-
-inline bool budget_bits_equal(const Rect& a, const Rect& b) {
-  return detail::double_bits_equal(a.x, b.x) && detail::double_bits_equal(a.y, b.y) &&
-         detail::double_bits_equal(a.w, b.w) && detail::double_bits_equal(a.h, b.h);
-}
-
-inline bool budget_bits_equal(const BudgetViolations& a, const BudgetViolations& b) {
-  return detail::double_bits_equal(a.at_deficit, b.at_deficit) &&
-         detail::double_bits_equal(a.am_deficit, b.am_deficit) &&
-         detail::double_bits_equal(a.macro_deficit, b.macro_deficit) &&
-         a.infeasible_leaves == b.infeasible_leaves;
-}
 
 /// Top-down assignment pass: splits `budget` down the slicing tree using
 /// the precomputed per-node infos (`infos[i]` describes `tree.nodes[i]`),

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <utility>
 
 namespace hidap {
@@ -66,15 +65,6 @@ IncrementalLayoutEval::IncrementalLayoutEval(const std::vector<BudgetBlock>& blo
   committed_split_.resize(len);
   proposed_split_.resize(len);
   clean_nodes_.resize(len);
-  lane_exprs_.resize(kMaxBatch);
-  lane_violations_.resize(kMaxBatch);
-  node_dirty_mask_.assign(len, 0);
-  lane_ref_.resize(kMaxBatch * len);
-  lane_span_.resize(kMaxBatch * len);
-  walk_leaf_rects_.resize(n);
-  lane_cx_.resize(n);
-  lane_cy_.resize(n);
-  center_epoch_.assign(n, 0);
 
   evaluate_proposed(/*reuse_committed=*/false);
   pending_ = true;
@@ -111,7 +101,7 @@ void IncrementalLayoutEval::rebuild_tree(const PolishExpression& expr) {
   tree_.root = parse_stack_.back();
 }
 
-void IncrementalLayoutEval::evaluate_tree(bool reuse_committed) {
+void IncrementalLayoutEval::evaluate_proposed(bool reuse_committed) {
   const std::size_t n = blocks_.size();
   const std::vector<int>& elems = proposed_expr_.elements();
   const std::size_t len = elems.size();
@@ -226,11 +216,6 @@ void IncrementalLayoutEval::evaluate_tree(bool reuse_committed) {
     const Point c = proposed_layout_.leaf_rects[b].center();
     proposed_centers_.set(b, c.x, c.y);
   }
-}
-
-void IncrementalLayoutEval::evaluate_proposed(bool reuse_committed) {
-  evaluate_tree(reuse_committed);
-  const std::size_t n = blocks_.size();
 
   // Connectivity terms: only pairs with a relocated endpoint change.
   const auto recompute = [&](std::uint32_t idx) {
@@ -264,7 +249,6 @@ void IncrementalLayoutEval::evaluate_proposed(bool reuse_committed) {
 
 double IncrementalLayoutEval::propose(const std::function<void(PolishExpression&)>& mutate) {
   assert(!pending_ && "commit() or rollback() the previous proposal first");
-  assert(!batch_pending_ && "resolve the pending batch first");
   if (memo_h_.size() + memo_v_.size() > kMemoCapacity) {
     // Committed state holds values, not references into the memo, so a
     // wholesale clear is safe; the walk's neighborhood repopulates it.
@@ -276,670 +260,6 @@ double IncrementalLayoutEval::propose(const std::function<void(PolishExpression&
   evaluate_proposed(/*reuse_committed=*/true);
   pending_ = true;
   return proposed_cost_;
-}
-
-void IncrementalLayoutEval::ensure_committed_tree() {
-  if (ctree_valid_) return;
-  // The committed-side twin of rebuild_tree, kept separate so batches
-  // can classify against it while the proposal-side scratch describes a
-  // lane; parent links drive the dirty-closure walks.
-  const std::vector<int>& elems = committed_expr_.elements();
-  const std::size_t len = elems.size();
-  ctree_.nodes.clear();
-  parse_stack_.clear();
-  cspan_.resize(len);
-  cparent_.assign(len, -1);
-  for (std::size_t p = 0; p < len; ++p) {
-    const int e = elems[p];
-    SlicingTree::Node node;
-    if (is_operator(e)) {
-      assert(parse_stack_.size() >= 2);
-      node.right = parse_stack_.back();
-      parse_stack_.pop_back();
-      node.left = parse_stack_.back();
-      parse_stack_.pop_back();
-      node.op = e;
-      cspan_[p] = cspan_[static_cast<std::size_t>(node.left)];
-      cparent_[static_cast<std::size_t>(node.left)] = static_cast<int>(p);
-      cparent_[static_cast<std::size_t>(node.right)] = static_cast<int>(p);
-    } else {
-      node.leaf = e;
-      cspan_[p] = static_cast<int>(p);
-    }
-    ctree_.nodes.push_back(node);
-    parse_stack_.push_back(static_cast<int>(p));
-  }
-  assert(parse_stack_.size() == 1);
-  ctree_.root = parse_stack_.back();
-  parse_stack_.clear();
-  ctree_valid_ = true;
-}
-
-std::uint64_t IncrementalLayoutEval::walk_memo_hash(const std::vector<int>& elems) {
-  // FNV-1a over the raw element values. Collisions are harmless -- the
-  // probe verifies with a full element compare, so a collision only
-  // costs the colliding expression its re-walk.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const int e : elems) {
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(e));
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-void IncrementalLayoutEval::propose_batch(
-    std::size_t k, const std::function<void(std::size_t, PolishExpression&)>& generate,
-    double* costs) {
-  assert(!pending_ && !batch_pending_ && "resolve the previous proposal/batch first");
-  assert(k >= 1 && k <= kMaxBatch);
-  if (memo_h_.size() + memo_v_.size() > kMemoCapacity) {
-    // Same eviction rule as propose(); must run before Phase 1 takes
-    // entry pointers into the maps.
-    memo_h_.clear();
-    memo_v_.clear();
-  }
-  if (walk_memo_.size() > kWalkMemoCapacity) walk_memo_.clear();
-  const std::size_t n = blocks_.size();
-  const std::vector<int>& old_elems = committed_expr_.elements();
-  const std::size_t len = old_elems.size();
-  ensure_committed_tree();
-  lane_batch_.begin(k, pairs_.size());
-  lane_curves_.begin();
-  for (const std::uint32_t p : batch_dirty_nodes_) node_dirty_mask_[p] = 0;
-  batch_dirty_nodes_.clear();
-  compose_tasks_.clear();
-
-  // Phase 1 -- shared classification + per-lane structure. Candidates
-  // generate serially (they share the move RNG), but each lane's cost
-  // from here on is proportional to its dirty-span union, not the tree:
-  // the diff scans only the mutation window, and the dirty closure walks
-  // committed parent links from the mutated positions alone. A node is
-  // dirty for a lane iff its committed span contains a mutated position;
-  // that is exactly the scalar engine's clean/dirty classification,
-  // because an unchanged span parses identically in both expressions.
-  for (std::size_t lane = 0; lane < k; ++lane) {
-    PolishExpression& expr = lane_exprs_[lane];
-    expr = committed_expr_;
-    generate(lane, expr);
-    const std::vector<int>& elems = expr.elements();
-    assert(elems.size() == len);
-    const auto bit = static_cast<std::uint16_t>(1u << lane);
-    lane_dirty_pos_.clear();
-    std::size_t lo = 0;
-    while (lo < len && elems[lo] == old_elems[lo]) ++lo;
-    if (lo < len) {
-      std::size_t hi = len - 1;
-      while (hi > lo && elems[hi] == old_elems[hi]) --hi;
-      for (std::size_t p = lo; p <= hi; ++p) {
-        if (elems[p] == old_elems[p]) continue;
-        for (int q = static_cast<int>(p); q >= 0; q = cparent_[static_cast<std::size_t>(q)]) {
-          std::uint16_t& mask = node_dirty_mask_[static_cast<std::size_t>(q)];
-          if ((mask & bit) != 0) break;  // ancestors above are marked already
-          if (mask == 0) batch_dirty_nodes_.push_back(static_cast<std::uint32_t>(q));
-          mask = static_cast<std::uint16_t>(mask | bit);
-          lane_dirty_pos_.push_back(static_cast<std::uint32_t>(q));
-        }
-      }
-    }
-    std::sort(lane_dirty_pos_.begin(), lane_dirty_pos_.end());
-
-    // Lane suffix structure: re-parse the dirty positions only. In
-    // postfix, the operator at p takes the node ending at p-1 as its
-    // right child and the node ending just before that child's span as
-    // its left child; clean children resolve spans through the committed
-    // parse, dirty ones through the lane records built so far (children
-    // precede parents in the ascending order).
-    std::vector<LaneNodeRec>& recs = lane_recs_[lane];
-    recs.clear();
-    const std::size_t base = lane * len;
-    for (const std::uint32_t p : lane_dirty_pos_) {
-      LaneNodeRec rec;
-      rec.pos = p;
-      const int e = elems[p];
-      if (!is_operator(e)) {
-        rec.leaf = e;
-        rec.id = static_cast<std::uint32_t>(e);  // leaf values own ids 0..n-1
-        rec.am = leaf_infos_[static_cast<std::size_t>(e)].am;
-        rec.at = leaf_infos_[static_cast<std::size_t>(e)].at;
-        lane_span_[base + p] = static_cast<int>(p);
-      } else {
-        rec.op = e;
-        const int rpos = static_cast<int>(p) - 1;
-        const bool r_dirty = (node_dirty_mask_[static_cast<std::size_t>(rpos)] & bit) != 0;
-        const int rstart =
-            r_dirty ? lane_span_[base + static_cast<std::size_t>(rpos)] : cspan_[static_cast<std::size_t>(rpos)];
-        const int lpos = rstart - 1;
-        const bool l_dirty = (node_dirty_mask_[static_cast<std::size_t>(lpos)] & bit) != 0;
-        const int lstart =
-            l_dirty ? lane_span_[base + static_cast<std::size_t>(lpos)] : cspan_[static_cast<std::size_t>(lpos)];
-        rec.left = lpos;
-        rec.right = rpos;
-        lane_span_[base + p] = lstart;
-        // am/at: the same two adds budget_compose_info performs, over
-        // children values identical to the scalar engine's.
-        const auto child_am_at = [&](int cpos, bool dirty, double& am, double& at) {
-          if (dirty) {
-            const LaneNodeRec& c =
-                recs[static_cast<std::size_t>(lane_ref_[base + static_cast<std::size_t>(cpos)])];
-            am = c.am;
-            at = c.at;
-          } else {
-            am = infos_[static_cast<std::size_t>(cpos)].am;
-            at = infos_[static_cast<std::size_t>(cpos)].at;
-          }
-        };
-        double am_l, at_l, am_r, at_r;
-        child_am_at(lpos, l_dirty, am_l, at_l);
-        child_am_at(rpos, r_dirty, am_r, at_r);
-        rec.am = am_l + am_r;
-        rec.at = at_l + at_r;
-        // Compose-memo probe, canonical key over child value ids exactly
-        // like evaluate_tree: a hit serves the composed frontier without
-        // any compose task -- the cooled phase re-proposes the same
-        // neighborhood over and over, so most lane suffixes resolve to
-        // hash lookups here, and only genuinely novel compositions reach
-        // the SoA sweeps. Memo values are bit-equal to fresh composition
-        // by determinism, so hit/miss divergence from the scalar twin
-        // never changes a produced byte.
-        const auto child_id = [&](int cpos, bool dirty) -> std::uint32_t {
-          if (dirty) {
-            return recs[static_cast<std::size_t>(
-                            lane_ref_[base + static_cast<std::size_t>(cpos)])]
-                .id;
-          }
-          const auto c = static_cast<std::size_t>(cpos);
-          // Same lazy id persistence as the scalar walk's clean branch.
-          if (ids_[c] == kNoId && next_id_ != kNoId) ids_[c] = next_id_++;
-          return ids_[c];
-        };
-        const std::uint32_t id_l = child_id(lpos, l_dirty);
-        const std::uint32_t id_r = child_id(rpos, r_dirty);
-        ComposeTask task;
-        task.pos = p;
-        task.lane = static_cast<std::uint16_t>(lane);
-        task.op = e;
-        bool hit = false;
-        if (id_l != kNoId && id_r != kNoId) {
-          const std::uint64_t lo = std::min(id_l, id_r);
-          const std::uint64_t hi = std::max(id_l, id_r);
-          task.key = (hi << 32) | lo;
-          auto& memo = e == kOpV ? memo_v_ : memo_h_;
-          if (const auto it = memo.find(task.key); it != memo.end()) {
-            rec.memo = &it->second.info;
-            rec.id = it->second.id;
-            hit = true;
-          } else {
-            const std::uint64_t fkey =
-                task.key ^ (e == kOpV ? 0x9e3779b97f4a7c15ULL : 0);
-            std::uint64_t& filter_slot =
-                seen_once_[(fkey * 0xd1342543de82ef95ULL) >> (64 - kSeenOnceBits)];
-            if (filter_slot == fkey) {
-              task.admit = true;  // second sighting: admit after composing
-            } else {
-              filter_slot = fkey;
-            }
-          }
-        }
-        if (!hit) compose_tasks_.push_back(task);
-      }
-      lane_ref_[base + p] = static_cast<std::int32_t>(recs.size());
-      recs.push_back(rec);
-    }
-    walk_stats_.nodes_walked += recs.size();
-  }
-  walk_stats_.batches += 1;
-  walk_stats_.lane_nodes += static_cast<std::uint64_t>(k) * len;
-
-  // Phase 2 -- vertical shape-curve compose. Tasks group by element
-  // position: children sit at strictly lower positions, so every operand
-  // a group references was produced by an earlier group, and
-  // same-position tasks belong to distinct lanes (independent). Near the
-  // root every lane is dirty, so the expensive top-of-tree sweeps run at
-  // full width.
-  std::sort(compose_tasks_.begin(), compose_tasks_.end());
-  std::array<LaneShapeBatch::Job, kMaxBatch> jobs;
-  const auto lane_operand = [&](std::size_t lane, int cpos) {
-    LaneShapeBatch::Operand o;
-    const auto bit = static_cast<std::uint16_t>(1u << lane);
-    if ((node_dirty_mask_[static_cast<std::size_t>(cpos)] & bit) != 0) {
-      const LaneNodeRec& c = lane_recs_[lane][static_cast<std::size_t>(
-          lane_ref_[lane * len + static_cast<std::size_t>(cpos)])];
-      if (c.leaf >= 0) {
-        o.aos = &leaf_infos_[static_cast<std::size_t>(c.leaf)].gamma;
-      } else if (c.memo != nullptr) {
-        o.aos = &c.memo->gamma;
-      } else {
-        o.slot = c.slot;
-      }
-    } else {
-      o.aos = &infos_[static_cast<std::size_t>(cpos)].gamma;
-    }
-    return o;
-  };
-  for (std::size_t t = 0; t < compose_tasks_.size();) {
-    const std::uint32_t pos = compose_tasks_[t].pos;
-    std::size_t g = 0;
-    while (t + g < compose_tasks_.size() && compose_tasks_[t + g].pos == pos) ++g;
-    assert(g <= LaneShapeBatch::kMaxJobs);
-    for (std::size_t x = 0; x < g; ++x) {
-      const std::size_t lane = compose_tasks_[t + x].lane;
-      const LaneNodeRec& rec =
-          lane_recs_[lane][static_cast<std::size_t>(lane_ref_[lane * len + pos])];
-      jobs[x].op = rec.op;
-      jobs[x].left = lane_operand(lane, rec.left);
-      jobs[x].right = lane_operand(lane, rec.right);
-      jobs[x].out = -1;
-    }
-    lane_curves_.compose(jobs.data(), g, options_.curve_points);
-    for (std::size_t x = 0; x < g; ++x) {
-      const ComposeTask& task = compose_tasks_[t + x];
-      LaneNodeRec& rec =
-          lane_recs_[task.lane][static_cast<std::size_t>(lane_ref_[task.lane * len + pos])];
-      rec.slot = jobs[x].out;
-      if (task.admit && next_id_ != kNoId) {
-        // Second sighting: materialize once into the memo, exactly the
-        // value the scalar walk would have admitted. Two lanes can carry
-        // the same key in one batch (both classified as misses in Phase
-        // 1); the first insertion wins and the second reuses its id.
-        auto& memo = task.op == kOpV ? memo_v_ : memo_h_;
-        const auto [it, inserted] = memo.try_emplace(task.key);
-        if (inserted) {
-          it->second.info.am = rec.am;
-          it->second.info.at = rec.at;
-          it->second.info.gamma = lane_curves_.materialize(rec.slot);
-          it->second.id = next_id_++;
-        }
-        rec.id = it->second.id;
-      }
-    }
-    t += g;
-  }
-
-  // Phase 3 -- per-lane top-down probe + sparse term overrides. The
-  // probe touches only subtrees whose content or rectangle diverged; its
-  // leaf writes land in the epoch-stamped overlay, so a lane never pays
-  // O(n) for layout or centers.
-  for (std::size_t lane = 0; lane < k; ++lane) {
-    // Walk-memo probe: a repeat expression's probe output is already on
-    // file (violations + all proposed centers are pure functions of the
-    // expression), so serve the lane from the entry -- no tree walk, no
-    // overlay -- with the scalar engine's own O(n) center compare. The
-    // entry's centers for blocks outside the recording walk were the
-    // then-committed ones, which by skip-correctness ARE the pure
-    // centers of this expression; against the CURRENT committed centers
-    // the compare therefore flags exactly the blocks the live walk
-    // would, and override terms come out bit-equal (centers equal under
-    // operator== can differ only in zero sign, which subtraction + abs
-    // erases -- the same tolerance the scalar compare already leans on).
-    std::uint64_t wkey = 0;
-    bool admit = false;
-    if (options_.skip_splits) {
-      const std::vector<int>& elems = lane_exprs_[lane].elements();
-      wkey = walk_memo_hash(elems);
-      if (const auto it = walk_memo_.find(wkey);
-          it != walk_memo_.end() && it->second.elements == elems) {
-        const WalkMemoEntry& e = it->second;
-        lane_violations_[lane] = e.violations;
-        const auto mcx = [&](std::uint32_t i) {
-          return i < n ? e.cx[i] : committed_centers_.x[i];
-        };
-        const auto mcy = [&](std::uint32_t i) {
-          return i < n ? e.cy[i] : committed_centers_.y[i];
-        };
-        for (std::uint32_t b = 0; b < n; ++b) {
-          if (e.cx[b] == committed_centers_.x[b] && e.cy[b] == committed_centers_.y[b])
-            continue;
-          for (const std::uint32_t idx : block_pairs_[b]) {
-            const std::uint32_t pa = pairs_.a[idx], pb = pairs_.b[idx];
-            lane_batch_.set(lane, idx,
-                            pairs_.w[idx] * (std::abs(mcx(pa) - mcx(pb)) +
-                                             std::abs(mcy(pa) - mcy(pb))));
-          }
-        }
-        continue;
-      }
-      // Second-sighting admission, same filter array as the compose memo
-      // under a distinct salt: record only expressions that recur.
-      const std::uint64_t fkey = wkey ^ 0x6a09e667f3bcc909ULL;
-      std::uint64_t& filter_slot =
-          seen_once_[(fkey * 0xd1342543de82ef95ULL) >> (64 - kSeenOnceBits)];
-      if (filter_slot == fkey) {
-        admit = true;
-      } else {
-        filter_slot = fkey;
-      }
-    }
-
-    BudgetViolations v;
-    walk_touched_.clear();
-    lane_assign(lane, static_cast<int>(len) - 1, region_, v);
-    lane_violations_[lane] = v;
-    if (admit) {
-      WalkMemoEntry& e = walk_memo_[wkey];
-      e.elements = lane_exprs_[lane].elements();
-      e.violations = v;
-      // Pure centers of the expression: committed centers (bit-equal to
-      // the pure values for every unwalked block, by skip-correctness)
-      // patched with the walked leaves' rect centers.
-      e.cx.assign(committed_centers_.x.begin(), committed_centers_.x.begin() + static_cast<std::ptrdiff_t>(n));
-      e.cy.assign(committed_centers_.y.begin(), committed_centers_.y.begin() + static_cast<std::ptrdiff_t>(n));
-      for (const std::uint32_t b : walk_touched_) {
-        const Point c = walk_leaf_rects_[b].center();
-        e.cx[b] = c.x;
-        e.cy[b] = c.y;
-      }
-    }
-
-    ++center_epoch_counter_;
-    moved_blocks_.clear();
-    for (const std::uint32_t b : walk_touched_) {
-      const Point c = walk_leaf_rects_[b].center();
-      // The scalar engine skips blocks whose center value is unchanged
-      // (operator==, like its proposed-vs-committed compare); unwalked
-      // blocks keep their committed rects, hence committed centers.
-      if (c.x == committed_centers_.x[b] && c.y == committed_centers_.y[b]) continue;
-      lane_cx_[b] = c.x;
-      lane_cy_[b] = c.y;
-      center_epoch_[b] = center_epoch_counter_;
-      moved_blocks_.push_back(b);
-    }
-    const auto cx = [&](std::uint32_t i) {
-      return i < n && center_epoch_[i] == center_epoch_counter_ ? lane_cx_[i]
-                                                                : committed_centers_.x[i];
-    };
-    const auto cy = [&](std::uint32_t i) {
-      return i < n && center_epoch_[i] == center_epoch_counter_ ? lane_cy_[i]
-                                                                : committed_centers_.y[i];
-    };
-    for (const std::uint32_t b : moved_blocks_) {
-      for (const std::uint32_t idx : block_pairs_[b]) {
-        const std::uint32_t pa = pairs_.a[idx], pb = pairs_.b[idx];
-        // Exactly soa_manhattan over the lane's centers: two subtracts,
-        // two abs, one add, then the weight multiply.
-        lane_batch_.set(lane, idx,
-                        pairs_.w[idx] *
-                            (std::abs(cx(pa) - cx(pb)) + std::abs(cy(pa) - cy(pb))));
-      }
-    }
-  }
-
-  // Phase 4 -- one vertical reduction scores every lane (the scalar
-  // re-sum per lane, addend for addend).
-  std::array<double, kMaxBatch> sums{};
-  lane_batch_.reduce(committed_terms_.data(), sums.data());
-  for (std::size_t lane = 0; lane < k; ++lane) {
-    costs[lane] = lane_costs_[lane] =
-        layout_objective(lane_violations_[lane], sums[lane], region_);
-  }
-  batch_size_ = k;
-  batch_pending_ = true;
-  batch_serial_ = false;
-}
-
-void IncrementalLayoutEval::propose_batch_serial(
-    std::size_t k, const std::function<void(std::size_t, PolishExpression&)>& generate,
-    double* costs) {
-  assert(!pending_ && !batch_pending_ && "resolve the previous proposal/batch first");
-  assert(k >= 1 && k <= kMaxBatch);
-  if (memo_h_.size() + memo_v_.size() > kMemoCapacity) {
-    memo_h_.clear();
-    memo_v_.clear();
-  }
-  const std::size_t n = blocks_.size();
-  lane_batch_.begin(k, pairs_.size());
-  for (std::size_t lane = 0; lane < k; ++lane) {
-    // Every candidate perturbs the committed expression: the scalar
-    // engine also proposes against the committed state while rejecting,
-    // so a batch equals k scalar proposals with no intervening commit.
-    proposed_expr_ = committed_expr_;
-    generate(lane, proposed_expr_);
-    evaluate_tree(/*reuse_committed=*/true);
-    for (std::size_t b = 0; b < n; ++b) {
-      if (proposed_centers_.x[b] == committed_centers_.x[b] &&
-          proposed_centers_.y[b] == committed_centers_.y[b]) {
-        continue;
-      }
-      for (const std::uint32_t idx : block_pairs_[b]) {
-        lane_batch_.set(lane, idx,
-                        pairs_.w[idx] *
-                            soa_manhattan(proposed_centers_, pairs_.a[idx], pairs_.b[idx]));
-      }
-    }
-    // Swap, not copy: the next lane overwrites proposed_expr_ from the
-    // committed expression anyway, and the swapped-in buffer's capacity
-    // gets reused -- per-lane cost stays one element copy, not two.
-    std::swap(lane_exprs_[lane], proposed_expr_);
-    lane_violations_[lane] = proposed_layout_.violations;
-  }
-
-  // One vertical pass scores every lane: per lane the addition sequence
-  // over (committed | overridden) terms is exactly the scalar re-sum.
-  std::array<double, kMaxBatch> sums{};
-  lane_batch_.reduce(committed_terms_.data(), sums.data());
-  for (std::size_t lane = 0; lane < k; ++lane) {
-    costs[lane] = lane_costs_[lane] =
-        layout_objective(lane_violations_[lane], sums[lane], region_);
-  }
-  batch_size_ = k;
-  batch_pending_ = true;
-  batch_serial_ = true;
-}
-
-void IncrementalLayoutEval::lane_child_info(std::size_t lane, int pos, double& at,
-                                            BudgetCurveRef& gamma) const {
-  const auto p = static_cast<std::size_t>(pos);
-  if ((node_dirty_mask_[p] & (1u << lane)) != 0) {
-    const LaneNodeRec& c = lane_recs_[lane][static_cast<std::size_t>(
-        lane_ref_[lane * node_dirty_mask_.size() + p])];
-    at = c.at;
-    if (c.leaf >= 0) {
-      gamma = BudgetCurveRef::of(leaf_infos_[static_cast<std::size_t>(c.leaf)].gamma);
-    } else if (c.memo != nullptr) {
-      gamma = BudgetCurveRef::of(c.memo->gamma);
-    } else {
-      gamma = lane_curves_.slot_ref(c.slot);
-    }
-  } else {
-    at = infos_[p].at;
-    gamma = BudgetCurveRef::of(infos_[p].gamma);
-  }
-}
-
-void IncrementalLayoutEval::lane_split(std::size_t lane, int op, int left, int right,
-                                       const Rect& rect, BudgetViolations& v) {
-  // The exact split arithmetic of budget_layout's assign(), over child
-  // values identical to the scalar pass's: the at ratio, the
-  // minimal-extent clamp (through the one shared budget_min_extent, so
-  // AoS committed curves and SoA lane frontiers take the same binary
-  // searches), and the proportional-shortfall fallback.
-  double at_l, at_r;
-  BudgetCurveRef gamma_l, gamma_r;
-  lane_child_info(lane, left, at_l, gamma_l);
-  lane_child_info(lane, right, at_r, gamma_r);
-  const double at_sum = at_l + at_r;
-  const double ratio = at_sum > 0 ? at_l / at_sum : 0.5;
-
-  if (op == kOpV) {
-    double wl = rect.w * ratio;
-    const double min_l = budget_min_extent(gamma_l, rect.h, /*along_width=*/true);
-    const double min_r = budget_min_extent(gamma_r, rect.h, /*along_width=*/true);
-    if (min_l + min_r <= rect.w) {
-      wl = std::clamp(wl, min_l, rect.w - min_r);
-    } else {
-      wl = rect.w * (min_l / (min_l + min_r));
-    }
-    lane_assign(lane, left, Rect{rect.x, rect.y, wl, rect.h}, v);
-    lane_assign(lane, right, Rect{rect.x + wl, rect.y, rect.w - wl, rect.h}, v);
-  } else {
-    double hl = rect.h * ratio;
-    const double min_l = budget_min_extent(gamma_l, rect.w, /*along_width=*/false);
-    const double min_r = budget_min_extent(gamma_r, rect.w, /*along_width=*/false);
-    if (min_l + min_r <= rect.h) {
-      hl = std::clamp(hl, min_l, rect.h - min_r);
-    } else {
-      hl = rect.h * (min_l / (min_l + min_r));
-    }
-    lane_assign(lane, left, Rect{rect.x, rect.y, rect.w, hl}, v);
-    lane_assign(lane, right, Rect{rect.x, rect.y + hl, rect.w, rect.h - hl}, v);
-  }
-}
-
-void IncrementalLayoutEval::lane_assign(std::size_t lane, int node_id, const Rect& rect,
-                                        BudgetViolations& v) {
-  const auto idx = static_cast<std::size_t>(node_id);
-  if ((node_dirty_mask_[idx] & (1u << lane)) == 0) {
-    // Clean node: structure and info come from the committed tree, and
-    // the committed split snapshots apply under the same rule as the
-    // scalar read-only pass: content unchanged + rect bit-equal means the
-    // subtree lays out identically, so its violation adds replay from the
-    // committed journal -- bit-exact from any accumulator state. (Which
-    // skips actually fire may differ from the scalar pass -- e.g. a
-    // sibling's rounding can nudge this subtree's rect -- but the rule is
-    // full-pass-equivalent, so the accumulated violations stay
-    // bit-identical either way.) Skipped leaves keep their committed
-    // centers (the epoch overlay never sees them).
-    if (options_.skip_splits && budget_bits_equal(committed_split_.node_rect[idx], rect)) {
-      const auto span = static_cast<std::uint32_t>(cspan_[idx]);
-      const std::vector<BudgetSplitCache::FiredLeaf>& fired = committed_split_.fired;
-      auto it = std::lower_bound(
-          fired.begin(), fired.end(), span,
-          [](const BudgetSplitCache::FiredLeaf& f, std::uint32_t p) { return f.pos < p; });
-      for (; it != fired.end() && it->pos <= idx; ++it) budget_apply_adds(it->adds, v);
-      return;
-    }
-    const SlicingTree::Node& node = ctree_.nodes[idx];
-    if (node.is_leaf()) {
-      const auto leaf = static_cast<std::size_t>(node.leaf);
-      walk_leaf_rects_[leaf] = rect;
-      walk_touched_.push_back(static_cast<std::uint32_t>(leaf));
-      budget_score_leaf(blocks_[leaf], rect, v);
-    } else {
-      lane_split(lane, node.op, node.left, node.right, rect, v);
-    }
-    return;
-  }
-  // Dirty node: structure comes from the lane's re-parsed suffix. No
-  // skip check -- its content diverged from the committed tree by
-  // definition.
-  const LaneNodeRec& rec = lane_recs_[lane][static_cast<std::size_t>(
-      lane_ref_[lane * node_dirty_mask_.size() + idx])];
-  if (rec.leaf >= 0) {
-    const auto leaf = static_cast<std::size_t>(rec.leaf);
-    walk_leaf_rects_[leaf] = rect;
-    walk_touched_.push_back(static_cast<std::uint32_t>(leaf));
-    budget_score_leaf(blocks_[leaf], rect, v);
-  } else {
-    lane_split(lane, rec.op, rec.left, rec.right, rect, v);
-  }
-}
-
-void IncrementalLayoutEval::adopt_lane(std::size_t lane) {
-  // Rebuild the proposal overlay (the same state evaluate_tree leaves
-  // behind) from the lane's suffix caches: clean nodes alias the
-  // committed infos as usual, dirty nodes materialize their composed
-  // frontiers out of the arena -- am/at and every curve byte are the
-  // numbers the scalar recompute would produce, so downstream consumers
-  // cannot tell the difference.
-  rebuild_tree(proposed_expr_);
-  const std::size_t len = proposed_expr_.size();
-  const auto bit = static_cast<std::uint16_t>(1u << lane);
-  dirty_nodes_.clear();
-  std::size_t scratch_used = 0;
-  for (std::size_t i = 0; i < len; ++i) {
-    if ((node_dirty_mask_[i] & bit) == 0) {
-      clean_nodes_[i] = 1;
-      info_ptrs_[i] = &infos_[i];
-      // Same id persistence as evaluate_tree: committed values keep (or
-      // now receive) a stable name for future memo keys.
-      if (ids_[i] == kNoId && next_id_ != kNoId) ids_[i] = next_id_++;
-      proposed_ids_[i] = ids_[i];
-      continue;
-    }
-    clean_nodes_[i] = 0;
-    const LaneNodeRec& rec =
-        lane_recs_[lane][static_cast<std::size_t>(lane_ref_[lane * len + i])];
-    BudgetNodeInfo& slot = scratch_infos_[scratch_used++];
-    if (rec.leaf >= 0) {
-      slot = leaf_infos_[static_cast<std::size_t>(rec.leaf)];
-      proposed_ids_[i] = static_cast<std::uint32_t>(rec.leaf);
-    } else {
-      slot.am = rec.am;
-      slot.at = rec.at;
-      if (rec.memo != nullptr) {
-        slot.gamma = rec.memo->gamma;
-      } else {
-        slot.gamma = lane_curves_.materialize(rec.slot);
-      }
-      // Memo-served (or memo-admitted) compositions keep their value id;
-      // composes that stayed below the admission filter carry kNoId and
-      // the persist-id branch above names them on the next batch.
-      proposed_ids_[i] = rec.id;
-    }
-    info_ptrs_[i] = &slot;
-    dirty_nodes_.push_back(static_cast<std::uint32_t>(i));
-  }
-}
-
-void IncrementalLayoutEval::commit_candidate(std::size_t lane) {
-  assert(batch_pending_ && lane < batch_size_);
-  std::swap(proposed_expr_, lane_exprs_[lane]);
-  if (batch_serial_) {
-    if (lane + 1 != batch_size_) {
-      // The tree overlay (infos, layout, centers) describes the last lane
-      // evaluated; re-run the accepted candidate. Memo-warm and
-      // deterministic, so every value lands exactly where the first
-      // evaluation put it. (The last lane's overlay is already in place.)
-      evaluate_tree(/*reuse_committed=*/true);
-    }
-    proposed_terms_ = committed_terms_;
-    lane_batch_.apply(lane, proposed_terms_.data());
-    proposed_cost_ = lane_costs_[lane];
-    batch_pending_ = false;
-    pending_ = true;
-    commit();
-    return;
-  }
-
-  // Lane-walk path: adopt the winning lane's suffix caches -- no
-  // bottom-up re-walk, no recompose. Only the top-down recording pass
-  // (commit()'s price anyway) and the O(n) center refresh run.
-  adopt_lane(lane);
-  const std::size_t n = blocks_.size();
-  proposed_layout_.leaf_rects.resize(n);
-  proposed_layout_.violations = BudgetViolations{};
-  if (options_.skip_splits) {
-    BudgetSkipContext skip;
-    skip.committed = &committed_split_;
-    skip.clean = clean_nodes_.data();
-    skip.span_start = span_start_.data();
-    skip.record = &proposed_split_;
-    // Unlike commit() after a scalar proposal, no prior pass materialized
-    // this candidate's full layout: the lane probe recorded leaf rects
-    // sparsely. Skipped spans' (identical) rects must therefore be copied
-    // from the committed layout inside the skip branch.
-    skip.committed_leaf_rects = &committed_layout_.leaf_rects;
-    budget_assign(tree_, info_ptrs_.data(), blocks_, region_, proposed_layout_, &skip);
-  } else {
-    budget_assign(tree_, info_ptrs_.data(), blocks_, region_, proposed_layout_);
-  }
-  assert(budget_bits_equal(proposed_layout_.violations, lane_violations_[lane]) &&
-         "lane probe diverged from the recording pass");
-  for (std::size_t b = 0; b < n; ++b) {
-    const Point c = proposed_layout_.leaf_rects[b].center();
-    proposed_centers_.set(b, c.x, c.y);
-  }
-  proposed_terms_ = committed_terms_;
-  lane_batch_.apply(lane, proposed_terms_.data());
-  proposed_cost_ = lane_costs_[lane];
-  batch_pending_ = false;
-  pending_ = true;
-  finalize_commit();
-}
-
-void IncrementalLayoutEval::discard_batch() {
-  assert(batch_pending_);
-  // The batch overlay never touched committed state; drop it.
-  batch_pending_ = false;
 }
 
 void IncrementalLayoutEval::commit() {
@@ -959,12 +279,8 @@ void IncrementalLayoutEval::commit() {
     skip.span_start = span_start_.data();
     skip.record = &proposed_split_;
     budget_assign(tree_, info_ptrs_.data(), blocks_, region_, proposed_layout_, &skip);
+    std::swap(committed_split_, proposed_split_);
   }
-  finalize_commit();
-}
-
-void IncrementalLayoutEval::finalize_commit() {
-  if (options_.skip_splits) std::swap(committed_split_, proposed_split_);
   std::swap(committed_expr_, proposed_expr_);
   std::swap(ids_, proposed_ids_);
   // The scratch slots themselves are permanent (sized once, reused move
@@ -978,7 +294,6 @@ void IncrementalLayoutEval::finalize_commit() {
   std::swap(committed_terms_, proposed_terms_);
   committed_cost_ = proposed_cost_;
   pending_ = false;
-  ctree_valid_ = false;  // the committed expression changed
 }
 
 void IncrementalLayoutEval::rollback() {

@@ -1,6 +1,6 @@
 #pragma once
 // Incremental SA move evaluation for the layout annealer (paper sect.
-// IV-E; ROADMAP "batched move evaluation / incremental HPWL" item).
+// IV-E).
 //
 // The full-recompute objective (evaluate_layout_full) pays, per proposed
 // Polish move, a complete bottom-up shape-curve composition pass (sweep
@@ -32,39 +32,7 @@
 // annealer's accept/reject sequence -- and so the final placement --
 // byte-identical whether AnnealOptions::incremental is on or off.
 // tests/test_incremental_eval.cpp enforces this differentially.
-//
-// Batched evaluation (AnnealOptions::batch_moves): propose_batch()
-// scores up to kMaxBatch speculative candidates against the committed
-// state with ONE walk of the slicing tree for the whole batch. Every
-// candidate shares the committed expression outside its own 1-2 mutated
-// positions, so the walk factors into
-//
-//   * a shared pass: one classification over the committed tree marks,
-//     per node, the lanes whose dirty span covers it (a 16-bit mask,
-//     OR-folded bottom-up along committed parent links). Every
-//     (lane, node) slot with a clear bit reuses the committed
-//     <Gamma, am, at> cache untouched -- no per-lane parse, no per-lane
-//     expression diff beyond the mutation window; and
-//   * a lane-divergent suffix: the few dirty nodes per lane re-parse
-//     from the mutation positions alone, and their shape-curve composes
-//     run vertically across lanes in the SoA frontier arena
-//     (floorplan/lane_tree.hpp), level-locked sweeps over contiguous
-//     per-lane width/height arrays. The budget split then probes each
-//     lane top-down against the committed BudgetSplitCache read-only,
-//     descending only where the lane's content or rectangle diverges.
-//
-// Pair terms and centers stay in structure-of-arrays form
-// (floorplan/soa_terms.hpp); each candidate's touched terms become
-// sparse per-lane overrides and LaneTermBatch::reduce() re-runs the
-// oracle's left-to-right term sum for all lanes vertically. Per lane
-// every emitted number is the output of the exact scalar arithmetic in
-// the exact scalar order, so the k costs -- and whichever candidate
-// commit_candidate() then adopts, suffix caches and all, without a
-// re-walk -- are bit-identical to the scalar engine's.
-// propose_batch_serial() keeps the pre-batched one-walk-per-lane path as
-// the differential twin and ablation baseline.
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -74,7 +42,6 @@
 
 #include "dataflow/affinity.hpp"
 #include "floorplan/budget_layout.hpp"
-#include "floorplan/lane_tree.hpp"
 #include "floorplan/polish_expression.hpp"
 #include "floorplan/soa_terms.hpp"
 #include "geometry/geometry.hpp"
@@ -111,111 +78,12 @@ class IncrementalLayoutEval {
   /// rollback); exposed for differential testing.
   const PolishExpression& proposed_expression() const { return proposed_expr_; }
 
-  /// Lane capacity of propose_batch (the AnnealOptions::batch_size cap).
-  static constexpr std::size_t kMaxBatch = LaneTermBatch::kMaxLanes;
-
-  /// Batched speculative evaluation: generates k candidates, each via
-  /// `generate(lane, expr)` perturbing a fresh copy of the committed
-  /// expression, and writes their costs to costs[0..k). costs[i] is
-  /// bit-identical to what propose(generate_i) would return. Must be
-  /// followed by exactly one commit_candidate() or discard_batch();
-  /// the committed state is untouched until then.
-  void propose_batch(std::size_t k,
-                     const std::function<void(std::size_t, PolishExpression&)>& generate,
-                     double* costs);
-
-  /// The pre-lane-walk batched path: one full scalar tree evaluation per
-  /// lane. Bit-identical to propose_batch (the differential suite
-  /// enforces it); kept as the twin oracle and as bench_micro's
-  /// BM_SerialLaneWalk ablation baseline. Resolve with the same
-  /// commit_candidate / discard_batch calls.
-  void propose_batch_serial(
-      std::size_t k, const std::function<void(std::size_t, PolishExpression&)>& generate,
-      double* costs);
-
-  /// Commits candidate `lane` of the last propose_batch as the new
-  /// committed state (equivalent to propose(generate_lane) + commit()).
-  /// After the lane-batched walk this adopts the winning lane's suffix
-  /// caches (composed frontiers, am/at sums) straight into the committed
-  /// infos -- no bottom-up re-walk.
-  void commit_candidate(std::size_t lane);
-
-  /// Discards the whole batch; the committed state is untouched.
-  void discard_batch();
-
-  /// Shared-prefix occupancy of the lane-batched walk, cumulative since
-  /// construction: `lane_nodes` counts the (lane x tree-node) slots
-  /// offered per batch, `nodes_walked` the slots actually recomposed
-  /// (each lane's dirty-span union); the difference was served by the
-  /// committed caches. optimize_layout flushes the ratio through
-  /// src/obs/ as sa.lane_nodes / sa.lane_nodes_walked.
-  struct LaneWalkStats {
-    std::uint64_t batches = 0;
-    std::uint64_t lane_nodes = 0;
-    std::uint64_t nodes_walked = 0;
-  };
-  const LaneWalkStats& lane_walk_stats() const { return walk_stats_; }
-
-  /// Nodes the last propose_batch recomposed for `lane` (testing hook:
-  /// the shared pass must never touch a node outside the lane's
-  /// dirty-span union, so this must equal that union's size exactly).
-  std::size_t last_batch_nodes_walked(std::size_t lane) const {
-    return lane_recs_[lane].size();
-  }
-
  private:
   void rebuild_tree(const PolishExpression& expr);
-  /// The tree-shaped part of a proposal: expression diff, bottom-up
-  /// infos, top-down budget split, centers. Leaves proposed_layout_ /
-  /// proposed_centers_ describing proposed_expr_; connectivity terms and
-  /// the final objective are the caller's job (they differ between the
-  /// scalar and batched paths).
-  void evaluate_tree(bool reuse_committed);
+  /// Re-evaluates proposed_expr_: expression diff, bottom-up infos,
+  /// top-down budget split, centers, connectivity terms and the final
+  /// objective into the proposed_* overlay.
   void evaluate_proposed(bool reuse_committed);
-  /// The committed-state swap tail shared by commit() and the lane-walk
-  /// commit_candidate() (which records its split snapshots itself).
-  void finalize_commit();
-
-  // Lane-batched walk internals (see the file header).
-  /// One dirty node of one lane's suffix: the re-parsed structure plus
-  /// the composed characterization (leaf nodes reference leaf_infos_
-  /// instead of an arena slot).
-  struct LaneNodeRec {
-    std::uint32_t pos = 0;
-    std::int32_t left = -1, right = -1;  ///< child element positions (operators)
-    std::int32_t leaf = -1;              ///< operand id (leaves)
-    int op = 0;
-    std::int32_t slot = -1;  ///< arena slot of the composed gamma
-    double am = 0.0, at = 0.0;
-    /// Compose-memo integration, same canonical keys as the scalar walk:
-    /// a Phase-1 hit stores the entry here (no compose task at all; the
-    /// cooled phase's re-proposed neighborhoods resolve to hash lookups
-    /// exactly as they do for propose()), and `id` names the value for
-    /// ancestor keys and for commit adoption. Memo entry addresses are
-    /// stable: the maps are node-based and only cleared between batches.
-    const BudgetNodeInfo* memo = nullptr;
-    std::uint32_t id = kNoId;
-  };
-  /// Lazily (re)parses the committed expression into ctree_ / cspan_ /
-  /// cparent_; every commit invalidates it.
-  void ensure_committed_tree();
-  /// Child characterization for the lane split: the committed info when
-  /// the child is outside the lane's dirty union, the lane record's
-  /// otherwise. Only `at` and the curve feed the split arithmetic.
-  void lane_child_info(std::size_t lane, int pos, double& at, BudgetCurveRef& gamma) const;
-  /// Per-lane top-down budget probe: the read-only analogue of
-  /// budget_layout's assign() that resolves structure/infos through the
-  /// lane overlay, skips clean spans against the committed
-  /// BudgetSplitCache under the exact same rule (rect bit-equal ->
-  /// journal replay), and records assigned leaf rects sparsely
-  /// (walk_leaf_rects_ / walk_touched_) instead of materializing a full
-  /// layout per lane.
-  void lane_assign(std::size_t lane, int node_id, const Rect& rect, BudgetViolations& v);
-  void lane_split(std::size_t lane, int op, int left, int right, const Rect& rect,
-                  BudgetViolations& v);
-  /// Builds the proposal overlay (infos, ids, clean flags, dirty list)
-  /// for an accepted lane from its suffix caches, without recomposing.
-  void adopt_lane(std::size_t lane);
 
   const std::vector<BudgetBlock>& blocks_;
   const Rect region_;
@@ -300,86 +168,6 @@ class IncrementalLayoutEval {
   std::vector<double> proposed_terms_;
   double proposed_cost_ = 0.0;
   bool pending_ = false;
-
-  // Batch overlay (propose_batch): per-lane term overrides plus the
-  // candidate expressions and violation grades needed to replay the
-  // accepted lane. The tree overlay above is reused serially per lane;
-  // only the per-term numbers are held across lanes.
-  LaneTermBatch lane_batch_;
-  std::vector<PolishExpression> lane_exprs_;
-  std::vector<BudgetViolations> lane_violations_;
-  std::array<double, kMaxBatch> lane_costs_{};
-  std::size_t batch_size_ = 0;
-  bool batch_pending_ = false;
-  bool batch_serial_ = false;  ///< last batch came from propose_batch_serial
-
-  // Lane-walk state. The committed tree is parsed once per committed
-  // expression (not per lane): spans, parent links for the dirty-closure
-  // walk. A node is dirty for a lane iff its committed span contains one
-  // of the lane's mutated positions -- provably the same classification
-  // the scalar engine derives from the proposed parse, since an
-  // unchanged span parses to an identical subtree either way.
-  static_assert(kMaxBatch <= 16, "node_dirty_mask_ packs one bit per lane");
-  SlicingTree ctree_;
-  std::vector<int> cspan_;     ///< committed span_start
-  std::vector<int> cparent_;   ///< committed parent position (-1 at root)
-  bool ctree_valid_ = false;
-  std::vector<std::uint16_t> node_dirty_mask_;   ///< per position: lanes dirty here
-  std::vector<std::uint32_t> batch_dirty_nodes_; ///< positions with a nonzero mask
-  std::array<std::vector<LaneNodeRec>, kMaxBatch> lane_recs_;
-  std::vector<std::int32_t> lane_ref_;   ///< [lane*len+pos] -> lane_recs_ index
-  std::vector<std::int32_t> lane_span_;  ///< [lane*len+pos] -> lane span_start
-  std::vector<std::uint32_t> lane_dirty_pos_;  ///< per-lane scratch, sorted
-  /// Compose work items (memo misses only), grouped by position so a
-  /// group's operands were all produced by earlier groups. `admit`
-  /// carries the seen-once filter's second-sighting verdict from Phase 1
-  /// to the post-compose admission (materialize once, then future
-  /// batches and scalar proposals alike hit the entry).
-  struct ComposeTask {
-    std::uint32_t pos = 0;
-    std::uint16_t lane = 0;
-    bool admit = false;
-    std::uint64_t key = 0;  ///< canonical memo key (meaningful when admit)
-    int op = 0;
-    bool operator<(const ComposeTask& o) const {
-      return pos != o.pos ? pos < o.pos : lane < o.lane;
-    }
-  };
-  std::vector<ComposeTask> compose_tasks_;
-  LaneShapeBatch lane_curves_;
-  // Per-lane sparse leaf/center overlay: the probe records only the
-  // rects it assigned; centers resolve committed-vs-lane through an
-  // epoch stamp, so no lane pays an O(n) copy.
-  std::vector<Rect> walk_leaf_rects_;
-  std::vector<std::uint32_t> walk_touched_;
-  std::vector<std::uint32_t> moved_blocks_;
-  std::vector<double> lane_cx_, lane_cy_;
-  std::vector<std::uint32_t> center_epoch_;
-  std::uint32_t center_epoch_counter_ = 0;
-  LaneWalkStats walk_stats_;
-
-  // Walk memo: the probe's entire output -- final violation totals and
-  // every proposed block center -- is a pure function of the proposed
-  // expression (region, blocks and curve options are fixed for the
-  // evaluator's lifetime), and SA re-proposes the same candidates over
-  // and over around a frozen base, so repeat expressions serve the whole
-  // Phase-3 walk from one lookup. Keyed by a hash of the element array
-  // and VERIFIED by full element compare on hit (a colliding expression
-  // must re-walk -- bit-identity cannot ride on a hash). The compose
-  // memo's value ids cannot key this: they canonicalize commutative
-  // child pairs, but the top-down split is order-sensitive. Entries stay
-  // valid forever (pure function of the expression); the map is simply
-  // cleared when it outgrows its cap. Recording is gated by the same
-  // second-sighting admission filter as the compose memo, so the hot
-  // drifting phase pays a word write, not an O(n) snapshot.
-  struct WalkMemoEntry {
-    std::vector<int> elements;      ///< the expression, for exact verification
-    BudgetViolations violations;    ///< final accumulator of the walk
-    std::vector<double> cx, cy;     ///< all n proposed block centers
-  };
-  std::unordered_map<std::uint64_t, WalkMemoEntry> walk_memo_;
-  static constexpr std::size_t kWalkMemoCapacity = 1 << 12;
-  static std::uint64_t walk_memo_hash(const std::vector<int>& elems);
 
   // Skippable top-down budget splits (see BudgetSkipContext): per-node
   // rects plus the fired-adds journal of the committed assignment pass,

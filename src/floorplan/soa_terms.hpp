@@ -1,29 +1,12 @@
 #pragma once
-// Structure-of-arrays storage for the incremental evaluators' cost terms
-// plus the K-lane batched reduction behind AnnealOptions::batch_moves.
-//
-// The scalar engines (floorplan/incremental_eval, baseline/flat_cost)
-// keep one cached value per additive cost term and, per proposed move,
-// overwrite the touched terms and re-run the oracle's left-to-right
-// reduction. The batched engines evaluate K speculative candidates
-// against the SAME committed state: each candidate contributes a sparse
-// set of per-term overrides, and LaneTermBatch::reduce() produces all K
-// sums in one vertical pass -- for every term index, in order, each lane
-// adds either the committed value or its own override. Every lane thus
-// performs the exact addition sequence the scalar engine would perform
-// for that candidate (same addends, same order, plain IEEE adds), so the
-// K costs are bit-identical to K scalar propose() calls. That is the
-// property the batched annealer's accept-stream replay rests on;
-// tests/test_incremental_eval.cpp enforces it differentially.
-//
-// The win over K scalar proposals is mechanical: one pass over the
-// committed term array instead of K (no per-candidate term-vector copy),
-// with the per-term work a short fixed-width lane loop the compiler
-// vectorizes. No floating-point shortcut (running totals, subtract-old/
-// add-new) is taken anywhere -- those change the accumulation order and
-// break bit-identity.
+// Structure-of-arrays storage for the incremental layout evaluator's
+// cost terms (floorplan/incremental_eval). The evaluator keeps one cached
+// value per affinity-pair term and, per proposed move, overwrites the
+// touched terms and re-runs the oracle's left-to-right reduction. No
+// floating-point shortcut (running totals, subtract-old/add-new) is
+// taken anywhere -- those change the accumulation order and break
+// bit-identity with the full recompute.
 
-#include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -31,15 +14,14 @@
 
 namespace hidap {
 
-/// Cost-term pairs (affinity pairs, net edges) as parallel endpoint and
-/// weight arrays: the reduction kernels stream `w` contiguously instead
-/// of striding over an array-of-structs.
+/// Affinity-pair cost terms as parallel endpoint and weight arrays: the
+/// term refresh streams `w` contiguously instead of striding over an
+/// array-of-structs.
 struct PairsSoA {
   std::vector<std::uint32_t> a, b;
   std::vector<double> w;
 
   std::size_t size() const { return w.size(); }
-  bool empty() const { return w.empty(); }
   void push_back(std::uint32_t i, std::uint32_t j, double weight) {
     a.push_back(i);
     b.push_back(j);
@@ -53,7 +35,6 @@ struct PairsSoA {
 struct CentersSoA {
   std::vector<double> x, y;
 
-  std::size_t size() const { return x.size(); }
   void resize(std::size_t n) {
     x.resize(n);
     y.resize(n);
@@ -69,51 +50,5 @@ struct CentersSoA {
 inline double soa_manhattan(const CentersSoA& c, std::uint32_t i, std::uint32_t j) {
   return std::abs(c.x[i] - c.x[j]) + std::abs(c.y[i] - c.y[j]);
 }
-
-/// K candidate move evaluations over one committed term array.
-///
-/// Protocol: begin(lanes, terms), then set(lane, term, value) for every
-/// term a candidate overrides (last write per (lane, term) wins, exactly
-/// like the scalar engine's repeated recompute of a doubly-touched
-/// term), then reduce() for all lane sums. apply() replays one lane's
-/// overrides onto a term array when that candidate is committed.
-/// Override bookkeeping is epoch-stamped, so begin() is O(1) amortized
-/// and a batch never pays for terms it does not touch.
-class LaneTermBatch {
- public:
-  /// Lane mask width (and the AnnealOptions::batch_size ceiling).
-  static constexpr std::size_t kMaxLanes = 16;
-
-  void begin(std::size_t lanes, std::size_t terms);
-  std::size_t lanes() const { return lanes_; }
-
-  void set(std::size_t lane, std::uint32_t term, double value) {
-    assert(lane < lanes_ && term < terms_);
-    if (mark_[term] != epoch_) {
-      mark_[term] = epoch_;
-      mask_[term] = 0;
-      touched_.push_back(term);
-    }
-    mask_[term] = static_cast<std::uint16_t>(mask_[term] | (1u << lane));
-    value_[term * lanes_ + lane] = value;
-  }
-
-  /// sums[l] = left-to-right sum over all terms t of
-  /// (lane l overrode t ? its override : committed[t]).
-  void reduce(const double* committed, double* sums) const;
-
-  /// Writes lane `lane`'s overrides into `terms` (the committed term
-  /// array of an accepted candidate).
-  void apply(std::size_t lane, double* terms) const;
-
- private:
-  std::size_t lanes_ = 0;
-  std::size_t terms_ = 0;
-  std::uint32_t epoch_ = 0;
-  std::vector<std::uint32_t> mark_;      ///< per term: epoch of last override
-  std::vector<std::uint16_t> mask_;      ///< per term: lanes overriding it
-  std::vector<double> value_;            ///< term-major, lanes_ values per term
-  std::vector<std::uint32_t> touched_;   ///< terms overridden this batch
-};
 
 }  // namespace hidap

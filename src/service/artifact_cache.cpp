@@ -176,9 +176,8 @@ std::uint64_t ArtifactCache::curves_key(std::uint64_t context_key, std::uint64_t
       .f64(fp.anneal.frozen_temperature_ratio)
       .i32(fp.anneal.max_stagnant_temperatures)
       .i32(fp.anneal.chains)
-      // incremental is keyed out of caution only; batch_moves is
-      // deliberately NOT keyed -- both engines are bit-identical, so a
-      // cached curve set is valid under either setting.
+      // incremental is keyed out of caution only: both engines are
+      // bit-identical, so a cached curve set is valid under either.
       .boolean(fp.anneal.incremental)
       .u64(fp.curve_points)
       .i32(fp.best_solutions_merged)

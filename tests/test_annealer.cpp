@@ -3,10 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "floorplan/annealer.hpp"
@@ -170,214 +168,6 @@ TEST(Annealer, AcceptsDownhillAlways) {
   hooks.reject = [&]() { FAIL() << "downhill move rejected"; };
   const AnnealStats stats = anneal(100.0, opt, hooks);
   EXPECT_EQ(stats.moves_accepted, stats.moves_attempted);
-}
-
-TEST(Annealer, BatchedReplayMatchesScalarEngineBitForBit) {
-  // Scripted batch hooks on the quadratic bowl: propose_batch generates
-  // k candidates against the committed state (snapshotting the move RNG
-  // after each), accept_batch commits one and rewinds the RNG to its
-  // snapshot. The engine's replayed accept stream must reproduce the
-  // scalar run exactly -- same stats, same sequence of accepted states,
-  // same final position -- at every batch width, because the accept RNG
-  // is drawn in proposal order and only on uphill deltas either way.
-  struct Run {
-    AnnealStats stats;
-    int final_x = 0;
-    std::vector<int> accepted_xs;
-  };
-  const auto run = [](int batch_size) {
-    Bowl bowl;
-    Run out;
-    AnnealOptions opt;
-    opt.seed = 3;
-    opt.batch_moves = batch_size > 0;
-    opt.batch_size = batch_size;
-    AnnealHooks hooks;
-    hooks.propose = [&]() {
-      bowl.backup = bowl.x;
-      bowl.x += bowl.rng.next_bool() ? 1 : -1;
-      return bowl.cost();
-    };
-    hooks.commit = [&]() { out.accepted_xs.push_back(bowl.x); };
-    hooks.reject = [&]() { bowl.x = bowl.backup; };
-    if (batch_size > 0) {
-      auto lane_x = std::make_shared<std::array<int, 16>>();
-      auto lane_rng = std::make_shared<std::array<Rng, 16>>();
-      hooks.propose_batch = [&bowl, lane_x, lane_rng](std::size_t k, double* costs) {
-        for (std::size_t lane = 0; lane < k; ++lane) {
-          const int x = bowl.x + (bowl.rng.next_bool() ? 1 : -1);
-          (*lane_x)[lane] = x;
-          (*lane_rng)[lane] = bowl.rng;
-          costs[lane] = static_cast<double>(x) * x;
-        }
-      };
-      hooks.accept_batch = [&bowl, &out, lane_x, lane_rng](std::size_t lane) {
-        bowl.x = (*lane_x)[lane];
-        bowl.rng = (*lane_rng)[lane];
-        out.accepted_xs.push_back(bowl.x);
-      };
-      hooks.discard_batch = []() {};
-    }
-    out.stats = anneal(bowl.cost(), opt, hooks);
-    out.final_x = bowl.x;
-    return out;
-  };
-
-  const Run scalar = run(0);
-  EXPECT_EQ(scalar.stats.batches, 0);
-  for (const int width : {1, 2, 7, 16}) {
-    const Run batched = run(width);
-    EXPECT_EQ(batched.stats.best_cost, scalar.stats.best_cost) << width;
-    EXPECT_EQ(batched.stats.moves_attempted, scalar.stats.moves_attempted) << width;
-    EXPECT_EQ(batched.stats.moves_accepted, scalar.stats.moves_accepted) << width;
-    EXPECT_EQ(batched.stats.best_improvements, scalar.stats.best_improvements) << width;
-    EXPECT_EQ(batched.stats.temperature_steps, scalar.stats.temperature_steps) << width;
-    EXPECT_EQ(batched.final_x, scalar.final_x) << width;
-    EXPECT_EQ(batched.accepted_xs, scalar.accepted_xs) << width;
-    // Occupancy bookkeeping: every batched candidate is either replayed
-    // into moves_attempted or counted as speculative waste. The bowl
-    // stays warm (about half its moves are downhill), so the adaptive
-    // width may keep every temperature step on the scalar loop -- the
-    // counters only ever cover the batched steps. batch_size = 1 falls
-    // back to the scalar loop entirely, so its counters stay zero.
-    EXPECT_GE(batched.stats.batch_wasted, 0) << width;
-    EXPECT_LE(batched.stats.batch_candidates - batched.stats.batch_wasted,
-              batched.stats.moves_attempted)
-        << width;
-    if (width <= 1) {
-      EXPECT_EQ(batched.stats.batches, 0) << width;
-    }
-  }
-}
-
-TEST(Annealer, AdaptiveWidthOpensBatchesOnceRejectionsDominate) {
-  // Uphill-only ratchet: every proposal costs committed + 10, so the
-  // acceptance rate is exactly exp(-10/T) and collapses as the schedule
-  // cools. Hot steps must run scalar (speculating past a near-certain
-  // acceptance is pure waste); cooled steps must open to the full batch
-  // width. Either way the replayed accept stream is the scalar stream.
-  struct Run {
-    AnnealStats stats;
-    std::vector<double> accepted;
-  };
-  const auto run = [](bool batch_moves) {
-    Run out;
-    auto base = std::make_shared<double>(0.0);
-    AnnealOptions opt;
-    opt.seed = 11;
-    opt.cooling = 0.5;
-    opt.moves_per_temperature = 40;
-    opt.max_stagnant_temperatures = 1000;  // terminate via the temperature floor
-    opt.batch_moves = batch_moves;
-    opt.batch_size = 8;
-    AnnealHooks hooks;
-    hooks.propose = [base]() { return *base + 10.0; };
-    hooks.commit = [base, &out]() { out.accepted.push_back(*base += 10.0); };
-    hooks.reject = []() {};
-    hooks.propose_batch = [base](std::size_t k, double* costs) {
-      // Candidates are generated against the committed state, so all k
-      // score the same ratchet step; no generation RNG to snapshot.
-      for (std::size_t lane = 0; lane < k; ++lane) costs[lane] = *base + 10.0;
-    };
-    hooks.accept_batch = [base, &out](std::size_t) { out.accepted.push_back(*base += 10.0); };
-    hooks.discard_batch = []() {};
-    out.stats = anneal(0.0, opt, hooks);
-    return out;
-  };
-
-  const Run scalar = run(false);
-  const Run batched = run(true);
-  EXPECT_EQ(batched.stats.moves_attempted, scalar.stats.moves_attempted);
-  EXPECT_EQ(batched.stats.moves_accepted, scalar.stats.moves_accepted);
-  EXPECT_EQ(batched.stats.temperature_steps, scalar.stats.temperature_steps);
-  EXPECT_EQ(batched.accepted, scalar.accepted);
-  EXPECT_EQ(scalar.stats.batches, 0);
-  // The cooled majority of the schedule must actually batch...
-  EXPECT_GT(batched.stats.batches, 0);
-  EXPECT_GT(batched.stats.batch_candidates, batched.stats.moves_attempted / 2);
-  // ...while the hot steps stay scalar: batched candidates can never
-  // cover the whole schedule's attempts.
-  EXPECT_LT(batched.stats.batch_candidates - batched.stats.batch_wasted,
-            batched.stats.moves_attempted);
-  EXPECT_GE(batched.stats.batch_wasted, 0);
-}
-
-TEST(Annealer, BatchWasteCountsOnlyAcceptanceInvalidatedLanes) {
-  // batch_wasted's contract, pinned with a fully scripted run: a lane is
-  // wasted only when an earlier lane's acceptance invalidated it. The
-  // script runs one all-rejected scalar step (driving the observed
-  // acceptance rate to zero so the next step opens to the full batch
-  // width), then three batches: an acceptance at lane 1 of batch #1
-  // (waste = k - 2 trailing lanes), an all-rejected batch #2 (no waste),
-  // and a cooperative stop during batch #3 -- whose lanes are abandoned,
-  // not wasted, and must not be counted (the over-reporting bug this
-  // guards against inflated every stopped run's wasted-vs-offered
-  // ratio).
-  JobControl control;
-  auto committed = std::make_shared<double>(1000.0);
-  auto accepted_cost = std::make_shared<double>(0.0);
-  auto batch_calls = std::make_shared<int>(0);
-  auto discards = std::make_shared<int>(0);
-  auto accepts = std::make_shared<int>(0);
-
-  AnnealOptions opt;
-  opt.seed = 17;
-  opt.control = &control;
-  opt.calibration_moves = 0;  // T0 falls back to 5% of |initial cost|
-  opt.moves_per_temperature = 10;
-  opt.max_stagnant_temperatures = 1000;
-  opt.batch_moves = true;
-  opt.batch_size = 4;
-
-  // Uphill by +1e9 rejects deterministically at any temperature the
-  // schedule can reach: exp(-1e9 / T) underflows to exactly 0.0, so the
-  // accept draw never passes. Downhill accepts without drawing at all.
-  const double kRejected = 1e9;
-  AnnealHooks hooks;
-  hooks.propose = [committed, kRejected]() { return *committed + kRejected; };
-  hooks.reject = []() {};
-  hooks.propose_batch = [=, &control](std::size_t k, double* costs) {
-    ++*batch_calls;
-    for (std::size_t lane = 0; lane < k; ++lane) costs[lane] = *committed + kRejected;
-    if (*batch_calls == 1 && k >= 2) {
-      costs[1] = *committed - 1.0;  // accepted at lane 1: lanes 2.. are waste
-      *accepted_cost = costs[1];
-    }
-    if (*batch_calls == 3) control.request_cancel();  // stop before any lane replays
-  };
-  hooks.accept_batch = [=](std::size_t lane) {
-    EXPECT_EQ(lane, 1u);
-    ++*accepts;
-    *committed = *accepted_cost;
-  };
-  hooks.discard_batch = [discards]() { ++*discards; };
-
-  const AnnealStats stats = anneal(*committed, opt, hooks);
-  EXPECT_TRUE(stats.stopped);
-  // Step 1: 10 scalar rejections. Step 2: batch #1 consumes 2 of 4 lanes
-  // (acceptance at lane 1), batch #2 consumes all 4, batch #3 is stopped
-  // before its first lane.
-  EXPECT_EQ(stats.batches, 3);
-  EXPECT_EQ(stats.batch_candidates, 12);
-  EXPECT_EQ(stats.moves_attempted, 16);
-  EXPECT_EQ(stats.moves_accepted, 1);
-  EXPECT_EQ(*accepts, 1);
-  EXPECT_EQ(*discards, 2);  // batch #2 (all-rejected) and batch #3 (stopped)
-  // The heart of the test: only batch #1's two invalidated lanes count.
-  EXPECT_EQ(stats.batch_wasted, 2);
-}
-
-TEST(Annealer, AutoscaledMovesClampsAroundReferenceBlockCount) {
-  // Linear in the block count around the 8-block reference, clamped to
-  // [0.5x, 4x], never below one move.
-  EXPECT_EQ(autoscaled_moves(200, 8), 200);
-  EXPECT_EQ(autoscaled_moves(200, 4), 100);
-  EXPECT_EQ(autoscaled_moves(200, 2), 100);     // clamped at 0.5x
-  EXPECT_EQ(autoscaled_moves(200, 16), 400);
-  EXPECT_EQ(autoscaled_moves(200, 32), 800);
-  EXPECT_EQ(autoscaled_moves(200, 1000), 800);  // clamped at 4x
-  EXPECT_EQ(autoscaled_moves(1, 1), 1);
-  EXPECT_EQ(autoscaled_moves(0, 100), 1);
 }
 
 TEST(AnnealerCancel, PreCancelledRunsNoMoves) {

@@ -1,7 +1,7 @@
 // End-to-end HiDaP flow tests on generated circuits: legality, recursion
 // snapshots, determinism, lambda sensitivity, and the task-graph
 // scheduler's bit-identity contracts (thread-count invariance, the
-// sequential snapshot oracle, the estimate-semantics golden pair).
+// sequential DFS oracle, overlapped curve generation).
 
 #include <gtest/gtest.h>
 
@@ -147,61 +147,31 @@ TEST_F(HidapFlowTest, SchedulerThreadCountInvariance) {
 }
 
 TEST_F(HidapFlowTest, OverlappedCurveGenerationIsByteIdentical) {
-  // overlap_curves dispatches the shape-curve shards as a pool task that
-  // runs concurrently with the recursion front, joined before the first
-  // curve read. Same per-node seeds either way, so the placement must be
-  // byte-identical to the eager path at every lane cap (1 lane falls
-  // back to inline generation; the claim flag decides the rest).
+  // With more than one lane, run() dispatches the shape-curve shards as a
+  // pool task that runs concurrently with the recursion front, joined
+  // before the first curve read; with one lane it generates them eagerly.
+  // Same per-node seeds either way, so the overlapped placements must be
+  // byte-identical to the eager 1-lane run (the claim flag decides who
+  // generates).
   HiDaPOptions eager = quick_options(9);
-  eager.overlap_curves = false;
-  eager.num_threads = 8;
+  eager.num_threads = 1;
   const PlacementResult a = place_macros(*design_, *context_, eager);
-  for (const int threads : {1, 4, 8}) {
+  for (const int threads : {4, 8}) {
     HiDaPOptions overlapped = quick_options(9);
-    overlapped.overlap_curves = true;
     overlapped.num_threads = threads;
     expect_identical(a, place_macros(*design_, *context_, overlapped));
   }
 }
 
 TEST_F(HidapFlowTest, SchedulerMatchesSequentialOracle) {
-  // parallel_levels = false runs the identical snapshot-semantics
-  // recursion as a plain DFS -- the scheduler's differential oracle.
+  // parallel_levels = false runs the identical recursion as a plain
+  // DFS -- the scheduler's differential oracle.
   HiDaPOptions scheduled = quick_options(7);
   scheduled.num_threads = 8;
   HiDaPOptions oracle = quick_options(7);
   oracle.parallel_levels = false;
   expect_identical(place_macros(*design_, *context_, oracle),
                    place_macros(*design_, *context_, scheduled));
-}
-
-TEST_F(HidapFlowTest, EstimateSemanticsGoldenPair) {
-  // Snapshot semantics (default) and the legacy DFS-refinement order are
-  // both deterministic, both legal, and genuinely distinct: on this
-  // fixture the two modes disagree on at least one macro rectangle for
-  // every seed we pin (guards against either flag degenerating into a
-  // no-op alias of the other).
-  HiDaPOptions snapshot = quick_options(5);
-  HiDaPOptions legacy = quick_options(5);
-  legacy.legacy_estimate_order = true;
-  const PlacementResult snap_a = place_macros(*design_, *context_, snapshot);
-  const PlacementResult snap_b = place_macros(*design_, *context_, snapshot);
-  const PlacementResult leg_a = place_macros(*design_, *context_, legacy);
-  const PlacementResult leg_b = place_macros(*design_, *context_, legacy);
-  expect_identical(snap_a, snap_b);
-  expect_identical(leg_a, leg_b);
-  const Rect die{0, 0, design_->die().w, design_->die().h};
-  for (const PlacementResult* r : {&snap_a, &leg_a}) {
-    const PlacementCheck check = check_placement(*design_, *r, die);
-    EXPECT_TRUE(check.all_macros_placed);
-    EXPECT_TRUE(check.all_inside_die);
-  }
-  ASSERT_EQ(snap_a.macros.size(), leg_a.macros.size());
-  bool any_differs = false;
-  for (std::size_t i = 0; i < snap_a.macros.size(); ++i) {
-    if (!(snap_a.macros[i].rect == leg_a.macros[i].rect)) any_differs = true;
-  }
-  EXPECT_TRUE(any_differs) << "legacy estimate order produced the snapshot placement";
 }
 
 TEST_F(HidapFlowTest, ShapeCurvesThreadCountIdentity) {

@@ -9,9 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <utility>
 #include <array>
-#include <cmath>
 #include <span>
 #include <vector>
 
@@ -172,202 +171,6 @@ TEST(IncrementalLayoutEval, SplitSkippingWalkMatchesNoSkipWalkBitForBit) {
     for (std::size_t i = 0; i < a.rects().size(); ++i) {
       ASSERT_EQ(a.rects()[i], b.rects()[i]) << "block " << i;
     }
-  }
-}
-
-TEST(IncrementalLayoutEval, BatchedProposalsMatchScalarProposalsBitForBit) {
-  // propose_batch scores k speculative candidates against the committed
-  // state in one SoA reduction pass; each cost must equal -- bit for bit
-  // -- what a scalar propose() of the same candidate would return, and
-  // committing any lane must land on exactly the state a scalar
-  // propose+commit of that candidate produces. A scalar twin evaluator
-  // replays every candidate to check both, across batch widths 1 / 4 /
-  // 16 (full, partial, and degenerate one-lane batches all on the same
-  // reduction code path).
-  set_log_level(LogLevel::Warn);
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-    for (std::uint64_t problem_seed = 30; problem_seed <= 35; ++problem_seed) {
-      GeneratedProblem g = make_problem(problem_seed);
-      g.problem.affinity = &g.affinity;
-      const int n = static_cast<int>(g.blocks.size());
-      IncrementalLayoutEval eval(g.problem.blocks, g.problem.region, g.problem.terminals,
-                                 *g.problem.affinity, PolishExpression::initial(n));
-      IncrementalLayoutEval twin(g.problem.blocks, g.problem.region, g.problem.terminals,
-                                 *g.problem.affinity, PolishExpression::initial(n));
-
-      Rng rng(problem_seed * 6151 + 11);
-      Rng flip(problem_seed * 17 + 5);
-      std::array<PolishExpression, IncrementalLayoutEval::kMaxBatch> exprs;
-      std::array<double, IncrementalLayoutEval::kMaxBatch> costs{};
-      for (int round = 0; round < 40; ++round) {
-        eval.propose_batch(
-            batch,
-            [&rng, &exprs](std::size_t lane, PolishExpression& expr) {
-              for (int tries = 0; tries < 8; ++tries) {
-                if (expr.perturb(rng)) break;
-              }
-              exprs[lane] = expr;
-            },
-            costs.data());
-        for (std::size_t lane = 0; lane < batch; ++lane) {
-          const double scalar = twin.propose(
-              [&exprs, lane](PolishExpression& expr) { expr = exprs[lane]; });
-          twin.rollback();
-          ASSERT_EQ(costs[lane], scalar)
-              << "batch " << batch << " problem " << problem_seed << " round " << round
-              << " lane " << lane;
-        }
-        if (flip.next_bool(0.5)) {
-          const std::size_t lane = flip.next_below(batch);
-          eval.commit_candidate(lane);
-          twin.propose([&exprs, lane](PolishExpression& expr) { expr = exprs[lane]; });
-          twin.commit();
-        } else {
-          eval.discard_batch();
-        }
-        ASSERT_EQ(eval.cost(), twin.cost());
-        ASSERT_EQ(eval.expression().elements(), twin.expression().elements());
-      }
-      expect_layout_state_matches_oracle(g, eval);
-    }
-  }
-}
-
-TEST(IncrementalLayoutEval, LaneWalkMatchesSerialLaneWalkBitForBit) {
-  // propose_batch (one shared changed-prefix walk, SoA lane suffixes)
-  // against propose_batch_serial (one full scalar walk per lane), fed
-  // identical generate streams through a mixed commit/discard history:
-  // every lane cost, every committed cost, and every committed rect must
-  // agree bit for bit. This pins the lane walk to its own in-repo oracle
-  // independently of the scalar-propose twin above, including the
-  // adopt-without-rewalk commit path.
-  set_log_level(LogLevel::Warn);
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-    for (std::uint64_t problem_seed = 60; problem_seed <= 64; ++problem_seed) {
-      GeneratedProblem g = make_problem(problem_seed);
-      g.problem.affinity = &g.affinity;
-      const int n = static_cast<int>(g.blocks.size());
-      IncrementalLayoutEval lanes(g.problem.blocks, g.problem.region, g.problem.terminals,
-                                  *g.problem.affinity, PolishExpression::initial(n));
-      IncrementalLayoutEval serial(g.problem.blocks, g.problem.region, g.problem.terminals,
-                                   *g.problem.affinity, PolishExpression::initial(n));
-
-      Rng rng_a(problem_seed * 911 + 3);
-      Rng rng_b(problem_seed * 911 + 3);
-      Rng flip(problem_seed * 29 + 7);
-      std::array<double, IncrementalLayoutEval::kMaxBatch> costs_a{};
-      std::array<double, IncrementalLayoutEval::kMaxBatch> costs_b{};
-      const auto mutate = [](Rng& rng) {
-        return [&rng](std::size_t, PolishExpression& expr) {
-          for (int tries = 0; tries < 8; ++tries) {
-            if (expr.perturb(rng)) break;
-          }
-        };
-      };
-      for (int round = 0; round < 40; ++round) {
-        lanes.propose_batch(batch, mutate(rng_a), costs_a.data());
-        serial.propose_batch_serial(batch, mutate(rng_b), costs_b.data());
-        for (std::size_t lane = 0; lane < batch; ++lane) {
-          ASSERT_EQ(costs_a[lane], costs_b[lane])
-              << "batch " << batch << " problem " << problem_seed << " round " << round
-              << " lane " << lane;
-        }
-        if (flip.next_bool(0.5)) {
-          const std::size_t lane = flip.next_below(batch);
-          lanes.commit_candidate(lane);
-          serial.commit_candidate(lane);
-        } else {
-          lanes.discard_batch();
-          serial.discard_batch();
-        }
-        ASSERT_EQ(lanes.cost(), serial.cost());
-        ASSERT_EQ(lanes.expression().elements(), serial.expression().elements());
-        ASSERT_EQ(lanes.rects().size(), serial.rects().size());
-        for (std::size_t b = 0; b < lanes.rects().size(); ++b) {
-          ASSERT_EQ(lanes.rects()[b], serial.rects()[b]) << "block " << b;
-        }
-      }
-      expect_layout_state_matches_oracle(g, lanes);
-    }
-  }
-}
-
-TEST(IncrementalLayoutEval, LaneWalkCountersEqualDirtyClosureOracle) {
-  // The shared pass recomposes exactly each lane's dirty closure -- the
-  // mutated element positions plus their committed-tree ancestors -- and
-  // never touches a node outside it. An independent postfix parse
-  // rebuilds the committed parent links and recomputes the closure per
-  // lane; last_batch_nodes_walked must equal its size exactly, and the
-  // cumulative LaneWalkStats must account every (lane x node) slot as
-  // either walked or served by the committed caches.
-  set_log_level(LogLevel::Warn);
-  for (std::uint64_t problem_seed = 70; problem_seed <= 75; ++problem_seed) {
-    GeneratedProblem g = make_problem(problem_seed);
-    g.problem.affinity = &g.affinity;
-    const int n = static_cast<int>(g.blocks.size());
-    IncrementalLayoutEval eval(g.problem.blocks, g.problem.region, g.problem.terminals,
-                               *g.problem.affinity, PolishExpression::initial(n));
-
-    Rng rng(problem_seed * 607 + 13);
-    Rng flip(problem_seed * 41 + 1);
-    const std::size_t batch = 8;
-    std::array<PolishExpression, IncrementalLayoutEval::kMaxBatch> exprs;
-    std::array<double, IncrementalLayoutEval::kMaxBatch> costs{};
-    for (int round = 0; round < 50; ++round) {
-      const std::vector<int> committed = eval.expression().elements();
-      eval.propose_batch(
-          batch,
-          [&rng, &exprs](std::size_t lane, PolishExpression& expr) {
-            for (int tries = 0; tries < 8; ++tries) {
-              if (expr.perturb(rng)) break;
-            }
-            exprs[lane] = expr;
-          },
-          costs.data());
-
-      // Committed-tree parent links from a plain postfix parse.
-      std::vector<int> parent(committed.size(), -1);
-      std::vector<std::size_t> stack;
-      for (std::size_t p = 0; p < committed.size(); ++p) {
-        if (is_operator(committed[p])) {
-          parent[stack.back()] = static_cast<int>(p);
-          stack.pop_back();
-          parent[stack.back()] = static_cast<int>(p);
-          stack.pop_back();
-        }
-        stack.push_back(p);
-      }
-      ASSERT_EQ(stack.size(), 1u);
-      stack.clear();
-
-      for (std::size_t lane = 0; lane < batch; ++lane) {
-        const std::vector<int>& elems = exprs[lane].elements();
-        ASSERT_EQ(elems.size(), committed.size());
-        std::vector<char> dirty(committed.size(), 0);
-        std::size_t closure = 0;
-        for (std::size_t p = 0; p < committed.size(); ++p) {
-          if (elems[p] == committed[p]) continue;
-          for (int q = static_cast<int>(p); q >= 0; q = parent[static_cast<std::size_t>(q)]) {
-            if (dirty[static_cast<std::size_t>(q)]) break;
-            dirty[static_cast<std::size_t>(q)] = 1;
-            ++closure;
-          }
-        }
-        ASSERT_EQ(eval.last_batch_nodes_walked(lane), closure)
-            << "problem " << problem_seed << " round " << round << " lane " << lane;
-      }
-
-      if (flip.next_bool(0.5)) {
-        eval.commit_candidate(flip.next_below(batch));
-      } else {
-        eval.discard_batch();
-      }
-    }
-    const IncrementalLayoutEval::LaneWalkStats& walk = eval.lane_walk_stats();
-    EXPECT_EQ(walk.batches, 50u);
-    EXPECT_EQ(walk.lane_nodes, 50u * batch * (2u * static_cast<std::size_t>(n) - 1u));
-    EXPECT_LE(walk.nodes_walked, walk.lane_nodes);
-    EXPECT_GT(walk.nodes_walked, 0u);
   }
 }
 
@@ -543,104 +346,6 @@ TEST(IncrementalFlatCost, RollbackRestoresCachedTerms) {
   }
   EXPECT_EQ(inc.cost(), cost0);
   EXPECT_EQ(inc.cost(), model(state));
-}
-
-TEST(IncrementalFlatCost, BatchedCandidatesMatchScalarProposalsBitForBit) {
-  // begin_batch/add_candidate/finish_batch must price every candidate
-  // exactly as a scalar propose() against the same committed state
-  // would, and commit_candidate must land on the scalar propose+commit
-  // state -- across batch widths 1 / 4 / 16.
-  FlatFixture& fx = flat_fixture();
-  const Rect die{0, 0, fx.design.die().w, fx.design.die().h};
-  const FlatCostModel model(fx.design, fx.ctx.seq, die, 4.0);
-
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-    Rng rng(9000 + batch);
-    std::vector<MacroPlacement> state = initial_flat_state(fx.design, rng);
-    ASSERT_GE(state.size(), 2u);
-    IncrementalFlatCost inc(model, state);
-    IncrementalFlatCost twin(model, state);
-
-    struct LaneMove {
-      std::array<std::size_t, 2> moved{};
-      std::size_t count = 1;
-      std::array<MacroPlacement, 2> placed{};  // post-move placements
-    };
-    std::array<LaneMove, IncrementalFlatCost::kMaxBatch> lanes;
-    std::array<double, IncrementalFlatCost::kMaxBatch> costs{};
-
-    const auto apply_lane = [&state](const LaneMove& lm) {
-      for (std::size_t u = 0; u < lm.count; ++u) state[lm.moved[u]] = lm.placed[u];
-    };
-
-    for (int round = 0; round < 120; ++round) {
-      inc.begin_batch(batch);
-      for (std::size_t lane = 0; lane < batch; ++lane) {
-        LaneMove& lm = lanes[lane];
-        std::array<MacroPlacement, 2> saved{};
-        const std::size_t i = rng.next_below(state.size());
-        const int kind = rng.next_int(0, 2);
-        if (kind == 0) {
-          const std::size_t j = rng.next_below(state.size());
-          lm.moved = {i, j};
-          lm.count = j == i ? 1 : 2;
-          saved = {state[i], state[j]};
-          const Point ci = state[i].rect.center();
-          const Point cj = state[j].rect.center();
-          state[i].rect.x = cj.x - state[i].rect.w / 2;
-          state[i].rect.y = cj.y - state[i].rect.h / 2;
-          state[j].rect.x = ci.x - state[j].rect.w / 2;
-          state[j].rect.y = ci.y - state[j].rect.h / 2;
-        } else if (kind == 1) {
-          lm.moved = {i, i};
-          lm.count = 1;
-          saved[0] = state[i];
-          state[i].rect.x += rng.next_double(-0.2, 0.2) * die.w;
-          state[i].rect.y += rng.next_double(-0.2, 0.2) * die.h;
-        } else {
-          lm.moved = {i, i};
-          lm.count = 1;
-          saved[0] = state[i];
-          const Point c = state[i].rect.center();
-          std::swap(state[i].rect.w, state[i].rect.h);
-          state[i].rect.x = c.x - state[i].rect.w / 2;
-          state[i].rect.y = c.y - state[i].rect.h / 2;
-        }
-        inc.add_candidate(lane, state,
-                          std::span<const std::size_t>(lm.moved.data(), lm.count));
-        for (std::size_t u = 0; u < lm.count; ++u) lm.placed[u] = state[lm.moved[u]];
-        for (std::size_t u = lm.count; u-- > 0;) state[lm.moved[u]] = saved[u];
-      }
-      inc.finish_batch(costs.data());
-
-      for (std::size_t lane = 0; lane < batch; ++lane) {
-        const LaneMove& lm = lanes[lane];
-        std::array<MacroPlacement, 2> saved{};
-        const std::size_t cnt = std::min<std::size_t>(lm.count, saved.size());
-        for (std::size_t u = 0; u < cnt; ++u) saved[u] = state[lm.moved[u]];
-        apply_lane(lm);
-        const double scalar = twin.propose(
-            state, std::span<const std::size_t>(lm.moved.data(), lm.count));
-        ASSERT_EQ(costs[lane], scalar)
-            << "batch " << batch << " round " << round << " lane " << lane;
-        twin.rollback();
-        for (std::size_t u = cnt; u-- > 0;) state[lm.moved[u]] = saved[u];
-      }
-
-      if (rng.next_bool(0.5)) {
-        const std::size_t lane = rng.next_below(batch);
-        apply_lane(lanes[lane]);
-        twin.propose(state, std::span<const std::size_t>(lanes[lane].moved.data(),
-                                                         lanes[lane].count));
-        twin.commit();
-        inc.commit_candidate(lane);
-      } else {
-        inc.discard_batch();
-      }
-      ASSERT_EQ(inc.cost(), twin.cost()) << "batch " << batch << " round " << round;
-      ASSERT_EQ(inc.cost(), model(state)) << "batch " << batch << " round " << round;
-    }
-  }
 }
 
 }  // namespace

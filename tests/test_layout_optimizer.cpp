@@ -196,53 +196,6 @@ TEST(LayoutOptimizer, SplitSkippingOnOffAreByteIdentical) {
   }
 }
 
-TEST(LayoutOptimizer, BatchedAndScalarAnnealsAreByteIdentical) {
-  // With batch_moves on (the default), the incremental engine scores K
-  // speculative candidates per SoA pass and replays the accept stream;
-  // the anneal must walk the identical accept/reject sequence -- and
-  // land on the identical layout -- as the one-move-at-a-time engine
-  // and as the full-recompute oracle, at several batch widths.
-  LayoutProblem p;
-  p.region = {0, 0, 38, 26};
-  for (int i = 0; i < 9; ++i) {
-    BudgetBlock b = soft(22 + 8.0 * i);
-    if (i % 2 == 1) b.gamma = ShapeCurve::for_rect(4 + i, 5);
-    p.blocks.push_back(b);
-  }
-  p.terminals = {Point{0, 13}, Point{38, 13}};
-  AffinityMatrix aff(11);
-  aff.set(0, 8, 1.0);
-  aff.set(1, 4, 0.7);
-  aff.set(2, 9, 0.5);   // block 2 <-> terminal 0
-  aff.set(6, 10, 0.6);  // block 6 <-> terminal 1
-  aff.set(3, 7, 0.2);
-  p.affinity = &aff;
-
-  AnnealOptions scalar = quick_anneal(29);
-  scalar.incremental = true;
-  scalar.batch_moves = false;
-  const LayoutSolution a = optimize_layout(p, scalar);
-
-  AnnealOptions oracle = scalar;
-  oracle.incremental = false;
-  const LayoutSolution b = optimize_layout(p, oracle);
-
-  for (const int width : {1, 4, 8, 16}) {
-    AnnealOptions batched = scalar;
-    batched.batch_moves = true;
-    batched.batch_size = width;
-    const LayoutSolution c = optimize_layout(p, batched);
-    for (const LayoutSolution* other : {&a, &b}) {
-      EXPECT_EQ(c.expression.elements(), other->expression.elements()) << width;
-      EXPECT_EQ(c.cost, other->cost) << width;
-      ASSERT_EQ(c.rects.size(), other->rects.size()) << width;
-      for (std::size_t i = 0; i < c.rects.size(); ++i) {
-        EXPECT_EQ(c.rects[i], other->rects[i]) << width << " rect " << i;
-      }
-    }
-  }
-}
-
 TEST(LayoutOptimizer, MultichainPicksSameWinnerEitherMode) {
   LayoutProblem p;
   p.region = {0, 0, 24, 24};
@@ -269,14 +222,6 @@ TEST(LayoutOptimizer, MultichainPicksSameWinnerEitherMode) {
   const LayoutSolution c = optimize_layout(serial, on);
   EXPECT_EQ(a.expression.elements(), c.expression.elements());
   EXPECT_EQ(a.cost, c.cost);
-
-  // ... and independent of batched speculation: each chain replays the
-  // same accept stream either way, so the same chain wins.
-  AnnealOptions unbatched = on;
-  unbatched.batch_moves = false;
-  const LayoutSolution d = optimize_layout(p, unbatched);
-  EXPECT_EQ(a.expression.elements(), d.expression.elements());
-  EXPECT_EQ(a.cost, d.cost);
 }
 
 TEST(LayoutOptimizer, EmptyProblem) {

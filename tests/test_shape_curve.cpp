@@ -6,14 +6,11 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "floorplan/lane_tree.hpp"
-#include "floorplan/polish_expression.hpp"
 #include "geometry/shape_curve.hpp"
 #include "util/rng.hpp"
 
@@ -295,130 +292,6 @@ TEST(ShapeCurveDifferential, BestFitMatchesLinearScanOracle) {
       ASSERT_EQ(*got, *oracle) << "trial " << trial;
     }
   }
-}
-
-// ---- lane-batched SoA composer vs the scalar sweep chain -----------------
-
-// budget_compose_info's gamma handling, verbatim: empty children copy
-// the sibling, otherwise the exact sweep composer runs, and the result
-// is pruned to the point budget either way.
-ShapeCurve scalar_compose_oracle(int op, const ShapeCurve& l, const ShapeCurve& r,
-                                 std::size_t curve_points) {
-  ShapeCurve out;
-  if (l.empty()) {
-    out = r;
-  } else if (r.empty()) {
-    out = l;
-  } else {
-    out = (op == kOpV) ? ShapeCurve::compose_horizontal(l, r)
-                       : ShapeCurve::compose_vertical(l, r);
-  }
-  out.prune(curve_points);
-  return out;
-}
-
-TEST(LaneShapeBatch, ComposeMatchesScalarSweepChainBitForBit) {
-  // Random multi-level compose chains at lane widths 1 / 4 / 16: every
-  // lane runs its own operator/operand draw, levels feed earlier slots
-  // back in as operands (so arena growth and post-resize ref resolution
-  // are on the hot path), and each materialized frontier must equal the
-  // scalar budget_compose_info chain bit for bit -- the contract that
-  // lets propose_batch swap the SoA composer in under the slicing-tree
-  // walk without perturbing a single accept decision.
-  for (const std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-    Rng rng(0xb10c5 + width);
-    LaneShapeBatch batch;
-    for (int trial = 0; trial < 300; ++trial) {
-      batch.begin();
-      const int depth = rng.next_int(1, 4);
-      const auto curve_points = static_cast<std::size_t>(rng.next_int(2, 17));
-      std::vector<ShapeCurve> oracle(width);
-      std::vector<std::int32_t> slot(width, -1);
-      // AoS operands must stay address-stable across compose() calls.
-      std::vector<std::vector<ShapeCurve>> leaves(width);
-      for (std::size_t lane = 0; lane < width; ++lane) {
-        leaves[lane].reserve(static_cast<std::size_t>(depth) + 1);
-      }
-      std::vector<LaneShapeBatch::Job> jobs(width);
-      for (int level = 0; level < depth; ++level) {
-        for (std::size_t lane = 0; lane < width; ++lane) {
-          const int op = rng.next_bool(0.5) ? kOpH : kOpV;
-          LaneShapeBatch::Job& job = jobs[lane];
-          job = LaneShapeBatch::Job{};
-          job.op = op;
-          if (level == 0) {
-            leaves[lane].push_back(random_curve(rng));
-            leaves[lane].push_back(random_curve(rng));
-            const ShapeCurve& l = leaves[lane][leaves[lane].size() - 2];
-            const ShapeCurve& r = leaves[lane].back();
-            job.left.aos = &l;
-            job.right.aos = &r;
-            oracle[lane] = scalar_compose_oracle(op, l, r, curve_points);
-          } else {
-            leaves[lane].push_back(random_curve(rng));
-            const ShapeCurve& fresh = leaves[lane].back();
-            if (rng.next_bool(0.5)) {
-              job.left.slot = slot[lane];
-              job.right.aos = &fresh;
-              oracle[lane] = scalar_compose_oracle(op, oracle[lane], fresh, curve_points);
-            } else {
-              job.left.aos = &fresh;
-              job.right.slot = slot[lane];
-              oracle[lane] = scalar_compose_oracle(op, fresh, oracle[lane], curve_points);
-            }
-          }
-        }
-        batch.compose(jobs.data(), width, curve_points);
-        for (std::size_t lane = 0; lane < width; ++lane) slot[lane] = jobs[lane].out;
-      }
-      for (std::size_t lane = 0; lane < width; ++lane) {
-        ASSERT_TRUE(curves_bit_equal(batch.materialize(slot[lane]), oracle[lane]))
-            << "width " << width << " trial " << trial << " lane " << lane;
-      }
-    }
-  }
-}
-
-TEST(LaneShapeBatch, ComposeTiesAndEmptyOperandsMatchScalar) {
-  // Directed edges in one batch: exact height ties across operands (the
-  // lockstep sweep's tie-advance), an empty left child, an empty right
-  // child, and a both-empty lane -- the copy/empty modes must reproduce
-  // the scalar copy semantics, prune included.
-  ShapeCurve tied_a, tied_b;
-  tied_a.add({1, 8});
-  tied_a.add({2, 5});
-  tied_a.add({6, 2});
-  tied_b.add({3, 8});
-  tied_b.add({4, 5});
-  tied_b.add({5, 3});
-  const ShapeCurve rect = ShapeCurve::for_rect(4, 2);
-  const ShapeCurve empty;
-
-  LaneShapeBatch batch;
-  batch.begin();
-  std::array<LaneShapeBatch::Job, 4> jobs{};
-  jobs[0].op = kOpV;
-  jobs[0].left.aos = &tied_a;
-  jobs[0].right.aos = &tied_b;
-  jobs[1].op = kOpH;
-  jobs[1].left.aos = &empty;
-  jobs[1].right.aos = &rect;
-  jobs[2].op = kOpV;
-  jobs[2].left.aos = &rect;
-  jobs[2].right.aos = &empty;
-  jobs[3].op = kOpH;
-  jobs[3].left.aos = &empty;
-  jobs[3].right.aos = &empty;
-  const std::size_t curve_points = 8;
-  batch.compose(jobs.data(), jobs.size(), curve_points);
-  EXPECT_TRUE(curves_bit_equal(batch.materialize(jobs[0].out),
-                               scalar_compose_oracle(kOpV, tied_a, tied_b, curve_points)));
-  EXPECT_TRUE(curves_bit_equal(batch.materialize(jobs[1].out),
-                               scalar_compose_oracle(kOpH, empty, rect, curve_points)));
-  EXPECT_TRUE(curves_bit_equal(batch.materialize(jobs[2].out),
-                               scalar_compose_oracle(kOpV, rect, empty, curve_points)));
-  EXPECT_TRUE(batch.slot_empty(jobs[3].out));
-  EXPECT_TRUE(curves_bit_equal(batch.materialize(jobs[3].out), ShapeCurve{}));
 }
 
 // ---- parameterized property sweep over random curves ---------------------

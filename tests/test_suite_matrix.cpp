@@ -57,21 +57,19 @@ TEST_P(SuiteMatrix, GeneratePlaceVerify) {
   EXPECT_FALSE(result.snapshots.empty());
 }
 
-TEST_P(SuiteMatrix, BatchedAndScalarPlacementDefsAreByteIdentical) {
-  // The PR 8 acceptance check, pinned as a test: on every Table II
-  // circuit the batched SA engine must emit the byte-identical DEF the
-  // one-move-at-a-time engine does, at 1 thread and with the pool
-  // fanned out -- placement bytes are the strongest observable the
-  // pipeline has.
+TEST_P(SuiteMatrix, PlacementDefsAreThreadAndOracleIdentical) {
+  // On every Table II circuit the emitted DEF must be byte-identical with
+  // the pool fanned out and with the full-recompute layout evaluator (the
+  // incremental engine's oracle) -- placement bytes are the strongest
+  // observable the pipeline has.
   set_log_level(LogLevel::Warn);
   const SuiteEntry entry = suite_circuit(GetParam(), 0.003);
   const Design design = generate_circuit(entry.spec);
   const PlacementContext context(design);
 
-  const auto def_bytes = [&](bool batch_moves, int threads) {
+  const auto def_bytes = [&](bool incremental, int threads) {
     HiDaPOptions o = quick();
-    o.layout_anneal.batch_moves = batch_moves;
-    o.shape_fp.anneal.batch_moves = batch_moves;
+    o.layout_anneal.incremental = incremental;
     o.num_threads = threads;
     const PlacementResult result = place_macros(design, context, o);
     std::ostringstream out;
@@ -79,9 +77,9 @@ TEST_P(SuiteMatrix, BatchedAndScalarPlacementDefsAreByteIdentical) {
     return out.str();
   };
 
-  const std::string scalar_1t = def_bytes(false, 1);
-  EXPECT_EQ(def_bytes(true, 1), scalar_1t) << GetParam();
-  EXPECT_EQ(def_bytes(true, 8), scalar_1t) << GetParam();
+  const std::string incremental_1t = def_bytes(true, 1);
+  EXPECT_EQ(def_bytes(true, 8), incremental_1t) << GetParam();
+  EXPECT_EQ(def_bytes(false, 1), incremental_1t) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperCircuits, SuiteMatrix,
