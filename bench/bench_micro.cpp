@@ -1,8 +1,9 @@
-// Google-benchmark kernel timings for the library's hot paths: shape
-// curve composition, budget layout, Polish-expression moves, Gseq
-// extraction, multi-source BFS (target-area assignment), affinity
-// inference, full per-level layout annealing, the evaluation placer, and
-// the parallel runtime (task dispatch overhead, parallel_for scaling).
+// Google-benchmark kernel timings for the library's hot paths: Verilog
+// parsing, shape curve composition, budget layout, Polish-expression
+// moves, Gseq extraction, multi-source BFS (target-area assignment),
+// affinity inference, full per-level layout annealing, the evaluation
+// placer, and the parallel runtime (task dispatch overhead, parallel_for
+// scaling).
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 #include <chrono>
 #include <numeric>
 #include <span>
+#include <sstream>
 #include <utility>
 
 #include "baseline/flat_cost.hpp"
@@ -23,6 +25,8 @@
 #include "floorplan/budget_layout.hpp"
 #include "floorplan/incremental_eval.hpp"
 #include "gen/suite.hpp"
+#include "netlist/verilog_parser.hpp"
+#include "netlist/verilog_writer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "place/quadratic_placer.hpp"
@@ -46,6 +50,23 @@ const Design& medium_design() {
   }();
   return *d;
 }
+
+// The cold-path netlist read: c4 of the suite at scale 0.002 (the
+// benchmark workloads' size), bytes/s over the Verilog text.
+void BM_ParseVerilog(benchmark::State& state) {
+  static const std::string text = [] {
+    set_log_level(LogLevel::Warn);
+    std::ostringstream out;
+    write_verilog(generate_circuit(suite_circuit("c4", 0.002).spec), out);
+    return out.str();
+  }();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(parse_verilog_string(text));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseVerilog)->Unit(benchmark::kMillisecond);
 
 void BM_ShapeCurveCompose(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -10,10 +10,15 @@
 // The top module is the one never instantiated; it is elaborated
 // recursively into a flattened Design with a hierarchy tree mirroring the
 // instance tree.
+//
+// The lexer runs over one contiguous buffer and the AST holds views into
+// it; each module definition gets one name->slot net table, and every
+// instance binds its nets in a vector indexed by slot. Range bounds and
+// bit indices are non-negative int32 decimals, and a declared range
+// wider than the input's byte count is rejected.
 
-#include <iosfwd>
-#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "netlist/netlist.hpp"
 #include "util/error.hpp"
@@ -34,13 +39,13 @@ class VerilogParseError : public HidapError {
   int line_;
 };
 
-/// Parses the given stream; throws VerilogParseError on malformed input.
-Design parse_verilog(std::istream& in);
+/// Parses a netlist held in memory; throws VerilogParseError on malformed
+/// input. The Design copies every name it keeps, so `text` need only
+/// outlive the call.
+Design parse_verilog_string(std::string_view text);
 
-/// Parses a file; throws std::runtime_error when the file cannot be read.
+/// Reads a file into one buffer and parses it; throws HidapError
+/// (ErrorCode::IoError) when the file cannot be read.
 Design parse_verilog_file(const std::string& path);
-
-/// Parses from a string (handy for tests).
-Design parse_verilog_string(const std::string& text);
 
 }  // namespace hidap

@@ -2,7 +2,7 @@
 // Content-hash keyed artifact cache for the placement service.
 //
 // Every expensive precompute of the pipeline is a pure function of an
-// explicit key (FNV-1a over the inputs that actually feed it), so a
+// explicit key (an XXH64 hash of the inputs that actually feed it), so a
 // cached artifact is byte-identical to recomputing it and adoption
 // cannot change results:
 //

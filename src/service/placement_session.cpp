@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "netlist/def_io.hpp"
@@ -71,11 +72,11 @@ JobOutcome PlacementSession::run(const PlacementJobSpec& spec) {
     // --- Design: content-hashed text, single-flight parse. File reads
     // retry transient I/O failures with bounded backoff. ---
     const RetryPolicy retry = io_retry_policy();
-    const std::string text = !spec.verilog_text.empty()
-                                 ? spec.verilog_text
-                                 : with_retries(retry, [&spec]() {
-                                     return slurp_file(spec.verilog_path);
-                                   });
+    std::string slurped;
+    if (spec.verilog_text.empty()) {
+      slurped = with_retries(retry, [&spec]() { return slurp_file(spec.verilog_path); });
+    }
+    const std::string_view text = spec.verilog_text.empty() ? slurped : spec.verilog_text;
     if (spec.max_input_bytes > 0 && text.size() > spec.max_input_bytes) {
       throw HidapError(ErrorCode::ResourceExhausted,
                        "netlist input of " + std::to_string(text.size()) +

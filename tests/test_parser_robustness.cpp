@@ -26,15 +26,58 @@ std::string sample_netlist() {
   return out.str();
 }
 
+// A 2-4 KB netlist (below the generator's structural floor, so built by
+// hand): a macro with its pin header, two hierarchy levels, ports, flops
+// and gates, written by write_verilog.
+std::string tiny_netlist() {
+  Design d("tiny");
+  d.set_die({200.0, 150.0});
+  const MacroDefId ram = d.library().add(MacroLibrary::make_sram("RAM", 40.0, 30.0, 8));
+  const HierId core = d.add_hier(d.root(), "core");
+  const HierId alu = d.add_hier(core, "alu");
+  const CellId in = d.add_cell(d.root(), "in0", CellKind::PortIn, 0.0);
+  d.cell_mutable(in).fixed_pos = Point{0.0, 75.0};
+  const CellId out = d.add_cell(d.root(), "out0", CellKind::PortOut, 0.0);
+  d.cell_mutable(out).fixed_pos = Point{200.0, 75.0};
+  const CellId mem = d.add_cell(core, "mem", CellKind::Macro, 0.0, ram);
+  std::vector<CellId> chain = {in};
+  for (int i = 0; i < 20; ++i) {
+    const HierId h = i % 2 ? alu : core;
+    const CellKind kind = i % 3 ? CellKind::Comb : CellKind::Flop;
+    chain.push_back(d.add_cell(h, "c" + std::to_string(i), kind, 1.25 + i));
+  }
+  chain.push_back(out);
+  for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
+    const NetId n = d.add_net("n" + std::to_string(i));
+    d.set_driver(n, chain[i]);
+    d.add_sink(n, chain[i + 1]);
+    if (i % 4 == 1) d.add_sink(n, mem, 0.0, 6.0);
+  }
+  const NetId q = d.add_net("q");
+  d.set_driver(q, mem, 40.0, 6.0);
+  d.add_sink(q, chain[5]);
+  std::ostringstream text;
+  write_verilog(d, text);
+  return text.str();
+}
+
+// The only acceptable failure is a clean VerilogParseError; any other
+// exception escapes and fails the test.
 void expect_parse_or_clean_error(const std::string& text) {
   try {
     const Design d = parse_verilog_string(text);
     EXPECT_TRUE(d.validate().empty());
   } catch (const VerilogParseError&) {
     // acceptable: clean rejection
-  } catch (const std::exception&) {
-    // stoi/stod range errors from garbled numbers are tolerable too, as
-    // long as they are exceptions and not crashes
+  }
+}
+
+void expect_clean_error_at_line(const std::string& text, int line) {
+  try {
+    parse_verilog_string(text);
+    ADD_FAILURE() << "expected a parse error for: " << text;
+  } catch (const VerilogParseError& e) {
+    EXPECT_EQ(e.line(), line) << e.what();
   }
 }
 
@@ -44,6 +87,57 @@ TEST(ParserRobustness, TruncationsNeverCrash) {
     expect_parse_or_clean_error(
         text.substr(0, static_cast<std::size_t>(text.size() * frac)));
   }
+}
+
+TEST(ParserRobustness, EveryPrefixTruncationParsesOrFailsCleanly) {
+  const std::string text = tiny_netlist();
+  ASSERT_GE(text.size(), 2000u);
+  ASSERT_LE(text.size(), 4096u);
+  for (std::size_t len = 0; len <= text.size(); ++len) {
+    expect_parse_or_clean_error(text.substr(0, len));
+  }
+}
+
+TEST(ParserRobustness, EndOfBufferTokens) {
+  expect_clean_error_at_line("module top ();\nendmodule\n\\", 3);     // '\' at EOF
+  expect_clean_error_at_line("module top ();\n  HIDAP_COMB g (.I0(-", 2);  // '-' at EOF
+  expect_clean_error_at_line("module top ();\n/* never\nclosed", 3);     // open comment
+  std::string nul = "module top ();\n  HIDAP_COMB ab";
+  nul += '\0';
+  nul += "cd ();\nendmodule\n";
+  expect_clean_error_at_line(nul, 2);
+  // A //HIDAP_ directive ending the buffer without a newline still counts.
+  const Design d = parse_verilog_string("module top ();\nendmodule\n//HIDAP_DIE 10 20");
+  EXPECT_DOUBLE_EQ(d.die().w, 10.0);
+  EXPECT_DOUBLE_EQ(d.die().h, 20.0);
+  expect_clean_error_at_line("//HIDAP_DIE", 0);  // directives alone: empty netlist
+}
+
+// A range is bit-blasted into one net per bit: widths beyond the input
+// size used to allocate for tens of seconds, and a huge real bound went
+// through an undefined double->int cast.
+TEST(ParserRobustness, HostileVectorRangesRejected) {
+  expect_clean_error_at_line("module top (); wire [50000000:0] w; endmodule", 1);
+  expect_clean_error_at_line("module top (); wire [1e300:0] w; endmodule", 1);
+  expect_clean_error_at_line("module top ();\n wire [3.0:0] w; endmodule", 2);
+  expect_clean_error_at_line("module top ();\n\n wire [2147483648:0] w; endmodule", 3);
+  expect_clean_error_at_line(
+      "module top ();\n wire [3:0] w;\n HIDAP_COMB g (.I0(w[-1]));\nendmodule", 3);
+  // Within the input size a wide range is fine.
+  const Design d = parse_verilog_string("module top (); wire [20:0] w; endmodule");
+  EXPECT_EQ(d.net_count(), 21u);
+}
+
+TEST(ParserRobustness, RecursiveInstantiationRejected) {
+  expect_clean_error_at_line(
+      "module top (); a u (); endmodule\nmodule a (); b u (); endmodule\n"
+      "module b ();\n a u (); endmodule\n",
+      4);
+}
+
+TEST(ParserRobustness, DuplicateMacroRejected) {
+  expect_clean_error_at_line(
+      "//HIDAP_MACRO RAM 2 2\n//HIDAP_MACRO RAM 3 3\nmodule top (); endmodule\n", 2);
 }
 
 class ParserFuzz : public ::testing::TestWithParam<int> {};

@@ -1,13 +1,16 @@
-// Tests for the utility substrate: RNG, string helpers, array naming.
+// Tests for the utility substrate: RNG, content hash, string helpers,
+// array naming.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "util/env.hpp"
+#include "util/hash.hpp"
 #include "util/job_control.hpp"
 #include "util/rng.hpp"
 #include "util/string_utils.hpp"
@@ -55,6 +58,60 @@ TEST(Rng, SplitProducesIndependentStream) {
   Rng parent(5);
   Rng child = parent.split();
   EXPECT_NE(parent.next_u64(), child.next_u64());
+}
+
+TEST(Hash, MatchesXxh64ReferenceVectors) {
+  if constexpr (std::endian::native == std::endian::little) {
+    EXPECT_EQ(hash_bytes(""), 0xEF46DB3751D8E999ull);
+    EXPECT_EQ(hash_bytes("a"), 0xD24EC4F1A98C6E5Bull);
+    EXPECT_EQ(hash_bytes("abc"), 0x44BC2CF5AD770999ull);
+  }
+}
+
+// Every single-bit flip of buffers of length 0..67 (each lane of the
+// 32-byte stripe, the 8-byte and 4-byte tails and the byte tail) moves
+// the digest, and no two flips of one buffer collide.
+TEST(Hash, SingleBitFlipsGiveDistinctDigests) {
+  Rng rng(99);
+  for (const bool zeros : {true, false}) {
+    for (std::size_t len = 0; len <= 67; ++len) {
+      std::string buf(len, '\0');
+      if (!zeros) {
+        for (char& c : buf) c = static_cast<char>(rng.next_below(256));
+      }
+      std::set<std::uint64_t> digests = {hash_bytes(buf)};
+      for (std::size_t bit = 0; bit < 8 * len; ++bit) {
+        buf[bit / 8] = static_cast<char>(buf[bit / 8] ^ (1 << (bit % 8)));
+        digests.insert(hash_bytes(buf));
+        buf[bit / 8] = static_cast<char>(buf[bit / 8] ^ (1 << (bit % 8)));
+      }
+      EXPECT_EQ(digests.size(), 8 * len + 1) << "length " << len;
+    }
+  }
+}
+
+// The failure mode of a plain (h ^ word) * prime word loop: flipping bit
+// 63 of two consecutive words cancels out there, and must not here.
+TEST(Hash, TopBitFlipsOfConsecutiveWordsDoNotCancel) {
+  for (std::size_t len = 16; len <= 67; ++len) {
+    std::string buf(len, 'x');
+    const std::uint64_t base = hash_bytes(buf);
+    for (std::size_t w = 0; w + 16 <= len; w += 8) {
+      buf[w + 7] = static_cast<char>(buf[w + 7] ^ 0x80);
+      buf[w + 15] = static_cast<char>(buf[w + 15] ^ 0x80);
+      EXPECT_NE(hash_bytes(buf), base) << "length " << len << " word " << w / 8;
+      buf[w + 7] = static_cast<char>(buf[w + 7] ^ 0x80);
+      buf[w + 15] = static_cast<char>(buf[w + 15] ^ 0x80);
+    }
+  }
+}
+
+TEST(Hash, BuilderSeparatesStringBoundaries) {
+  EXPECT_NE(HashBuilder().str("ab").str("c").digest(),
+            HashBuilder().str("a").str("bc").digest());
+  EXPECT_NE(HashBuilder(1).str("abc").digest(), HashBuilder(2).str("abc").digest());
+  EXPECT_EQ(HashBuilder(7).str("abc").u64(3).digest(),
+            HashBuilder(7).str("abc").u64(3).digest());
 }
 
 TEST(ArrayName, BracketForm) {

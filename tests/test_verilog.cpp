@@ -3,33 +3,30 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <sstream>
+#include <string_view>
 
 #include "gen/circuit_gen.hpp"
+#include "gen/suite.hpp"
 #include "netlist/verilog_parser.hpp"
 #include "netlist/verilog_writer.hpp"
 
 namespace hidap {
 namespace {
 
-TEST(VerilogParser, MinimalModule) {
-  const Design d = parse_verilog_string(R"(
+// Fixture netlists, shared by the behaviour tests and the pinned digest.
+constexpr const char* kMinimalModule = R"(
     module top ();
       wire n1;
       HIDAP_PIN_IN #(.X(0), .Y(5)) pad (.O0(n1));
       HIDAP_COMB #(.AREA(1.5)) g (.I0(n1));
     endmodule
-  )");
-  EXPECT_EQ(d.cell_count(), 2u);
-  EXPECT_EQ(d.net_count(), 1u);
-  EXPECT_EQ(d.cell(1).kind, CellKind::Comb);
-  EXPECT_DOUBLE_EQ(d.cell(1).area, 1.5);
-  ASSERT_TRUE(d.cell(0).fixed_pos.has_value());
-  EXPECT_DOUBLE_EQ(d.cell(0).fixed_pos->y, 5.0);
-}
+  )";
 
-TEST(VerilogParser, HierarchyElaboration) {
-  const Design d = parse_verilog_string(R"(
+constexpr const char* kHierarchyElaboration = R"(
     module leaf (a, y);
       input a;
       output y;
@@ -41,7 +38,58 @@ TEST(VerilogParser, HierarchyElaboration) {
       leaf u0 (.a(w1), .y(w2));
       leaf u1 (.a(w2));
     endmodule
-  )");
+  )";
+
+constexpr const char* kVectorWires = R"(
+    module top ();
+      wire [3:0] bus;
+      HIDAP_DFF f0 (.Q0(bus[0]));
+      HIDAP_DFF f1 (.D0(bus[0]), .Q0(bus[1]));
+    endmodule
+  )";
+
+constexpr const char* kMacroHeaderAndPins = R"(
+    //HIDAP_MACRO RAM 20 10
+    //HIDAP_PIN RAM D0 0 5 8 0
+    //HIDAP_PIN RAM Q0 20 5 8 1
+    //HIDAP_DIE 500 400
+    module top ();
+      wire a, b;
+      HIDAP_DFF f (.Q0(a), .D0(b));
+      RAM mem (.D0(a), .Q0(b));
+    endmodule
+  )";
+
+constexpr const char* kLexicalCorners = R"(
+    /* block comment
+       spanning lines */ //HIDAP_MACRO \weird$mem 1.5e1 -0.0
+    //HIDAP_PIN \weird$mem A 0.25 -1 4 1
+    //HIDAP_PIN nosuch B 1 2 3 0
+    //HIDAP_DIE 1e3 7.25E+2 extra
+    // HIDAP_MACRO ignored 1 1
+    module \top$x ( p );
+      input p;
+      wire [0:3] rev;  // ascending range
+      wire [2:2] one;
+      HIDAP_PIN_IN #(.X(-3.5), .Y(+2e-1)) \pad[0] (.O0(p));
+      HIDAP_COMB #(.AREA(5.), .AREA(-.125)) g$1 (.I0(p), .I1(), .O0(rev[3]));
+      HIDAP_DFF #() f (.D0(rev[3]), .Q0(implicit_net), .Q1(one[2]));
+      HIDAP_COMB g2 (.I0(implicit_net), .I1(one[2]));
+    endmodule
+  )";
+
+TEST(VerilogParser, MinimalModule) {
+  const Design d = parse_verilog_string(kMinimalModule);
+  EXPECT_EQ(d.cell_count(), 2u);
+  EXPECT_EQ(d.net_count(), 1u);
+  EXPECT_EQ(d.cell(1).kind, CellKind::Comb);
+  EXPECT_DOUBLE_EQ(d.cell(1).area, 1.5);
+  ASSERT_TRUE(d.cell(0).fixed_pos.has_value());
+  EXPECT_DOUBLE_EQ(d.cell(0).fixed_pos->y, 5.0);
+}
+
+TEST(VerilogParser, HierarchyElaboration) {
+  const Design d = parse_verilog_string(kHierarchyElaboration);
   EXPECT_EQ(d.hier_count(), 3u);  // top + 2 leaf instances
   EXPECT_EQ(d.cell_count(), 3u);
   // w2 is driven inside u0 and consumed inside u1.
@@ -57,29 +105,13 @@ TEST(VerilogParser, HierarchyElaboration) {
 }
 
 TEST(VerilogParser, VectorWires) {
-  const Design d = parse_verilog_string(R"(
-    module top ();
-      wire [3:0] bus;
-      HIDAP_DFF f0 (.Q0(bus[0]));
-      HIDAP_DFF f1 (.D0(bus[0]), .Q0(bus[1]));
-    endmodule
-  )");
+  const Design d = parse_verilog_string(kVectorWires);
   EXPECT_EQ(d.net_count(), 4u);
   EXPECT_EQ(d.cell_count(), 2u);
 }
 
 TEST(VerilogParser, MacroHeaderAndPins) {
-  const Design d = parse_verilog_string(R"(
-    //HIDAP_MACRO RAM 20 10
-    //HIDAP_PIN RAM D0 0 5 8 0
-    //HIDAP_PIN RAM Q0 20 5 8 1
-    //HIDAP_DIE 500 400
-    module top ();
-      wire a, b;
-      HIDAP_DFF f (.Q0(a), .D0(b));
-      RAM mem (.D0(a), .Q0(b));
-    endmodule
-  )");
+  const Design d = parse_verilog_string(kMacroHeaderAndPins);
   EXPECT_EQ(d.macro_count(), 1u);
   EXPECT_DOUBLE_EQ(d.die().w, 500.0);
   const CellId mac = d.macros()[0];
@@ -177,6 +209,121 @@ TEST(VerilogRoundTrip, SecondRoundTripIsStable) {
   EXPECT_EQ(d2.cell_count(), d3.cell_count());
   EXPECT_EQ(d2.net_count(), d3.net_count());
   EXPECT_EQ(d2.hier_count(), d3.hier_count());
+}
+
+// Field-by-field digest of a parsed Design: every Cell, Net/NetPin,
+// HierNode, MacroDef/MacroPin and Die field in id order, floating-point
+// values by bit pattern. Self-contained FNV-1a so the pinned values do
+// not move when util/hash.hpp changes.
+class DesignDigest {
+ public:
+  explicit DesignDigest(const Design& d) {
+    str(d.name());
+    f64(d.die().w);
+    f64(d.die().h);
+    u64(d.library().size());
+    for (const MacroDef& def : d.library().defs()) {
+      str(def.name);
+      f64(def.w);
+      f64(def.h);
+      u64(def.pins.size());
+      for (const MacroPin& pin : def.pins) {
+        str(pin.name);
+        f64(pin.offset.x);
+        f64(pin.offset.y);
+        i64(pin.bits);
+        u64(pin.is_output ? 1 : 0);
+      }
+    }
+    u64(d.hier_count());
+    for (const HierNode& node : d.hier_nodes()) {
+      str(node.name);
+      i64(node.parent);
+      u64(node.children.size());
+      for (const HierId child : node.children) i64(child);
+      u64(node.cells.size());
+      for (const CellId cell : node.cells) i64(cell);
+    }
+    u64(d.cell_count());
+    for (const Cell& cell : d.cells()) {
+      str(cell.name);
+      u64(static_cast<std::uint64_t>(cell.kind));
+      i64(cell.hier);
+      f64(cell.area);
+      i64(cell.macro_def);
+      u64(cell.fixed_pos.has_value() ? 1 : 0);
+      if (cell.fixed_pos) {
+        f64(cell.fixed_pos->x);
+        f64(cell.fixed_pos->y);
+      }
+    }
+    u64(d.net_count());
+    for (const Net& net : d.nets()) {
+      str(net.name);
+      pin(net.driver);
+      u64(net.sinks.size());
+      for (const NetPin& sink : net.sinks) pin(sink);
+    }
+  }
+
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h_ ^= p[i];
+      h_ *= 1099511628211ull;
+    }
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void f32(float v) { u64(std::bit_cast<std::uint32_t>(v)); }
+  void str(std::string_view s) {
+    u64(s.size());
+    bytes(s.data(), s.size());
+  }
+  void pin(const NetPin& p) {
+    i64(p.cell);
+    f32(p.dx);
+    f32(p.dy);
+  }
+
+  std::uint64_t h_ = 1469598103934665603ull;
+};
+
+// The expected values were recorded by running this body against the
+// istream-based parser this one replaced; a parser change that moves any
+// parsed field (names, ids, areas, port positions, pin offsets) fails here.
+TEST(VerilogParser, ParsedDesignDigestIsPinned) {
+  struct Case {
+    std::string label;
+    std::string text;
+    std::uint64_t expected;
+  };
+  std::vector<Case> cases = {
+      {"minimal", kMinimalModule, 0xde52ca78149166f4ull},
+      {"hierarchy", kHierarchyElaboration, 0xe4480263de2f0076ull},
+      {"vector", kVectorWires, 0x6773556a11fadad3ull},
+      {"macro", kMacroHeaderAndPins, 0x73f37e2390ffdaecull},
+      {"lexical", kLexicalCorners, 0x7b358d4af25322dcull},
+  };
+  const std::uint64_t suite_expected[8] = {
+      0x5435fa14a6b80c3dull, 0x47e3dec98b89280dull, 0x025e808cc52554f4ull, 0x0ddf71c6e09155faull,
+      0xa23199b42871d2c9ull, 0x28ee0699ba7f646eull, 0x43a1c33f13804f8dull, 0xfc347e2285a9fbc2ull};
+  for (int i = 0; i < 8; ++i) {
+    const std::string name = "c" + std::to_string(i + 1);
+    CircuitSpec spec = suite_circuit(name, 0.002).spec;
+    spec.seed = 1000 + static_cast<std::uint64_t>(i);
+    std::ostringstream text;
+    write_verilog(generate_circuit(spec), text);
+    cases.push_back({name, text.str(), suite_expected[i]});
+  }
+  for (const Case& c : cases) {
+    const std::uint64_t got = DesignDigest(parse_verilog_string(c.text)).value();
+    EXPECT_EQ(got, c.expected) << c.label << ": got 0x" << std::hex << got;
+  }
 }
 
 }  // namespace
