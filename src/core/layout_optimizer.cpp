@@ -47,7 +47,7 @@ double layout_connectivity_cost(const LayoutProblem& problem,
 
 double evaluate_layout_full(const LayoutProblem& problem, const PolishExpression& expr,
                             BudgetResult* out_result) {
-  BudgetResult res = budget_layout(expr, problem.blocks, problem.region, problem.budget);
+  BudgetResult res = budget_layout(expr, problem.blocks, problem.region);
   const double conn = layout_connectivity_cost(problem, res.leaf_rects);
   const double cost = layout_objective(res.violations, conn, problem.region);
   if (out_result) *out_result = std::move(res);
@@ -100,7 +100,7 @@ LayoutSolution optimize_layout(const LayoutProblem& problem,
     if (incremental) {
       st.inc = std::make_unique<IncrementalLayoutEval>(
           problem.blocks, problem.region, problem.terminals, *problem.affinity,
-          PolishExpression::initial(static_cast<int>(n)), problem.budget);
+          PolishExpression::initial(static_cast<int>(n)));
       st.best = st.inc->expression();
       chain.initial_cost = st.inc->cost();
       chain.hooks.propose = [&st, perturb_retry]() {

@@ -21,10 +21,6 @@ struct LayoutProblem {
   std::vector<Point> terminals;      ///< fixed (affinity rows n..n+t-1)
   const AffinityMatrix* affinity = nullptr;  ///< size n + t
   int num_threads = 0;  ///< lane cap for multi-chain SA (0 = auto, 1 = serial)
-  /// Budget-layout knobs (curve pruning cap, split skipping), honored by
-  /// both the full-recompute oracle and the incremental engine so the two
-  /// stay bit-identical under any setting.
-  BudgetOptions budget;
 };
 
 struct LayoutSolution {

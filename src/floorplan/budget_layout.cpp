@@ -1,11 +1,17 @@
 #include "floorplan/budget_layout.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
-#include <cstdint>
+#include <cstddef>
 
 namespace hidap {
+
+namespace {
+
+// Pruning cap for composed subtree curves.
+constexpr std::size_t kCurvePoints = 24;
+
+}  // namespace
 
 BudgetNodeInfo budget_leaf_info(const BudgetBlock& block) {
   BudgetNodeInfo info;
@@ -15,8 +21,7 @@ BudgetNodeInfo budget_leaf_info(const BudgetBlock& block) {
   return info;
 }
 
-BudgetNodeInfo budget_compose_info(int op, const BudgetNodeInfo& l, const BudgetNodeInfo& r,
-                                   std::size_t curve_points) {
+BudgetNodeInfo budget_compose_info(int op, const BudgetNodeInfo& l, const BudgetNodeInfo& r) {
   BudgetNodeInfo info;
   info.am = l.am + r.am;
   info.at = l.at + r.at;
@@ -28,7 +33,7 @@ BudgetNodeInfo budget_compose_info(int op, const BudgetNodeInfo& l, const Budget
     info.gamma = (op == kOpV) ? ShapeCurve::compose_horizontal(l.gamma, r.gamma)
                               : ShapeCurve::compose_vertical(l.gamma, r.gamma);
   }
-  info.gamma.prune(curve_points);
+  info.gamma.prune(kCurvePoints);
   return info;
 }
 
@@ -88,19 +93,12 @@ double min_extent(const BudgetNodeInfo& info, double cross, bool along_width) {
 }
 
 // Grades the final rectangle of a leaf block against its <Gamma, am, at>.
-BudgetLeafAdds leaf_adds(const BudgetBlock& b, const Rect& rect) {
-  BudgetLeafAdds a;
+void score_leaf(const BudgetBlock& b, const Rect& rect, BudgetViolations& v) {
   const double area = rect.area();
-  if (area + 1e-9 < b.at) {
-    a.at_add = b.at - area;
-    a.flags |= BudgetLeafAdds::kAt;
-  }
-  if (area + 1e-9 < b.am) {
-    a.am_add = b.am - area;
-    a.flags |= BudgetLeafAdds::kAm;
-  }
+  if (area + 1e-9 < b.at) v.at_deficit += b.at - area;
+  if (area + 1e-9 < b.am) v.am_deficit += b.am - area;
   if (!b.gamma.empty() && !b.gamma.fits(rect.w, rect.h)) {
-    a.flags |= BudgetLeafAdds::kMacro;
+    ++v.infeasible_leaves;
     // Overflow area of the best attempt: how much macro bounding box
     // sticks out of the rectangle.
     double overflow = 0.0;
@@ -111,96 +109,18 @@ BudgetLeafAdds leaf_adds(const BudgetBlock& b, const Rect& rect) {
       overflow = ow * rect.h + oh * rect.w + ow * oh;
       if (best_overflow < 0 || overflow < best_overflow) best_overflow = overflow;
     }
-    a.macro_add = std::max(best_overflow, 0.0);
-  }
-  return a;
-}
-
-// Applies fired adds to the accumulator in a fixed operation order (at,
-// am, infeasible count, macro). Shared between leaf grading and skip
-// replay so the sequence cannot drift.
-void apply_adds(const BudgetLeafAdds& a, BudgetViolations& v) {
-  if ((a.flags & BudgetLeafAdds::kAt) != 0) v.at_deficit += a.at_add;
-  if ((a.flags & BudgetLeafAdds::kAm) != 0) v.am_deficit += a.am_add;
-  if ((a.flags & BudgetLeafAdds::kMacro) != 0) {
-    ++v.infeasible_leaves;
-    v.macro_deficit += a.macro_add;
+    v.macro_deficit += std::max(best_overflow, 0.0);
   }
 }
 
-// Bit equality (not operator==) for skip decisions: a -0.0/+0.0 mismatch
-// must fail the comparison, or a sign-of-zero divergence could smuggle
-// into downstream arithmetic. Failing is always safe (the pass recurses).
-bool bits_equal(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-bool bits_equal(const Rect& a, const Rect& b) {
-  return bits_equal(a.x, b.x) && bits_equal(a.y, b.y) && bits_equal(a.w, b.w) &&
-         bits_equal(a.h, b.h);
-}
-
-// One skip rule (full-pass-equivalent, valid from ANY accumulator
-// state): a subtree whose content is unchanged and whose rectangle is
-// bit-equal to the committed pass lays out identically, so its leaf
-// rects are the committed ones and its violation adds replay from the
-// committed journal slice of its span -- the identical operands in the
-// identical order (see BudgetLeafAdds). No accumulator-entry comparison
-// is needed, which is what lets skips keep firing downstream of a
-// divergent (dirty) leaf, where the running totals have drifted.
 void assign(const SlicingTree& tree, const BudgetNodeInfo* const* infos,
             const std::vector<BudgetBlock>& blocks, int node_id, const Rect& rect,
-            BudgetResult& result, const BudgetSkipContext* skip) {
+            BudgetResult& result) {
   const auto idx = static_cast<std::size_t>(node_id);
-  if (skip != nullptr) {
-    if (skip->committed != nullptr && skip->clean[idx] &&
-        bits_equal(skip->committed->node_rect[idx], rect)) {
-      const auto span = static_cast<std::uint32_t>(skip->span_start[idx]);
-      const std::vector<BudgetSplitCache::FiredLeaf>& fired = skip->committed->fired;
-      auto it = std::lower_bound(
-          fired.begin(), fired.end(), span,
-          [](const BudgetSplitCache::FiredLeaf& f, std::uint32_t p) { return f.pos < p; });
-      const auto first = it;
-      for (; it != fired.end() && it->pos <= idx; ++it) {
-        apply_adds(it->adds, result.violations);
-      }
-      // The span's leaf rects keep their committed (identical) values:
-      // copied here when the committed rects are at hand, pre-seeded by
-      // the caller otherwise.
-      if (skip->committed_leaf_rects != nullptr) {
-        for (std::size_t p = span; p <= idx; ++p) {
-          const SlicingTree::Node& n = tree.nodes[p];
-          if (n.is_leaf()) {
-            const auto leaf = static_cast<std::size_t>(n.leaf);
-            result.leaf_rects[leaf] = (*skip->committed_leaf_rects)[leaf];
-          }
-        }
-      }
-      if (skip->record != nullptr) {
-        // Refresh the record from the committed snapshots so a later
-        // pass can skip any sub-span of this subtree too (snapshots of
-        // an unchanged span stay valid forever: they are pure functions
-        // of its blocks and rectangle). Journal appends stay sorted:
-        // the walk reaches spans in ascending position order.
-        const auto s = static_cast<std::ptrdiff_t>(span);
-        std::copy_n(skip->committed->node_rect.begin() + s,
-                    static_cast<std::ptrdiff_t>(idx + 1) - s,
-                    skip->record->node_rect.begin() + s);
-        skip->record->fired.insert(skip->record->fired.end(), first, it);
-      }
-      return;
-    }
-    if (skip->record != nullptr) skip->record->node_rect[idx] = rect;
-  }
-
   const SlicingTree::Node& node = tree.nodes[idx];
   if (node.is_leaf()) {
     result.leaf_rects[static_cast<std::size_t>(node.leaf)] = rect;
-    const BudgetLeafAdds adds = leaf_adds(blocks[static_cast<std::size_t>(node.leaf)], rect);
-    apply_adds(adds, result.violations);
-    if (adds.fired() && skip != nullptr && skip->record != nullptr) {
-      skip->record->fired.push_back({static_cast<std::uint32_t>(idx), adds});
-    }
+    score_leaf(blocks[static_cast<std::size_t>(node.leaf)], rect, result.violations);
   } else {
     const BudgetNodeInfo& l = *infos[static_cast<std::size_t>(node.left)];
     const BudgetNodeInfo& r = *infos[static_cast<std::size_t>(node.right)];
@@ -220,10 +140,9 @@ void assign(const SlicingTree& tree, const BudgetNodeInfo* const* infos,
         // Even the minima do not fit; split the shortfall proportionally.
         wl = rect.w * (min_l / (min_l + min_r));
       }
-      assign(tree, infos, blocks, node.left, Rect{rect.x, rect.y, wl, rect.h}, result,
-             skip);
+      assign(tree, infos, blocks, node.left, Rect{rect.x, rect.y, wl, rect.h}, result);
       assign(tree, infos, blocks, node.right,
-             Rect{rect.x + wl, rect.y, rect.w - wl, rect.h}, result, skip);
+             Rect{rect.x + wl, rect.y, rect.w - wl, rect.h}, result);
     } else {
       // Stacked: split the height.
       double hl = rect.h * ratio;
@@ -234,10 +153,9 @@ void assign(const SlicingTree& tree, const BudgetNodeInfo* const* infos,
       } else {
         hl = rect.h * (min_l / (min_l + min_r));
       }
-      assign(tree, infos, blocks, node.left, Rect{rect.x, rect.y, rect.w, hl}, result,
-             skip);
+      assign(tree, infos, blocks, node.left, Rect{rect.x, rect.y, rect.w, hl}, result);
       assign(tree, infos, blocks, node.right,
-             Rect{rect.x, rect.y + hl, rect.w, rect.h - hl}, result, skip);
+             Rect{rect.x, rect.y + hl, rect.w, rect.h - hl}, result);
     }
   }
 }
@@ -246,16 +164,12 @@ void assign(const SlicingTree& tree, const BudgetNodeInfo* const* infos,
 
 void budget_assign(const SlicingTree& tree, const BudgetNodeInfo* const* infos,
                    const std::vector<BudgetBlock>& blocks, const Rect& budget,
-                   BudgetResult& result, const BudgetSkipContext* skip) {
-  assert(skip == nullptr || skip->committed == nullptr ||
-         (skip->clean != nullptr && skip->span_start != nullptr));
-  if (skip != nullptr && skip->record != nullptr) skip->record->fired.clear();
-  assign(tree, infos, blocks, tree.root, budget, result, skip);
+                   BudgetResult& result) {
+  assign(tree, infos, blocks, tree.root, budget, result);
 }
 
 BudgetResult budget_layout(const PolishExpression& expr,
-                           const std::vector<BudgetBlock>& blocks, const Rect& budget,
-                           const BudgetOptions& options) {
+                           const std::vector<BudgetBlock>& blocks, const Rect& budget) {
   assert(expr.is_valid());
   BudgetResult result;
   result.leaf_rects.assign(blocks.size(), Rect{});
@@ -271,8 +185,7 @@ BudgetResult budget_layout(const PolishExpression& expr,
     info[i] = node.is_leaf()
                   ? budget_leaf_info(blocks[static_cast<std::size_t>(node.leaf)])
                   : budget_compose_info(node.op, info[static_cast<std::size_t>(node.left)],
-                                        info[static_cast<std::size_t>(node.right)],
-                                        options.curve_points);
+                                        info[static_cast<std::size_t>(node.right)]);
     ptrs[i] = &info[i];
   }
 

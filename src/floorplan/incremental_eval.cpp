@@ -1,6 +1,5 @@
 #include "floorplan/incremental_eval.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -10,9 +9,8 @@ IncrementalLayoutEval::IncrementalLayoutEval(const std::vector<BudgetBlock>& blo
                                              const Rect& region,
                                              const std::vector<Point>& terminals,
                                              const AffinityMatrix& affinity,
-                                             PolishExpression initial,
-                                             const BudgetOptions& options)
-    : blocks_(blocks), region_(region), affinity_(affinity), options_(options) {
+                                             PolishExpression initial)
+    : blocks_(blocks), region_(region) {
   const std::size_t n = blocks.size();
   const std::size_t total = n + terminals.size();
   assert(affinity.size() == total);
@@ -46,25 +44,17 @@ IncrementalLayoutEval::IncrementalLayoutEval(const std::vector<BudgetBlock>& blo
 
   leaf_infos_.reserve(n);
   for (const BudgetBlock& block : blocks) leaf_infos_.push_back(budget_leaf_info(block));
-  next_id_ = static_cast<std::uint32_t>(n);  // ids 0..n-1 name the leaf values
 
   committed_expr_ = std::move(initial);
   proposed_expr_ = committed_expr_;
 
   const std::size_t len = committed_expr_.size();
   infos_.resize(len);
-  ids_.resize(len);
-  proposed_ids_.resize(len);
   info_ptrs_.resize(len);
-  // Permanent scratch slots, one per possible dirty node: dirty infos are
-  // copy-assigned into them so the contained curve buffers are reused
-  // move after move (no steady-state allocation).
+  // Permanent scratch slots, one per possible dirty node; sized once and
+  // never resized, since info_ptrs_ aliases them.
   scratch_infos_.resize(len);
   dirty_nodes_.reserve(len);
-  seen_once_.assign(std::size_t{1} << kSeenOnceBits, 0);
-  committed_split_.resize(len);
-  proposed_split_.resize(len);
-  clean_nodes_.resize(len);
 
   evaluate_proposed(/*reuse_committed=*/false);
   pending_ = true;
@@ -123,93 +113,33 @@ void IncrementalLayoutEval::evaluate_proposed(bool reuse_committed) {
   // Bottom-up infos: a subtree whose span contains no mutated position
   // parses to the same node with the same content as before, so its
   // cached info is exactly what a full recompute would produce. Dirty
-  // nodes go through the compose memo (leaf values are permanent) into
-  // the scratch overlay; commit() folds them back into infos_.
+  // nodes are recomposed into the scratch overlay; commit() folds them
+  // back into infos_.
   dirty_nodes_.clear();
   std::size_t scratch_used = 0;
   for (std::size_t i = 0; i < len; ++i) {
     const SlicingTree::Node& node = tree_.nodes[i];
-    const bool clean =
-        reuse_committed &&
-        changed_prefix_[i + 1] == changed_prefix_[static_cast<std::size_t>(span_start_[i])];
-    clean_nodes_[i] = clean ? 1 : 0;
-    if (clean) {
+    if (reuse_committed &&
+        changed_prefix_[i + 1] == changed_prefix_[static_cast<std::size_t>(span_start_[i])]) {
       info_ptrs_[i] = &infos_[i];
-      // A committed value that was never admitted to the memo still
-      // deserves a stable name, or its (dirty) ancestors could never be
-      // memoized; persist the id so future proposals key off it too.
-      if (ids_[i] == kNoId && next_id_ != kNoId) ids_[i] = next_id_++;
-      proposed_ids_[i] = ids_[i];
       continue;
     }
     BudgetNodeInfo& slot = scratch_infos_[scratch_used++];
     if (node.is_leaf()) {
-      const auto leaf = static_cast<std::size_t>(node.leaf);
-      slot = leaf_infos_[leaf];
-      proposed_ids_[i] = static_cast<std::uint32_t>(leaf);
+      slot = leaf_infos_[static_cast<std::size_t>(node.leaf)];
     } else {
-      const std::uint32_t id_l = proposed_ids_[static_cast<std::size_t>(node.left)];
-      const std::uint32_t id_r = proposed_ids_[static_cast<std::size_t>(node.right)];
-      const BudgetNodeInfo& l = *info_ptrs_[static_cast<std::size_t>(node.left)];
-      const BudgetNodeInfo& r = *info_ptrs_[static_cast<std::size_t>(node.right)];
-      if (id_l == kNoId || id_r == kNoId) {
-        // Id space exhausted somewhere below: compute unmemoized.
-        slot = budget_compose_info(node.op, l, r, options_.curve_points);
-        proposed_ids_[i] = kNoId;
-      } else {
-        // Canonical unordered key: the curve algebra (and am/at sums) is
-        // exactly commutative, so (op, A, B) and (op, B, A) share a value.
-        const std::uint64_t lo = std::min(id_l, id_r);
-        const std::uint64_t hi = std::max(id_l, id_r);
-        const std::uint64_t key = (hi << 32) | lo;
-        auto& memo = node.op == kOpV ? memo_v_ : memo_h_;
-        if (const auto it = memo.find(key); it != memo.end()) {
-          slot = it->second.info;
-          proposed_ids_[i] = it->second.id;
-        } else {
-          slot = budget_compose_info(node.op, l, r, options_.curve_points);
-          // Mix the operator into the admission-filter key; the memo
-          // itself keeps the operators in separate maps.
-          const std::uint64_t fkey =
-              key ^ (node.op == kOpV ? 0x9e3779b97f4a7c15ULL : 0);
-          std::uint64_t& filter_slot =
-              seen_once_[(fkey * 0xd1342543de82ef95ULL) >> (64 - kSeenOnceBits)];
-          if (filter_slot == fkey) {
-            // Second sighting: admit to the memo.
-            const std::uint32_t id = next_id_ == kNoId ? kNoId : next_id_++;
-            memo.emplace(key, MemoEntry{slot, id});
-            proposed_ids_[i] = id;
-          } else {
-            filter_slot = fkey;
-            // Not memoized (yet): parents cannot key off this value.
-            proposed_ids_[i] = kNoId;
-          }
-        }
-      }
+      slot = budget_compose_info(node.op, *info_ptrs_[static_cast<std::size_t>(node.left)],
+                                 *info_ptrs_[static_cast<std::size_t>(node.right)]);
     }
     info_ptrs_[i] = &slot;
     dirty_nodes_.push_back(static_cast<std::uint32_t>(i));
   }
 
   // Top-down split + violation grading, in the oracle's exact traversal
-  // order -- except that clean subtrees skip straight through their
-  // committed snapshots (leaf rects of skipped spans are copied from the
-  // committed layout inside the skip branch).
+  // order.
   proposed_layout_.leaf_rects.resize(n);
   proposed_layout_.violations = BudgetViolations{};
-  if (options_.skip_splits && reuse_committed) {
-    // Read-only pass against the committed snapshots: skips fire, nothing
-    // is recorded. Recording happens once, in commit(), so the (majority
-    // of) rejected proposals never pay for snapshot stores.
-    BudgetSkipContext skip;
-    skip.committed = &committed_split_;
-    skip.clean = clean_nodes_.data();
-    skip.span_start = span_start_.data();
-    skip.committed_leaf_rects = &committed_layout_.leaf_rects;
-    budget_assign(tree_, info_ptrs_.data(), blocks_, region_, proposed_layout_, &skip);
-  } else {
-    budget_assign(tree_, info_ptrs_.data(), blocks_, region_, proposed_layout_);
-  }
+  budget_assign(tree_, info_ptrs_.data(), blocks_, region_, proposed_layout_);
 
   // Block centers (the terminal tail is constant; see the constructor).
   for (std::size_t b = 0; b < n; ++b) {
@@ -249,12 +179,6 @@ void IncrementalLayoutEval::evaluate_proposed(bool reuse_committed) {
 
 double IncrementalLayoutEval::propose(const std::function<void(PolishExpression&)>& mutate) {
   assert(!pending_ && "commit() or rollback() the previous proposal first");
-  if (memo_h_.size() + memo_v_.size() > kMemoCapacity) {
-    // Committed state holds values, not references into the memo, so a
-    // wholesale clear is safe; the walk's neighborhood repopulates it.
-    memo_h_.clear();
-    memo_v_.clear();
-  }
   proposed_expr_ = committed_expr_;
   mutate(proposed_expr_);
   evaluate_proposed(/*reuse_committed=*/true);
@@ -264,25 +188,7 @@ double IncrementalLayoutEval::propose(const std::function<void(PolishExpression&
 
 void IncrementalLayoutEval::commit() {
   assert(pending_ && "commit() without a pending proposal");
-  if (options_.skip_splits) {
-    // Record the accepted pass's per-node snapshots by re-walking its
-    // tree: clean spans replay wholesale from the old committed cache
-    // (eager copies), dirty paths re-run the same cheap arithmetic the
-    // proposal pass just did. info_ptrs_ / tree_ / clean_nodes_ still
-    // describe the accepted proposal here, and the recomputed violations
-    // are bit-identical to the proposal's, so overwriting them is a
-    // no-op by value.
-    proposed_layout_.violations = BudgetViolations{};
-    BudgetSkipContext skip;
-    skip.committed = &committed_split_;
-    skip.clean = clean_nodes_.data();
-    skip.span_start = span_start_.data();
-    skip.record = &proposed_split_;
-    budget_assign(tree_, info_ptrs_.data(), blocks_, region_, proposed_layout_, &skip);
-    std::swap(committed_split_, proposed_split_);
-  }
   std::swap(committed_expr_, proposed_expr_);
-  std::swap(ids_, proposed_ids_);
   // The scratch slots themselves are permanent (sized once, reused move
   // after move); only the values move over.
   for (std::size_t k = 0; k < dirty_nodes_.size(); ++k) {

@@ -172,27 +172,6 @@ ShapeCurve ShapeCurve::compose_vertical(const ShapeCurve& a, const ShapeCurve& b
   return out;
 }
 
-ShapeCurve ShapeCurve::compose_horizontal_pairwise(const ShapeCurve& a,
-                                                   const ShapeCurve& b) {
-  ShapeCurve out;
-  for (const Shape& sa : a.points_) {
-    for (const Shape& sb : b.points_) {
-      out.add({sa.w + sb.w, std::max(sa.h, sb.h)});
-    }
-  }
-  return out;
-}
-
-ShapeCurve ShapeCurve::compose_vertical_pairwise(const ShapeCurve& a, const ShapeCurve& b) {
-  ShapeCurve out;
-  for (const Shape& sa : a.points_) {
-    for (const Shape& sb : b.points_) {
-      out.add({std::max(sa.w, sb.w), sa.h + sb.h});
-    }
-  }
-  return out;
-}
-
 bool ShapeCurve::fits(double w, double h, double eps) const {
   // Points are sorted by increasing w / decreasing h, so the last point
   // with w' <= w has the smallest height among those that fit the width;

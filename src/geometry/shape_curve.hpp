@@ -60,20 +60,14 @@ class ShapeCurve {
   // height; vertical: descending width), emitting the minimal pair per
   // level directly -- no pairwise products, no per-point insertion. The
   // emitted coordinates are the same two-operand sums/maxes the pairwise
-  // reference computes, so the point lists are bit-identical to the
-  // *_pairwise oracles below (enforced by tests/test_shape_curve.cpp).
+  // O(p_a * p_b) reference computes, so the point lists are bit-identical
+  // to it (enforced differentially by tests/test_shape_curve.cpp, which
+  // holds that reference).
 
   /// Children side by side: widths add, heights max.
   static ShapeCurve compose_horizontal(const ShapeCurve& a, const ShapeCurve& b);
   /// Children stacked: heights add, widths max.
   static ShapeCurve compose_vertical(const ShapeCurve& a, const ShapeCurve& b);
-
-  /// Reference O(p_a * p_b) composers (the original implementation).
-  /// Kept as the differential oracle for the sweep composers and as the
-  /// baseline kernel in bench_micro (BM_ComposePairwise); not used on any
-  /// production path.
-  static ShapeCurve compose_horizontal_pairwise(const ShapeCurve& a, const ShapeCurve& b);
-  static ShapeCurve compose_vertical_pairwise(const ShapeCurve& a, const ShapeCurve& b);
 
   /// True when some curve point fits inside a w x h box.
   bool fits(double w, double h, double eps = 1e-9) const;

@@ -21,7 +21,7 @@ namespace hidap {
 /// wire ({"event":"error","code":"parse_error",...}).
 enum class ErrorCode : int {
   Ok = 0,
-  ParseError = 1,         ///< malformed netlist / DEF / bookshelf / JSON input
+  ParseError = 1,         ///< malformed netlist / DEF / JSON input
   IoError = 2,            ///< file unreadable/unwritable; possibly transient
   InvalidRequest = 3,     ///< structurally valid input the server refuses
   ResourceExhausted = 4,  ///< admission control shed / size limit exceeded

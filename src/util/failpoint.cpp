@@ -25,7 +25,6 @@ constexpr KnownPoint kKnownPoints[] = {
     {"netlist.verilog_parse", ErrorCode::ParseError},
     {"netlist.def_read", ErrorCode::IoError},
     {"netlist.def_parse", ErrorCode::ParseError},
-    {"netlist.bookshelf_read", ErrorCode::IoError},
     {"cache.design_parse", ErrorCode::ParseError},
     {"cache.context_build", ErrorCode::Internal},
     {"cache.donate", ErrorCode::Internal},

@@ -22,7 +22,6 @@
 #include "force_pool_lanes.hpp"
 #include "gen/circuit_gen.hpp"
 #include "gen/suite.hpp"
-#include "netlist/bookshelf.hpp"
 #include "netlist/def_io.hpp"
 #include "netlist/verilog_parser.hpp"
 #include "netlist/verilog_writer.hpp"
@@ -301,28 +300,6 @@ TEST_F(FaultSweepTest, FileReaderFaultsAreTypedIoErrors) {
   }
   failpoints::disarm("netlist.def_read");
   std::remove(def_path.c_str());
-}
-
-TEST_F(FaultSweepTest, BookshelfReaderFaultIsTypedIoError) {
-  PlacementSession session(quick_base());
-  const JobOutcome outcome = session.run(file_spec("bookshelf-source"));
-  ASSERT_EQ(outcome.status, JobStatus::Completed);
-  ASSERT_TRUE(outcome.design);
-  const std::string stem = scratch_name("fault_sweep_bs");
-  write_bookshelf(*outcome.design, outcome.placement, stem);
-  EXPECT_GT(read_bookshelf(stem).design.cell_count(), 0u);
-
-  ASSERT_TRUE(failpoints::arm("netlist.bookshelf_read", "throw"));
-  try {
-    read_bookshelf(stem);
-    FAIL() << "armed reader fault did not surface";
-  } catch (const HidapError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::IoError);
-  }
-  failpoints::disarm("netlist.bookshelf_read");
-  for (const char* ext : {".nodes", ".nets", ".pl", ".aux"}) {
-    std::remove((stem + ext).c_str());
-  }
 }
 
 }  // namespace

@@ -145,106 +145,6 @@ TEST(BudgetPenalty, GradedBySeverity) {
   EXPECT_DOUBLE_EQ(budget_penalty(BudgetViolations{}, scale), 1.0);
 }
 
-// --- skippable top-down splits (BudgetSkipContext) --------------------
-
-// Postfix parse bookkeeping mirroring the incremental engine: node i
-// parses from element position i; its subtree spans [span_start[i], i].
-std::vector<int> compute_span_starts(const PolishExpression& expr) {
-  std::vector<int> span_start(expr.size());
-  std::vector<int> stack;
-  const std::vector<int>& elems = expr.elements();
-  for (std::size_t p = 0; p < elems.size(); ++p) {
-    if (is_operator(elems[p])) {
-      stack.pop_back();  // right child
-      const int left = stack.back();
-      stack.pop_back();
-      span_start[p] = span_start[static_cast<std::size_t>(left)];
-    } else {
-      span_start[p] = static_cast<int>(p);
-    }
-    stack.push_back(static_cast<int>(p));
-  }
-  return span_start;
-}
-
-TEST(BudgetAssign, SkipReplaysRecordedPassBitForBit) {
-  Rng rng(17);
-  for (int trial = 0; trial < 10; ++trial) {
-    const int n = 3 + static_cast<int>(rng.next_below(5));
-    std::vector<BudgetBlock> blocks;
-    for (int i = 0; i < n; ++i) {
-      BudgetBlock b = soft_block(rng.next_double(2, 12));
-      if (rng.next_bool(0.4)) {
-        b.gamma = ShapeCurve::for_rect(rng.next_double(1, 6), rng.next_double(1, 6));
-      }
-      blocks.push_back(b);
-    }
-    PolishExpression expr = PolishExpression::initial(n);
-    for (int m = 0; m < 25; ++m) expr.perturb(rng);
-    const Rect budget{0, 0, rng.next_double(8, 20), rng.next_double(8, 20)};
-
-    const SlicingTree tree = SlicingTree::from_polish(expr);
-    std::vector<BudgetNodeInfo> info(tree.nodes.size());
-    std::vector<const BudgetNodeInfo*> ptrs(tree.nodes.size());
-    for (std::size_t i = 0; i < tree.nodes.size(); ++i) {
-      const SlicingTree::Node& node = tree.nodes[i];
-      info[i] = node.is_leaf()
-                    ? budget_leaf_info(blocks[static_cast<std::size_t>(node.leaf)])
-                    : budget_compose_info(node.op, info[static_cast<std::size_t>(node.left)],
-                                          info[static_cast<std::size_t>(node.right)], 24);
-      ptrs[i] = &info[i];
-    }
-    const std::vector<int> span_start = compute_span_starts(expr);
-    const std::vector<std::uint8_t> all_clean(tree.nodes.size(), 1);
-
-    // Recording pass (== plain budget_layout).
-    const BudgetResult oracle = budget_layout(expr, blocks, budget);
-    BudgetResult recorded;
-    recorded.leaf_rects.assign(blocks.size(), Rect{});
-    BudgetSplitCache cache;
-    cache.resize(tree.nodes.size());
-    BudgetSkipContext record_ctx;
-    record_ctx.record = &cache;
-    budget_assign(tree, ptrs.data(), blocks, budget, recorded, &record_ctx);
-    ASSERT_EQ(recorded.leaf_rects, oracle.leaf_rects);
-    ASSERT_EQ(recorded.violations.at_deficit, oracle.violations.at_deficit);
-    ASSERT_EQ(recorded.violations.am_deficit, oracle.violations.am_deficit);
-    ASSERT_EQ(recorded.violations.macro_deficit, oracle.violations.macro_deficit);
-    ASSERT_EQ(recorded.violations.infeasible_leaves, oracle.violations.infeasible_leaves);
-
-    // Replay pass with everything clean: the root skips outright (leaf
-    // rects flow through committed_leaf_rects, not pre-seeding), and the
-    // refreshed record must equal what it replayed from.
-    BudgetResult replayed;
-    replayed.leaf_rects.assign(blocks.size(), Rect{});
-    BudgetSplitCache refreshed;
-    refreshed.resize(tree.nodes.size());
-    BudgetSkipContext skip_ctx;
-    skip_ctx.committed = &cache;
-    skip_ctx.clean = all_clean.data();
-    skip_ctx.span_start = span_start.data();
-    skip_ctx.record = &refreshed;
-    skip_ctx.committed_leaf_rects = &recorded.leaf_rects;
-    budget_assign(tree, ptrs.data(), blocks, budget, replayed, &skip_ctx);
-    EXPECT_EQ(replayed.leaf_rects, oracle.leaf_rects);
-    EXPECT_EQ(replayed.violations.at_deficit, oracle.violations.at_deficit);
-    EXPECT_EQ(replayed.violations.am_deficit, oracle.violations.am_deficit);
-    EXPECT_EQ(replayed.violations.macro_deficit, oracle.violations.macro_deficit);
-    EXPECT_EQ(replayed.violations.infeasible_leaves, oracle.violations.infeasible_leaves);
-    EXPECT_EQ(refreshed.node_rect, cache.node_rect);
-
-    // A different rectangle must defeat every skip (bit equality gate)
-    // and still produce the plain recompute's answer.
-    const Rect other{budget.x + 0.125, budget.y, budget.w, budget.h};
-    const BudgetResult other_oracle = budget_layout(expr, blocks, other);
-    BudgetResult other_replayed;
-    other_replayed.leaf_rects.assign(blocks.size(), Rect{});
-    budget_assign(tree, ptrs.data(), blocks, other, other_replayed, &skip_ctx);
-    EXPECT_EQ(other_replayed.leaf_rects, other_oracle.leaf_rects);
-    EXPECT_EQ(other_replayed.violations.at_deficit, other_oracle.violations.at_deficit);
-  }
-}
-
 TEST(BudgetLayout, HorizontalCutSplitsHeight) {
   const std::vector<BudgetBlock> blocks = {soft_block(1), soft_block(3)};
   const PolishExpression expr({0, 1, kOpH});

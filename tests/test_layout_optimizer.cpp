@@ -157,45 +157,6 @@ TEST(LayoutOptimizer, IncrementalAndFullRecomputeAreByteIdentical) {
   for (std::size_t i = 0; i < a.rects.size(); ++i) EXPECT_EQ(a.rects[i], b.rects[i]);
 }
 
-TEST(LayoutOptimizer, SplitSkippingOnOffAreByteIdentical) {
-  // Skippable top-down budget splits (LayoutProblem::budget.skip_splits,
-  // default on) replay committed state instead of recomputing it; the
-  // anneal must land on the identical solution with them disabled, and
-  // in full-recompute mode, which never skips.
-  LayoutProblem p;
-  p.region = {0, 0, 36, 28};
-  for (int i = 0; i < 8; ++i) {
-    BudgetBlock b = soft(25 + 9.0 * i);
-    if (i % 3 == 0) b.gamma = ShapeCurve::for_rect(5 + i, 7);
-    p.blocks.push_back(b);
-  }
-  AffinityMatrix aff(8);
-  aff.set(0, 5, 1.0);
-  aff.set(2, 6, 0.9);
-  aff.set(3, 4, 0.3);
-  p.affinity = &aff;
-
-  AnnealOptions on = quick_anneal(23);
-  on.incremental = true;
-
-  const LayoutSolution with_skips = optimize_layout(p, on);
-  LayoutProblem no_skip = p;
-  no_skip.budget.skip_splits = false;
-  const LayoutSolution without_skips = optimize_layout(no_skip, on);
-  AnnealOptions off = on;
-  off.incremental = false;
-  const LayoutSolution oracle = optimize_layout(p, off);
-
-  for (const LayoutSolution* other : {&without_skips, &oracle}) {
-    EXPECT_EQ(with_skips.expression.elements(), other->expression.elements());
-    EXPECT_EQ(with_skips.cost, other->cost);
-    ASSERT_EQ(with_skips.rects.size(), other->rects.size());
-    for (std::size_t i = 0; i < with_skips.rects.size(); ++i) {
-      EXPECT_EQ(with_skips.rects[i], other->rects[i]);
-    }
-  }
-}
-
 TEST(LayoutOptimizer, MultichainPicksSameWinnerEitherMode) {
   LayoutProblem p;
   p.region = {0, 0, 24, 24};
