@@ -8,16 +8,61 @@
 // of ports and macros outside the subtree are considered a fixed point").
 // Runs the block-flow/macro-flow searches and scores the affinity matrix.
 
+#include <cassert>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "core/estimate_store.hpp"
 #include "core/options.hpp"
 #include "dataflow/affinity.hpp"
 #include "dataflow/dataflow_graph.hpp"
+#include "geometry/geometry.hpp"
 #include "hier/hier_tree.hpp"
+#include "netlist/netlist.hpp"
 
 namespace hidap {
+
+/// Immutable per-cell macro-center estimates as of one commit point of
+/// the recursion (paper Algorithm 2's prototype positions): the root's
+/// holds the preplaced centers, and each level derives its children's
+/// by copying its own and writing the centers of its committed block
+/// rectangles. The recursion passes it down by value, so sibling
+/// subtrees read their parent's commit and never each other's writes.
+/// Default-constructed snapshots carry no estimates at all (every
+/// has_estimate() is false).
+class EstimateSnapshot {
+ public:
+  EstimateSnapshot() = default;
+  explicit EstimateSnapshot(std::size_t cell_count)
+      : pos_(cell_count, Point{}), has_(cell_count, 0) {}
+
+  std::size_t cell_count() const { return pos_.size(); }
+
+  bool has_estimate(CellId cell) const {
+    const auto i = static_cast<std::size_t>(cell);
+    return i < has_.size() && has_[i] != 0;
+  }
+
+  const Point& estimate(CellId cell) const {
+    const auto i = static_cast<std::size_t>(cell);
+    assert(i < pos_.size() && has_[i] != 0);
+    return pos_[i];
+  }
+
+  /// Overwrites one cell's estimate (used to derive a child level's
+  /// snapshot from its parent's: copy, then apply the level's prototype
+  /// writes).
+  void set(CellId cell, const Point& p) {
+    const auto i = static_cast<std::size_t>(cell);
+    assert(i < pos_.size());
+    pos_[i] = p;
+    has_[i] = 1;
+  }
+
+ private:
+  std::vector<Point> pos_;
+  std::vector<std::uint8_t> has_;
+};
 
 struct LevelDataflow {
   std::unique_ptr<DataflowGraph> gdf;  ///< nodes: blocks first, then terminals

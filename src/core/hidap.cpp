@@ -1,7 +1,10 @@
 #include "core/hidap.hpp"
 
+#include <chrono>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "core/recursive_floorplan.hpp"
 #include "floorplan/legalizer.hpp"
@@ -14,67 +17,73 @@ namespace hidap {
 
 namespace {
 
-// Once-per-phase wall clocks, flushed to the process registry and the
-// job's MetricScope (when one rides on the control). A handful of
-// counter adds per placement -- never on any per-move path.
-void post_phase_micros(const JobControl* control, const char* name, double seconds) {
-  const auto micros = static_cast<std::uint64_t>(seconds * 1e6);
-  obs::default_registry().counter(name).add(micros);
-  if (control != nullptr) {
-    if (obs::MetricsRegistry* job = control->job_metrics()) {
-      job->counter(name).add(micros);
+// One pipeline phase of place_macros: a trace span plus its wall time,
+// added on exit to `phase.<name>_us` in the process registry and in the
+// job's MetricScope (when one rides on the control). The phases are
+// disjoint, so their counters partition the run. A handful of counter
+// adds per placement -- never on any per-move path.
+class PhaseScope {
+ public:
+  PhaseScope(const char* name, const JobControl* control)
+      : name_(name), control_(control), span_(name, "pipeline") {}
+
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+
+  ~PhaseScope() {
+    const auto micros = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(clock::now() - start_)
+            .count());
+    const std::string counter = std::string("phase.") + name_ + "_us";
+    obs::default_registry().counter(counter).add(micros);
+    if (control_ != nullptr) {
+      if (obs::MetricsRegistry* job = control_->job_metrics()) {
+        job->counter(counter).add(micros);
+      }
     }
   }
-}
+
+ private:
+  using clock = std::chrono::steady_clock;
+  const char* name_;
+  const JobControl* control_;
+  obs::Span span_;
+  clock::time_point start_ = clock::now();
+};
 
 }  // namespace
 
-PlacementResult place_macros(const Design& design, const HiDaPOptions& options,
-                             std::optional<Rect> die_override) {
+PlacementResult place_macros(const Design& design, const HiDaPOptions& options) {
   const PlacementContext context(design, options.seq);
-  return place_macros(design, context, options, die_override);
+  return place_macros(design, context, options);
 }
 
 PlacementResult place_macros(const Design& design, const PlacementContext& context,
-                             const HiDaPOptions& options,
-                             std::optional<Rect> die_override,
-                             PlacementArtifacts* artifacts) {
+                             const HiDaPOptions& options, PlacementArtifacts* artifacts) {
   obs::Span place_span("place", "pipeline");
   Timer timer;
   JobControl* control = options.job.control;
-  const Rect die = die_override.value_or(Rect{0, 0, design.die().w, design.die().h});
+  const Rect die{0, 0, design.die().w, design.die().h};
   if (die.area() <= 0) throw std::invalid_argument("place_macros: empty die");
   if (design.macro_count() == 0) throw std::invalid_argument("place_macros: no macros");
 
   RecursiveFloorplanner floorplanner(design, context.adjacency, context.ht, context.seq,
                                      options);
-  bool curves_adopted = false;
-  if (artifacts != nullptr) {
-    if (artifacts->shape_curves) {
-      floorplanner.adopt_shape_curves(*artifacts->shape_curves);
-      curves_adopted = true;
-    }
-    if (artifacts->recursion_plan) {
-      floorplanner.adopt_recursion_plan(*artifacts->recursion_plan);
-    }
+  if (artifacts != nullptr && artifacts->recursion_plan) {
+    floorplanner.adopt_recursion_plan(*artifacts->recursion_plan);
   }
-  // Curve generation is left to run(): with more than one lane the
-  // shards run as a pool task overlapped with the recursion front
-  // (joined at the level-0 anneal's first curve read), and with one lane
-  // run() generates eagerly -- both with the same per-node seeds, so results
-  // are bit-identical to the old eager call. The phase clock comes from
-  // the floorplanner itself (an outer timer would misattribute the
-  // overlapped span). Adopted curves cost nothing and report nothing.
-  Timer recursion_timer;
+  // Adopted curves cost nothing and report nothing.
+  if (artifacts != nullptr && artifacts->shape_curves) {
+    floorplanner.adopt_shape_curves(*artifacts->shape_curves);
+  } else {
+    const PhaseScope phase("curves", control);
+    floorplanner.generate_shape_curves();
+  }
   PlacementResult result;
   {
-    obs::Span recursion_span("recursion", "pipeline");
+    const PhaseScope phase("recursion", control);
     result = floorplanner.run(die);
   }
-  if (!curves_adopted) {
-    post_phase_micros(control, "phase.curves_us", floorplanner.curves_seconds());
-  }
-  post_phase_micros(control, "phase.recursion_us", recursion_timer.seconds());
 
   const bool stopped = control != nullptr && control->should_stop();
   if (artifacts != nullptr && !stopped) {
@@ -110,25 +119,21 @@ PlacementResult place_macros(const Design& design, const PlacementContext& conte
   std::set<CellId> preplaced;
   for (const MacroPlacement& m : options.job.preplaced) preplaced.insert(m.cell);
   {
-    obs::Span flip_span("flip", "pipeline");
-    Timer flip_timer;
+    const PhaseScope phase("flip", control);
     flip_macros(design, context.ht, floorplanner.region_of_node(),
                 floorplanner.region_valid(), result.macros, options.flipping_passes,
                 preplaced.empty() ? nullptr : &preplaced);
-    post_phase_micros(control, "phase.flip_us", flip_timer.seconds());
   }
 
   // Final legality pass: snapping and preplacement can leave small
   // overlaps or halo violations; clean them with minimal displacement.
   if (options.macro_halo > 0.0 ||
       total_overlap(result.macros, options.macro_halo) > 0.0) {
-    obs::Span legalize_span("legalize", "pipeline");
-    Timer legalize_timer;
+    const PhaseScope phase("legalize", control);
     LegalizeOptions legal;
     legal.halo = options.macro_halo;
     legal.fixed = preplaced;
     legalize_macros(design, result.macros, legal);
-    post_phase_micros(control, "phase.legalize_us", legalize_timer.seconds());
   }
 
   // A stop requested after the recursion finished still reports its

@@ -9,13 +9,10 @@
 //   options.lambda = 0.5;
 //   hidap::PlacementResult result = hidap::place_macros(design, options);
 //
-// The die rectangle defaults to design.die(); pass an explicit rect to
-// override. When running several configurations on one design (lambda
+// The die is design.die(), anchored at the origin. When running several configurations on one design (lambda
 // sweeps, seed sweeps), build a PlacementContext once and reuse it -- the
 // netlist adjacency, hierarchy tree and Gseq extraction dominate setup
 // time on large designs.
-
-#include <optional>
 
 #include "core/macro_flipping.hpp"
 #include "core/options.hpp"
@@ -50,8 +47,7 @@ struct PlacementArtifacts;
 /// partial-quality placement and result.status set to the stop reason;
 /// an uncontrolled or uncancelled run is bit-identical to the
 /// pre-service pipeline.
-PlacementResult place_macros(const Design& design, const HiDaPOptions& options = {},
-                             std::optional<Rect> die = std::nullopt);
+PlacementResult place_macros(const Design& design, const HiDaPOptions& options = {});
 
 /// Same, reusing a prebuilt context (lambda/seed sweeps) and optionally
 /// cached artifacts: when `artifacts` is non-null, present entries are
@@ -61,7 +57,6 @@ PlacementResult place_macros(const Design& design, const HiDaPOptions& options =
 /// whose partial-quality curves must never be cached.
 PlacementResult place_macros(const Design& design, const PlacementContext& context,
                              const HiDaPOptions& options,
-                             std::optional<Rect> die = std::nullopt,
                              PlacementArtifacts* artifacts = nullptr);
 
 /// Sanity metrics over a placement, used by tests and flows.

@@ -13,7 +13,6 @@
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace hidap {
 
@@ -26,21 +25,15 @@ RecursiveFloorplanner::RecursiveFloorplanner(const Design& design,
                                              const HierTree& ht, const SeqGraph& seq,
                                              const HiDaPOptions& options)
     : design_(design), adjacency_(adjacency), ht_(ht), seq_(seq), options_(options),
-      store_(design.cell_count(), ht.size()) {
+      preplaced_(design.cell_count(), 0) {
   shape_curves_.resize(ht.size());
   plan_.resize(ht.size());
-}
-
-RecursiveFloorplanner::~RecursiveFloorplanner() {
-  if (!curves_task_.valid()) return;
-  if (curves_claimed_ != nullptr && !curves_claimed_->exchange(true)) {
-    // Still queued: claiming turns the task into a no-op that never
-    // dereferences *this, so it may outlive us.
-    return;
+  for (const MacroPlacement& m : options_.job.preplaced) {
+    const auto i = static_cast<std::size_t>(m.cell);
+    assert(i < preplaced_.size());
+    if (preplaced_[i] == 0) ++preplaced_count_;
+    preplaced_[i] = 1;
   }
-  // A worker claimed it: it is actively generating into our members;
-  // finite wait (the shards never block on other futures).
-  curves_task_.wait();
 }
 
 void RecursiveFloorplanner::adopt_shape_curves(const std::vector<ShapeCurve>& curves) {
@@ -55,29 +48,7 @@ void RecursiveFloorplanner::adopt_recursion_plan(const RecursionPlan& plan) {
   plan_adopted_ = true;
 }
 
-void RecursiveFloorplanner::ensure_shape_curves() {
-  if (curves_task_.valid()) {
-    if (curves_claimed_ != nullptr && !curves_claimed_->exchange(true)) {
-      // The task is still queued (no worker was free): claim it and run
-      // the generation right here. Blocking on a queued task instead
-      // would deadlock a saturated pool -- with every lane inside its
-      // own placement, all lanes are joiners and none is left to drain
-      // the queue. The abandoned task no-ops without touching *this.
-      curves_task_ = {};
-      generate_shape_curves();
-    } else {
-      // A worker is generating; get() (not wait()) so an exception from
-      // the shards surfaces here, on the thread that needs the curves.
-      std::future<void> task = std::move(curves_task_);
-      task.get();
-    }
-  }
-  if (!curves_ready_) generate_shape_curves();
-}
-
 void RecursiveFloorplanner::generate_shape_curves() {
-  Timer curves_timer;
-  obs::Span span("shape_curves", "scheduler");
   // A node's curve depends only on its children's, which sit strictly
   // deeper, so the bottom-up sweep is sharded by tree depth: every rank
   // runs as one parallel_for over its nodes. Each node derives its SA
@@ -136,37 +107,24 @@ void RecursiveFloorplanner::generate_shape_curves() {
         lanes);
   }
   curves_ready_ = true;
-  curves_seconds_ = curves_timer.seconds();
 }
 
 PlacementResult RecursiveFloorplanner::run(const Rect& die) {
-  if (!curves_ready_ && !curves_task_.valid()) {
-    if (effective_thread_count(options_.num_threads) > 1) {
-      // Overlap the curve shards with the recursion front: everything up
-      // to the level-0 anneal (planning, target areas, dataflow
-      // inference) reads no curve, so the dispatch hides the curve wall
-      // behind it. ensure_shape_curves() joins at the first read; the
-      // claim flag makes the join run the generation itself when no
-      // worker picked the task up (see the member comment).
-      curves_claimed_ = std::make_shared<std::atomic<bool>>(false);
-      curves_task_ = ThreadPool::global().submit(
-          [this, claimed = curves_claimed_] {
-            if (!claimed->exchange(true)) generate_shape_curves();
-          });
-    } else {
-      generate_shape_curves();
-    }
-  }
+  if (!curves_ready_) generate_shape_curves();
   die_ = die;
   result_ = PlacementResult{};
-  store_.reset(options_.job.preplaced);
+  region_.assign(ht_.size(), Rect{});
+  region_valid_.assign(ht_.size(), 0);
   for (const MacroPlacement& m : options_.job.preplaced) result_.macros.push_back(m);
   if (!plan_adopted_) plan_recursion();
-  store_.set_region(ht_.root(), die);
+  set_region(ht_.root(), die);
   if (unfixed_macro_count(ht_.root()) > 0) {
     // The root's inherited snapshot holds exactly the preplaced macro
-    // positions (the only estimates that exist before the first level).
-    const EstimateSnapshot initial = store_.snapshot();
+    // centers (the only estimates that exist before the first level).
+    EstimateSnapshot initial(design_.cell_count());
+    for (const MacroPlacement& m : options_.job.preplaced) {
+      initial.set(m.cell, m.rect.center());
+    }
     SubtreeResult root;
     floorplan_level(ht_.root(), die, 0, initial, root);
     result_.macros.insert(result_.macros.end(),
@@ -174,17 +132,13 @@ PlacementResult RecursiveFloorplanner::run(const Rect& die) {
                           std::make_move_iterator(root.macros.end()));
     result_.snapshots = std::move(root.snapshots);
   }
-  // Fallback/empty paths above may return without ever reading a curve;
-  // join here so the artifact export (and our members) never race an
-  // in-flight dispatch.
-  ensure_shape_curves();
   return std::move(result_);
 }
 
 int RecursiveFloorplanner::unfixed_macro_count(HtNodeId node) const {
-  if (store_.preplaced_count() == 0) return ht_.macro_count(node);
+  if (preplaced_count_ == 0) return ht_.macro_count(node);
   int count = 0;
-  for (const CellId m : ht_.macros_under(node)) count += !store_.is_preplaced(m);
+  for (const CellId m : ht_.macros_under(node)) count += !is_preplaced(m);
   return count;
 }
 
@@ -222,18 +176,17 @@ void RecursiveFloorplanner::plan_level(HtNodeId nh, int depth, std::uint64_t& co
 }
 
 void RecursiveFloorplanner::update_estimates(HtNodeId block, const Point& center,
-                                             EstimateSnapshot* mirror) {
+                                             EstimateSnapshot& child) {
   for (const CellId macro : ht_.macros_under(block)) {
-    if (store_.is_preplaced(macro)) continue;  // engineer-placed: keep exact
-    store_.set_estimate(macro, center);
-    if (mirror) mirror->set(macro, center);
+    if (is_preplaced(macro)) continue;  // engineer-placed: keep exact
+    child.set(macro, center);
   }
 }
 
 void RecursiveFloorplanner::floorplan_level(HtNodeId nh, const Rect& region, int depth,
                                             const EstimateSnapshot& inherited,
                                             SubtreeResult& out) {
-  store_.set_region(nh, region);
+  set_region(nh, region);
   obs::Span span("level", "scheduler");
   span.arg("ordinal",
            static_cast<std::int64_t>(plan_[static_cast<std::size_t>(nh)].ordinal));
@@ -274,9 +227,7 @@ void RecursiveFloorplanner::floorplan_level(HtNodeId nh, const Rect& region, int
   const LevelDataflow flow =
       infer_level_dataflow(design_, ht_, seq_, nh, hcb, inherited, options_);
 
-  // --- step 6: layout generation. First curve read of the recursion:
-  // join the overlapped curve dispatch (a no-op below level 0).
-  ensure_shape_curves();
+  // --- step 6: layout generation.
   LayoutProblem problem;
   problem.region = region;
   problem.terminals = flow.terminal_positions;
@@ -307,11 +258,11 @@ void RecursiveFloorplanner::floorplan_level(HtNodeId nh, const Rect& region, int
   for (const HtNodeId b : hcb) snap.block_macro_counts.push_back(ht_.macro_count(b));
   out.snapshots.push_back(std::move(snap));
 
-  // First pass: commit this level's prototype centers so deeper levels
-  // see each block's position.
-  // The child snapshot is the inherited view plus exactly these writes,
-  // shared read-only by every child task -- and only materialized when
-  // some block actually recurses (leaf-most levels skip the copy).
+  // Commit this level's block regions and prototype centers so deeper
+  // levels see each block's position. The child snapshot is the
+  // inherited view plus exactly these center writes, shared read-only by
+  // every child task -- and only materialized when some block actually
+  // recurses (leaf-most levels skip the copy).
   const std::size_t nb = hcb.size();
   std::vector<int> unfixed(nb);
   bool any_recurse = false;
@@ -321,16 +272,15 @@ void RecursiveFloorplanner::floorplan_level(HtNodeId nh, const Rect& region, int
   }
   EstimateSnapshot child_snap;
   if (any_recurse) child_snap = inherited;
-  EstimateSnapshot* mirror = any_recurse ? &child_snap : nullptr;
   for (std::size_t b = 0; b < nb; ++b) {
-    store_.set_region(hcb[b], layout.rects[b]);
-    if (unfixed[b] > 0) {
-      update_estimates(hcb[b], layout.rects[b].center(), mirror);
+    set_region(hcb[b], layout.rects[b]);
+    if (any_recurse && unfixed[b] > 0) {
+      update_estimates(hcb[b], layout.rects[b].center(), child_snap);
     }
   }
 
   // --- steps 7-11: recurse / fix, one slot per block. Every block's
-  // work touches only its own subtree's store slots and its own
+  // work touches only its own subtree's region slots and its own
   // fragment, so the scheduler may run the slots in any order.
   std::vector<SubtreeResult> child(nb);
   const auto process_block = [&](std::size_t b) {
@@ -375,7 +325,7 @@ void RecursiveFloorplanner::fix_single_macro(HtNodeId block, const Rect& rect,
                                              const Point& attract, SubtreeResult& out) {
   CellId cell = kInvalidId;
   for (const CellId m : ht_.macros_under(block)) {
-    if (!store_.is_preplaced(m)) {
+    if (!is_preplaced(m)) {
       cell = m;
       break;
     }
@@ -421,8 +371,7 @@ void RecursiveFloorplanner::fix_single_macro(HtNodeId block, const Rect& rect,
     placed.y = std::clamp(placed.y, die_.y, std::max(die_.y, die_.ymax() - placed.h));
   }
   out.macros.push_back(MacroPlacement{cell, placed, best->o});
-  store_.set_estimate(cell, placed.center());
-  store_.set_region(block, placed);
+  set_region(block, placed);
 }
 
 // Defensive fallback: rows of macros across the region. Only reached on
@@ -431,7 +380,7 @@ void RecursiveFloorplanner::fallback_grid_place(HtNodeId nh, const Rect& region,
                                                SubtreeResult& out) {
   std::vector<CellId> macros;
   for (const CellId m : ht_.macros_under(nh)) {
-    if (!store_.is_preplaced(m)) macros.push_back(m);
+    if (!is_preplaced(m)) macros.push_back(m);
   }
   if (macros.empty()) return;
   const int cols = std::max(1, static_cast<int>(std::ceil(std::sqrt(macros.size()))));
@@ -455,7 +404,6 @@ void RecursiveFloorplanner::fallback_grid_place(HtNodeId nh, const Rect& region,
     }
     out.macros.push_back(
         MacroPlacement{macros[i], Rect{x, y, def.w, def.h}, Orientation::R0});
-    store_.set_estimate(macros[i], Point{x + def.w / 2, y + def.h / 2});
   }
 }
 

@@ -17,8 +17,14 @@
 //
 //  1. Snapshot estimate semantics. Every level's dataflow inference
 //     reads an EstimateSnapshot of its parent's committed layout (the
-//     paper's prototype positions), never the live store; each subtree
-//     writes only its own disjoint macros_under() slots (estimate_store.hpp).
+//     paper's prototype positions), passed down the recursion by value;
+//     there is no live estimate store. The only shared mutable state is
+//     the per-HT-node region table flip_macros reads, and its writes are
+//     slot-disjoint: a subtree writes only the regions of nodes in its
+//     own HT subtree, and sibling subtrees are rooted at disjoint HT
+//     subtrees, so concurrent siblings need no synchronization (the
+//     valid flags are std::uint8_t, one byte per slot; never
+//     std::vector<bool>, whose packed bits would race).
 //  2. Precomputed anneal ordinals. The recursion structure depends only
 //     on the hierarchy tree and the preplaced set, so plan_recursion()
 //     assigns each level its DFS-preorder ordinal up front and seeds are
@@ -31,13 +37,11 @@
 // parallel_levels = false runs the identical computation as a plain
 // sequential DFS -- the differential oracle for the scheduler.
 
-#include <atomic>
-#include <future>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "core/dataflow_inference.hpp"
-#include "core/estimate_store.hpp"
 #include "core/options.hpp"
 #include "core/result.hpp"
 #include "dataflow/seq_graph.hpp"
@@ -76,16 +80,9 @@ class RecursiveFloorplanner {
   RecursiveFloorplanner(const Design& design, const CellAdjacency& adjacency,
                         const HierTree& ht, const SeqGraph& seq,
                         const HiDaPOptions& options);
-  ~RecursiveFloorplanner();  // joins an in-flight curve dispatch
 
-  /// Runs shape-curve generation followed by the recursion over the die.
-  /// With more than one lane the curve shards run as a sibling pool task
-  /// overlapped with recursion planning and the level-0 target-area /
-  /// dataflow work, joined just before the level-0 anneal first reads a
-  /// curve; with one lane they run eagerly. Curves and placements are
-  /// bit-identical either way (the shards write only shape_curves_,
-  /// which nothing in the overlap window reads, and per-node seeds
-  /// ignore scheduling).
+  /// Runs the recursion over the die, first generating the shape curves
+  /// if neither generate_shape_curves() nor adopt_shape_curves() did.
   PlacementResult run(const Rect& die);
 
   /// Adopts cached precomputes instead of recomputing them in run().
@@ -106,16 +103,11 @@ class RecursiveFloorplanner {
   const std::vector<ShapeCurve>& shape_curves() const { return shape_curves_; }
   void generate_shape_curves();
 
-  /// Wall seconds the last generate_shape_curves() spent (the phase's
-  /// own clock: overlapped, the work runs concurrently with the
-  /// recursion front, so an outer timer would misattribute it).
-  double curves_seconds() const { return curves_seconds_; }
-
   /// Rectangle assigned to each HT node during the recursion (empty
   /// entries for nodes never floorplanned). Used by macro flipping to
   /// estimate standard-cell positions.
-  const std::vector<Rect>& region_of_node() const { return store_.region_of_node(); }
-  const std::vector<std::uint8_t>& region_valid() const { return store_.region_valid(); }
+  const std::vector<Rect>& region_of_node() const { return region_; }
+  const std::vector<std::uint8_t>& region_valid() const { return region_valid_; }
 
  private:
   /// Per-level placements produced by one recursion subtree; spliced
@@ -125,23 +117,25 @@ class RecursiveFloorplanner {
     std::vector<LevelSnapshot> snapshots;
   };
 
-  /// Joins the overlapped curve dispatch (no-op when the curves were
-  /// generated inline or adopted). Called at every first-read site; only
-  /// the level-0 invocation -- which runs on the run() thread before any
-  /// child task is spawned -- can actually observe a pending future.
-  void ensure_shape_curves();
-
   void plan_recursion();
   void plan_level(HtNodeId nh, int depth, std::uint64_t& counter);
   void floorplan_level(HtNodeId nh, const Rect& region, int depth,
                        const EstimateSnapshot& inherited, SubtreeResult& out);
   void fix_single_macro(HtNodeId block, const Rect& rect, const Point& attract,
                         SubtreeResult& out);
-  void update_estimates(HtNodeId block, const Point& center, EstimateSnapshot* mirror);
+  void update_estimates(HtNodeId block, const Point& center, EstimateSnapshot& child);
   void fallback_grid_place(HtNodeId nh, const Rect& region, SubtreeResult& out);
   /// Macros below `node` not preplaced by the user (Algorithm 2's
   /// recursion predicate counts only macros HiDaP still has to place).
   int unfixed_macro_count(HtNodeId node) const;
+  bool is_preplaced(CellId cell) const {
+    return preplaced_[static_cast<std::size_t>(cell)] != 0;
+  }
+  /// Region write; see the slot-disjointness contract in the file comment.
+  void set_region(HtNodeId node, const Rect& r) {
+    region_[static_cast<std::size_t>(node)] = r;
+    region_valid_[static_cast<std::size_t>(node)] = 1;
+  }
 
   const Design& design_;
   const CellAdjacency& adjacency_;
@@ -150,24 +144,15 @@ class RecursiveFloorplanner {
   HiDaPOptions options_;
 
   std::vector<ShapeCurve> shape_curves_;
-  EstimateStore store_;
+  std::vector<std::uint8_t> preplaced_;  // per CellId: engineer-fixed macro
+  int preplaced_count_ = 0;
+  std::vector<Rect> region_;                // per HtNodeId
+  std::vector<std::uint8_t> region_valid_;  // per HtNodeId
   RecursionPlan plan_;  // per HtNodeId
   PlacementResult result_;
   Rect die_{};  // run()'s die; bounds the stop-path grid fallback
   bool curves_ready_ = false;
   bool plan_adopted_ = false;
-  /// Overlapped curve generation in flight (see run()); the shards
-  /// write only shape_curves_ / curves_seconds_, which nothing in the
-  /// overlap window reads, and the join publishes them. The claim flag
-  /// decides who runs the generation -- the first of the pool task and
-  /// the joiner to flip it wins -- so the joiner NEVER blocks on a
-  /// still-queued task: on a saturated pool (every lane inside its own
-  /// placement) all lanes may be joiners at once, and queue-blocking
-  /// would deadlock the pool. Shared so an abandoned no-op task never
-  /// dereferences *this.
-  std::future<void> curves_task_;
-  std::shared_ptr<std::atomic<bool>> curves_claimed_;
-  double curves_seconds_ = 0.0;
 };
 
 }  // namespace hidap

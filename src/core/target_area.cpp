@@ -12,10 +12,9 @@ TargetAreaResult assign_target_areas(const Design& design, const CellAdjacency& 
   TargetAreaResult result;
   result.minimum_area.resize(hcb.size());
   result.target_area.resize(hcb.size());
-  result.glue_owner.assign(design.cell_count(), -1);
 
   // Mark cells belonging to each block (by hcb index) and cells in scope
-  // (under nh). -2 = in scope but glue; -1 = out of scope.
+  // (under nh). -2 = in scope, unclaimed glue; -1 = out of scope.
   std::vector<int> zone(design.cell_count(), -1);
   for (const CellId c : ht.cells_under(nh)) zone[static_cast<std::size_t>(c)] = -2;
   for (std::size_t b = 0; b < hcb.size(); ++b) {
@@ -27,27 +26,20 @@ TargetAreaResult assign_target_areas(const Design& design, const CellAdjacency& 
   }
 
   // Multi-source BFS over the undirected Gnet adjacency. Sources: every
-  // block cell; targets: glue cells in scope.
+  // block cell; targets: unclaimed glue cells in scope. A claimed cell
+  // takes its owner's zone, so it is never claimed twice.
   std::deque<std::pair<CellId, int>> queue;  // (cell, owning block)
-  std::vector<bool> visited(design.cell_count(), false);
   for (std::size_t i = 0; i < design.cell_count(); ++i) {
-    if (zone[i] >= 0) {
-      visited[i] = true;
-      queue.emplace_back(static_cast<CellId>(i), zone[i]);
-    }
+    if (zone[i] >= 0) queue.emplace_back(static_cast<CellId>(i), zone[i]);
   }
-  double claimed = 0.0;
   while (!queue.empty()) {
     const auto [cell, owner] = queue.front();
     queue.pop_front();
     adjacency.for_each_neighbor(cell, [&](CellId next) {
-      if (visited[static_cast<std::size_t>(next)]) return;
-      if (zone[static_cast<std::size_t>(next)] != -2) return;  // out of scope
-      visited[static_cast<std::size_t>(next)] = true;
-      result.glue_owner[static_cast<std::size_t>(next)] = owner;
-      const double area = design.cell(next).area;
-      result.target_area[static_cast<std::size_t>(owner)] += area;
-      claimed += area;
+      int& next_zone = zone[static_cast<std::size_t>(next)];
+      if (next_zone != -2) return;  // out of scope, in a block or claimed
+      next_zone = owner;
+      result.target_area[static_cast<std::size_t>(owner)] += design.cell(next).area;
       queue.emplace_back(next, owner);
     });
   }
@@ -56,9 +48,8 @@ TargetAreaResult assign_target_areas(const Design& design, const CellAdjacency& 
   // the instance area is fully covered, as the paper requires.
   double orphan = 0.0;
   for (std::size_t i = 0; i < design.cell_count(); ++i) {
-    if (zone[i] == -2 && !visited[i]) orphan += design.cell(i).area;
+    if (zone[i] == -2) orphan += design.cell(i).area;
   }
-  result.unassigned_area = orphan;
   if (orphan > 0 && !hcb.empty()) {
     double am_sum = 0.0;
     for (const double a : result.minimum_area) am_sum += a;
@@ -70,7 +61,6 @@ TargetAreaResult assign_target_areas(const Design& design, const CellAdjacency& 
     HIDAP_LOG_DEBUG("target_area: %.0f um^2 of unreachable glue spread over %zu blocks",
                     orphan, hcb.size());
   }
-  (void)claimed;
   return result;
 }
 

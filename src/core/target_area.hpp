@@ -17,10 +17,6 @@ namespace hidap {
 struct TargetAreaResult {
   std::vector<double> target_area;    ///< per HCB block: am + claimed glue area
   std::vector<double> minimum_area;   ///< per HCB block: am (subtree area)
-  /// Per cell: index into hcb of the claiming block, -1 for cells outside
-  /// nh or inside a block already.
-  std::vector<int> glue_owner;
-  double unassigned_area = 0.0;       ///< glue unreachable from any block
 };
 
 TargetAreaResult assign_target_areas(const Design& design, const CellAdjacency& adjacency,

@@ -33,7 +33,7 @@ struct LegalizeStats {
   double overlap_after = 0.0;
 };
 
-/// Legalizes in place. The die is `design.die()` unless overridden.
+/// Legalizes in place, clamping every macro into `design.die()`.
 LegalizeStats legalize_macros(const Design& design, std::vector<MacroPlacement>& macros,
                               const LegalizeOptions& options = {});
 

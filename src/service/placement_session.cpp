@@ -130,7 +130,7 @@ JobOutcome PlacementSession::run(const PlacementJobSpec& spec) {
                            curves_were_cached ? "hit" : "miss",
                            plan_was_cached ? "hit" : "miss");
 
-    outcome.placement = place_macros(design, *context, options, std::nullopt, &artifacts);
+    outcome.placement = place_macros(design, *context, options, &artifacts);
     outcome.status = outcome.placement.status;
     if (outcome.status == JobStatus::Cancelled) {
       outcome.error_code = ErrorCode::Cancelled;

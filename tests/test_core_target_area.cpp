@@ -45,10 +45,11 @@ TEST(TargetArea, GlueClaimedByNearestBlock) {
   const CellAdjacency adj(fx.d);
   const std::vector<HtNodeId> hcb = {ht.node_of_hier(fx.ha), ht.node_of_hier(fx.hb)};
   const TargetAreaResult res = assign_target_areas(fx.d, adj, ht, ht.root(), hcb);
-  // ga1 (dist 1 from A, dist 3 from B) -> block 0.
-  EXPECT_EQ(res.glue_owner[static_cast<std::size_t>(fx.ga1)], 0);
-  // gb1 -> block 1.
-  EXPECT_EQ(res.glue_owner[static_cast<std::size_t>(fx.gb1)], 1);
+  // The glue areas 3/5/7 are distinct, so each block's claimed area
+  // names its cells: ga1 (dist 1 from A, dist 3 from B) and the tied
+  // ga2 -> block 0; gb1 -> block 1.
+  EXPECT_DOUBLE_EQ(res.target_area[0] - res.minimum_area[0], 3.0 + 5.0);
+  EXPECT_DOUBLE_EQ(res.target_area[1] - res.minimum_area[1], 7.0);
 }
 
 TEST(TargetArea, InstanceAreaConserved) {
@@ -81,7 +82,10 @@ TEST(TargetArea, DisconnectedGlueSpreadProportionally) {
   const CellAdjacency adj(fx.d);
   const std::vector<HtNodeId> hcb = {ht.node_of_hier(fx.ha), ht.node_of_hier(fx.hb)};
   const TargetAreaResult res = assign_target_areas(fx.d, adj, ht, ht.root(), hcb);
-  EXPECT_DOUBLE_EQ(res.unassigned_area, 11.0);
+  // The reachable glue (3 + 5 + 7) is claimed as before; the 11 um^2
+  // orphan is spread over the blocks by their equal am, half each.
+  EXPECT_DOUBLE_EQ(res.target_area[0] - res.minimum_area[0], 3.0 + 5.0 + 5.5);
+  EXPECT_DOUBLE_EQ(res.target_area[1] - res.minimum_area[1], 7.0 + 5.5);
   // Still conserved overall.
   EXPECT_NEAR(res.target_area[0] + res.target_area[1], ht.area(ht.root()), 1e-9);
 }
@@ -94,9 +98,11 @@ TEST(TargetArea, BlockCellsNotCountedAsGlue) {
   const CellAdjacency adj(fx.d);
   const std::vector<HtNodeId> hcb = {ht.node_of_hier(fx.ha), ht.node_of_hier(fx.hb)};
   const TargetAreaResult res = assign_target_areas(fx.d, adj, ht, ht.root(), hcb);
-  EXPECT_EQ(res.glue_owner[static_cast<std::size_t>(inner)], -1);
-  // inner's area is inside am of block 0, not double counted.
+  // inner's area is inside am of block 0, not double counted: block 0
+  // claims only the glue ga1 + ga2.
   EXPECT_DOUBLE_EQ(res.minimum_area[0], 102.0);
+  EXPECT_DOUBLE_EQ(res.target_area[0] - res.minimum_area[0], 3.0 + 5.0);
+  EXPECT_NEAR(res.target_area[0] + res.target_area[1], ht.area(ht.root()), 1e-9);
 }
 
 TEST(TargetArea, ScopeExcludesOutsideCells) {
@@ -110,7 +116,9 @@ TEST(TargetArea, ScopeExcludesOutsideCells) {
   // Scope = subtree of A's parent-level node "A" itself: only block A.
   const TargetAreaResult res =
       assign_target_areas(fx.d, adj, ht, ht.node_of_hier(fx.ha), hcb);
-  EXPECT_EQ(res.glue_owner[static_cast<std::size_t>(far_cell)], -1);
+  // far_cell is a neighbor of macro A but outside scope: never claimed.
+  ASSERT_EQ(res.target_area.size(), 1u);
+  EXPECT_DOUBLE_EQ(res.target_area[0], res.minimum_area[0]);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Per-level dataflow inference tests (Algorithm 2 step 5): block
-// membership, port terminals, outside-macro terminals, affinity shape.
+// membership, port terminals, outside-macro terminals, affinity shape,
+// and the EstimateSnapshot the inference reads.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +35,22 @@ struct Fixture {
 Fixture& fixture() {
   static Fixture* fx = new Fixture();
   return *fx;
+}
+
+TEST(EstimateSnapshot, EmptySnapshotHasNoEstimates) {
+  const EstimateSnapshot snap;
+  EXPECT_EQ(snap.cell_count(), 0u);
+  EXPECT_FALSE(snap.has_estimate(0));
+  EXPECT_FALSE(snap.has_estimate(123));
+}
+
+TEST(EstimateSnapshot, SetAndRead) {
+  EstimateSnapshot snap(8);
+  EXPECT_FALSE(snap.has_estimate(3));
+  snap.set(3, Point{1.5, -2.0});
+  ASSERT_TRUE(snap.has_estimate(3));
+  EXPECT_EQ(snap.estimate(3), (Point{1.5, -2.0}));
+  EXPECT_FALSE(snap.has_estimate(2));
 }
 
 TEST(DataflowInference, BlocksComeFirstInNodeOrder) {

@@ -1,7 +1,7 @@
 // End-to-end HiDaP flow tests on generated circuits: legality, recursion
 // snapshots, determinism, lambda sensitivity, and the task-graph
 // scheduler's bit-identity contracts (thread-count invariance, the
-// sequential DFS oracle, overlapped curve generation).
+// sequential DFS oracle, shape-curve thread-count identity).
 
 #include <gtest/gtest.h>
 
@@ -144,23 +144,6 @@ TEST_F(HidapFlowTest, SchedulerThreadCountInvariance) {
   HiDaPOptions mid = quick_options(5);
   mid.num_threads = 4;
   expect_identical(a, place_macros(*design_, *context_, mid));
-}
-
-TEST_F(HidapFlowTest, OverlappedCurveGenerationIsByteIdentical) {
-  // With more than one lane, run() dispatches the shape-curve shards as a
-  // pool task that runs concurrently with the recursion front, joined
-  // before the first curve read; with one lane it generates them eagerly.
-  // Same per-node seeds either way, so the overlapped placements must be
-  // byte-identical to the eager 1-lane run (the claim flag decides who
-  // generates).
-  HiDaPOptions eager = quick_options(9);
-  eager.num_threads = 1;
-  const PlacementResult a = place_macros(*design_, *context_, eager);
-  for (const int threads : {4, 8}) {
-    HiDaPOptions overlapped = quick_options(9);
-    overlapped.num_threads = threads;
-    expect_identical(a, place_macros(*design_, *context_, overlapped));
-  }
 }
 
 TEST_F(HidapFlowTest, SchedulerMatchesSequentialOracle) {

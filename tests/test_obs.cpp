@@ -342,5 +342,35 @@ TEST_F(ObsDeterminism, PlacementRunRecordsSaAndPhaseMetrics) {
   EXPECT_GT(scope.registry().counter("phase.curves_us").value(), 0u);
 }
 
+TEST_F(ObsDeterminism, PhasesPartitionAColdPlacement) {
+  // The four phase scopes of place_macros are disjoint, so their
+  // counters (each floored to whole microseconds) add up to at most the
+  // run's own wall clock -- sequential and threaded.
+  TracingOff guard;
+  for (const int threads : {1, 4}) {
+    JobControl control;
+    obs::MetricScope scope;
+    control.set_job_metrics(&scope.registry());
+    HiDaPOptions options = quick_options(threads);
+    options.job.control = &control;
+    const PlacementResult result = place_macros(*design_, *context_, options);
+    control.set_job_metrics(nullptr);
+    ASSERT_EQ(result.status, JobStatus::Completed);
+    const auto micros = [&scope](const char* name) {
+      return scope.registry().counter(name).value();
+    };
+    const std::uint64_t curves = micros("phase.curves_us");
+    const std::uint64_t recursion = micros("phase.recursion_us");
+    const std::uint64_t flip = micros("phase.flip_us");
+    const std::uint64_t legalize = micros("phase.legalize_us");
+    EXPECT_GT(curves, 0u) << "num_threads=" << threads;
+    EXPECT_GT(recursion, 0u) << "num_threads=" << threads;
+    EXPECT_GT(flip, 0u) << "num_threads=" << threads;
+    EXPECT_LE(static_cast<double>(curves + recursion + flip + legalize),
+              result.runtime_seconds * 1e6 + 1.0)
+        << "num_threads=" << threads;
+  }
+}
+
 }  // namespace
 }  // namespace hidap

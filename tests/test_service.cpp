@@ -135,6 +135,22 @@ TEST_F(ServiceTest, ColdThenWarmJobsAreByteIdenticalAndSkipPrecomputes) {
   EXPECT_EQ(stats.plan_hits, 1u);
 }
 
+TEST_F(ServiceTest, WarmRepeatReportsNoCurvesPhase) {
+  // A cold job times curve generation and the recursion separately; a
+  // warm repeat adopts the cached curves, so only the recursion runs.
+  PlacementSession session(quick_base());
+  const JobOutcome cold = session.run(quick_spec("cold", 4));
+  ASSERT_EQ(cold.status, JobStatus::Completed) << cold.error;
+  EXPECT_GT(cold.phase_curves_s, 0.0);
+  EXPECT_GT(cold.phase_recursion_s, 0.0);
+
+  const JobOutcome warm = session.run(quick_spec("warm", 4));
+  ASSERT_EQ(warm.status, JobStatus::Completed) << warm.error;
+  ASSERT_TRUE(warm.curves_cached);
+  EXPECT_EQ(warm.phase_curves_s, 0.0);
+  EXPECT_GT(warm.phase_recursion_s, 0.0);
+}
+
 TEST_F(ServiceTest, CachedJobMatchesDirectPlacement) {
   // Adopting cached curves/plan must equal recomputing them: the warm
   // session DEF is byte-identical to a bare place_macros with the same
