@@ -2,19 +2,16 @@
 // parsing, shape curve composition, budget layout, Polish-expression
 // moves, Gseq extraction, multi-source BFS (target-area assignment),
 // affinity inference, full per-level layout annealing, the evaluation
-// placer, and the parallel runtime (task dispatch overhead, parallel_for
+// placer, and the parallel runtime (fork-join overhead, parallel_for
 // scaling).
 
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <chrono>
 #include <numeric>
-#include <span>
 #include <sstream>
 #include <utility>
 
-#include "baseline/flat_cost.hpp"
 #include "core/dataflow_inference.hpp"
 #include "core/decluster.hpp"
 #include "core/hidap.hpp"
@@ -298,62 +295,6 @@ void BM_IncrementalEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_IncrementalEvaluate)->Arg(8)->Arg(16)->Arg(32);
 
-// Flat-SA objective, full recompute per move (position map + all-pairs
-// overlap) vs the per-net / per-pair delta cache.
-const SeqGraph& flat_seq() {
-  static SeqGraph* seq = [] {
-    const CellAdjacency adj(medium_design());
-    return new SeqGraph(extract_seq_graph(medium_design(), adj));
-  }();
-  return *seq;
-}
-
-std::vector<MacroPlacement> flat_initial_state(Rng& rng) {
-  const Design& d = medium_design();
-  const Rect die{0, 0, d.die().w, d.die().h};
-  std::vector<MacroPlacement> macros;
-  for (const CellId cell : d.macros()) {
-    const MacroDef& def = d.macro_def_of(cell);
-    macros.push_back({cell,
-                      Rect{rng.next_double(die.x, die.xmax() * 0.7),
-                           rng.next_double(die.y, die.ymax() * 0.7), def.w, def.h},
-                      Orientation::R0});
-  }
-  return macros;
-}
-
-void BM_FlatFullCost(benchmark::State& state) {
-  const Design& d = medium_design();
-  const Rect die{0, 0, d.die().w, d.die().h};
-  const FlatCostModel model(d, flat_seq(), die, 4.0);
-  Rng rng(29);
-  std::vector<MacroPlacement> macros = flat_initial_state(rng);
-  for (auto _ : state) {
-    const std::size_t i = rng.next_below(macros.size());
-    macros[i].rect.x += rng.next_double(-0.05, 0.05) * die.w;
-    benchmark::DoNotOptimize(model(macros));
-  }
-}
-BENCHMARK(BM_FlatFullCost);
-
-void BM_FlatDeltaCost(benchmark::State& state) {
-  const Design& d = medium_design();
-  const Rect die{0, 0, d.die().w, d.die().h};
-  const FlatCostModel model(d, flat_seq(), die, 4.0);
-  Rng rng(29);
-  std::vector<MacroPlacement> macros = flat_initial_state(rng);
-  IncrementalFlatCost inc(model, macros);
-  for (auto _ : state) {
-    const std::size_t i = rng.next_below(macros.size());
-    macros[i].rect.x += rng.next_double(-0.05, 0.05) * die.w;
-    const std::array<std::size_t, 1> moved{i};
-    benchmark::DoNotOptimize(
-        inc.propose(macros, std::span<const std::size_t>(moved.data(), 1)));
-    inc.commit();
-  }
-}
-BENCHMARK(BM_FlatDeltaCost);
-
 // Evaluation placer through a shared per-design model, as compare_flows
 // runs it once per evaluation: c1 at scale 0.002 under one fixed HiDaP
 // macro placement. ns_per_link_sweep divides the whole place_cells time
@@ -382,16 +323,6 @@ void BM_PlaceCells(benchmark::State& state) {
 BENCHMARK(BM_PlaceCells)->Unit(benchmark::kMillisecond);
 
 // --- parallel runtime ------------------------------------------------
-
-// Round-trip cost of one futures-based dispatch (submit + get).
-void BM_PoolSubmit(benchmark::State& state) {
-  ThreadPool pool(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    auto future = pool.submit([] { return 1; });
-    benchmark::DoNotOptimize(future.get());
-  }
-}
-BENCHMARK(BM_PoolSubmit)->Arg(1)->Arg(2)->Arg(4);
 
 // Fork-join cost of an empty parallel_for (pure runtime overhead).
 void BM_ParallelForDispatch(benchmark::State& state) {

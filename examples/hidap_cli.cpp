@@ -46,7 +46,7 @@ struct Args {
   double timeout_s = 0.0;
   std::uint64_t seed = 1;
   int cells = 20000, macros = 24;
-  int threads = 0, chains = 1;
+  int threads = 0;
   bool incremental = true;
   bool parallel_levels = true;
   bool phase_summary = false;
@@ -56,7 +56,7 @@ struct Args {
   std::fprintf(stderr,
                "usage: hidap_cli <place|eval|flows|gen> -i <netlist.v> [options]\n"
                "  place: -o out.def [--lambda L] [--k K] [--seed S] [--halo H]\n"
-               "         [--effort E] [--chains C] [--svg out.svg] [--fix preplaced.def]\n"
+               "         [--effort E] [--svg out.svg] [--fix preplaced.def]\n"
                "         [--timeout-s T] [--cancel-file PATH]\n"
                "         --timeout-s T    stop after T seconds (monotonic deadline);\n"
                "                          a valid partial placement is still written\n"
@@ -69,10 +69,10 @@ struct Args {
                "  eval:  -p placed.def\n"
                "  flows: [--csv table.csv] [--seed S]\n"
                "  gen:   -o out.v [--cells N] [--macros M] [--seed S]\n"
-               "  --threads N  worker lanes for sweeps/flows/multi-chain SA\n"
+               "  --threads N  worker lanes for shape curves, sibling levels\n"
+               "               and the flows' sweeps\n"
                "               (default: HIDAP_THREADS or hardware concurrency;\n"
                "               results are identical at any N, 1 = sequential)\n"
-               "  --chains C   independent SA chains per layout, best kept\n"
                "  --no-incremental  full-recompute SA move evaluation (the\n"
                "               reference oracle; results are identical, only slower)\n"
                "  --no-parallel-levels  run the recursion scheduler as a plain\n"
@@ -116,7 +116,6 @@ Args parse_args(int argc, char** argv) {
     else if (flag == "--cells") args.cells = std::atoi(next().c_str());
     else if (flag == "--macros") args.macros = std::atoi(next().c_str());
     else if (flag == "--threads") args.threads = std::atoi(next().c_str());
-    else if (flag == "--chains") args.chains = std::atoi(next().c_str());
     else if (flag == "--no-incremental") args.incremental = false;
     else if (flag == "--no-parallel-levels") args.parallel_levels = false;
     else if (flag == "--trace-json") args.trace_json = next();
@@ -138,7 +137,6 @@ int cmd_place(const Args& args) {
   options.job.seed = args.seed;
   options.num_threads = args.threads;
   options.parallel_levels = args.parallel_levels;
-  options.layout_anneal.chains = std::max(1, args.chains);
   options.layout_anneal.incremental = args.incremental;
   options.scale_effort(args.effort);
   if (!args.fix.empty()) {
@@ -212,7 +210,6 @@ int cmd_flows(const Args& args) {
   options.seed = args.seed;
   options.hidap.num_threads = args.threads;
   options.hidap.parallel_levels = args.parallel_levels;
-  options.hidap.layout_anneal.chains = std::max(1, args.chains);
   options.hidap.layout_anneal.incremental = args.incremental;
   const FlowComparison cmp = compare_flows(design, options);
   ReportTable table({"flow", "WL(m)", "norm", "GRC%", "WNS%", "TNS(ns)", "time(s)"});

@@ -9,7 +9,7 @@
 // Requests:
 //   {"op":"place","id":"j1","verilog":"chip.v","out":"j1.def",
 //    "seed":7,"lambda":0.5,"k":2.0,"halo":0.0,"effort":1.0,
-//    "chains":1,"timeout_s":30,"fix":"pre.def","progress":true}
+//    "timeout_s":30,"fix":"pre.def","progress":true}
 //   {"op":"cancel","id":"j1"}
 //   {"op":"drain"}          (wait for every outstanding job)
 //   {"op":"stats"}
@@ -140,7 +140,6 @@ struct Server {
     spec.k = json_number(req, "k", 2.0);
     spec.macro_halo = json_number(req, "halo", 0.0);
     spec.effort = json_number(req, "effort", 1.0);
-    spec.chains = static_cast<int>(json_number(req, "chains", 1));
     spec.timeout_s = json_number(req, "timeout_s", 0.0);
     spec.max_input_bytes = limits.max_input_bytes;
     if (spec.verilog_path.empty() && spec.verilog_text.empty()) {

@@ -130,18 +130,10 @@ double seq_wirelength(const Design& design, const SeqGraph& seq,
       *out = it->second;
       return true;
     }
-    if (node.kind == SeqKind::Port && !node.bits.empty()) {
-      Point p{};
-      int counted = 0;
-      for (const CellId bit : node.bits) {
-        if (design.cell(bit).fixed_pos) {
-          p.x += design.cell(bit).fixed_pos->x;
-          p.y += design.cell(bit).fixed_pos->y;
-          ++counted;
-        }
-      }
-      if (counted == 0) return false;
-      *out = {p.x / counted, p.y / counted};
+    if (node.kind == SeqKind::Port) {
+      const auto p = port_centroid(design, node);
+      if (!p) return false;
+      *out = *p;
       return true;
     }
     return false;

@@ -109,19 +109,7 @@ LevelDataflow infer_level_dataflow(const Design& design, const HierTree& ht,
     node.name = seq.node(p).base_name;
     node.members = {p};
     node.fixed = true;
-    Point pos;
-    int counted = 0;
-    for (const CellId bit : seq.node(p).bits) {
-      if (design.cell(bit).fixed_pos) {
-        pos.x += design.cell(bit).fixed_pos->x;
-        pos.y += design.cell(bit).fixed_pos->y;
-        ++counted;
-      }
-    }
-    if (counted > 0) {
-      pos.x /= counted;
-      pos.y /= counted;
-    }
+    const Point pos = port_centroid(design, seq.node(p)).value_or(Point{});
     node.position = pos;
     out.terminal_positions.push_back(pos);
     out.gdf->add_node(std::move(node));

@@ -6,7 +6,6 @@
 
 #include "floorplan/annealer.hpp"
 #include "floorplan/incremental_eval.hpp"
-#include "util/log.hpp"
 
 namespace hidap {
 
@@ -76,59 +75,41 @@ LayoutSolution optimize_layout(const LayoutProblem& problem,
       std::max(opts.moves_per_temperature, static_cast<int>(n) * 12);
   opts.obs_site = "anneal_layout";
 
-  // Chain-local SA state; chain c only ever touches states[c], so the
-  // chains can run on pool threads without synchronization. Both
-  // evaluation modes draw the identical RNG stream (the same perturb
-  // retry loop) and produce bit-identical costs, so they accept and
-  // reject the same moves and land on the same expression.
-  struct ChainState {
-    PolishExpression current, backup, best;
-    std::unique_ptr<IncrementalLayoutEval> inc;
-    Rng rng{0};
-  };
-  std::vector<ChainState> states(static_cast<std::size_t>(std::max(1, opts.chains)));
-  const auto perturb_retry = [](PolishExpression& expr, Rng& rng) {
+  // Both evaluation modes draw the identical RNG stream (the same
+  // perturb retry loop) and produce bit-identical costs, so they accept
+  // and reject the same moves and land on the same expression.
+  Rng rng(opts.seed ^ 0x7fb5d329728ea185ULL);
+  const auto perturb_retry = [&rng](PolishExpression& expr) {
     for (int tries = 0; tries < 8; ++tries) {
       if (expr.perturb(rng)) break;
     }
   };
-  const auto make_chain = [&problem, &states, n, perturb_retry,
-                           incremental = opts.incremental](int c, std::uint64_t seed) {
-    ChainState& st = states[static_cast<std::size_t>(c)];
-    st.rng.reseed(seed ^ 0x7fb5d329728ea185ULL);
-    AnnealChain chain;
-    if (incremental) {
-      st.inc = std::make_unique<IncrementalLayoutEval>(
-          problem.blocks, problem.region, problem.terminals, *problem.affinity,
-          PolishExpression::initial(static_cast<int>(n)));
-      st.best = st.inc->expression();
-      chain.initial_cost = st.inc->cost();
-      chain.hooks.propose = [&st, perturb_retry]() {
-        return st.inc->propose(
-            [&st, perturb_retry](PolishExpression& expr) { perturb_retry(expr, st.rng); });
-      };
-      chain.hooks.commit = [&st]() { st.inc->commit(); };
-      chain.hooks.reject = [&st]() { st.inc->rollback(); };
-      chain.hooks.on_new_best = [&st](double) { st.best = st.inc->expression(); };
-    } else {
-      st.current = PolishExpression::initial(static_cast<int>(n));
-      st.backup = st.current;
-      st.best = st.current;
-      chain.initial_cost = evaluate_layout_full(problem, st.current, nullptr);
-      chain.hooks.propose = [&problem, &st, perturb_retry]() {
-        st.backup = st.current;
-        perturb_retry(st.current, st.rng);
-        return evaluate_layout_full(problem, st.current, nullptr);
-      };
-      chain.hooks.reject = [&st]() { st.current = st.backup; };
-      chain.hooks.on_new_best = [&st](double) { st.best = st.current; };
-    }
-    return chain;
-  };
-
-  int winner = 0;
-  anneal_multichain(opts, make_chain, &winner, problem.num_threads);
-  PolishExpression& best = states[static_cast<std::size_t>(winner)].best;
+  PolishExpression best, backup;
+  std::unique_ptr<IncrementalLayoutEval> inc;
+  double initial_cost = 0.0;
+  AnnealHooks hooks;
+  if (opts.incremental) {
+    inc = std::make_unique<IncrementalLayoutEval>(problem.blocks, problem.region,
+                                                  problem.terminals, *problem.affinity,
+                                                  current);
+    best = inc->expression();
+    initial_cost = inc->cost();
+    hooks.propose = [&]() { return inc->propose(perturb_retry); };
+    hooks.commit = [&]() { inc->commit(); };
+    hooks.reject = [&]() { inc->rollback(); };
+    hooks.on_new_best = [&](double) { best = inc->expression(); };
+  } else {
+    best = current;
+    initial_cost = evaluate_layout_full(problem, current, nullptr);
+    hooks.propose = [&]() {
+      backup = current;
+      perturb_retry(current);
+      return evaluate_layout_full(problem, current, nullptr);
+    };
+    hooks.reject = [&]() { current = backup; };
+    hooks.on_new_best = [&](double) { best = current; };
+  }
+  anneal(initial_cost, opts, hooks);
 
   BudgetResult res;
   solution.cost = evaluate_layout_full(problem, best, &res);

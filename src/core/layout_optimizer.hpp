@@ -20,7 +20,6 @@ struct LayoutProblem {
   std::vector<BudgetBlock> blocks;   ///< movable (affinity rows 0..n-1)
   std::vector<Point> terminals;      ///< fixed (affinity rows n..n+t-1)
   const AffinityMatrix* affinity = nullptr;  ///< size n + t
-  int num_threads = 0;  ///< lane cap for multi-chain SA (0 = auto, 1 = serial)
 };
 
 struct LayoutSolution {

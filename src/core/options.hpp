@@ -47,10 +47,11 @@ struct HiDaPOptions {
   JobState job;
 
   // Task-level parallelism (runtime/thread_pool.hpp): lambda/seed
-  // sweeps, multi-chain SA, the flow comparison and the recursion
-  // scheduler shard over the global pool. 0 = auto (HIDAP_THREADS or
-  // hardware concurrency); 1 reproduces the sequential behavior
-  // exactly. Results are bit-identical at any setting.
+  // sweeps, shape-curve generation, the flow comparison and the
+  // recursion scheduler shard over the global pool. 0 = auto
+  // (HIDAP_THREADS or hardware concurrency); 1 reproduces the
+  // sequential behavior exactly. Results are bit-identical at any
+  // setting.
   int num_threads = 0;
 
   // Hierarchical task-graph scheduler (Algorithm 2's recursion as pool

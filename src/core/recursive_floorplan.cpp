@@ -232,7 +232,6 @@ void RecursiveFloorplanner::floorplan_level(HtNodeId nh, const Rect& region, int
   problem.region = region;
   problem.terminals = flow.terminal_positions;
   problem.affinity = &flow.affinity;
-  problem.num_threads = options_.num_threads;
   problem.blocks.reserve(hcb.size());
   for (std::size_t b = 0; b < hcb.size(); ++b) {
     BudgetBlock block;

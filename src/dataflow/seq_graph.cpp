@@ -6,6 +6,20 @@
 
 namespace hidap {
 
+std::optional<Point> port_centroid(const Design& design, const SeqNode& node) {
+  Point p{};
+  int counted = 0;
+  for (const CellId bit : node.bits) {
+    if (const auto& fixed = design.cell(bit).fixed_pos) {
+      p.x += fixed->x;
+      p.y += fixed->y;
+      ++counted;
+    }
+  }
+  if (counted == 0) return std::nullopt;
+  return Point{p.x / counted, p.y / counted};
+}
+
 SeqNodeId SeqGraph::add_node(SeqNode node) {
   const SeqNodeId id = static_cast<SeqNodeId>(nodes_.size());
   nodes_.push_back(std::move(node));

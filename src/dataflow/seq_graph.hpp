@@ -7,6 +7,7 @@
 // combinational path it summarizes (used by the timing proxy).
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -34,6 +35,11 @@ struct SeqEdge {
   int bits = 0;        ///< distinct source bits observed on the connection
   int comb_depth = 0;  ///< deepest combinational path summarized by the edge
 };
+
+/// Centroid of a node's fixed bit positions (a port's pins), summed in
+/// `bits` order; nullopt when no bit has a fixed position. Callers pick
+/// their own fallback for such a node.
+std::optional<Point> port_centroid(const Design& design, const SeqNode& node);
 
 class SeqGraph {
  public:

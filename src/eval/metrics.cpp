@@ -81,17 +81,8 @@ double quick_wirelength(const Design& design, const HierTree& ht, const SeqGraph
         node_ok[static_cast<std::size_t>(n)] = true;
       }
     } else if (node.kind == SeqKind::Port) {
-      Point p{};
-      int counted = 0;
-      for (const CellId bit : node.bits) {
-        if (design.cell(bit).fixed_pos) {
-          p.x += design.cell(bit).fixed_pos->x;
-          p.y += design.cell(bit).fixed_pos->y;
-          ++counted;
-        }
-      }
-      if (counted) {
-        node_pos[static_cast<std::size_t>(n)] = {p.x / counted, p.y / counted};
+      if (const auto p = port_centroid(design, node)) {
+        node_pos[static_cast<std::size_t>(n)] = *p;
         node_ok[static_cast<std::size_t>(n)] = true;
       }
     } else {

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/job_control.hpp"
 #include "util/log.hpp"
 
@@ -43,7 +41,6 @@ void flush_anneal_metrics(const AnnealOptions& options, const AnnealStats& stats
 AnnealStats anneal(double initial_cost, const AnnealOptions& options,
                    const AnnealHooks& hooks) {
   obs::Span span(options.obs_site != nullptr ? options.obs_site : "anneal", "sa");
-  span.arg("chain", options.obs_chain);
   Rng rng(options.seed);
   AnnealStats stats;
   stats.initial_cost = initial_cost;
@@ -129,42 +126,6 @@ AnnealStats anneal(double initial_cost, const AnnealOptions& options,
                   stats.moves_accepted, stats.moves_attempted, stats.temperature_steps,
                   stats.initial_cost, stats.best_cost);
   return stats;
-}
-
-AnnealStats anneal_multichain(
-    const AnnealOptions& options,
-    const std::function<AnnealChain(int chain, std::uint64_t seed)>& make_chain,
-    int* best_chain, int max_threads) {
-  const int chains = std::max(1, options.chains);
-  std::vector<AnnealStats> stats(static_cast<std::size_t>(chains));
-  parallel_for(
-      static_cast<std::size_t>(chains),
-      [&](std::size_t c) {
-        // Chain 0 keeps the root seed so chains=1 matches anneal() exactly.
-        const std::uint64_t seed =
-            c == 0 ? options.seed : derive_task_seed(options.seed, c);
-        AnnealChain chain = make_chain(static_cast<int>(c), seed);
-        AnnealOptions chain_options = options;
-        chain_options.seed = seed;
-        chain_options.obs_chain = static_cast<int>(c);
-        stats[c] = anneal(chain.initial_cost, chain_options, chain.hooks);
-      },
-      max_threads);
-
-  std::size_t winner = 0;
-  bool any_stopped = stats[0].stopped;
-  for (std::size_t c = 1; c < stats.size(); ++c) {
-    any_stopped = any_stopped || stats[c].stopped;
-    if (stats[c].best_cost < stats[winner].best_cost) winner = c;
-  }
-  if (chains > 1) {
-    HIDAP_LOG_DEBUG("anneal_multichain: chain %zu/%d wins at cost %.4g", winner, chains,
-                    stats[winner].best_cost);
-  }
-  if (best_chain) *best_chain = static_cast<int>(winner);
-  AnnealStats result = stats[winner];
-  result.stopped = any_stopped;
-  return result;
 }
 
 }  // namespace hidap

@@ -25,16 +25,16 @@ struct AnnealOptions {
   int max_stagnant_temperatures = 8;       ///< stop after this many tempertures without improvement
   std::uint64_t seed = 1;
 
-  /// Independent restart chains (anneal_multichain); the best chain's
-  /// result is kept. 1 = the classical single schedule; > 1 runs the
-  /// chains in parallel on the global thread pool.
+  /// Inert: every schedule is one chain and nothing reads this field.
+  /// It stays only so callers that still assign it (the perfbench
+  /// pipeline) keep compiling; it reaches no result and no cache key.
   int chains = 1;
 
-  /// Use the incremental move-evaluation engine where the caller has one
-  /// (optimize_layout, flat SA). Off = full recompute on every proposal,
-  /// the reference oracle. Both modes draw the same RNG stream and
-  /// produce bit-identical costs, so the result is the same either way;
-  /// the switch exists for differential testing and as an escape hatch.
+  /// Selects optimize_layout's move evaluator: the incremental engine
+  /// (IncrementalLayoutEval) or, when off, a full recompute on every
+  /// proposal, the reference oracle. Both modes draw the same RNG stream
+  /// and produce bit-identical costs, so the result is the same either
+  /// way; the switch exists for differential testing.
   bool incremental = true;
 
   /// Cooperative stop handle, polled before every calibration and
@@ -53,8 +53,6 @@ struct AnnealOptions {
   /// observability-side: never part of any cache key, never read by the
   /// move loop, no effect on the RNG/accept stream.
   const char* obs_site = nullptr;
-  /// Chain index tag for multi-chain runs (anneal_multichain sets it).
-  int obs_chain = 0;
 };
 
 /// A proposal must undercut the best cost by at least this margin before
@@ -101,27 +99,5 @@ struct AnnealStats {
 /// Runs the schedule; `initial_cost` is the cost of the starting state.
 AnnealStats anneal(double initial_cost, const AnnealOptions& options,
                    const AnnealHooks& hooks);
-
-/// One chain of a multi-chain run: hooks bound to chain-local state plus
-/// the cost of that chain's starting solution.
-struct AnnealChain {
-  double initial_cost = 0.0;
-  AnnealHooks hooks;
-};
-
-/// Multi-chain annealing: options.chains independent schedules, run in
-/// parallel on the global thread pool (max_threads caps the lanes,
-/// 1 = sequential). make_chain(c, seed) is called once per chain -- from
-/// pool threads when parallel, so it must only touch chain-local state --
-/// and chain c anneals with AnnealOptions.seed = seed, where seed is
-/// derive_task_seed(options.seed, c) for c > 0 and options.seed itself
-/// for chain 0. The chain with the lowest best_cost wins, ties broken
-/// toward the lowest chain index, so the winner is independent of thread
-/// count. With options.chains <= 1 this is exactly anneal() on
-/// make_chain(0, options.seed).
-AnnealStats anneal_multichain(
-    const AnnealOptions& options,
-    const std::function<AnnealChain(int chain, std::uint64_t seed)>& make_chain,
-    int* best_chain = nullptr, int max_threads = 0);
 
 }  // namespace hidap

@@ -1,19 +1,21 @@
 #pragma once
-// Task-level parallel runtime: a small thread pool with futures-based
-// submit and blocking parallel_for / parallel_invoke helpers.
+// Task-level parallel runtime: a small thread pool with blocking
+// parallel_for / parallel_invoke helpers.
 //
 // Design rules that make this safe to wire through the whole library:
 //
 //  * The calling thread always participates in parallel_for, claiming
 //    indices from the same shared counter as the workers. Nested
-//    parallel sections (suite -> flows -> lambda sweep -> multi-chain
-//    SA) therefore never deadlock: a task that opens an inner section
+//    parallel sections (suite -> flows -> lambda sweep -> sibling
+//    levels) therefore never deadlock: a task that opens an inner section
 //    drains that section itself even when every worker is busy.
 //  * Determinism contract: a parallel_for body writes only to state
-//    owned by its own index and derives any randomness via
-//    derive_task_seed(root, index) (task_seed.hpp). Reductions happen
-//    on the caller after the join, in index order. Under that contract
-//    results are bit-identical at any thread count, including 1.
+//    owned by its own index and takes any randomness from a seed fixed
+//    by that index (shape curves are seeded by HT node index, levels by
+//    DFS ordinal), never from thread ids or scheduling order.
+//    Reductions happen on the caller after the join, in index order.
+//    Under that contract results are bit-identical at any thread count,
+//    including 1.
 //  * A pool of size 1 (or max_threads = 1) runs everything inline on
 //    the calling thread -- exactly the pre-threading behavior.
 //
@@ -26,13 +28,9 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
-
-#include "runtime/task_seed.hpp"
 
 namespace hidap {
 
@@ -48,24 +46,6 @@ class ThreadPool {
 
   /// Maximum concurrency (workers + the participating caller).
   int size() const { return size_; }
-
-  /// Schedules a callable and returns a future for its result.
-  /// Exceptions thrown by the task surface from future::get(). On a
-  /// pool of size 1 the task runs inline, so waiting on the future from
-  /// inside another task cannot deadlock there; on larger pools prefer
-  /// parallel_for / parallel_invoke for nested fan-out.
-  template <typename F>
-  auto submit(F&& f) -> std::future<std::invoke_result_t<std::decay_t<F>&>> {
-    using R = std::invoke_result_t<std::decay_t<F>&>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> future = task->get_future();
-    if (workers_.empty()) {
-      (*task)();
-    } else {
-      enqueue([task] { (*task)(); });
-    }
-    return future;
-  }
 
   /// Calls body(0) .. body(n-1), sharded over the pool; blocks until all
   /// are done. max_threads > 0 caps the lanes used by this call (1 =

@@ -164,7 +164,8 @@ std::uint64_t ArtifactCache::curves_key(std::uint64_t context_key, std::uint64_t
   // (design + halo), the SA schedule and its seed, and the curve
   // pruning/merging caps. AnnealOptions::control is deliberately NOT
   // part of the key -- cancellation never changes an uncancelled run,
-  // and cancelled runs never store.
+  // and cancelled runs never store. AnnealOptions::incremental is not
+  // either: only optimize_layout reads it, never the curve packer.
   return HashBuilder(0x5c01)
       .u64(context_key)
       .u64(seed)
@@ -175,10 +176,6 @@ std::uint64_t ArtifactCache::curves_key(std::uint64_t context_key, std::uint64_t
       .i32(fp.anneal.calibration_moves)
       .f64(fp.anneal.frozen_temperature_ratio)
       .i32(fp.anneal.max_stagnant_temperatures)
-      .i32(fp.anneal.chains)
-      // incremental is keyed out of caution only: both engines are
-      // bit-identical, so a cached curve set is valid under either.
-      .boolean(fp.anneal.incremental)
       .u64(fp.curve_points)
       .i32(fp.best_solutions_merged)
       .digest();

@@ -94,7 +94,6 @@ JobOutcome PlacementSession::run(const PlacementJobSpec& spec) {
     options.lambda = spec.lambda;
     options.k = spec.k;
     options.macro_halo = spec.macro_halo;
-    options.layout_anneal.chains = spec.chains > 1 ? spec.chains : 1;
     options.scale_effort(spec.effort);
     options.job.seed = spec.seed;
     options.job.control = control.get();

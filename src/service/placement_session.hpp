@@ -47,7 +47,10 @@ struct PlacementJobSpec {
   double k = 2.0;
   double macro_halo = 0.0;
   double effort = 1.0;  ///< HiDaPOptions::scale_effort factor
-  int chains = 1;
+  /// Every layout anneals one chain. A constant, not a setting: it
+  /// stays only so callers that still read it (the perfbench pipeline)
+  /// keep compiling.
+  static constexpr int chains = 1;
 
   /// Wall-clock budget; <= 0 means no deadline. Armed on `control` (or
   /// an internal one) when the job starts.
@@ -98,7 +101,7 @@ struct JobOutcome {
 class PlacementSession {
  public:
   /// `base` is the shared algorithm configuration; per-spec fields
-  /// (lambda, k, halo, seed, chains, effort) are stamped over a copy
+  /// (lambda, k, halo, seed, effort) are stamped over a copy
   /// per job. base.job is ignored -- job state comes from the spec.
   explicit PlacementSession(HiDaPOptions base = {});
 

@@ -103,7 +103,6 @@ class HashBuilder {
   HashBuilder& u64(std::uint64_t v) { return bytes(&v, sizeof(v)); }
   HashBuilder& i64(std::int64_t v) { return u64(static_cast<std::uint64_t>(v)); }
   HashBuilder& i32(std::int32_t v) { return i64(v); }
-  HashBuilder& boolean(bool v) { return u64(v ? 1 : 0); }
   /// Bit pattern, not value: -0.0 and 0.0 hash differently, NaNs by payload.
   HashBuilder& f64(double v) { return u64(std::bit_cast<std::uint64_t>(v)); }
   HashBuilder& str(std::string_view s) {

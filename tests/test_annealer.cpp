@@ -237,28 +237,5 @@ TEST(AnnealerCancel, NullAndUncancelledControlAreBitIdentical) {
   EXPECT_EQ(run(nullptr), run(&idle));
 }
 
-TEST(AnnealerCancel, ExpiredDeadlineStopsMultichain) {
-  JobControl control;
-  control.set_deadline(Deadline::after_seconds(0.0));
-  AnnealOptions opt;
-  opt.control = &control;
-  opt.chains = 3;
-  const AnnealStats stats = anneal_multichain(opt, [](int, std::uint64_t seed) {
-    auto bowl = std::make_shared<Bowl>();
-    bowl->rng = Rng(seed);
-    AnnealChain chain;
-    chain.initial_cost = bowl->cost();
-    chain.hooks.propose = [bowl]() {
-      bowl->backup = bowl->x;
-      bowl->x += bowl->rng.next_bool() ? 1 : -1;
-      return bowl->cost();
-    };
-    chain.hooks.reject = [bowl]() { bowl->x = bowl->backup; };
-    return chain;
-  });
-  EXPECT_TRUE(stats.stopped);
-  EXPECT_EQ(stats.moves_attempted, 0);
-}
-
 }  // namespace
 }  // namespace hidap

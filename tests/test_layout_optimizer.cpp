@@ -157,34 +157,6 @@ TEST(LayoutOptimizer, IncrementalAndFullRecomputeAreByteIdentical) {
   for (std::size_t i = 0; i < a.rects.size(); ++i) EXPECT_EQ(a.rects[i], b.rects[i]);
 }
 
-TEST(LayoutOptimizer, MultichainPicksSameWinnerEitherMode) {
-  LayoutProblem p;
-  p.region = {0, 0, 24, 24};
-  for (int i = 0; i < 6; ++i) p.blocks.push_back(soft(25 + 7.0 * i));
-  AffinityMatrix aff(6);
-  aff.set(0, 5, 1.0);
-  aff.set(2, 3, 0.5);
-  p.affinity = &aff;
-
-  AnnealOptions on = quick_anneal(23);
-  on.chains = 3;
-  on.incremental = true;
-  AnnealOptions off = on;
-  off.incremental = false;
-
-  const LayoutSolution a = optimize_layout(p, on);
-  const LayoutSolution b = optimize_layout(p, off);
-  EXPECT_EQ(a.expression.elements(), b.expression.elements());
-  EXPECT_EQ(a.cost, b.cost);
-
-  // ... and the winner is thread-count independent with incremental on.
-  LayoutProblem serial = p;
-  serial.num_threads = 1;
-  const LayoutSolution c = optimize_layout(serial, on);
-  EXPECT_EQ(a.expression.elements(), c.expression.elements());
-  EXPECT_EQ(a.cost, c.cost);
-}
-
 TEST(LayoutOptimizer, EmptyProblem) {
   LayoutProblem p;
   p.region = {0, 0, 4, 4};

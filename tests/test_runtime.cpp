@@ -1,17 +1,14 @@
-// Parallel runtime tests: pool lifecycle, futures, exception
-// propagation, parallel_for correctness on degenerate and large ranges,
-// nested sections, seed derivation, and the end-to-end determinism
-// guarantee (compare_flows and multi-chain SA are bit-identical at 1
-// and N threads).
+// Parallel runtime tests: pool lifecycle, exception propagation,
+// parallel_for correctness on degenerate and large ranges, nested
+// sections, and the end-to-end determinism guarantee (compare_flows is
+// bit-identical at 1 and N threads).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <stdexcept>
 #include <vector>
 
-#include "core/layout_optimizer.hpp"
 #include "eval/flows.hpp"
 #include "gen/suite.hpp"
 #include "runtime/thread_pool.hpp"
@@ -46,27 +43,6 @@ TEST(ThreadPool, LifecycleAcrossSizes) {
 
 TEST(ThreadPool, DefaultSizeIsPositive) {
   EXPECT_GE(ThreadPool::default_thread_count(), 1);
-}
-
-TEST(ThreadPool, SubmitReturnsFutureValue) {
-  ThreadPool pool(4);
-  auto f1 = pool.submit([] { return 41 + 1; });
-  auto f2 = pool.submit([] { return std::string("ok"); });
-  EXPECT_EQ(f1.get(), 42);
-  EXPECT_EQ(f2.get(), "ok");
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("task boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, SubmitRunsInlineOnSingleLanePool) {
-  ThreadPool pool(1);
-  auto f = pool.submit([] { return 7; });
-  // Inline execution: the result is ready without any worker thread.
-  EXPECT_EQ(f.get(), 7);
 }
 
 TEST(ParallelFor, EmptyRangeIsNoop) {
@@ -128,17 +104,6 @@ TEST(ParallelInvoke, RunsEveryTask) {
   EXPECT_EQ(a + b + c, 6);
 }
 
-TEST(TaskSeed, DeterministicAndDistinct) {
-  std::set<std::uint64_t> seen;
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    const std::uint64_t s = derive_task_seed(1, i);
-    EXPECT_EQ(s, derive_task_seed(1, i));
-    seen.insert(s);
-  }
-  EXPECT_EQ(seen.size(), 1000u);                      // no index collisions
-  EXPECT_NE(derive_task_seed(1, 0), derive_task_seed(2, 0));  // root matters
-}
-
 FlowOptions quick_flow_options() {
   FlowOptions o;
   o.hidap.layout_anneal.moves_per_temperature = 40;
@@ -179,76 +144,6 @@ TEST(Determinism, CompareFlowsIdenticalAtOneAndManyThreads) {
   expect_identical(a.indeda, b.indeda);
   expect_identical(a.hidap, b.hidap);
   expect_identical(a.handfp, b.handfp);
-}
-
-TEST(Determinism, MultichainLayoutIdenticalAtOneAndManyThreads) {
-  Rng rng(17);
-  LayoutProblem problem;
-  problem.region = {0, 0, 300, 300};
-  AffinityMatrix affinity(8);
-  for (int i = 0; i < 8; ++i) {
-    BudgetBlock block;
-    block.at = rng.next_double(4000, 9000);
-    block.am = block.at * 0.7;
-    block.gamma = ShapeCurve::for_rect(rng.next_double(20, 50), rng.next_double(20, 50));
-    problem.blocks.push_back(std::move(block));
-    if (i > 0) affinity.set(static_cast<std::size_t>(i - 1), static_cast<std::size_t>(i), 1.0);
-  }
-  problem.affinity = &affinity;
-
-  AnnealOptions anneal;
-  anneal.moves_per_temperature = 40;
-  anneal.cooling = 0.8;
-  anneal.max_stagnant_temperatures = 3;
-  anneal.chains = 4;
-  anneal.seed = 23;
-
-  problem.num_threads = 1;
-  const LayoutSolution serial = optimize_layout(problem, anneal);
-  problem.num_threads = 8;
-  const LayoutSolution parallel = optimize_layout(problem, anneal);
-
-  EXPECT_EQ(serial.cost, parallel.cost);
-  EXPECT_EQ(serial.expression.elements(), parallel.expression.elements());
-  ASSERT_EQ(serial.rects.size(), parallel.rects.size());
-  for (std::size_t i = 0; i < serial.rects.size(); ++i) {
-    EXPECT_EQ(serial.rects[i].x, parallel.rects[i].x);
-    EXPECT_EQ(serial.rects[i].y, parallel.rects[i].y);
-    EXPECT_EQ(serial.rects[i].w, parallel.rects[i].w);
-    EXPECT_EQ(serial.rects[i].h, parallel.rects[i].h);
-  }
-}
-
-// chains=1 must reproduce the pre-multichain optimizer bit-for-bit; the
-// flow determinism suites pin that behavior across PRs. Here: more
-// chains never produce a worse winner than chain 0 alone, because chain
-// 0 of a multi-chain run uses the root seed.
-TEST(Multichain, MoreChainsNeverWorse) {
-  Rng rng(29);
-  LayoutProblem problem;
-  problem.region = {0, 0, 200, 200};
-  AffinityMatrix affinity(6);
-  for (int i = 0; i < 6; ++i) {
-    BudgetBlock block;
-    block.at = rng.next_double(2000, 6000);
-    block.am = block.at * 0.7;
-    block.gamma = ShapeCurve::for_rect(rng.next_double(15, 40), rng.next_double(15, 40));
-    problem.blocks.push_back(std::move(block));
-    if (i > 0) affinity.set(static_cast<std::size_t>(i - 1), static_cast<std::size_t>(i), 1.0);
-  }
-  problem.affinity = &affinity;
-
-  AnnealOptions anneal;
-  anneal.moves_per_temperature = 40;
-  anneal.cooling = 0.8;
-  anneal.max_stagnant_temperatures = 3;
-  anneal.seed = 31;
-
-  anneal.chains = 1;
-  const double single = optimize_layout(problem, anneal).cost;
-  anneal.chains = 4;
-  const double multi = optimize_layout(problem, anneal).cost;
-  EXPECT_LE(multi, single + 1e-12);
 }
 
 }  // namespace

@@ -396,6 +396,9 @@ TEST(ArtifactCacheUnit, KeysSeparateTheirInputs) {
   const std::uint64_t k1 = ArtifactCache::curves_key(c1, 1, 0.0, fp);
   EXPECT_NE(ArtifactCache::curves_key(c1, 2, 0.0, fp), k1);  // seed
   EXPECT_NE(ArtifactCache::curves_key(c1, 1, 1.0, fp), k1);  // halo
+  // The curve packer never reads the layout evaluator switch.
+  fp.anneal.incremental = !fp.anneal.incremental;
+  EXPECT_EQ(ArtifactCache::curves_key(c1, 1, 0.0, fp), k1);
   fp.curve_points = 64;
   EXPECT_NE(ArtifactCache::curves_key(c1, 1, 0.0, fp), k1);  // SA options
 
