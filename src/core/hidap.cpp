@@ -1,5 +1,6 @@
 #include "core/hidap.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <set>
@@ -50,6 +51,12 @@ class PhaseScope {
   obs::Span span_;
   clock::time_point start_ = clock::now();
 };
+
+// Die containment at check_placement()'s default tolerance.
+bool all_inside(const std::vector<MacroPlacement>& macros, const Rect& die) {
+  return std::all_of(macros.begin(), macros.end(),
+                     [&die](const MacroPlacement& m) { return die.contains(m.rect, 1e-6); });
+}
 
 }  // namespace
 
@@ -120,20 +127,30 @@ PlacementResult place_macros(const Design& design, const PlacementContext& conte
   for (const MacroPlacement& m : options.job.preplaced) preplaced.insert(m.cell);
   {
     const PhaseScope phase("flip", control);
-    flip_macros(design, context.ht, floorplanner.region_of_node(),
+    flip_macros(design, context.ht, context.macro_nets, floorplanner.region_of_node(),
                 floorplanner.region_valid(), result.macros, options.flipping_passes,
                 preplaced.empty() ? nullptr : &preplaced);
   }
 
   // Final legality pass: snapping and preplacement can leave small
-  // overlaps or halo violations; clean them with minimal displacement.
-  if (options.macro_halo > 0.0 ||
+  // overlaps, halo violations or a corner-snapped macro past the die
+  // edge; clean them with minimal displacement. Macros the legalizer
+  // could not clear are counted, not hidden.
+  if (options.macro_halo > 0.0 || !all_inside(result.macros, die) ||
       total_overlap(result.macros, options.macro_halo) > 0.0) {
     const PhaseScope phase("legalize", control);
     LegalizeOptions legal;
     legal.halo = options.macro_halo;
     legal.fixed = preplaced;
-    legalize_macros(design, result.macros, legal);
+    const LegalizeStats stats = legalize_macros(design, result.macros, legal);
+    if (stats.unresolved > 0) {
+      const auto unresolved = static_cast<std::uint64_t>(stats.unresolved);
+      obs::default_registry().counter("legalize.unresolved").add(unresolved);
+      if (obs::MetricsRegistry* job = control != nullptr ? control->job_metrics() : nullptr) {
+        job->counter("legalize.unresolved").add(unresolved);
+      }
+      HIDAP_LOG_WARN("legalize: %d macros left overlapping", stats.unresolved);
+    }
   }
 
   // A stop requested after the recursion finished still reports its

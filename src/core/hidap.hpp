@@ -26,11 +26,15 @@ namespace hidap {
 /// Immutable per-design analysis shared across placement runs.
 struct PlacementContext {
   explicit PlacementContext(const Design& design, const SeqExtractOptions& seq_options = {})
-      : adjacency(design), ht(design), seq(extract_seq_graph(design, adjacency, seq_options)) {}
+      : adjacency(design),
+        ht(design),
+        seq(extract_seq_graph(design, adjacency, seq_options)),
+        macro_nets(design, ht) {}
 
   CellAdjacency adjacency;
   HierTree ht;
   SeqGraph seq;
+  MacroNets macro_nets;  ///< the nets macro flipping evaluates
 };
 
 /// Reusable shape-curve / recursion-plan precomputes; defined in

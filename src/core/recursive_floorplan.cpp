@@ -1,6 +1,7 @@
 #include "core/recursive_floorplan.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <functional>
@@ -10,6 +11,7 @@
 #include "core/decluster.hpp"
 #include "core/layout_optimizer.hpp"
 #include "core/target_area.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/log.hpp"
@@ -17,8 +19,22 @@
 namespace hidap {
 
 namespace {
+
 constexpr int kMaxRecursionDepth = 64;
+
+// Per-level size counters, so the level phases read as time per unit of
+// work: blocks and terminals of the level's Gdf and the affinity pairs
+// the layout annealer walks.
+void count_level(const LevelDataflow& flow) {
+  static obs::Counter& blocks = obs::default_registry().counter("level.blocks");
+  static obs::Counter& terminals = obs::default_registry().counter("level.terminals");
+  static obs::Counter& pairs = obs::default_registry().counter("level.affinity_pairs");
+  blocks.add(flow.movable_count);
+  terminals.add(flow.terminal_positions.size());
+  pairs.add(flow.affinity.positive_pairs());
 }
+
+}  // namespace
 
 RecursiveFloorplanner::RecursiveFloorplanner(const Design& design,
                                              const CellAdjacency& adjacency,
@@ -45,7 +61,7 @@ void RecursiveFloorplanner::adopt_shape_curves(const std::vector<ShapeCurve>& cu
 void RecursiveFloorplanner::adopt_recursion_plan(const RecursionPlan& plan) {
   assert(plan.size() == ht_.size() && "plan from a different hierarchy");
   plan_ = plan;
-  plan_adopted_ = true;
+  plan_ready_ = true;
 }
 
 void RecursiveFloorplanner::generate_shape_curves() {
@@ -116,7 +132,7 @@ PlacementResult RecursiveFloorplanner::run(const Rect& die) {
   region_.assign(ht_.size(), Rect{});
   region_valid_.assign(ht_.size(), 0);
   for (const MacroPlacement& m : options_.job.preplaced) result_.macros.push_back(m);
-  if (!plan_adopted_) plan_recursion();
+  plan();
   set_region(ht_.root(), die);
   if (unfixed_macro_count(ht_.root()) > 0) {
     // The root's inherited snapshot holds exactly the preplaced macro
@@ -148,13 +164,39 @@ int RecursiveFloorplanner::unfixed_macro_count(HtNodeId node) const {
 // runs. Ordinals are assigned in DFS preorder, exactly the order a
 // sequential DFS increments its level counter, so anneal seeds are
 // independent of execution order.
-void RecursiveFloorplanner::plan_recursion() {
+const RecursionPlan& RecursiveFloorplanner::plan() {
+  if (plan_ready_) return plan_;
   for (LevelPlan& p : plan_) p = LevelPlan{};
   std::uint64_t counter = 0;
-  if (unfixed_macro_count(ht_.root()) > 0) plan_level(ht_.root(), 0, counter);
+  std::vector<HtNodeId> levels;  // planned, non-fallback
+  if (unfixed_macro_count(ht_.root()) > 0) plan_level(ht_.root(), 0, counter, levels);
+
+  // Step 4's target areas, one pool task per lane pulling levels off a
+  // shared cursor so each task reuses one scratch. Every level writes
+  // only its own LevelPlan, and its areas do not depend on which task or
+  // scratch computed them.
+  const int lanes = effective_thread_count(options_.num_threads);
+  std::atomic<std::size_t> cursor{0};
+  parallel_for(
+      std::min(levels.size(), static_cast<std::size_t>(lanes)),
+      [&](std::size_t) {
+        TargetAreaScratch scratch(design_.cell_count());
+        for (std::size_t i = cursor++; i < levels.size(); i = cursor++) {
+          const obs::Span span("target_area", "scheduler");
+          LevelPlan& level = plan_[static_cast<std::size_t>(levels[i])];
+          TargetAreaResult areas =
+              assign_target_areas(design_, adjacency_, ht_, levels[i], level.hcb, scratch);
+          level.minimum_area = std::move(areas.minimum_area);
+          level.target_area = std::move(areas.target_area);
+        }
+      },
+      lanes);
+  plan_ready_ = true;
+  return plan_;
 }
 
-void RecursiveFloorplanner::plan_level(HtNodeId nh, int depth, std::uint64_t& counter) {
+void RecursiveFloorplanner::plan_level(HtNodeId nh, int depth, std::uint64_t& counter,
+                                       std::vector<HtNodeId>& levels) {
   LevelPlan& plan = plan_[static_cast<std::size_t>(nh)];
   plan.planned = true;
   if (depth > kMaxRecursionDepth) {
@@ -170,8 +212,9 @@ void RecursiveFloorplanner::plan_level(HtNodeId nh, int depth, std::uint64_t& co
   }
   plan.ordinal = ++counter;
   plan.hcb = std::move(dec.hcb);
+  levels.push_back(nh);
   for (const HtNodeId block : plan.hcb) {
-    if (unfixed_macro_count(block) > 1) plan_level(block, depth + 1, counter);
+    if (unfixed_macro_count(block) > 1) plan_level(block, depth + 1, counter, levels);
   }
 }
 
@@ -219,13 +262,14 @@ void RecursiveFloorplanner::floorplan_level(HtNodeId nh, const Rect& region, int
   }
   const std::vector<HtNodeId>& hcb = plan.hcb;
 
-  // --- Algorithm 2, step 4: target area assignment.
-  const TargetAreaResult areas = assign_target_areas(design_, adjacency_, ht_, nh, hcb);
-
+  // --- Algorithm 2, step 4: target areas, precomputed in the plan.
   // --- step 5: dataflow inference. Every outside-macro terminal is
   // anchored to the parent's committed layout (the inherited snapshot).
-  const LevelDataflow flow =
-      infer_level_dataflow(design_, ht_, seq_, nh, hcb, inherited, options_);
+  const LevelDataflow flow = [&] {
+    const obs::Span dataflow_span("dataflow", "scheduler");
+    return infer_level_dataflow(design_, ht_, seq_, nh, hcb, inherited, options_);
+  }();
+  count_level(flow);
 
   // --- step 6: layout generation.
   LayoutProblem problem;
@@ -238,8 +282,8 @@ void RecursiveFloorplanner::floorplan_level(HtNodeId nh, const Rect& region, int
     if (ht_.macro_count(hcb[b]) > 0) {
       block.gamma = shape_curves_[static_cast<std::size_t>(hcb[b])];
     }
-    block.am = areas.minimum_area[b];
-    block.at = areas.target_area[b];
+    block.am = plan.minimum_area[b];
+    block.at = plan.target_area[b];
     problem.blocks.push_back(std::move(block));
   }
   AnnealOptions anneal = options_.layout_anneal;

@@ -26,10 +26,11 @@
 //     valid flags are std::uint8_t, one byte per slot; never
 //     std::vector<bool>, whose packed bits would race).
 //  2. Precomputed anneal ordinals. The recursion structure depends only
-//     on the hierarchy tree and the preplaced set, so plan_recursion()
-//     assigns each level its DFS-preorder ordinal up front and seeds are
-//     identical regardless of execution order (they equal the ++counter
-//     seeds of a sequential DFS by construction).
+//     on the hierarchy tree and the preplaced set, so plan() assigns
+//     each level its DFS-preorder ordinal (and its blocks' target areas)
+//     up front and seeds are identical regardless of execution order
+//     (they equal the ++counter seeds of a sequential DFS by
+//     construction).
 //  3. Slot-indexed result collection. Each subtree fills a private
 //     SubtreeResult; fragments are spliced in DFS block order after the
 //     join, so PlacementResult is byte-stable at any thread count.
@@ -50,14 +51,18 @@
 
 namespace hidap {
 
-/// Static per-level schedule, computed up front by plan_recursion():
+/// Static per-level schedule, computed up front by plan():
 /// the declustering (a pure function of the hierarchy tree, the
 /// declustering thresholds and the preplaced set -- never of seeds or
-/// evolving estimates) and the level's DFS-preorder anneal ordinal.
-/// One entry per HtNodeId; reusable across jobs with the same inputs,
-/// which is why the artifact cache stores it (see PlacementArtifacts).
+/// evolving estimates), the level's DFS-preorder anneal ordinal and its
+/// blocks' target areas (Algorithm 2, step 4: a function of the design,
+/// its adjacency, the hierarchy and the declustering). One entry per
+/// HtNodeId; reusable across jobs with the same inputs, which is why the
+/// artifact cache stores it (see PlacementArtifacts).
 struct LevelPlan {
   std::vector<HtNodeId> hcb;
+  std::vector<double> minimum_area;  ///< per hcb block: am
+  std::vector<double> target_area;   ///< per hcb block: am + claimed glue
   std::uint64_t ordinal = 0;  ///< 1-based; 0 on fallback levels
   bool planned = false;
   bool fallback = false;      ///< empty declustering or depth cap
@@ -69,7 +74,8 @@ using RecursionPlan = std::vector<LevelPlan>;
 /// annealing. Both are pure functions of their cache-key inputs, so
 /// adopting them is bit-identical to recomputing: shape curves depend
 /// on (design, seed, macro_halo, shape_fp), the recursion plan on
-/// (design, declustering thresholds, preplaced cells).
+/// (design, declustering thresholds, preplaced cells). Neither depends
+/// on lambda, so a lambda sweep shares one of each.
 struct PlacementArtifacts {
   std::shared_ptr<const std::vector<ShapeCurve>> shape_curves;
   std::shared_ptr<const RecursionPlan> recursion_plan;
@@ -82,7 +88,8 @@ class RecursiveFloorplanner {
                         const HiDaPOptions& options);
 
   /// Runs the recursion over the die, first generating the shape curves
-  /// if neither generate_shape_curves() nor adopt_shape_curves() did.
+  /// if neither generate_shape_curves() nor adopt_shape_curves() did, and
+  /// the plan if neither plan() nor adopt_recursion_plan() did.
   PlacementResult run(const Rect& die);
 
   /// Adopts cached precomputes instead of recomputing them in run().
@@ -92,6 +99,9 @@ class RecursiveFloorplanner {
   void adopt_shape_curves(const std::vector<ShapeCurve>& curves);
   void adopt_recursion_plan(const RecursionPlan& plan);
 
+  /// The schedule, computed if it was neither computed nor adopted yet.
+  /// Sibling levels' target areas are computed as pool tasks.
+  const RecursionPlan& plan();
   /// The schedule used by the last run() (or adopted); exposed so the
   /// session can cache it for warm repeats.
   const RecursionPlan& recursion_plan() const { return plan_; }
@@ -117,8 +127,8 @@ class RecursiveFloorplanner {
     std::vector<LevelSnapshot> snapshots;
   };
 
-  void plan_recursion();
-  void plan_level(HtNodeId nh, int depth, std::uint64_t& counter);
+  void plan_level(HtNodeId nh, int depth, std::uint64_t& counter,
+                  std::vector<HtNodeId>& levels);
   void floorplan_level(HtNodeId nh, const Rect& region, int depth,
                        const EstimateSnapshot& inherited, SubtreeResult& out);
   void fix_single_macro(HtNodeId block, const Rect& rect, const Point& attract,
@@ -152,7 +162,7 @@ class RecursiveFloorplanner {
   PlacementResult result_;
   Rect die_{};  // run()'s die; bounds the stop-path grid fallback
   bool curves_ready_ = false;
-  bool plan_adopted_ = false;
+  bool plan_ready_ = false;
 };
 
 }  // namespace hidap

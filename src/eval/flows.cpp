@@ -1,11 +1,15 @@
 #include "eval/flows.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "baseline/wall_packer.hpp"
+#include "core/recursive_floorplan.hpp"
+#include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
@@ -31,15 +35,55 @@ struct SweepWinner {
   Metrics metrics;
 };
 
-// The flow's reported effort is the SUM of its configurations' placement
-// times, not the fork-join span: on a shared pool the span overlaps the
-// other flows' and circuits' work, which would inflate the Table II/III
-// effort columns and make them thread-count dependent. Evaluation is not
-// effort: it is the measurement, not the flow.
-SweepWinner take_best(std::vector<SweepSlot>& slots, const char* flow_name,
-                      const PlacementEvaluator& evaluator) {
+// The recursion plan and the curve sets every slot of a sweep adopts,
+// built once before the slots run: the plan depends on none of lambda,
+// seed or effort, and a curve set on the seed and the curve-packing
+// effort, never on lambda. Adopting them is bit-identical to each slot
+// computing its own (see PlacementArtifacts).
+struct SweepArtifacts {
+  std::shared_ptr<const RecursionPlan> plan;
+  std::vector<std::shared_ptr<const std::vector<ShapeCurve>>> curves;  ///< per seed
+  double seconds = 0.0;  ///< precompute time, part of the flow's effort
+};
+
+SweepArtifacts sweep_artifacts(const Design& design, const PlacementContext& context,
+                               const std::vector<HiDaPOptions>& seeds) {
+  SweepArtifacts out;
+  if (seeds.empty()) return out;
+  const Timer timer;
+  out.curves.resize(seeds.size());
+  // Task i < seeds.size() packs seed i's curves; the last task plans.
+  parallel_for(
+      seeds.size() + 1,
+      [&](std::size_t i) {
+        const HiDaPOptions& opts = seeds[std::min(i, seeds.size() - 1)];
+        RecursiveFloorplanner floorplanner(design, context.adjacency, context.ht,
+                                           context.seq, opts);
+        if (i == seeds.size()) {
+          const obs::Span span("plan", "pipeline");
+          out.plan = std::make_shared<const RecursionPlan>(floorplanner.plan());
+        } else {
+          const obs::Span span("curves", "pipeline");
+          floorplanner.generate_shape_curves();
+          out.curves[i] =
+              std::make_shared<const std::vector<ShapeCurve>>(floorplanner.shape_curves());
+        }
+      },
+      effective_thread_count(seeds.front().num_threads));
+  out.seconds = timer.seconds();
+  return out;
+}
+
+// The flow's reported effort is its shared precompute plus the SUM of
+// its configurations' placement times, not the fork-join span: on a
+// shared pool the span overlaps the other flows' and circuits' work,
+// which would inflate the Table II/III effort columns and make them
+// thread-count dependent. Evaluation is not effort: it is the
+// measurement, not the flow.
+SweepWinner take_best(std::vector<SweepSlot>& slots, double shared_seconds,
+                      const char* flow_name, const PlacementEvaluator& evaluator) {
   SweepWinner best;
-  double effort = 0.0;
+  double effort = shared_seconds;
   std::size_t winner = slots.size();
   double best_wl = std::numeric_limits<double>::max();
   for (std::size_t i = 0; i < slots.size(); ++i) {
@@ -64,15 +108,18 @@ SweepWinner take_best(std::vector<SweepSlot>& slots, const char* flow_name,
 
 SweepWinner hidap_sweep(const Design& design, const PlacementContext& context,
                         const PlacementEvaluator& evaluator, const FlowOptions& options) {
+  HiDaPOptions base = options.hidap;  // copies the job state too
+  base.job.seed = options.seed;
+  const SweepArtifacts shared = sweep_artifacts(design, context, {base});
   std::vector<SweepSlot> slots(std::size(HiDaPOptions::kLambdaSweep));
   parallel_for(
       slots.size(),
       [&](std::size_t i) {
-        HiDaPOptions opts = options.hidap;  // copies the job state too
+        HiDaPOptions opts = base;
         opts.lambda = HiDaPOptions::kLambdaSweep[i];
-        opts.job.seed = options.seed;
+        PlacementArtifacts artifacts{shared.curves.front(), shared.plan};
         const Timer task_timer;
-        slots[i].result = place_macros(design, context, opts);
+        slots[i].result = place_macros(design, context, opts, &artifacts);
         slots[i].seconds = task_timer.seconds();
         slots[i].metrics = evaluator.evaluate(slots[i].result);
         if (JobControl* control = options.hidap.job.control) {
@@ -86,32 +133,37 @@ SweepWinner hidap_sweep(const Design& design, const PlacementContext& context,
     HIDAP_LOG_INFO("HiDaP lambda=%.1f: WL=%.3f m", HiDaPOptions::kLambdaSweep[i],
                    slots[i].metrics.wl_m);
   }
-  return take_best(slots, "HiDaP", evaluator);
+  return take_best(slots, shared.seconds, "HiDaP", evaluator);
 }
 
 SweepWinner handfp_sweep(const Design& design, const PlacementContext& context,
                          const PlacementEvaluator& evaluator, const FlowOptions& options) {
   constexpr std::size_t kLambdas = std::size(HiDaPOptions::kLambdaSweep);
-  std::vector<SweepSlot> slots(static_cast<std::size_t>(options.handfp_seeds) * kLambdas);
+  std::vector<HiDaPOptions> seeds(static_cast<std::size_t>(std::max(0, options.handfp_seeds)),
+                                  options.hidap);  // copies the job state too
+  for (std::size_t s = 0; s < seeds.size(); ++s) {
+    // Seed 0 re-runs the tool's own configuration at expert effort (the
+    // engineer starts from the tool output); later seeds explore.
+    seeds[s].job.seed =
+        s == 0 ? options.seed : options.seed * 7919 + static_cast<std::uint64_t>(s) * 104729 + 13;
+    seeds[s].scale_effort(options.handfp_effort);
+  }
+  const SweepArtifacts shared = sweep_artifacts(design, context, seeds);
+  std::vector<SweepSlot> slots(seeds.size() * kLambdas);
   parallel_for(
       slots.size(),
       [&](std::size_t t) {
-        const int s = static_cast<int>(t / kLambdas);
-        HiDaPOptions opts = options.hidap;  // copies the job state too
+        const std::size_t s = t / kLambdas;
+        HiDaPOptions opts = seeds[s];
         opts.lambda = HiDaPOptions::kLambdaSweep[t % kLambdas];
-        // Seed 0 re-runs the tool's own configuration at expert effort (the
-        // engineer starts from the tool output); later seeds explore.
-        opts.job.seed =
-            s == 0 ? options.seed
-                   : options.seed * 7919 + static_cast<std::uint64_t>(s) * 104729 + 13;
-        opts.scale_effort(options.handfp_effort);
+        PlacementArtifacts artifacts{shared.curves[s], shared.plan};
         const Timer task_timer;
-        slots[t].result = place_macros(design, context, opts);
+        slots[t].result = place_macros(design, context, opts, &artifacts);
         slots[t].seconds = task_timer.seconds();
         slots[t].metrics = evaluator.evaluate(slots[t].result);
       },
       effective_thread_count(options.hidap.num_threads));
-  return take_best(slots, "handFP", evaluator);
+  return take_best(slots, shared.seconds, "handFP", evaluator);
 }
 
 }  // namespace
@@ -134,7 +186,7 @@ PlacementResult run_indeda_flow(const Design& design, const PlacementContext& co
   region[static_cast<std::size_t>(context.ht.root())] =
       Rect{0, 0, design.die().w, design.die().h};
   region_valid[static_cast<std::size_t>(context.ht.root())] = 1;
-  flip_macros(design, context.ht, region, region_valid, result.macros,
+  flip_macros(design, context.ht, context.macro_nets, region, region_valid, result.macros,
               options.hidap.flipping_passes);
   if (const JobControl* control = options.hidap.job.control) {
     result.status = status_from_stop(control->stop_reason());

@@ -3,10 +3,73 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <deque>
+
+#include "core/hidap.hpp"
+#include "core/recursive_floorplan.hpp"
 #include "core/target_area.hpp"
+#include "gen/suite.hpp"
 
 namespace hidap {
 namespace {
+
+// Reference: the dense BFS, with a fresh cell_count() zone array and two
+// full cell scans per call.
+TargetAreaResult reference_target_areas(const Design& design, const CellAdjacency& adjacency,
+                                        const HierTree& ht, HtNodeId nh,
+                                        const std::vector<HtNodeId>& hcb) {
+  TargetAreaResult result;
+  result.minimum_area.resize(hcb.size());
+  result.target_area.resize(hcb.size());
+  std::vector<int> zone(design.cell_count(), -1);
+  for (const CellId c : ht.cells_under(nh)) zone[static_cast<std::size_t>(c)] = -2;
+  for (std::size_t b = 0; b < hcb.size(); ++b) {
+    result.minimum_area[b] = ht.area(hcb[b]);
+    result.target_area[b] = result.minimum_area[b];
+    for (const CellId c : ht.cells_under(hcb[b])) {
+      zone[static_cast<std::size_t>(c)] = static_cast<int>(b);
+    }
+  }
+  std::deque<std::pair<CellId, int>> queue;
+  for (std::size_t i = 0; i < design.cell_count(); ++i) {
+    if (zone[i] >= 0) queue.emplace_back(static_cast<CellId>(i), zone[i]);
+  }
+  while (!queue.empty()) {
+    const auto [cell, owner] = queue.front();
+    queue.pop_front();
+    adjacency.for_each_neighbor(cell, [&](CellId next) {
+      int& next_zone = zone[static_cast<std::size_t>(next)];
+      if (next_zone != -2) return;
+      next_zone = owner;
+      result.target_area[static_cast<std::size_t>(owner)] += design.cell(next).area;
+      queue.emplace_back(next, owner);
+    });
+  }
+  double orphan = 0.0;
+  for (std::size_t i = 0; i < design.cell_count(); ++i) {
+    if (zone[i] == -2) orphan += design.cell(static_cast<CellId>(i)).area;
+  }
+  if (orphan > 0 && !hcb.empty()) {
+    double am_sum = 0.0;
+    for (const double a : result.minimum_area) am_sum += a;
+    for (std::size_t b = 0; b < hcb.size(); ++b) {
+      const double share = am_sum > 0 ? result.minimum_area[b] / am_sum
+                                      : 1.0 / static_cast<double>(hcb.size());
+      result.target_area[b] += orphan * share;
+    }
+  }
+  return result;
+}
+
+void expect_bitwise_equal(const std::vector<double>& got, const std::vector<double>& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t b = 0; b < got.size(); ++b) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[b]), std::bit_cast<std::uint64_t>(want[b]))
+        << what << " block " << b;
+  }
+}
 
 // Two macro blocks A and B, with a glue chain closer to A and another
 // closer to B:  A - gA1 - gA2 - gB1 - B   (edge counts decide ownership).
@@ -119,6 +182,61 @@ TEST(TargetArea, ScopeExcludesOutsideCells) {
   // far_cell is a neighbor of macro A but outside scope: never claimed.
   ASSERT_EQ(res.target_area.size(), 1u);
   EXPECT_DOUBLE_EQ(res.target_area[0], res.minimum_area[0]);
+}
+
+// Every planned level of two suite designs, computed through one reused
+// scratch in plan order, against the dense reference.
+TEST(TargetArea, ScopedBfsMatchesDenseReference) {
+  for (const char* circuit : {"c1", "c3"}) {
+    const Design design = generate_circuit(suite_circuit(circuit, 0.002).spec);
+    const PlacementContext context(design);
+    HiDaPOptions options;
+    options.num_threads = 1;
+    RecursiveFloorplanner floorplanner(design, context.adjacency, context.ht, context.seq,
+                                       options);
+    const RecursionPlan& plan = floorplanner.plan();
+    TargetAreaScratch scratch(design.cell_count());
+    int levels = 0;
+    for (std::size_t nh = 0; nh < plan.size(); ++nh) {
+      if (!plan[nh].planned || plan[nh].fallback) continue;
+      ++levels;
+      const auto id = static_cast<HtNodeId>(nh);
+      const TargetAreaResult want =
+          reference_target_areas(design, context.adjacency, context.ht, id, plan[nh].hcb);
+      const TargetAreaResult got = assign_target_areas(design, context.adjacency, context.ht,
+                                                       id, plan[nh].hcb, scratch);
+      const std::string what = std::string(circuit) + " level " + std::to_string(nh);
+      expect_bitwise_equal(got.minimum_area, want.minimum_area, what);
+      expect_bitwise_equal(got.target_area, want.target_area, what);
+    }
+    EXPECT_GT(levels, 1) << circuit;
+  }
+}
+
+// The plan's areas, computed by parallel tasks, equal a fresh call per
+// level.
+TEST(TargetArea, PlanCarriesFreshAreas) {
+  const Design design = generate_circuit(suite_circuit("c2", 0.002).spec);
+  const PlacementContext context(design);
+  HiDaPOptions options;
+  options.num_threads = 4;
+  RecursiveFloorplanner floorplanner(design, context.adjacency, context.ht, context.seq,
+                                     options);
+  const RecursionPlan& plan = floorplanner.plan();
+  int levels = 0;
+  for (std::size_t nh = 0; nh < plan.size(); ++nh) {
+    if (!plan[nh].planned || plan[nh].fallback) {
+      EXPECT_TRUE(plan[nh].target_area.empty());
+      continue;
+    }
+    ++levels;
+    const TargetAreaResult fresh = assign_target_areas(
+        design, context.adjacency, context.ht, static_cast<HtNodeId>(nh), plan[nh].hcb);
+    const std::string what = "level " + std::to_string(nh);
+    expect_bitwise_equal(plan[nh].minimum_area, fresh.minimum_area, what);
+    expect_bitwise_equal(plan[nh].target_area, fresh.target_area, what);
+  }
+  EXPECT_GT(levels, 1);
 }
 
 }  // namespace

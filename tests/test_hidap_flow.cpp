@@ -228,5 +228,31 @@ TEST(HidapFlowSmall, TwoMacroDesignWorks) {
   EXPECT_LT(check.overlap_area, 1.0);
 }
 
+// A generated c1 variant whose seed-2 layout leaves a single-macro
+// block's rectangle overflowing the die, so the corner snap put its
+// macro past the die edge with no overlap anywhere. The final legality
+// pass used to run only on halos or overlaps and returned it as is.
+TEST(PlaceMacrosLegality, CornerSnapPastDieEdgeIsLegalized) {
+  set_log_level(LogLevel::Warn);
+  CircuitSpec spec = suite_circuit("c1", 0.002).spec;
+  spec.seed = 5659712130755204248ULL;
+  const Design design = generate_circuit(spec);
+  const PlacementContext context(design);
+  HiDaPOptions options;
+  options.job.seed = 2;
+  options.layout_anneal.moves_per_temperature = 160;
+  options.layout_anneal.cooling = 0.85;
+  options.layout_anneal.max_stagnant_temperatures = 5;
+  options.shape_fp.anneal.moves_per_temperature = 80;
+  options.shape_fp.anneal.cooling = 0.85;
+  options.shape_fp.anneal.max_stagnant_temperatures = 4;
+  const PlacementResult result = place_macros(design, context, options);
+  const PlacementCheck check =
+      check_placement(design, result, Rect{0, 0, design.die().w, design.die().h});
+  EXPECT_TRUE(check.all_macros_placed);
+  EXPECT_TRUE(check.all_inside_die);
+  EXPECT_LE(check.overlap_area, 1e-6);
+}
+
 }  // namespace
 }  // namespace hidap

@@ -1,12 +1,189 @@
 // Macro-flipping tests: orientation choice reduces pin-level HPWL and
-// never increases it; footprints are preserved.
+// never increases it; footprints are preserved. The indexed evaluator is
+// checked bit for bit against the reference below, which rescans every
+// net and re-absorbs every fixed endpoint per orientation trial.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <limits>
+#include <unordered_map>
+
 #include "core/macro_flipping.hpp"
+#include "gen/circuit_gen.hpp"
+#include "gen/suite.hpp"
+#include "util/rng.hpp"
 
 namespace hidap {
 namespace {
+
+// --- Reference: the per-call net scan flip_macros ran before the
+// design-level MacroNets index.
+
+std::array<Orientation, 4> reference_candidates(Orientation current) {
+  switch (current) {
+    case Orientation::R0:
+    case Orientation::MX:
+    case Orientation::MY:
+    case Orientation::R180:
+      return {Orientation::R0, Orientation::MX, Orientation::MY, Orientation::R180};
+    default:
+      return {Orientation::R90, Orientation::MX90, Orientation::MY90, Orientation::R270};
+  }
+}
+
+class ReferenceFlipEvaluator {
+ public:
+  ReferenceFlipEvaluator(const Design& design, const HierTree& ht,
+                         const std::vector<Rect>& region,
+                         const std::vector<std::uint8_t>& region_valid,
+                         std::vector<MacroPlacement>& macros)
+      : design_(design), ht_(ht), region_(region), region_valid_(region_valid),
+        macros_(macros) {
+    for (std::size_t i = 0; i < macros.size(); ++i) {
+      placement_of_[macros[i].cell] = static_cast<int>(i);
+    }
+    for (std::size_t n = 0; n < design.net_count(); ++n) {
+      const Net& net = design.net(static_cast<NetId>(n));
+      bool touches_macro = false;
+      auto scan = [&](const NetPin& p) {
+        if (design.cell(p.cell).kind == CellKind::Macro) touches_macro = true;
+      };
+      if (net.driver.cell != kInvalidId) scan(net.driver);
+      for (const NetPin& p : net.sinks) scan(p);
+      if (!touches_macro) continue;
+      MacroNet mn;
+      auto classify = [&](const NetPin& p) {
+        const Cell& c = design.cell(p.cell);
+        if (c.kind == CellKind::Macro) {
+          const auto it = placement_of_.find(p.cell);
+          if (it != placement_of_.end()) {
+            mn.macro_pins.push_back({it->second, Point{p.dx, p.dy}});
+            return;
+          }
+        }
+        mn.fixed_points.push_back(endpoint_position(p));
+      };
+      if (net.driver.cell != kInvalidId) classify(net.driver);
+      for (const NetPin& p : net.sinks) classify(p);
+      if (mn.macro_pins.empty()) continue;
+      const std::size_t idx = macro_nets_.size();
+      macro_nets_.push_back(std::move(mn));
+      for (const auto& [pl, off] : macro_nets_.back().macro_pins) {
+        nets_of_macro_[pl].push_back(idx);
+      }
+    }
+  }
+
+  double total_hpwl() const {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < macro_nets_.size(); ++i) sum += net_hpwl(i);
+    return sum;
+  }
+
+  double macro_hpwl(int pl, Orientation o) const {
+    const Orientation saved = macros_[static_cast<std::size_t>(pl)].orientation;
+    macros_[static_cast<std::size_t>(pl)].orientation = o;
+    double sum = 0.0;
+    const auto it = nets_of_macro_.find(pl);
+    if (it != nets_of_macro_.end()) {
+      for (const std::size_t n : it->second) sum += net_hpwl(n);
+    }
+    macros_[static_cast<std::size_t>(pl)].orientation = saved;
+    return sum;
+  }
+
+ private:
+  struct MacroNet {
+    std::vector<std::pair<int, Point>> macro_pins;
+    std::vector<Point> fixed_points;
+  };
+
+  Point endpoint_position(const NetPin& p) const {
+    const Cell& c = design_.cell(p.cell);
+    if (c.fixed_pos) return *c.fixed_pos;
+    HtNodeId walk = ht_.node_of_cell(p.cell);
+    while (true) {
+      if (region_valid_[static_cast<std::size_t>(walk)]) {
+        return region_[static_cast<std::size_t>(walk)].center();
+      }
+      if (walk == ht_.root()) return Point{};
+      walk = ht_.node(walk).parent;
+    }
+  }
+
+  Point macro_pin_position(int pl, const Point& offset) const {
+    const MacroPlacement& m = macros_[static_cast<std::size_t>(pl)];
+    const bool swapped = swaps_dimensions(m.orientation);
+    const double w0 = swapped ? m.rect.h : m.rect.w;
+    const double h0 = swapped ? m.rect.w : m.rect.h;
+    const Point local = transform_pin(offset, w0, h0, m.orientation);
+    return {m.rect.x + local.x, m.rect.y + local.y};
+  }
+
+  double net_hpwl(std::size_t n) const {
+    const MacroNet& mn = macro_nets_[n];
+    double xmin = std::numeric_limits<double>::max(), xmax = -xmin;
+    double ymin = xmin, ymax = -xmin;
+    auto absorb = [&](const Point& p) {
+      xmin = std::min(xmin, p.x);
+      xmax = std::max(xmax, p.x);
+      ymin = std::min(ymin, p.y);
+      ymax = std::max(ymax, p.y);
+    };
+    for (const Point& p : mn.fixed_points) absorb(p);
+    for (const auto& [pl, off] : mn.macro_pins) absorb(macro_pin_position(pl, off));
+    if (xmax < xmin) return 0.0;
+    return (xmax - xmin) + (ymax - ymin);
+  }
+
+  const Design& design_;
+  const HierTree& ht_;
+  const std::vector<Rect>& region_;
+  const std::vector<std::uint8_t>& region_valid_;
+  std::vector<MacroPlacement>& macros_;
+  std::vector<MacroNet> macro_nets_;
+  std::unordered_map<int, std::vector<std::size_t>> nets_of_macro_;
+  std::unordered_map<CellId, int> placement_of_;
+};
+
+FlippingStats reference_flip_macros(const Design& design, const HierTree& ht,
+                                    const std::vector<Rect>& region,
+                                    const std::vector<std::uint8_t>& region_valid,
+                                    std::vector<MacroPlacement>& macros, int max_passes,
+                                    const std::set<CellId>* skip) {
+  FlippingStats stats;
+  ReferenceFlipEvaluator eval(design, ht, region, region_valid, macros);
+  stats.hpwl_before = eval.total_hpwl();
+  for (int pass = 0; pass < max_passes; ++pass) {
+    ++stats.passes;
+    int flips_this_pass = 0;
+    for (std::size_t i = 0; i < macros.size(); ++i) {
+      if (skip && skip->count(macros[i].cell)) continue;
+      const Orientation current = macros[i].orientation;
+      Orientation best = current;
+      double best_cost = eval.macro_hpwl(static_cast<int>(i), current);
+      for (const Orientation o : reference_candidates(current)) {
+        if (o == current) continue;
+        const double cost = eval.macro_hpwl(static_cast<int>(i), o);
+        if (cost + 1e-9 < best_cost) {
+          best_cost = cost;
+          best = o;
+        }
+      }
+      if (best != current) {
+        macros[i].orientation = best;
+        ++flips_this_pass;
+      }
+    }
+    stats.flips += flips_this_pass;
+    if (flips_this_pass == 0) break;
+  }
+  stats.hpwl_after = eval.total_hpwl();
+  return stats;
+}
 
 // One macro with its output pin on the right edge; the consumer sits on
 // the LEFT of the macro, so mirroring about Y must pay off.
@@ -97,6 +274,111 @@ TEST(MacroFlipping, RotatedGroupUsesRotatedCandidates) {
   const Orientation o = fx.placement[0].orientation;
   EXPECT_TRUE(o == Orientation::R90 || o == Orientation::R270 ||
               o == Orientation::MX90 || o == Orientation::MY90);
+}
+
+// Random region tables (some nodes invalid, sometimes the root too),
+// random macro rects and orientations, macros left out of the placement
+// and a random skip set: orientations and both HPWL sums must equal the
+// reference bit for bit.
+TEST(MacroFlippingOracle, IndexedEvaluatorMatchesReference) {
+  const Design design = generate_circuit(fig1_spec());
+  const HierTree ht(design);
+  const MacroNets nets(design, ht);
+  ASSERT_GT(nets.net_count(), 0u);
+  const std::vector<CellId> macro_cells = design.macros();
+  const double die_w = design.die().w, die_h = design.die().h;
+  Rng rng(20);
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<Rect> region(ht.size());
+    std::vector<std::uint8_t> region_valid(ht.size(), 0);
+    const double valid_p = trial % 3 == 0 ? 0.1 : 0.6;
+    for (std::size_t n = 0; n < ht.size(); ++n) {
+      if (!rng.next_bool(valid_p)) continue;
+      const double w = rng.next_double(1.0, die_w / 2), h = rng.next_double(1.0, die_h / 2);
+      region[n] = Rect{rng.next_double(0, die_w - w), rng.next_double(0, die_h - h), w, h};
+      region_valid[n] = 1;
+    }
+    std::vector<MacroPlacement> placement;
+    std::set<CellId> skip;
+    for (const CellId cell : macro_cells) {
+      if (rng.next_bool(0.15)) continue;  // absent: a fixed endpoint
+      const MacroDef& def = design.macro_def_of(cell);
+      const Orientation o = kAllOrientations[rng.next_below(kAllOrientations.size())];
+      const Point size = oriented_size(def.w, def.h, o);
+      placement.push_back({cell,
+                           Rect{rng.next_double(0, die_w - size.x),
+                                rng.next_double(0, die_h - size.y), size.x, size.y},
+                           o});
+      if (rng.next_bool(0.1)) skip.insert(cell);
+    }
+    std::vector<MacroPlacement> expected = placement;
+    const std::set<CellId>* skip_ptr = skip.empty() ? nullptr : &skip;
+    const FlippingStats want =
+        reference_flip_macros(design, ht, region, region_valid, expected, 4, skip_ptr);
+    const FlippingStats got =
+        flip_macros(design, ht, nets, region, region_valid, placement, 4, skip_ptr);
+    ASSERT_EQ(placement.size(), expected.size());
+    for (std::size_t i = 0; i < placement.size(); ++i) {
+      EXPECT_EQ(placement[i].orientation, expected[i].orientation) << "trial " << trial;
+    }
+    EXPECT_EQ(got.flips, want.flips) << "trial " << trial;
+    EXPECT_EQ(got.passes, want.passes) << "trial " << trial;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.hpwl_before),
+              std::bit_cast<std::uint64_t>(want.hpwl_before))
+        << "trial " << trial;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.hpwl_after),
+              std::bit_cast<std::uint64_t>(want.hpwl_after))
+        << "trial " << trial;
+  }
+}
+
+// A macro missing from the placement is a fixed endpoint at its HT
+// node's region center: here it sits west of the placed macro, so the
+// placed macro mirrors its output pin toward it.
+TEST(MacroFlippingOracle, AbsentMacroIsAFixedEndpoint) {
+  Design d("top");
+  MacroDef def;
+  def.name = "M";
+  def.w = 10;
+  def.h = 6;
+  def.pins.push_back({"Q", {10.0, 3.0}, 32, true});
+  const MacroDefId id = d.library().add(def);
+  const CellId placed = d.add_cell(d.root(), "mem", CellKind::Macro, 0.0, id);
+  const CellId absent = d.add_cell(d.root(), "mem2", CellKind::Macro, 0.0, id);
+  const NetId n = d.add_net("q");
+  d.set_driver(n, placed, 10.0f, 3.0f);
+  d.add_sink(n, absent, 0.0f, 3.0f);
+  d.set_die(Die{100, 100});
+  const HierTree ht(d);
+  std::vector<Rect> region(ht.size());
+  std::vector<std::uint8_t> region_valid(ht.size(), 0);
+  region[static_cast<std::size_t>(ht.root())] = Rect{0, 0, 100, 100};
+  region_valid[static_cast<std::size_t>(ht.root())] = 1;
+  std::vector<MacroPlacement> placement = {{placed, Rect{60, 20, 10, 6}, Orientation::R0}};
+  std::vector<MacroPlacement> expected = placement;
+  const FlippingStats want =
+      reference_flip_macros(d, ht, region, region_valid, expected, 4, nullptr);
+  const FlippingStats got =
+      flip_macros(d, ht, MacroNets(d, ht), region, region_valid, placement, 4, nullptr);
+  EXPECT_EQ(expected[0].orientation, Orientation::MY);
+  EXPECT_EQ(placement[0].orientation, expected[0].orientation);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.hpwl_before),
+            std::bit_cast<std::uint64_t>(want.hpwl_before));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.hpwl_after),
+            std::bit_cast<std::uint64_t>(want.hpwl_after));
+}
+
+// The wrapper that indexes per call and the context-style prebuilt
+// index give the same result.
+TEST(MacroFlippingOracle, WrapperEqualsPrebuiltIndex) {
+  FlipFixture fx;
+  std::vector<MacroPlacement> other = fx.placement;
+  const MacroNets nets(fx.d, fx.ht);
+  const FlippingStats a = flip_macros(fx.d, fx.ht, fx.region, fx.region_valid, fx.placement);
+  const FlippingStats b = flip_macros(fx.d, fx.ht, nets, fx.region, fx.region_valid, other);
+  EXPECT_EQ(fx.placement[0].orientation, other[0].orientation);
+  EXPECT_EQ(a.hpwl_before, b.hpwl_before);
+  EXPECT_EQ(a.hpwl_after, b.hpwl_after);
 }
 
 }  // namespace

@@ -342,6 +342,37 @@ TEST_F(ObsDeterminism, PlacementRunRecordsSaAndPhaseMetrics) {
   EXPECT_GT(scope.registry().counter("phase.curves_us").value(), 0u);
 }
 
+// Per-level size counters move with every cold placement, and the
+// level's target-area and dataflow work appear as their own spans.
+TEST_F(ObsDeterminism, PlacementRecordsLevelSizesAndSpans) {
+  TracingOff guard;
+  const char* const counters[] = {"level.blocks", "level.terminals", "level.affinity_pairs",
+                                  "target_area.bfs_visits", "flip.macro_nets"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : counters) {
+    before.push_back(obs::default_registry().counter(name).value());
+  }
+  obs::Tracer::instance().clear();
+  obs::set_tracing_enabled(true);
+  const PlacementResult result = place_macros(*design_, *context_, quick_options(1));
+  obs::set_tracing_enabled(false);
+  ASSERT_EQ(result.status, JobStatus::Completed);
+  for (std::size_t i = 0; i < std::size(counters); ++i) {
+    EXPECT_GT(obs::default_registry().counter(counters[i]).value(), before[i])
+        << counters[i];
+  }
+  std::uint64_t target_area_spans = 0, dataflow_spans = 0, level_spans = 0;
+  for (const obs::PhaseStat& stat : obs::phase_stats()) {
+    if (stat.name == "target_area") target_area_spans = stat.count;
+    if (stat.name == "dataflow") dataflow_spans = stat.count;
+    if (stat.name == "level") level_spans = stat.count;
+  }
+  EXPECT_GT(level_spans, 0u);
+  EXPECT_EQ(target_area_spans, level_spans);
+  EXPECT_EQ(dataflow_spans, level_spans);
+  obs::Tracer::instance().clear();
+}
+
 TEST_F(ObsDeterminism, PhasesPartitionAColdPlacement) {
   // The four phase scopes of place_macros are disjoint, so their
   // counters (each floored to whole microseconds) add up to at most the
