@@ -24,7 +24,6 @@
 #include "runtime/thread_pool.hpp"
 #include "util/env.hpp"
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace hidap::benchutil {
 
@@ -125,10 +124,10 @@ inline std::vector<FlowComparison> run_suite_flows(const std::vector<SuiteEntry>
     const CircuitSpec& spec = suite[i].spec;
     log_progress("[%s] running %s (%d macros, %d cells)...", tag, spec.name.c_str(),
                  spec.macro_count, spec.target_cells);
-    const Timer circuit_timer;
+    const obs::Phase circuit("circuit", "bench");
     const Design design = generate_circuit(spec);
     results[i] = compare_flows(design, bench_flow_options());
-    const double seconds = circuit_timer.seconds();
+    const double seconds = circuit.seconds();
     circuit_wall.record(seconds);
     circuits_done.add(1);
     log_progress("[%s] %s done in %.1fs", tag, spec.name.c_str(), seconds);

@@ -234,10 +234,11 @@ struct Server {
       done.boolean("context_cached", outcome.context_cached);
       done.boolean("curves_cached", outcome.curves_cached);
       done.boolean("plan_cached", outcome.plan_cached);
-      done.num("phase_curves_s", outcome.phase_curves_s);
-      done.num("phase_recursion_s", outcome.phase_recursion_s);
-      done.num("phase_flip_s", outcome.phase_flip_s);
-      done.num("phase_legalize_s", outcome.phase_legalize_s);
+      const PhaseSeconds& phases = outcome.placement.phases;
+      done.num("phase_curves_s", phases.curves_s);
+      done.num("phase_recursion_s", phases.recursion_s);
+      done.num("phase_flip_s", phases.flip_s);
+      done.num("phase_legalize_s", phases.legalize_s);
       if (!out_path.empty()) {
         try {
           HIDAP_FAILPOINT("serve.write_def");
@@ -413,15 +414,11 @@ int main(int argc, char** argv) {
       emit_error(ErrorCode::ParseError, "bad request: " + error);
       continue;
     }
-    // Injectable request-handling fault: error mode refuses this
-    // request (the documented degradation), throw mode is caught here
+    // Injectable request-handling fault: it throws into the catch below
+    // (the point's code is invalid_request), which refuses this request
     // so one poisoned request can never take the daemon down.
     try {
-      if (HIDAP_FAILPOINT_TRIGGERED("serve.request")) {
-        emit_error(ErrorCode::InvalidRequest, "request refused (injected fault)",
-                   json_string(req, "id"));
-        continue;
-      }
+      HIDAP_FAILPOINT("serve.request");
       const std::string op = json_string(req, "op");
       if (op == "place") server.handle_place(req);
       else if (op == "cancel") server.handle_cancel(req);

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "obs/trace.hpp"
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace hidap {
 
@@ -78,7 +78,7 @@ class FlatCostModel {
 
 PlacementResult place_macros_flat_sa(const Design& design, const SeqGraph& seq,
                                      const FlatSaOptions& options) {
-  Timer timer;
+  const obs::Phase phase("flat_sa", "baseline");
   const Rect die{0, 0, design.die().w, design.die().h};
 
   std::vector<MacroPlacement> state;
@@ -153,7 +153,7 @@ PlacementResult place_macros_flat_sa(const Design& design, const SeqGraph& seq,
 
   PlacementResult result;
   result.macros = std::move(best);
-  result.runtime_seconds = timer.seconds();
+  result.runtime_seconds = phase.seconds();
   result.flow_name = "FlatSA";
   HIDAP_LOG_INFO("FlatSA placed %zu macros in %.2fs", result.macros.size(),
                  result.runtime_seconds);

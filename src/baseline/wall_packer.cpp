@@ -5,8 +5,8 @@
 #include <map>
 #include <tuple>
 
+#include "obs/trace.hpp"
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace hidap {
 
@@ -152,7 +152,7 @@ double seq_wirelength(const Design& design, const SeqGraph& seq,
 
 PlacementResult place_macros_walls(const Design& design, const HierTree& ht,
                                    const SeqGraph& seq, const WallPackOptions& options) {
-  Timer timer;
+  const obs::Phase phase("wall_pack", "baseline");
   const Rect die{0, 0, design.die().w, design.die().h};
 
   // Initial order: hierarchy preorder keeps banks contiguous.
@@ -201,7 +201,7 @@ PlacementResult place_macros_walls(const Design& design, const HierTree& ht,
 
   PlacementResult result;
   result.macros = pack_ring(design, best, die, options.ring_margin);
-  result.runtime_seconds = timer.seconds();
+  result.runtime_seconds = phase.seconds();
   result.flow_name = "IndEDA";
   HIDAP_LOG_INFO("IndEDA (wall packer) placed %zu macros in %.2fs",
                  result.macros.size(), result.runtime_seconds);

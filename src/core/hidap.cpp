@@ -1,56 +1,19 @@
 #include "core/hidap.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <set>
 #include <stdexcept>
-#include <string>
 
 #include "core/recursive_floorplan.hpp"
 #include "floorplan/legalizer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace hidap {
 
 namespace {
-
-// One pipeline phase of place_macros: a trace span plus its wall time,
-// added on exit to `phase.<name>_us` in the process registry and in the
-// job's MetricScope (when one rides on the control). The phases are
-// disjoint, so their counters partition the run. A handful of counter
-// adds per placement -- never on any per-move path.
-class PhaseScope {
- public:
-  PhaseScope(const char* name, const JobControl* control)
-      : name_(name), control_(control), span_(name, "pipeline") {}
-
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
-  ~PhaseScope() {
-    const auto micros = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(clock::now() - start_)
-            .count());
-    const std::string counter = std::string("phase.") + name_ + "_us";
-    obs::default_registry().counter(counter).add(micros);
-    if (control_ != nullptr) {
-      if (obs::MetricsRegistry* job = control_->job_metrics()) {
-        job->counter(counter).add(micros);
-      }
-    }
-  }
-
- private:
-  using clock = std::chrono::steady_clock;
-  const char* name_;
-  const JobControl* control_;
-  obs::Span span_;
-  clock::time_point start_ = clock::now();
-};
 
 // Die containment at check_placement()'s default tolerance.
 bool all_inside(const std::vector<MacroPlacement>& macros, const Rect& die) {
@@ -67,8 +30,7 @@ PlacementResult place_macros(const Design& design, const HiDaPOptions& options) 
 
 PlacementResult place_macros(const Design& design, const PlacementContext& context,
                              const HiDaPOptions& options, PlacementArtifacts* artifacts) {
-  obs::Span place_span("place", "pipeline");
-  Timer timer;
+  const obs::Phase place("place");
   JobControl* control = options.job.control;
   const Rect die{0, 0, design.die().w, design.die().h};
   if (die.area() <= 0) throw std::invalid_argument("place_macros: empty die");
@@ -79,17 +41,23 @@ PlacementResult place_macros(const Design& design, const PlacementContext& conte
   if (artifacts != nullptr && artifacts->recursion_plan) {
     floorplanner.adopt_recursion_plan(*artifacts->recursion_plan);
   }
-  // Adopted curves cost nothing and report nothing.
+  // The four steps are disjoint Phases, so their counters partition
+  // the run. run() replaces `result`, so their seconds are kept aside
+  // and copied in on return. Adopted curves cost nothing and report
+  // nothing.
+  PhaseSeconds phases;
   if (artifacts != nullptr && artifacts->shape_curves) {
     floorplanner.adopt_shape_curves(*artifacts->shape_curves);
   } else {
-    const PhaseScope phase("curves", control);
+    const obs::Phase phase("curves");
     floorplanner.generate_shape_curves();
+    phases.curves_s = phase.seconds();
   }
   PlacementResult result;
   {
-    const PhaseScope phase("recursion", control);
+    const obs::Phase phase("recursion");
     result = floorplanner.run(die);
+    phases.recursion_s = phase.seconds();
   }
 
   const bool stopped = control != nullptr && control->should_stop();
@@ -118,7 +86,8 @@ PlacementResult place_macros(const Design& design, const PlacementContext& conte
                              result.macros.size());
     }
     result.status = status_from_stop(control->stop_reason());
-    result.runtime_seconds = timer.seconds();
+    result.phases = phases;
+    result.runtime_seconds = place.seconds();
     result.flow_name = "HiDaP";
     return result;
   }
@@ -126,10 +95,11 @@ PlacementResult place_macros(const Design& design, const PlacementContext& conte
   std::set<CellId> preplaced;
   for (const MacroPlacement& m : options.job.preplaced) preplaced.insert(m.cell);
   {
-    const PhaseScope phase("flip", control);
+    const obs::Phase phase("flip");
     flip_macros(design, context.ht, context.macro_nets, floorplanner.region_of_node(),
                 floorplanner.region_valid(), result.macros, options.flipping_passes,
                 preplaced.empty() ? nullptr : &preplaced);
+    phases.flip_s = phase.seconds();
   }
 
   // Final legality pass: snapping and preplacement can leave small
@@ -138,19 +108,18 @@ PlacementResult place_macros(const Design& design, const PlacementContext& conte
   // could not clear are counted, not hidden.
   if (options.macro_halo > 0.0 || !all_inside(result.macros, die) ||
       total_overlap(result.macros, options.macro_halo) > 0.0) {
-    const PhaseScope phase("legalize", control);
+    const obs::Phase phase("legalize");
     LegalizeOptions legal;
     legal.halo = options.macro_halo;
     legal.fixed = preplaced;
     const LegalizeStats stats = legalize_macros(design, result.macros, legal);
     if (stats.unresolved > 0) {
-      const auto unresolved = static_cast<std::uint64_t>(stats.unresolved);
-      obs::default_registry().counter("legalize.unresolved").add(unresolved);
-      if (obs::MetricsRegistry* job = control != nullptr ? control->job_metrics() : nullptr) {
-        job->counter("legalize.unresolved").add(unresolved);
-      }
+      obs::default_registry()
+          .counter("legalize.unresolved")
+          .add(static_cast<std::uint64_t>(stats.unresolved));
       HIDAP_LOG_WARN("legalize: %d macros left overlapping", stats.unresolved);
     }
+    phases.legalize_s = phase.seconds();
   }
 
   // A stop requested after the recursion finished still reports its
@@ -158,7 +127,8 @@ PlacementResult place_macros(const Design& design, const PlacementContext& conte
   // quality, but callers polling for cancellation must see it honored).
   result.status =
       control != nullptr ? status_from_stop(control->stop_reason()) : JobStatus::Completed;
-  result.runtime_seconds = timer.seconds();
+  result.phases = phases;
+  result.runtime_seconds = place.seconds();
   result.flow_name = "HiDaP";
   HIDAP_LOG_INFO("HiDaP placed %zu macros in %.2fs (lambda=%.2f)", result.macros.size(),
                  result.runtime_seconds, options.lambda);

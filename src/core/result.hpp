@@ -30,10 +30,22 @@ struct LevelSnapshot {
   int depth = 0;  ///< recursion depth (root = 0)
 };
 
+/// Wall seconds of place_macros' four steps, each zero when its step
+/// did not run (adopted curves, no legalization needed, a stopped run's
+/// skipped post-passes). The steps are disjoint, so they sum to at most
+/// runtime_seconds.
+struct PhaseSeconds {
+  double curves_s = 0.0;
+  double recursion_s = 0.0;
+  double flip_s = 0.0;
+  double legalize_s = 0.0;
+};
+
 struct PlacementResult {
   std::vector<MacroPlacement> macros;
   std::vector<LevelSnapshot> snapshots;
   double runtime_seconds = 0.0;
+  PhaseSeconds phases;  ///< place_macros only; zero for the baselines
   std::string flow_name;
 
   /// Completed for a full run. Cancelled / DeadlineExpired runs are

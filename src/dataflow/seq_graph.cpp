@@ -50,23 +50,12 @@ void SeqGraph::add_edge(SeqNodeId from, SeqNodeId to, int bits, int comb_depth) 
 void SeqGraph::build_adjacency() {
   const std::size_t n = nodes_.size();
   out_start_.assign(n + 1, 0);
-  in_start_.assign(n + 1, 0);
-  for (const SeqEdge& e : edges_) {
-    ++out_start_[static_cast<std::size_t>(e.from) + 1];
-    ++in_start_[static_cast<std::size_t>(e.to) + 1];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    out_start_[i + 1] += out_start_[i];
-    in_start_[i + 1] += in_start_[i];
-  }
+  for (const SeqEdge& e : edges_) ++out_start_[static_cast<std::size_t>(e.from) + 1];
+  for (std::size_t i = 0; i < n; ++i) out_start_[i + 1] += out_start_[i];
   out_list_.resize(edges_.size());
-  in_list_.resize(edges_.size());
   std::vector<std::uint32_t> ofill(out_start_.begin(), out_start_.end() - 1);
-  std::vector<std::uint32_t> ifill(in_start_.begin(), in_start_.end() - 1);
   for (std::size_t i = 0; i < edges_.size(); ++i) {
     out_list_[ofill[static_cast<std::size_t>(edges_[i].from)]++] =
-        static_cast<std::uint32_t>(i);
-    in_list_[ifill[static_cast<std::size_t>(edges_[i].to)]++] =
         static_cast<std::uint32_t>(i);
   }
   adjacency_built_ = true;
@@ -77,13 +66,6 @@ std::pair<const std::uint32_t*, const std::uint32_t*> SeqGraph::out_edges(
   assert(adjacency_built_);
   return {out_list_.data() + out_start_[static_cast<std::size_t>(n)],
           out_list_.data() + out_start_[static_cast<std::size_t>(n) + 1]};
-}
-
-std::pair<const std::uint32_t*, const std::uint32_t*> SeqGraph::in_edges(
-    SeqNodeId n) const {
-  assert(adjacency_built_);
-  return {in_list_.data() + in_start_[static_cast<std::size_t>(n)],
-          in_list_.data() + in_start_[static_cast<std::size_t>(n) + 1]};
 }
 
 void SeqGraph::map_cell(CellId cell, SeqNodeId node) {

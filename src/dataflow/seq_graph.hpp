@@ -59,8 +59,6 @@ class SeqGraph {
 
   /// Outgoing edge indices of a node.
   std::pair<const std::uint32_t*, const std::uint32_t*> out_edges(SeqNodeId n) const;
-  /// Incoming edge indices of a node.
-  std::pair<const std::uint32_t*, const std::uint32_t*> in_edges(SeqNodeId n) const;
 
   /// Gseq node of a sequential bit cell (kInvalidId for comb cells and
   /// for elements dropped by the bit-width threshold).
@@ -77,8 +75,9 @@ class SeqGraph {
   std::vector<SeqEdge> edges_;
   std::unordered_map<std::uint64_t, std::size_t> edge_index_;  ///< (from,to) -> edge
   std::vector<SeqNodeId> cell_node_;
-  // CSR adjacency over edge indices.
-  std::vector<std::uint32_t> out_start_, out_list_, in_start_, in_list_;
+  // CSR out-adjacency over edge indices (the Gseq BFSs walk edges
+  // forward only).
+  std::vector<std::uint32_t> out_start_, out_list_;
   bool adjacency_built_ = false;
 };
 

@@ -12,7 +12,6 @@
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace hidap {
 
@@ -26,7 +25,6 @@ namespace {
 struct SweepSlot {
   PlacementResult result;
   Metrics metrics;
-  double seconds = 0.0;  ///< this configuration's placement time
 };
 
 // A sweep's winning placement with the evaluation its slot already ran.
@@ -50,7 +48,7 @@ SweepArtifacts sweep_artifacts(const Design& design, const PlacementContext& con
                                const std::vector<HiDaPOptions>& seeds) {
   SweepArtifacts out;
   if (seeds.empty()) return out;
-  const Timer timer;
+  const obs::Phase phase("artifacts");
   out.curves.resize(seeds.size());
   // Task i < seeds.size() packs seed i's curves; the last task plans.
   parallel_for(
@@ -70,12 +68,12 @@ SweepArtifacts sweep_artifacts(const Design& design, const PlacementContext& con
         }
       },
       effective_thread_count(seeds.front().num_threads));
-  out.seconds = timer.seconds();
+  out.seconds = phase.seconds();
   return out;
 }
 
 // The flow's reported effort is its shared precompute plus the SUM of
-// its configurations' placement times, not the fork-join span: on a
+// its configurations' runtime_seconds, not the fork-join span: on a
 // shared pool the span overlaps the other flows' and circuits' work,
 // which would inflate the Table II/III effort columns and make them
 // thread-count dependent. Evaluation is not effort: it is the
@@ -87,7 +85,7 @@ SweepWinner take_best(std::vector<SweepSlot>& slots, double shared_seconds,
   std::size_t winner = slots.size();
   double best_wl = std::numeric_limits<double>::max();
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    effort += slots[i].seconds;
+    effort += slots[i].result.runtime_seconds;
     if (slots[i].metrics.wl_m < best_wl) {
       best_wl = slots[i].metrics.wl_m;
       winner = i;
@@ -118,14 +116,12 @@ SweepWinner hidap_sweep(const Design& design, const PlacementContext& context,
         HiDaPOptions opts = base;
         opts.lambda = HiDaPOptions::kLambdaSweep[i];
         PlacementArtifacts artifacts{shared.curves.front(), shared.plan};
-        const Timer task_timer;
         slots[i].result = place_macros(design, context, opts, &artifacts);
-        slots[i].seconds = task_timer.seconds();
         slots[i].metrics = evaluator.evaluate(slots[i].result);
         if (JobControl* control = options.hidap.job.control) {
           control->post_progress("hidap lambda=%.1f: WL=%.3f m (%.2fs)",
                                  HiDaPOptions::kLambdaSweep[i], slots[i].metrics.wl_m,
-                                 slots[i].seconds);
+                                 slots[i].result.runtime_seconds);
         }
       },
       effective_thread_count(options.hidap.num_threads));
@@ -157,9 +153,7 @@ SweepWinner handfp_sweep(const Design& design, const PlacementContext& context,
         HiDaPOptions opts = seeds[s];
         opts.lambda = HiDaPOptions::kLambdaSweep[t % kLambdas];
         PlacementArtifacts artifacts{shared.curves[s], shared.plan};
-        const Timer task_timer;
         slots[t].result = place_macros(design, context, opts, &artifacts);
-        slots[t].seconds = task_timer.seconds();
         slots[t].metrics = evaluator.evaluate(slots[t].result);
       },
       effective_thread_count(options.hidap.num_threads));

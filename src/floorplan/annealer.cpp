@@ -14,26 +14,23 @@ namespace {
 
 // One flush per completed schedule: the move loop keeps its counts in
 // AnnealStats exactly as before (zero added work per move) and the
-// totals land in the process registry -- and the job's MetricScope when
-// one rides on the control -- only here.
-void flush_anneal_metrics(const AnnealOptions& options, const AnnealStats& stats) {
-  obs::MetricsRegistry* targets[2] = {&obs::default_registry(), nullptr};
-  if (options.control != nullptr) targets[1] = options.control->job_metrics();
-  for (obs::MetricsRegistry* registry : targets) {
-    if (registry == nullptr) continue;
-    registry->counter("sa.runs").add(1);
-    registry->counter("sa.moves_proposed")
-        .add(static_cast<std::uint64_t>(stats.moves_attempted));
-    registry->counter("sa.moves_accepted")
-        .add(static_cast<std::uint64_t>(stats.moves_accepted));
-    registry->counter("sa.moves_rejected")
-        .add(static_cast<std::uint64_t>(stats.moves_attempted - stats.moves_accepted));
-    registry->counter("sa.best_improvements")
-        .add(static_cast<std::uint64_t>(stats.best_improvements));
-    registry->counter("sa.temperature_steps")
-        .add(static_cast<std::uint64_t>(stats.temperature_steps));
-    if (stats.stopped) registry->counter("sa.stopped_runs").add(1);
-  }
+// totals land in the process registry only here.
+void flush_anneal_metrics(const AnnealStats& stats) {
+  static obs::Counter& runs = obs::default_registry().counter("sa.runs");
+  static obs::Counter& proposed = obs::default_registry().counter("sa.moves_proposed");
+  static obs::Counter& accepted = obs::default_registry().counter("sa.moves_accepted");
+  static obs::Counter& rejected = obs::default_registry().counter("sa.moves_rejected");
+  static obs::Counter& improvements = obs::default_registry().counter("sa.best_improvements");
+  static obs::Counter& temperature_steps =
+      obs::default_registry().counter("sa.temperature_steps");
+  static obs::Counter& stopped_runs = obs::default_registry().counter("sa.stopped_runs");
+  runs.add(1);
+  proposed.add(static_cast<std::uint64_t>(stats.moves_attempted));
+  accepted.add(static_cast<std::uint64_t>(stats.moves_accepted));
+  rejected.add(static_cast<std::uint64_t>(stats.moves_attempted - stats.moves_accepted));
+  improvements.add(static_cast<std::uint64_t>(stats.best_improvements));
+  temperature_steps.add(static_cast<std::uint64_t>(stats.temperature_steps));
+  if (stats.stopped) stopped_runs.add(1);
 }
 
 }  // namespace
@@ -63,7 +60,7 @@ AnnealStats anneal(double initial_cost, const AnnealOptions& options,
     for (int i = 0; i < options.calibration_moves; ++i) {
       if (stop_requested()) {
         stats.stopped = true;
-        flush_anneal_metrics(options, stats);
+        flush_anneal_metrics(stats);
         return stats;
       }
       const double cost = hooks.propose();
@@ -121,7 +118,7 @@ AnnealStats anneal(double initial_cost, const AnnealOptions& options,
     stagnant = improved ? 0 : stagnant + 1;
     temperature *= options.cooling;
   }
-  flush_anneal_metrics(options, stats);
+  flush_anneal_metrics(stats);
   HIDAP_LOG_DEBUG("anneal: %ld/%ld accepted, %d temps, cost %.4g -> %.4g",
                   stats.moves_accepted, stats.moves_attempted, stats.temperature_steps,
                   stats.initial_cost, stats.best_cost);

@@ -15,10 +15,9 @@
 //  * Handles are stable forever. The registry never erases a metric, so
 //    a Counter* cached across jobs stays valid for the process lifetime;
 //    reset() zeroes cells without invalidating pointers (tests only).
-//  * Two scopes. default_registry() is the process-global registry
-//    (server-wide totals); a MetricScope owns a private registry for one
-//    job, reached through the job's JobControl, so hidap_serve can
-//    report per-job numbers next to the global ones.
+//  * One scope. default_registry() is the process-global registry
+//    (server-wide totals). A job's own phase walls travel in its
+//    result (PlacementResult::phases), not in a registry.
 //
 // Everything here is observability-side: no code path may branch on a
 // metric value, so recording can never perturb the RNG/accept streams
@@ -171,19 +170,5 @@ class MetricsRegistry {
 /// The process-global registry (server-wide totals). Never destroyed, so
 /// pool threads and static teardown can never race its death.
 MetricsRegistry& default_registry();
-
-/// Per-job metric island: a private registry handed to the layers below
-/// through JobControl::set_metric_scope, so one job's phase breakdown and
-/// SA totals are separable from the server-wide numbers. The scope must
-/// outlive the job it is attached to (PlacementSession keeps it on the
-/// run() stack and detaches before returning).
-class MetricScope {
- public:
-  MetricsRegistry& registry() { return registry_; }
-  const MetricsRegistry& registry() const { return registry_; }
-
- private:
-  MetricsRegistry registry_;
-};
 
 }  // namespace hidap::obs

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <map>
 
+#include "obs/metrics.hpp"
 #include "util/env.hpp"
 
 namespace hidap::obs {
@@ -295,6 +296,16 @@ void Span::arg(const char* name, std::int64_t value) {
   event_.arg_name[event_.arg_count] = name;
   event_.arg_value[event_.arg_count] = value;
   ++event_.arg_count;
+}
+
+Phase::Phase(const char* name, const char* cat) : name_(name), span_(name, cat) {}
+
+Phase::~Phase() {
+  const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
+      std::chrono::steady_clock::now() - start_);
+  default_registry()
+      .counter(std::string("phase.") + name_ + "_us")
+      .add(static_cast<std::uint64_t>(micros.count()));
 }
 
 std::vector<PhaseStat> phase_stats() { return Tracer::instance().phase_stats(); }

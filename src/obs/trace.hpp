@@ -23,6 +23,7 @@
 // outlive the tracer): events store the pointers, not copies.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -73,6 +74,33 @@ class Span {
  private:
   TraceEvent event_;
   bool active_ = false;
+};
+
+/// RAII phase clock for the coarse phases (a placement and its four
+/// steps, a service job, a flow's shared precompute, a baseline run, a
+/// bench circuit): a Span of the same extent plus a steady-clock
+/// reading, added on destruction as whole microseconds to
+/// `phase.<name>_us` in default_registry() whether or not tracing is on.
+/// The counter add looks its handle up by name, so a Phase is for
+/// phases that run a handful of times per job; per-level and per-move
+/// sites use a plain Span.
+class Phase {
+ public:
+  explicit Phase(const char* name, const char* cat = "pipeline");
+  ~Phase();
+
+  Phase(const Phase&) = delete;
+  Phase& operator=(const Phase&) = delete;
+
+  /// Seconds since construction.
+  double seconds() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
+  }
+
+ private:
+  const char* name_;
+  Span span_;
+  std::chrono::steady_clock::time_point start_ = std::chrono::steady_clock::now();
 };
 
 /// Self-time aggregation of the recorded spans: for every span name, the

@@ -110,10 +110,10 @@ std::shared_ptr<const std::vector<ShapeCurve>> ArtifactCache::find_curves(
 void ArtifactCache::store_curves(std::uint64_t key,
                                  std::shared_ptr<const std::vector<ShapeCurve>> curves) {
   if (!curves) return;
-  // error mode = the documented degradation: the donation is dropped
-  // (the next job recomputes); throw mode exercises the session's
-  // donation guard (a failed store must never fail a completed job).
-  if (HIDAP_FAILPOINT_TRIGGERED("cache.donate")) return;
+  // An injected fault throws into the session's donation guard: the
+  // donation is dropped (the next job recomputes) and the completed job
+  // is never failed.
+  HIDAP_FAILPOINT("cache.donate");
   std::lock_guard<std::mutex> lock(mutex_);
   curves_.emplace(key, std::move(curves));  // first donor wins; same key = same bytes
 }
@@ -134,7 +134,7 @@ std::shared_ptr<const RecursionPlan> ArtifactCache::find_plan(std::uint64_t key)
 void ArtifactCache::store_plan(std::uint64_t key,
                                std::shared_ptr<const RecursionPlan> plan) {
   if (!plan) return;
-  if (HIDAP_FAILPOINT_TRIGGERED("cache.donate")) return;
+  HIDAP_FAILPOINT("cache.donate");
   std::lock_guard<std::mutex> lock(mutex_);
   plans_.emplace(key, std::move(plan));
 }

@@ -14,7 +14,6 @@
 #include "util/failpoint.hpp"
 #include "util/log.hpp"
 #include "util/retry.hpp"
-#include "util/timer.hpp"
 
 namespace hidap {
 
@@ -48,8 +47,7 @@ PlacementSession::PlacementSession(HiDaPOptions base) : base_(std::move(base)) {
 
 JobOutcome PlacementSession::run(const PlacementJobSpec& spec) {
   JobOutcome outcome;
-  const Timer timer;
-  obs::Span job_span("job", "service");
+  const obs::Phase job("job", "service");
 
   // The control outlives every pool task of this job; job-local unless
   // the caller provided one to cancel through.
@@ -60,17 +58,16 @@ JobOutcome PlacementSession::run(const PlacementJobSpec& spec) {
     control->set_deadline(Deadline::after_seconds(spec.timeout_s));
   }
 
-  // The job's private metric island: layers below flush per-job numbers
-  // (phase walls, SA totals) into it via the control. Stack-owned, so it
-  // must be detached before run() returns (pool tasks of this job are
-  // all joined by then).
-  obs::MetricScope metric_scope;
-  control->set_job_metrics(&metric_scope.registry());
-
   try {
     HIDAP_FAILPOINT("session.run");
     // --- Design: content-hashed text, single-flight parse. File reads
     // retry transient I/O failures with bounded backoff. ---
+    // A spec without a netlist is the caller's mistake, not a transient
+    // read failure: reject it before the retried read of "" can start.
+    if (spec.verilog_text.empty() && spec.verilog_path.empty()) {
+      throw HidapError(ErrorCode::InvalidRequest,
+                       "job names no netlist (need verilog_text or verilog_path)");
+    }
     const RetryPolicy retry = io_retry_policy();
     std::string slurped;
     if (spec.verilog_text.empty()) {
@@ -170,20 +167,9 @@ JobOutcome PlacementSession::run(const PlacementJobSpec& spec) {
                            spec.id.c_str());
   }
 
-  // Detach the job-scoped state (sink, metric island) so a caller-owned
-  // control cannot reach dead stack objects after run() returns.
-  control->set_job_metrics(nullptr);
+  // Detach the job-scoped sink so a caller-owned control cannot reach
+  // this spec's consumer after run() returns.
   if (spec.progress) control->set_progress_sink(nullptr);
-
-  // Phase breakdown back out of the job's island (micros -> seconds).
-  obs::MetricsRegistry& job_metrics = metric_scope.registry();
-  const auto phase_seconds = [&job_metrics](const char* name) {
-    return static_cast<double>(job_metrics.counter(name).value()) / 1e6;
-  };
-  outcome.phase_curves_s = phase_seconds("phase.curves_us");
-  outcome.phase_recursion_s = phase_seconds("phase.recursion_us");
-  outcome.phase_flip_s = phase_seconds("phase.flip_us");
-  outcome.phase_legalize_s = phase_seconds("phase.legalize_us");
 
   // Terminal-status tallies: session-local (served through job_counters()
   // and the serve `stats` verb) and process-global (jobs.* counters).
@@ -200,7 +186,7 @@ JobOutcome PlacementSession::run(const PlacementJobSpec& spec) {
     case JobStatus::Failed: finish(jobs_failed_, "jobs.failed"); break;
   }
 
-  outcome.seconds = timer.seconds();
+  outcome.seconds = job.seconds();
   return outcome;
 }
 

@@ -35,7 +35,8 @@
 namespace hidap {
 
 /// One placement request. Exactly one of verilog_text / verilog_path
-/// must be set (text wins when both are).
+/// must be set (text wins when both are; neither fails the job with
+/// ErrorCode::InvalidRequest).
 struct PlacementJobSpec {
   std::string id;            ///< caller's handle, echoed in progress/outcome
   std::string verilog_text;  ///< netlist source, hashed as the design key
@@ -80,7 +81,7 @@ struct JobOutcome {
   /// completed jobs; Cancelled / DeadlineExpired for stopped jobs.
   ErrorCode error_code = ErrorCode::Ok;
   std::shared_ptr<const Design> design;  ///< for DEF/metrics output
-  PlacementResult placement;
+  PlacementResult placement;  ///< placement.phases: this job's step walls
   double seconds = 0.0;  ///< this job's wall time inside run()
 
   /// Which artifacts came out of the cache (all false on a cold run).
@@ -88,14 +89,6 @@ struct JobOutcome {
   bool context_cached = false;
   bool curves_cached = false;
   bool plan_cached = false;
-
-  /// Per-phase wall clocks of this job (seconds), read back from the
-  /// job's private MetricScope after the run. Zero for phases that did
-  /// not run (cached curves, skipped legalize, stopped jobs).
-  double phase_curves_s = 0.0;
-  double phase_recursion_s = 0.0;
-  double phase_flip_s = 0.0;
-  double phase_legalize_s = 0.0;
 };
 
 class PlacementSession {

@@ -37,72 +37,30 @@ constexpr KnownPoint kKnownPoints[] = {
     {"serve.write_def", ErrorCode::IoError},
 };
 
-// splitmix64: deterministic per-(seed, ordinal) probability draws.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 }  // namespace
 
-bool FailPoint::fire(bool supports_error_return) {
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
+void FailPoint::fire() {
   Mode mode;
   ErrorCode code;
   int delay_ms;
-  bool selected = false;
-  bool disarm_after = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!armed_.load(std::memory_order_relaxed)) return false;  // raced a disarm
-    const std::uint64_t ordinal = trigger_ordinal_++;
-    switch (trigger_) {
-      case Trigger::Always: selected = true; break;
-      case Trigger::Once:
-        selected = ordinal == 0;
-        disarm_after = selected;
-        break;
-      case Trigger::EveryNth: selected = (ordinal + 1) % every_n_ == 0; break;
-      case Trigger::Probability: {
-        // Deterministic: the draw depends only on (seed, ordinal), so
-        // the same evaluation ordinals fire in every run.
-        const double draw = static_cast<double>(mix64(prob_seed_ ^ ordinal) >> 11) *
-                            (1.0 / 9007199254740992.0);  // 2^53
-        selected = draw < probability_;
-        break;
-      }
-    }
+    if (!armed_.load(std::memory_order_relaxed)) return;  // raced a disarm
+    // A @once point disarms under the lock, so of racing evaluations
+    // exactly one fires.
+    if (once_) armed_.store(false, std::memory_order_relaxed);
     mode = mode_;
     code = code_;
     delay_ms = delay_ms_;
   }
-  if (!selected) return false;
   fires_.fetch_add(1, std::memory_order_relaxed);
   obs::default_registry().counter("faults.fired").add(1);
-  if (disarm_after) disarm();
   HIDAP_LOG_WARN("failpoint %s fired (mode %d)", name_.c_str(), static_cast<int>(mode));
-  switch (mode) {
-    case Mode::Delay:
-      std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-      return false;
-    case Mode::ErrorReturn:
-      if (supports_error_return) return true;
-      [[fallthrough]];  // no graceful path at this site: surface as a throw
-    case Mode::Throw:
-      throw HidapError(code, "injected failure at fail point " + name_);
+  if (mode == Mode::Delay) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+    return;
   }
-  return false;
+  throw HidapError(code, "injected failure at fail point " + name_);
 }
 
 bool FailPoint::arm(const std::string& spec, std::string* error) {
@@ -114,14 +72,15 @@ bool FailPoint::arm(const std::string& spec, std::string* error) {
     return false;
   };
 
-  // Split "mode[@trigger]".
+  // Split "mode[@once]".
   std::string mode_part = spec;
-  std::string trigger_part;
+  bool once = false;
   const std::size_t at = spec.find('@');
   if (at != std::string::npos) {
     mode_part = spec.substr(0, at);
-    trigger_part = spec.substr(at + 1);
-    if (trigger_part.empty()) return fail("empty trigger after '@'");
+    const std::string trigger = spec.substr(at + 1);
+    if (trigger != "once") return fail("unknown trigger '" + trigger + "' (want @once)");
+    once = true;
   }
 
   Mode mode;
@@ -132,8 +91,6 @@ bool FailPoint::arm(const std::string& spec, std::string* error) {
   } else if (mode_part.rfind("throw(", 0) == 0 && mode_part.back() == ')') {
     mode = Mode::Throw;
     code = error_code_from_string(mode_part.substr(6, mode_part.size() - 7));
-  } else if (mode_part == "error") {
-    mode = Mode::ErrorReturn;
   } else if (mode_part.rfind("delay(", 0) == 0 && mode_part.back() == ')') {
     mode = Mode::Delay;
     const std::string ms = mode_part.substr(6, mode_part.size() - 7);
@@ -147,57 +104,12 @@ bool FailPoint::arm(const std::string& spec, std::string* error) {
     return fail("unknown mode '" + mode_part + "'");
   }
 
-  Trigger trigger = Trigger::Always;
-  std::uint64_t every_n = 1;
-  double probability = 1.0;
-  std::uint64_t prob_seed = fnv1a(name_);
-  if (!trigger_part.empty()) {
-    if (trigger_part == "once") {
-      trigger = Trigger::Once;
-    } else if (trigger_part.rfind("every(", 0) == 0 && trigger_part.back() == ')') {
-      trigger = Trigger::EveryNth;
-      const std::string n = trigger_part.substr(6, trigger_part.size() - 7);
-      char* end = nullptr;
-      const long v = std::strtol(n.c_str(), &end, 10);
-      if (end == n.c_str() || *end != '\0' || v < 1) {
-        return fail("bad every(N) '" + n + "'");
-      }
-      every_n = static_cast<std::uint64_t>(v);
-    } else if (trigger_part.rfind("p(", 0) == 0 && trigger_part.back() == ')') {
-      trigger = Trigger::Probability;
-      const std::string body = trigger_part.substr(2, trigger_part.size() - 3);
-      const std::size_t comma = body.find(',');
-      const std::string p_str = body.substr(0, comma);
-      char* end = nullptr;
-      probability = std::strtod(p_str.c_str(), &end);
-      if (end == p_str.c_str() || *end != '\0' || !(probability >= 0.0) ||
-          probability > 1.0) {
-        return fail("bad probability '" + p_str + "'");
-      }
-      if (comma != std::string::npos) {
-        const std::string seed_str = body.substr(comma + 1);
-        end = nullptr;
-        const unsigned long long s = std::strtoull(seed_str.c_str(), &end, 10);
-        if (end == seed_str.c_str() || *end != '\0') {
-          return fail("bad probability seed '" + seed_str + "'");
-        }
-        prob_seed = static_cast<std::uint64_t>(s);
-      }
-    } else {
-      return fail("unknown trigger '" + trigger_part + "'");
-    }
-  }
-
   {
     std::lock_guard<std::mutex> lock(mutex_);
     mode_ = mode;
+    once_ = once;
     code_ = code;
     delay_ms_ = delay_ms;
-    trigger_ = trigger;
-    every_n_ = every_n;
-    probability_ = probability;
-    prob_seed_ = prob_seed;
-    trigger_ordinal_ = 0;
   }
   armed_.store(true, std::memory_order_relaxed);  // config visible before arm
   return true;

@@ -6,21 +6,13 @@
 // arm to fire deliberately. Disarmed -- the only state production ever
 // sees -- a site costs one relaxed atomic load plus a branch (gated by
 // bench_micro's BM_FailpointDisarmed, same bar as BM_ObsSpanDisabled).
-// Armed, it fires with a configurable mode and trigger:
+// Armed, it fires with a mode and an optional one-shot trigger:
 //
 //   mode:    throw            throw HidapError(point's default code)
 //            throw(CODE)      override the code (e.g. throw(io_error))
-//            error            error-return: the site takes its graceful
-//                             degradation path instead of throwing; at
-//                             sites with no such path, same as throw
 //            delay(MS)        sleep MS milliseconds, then continue
 //   trigger: (none)           every evaluation fires
 //            @once            first evaluation only, then self-disarms
-//            @every(N)        every Nth evaluation (N, 2N, ...)
-//            @p(P[,SEED])     probability P per evaluation, derived
-//                             deterministically from SEED (default the
-//                             point name) and the evaluation ordinal --
-//                             the same evaluations fire in every run
 //
 // Arming is programmatic (failpoints::arm("cache.design_parse",
 // "throw@once")) or environmental:
@@ -49,8 +41,7 @@ namespace hidap {
 /// hot path never touches the registry.
 class FailPoint {
  public:
-  enum class Mode : int { Throw = 0, ErrorReturn = 1, Delay = 2 };
-  enum class Trigger : int { Always = 0, Once = 1, EveryNth = 2, Probability = 3 };
+  enum class Mode : int { Throw = 0, Delay = 1 };
 
   FailPoint(std::string name, ErrorCode default_code)
       : name_(std::move(name)), default_code_(default_code) {}
@@ -63,29 +54,20 @@ class FailPoint {
   /// The disarmed fast path: one relaxed load.
   bool armed() const { return armed_.load(std::memory_order_relaxed); }
 
-  /// Slow path, called only when armed. Applies the trigger; on fire,
-  /// Throw raises HidapError, Delay sleeps and returns false, and
-  /// ErrorReturn returns true when the site supports a graceful
-  /// error-return (else throws). Returns false when the trigger did not
-  /// select this evaluation.
-  bool fire(bool supports_error_return);
+  /// Slow path, called only when armed. On fire, Throw raises
+  /// HidapError and Delay sleeps, then returns; a @once point disarms
+  /// itself on its first fire.
+  void fire();
 
-  /// Arms from a spec string ("throw", "error@every(3)", ...). Returns
+  /// Arms from a spec string ("throw", "delay(50)@once", ...). Returns
   /// false (and leaves the point disarmed) on a malformed spec, with
   /// the reason in `error` when non-null.
   bool arm(const std::string& spec, std::string* error = nullptr);
   void disarm() { armed_.store(false, std::memory_order_relaxed); }
 
-  /// Times this point actually fired (trigger selected the evaluation).
+  /// Times this point actually fired.
   std::uint64_t fire_count() const { return fires_.load(std::memory_order_relaxed); }
-  /// Armed-path evaluations, fired or not (disarmed calls don't count).
-  std::uint64_t evaluation_count() const {
-    return evaluations_.load(std::memory_order_relaxed);
-  }
-  void reset_counts() {
-    fires_.store(0, std::memory_order_relaxed);
-    evaluations_.store(0, std::memory_order_relaxed);
-  }
+  void reset_counts() { fires_.store(0, std::memory_order_relaxed); }
 
  private:
   const std::string name_;
@@ -97,16 +79,11 @@ class FailPoint {
   // through sees a fully-written config.
   mutable std::mutex mutex_;
   Mode mode_ = Mode::Throw;
-  Trigger trigger_ = Trigger::Always;
+  bool once_ = false;
   ErrorCode code_ = ErrorCode::Internal;
   int delay_ms_ = 0;
-  std::uint64_t every_n_ = 1;
-  double probability_ = 1.0;
-  std::uint64_t prob_seed_ = 0;
-  std::uint64_t trigger_ordinal_ = 0;  ///< evaluations since arm(), under mutex_
 
   std::atomic<std::uint64_t> fires_{0};
-  std::atomic<std::uint64_t> evaluations_{0};
 };
 
 /// Process-global registry. The full site table is declared statically
@@ -159,25 +136,12 @@ inline std::uint64_t fire_count(const std::string& name) {
 
 }  // namespace hidap
 
-// Site macros. Each caches its FailPoint reference in a function-local
-// static, so after the first pass the disarmed cost is the static-init
-// guard check plus one relaxed load.
-//
-// HIDAP_FAILPOINT(name): void site; ErrorReturn mode throws here (no
-// graceful path to take).
-#define HIDAP_FAILPOINT(name)                                              \
-  do {                                                                     \
-    static ::hidap::FailPoint& hidap_fp_ =                                 \
-        ::hidap::FailPointRegistry::instance().point(name);                \
-    if (hidap_fp_.armed()) (void)hidap_fp_.fire(/*supports_error_return=*/false); \
+// HIDAP_FAILPOINT(name): the site macro. It caches its FailPoint
+// reference in a function-local static, so after the first pass the
+// disarmed cost is the static-init guard check plus one relaxed load.
+#define HIDAP_FAILPOINT(name)                               \
+  do {                                                      \
+    static ::hidap::FailPoint& hidap_fp_ =                  \
+        ::hidap::FailPointRegistry::instance().point(name); \
+    if (hidap_fp_.armed()) hidap_fp_.fire();                \
   } while (false)
-
-// HIDAP_FAILPOINT_TRIGGERED(name): expression site; evaluates to true
-// when an armed `error` mode fires, letting the caller take its
-// documented degradation path (skip a donation, reject a request).
-#define HIDAP_FAILPOINT_TRIGGERED(name)                                    \
-  ([]() -> bool {                                                          \
-    static ::hidap::FailPoint& hidap_fp_ =                                 \
-        ::hidap::FailPointRegistry::instance().point(name);                \
-    return hidap_fp_.armed() && hidap_fp_.fire(/*supports_error_return=*/true); \
-  }())

@@ -33,10 +33,6 @@
 
 namespace hidap {
 
-namespace obs {
-class MetricsRegistry;  // obs/metrics.hpp
-}  // namespace obs
-
 /// Why a job stopped early; None while it is still allowed to run.
 enum class JobStopReason : int { None = 0, Cancelled = 1, DeadlineExpired = 2 };
 
@@ -84,19 +80,6 @@ class JobControl {
     return JobStopReason::None;
   }
 
-  /// Attaches this job's private metrics registry (obs::MetricScope's;
-  /// null detaches). Layers below flush per-job numbers (phase walls, SA
-  /// totals) into it next to the process-global registry. The registry
-  /// must outlive the job; PlacementSession installs before the run and
-  /// detaches after. Release/acquire so pool tasks spawned after the
-  /// install see it.
-  void set_job_metrics(obs::MetricsRegistry* metrics) {
-    job_metrics_.store(metrics, std::memory_order_release);
-  }
-  obs::MetricsRegistry* job_metrics() const {
-    return job_metrics_.load(std::memory_order_acquire);
-  }
-
   /// Installs the per-job progress consumer (null drops all progress).
   /// May be swapped while the job runs; delivery is serialized.
   void set_progress_sink(ProgressSink sink);
@@ -113,7 +96,6 @@ class JobControl {
  private:
   std::atomic<bool> cancelled_{false};
   std::atomic<std::int64_t> deadline_ticks_{Deadline::kNeverTicks};
-  std::atomic<obs::MetricsRegistry*> job_metrics_{nullptr};
   std::mutex sink_mutex_;
   ProgressSink sink_;
 };

@@ -1,33 +1,15 @@
 #pragma once
-// Wall-clock timing helpers: the Timer used to report flow "effort"
-// (paper Table II) and the monotonic Deadline used by every timeout
-// check in the library. Both are built on steady_clock -- never the
-// wall clock -- so NTP steps or suspend/resume cannot fire (or mask)
-// a timeout.
+// The monotonic Deadline used by every timeout check in the library.
+// It is built on steady_clock -- never the wall clock -- so NTP steps
+// or suspend/resume cannot fire (or mask) a timeout. Phase walls, flow
+// "effort" (paper Table II) included, are timed by obs::Phase
+// (obs/trace.hpp).
 
 #include <chrono>
 #include <cstdint>
 #include <limits>
 
 namespace hidap {
-
-class Timer {
- public:
-  Timer() : start_(clock::now()) {}
-
-  void reset() { start_ = clock::now(); }
-
-  /// Elapsed seconds since construction or last reset().
-  double seconds() const {
-    return std::chrono::duration<double>(clock::now() - start_).count();
-  }
-
-  double milliseconds() const { return seconds() * 1e3; }
-
- private:
-  using clock = std::chrono::steady_clock;
-  clock::time_point start_;
-};
 
 /// A monotonic point in time, transportable as a single int64 (steady
 /// clock nanoseconds) so JobControl can publish it through one atomic.

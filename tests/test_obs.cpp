@@ -1,9 +1,9 @@
-// Observability subsystem tests (ISSUE 7): metric registry aggregation
-// under a genuinely threaded pool, histogram bucket-edge semantics, span
-// nesting + Chrome-trace export round-trip (parsed back with the
-// service/json line parser), the per-job MetricScope island, and the
-// hard determinism contract -- placements are byte-identical with
-// tracing on or off at any thread count.
+// Observability subsystem tests: metric registry aggregation under a
+// genuinely threaded pool, histogram bucket-edge semantics, span nesting
+// + Chrome-trace export round-trip (parsed back with the service/json
+// line parser), the obs::Phase clock and the per-step phase walls a
+// placement reports, and the hard determinism contract -- placements are
+// byte-identical with tracing on or off at any thread count.
 
 #include <gtest/gtest.h>
 
@@ -133,18 +133,6 @@ TEST(ObsMetrics, ToJsonIsOneFlatParseableObject) {
   EXPECT_EQ(json_number(parsed, "pool.queue_depth"), 3.0);
 }
 
-TEST(ObsMetrics, MetricScopeIsolatesJobsFromTheGlobalRegistry) {
-  TracingOff guard;
-  obs::MetricScope scope_a;
-  obs::MetricScope scope_b;
-  scope_a.registry().counter("x").add(1);
-  scope_b.registry().counter("x").add(10);
-  EXPECT_EQ(scope_a.registry().counter("x").value(), 1u);
-  EXPECT_EQ(scope_b.registry().counter("x").value(), 10u);
-  // The global registry is untouched by scope writes (fresh name).
-  EXPECT_EQ(obs::default_registry().counter("test.scope_isolation").value(), 0u);
-}
-
 TEST(ObsTrace, SpanIsInertWhenDisabled) {
   TracingOff guard;
   {
@@ -154,6 +142,43 @@ TEST(ObsTrace, SpanIsInertWhenDisabled) {
   for (const obs::TraceEvent& e : obs::Tracer::instance().collect()) {
     EXPECT_STRNE(e.name, "never_recorded");
   }
+}
+
+TEST(ObsPhase, CountsAlwaysAndSpansOnlyWhenTracing) {
+  TracingOff guard;
+  constexpr auto kSleep = std::chrono::milliseconds(5);
+  obs::Counter& counter = obs::default_registry().counter("phase.test_phase_us");
+  const auto spans = []() {
+    std::size_t n = 0;
+    for (const obs::TraceEvent& e : obs::Tracer::instance().collect()) {
+      if (std::string_view(e.name) == "test_phase") ++n;
+    }
+    return n;
+  };
+  obs::Tracer::instance().clear();
+
+  // Tracing off: the counter still grows by at least the slept time,
+  // and no event is recorded.
+  std::uint64_t before = counter.value();
+  {
+    const obs::Phase phase("test_phase", "test");
+    std::this_thread::sleep_for(kSleep);
+    EXPECT_GE(phase.seconds(), 0.005);
+  }
+  EXPECT_GE(counter.value() - before, 5000u);
+  EXPECT_EQ(spans(), 0u);
+
+  // Tracing on: the same counter plus exactly one span.
+  obs::set_tracing_enabled(true);
+  before = counter.value();
+  {
+    const obs::Phase phase("test_phase", "test");
+    std::this_thread::sleep_for(kSleep);
+  }
+  obs::set_tracing_enabled(false);
+  EXPECT_GE(counter.value() - before, 5000u);
+  EXPECT_EQ(spans(), 1u);
+  obs::Tracer::instance().clear();
 }
 
 TEST(ObsTrace, NestedSpansExportAndRoundTripThroughJson) {
@@ -323,23 +348,16 @@ TEST_F(ObsDeterminism, PlacementRunRecordsSaAndPhaseMetrics) {
       obs::default_registry().counter("sa.runs").value();
   const std::uint64_t proposed_before =
       obs::default_registry().counter("sa.moves_proposed").value();
-  JobControl control;
-  obs::MetricScope scope;
-  control.set_job_metrics(&scope.registry());
-  HiDaPOptions options = quick_options(kForcedPoolLanes > 1 ? 0 : 1);
-  options.job.control = &control;
-  const PlacementResult result = place_macros(*design_, *context_, options);
-  control.set_job_metrics(nullptr);
+  const PlacementResult result =
+      place_macros(*design_, *context_, quick_options(kForcedPoolLanes > 1 ? 0 : 1));
   EXPECT_EQ(result.status, JobStatus::Completed);
   // Global totals moved...
   EXPECT_GT(obs::default_registry().counter("sa.runs").value(), runs_before);
   EXPECT_GT(obs::default_registry().counter("sa.moves_proposed").value(),
             proposed_before);
-  // ...and the job island saw this job's numbers, phases included.
-  EXPECT_GT(scope.registry().counter("sa.runs").value(), 0u);
-  EXPECT_GT(scope.registry().counter("sa.moves_proposed").value(), 0u);
-  EXPECT_GT(scope.registry().counter("phase.recursion_us").value(), 0u);
-  EXPECT_GT(scope.registry().counter("phase.curves_us").value(), 0u);
+  // ...and the result carries this run's own phase walls.
+  EXPECT_GT(result.phases.recursion_s, 0.0);
+  EXPECT_GT(result.phases.curves_s, 0.0);
 }
 
 // Per-level size counters move with every cold placement, and the
@@ -374,31 +392,19 @@ TEST_F(ObsDeterminism, PlacementRecordsLevelSizesAndSpans) {
 }
 
 TEST_F(ObsDeterminism, PhasesPartitionAColdPlacement) {
-  // The four phase scopes of place_macros are disjoint, so their
-  // counters (each floored to whole microseconds) add up to at most the
-  // run's own wall clock -- sequential and threaded.
+  // The four step Phases of place_macros are disjoint and nested in the
+  // `place` Phase, so their walls add up to at most the run's own
+  // runtime_seconds -- sequential and threaded.
   TracingOff guard;
   for (const int threads : {1, 4}) {
-    JobControl control;
-    obs::MetricScope scope;
-    control.set_job_metrics(&scope.registry());
-    HiDaPOptions options = quick_options(threads);
-    options.job.control = &control;
-    const PlacementResult result = place_macros(*design_, *context_, options);
-    control.set_job_metrics(nullptr);
+    const PlacementResult result = place_macros(*design_, *context_, quick_options(threads));
     ASSERT_EQ(result.status, JobStatus::Completed);
-    const auto micros = [&scope](const char* name) {
-      return scope.registry().counter(name).value();
-    };
-    const std::uint64_t curves = micros("phase.curves_us");
-    const std::uint64_t recursion = micros("phase.recursion_us");
-    const std::uint64_t flip = micros("phase.flip_us");
-    const std::uint64_t legalize = micros("phase.legalize_us");
-    EXPECT_GT(curves, 0u) << "num_threads=" << threads;
-    EXPECT_GT(recursion, 0u) << "num_threads=" << threads;
-    EXPECT_GT(flip, 0u) << "num_threads=" << threads;
-    EXPECT_LE(static_cast<double>(curves + recursion + flip + legalize),
-              result.runtime_seconds * 1e6 + 1.0)
+    const PhaseSeconds& phases = result.phases;
+    EXPECT_GT(phases.curves_s, 0.0) << "num_threads=" << threads;
+    EXPECT_GT(phases.recursion_s, 0.0) << "num_threads=" << threads;
+    EXPECT_GT(phases.flip_s, 0.0) << "num_threads=" << threads;
+    EXPECT_LE(phases.curves_s + phases.recursion_s + phases.flip_s + phases.legalize_s,
+              result.runtime_seconds)
         << "num_threads=" << threads;
   }
 }

@@ -24,9 +24,9 @@
 #include "netlist/def_io.hpp"
 #include "netlist/verilog_writer.hpp"
 #include "service/json.hpp"
+#include "obs/metrics.hpp"
 #include "service/placement_session.hpp"
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace hidap {
 namespace {
@@ -49,6 +49,10 @@ constexpr double kStopBudgetSeconds = 2.0;
 #else
 constexpr double kStopBudgetSeconds = 0.1;  // the ISSUE's <100 ms bound
 #endif
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
 
 // Shared fixture: one generated circuit serialized to Verilog text, so
 // every job goes through the real parse-or-cache path.
@@ -141,14 +145,14 @@ TEST_F(ServiceTest, WarmRepeatReportsNoCurvesPhase) {
   PlacementSession session(quick_base());
   const JobOutcome cold = session.run(quick_spec("cold", 4));
   ASSERT_EQ(cold.status, JobStatus::Completed) << cold.error;
-  EXPECT_GT(cold.phase_curves_s, 0.0);
-  EXPECT_GT(cold.phase_recursion_s, 0.0);
+  EXPECT_GT(cold.placement.phases.curves_s, 0.0);
+  EXPECT_GT(cold.placement.phases.recursion_s, 0.0);
 
   const JobOutcome warm = session.run(quick_spec("warm", 4));
   ASSERT_EQ(warm.status, JobStatus::Completed) << warm.error;
   ASSERT_TRUE(warm.curves_cached);
-  EXPECT_EQ(warm.phase_curves_s, 0.0);
-  EXPECT_GT(warm.phase_recursion_s, 0.0);
+  EXPECT_EQ(warm.placement.phases.curves_s, 0.0);
+  EXPECT_GT(warm.placement.phases.recursion_s, 0.0);
 }
 
 TEST_F(ServiceTest, CachedJobMatchesDirectPlacement) {
@@ -187,9 +191,9 @@ TEST_F(ServiceTest, PreCancelledJobReturnsPromptlyAndValid) {
   PlacementJobSpec spec = quick_spec("pre-cancelled");
   spec.control = std::make_shared<JobControl>();
   spec.control->request_cancel();
-  const Timer timer;
+  const auto start = std::chrono::steady_clock::now();
   const JobOutcome outcome = session.run(spec);
-  EXPECT_LT(timer.seconds(), kStopBudgetSeconds + 1.0);  // parse+context still run
+  EXPECT_LT(seconds_since(start), kStopBudgetSeconds + 1.0);  // parse+context still run
   EXPECT_EQ(outcome.status, JobStatus::Cancelled);
   expect_valid(outcome);
 }
@@ -226,10 +230,10 @@ TEST_F(ServiceTest, MidAnnealCancelReturnsWithinBudget) {
       FAIL() << "job produced no recursion-level progress event";
     }
   }
-  const Timer stop_timer;
+  const auto stop_start = std::chrono::steady_clock::now();
   spec.control->request_cancel();
   job.join();
-  EXPECT_LT(stop_timer.seconds(), kStopBudgetSeconds);
+  EXPECT_LT(seconds_since(stop_start), kStopBudgetSeconds);
   EXPECT_EQ(outcome.status, JobStatus::Cancelled);
   expect_valid(outcome);
 
@@ -288,6 +292,21 @@ TEST_F(ServiceTest, ParseFailureReportsFailedStatus) {
   // The failed parse is retriable, not a poisoned cache entry.
   const JobOutcome good = session.run(quick_spec("after-failure"));
   EXPECT_EQ(good.status, JobStatus::Completed) << good.error;
+}
+
+TEST_F(ServiceTest, EmptySpecIsInvalidRequest) {
+  // A spec naming no netlist is the caller's error: it fails typed,
+  // before any (retried) file read is attempted.
+  PlacementSession session(quick_base());
+  obs::Counter& retries = obs::default_registry().counter("io.retry_attempts");
+  const std::uint64_t retries_before = retries.value();
+  PlacementJobSpec spec;
+  spec.id = "empty";
+  const JobOutcome outcome = session.run(spec);
+  EXPECT_EQ(outcome.status, JobStatus::Failed);
+  EXPECT_EQ(outcome.error_code, ErrorCode::InvalidRequest);
+  EXPECT_FALSE(outcome.error.empty());
+  EXPECT_EQ(retries.value(), retries_before);
 }
 
 TEST_F(ServiceTest, ConcurrentJobsShareOneSessionAndCache) {

@@ -168,14 +168,6 @@ TEST(StringUtils, JoinPath) {
   EXPECT_EQ(join_path("", "b"), "b");
 }
 
-TEST(Timer, MeasuresNonNegative) {
-  Timer t;
-  volatile double sink = 0;
-  for (int i = 0; i < 10000; ++i) sink = sink + i;
-  EXPECT_GE(t.seconds(), 0.0);
-  EXPECT_GE(t.milliseconds(), t.seconds());
-}
-
 TEST(DeadlineTest, NeverNeverExpires) {
   const Deadline d = Deadline::never();
   EXPECT_TRUE(d.is_never());
