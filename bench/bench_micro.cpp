@@ -1,7 +1,8 @@
 // Google-benchmark kernel timings for the library's hot paths: Verilog
 // parsing, shape curve composition, budget layout, Polish-expression
 // moves, Gseq extraction, multi-source BFS (target-area assignment),
-// affinity inference, full per-level layout annealing, the evaluation
+// affinity inference, full per-level layout annealing, one node's
+// shape-curve packing, the evaluation
 // placer, and the parallel runtime (fork-join overhead, parallel_for
 // scaling).
 
@@ -12,6 +13,7 @@
 #include <sstream>
 #include <utility>
 
+#include "bench_common.hpp"
 #include "core/dataflow_inference.hpp"
 #include "core/decluster.hpp"
 #include "core/hidap.hpp"
@@ -91,9 +93,12 @@ void BM_ComposeSweep(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
   const ShapeCurve a = compose_bench_curve(p, 21);
   const ShapeCurve b = compose_bench_curve(p, 22);
+  ShapeCurve out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ShapeCurve::compose_horizontal(a, b));
-    benchmark::DoNotOptimize(ShapeCurve::compose_vertical(a, b));
+    ShapeCurve::compose_horizontal(a, b, out);
+    benchmark::DoNotOptimize(out.points().data());
+    ShapeCurve::compose_vertical(a, b, out);
+    benchmark::DoNotOptimize(out.points().data());
   }
 }
 BENCHMARK(BM_ComposeSweep)->Arg(16)->Arg(32)->Arg(64);
@@ -168,7 +173,7 @@ void BM_DataflowInference(benchmark::State& state) {
   const Declustering dec =
       hierarchical_declustering(ht, ht.root(), 0.01 * area, 0.4 * area);
   const HiDaPOptions opts;
-  const EstimateSnapshot est(d.cell_count());
+  const EstimateSnapshot est(ht);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         infer_level_dataflow(d, ht, seq, ht.root(), dec.hcb, est, opts));
@@ -222,6 +227,30 @@ void BM_LayoutAnneal(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LayoutAnneal)->Arg(6)->Arg(12)->Unit(benchmark::kMillisecond);
+
+// One hierarchy node's shape-curve SA at the benches' calibrated effort
+// (bench_flow_options): n child curves like the ones
+// generate_shape_curves packs -- two-orientation macro rects and pruned
+// cluster curves that merge a rect with a soft-area sweep.
+void BM_PackShapeCurve(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(9);
+  std::vector<ShapeCurve> leaves;
+  for (int i = 0; i < n; ++i) {
+    ShapeCurve c = ShapeCurve::for_rect(rng.next_double(20, 60), rng.next_double(20, 60));
+    if (i % 2 == 1) {
+      c.merge(ShapeCurve::soft_area(rng.next_double(2000, 9000), 0.4, 2.5, 16));
+      c.prune(32);
+    }
+    leaves.push_back(std::move(c));
+  }
+  AreaFloorplanOptions fp = benchutil::bench_flow_options().hidap.shape_fp;
+  fp.anneal.seed = 3;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pack_shape_curve(leaves, fp));
+  }
+}
+BENCHMARK(BM_PackShapeCurve)->Arg(4)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
 // --- incremental move evaluation -------------------------------------
 

@@ -73,8 +73,9 @@ struct Args {
                "               and the flows' sweeps\n"
                "               (default: HIDAP_THREADS or hardware concurrency;\n"
                "               results are identical at any N, 1 = sequential)\n"
-               "  --no-incremental  full-recompute SA move evaluation (the\n"
-               "               reference oracle; results are identical, only slower)\n"
+               "  --no-incremental  full-recompute move evaluation in both\n"
+               "               annealers, layout and shape curve (the reference\n"
+               "               oracles; results are identical, only slower)\n"
                "  --no-parallel-levels  run the recursion scheduler as a plain\n"
                "               sequential DFS (results are identical; the\n"
                "               scheduler's oracle)\n"
@@ -138,6 +139,7 @@ int cmd_place(const Args& args) {
   options.num_threads = args.threads;
   options.parallel_levels = args.parallel_levels;
   options.layout_anneal.incremental = args.incremental;
+  options.shape_fp.anneal.incremental = args.incremental;
   options.scale_effort(args.effort);
   if (!args.fix.empty()) {
     const DefContents fixed = parse_def_file(args.fix);
@@ -211,6 +213,7 @@ int cmd_flows(const Args& args) {
   options.hidap.num_threads = args.threads;
   options.hidap.parallel_levels = args.parallel_levels;
   options.hidap.layout_anneal.incremental = args.incremental;
+  options.hidap.shape_fp.anneal.incremental = args.incremental;
   const FlowComparison cmp = compare_flows(design, options);
   ReportTable table({"flow", "WL(m)", "norm", "GRC%", "WNS%", "TNS(ns)", "time(s)"});
   for (const Metrics* m : {&cmp.indeda, &cmp.hidap, &cmp.handfp}) {

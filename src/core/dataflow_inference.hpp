@@ -22,46 +22,53 @@
 
 namespace hidap {
 
-/// Immutable per-cell macro-center estimates as of one commit point of
-/// the recursion (paper Algorithm 2's prototype positions): the root's
+/// Immutable macro-center estimates as of one commit point of the
+/// recursion (paper Algorithm 2's prototype positions): the root's
 /// holds the preplaced centers, and each level derives its children's
 /// by copying its own and writing the centers of its committed block
 /// rectangles. The recursion passes it down by value, so sibling
 /// subtrees read their parent's commit and never each other's writes.
-/// Default-constructed snapshots carry no estimates at all (every
-/// has_estimate() is false).
+/// Storage is one slot per macro, keyed by HierTree::macro_ordinal, so
+/// a copy costs O(macros), not O(cells). Default-constructed snapshots
+/// carry no estimates at all (every has_estimate() is false).
 class EstimateSnapshot {
  public:
   EstimateSnapshot() = default;
-  explicit EstimateSnapshot(std::size_t cell_count)
-      : pos_(cell_count, Point{}), has_(cell_count, 0) {}
+  /// Room for every macro of `ht`, none estimated yet; `ht` must outlive
+  /// the snapshot and its copies.
+  explicit EstimateSnapshot(const HierTree& ht)
+      : ht_(&ht), pos_(ht.total_macros(), Point{}), has_(ht.total_macros(), 0) {}
 
-  std::size_t cell_count() const { return pos_.size(); }
+  /// Macro slots (0 for a default-constructed snapshot).
+  std::size_t macro_count() const { return pos_.size(); }
 
+  /// False for cells that are not macros.
   bool has_estimate(CellId cell) const {
-    const auto i = static_cast<std::size_t>(cell);
-    return i < has_.size() && has_[i] != 0;
+    if (ht_ == nullptr) return false;
+    const std::uint32_t k = ht_->macro_ordinal(cell);
+    return k != HierTree::kNoMacroOrdinal && has_[k] != 0;
   }
 
   const Point& estimate(CellId cell) const {
-    const auto i = static_cast<std::size_t>(cell);
-    assert(i < pos_.size() && has_[i] != 0);
-    return pos_[i];
+    assert(has_estimate(cell));
+    return pos_[ht_->macro_ordinal(cell)];
   }
 
-  /// Overwrites one cell's estimate (used to derive a child level's
+  /// Overwrites one macro's estimate (used to derive a child level's
   /// snapshot from its parent's: copy, then apply the level's prototype
   /// writes).
-  void set(CellId cell, const Point& p) {
-    const auto i = static_cast<std::size_t>(cell);
-    assert(i < pos_.size());
-    pos_[i] = p;
-    has_[i] = 1;
+  void set(CellId macro, const Point& p) {
+    assert(ht_ != nullptr);
+    const std::uint32_t k = ht_->macro_ordinal(macro);
+    assert(k != HierTree::kNoMacroOrdinal && "estimates are kept for macros only");
+    pos_[k] = p;
+    has_[k] = 1;
   }
 
  private:
-  std::vector<Point> pos_;
-  std::vector<std::uint8_t> has_;
+  const HierTree* ht_ = nullptr;
+  std::vector<Point> pos_;         ///< per macro ordinal
+  std::vector<std::uint8_t> has_;  ///< per macro ordinal
 };
 
 struct LevelDataflow {

@@ -32,7 +32,7 @@ struct PlacementContext {
         macro_nets(design, ht) {}
 
   CellAdjacency adjacency;
-  HierTree ht;
+  HierTree ht;  ///< also the dense macro ordinal (HierTree::macro_ordinal)
   SeqGraph seq;
   MacroNets macro_nets;  ///< the nets macro flipping evaluates
 };

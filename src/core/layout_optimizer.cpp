@@ -98,6 +98,7 @@ LayoutSolution optimize_layout(const LayoutProblem& problem,
     hooks.commit = [&]() { inc->commit(); };
     hooks.reject = [&]() { inc->rollback(); };
     hooks.on_new_best = [&](double) { best = inc->expression(); };
+    hooks.recomposed_nodes = [&]() { return inc->recomposed_nodes(); };
   } else {
     best = current;
     initial_cost = evaluate_layout_full(problem, current, nullptr);

@@ -176,10 +176,7 @@ class FlipEvaluator {
 }  // namespace
 
 MacroNets::MacroNets(const Design& design, const HierTree& ht) : macro_cells(design.macros()) {
-  std::vector<std::uint32_t> ordinal(design.cell_count(), 0);
-  for (std::size_t k = 0; k < macro_cells.size(); ++k) {
-    ordinal[static_cast<std::size_t>(macro_cells[k])] = static_cast<std::uint32_t>(k);
-  }
+  assert(macro_cells.size() == ht.total_macros());
   // Per HT node: the stamp of the last net that listed it.
   std::vector<std::uint32_t> listed(ht.size(), 0);
   pin_start.push_back(0);
@@ -197,7 +194,7 @@ MacroNets::MacroNets(const Design& design, const HierTree& ht) : macro_cells(des
     const auto add = [&](const NetPin& p) {
       const Cell& c = design.cell(p.cell);
       if (c.kind == CellKind::Macro) {
-        pins.push_back({ordinal[static_cast<std::size_t>(p.cell)], p.dx, p.dy});
+        pins.push_back({ht.macro_ordinal(p.cell), p.dx, p.dy});
       } else if (c.fixed_pos) {
         ports.push_back(*c.fixed_pos);
       } else {

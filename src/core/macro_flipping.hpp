@@ -34,7 +34,8 @@ struct FlippingStats {
 
 /// Every net with at least one macro pin, in net order, as three CSR
 /// tables over the indexed nets (u32 offsets, one more than the nets):
-///  * pins: the net's macro pins, as an index into `macro_cells` plus
+///  * pins: the net's macro pins, as an index into `macro_cells` (the
+///    HierTree::macro_ordinal the recursion keys its estimates by) plus
 ///    the R0 pin offset exactly as NetPin stores it;
 ///  * ports: the positions of its fixed (port) endpoints;
 ///  * nodes: the distinct HT nodes of its other endpoints, whose
@@ -52,7 +53,7 @@ struct MacroNets {
 
   std::size_t net_count() const { return pin_start.empty() ? 0 : pin_start.size() - 1; }
 
-  std::vector<CellId> macro_cells;  ///< every macro cell, ascending
+  std::vector<CellId> macro_cells;  ///< every macro cell, ascending (index = macro ordinal)
   std::vector<std::uint32_t> pin_start;
   std::vector<Pin> pins;
   std::vector<std::uint32_t> port_start;

@@ -41,12 +41,12 @@ RecursiveFloorplanner::RecursiveFloorplanner(const Design& design,
                                              const HierTree& ht, const SeqGraph& seq,
                                              const HiDaPOptions& options)
     : design_(design), adjacency_(adjacency), ht_(ht), seq_(seq), options_(options),
-      preplaced_(design.cell_count(), 0) {
+      preplaced_(ht.total_macros(), 0) {
   shape_curves_.resize(ht.size());
   plan_.resize(ht.size());
   for (const MacroPlacement& m : options_.job.preplaced) {
-    const auto i = static_cast<std::size_t>(m.cell);
-    assert(i < preplaced_.size());
+    const std::uint32_t i = ht.macro_ordinal(m.cell);
+    assert(i != HierTree::kNoMacroOrdinal && "preplaced cell is not a macro");
     if (preplaced_[i] == 0) ++preplaced_count_;
     preplaced_[i] = 1;
   }
@@ -137,7 +137,7 @@ PlacementResult RecursiveFloorplanner::run(const Rect& die) {
   if (unfixed_macro_count(ht_.root()) > 0) {
     // The root's inherited snapshot holds exactly the preplaced macro
     // centers (the only estimates that exist before the first level).
-    EstimateSnapshot initial(design_.cell_count());
+    EstimateSnapshot initial(ht_);
     for (const MacroPlacement& m : options_.job.preplaced) {
       initial.set(m.cell, m.rect.center());
     }

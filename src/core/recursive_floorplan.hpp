@@ -138,9 +138,7 @@ class RecursiveFloorplanner {
   /// Macros below `node` not preplaced by the user (Algorithm 2's
   /// recursion predicate counts only macros HiDaP still has to place).
   int unfixed_macro_count(HtNodeId node) const;
-  bool is_preplaced(CellId cell) const {
-    return preplaced_[static_cast<std::size_t>(cell)] != 0;
-  }
+  bool is_preplaced(CellId macro) const { return preplaced_[ht_.macro_ordinal(macro)] != 0; }
   /// Region write; see the slot-disjointness contract in the file comment.
   void set_region(HtNodeId node, const Rect& r) {
     region_[static_cast<std::size_t>(node)] = r;
@@ -154,7 +152,7 @@ class RecursiveFloorplanner {
   HiDaPOptions options_;
 
   std::vector<ShapeCurve> shape_curves_;
-  std::vector<std::uint8_t> preplaced_;  // per CellId: engineer-fixed macro
+  std::vector<std::uint8_t> preplaced_;  // per macro ordinal: engineer-fixed macro
   int preplaced_count_ = 0;
   std::vector<Rect> region_;                // per HtNodeId
   std::vector<std::uint8_t> region_valid_;  // per HtNodeId

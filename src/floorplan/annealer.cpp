@@ -15,7 +15,7 @@ namespace {
 // One flush per completed schedule: the move loop keeps its counts in
 // AnnealStats exactly as before (zero added work per move) and the
 // totals land in the process registry only here.
-void flush_anneal_metrics(const AnnealStats& stats) {
+void flush_anneal_metrics(const AnnealStats& stats, const AnnealHooks& hooks) {
   static obs::Counter& runs = obs::default_registry().counter("sa.runs");
   static obs::Counter& proposed = obs::default_registry().counter("sa.moves_proposed");
   static obs::Counter& accepted = obs::default_registry().counter("sa.moves_accepted");
@@ -24,6 +24,7 @@ void flush_anneal_metrics(const AnnealStats& stats) {
   static obs::Counter& temperature_steps =
       obs::default_registry().counter("sa.temperature_steps");
   static obs::Counter& stopped_runs = obs::default_registry().counter("sa.stopped_runs");
+  static obs::Counter& recomposed = obs::default_registry().counter("sa.recomposed_nodes");
   runs.add(1);
   proposed.add(static_cast<std::uint64_t>(stats.moves_attempted));
   accepted.add(static_cast<std::uint64_t>(stats.moves_accepted));
@@ -31,6 +32,7 @@ void flush_anneal_metrics(const AnnealStats& stats) {
   improvements.add(static_cast<std::uint64_t>(stats.best_improvements));
   temperature_steps.add(static_cast<std::uint64_t>(stats.temperature_steps));
   if (stats.stopped) stopped_runs.add(1);
+  if (hooks.recomposed_nodes) recomposed.add(hooks.recomposed_nodes());
 }
 
 }  // namespace
@@ -60,7 +62,7 @@ AnnealStats anneal(double initial_cost, const AnnealOptions& options,
     for (int i = 0; i < options.calibration_moves; ++i) {
       if (stop_requested()) {
         stats.stopped = true;
-        flush_anneal_metrics(stats);
+        flush_anneal_metrics(stats, hooks);
         return stats;
       }
       const double cost = hooks.propose();
@@ -118,7 +120,7 @@ AnnealStats anneal(double initial_cost, const AnnealOptions& options,
     stagnant = improved ? 0 : stagnant + 1;
     temperature *= options.cooling;
   }
-  flush_anneal_metrics(stats);
+  flush_anneal_metrics(stats, hooks);
   HIDAP_LOG_DEBUG("anneal: %ld/%ld accepted, %d temps, cost %.4g -> %.4g",
                   stats.moves_accepted, stats.moves_attempted, stats.temperature_steps,
                   stats.initial_cost, stats.best_cost);

@@ -22,7 +22,7 @@ struct AnnealOptions {
   int moves_per_temperature = 200;   ///< attempts at each temperature step
   int calibration_moves = 50;        ///< random moves sampled to set T0
   double frozen_temperature_ratio = 1e-4;  ///< stop when T < ratio * T0
-  int max_stagnant_temperatures = 8;       ///< stop after this many tempertures without improvement
+  int max_stagnant_temperatures = 8;       ///< stop after this many temperatures without improvement
   std::uint64_t seed = 1;
 
   /// Inert: every schedule is one chain and nothing reads this field.
@@ -30,11 +30,13 @@ struct AnnealOptions {
   /// pipeline) keep compiling; it reaches no result and no cache key.
   int chains = 1;
 
-  /// Selects optimize_layout's move evaluator: the incremental engine
-  /// (IncrementalLayoutEval) or, when off, a full recompute on every
-  /// proposal, the reference oracle. Both modes draw the same RNG stream
-  /// and produce bit-identical costs, so the result is the same either
-  /// way; the switch exists for differential testing.
+  /// Selects the move evaluator of both slicing annealers: the
+  /// incremental engines (IncrementalLayoutEval for optimize_layout,
+  /// IncrementalCurveEval for pack_shape_curve) or, when off, a full
+  /// recompute on every proposal, their reference oracles. Both modes
+  /// draw the same RNG stream and produce bit-identical costs, so the
+  /// result is the same either way; the switch exists for differential
+  /// testing.
   bool incremental = true;
 
   /// Cooperative stop handle, polled before every calibration and
@@ -80,6 +82,10 @@ struct AnnealHooks {
   /// Called when a new global best cost is observed (after acceptance
   /// and after `commit`). Typical use: snapshot the current solution.
   std::function<void(double)> on_new_best;
+  /// Optional: the running total of slicing-tree nodes the caller's
+  /// incremental evaluator recomposed. Read once, when the schedule's
+  /// counters are flushed (`sa.recomposed_nodes`), never per move.
+  std::function<std::uint64_t()> recomposed_nodes;
 };
 
 struct AnnealStats {

@@ -5,60 +5,91 @@
 #include <limits>
 #include <memory>
 
-#include "floorplan/polish_expression.hpp"
-#include "util/log.hpp"
-
 namespace hidap {
+
+void compose_slicing_curve(int op, const ShapeCurve& left, const ShapeCurve& right,
+                           std::size_t curve_points, ShapeCurve& out) {
+  // V: side by side (widths add); H: stacked (heights add).
+  if (op == kOpV) {
+    ShapeCurve::compose_horizontal(left, right, out);
+  } else {
+    ShapeCurve::compose_vertical(left, right, out);
+  }
+  out.prune(curve_points);
+}
 
 ShapeCurve compose_curve(const std::vector<ShapeCurve>& leaves,
                          const PolishExpression& expr, std::size_t curve_points) {
-  // Pointer stack over borrowed leaf curves: leaf curves are never copied
-  // on the compose path, and only live intermediates are materialized --
-  // `owned` parallels `stack` (null for leaf entries), so a consumed
-  // intermediate frees as soon as its parent is composed and the peak is
-  // O(stack depth) curves, not O(n).
+  // Pointer stack over borrowed leaf curves; every internal node composes
+  // into the slot of its element position.
+  const std::vector<int>& elems = expr.elements();
+  std::vector<ShapeCurve> slots(elems.size());
   std::vector<const ShapeCurve*> stack;
-  std::vector<std::unique_ptr<ShapeCurve>> owned;
-  for (const int e : expr.elements()) {
+  for (std::size_t p = 0; p < elems.size(); ++p) {
+    const int e = elems[p];
     if (is_operator(e)) {
-      const std::unique_ptr<ShapeCurve> right = std::move(owned.back());
-      const ShapeCurve* right_ptr = stack.back();
-      owned.pop_back();
+      const ShapeCurve* right = stack.back();
       stack.pop_back();
-      const std::unique_ptr<ShapeCurve> left = std::move(owned.back());
-      const ShapeCurve* left_ptr = stack.back();
-      owned.pop_back();
+      const ShapeCurve* left = stack.back();
       stack.pop_back();
-      // V: side by side (widths add); H: stacked (heights add).
-      ShapeCurve combined = (e == kOpV)
-                                ? ShapeCurve::compose_horizontal(*left_ptr, *right_ptr)
-                                : ShapeCurve::compose_vertical(*left_ptr, *right_ptr);
-      combined.prune(curve_points);
-      owned.push_back(std::make_unique<ShapeCurve>(std::move(combined)));
-      stack.push_back(owned.back().get());
+      compose_slicing_curve(e, *left, *right, curve_points, slots[p]);
+      stack.push_back(&slots[p]);
     } else {
       stack.push_back(&leaves[static_cast<std::size_t>(e)]);
-      owned.push_back(nullptr);
     }
   }
   if (stack.empty()) return {};
-  if (owned.back() != nullptr) return std::move(*owned.back());
+  if (is_operator(elems.back())) return std::move(slots.back());
   return *stack.back();
 }
+
+double root_min_area(const ShapeCurve& root) {
+  const auto best = root.min_area_shape();
+  return best ? best->area() : std::numeric_limits<double>::infinity();
+}
+
+IncrementalCurveEval::IncrementalCurveEval(const std::vector<ShapeCurve>& leaves,
+                                           std::size_t curve_points,
+                                           PolishExpression initial)
+    : cache_(leaves, std::move(initial)), curve_points_(curve_points) {
+  // A composition reserves the sum of its operands' sizes, and every
+  // operand is a leaf or a pruned curve: sizing each slot for two of the
+  // larger keeps every later proposal off the heap.
+  std::size_t leaf_points = 0;
+  for (const ShapeCurve& leaf : leaves) leaf_points = std::max(leaf_points, leaf.points().size());
+  const std::size_t capacity = 2 * std::max(leaf_points, curve_points);
+  cache_.reserve_slots([capacity](ShapeCurve& slot) { slot.reserve(capacity); });
+  evaluate_proposed();
+  commit();
+}
+
+void IncrementalCurveEval::evaluate_proposed() {
+  cache_.evaluate([cap = curve_points_](int op, const ShapeCurve& l, const ShapeCurve& r,
+                                        ShapeCurve& out) {
+    compose_slicing_curve(op, l, r, cap, out);
+  });
+  proposed_cost_ = root_min_area(cache_.root());
+}
+
+double IncrementalCurveEval::propose(const std::function<void(PolishExpression&)>& mutate) {
+  mutate(cache_.propose());
+  evaluate_proposed();
+  return proposed_cost_;
+}
+
+void IncrementalCurveEval::commit() {
+  cache_.commit();
+  committed_cost_ = proposed_cost_;
+}
+
+void IncrementalCurveEval::rollback() { cache_.rollback(); }
 
 ShapeCurve pack_shape_curve(const std::vector<ShapeCurve>& leaves,
                             const AreaFloorplanOptions& options) {
   if (leaves.empty()) return {};
   if (leaves.size() == 1) return leaves[0];
 
-  PolishExpression current = PolishExpression::initial(static_cast<int>(leaves.size()));
-  PolishExpression backup = current;
-
-  const auto cost_of = [&](const PolishExpression& expr) {
-    const ShapeCurve curve = compose_curve(leaves, expr, options.curve_points);
-    const auto best = curve.min_area_shape();
-    return best ? best->area() : std::numeric_limits<double>::infinity();
-  };
+  const PolishExpression initial = PolishExpression::initial(static_cast<int>(leaves.size()));
 
   // Keep the few best expressions seen; their curves are merged at the end
   // ("a set of shape combinations with small area", paper IV-A).
@@ -72,21 +103,43 @@ ShapeCurve pack_shape_curve(const std::vector<ShapeCurve>& leaves,
     }
   };
 
-  const double initial_cost = cost_of(current);
-  record_best(initial_cost, current);
-
+  // Both evaluation modes draw the identical RNG stream (the same
+  // perturb retry loop) and produce bit-identical costs, so they accept
+  // and reject the same moves and keep the same best set.
   Rng move_rng(options.anneal.seed ^ 0x5bd1e995u);
-  AnnealHooks hooks;
-  hooks.propose = [&]() {
-    backup = current;
+  const auto perturb_retry = [&move_rng](PolishExpression& expr) {
     // Retry until some move applies (perturb can fail on tiny instances).
     for (int tries = 0; tries < 8; ++tries) {
-      if (current.perturb(move_rng)) break;
+      if (expr.perturb(move_rng)) break;
     }
-    return cost_of(current);
   };
-  hooks.reject = [&]() { current = backup; };
-  hooks.on_new_best = [&](double cost) { record_best(cost, current); };
+  std::unique_ptr<IncrementalCurveEval> inc;
+  PolishExpression current, backup;
+  double initial_cost = 0.0;
+  AnnealHooks hooks;
+  if (options.anneal.incremental) {
+    inc = std::make_unique<IncrementalCurveEval>(leaves, options.curve_points, initial);
+    initial_cost = inc->cost();
+    hooks.propose = [&]() { return inc->propose(perturb_retry); };
+    hooks.commit = [&]() { inc->commit(); };
+    hooks.reject = [&]() { inc->rollback(); };
+    hooks.on_new_best = [&](double cost) { record_best(cost, inc->expression()); };
+    hooks.recomposed_nodes = [&]() { return inc->recomposed_nodes(); };
+  } else {
+    current = initial;
+    const auto cost_of = [&](const PolishExpression& expr) {
+      return root_min_area(compose_curve(leaves, expr, options.curve_points));
+    };
+    initial_cost = cost_of(current);
+    hooks.propose = [&, cost_of]() {
+      backup = current;
+      perturb_retry(current);
+      return cost_of(current);
+    };
+    hooks.reject = [&]() { current = backup; };
+    hooks.on_new_best = [&](double cost) { record_best(cost, current); };
+  }
+  record_best(initial_cost, initial);
 
   AnnealOptions anneal_options = options.anneal;
   anneal_options.moves_per_temperature =

@@ -11,6 +11,23 @@ namespace {
 // Pruning cap for composed subtree curves.
 constexpr std::size_t kCurvePoints = 24;
 
+// Index of the first minimum-area point, as std::min_element keeps the
+// first of equal minima.
+std::uint32_t first_min_area_point(const ShapeCurve& gamma) {
+  const std::vector<Shape>& pts = gamma.points();
+  if (pts.empty()) return 0;
+  std::uint32_t best = 0;
+  double best_area = pts[0].w * pts[0].h;
+  for (std::size_t i = 1; i < pts.size(); ++i) {
+    const double area = pts[i].w * pts[i].h;
+    if (area < best_area) {
+      best = static_cast<std::uint32_t>(i);
+      best_area = area;
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 BudgetNodeInfo budget_leaf_info(const BudgetBlock& block) {
@@ -18,23 +35,29 @@ BudgetNodeInfo budget_leaf_info(const BudgetBlock& block) {
   info.gamma = block.gamma;
   info.am = block.am;
   info.at = block.at;
+  info.min_area_point = first_min_area_point(info.gamma);
   return info;
 }
 
-BudgetNodeInfo budget_compose_info(int op, const BudgetNodeInfo& l, const BudgetNodeInfo& r) {
-  BudgetNodeInfo info;
-  info.am = l.am + r.am;
-  info.at = l.at + r.at;
+void budget_compose_info(int op, const BudgetNodeInfo& l, const BudgetNodeInfo& r,
+                         BudgetNodeInfo& out) {
+  out.am = l.am + r.am;
+  out.at = l.at + r.at;
   if (l.gamma.empty()) {
-    info.gamma = r.gamma;
+    out.gamma = r.gamma;
   } else if (r.gamma.empty()) {
-    info.gamma = l.gamma;
+    out.gamma = l.gamma;
+  } else if (op == kOpV) {
+    ShapeCurve::compose_horizontal(l.gamma, r.gamma, out.gamma);
   } else {
-    info.gamma = (op == kOpV) ? ShapeCurve::compose_horizontal(l.gamma, r.gamma)
-                              : ShapeCurve::compose_vertical(l.gamma, r.gamma);
+    ShapeCurve::compose_vertical(l.gamma, r.gamma, out.gamma);
   }
-  info.gamma.prune(kCurvePoints);
-  return info;
+  out.gamma.prune(kCurvePoints);
+  out.min_area_point = first_min_area_point(out.gamma);
+}
+
+std::size_t budget_compose_capacity(std::size_t child_points) {
+  return 2 * std::max(child_points, kCurvePoints);
 }
 
 namespace {
@@ -44,7 +67,7 @@ namespace {
 // curve cannot fit the cross extent at all, the cheapest (min-area)
 // point defines the demand. Replicates ShapeCurve::min_width_for_height
 // / min_height_for_width / min_area_shape bit for bit (same partition
-// boundaries, same eps, first minimum wins).
+// boundaries, same eps, first minimum wins -- cached per info).
 double min_extent(const BudgetNodeInfo& info, double cross, bool along_width) {
   const std::vector<Shape>& pts = info.gamma.points();
   const std::size_t n = pts.size();
@@ -79,17 +102,8 @@ double min_extent(const BudgetNodeInfo& info, double cross, bool along_width) {
   }
   // No point fits the cross extent: the cheapest (min-area) point defines
   // the demand; the overflow is charged as macro deficit at the leaves.
-  // First minimum wins ties, as std::min_element keeps the first.
-  std::size_t best = 0;
-  double best_area = pts[0].w * pts[0].h;
-  for (std::size_t i = 1; i < n; ++i) {
-    const double area = pts[i].w * pts[i].h;
-    if (area < best_area) {
-      best = i;
-      best_area = area;
-    }
-  }
-  return along_width ? pts[best].w : pts[best].h;
+  const Shape& cheapest = pts[info.min_area_point];
+  return along_width ? cheapest.w : cheapest.h;
 }
 
 // Grades the final rectangle of a leaf block against its <Gamma, am, at>.
@@ -182,10 +196,12 @@ BudgetResult budget_layout(const PolishExpression& expr,
   std::vector<const BudgetNodeInfo*> ptrs(tree.nodes.size());
   for (std::size_t i = 0; i < tree.nodes.size(); ++i) {
     const SlicingTree::Node& node = tree.nodes[i];
-    info[i] = node.is_leaf()
-                  ? budget_leaf_info(blocks[static_cast<std::size_t>(node.leaf)])
-                  : budget_compose_info(node.op, info[static_cast<std::size_t>(node.left)],
-                                        info[static_cast<std::size_t>(node.right)]);
+    if (node.is_leaf()) {
+      info[i] = budget_leaf_info(blocks[static_cast<std::size_t>(node.leaf)]);
+    } else {
+      budget_compose_info(node.op, info[static_cast<std::size_t>(node.left)],
+                          info[static_cast<std::size_t>(node.right)], info[i]);
+    }
     ptrs[i] = &info[i];
   }
 

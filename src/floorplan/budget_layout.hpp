@@ -11,6 +11,8 @@
 // free slack above at (cheapest), target area at, minimum area am, or
 // outright macro infeasibility (most severe).
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "floorplan/polish_expression.hpp"
@@ -53,13 +55,24 @@ struct BudgetNodeInfo {
   ShapeCurve gamma;
   double am = 0.0;
   double at = 0.0;
+  /// Index of gamma's first minimum-area point (0 when gamma is empty):
+  /// the demand of a subtree whose curve fits no cross extent.
+  std::uint32_t min_area_point = 0;
 };
 
 /// Info of a leaf node (no curve pruning; mirrors the full recompute).
 BudgetNodeInfo budget_leaf_info(const BudgetBlock& block);
 
-/// Info of an internal node with operator `op` from its children's infos.
-BudgetNodeInfo budget_compose_info(int op, const BudgetNodeInfo& l, const BudgetNodeInfo& r);
+/// Info of an internal node with operator `op` from its children's
+/// infos, written into `out` (reusing its curve capacity; `out` must not
+/// alias a child).
+void budget_compose_info(int op, const BudgetNodeInfo& l, const BudgetNodeInfo& r,
+                         BudgetNodeInfo& out);
+
+/// Largest point count budget_compose_info holds in `out` while
+/// composing children of at most `child_points` points each; reserving
+/// it keeps a reused info slot off the heap.
+std::size_t budget_compose_capacity(std::size_t child_points);
 
 /// Top-down assignment pass: splits `budget` down the slicing tree using
 /// the precomputed per-node infos (`infos[i]` describes `tree.nodes[i]`),

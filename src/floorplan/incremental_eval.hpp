@@ -13,13 +13,15 @@
 //   * every affinity pair whose two endpoints keep their centers keeps
 //     its cost term verbatim.
 //
-// IncrementalLayoutEval caches both. On propose() it re-parses the
-// expression (O(n), no curve work), recomposes node infos only along the
-// paths from mutated positions to the root, reruns the top-down budget
-// split in full (a cheap O(n) walk), and refreshes only the connectivity
-// terms of blocks whose center moved. The final reduction (the
-// left-to-right term sum) is rerun in full, in the oracle's exact
-// accumulation order.
+// IncrementalLayoutEval caches both. On propose() its SlicingCache
+// (floorplan/slicing_cache.hpp, shared with the shape-curve annealer)
+// re-parses the expression (O(n), no curve work) and recomposes node
+// infos only along the paths from mutated positions to the root, into
+// reused slots; the top-down budget split reruns in full (a cheap O(n)
+// walk). One pass over the affinity pairs then refreshes the terms of
+// pairs with a relocated endpoint and adds every term left to right, in
+// the oracle's exact accumulation order. A warm propose/commit/rollback
+// cycle does not allocate.
 //
 // Bit-identity contract: every number this class produces is the result
 // of the same arithmetic, in the same order, as the full recompute --
@@ -39,6 +41,7 @@
 #include "dataflow/affinity.hpp"
 #include "floorplan/budget_layout.hpp"
 #include "floorplan/polish_expression.hpp"
+#include "floorplan/slicing_cache.hpp"
 #include "floorplan/soa_terms.hpp"
 #include "geometry/geometry.hpp"
 
@@ -66,20 +69,25 @@ class IncrementalLayoutEval {
 
   // Committed-state accessors.
   double cost() const { return committed_cost_; }
-  const PolishExpression& expression() const { return committed_expr_; }
+  const PolishExpression& expression() const { return cache_.expression(); }
   const std::vector<Rect>& rects() const { return committed_layout_.leaf_rects; }
   const BudgetViolations& violations() const { return committed_layout_.violations; }
 
   /// The in-flight proposal (valid between propose() and commit /
   /// rollback); exposed for differential testing.
-  const PolishExpression& proposed_expression() const { return proposed_expr_; }
+  const PolishExpression& proposed_expression() const {
+    return cache_.proposed_expression();
+  }
+
+  /// Slicing-tree nodes recomposed so far (the initial full evaluation
+  /// included); the layout SA flushes it as `sa.recomposed_nodes`.
+  std::uint64_t recomposed_nodes() const { return cache_.recomposed_nodes(); }
 
  private:
-  void rebuild_tree(const PolishExpression& expr);
-  /// Re-evaluates proposed_expr_: expression diff, bottom-up infos,
-  /// top-down budget split, centers, connectivity terms and the final
-  /// objective into the proposed_* overlay.
-  void evaluate_proposed(bool reuse_committed);
+  /// Evaluates the cache's open proposal: dirty node infos, top-down
+  /// budget split, centers, connectivity terms and the final objective
+  /// into the proposed_* overlay.
+  void evaluate_proposed();
 
   const std::vector<BudgetBlock>& blocks_;
   const Rect region_;
@@ -88,40 +96,26 @@ class IncrementalLayoutEval {
   /// order (i ascending, then j ascending; only pairs with at least one
   /// movable endpoint contribute), as parallel endpoint/weight arrays.
   PairsSoA pairs_;
-  std::vector<std::vector<std::uint32_t>> block_pairs_;  ///< block id -> pair indices
 
-  // Committed state. `infos_[p]` characterizes the committed subtree
-  // ending at element position p. Center arrays span blocks then
-  // terminals; the terminal tail is constant (written once in the
-  // constructor), so pair terms index one array with no branch.
-  PolishExpression committed_expr_;
-  std::vector<BudgetNodeInfo> infos_;
+  std::vector<BudgetNodeInfo> leaf_infos_;  ///< per block, computed once
+  SlicingCache<BudgetNodeInfo> cache_;
+
+  // Committed state. Center arrays span blocks then terminals; the
+  // terminal tail is constant (written once in the constructor), so pair
+  // terms index one array with no branch.
   BudgetResult committed_layout_;
   CentersSoA committed_centers_;
   std::vector<double> committed_terms_;
   double committed_cost_ = 0.0;
-  std::vector<BudgetNodeInfo> leaf_infos_;  ///< per block, computed once
 
-  // Proposal overlay: dirty nodes get freshly computed infos in
-  // `scratch_infos_` (sized to full length up front and never resized,
-  // since `info_ptrs_` aliases the elements); clean nodes alias
-  // `infos_`. commit() folds the scratch entries back into
-  // `infos_`; rollback() just drops them.
-  PolishExpression proposed_expr_;
-  std::vector<std::uint32_t> dirty_nodes_;
-  std::vector<BudgetNodeInfo> scratch_infos_;
-  std::vector<const BudgetNodeInfo*> info_ptrs_;
+  // Proposal overlay; commit() swaps it in. `moved_` flags the centers
+  // the proposal relocated (all of them before the first commit; the
+  // terminal tail stays 0).
   BudgetResult proposed_layout_;
   CentersSoA proposed_centers_;
   std::vector<double> proposed_terms_;
+  std::vector<std::uint8_t> moved_;
   double proposed_cost_ = 0.0;
-  bool pending_ = false;
-
-  // Reused scratch (no steady-state allocation on the move hot path).
-  SlicingTree tree_;
-  std::vector<int> parse_stack_;
-  std::vector<int> span_start_;          ///< per node: first element of its span
-  std::vector<std::uint32_t> changed_prefix_;  ///< prefix count of mutated positions
 };
 
 }  // namespace hidap

@@ -38,17 +38,22 @@ bool PolishExpression::is_valid() const {
   return operators == operands - 1;
 }
 
+// The moves draw from the RNG exactly as if they had first collected
+// every candidate into a list, but locate the drawn candidate by a
+// second scan instead, so a move never touches the heap.
+
 bool PolishExpression::move_swap_operands(Rng& rng) {
-  // Collect operand positions; swap two adjacent ones (adjacent in the
-  // operand subsequence).
-  std::vector<int> pos;
-  for (std::size_t i = 0; i < elems_.size(); ++i) {
-    if (!is_operator(elems_[i])) pos.push_back(static_cast<int>(i));
-  }
-  if (pos.size() < 2) return false;
-  const int k = rng.next_int(0, static_cast<int>(pos.size()) - 2);
-  std::swap(elems_[static_cast<std::size_t>(pos[k])],
-            elems_[static_cast<std::size_t>(pos[k + 1])]);
+  // Swap two operands adjacent in the operand subsequence.
+  const std::size_t len = elems_.size();
+  int operands = 0;
+  for (const int e : elems_) operands += is_operator(e) ? 0 : 1;
+  if (operands < 2) return false;
+  int k = rng.next_int(0, operands - 2);
+  std::size_t first = 0;
+  while (is_operator(elems_[first]) || k-- > 0) ++first;
+  std::size_t second = first + 1;
+  while (second < len && is_operator(elems_[second])) ++second;
+  std::swap(elems_[first], elems_[second]);
   return true;
 }
 
@@ -56,22 +61,18 @@ bool PolishExpression::move_invert_chain(Rng& rng) {
   // A chain is a maximal run of operators; complement every operator in
   // a randomly selected chain. Normalization is preserved: a complemented
   // alternating run stays alternating.
-  std::vector<std::pair<int, int>> chains;  // [begin, end)
-  for (std::size_t i = 0; i < elems_.size();) {
-    if (is_operator(elems_[i])) {
-      std::size_t j = i;
-      while (j < elems_.size() && is_operator(elems_[j])) ++j;
-      chains.emplace_back(static_cast<int>(i), static_cast<int>(j));
-      i = j;
-    } else {
-      ++i;
-    }
-  }
-  if (chains.empty()) return false;
-  const auto [begin, end] = chains[static_cast<std::size_t>(
-      rng.next_int(0, static_cast<int>(chains.size()) - 1))];
-  for (int i = begin; i < end; ++i) {
-    elems_[static_cast<std::size_t>(i)] = complement_op(elems_[static_cast<std::size_t>(i)]);
+  const std::size_t len = elems_.size();
+  const auto chain_starts_at = [&](std::size_t i) {
+    return is_operator(elems_[i]) && (i == 0 || !is_operator(elems_[i - 1]));
+  };
+  int chains = 0;
+  for (std::size_t i = 0; i < len; ++i) chains += chain_starts_at(i) ? 1 : 0;
+  if (chains == 0) return false;
+  int k = rng.next_int(0, chains - 1);
+  std::size_t begin = 0;
+  while (!chain_starts_at(begin) || k-- > 0) ++begin;
+  for (std::size_t i = begin; i < len && is_operator(elems_[i]); ++i) {
+    elems_[i] = complement_op(elems_[i]);
   }
   return true;
 }
@@ -80,21 +81,26 @@ bool PolishExpression::move_swap_operand_operator(Rng& rng) {
   // Candidate positions i where elems[i], elems[i+1] form an
   // operand/operator (or operator/operand) pair whose swap keeps the
   // expression valid. Try a random candidate; accept the first legal one.
-  std::vector<int> candidates;
-  for (std::size_t i = 0; i + 1 < elems_.size(); ++i) {
-    if (is_operator(elems_[i]) != is_operator(elems_[i + 1])) {
-      candidates.push_back(static_cast<int>(i));
-    }
-  }
+  const std::size_t len = elems_.size();
+  const auto is_candidate = [&](std::size_t i) {
+    return is_operator(elems_[i]) != is_operator(elems_[i + 1]);
+  };
+  std::size_t candidates = 0;
+  for (std::size_t i = 0; i + 1 < len; ++i) candidates += is_candidate(i) ? 1 : 0;
+  if (candidates == 0) return false;
   // Random rotation through candidates so the move is unbiased but still
-  // finds a legal swap when one exists.
-  if (candidates.empty()) return false;
-  const std::size_t offset = rng.next_below(candidates.size());
-  for (std::size_t t = 0; t < candidates.size(); ++t) {
-    const int i = candidates[(offset + t) % candidates.size()];
-    std::swap(elems_[static_cast<std::size_t>(i)], elems_[static_cast<std::size_t>(i) + 1]);
+  // finds a legal swap when one exists: start at the drawn candidate and
+  // walk the rest in position order, wrapping around.
+  std::size_t skip = rng.next_below(candidates);
+  std::size_t i = 0;
+  while (!is_candidate(i) || skip-- > 0) ++i;
+  for (std::size_t t = 0; t < candidates; ++t) {
+    std::swap(elems_[i], elems_[i + 1]);
     if (is_valid()) return true;
-    std::swap(elems_[static_cast<std::size_t>(i)], elems_[static_cast<std::size_t>(i) + 1]);
+    std::swap(elems_[i], elems_[i + 1]);
+    do {
+      i = i + 2 < len ? i + 1 : 0;
+    } while (!is_candidate(i));
   }
   return false;
 }

@@ -6,18 +6,6 @@
 
 namespace hidap {
 
-ShapeCurve ShapeCurve::from_sorted(std::vector<Shape> points) {
-#ifndef NDEBUG
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    assert(points[i].w > 0 && points[i].h > 0);
-    assert(i == 0 || (points[i - 1].w < points[i].w && points[i - 1].h > points[i].h));
-  }
-#endif
-  ShapeCurve c;
-  c.points_ = std::move(points);
-  return c;
-}
-
 ShapeCurve ShapeCurve::for_rect(double w, double h, bool rotate) {
   ShapeCurve c;
   c.add({w, h});
@@ -89,7 +77,8 @@ void ShapeCurve::merge(const ShapeCurve& other) {
   points_ = std::move(merged);
 }
 
-ShapeCurve ShapeCurve::compose_horizontal(const ShapeCurve& a, const ShapeCurve& b) {
+void ShapeCurve::compose_horizontal(const ShapeCurve& a, const ShapeCurve& b,
+                                    ShapeCurve& out) {
   // Sweep merge: walking both frontiers in merged descending-height order
   // visits, for every achievable height level, exactly the minimal-width
   // pair (each pointer rests on the first point of its curve that fits
@@ -97,10 +86,11 @@ ShapeCurve ShapeCurve::compose_horizontal(const ShapeCurve& a, const ShapeCurve&
   // nondecreasing but can collide after rounding when the operand
   // magnitudes differ wildly -- the lower point then replaces the earlier
   // one, exactly as the pairwise frontier would keep only it.
-  ShapeCurve out;
-  const std::size_t pa = a.points_.size(), pb = b.points_.size();
-  if (pa == 0 || pb == 0) return out;
+  assert(&out != &a && &out != &b && "compose output aliases an operand");
   std::vector<Shape>& o = out.points_;
+  o.clear();
+  const std::size_t pa = a.points_.size(), pb = b.points_.size();
+  if (pa == 0 || pb == 0) return;
   o.reserve(pa + pb);
   const Shape* pta = a.points_.data();
   const Shape* ptb = b.points_.data();
@@ -129,19 +119,20 @@ ShapeCurve ShapeCurve::compose_horizontal(const ShapeCurve& a, const ShapeCurve&
       if (i == pa || j == pb) break;
     }
   }
-  return out;
 }
 
-ShapeCurve ShapeCurve::compose_vertical(const ShapeCurve& a, const ShapeCurve& b) {
+void ShapeCurve::compose_vertical(const ShapeCurve& a, const ShapeCurve& b,
+                                  ShapeCurve& out) {
   // Transpose of the horizontal sweep: walk both frontiers backwards
   // (descending width), emit the minimal stacked height per width level,
   // then reverse into increasing-width order. Width collisions cannot
   // round (max picks an original value); height sums can, and dedupe by
   // keeping the narrower point, as the pairwise frontier does.
-  ShapeCurve out;
-  const std::size_t pa = a.points_.size(), pb = b.points_.size();
-  if (pa == 0 || pb == 0) return out;
+  assert(&out != &a && &out != &b && "compose output aliases an operand");
   std::vector<Shape>& o = out.points_;
+  o.clear();
+  const std::size_t pa = a.points_.size(), pb = b.points_.size();
+  if (pa == 0 || pb == 0) return;
   o.reserve(pa + pb);
   const Shape* pta = a.points_.data();
   const Shape* ptb = b.points_.data();
@@ -169,7 +160,6 @@ ShapeCurve ShapeCurve::compose_vertical(const ShapeCurve& a, const ShapeCurve& b
     }
   }
   std::reverse(o.begin(), o.end());
-  return out;
 }
 
 bool ShapeCurve::fits(double w, double h, double eps) const {
@@ -231,17 +221,22 @@ std::optional<Shape> ShapeCurve::best_fit(double w, double h, double eps) const 
 
 void ShapeCurve::prune(std::size_t max_points) {
   if (points_.size() <= max_points || max_points < 2) return;
-  std::vector<Shape> kept;
-  kept.reserve(max_points);
+  // In-place compaction: kept index i*(n-1)/(max-1) >= i >= the write
+  // cursor, so every source point is read before any write reaches it.
   const std::size_t n = points_.size();
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < max_points; ++i) {
-    const std::size_t idx = i * (n - 1) / (max_points - 1);
-    if (kept.empty() || !(kept.back() == points_[idx])) kept.push_back(points_[idx]);
+    const Shape s = points_[i * (n - 1) / (max_points - 1)];
+    if (kept == 0 || !(points_[kept - 1] == s)) points_[kept++] = s;
   }
-  // A spread subset of a frontier is a frontier; adopting it through
-  // from_sorted re-checks the invariant in debug builds, which guards
-  // the sweep composers feeding this on every slicing-tree node.
-  *this = from_sorted(std::move(kept));
+  points_.resize(kept);
+#ifndef NDEBUG
+  // A spread subset of a frontier is a frontier; this guards the sweep
+  // composers feeding prune on every slicing-tree node.
+  for (std::size_t i = 1; i < points_.size(); ++i) {
+    assert(points_[i - 1].w < points_[i].w && points_[i - 1].h > points_[i].h);
+  }
+#endif
 }
 
 }  // namespace hidap

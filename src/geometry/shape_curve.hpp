@@ -42,12 +42,6 @@ class ShapeCurve {
   bool empty() const { return points_.empty(); }
   const std::vector<Shape>& points() const { return points_; }
 
-  /// Adopts an already-sorted Pareto frontier (positive dims, strictly
-  /// increasing w, strictly decreasing h; debug-asserted). The batch
-  /// counterpart of repeated add() for callers that produce frontier
-  /// points in order -- no per-point insert/erase ever runs.
-  static ShapeCurve from_sorted(std::vector<Shape> points);
-
   /// Adds one feasible shape, maintaining the Pareto frontier.
   void add(Shape s);
 
@@ -62,12 +56,18 @@ class ShapeCurve {
   // emitted coordinates are the same two-operand sums/maxes the pairwise
   // O(p_a * p_b) reference computes, so the point lists are bit-identical
   // to it (enforced differentially by tests/test_shape_curve.cpp, which
-  // holds that reference).
+  // holds that reference). The result is written into `out`, reusing its
+  // capacity, so a caller that keeps one output curve per slot composes
+  // without touching the heap; `out` must not alias an operand.
 
   /// Children side by side: widths add, heights max.
-  static ShapeCurve compose_horizontal(const ShapeCurve& a, const ShapeCurve& b);
+  static void compose_horizontal(const ShapeCurve& a, const ShapeCurve& b, ShapeCurve& out);
   /// Children stacked: heights add, widths max.
-  static ShapeCurve compose_vertical(const ShapeCurve& a, const ShapeCurve& b);
+  static void compose_vertical(const ShapeCurve& a, const ShapeCurve& b, ShapeCurve& out);
+
+  /// Pre-sizes the point storage so later compositions of up to `n`
+  /// points into this curve do not allocate.
+  void reserve(std::size_t n) { points_.reserve(n); }
 
   /// True when some curve point fits inside a w x h box.
   bool fits(double w, double h, double eps = 1e-9) const;
@@ -86,7 +86,8 @@ class ShapeCurve {
   /// Best (smallest-area) point that fits in a w x h box, if any.
   std::optional<Shape> best_fit(double w, double h, double eps = 1e-9) const;
 
-  /// Caps the number of Pareto points, keeping an area-spread subset.
+  /// Caps the number of Pareto points, keeping an area-spread subset
+  /// (point i*(n-1)/(max_points-1) for i < max_points). Compacts in place.
   /// Keeps composition cost bounded on deep trees.
   void prune(std::size_t max_points);
 

@@ -31,7 +31,9 @@ HierTree::HierTree(const Design& design) {
 
   hier_node_ = hier_to_ht;
 
-  // Pass 2: distribute cells; macros get private leaf nodes.
+  // Pass 2: distribute cells; macros get private leaf nodes, appended
+  // in CellId order after every hierarchy node.
+  first_macro_leaf_ = static_cast<HtNodeId>(nodes_.size());
   cell_node_.assign(design.cell_count(), kInvalidId);
   for (std::size_t i = 0; i < design.cell_count(); ++i) {
     const CellId cid = static_cast<CellId>(i);

@@ -62,6 +62,21 @@ class HierTree {
     return cell_node_[static_cast<std::size_t>(cell)];
   }
 
+  /// Dense macro numbering: the k-th macro cell in CellId order (the
+  /// order of Design::macros()) has ordinal k; any other cell has
+  /// kNoMacroOrdinal. Macro leaves are appended in that order, so the
+  /// ordinal is a leaf's offset and needs no table beyond node_of_cell.
+  static constexpr std::uint32_t kNoMacroOrdinal = UINT32_MAX;
+  std::uint32_t macro_ordinal(CellId cell) const {
+    const HtNodeId node = node_of_cell(cell);
+    return node >= first_macro_leaf_ ? static_cast<std::uint32_t>(node - first_macro_leaf_)
+                                     : kNoMacroOrdinal;
+  }
+  /// Macro cells in the design (the range of macro_ordinal).
+  std::size_t total_macros() const {
+    return nodes_.size() - static_cast<std::size_t>(first_macro_leaf_);
+  }
+
   /// HT node corresponding to a Design hierarchy node.
   HtNodeId node_of_hier(HierId hier) const {
     return hier_node_[static_cast<std::size_t>(hier)];
@@ -81,6 +96,7 @@ class HierTree {
   std::vector<HtNodeId> cell_node_;
   std::vector<HtNodeId> hier_node_;
   std::vector<int> depth_;
+  HtNodeId first_macro_leaf_ = 0;  ///< macro leaves fill [first_macro_leaf_, size())
 };
 
 }  // namespace hidap

@@ -165,7 +165,8 @@ std::uint64_t ArtifactCache::curves_key(std::uint64_t context_key, std::uint64_t
   // pruning/merging caps. AnnealOptions::control is deliberately NOT
   // part of the key -- cancellation never changes an uncancelled run,
   // and cancelled runs never store. AnnealOptions::incremental is not
-  // either: only optimize_layout reads it, never the curve packer.
+  // either: it picks the packer's evaluator, and both produce
+  // bit-identical curves.
   return HashBuilder(0x5c01)
       .u64(context_key)
       .u64(seed)

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <vector>
+
 #include "floorplan/area_floorplanner.hpp"
 #include "floorplan/polish_expression.hpp"
+#include "util/rng.hpp"
 
 namespace hidap {
 namespace {
@@ -72,6 +78,116 @@ TEST(PackShapeCurve, CurveOffersMultipleAspects) {
   const ShapeCurve c = pack_shape_curve(leaves, opt);
   // A useful shape curve gives layout generation real choices.
   EXPECT_GE(c.points().size(), 2u);
+}
+
+// ---- incremental engine vs full-recompute oracle ---------------------------
+
+bool bits_equal(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+::testing::AssertionResult curves_bit_equal(const ShapeCurve& a, const ShapeCurve& b) {
+  if (a.points().size() != b.points().size()) {
+    return ::testing::AssertionFailure()
+           << "point counts differ: " << a.points().size() << " vs " << b.points().size();
+  }
+  for (std::size_t i = 0; i < a.points().size(); ++i) {
+    if (!bits_equal(a.points()[i].w, b.points()[i].w) ||
+        !bits_equal(a.points()[i].h, b.points()[i].h)) {
+      return ::testing::AssertionFailure() << "point " << i << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Random leaf sets over the curve kinds the packer sees: two-orientation
+// rects, soft-area sweeps, single-point curves, and coarse-grid curves
+// whose widths and heights tie across leaves.
+std::vector<ShapeCurve> random_leaves(Rng& rng) {
+  const int n = rng.next_int(2, 14);
+  std::vector<ShapeCurve> leaves;
+  for (int i = 0; i < n; ++i) {
+    switch (rng.next_int(0, 3)) {
+      case 0:
+        leaves.push_back(ShapeCurve::for_rect(rng.next_double(1, 40), rng.next_double(1, 40)));
+        break;
+      case 1:
+        leaves.push_back(ShapeCurve::soft_area(rng.next_double(10, 2000), 0.25, 4.0,
+                                               rng.next_int(1, 40)));
+        break;
+      case 2:
+        leaves.push_back(ShapeCurve::for_rect(rng.next_double(1, 40), rng.next_double(1, 40),
+                                              /*rotate=*/false));
+        break;
+      default: {
+        ShapeCurve c;
+        const int points = rng.next_int(1, 12);
+        for (int p = 0; p < points; ++p) {
+          c.add({static_cast<double>(rng.next_int(1, 8)),
+                 static_cast<double>(rng.next_int(1, 8))});
+        }
+        leaves.push_back(c);
+      }
+    }
+  }
+  return leaves;
+}
+
+TEST(IncrementalCurveEval, RandomWalkMatchesFullRecomputeBitForBit) {
+  Rng rng(0xc0ffee);
+  for (int trial = 0; trial < 150; ++trial) {
+    const std::vector<ShapeCurve> leaves = random_leaves(rng);
+    const std::size_t cap = static_cast<std::size_t>(rng.next_int(2, 32));
+    const PolishExpression initial =
+        PolishExpression::initial(static_cast<int>(leaves.size()));
+    IncrementalCurveEval eval(leaves, cap, initial);
+    ASSERT_TRUE(bits_equal(eval.cost(), root_min_area(compose_curve(leaves, initial, cap))));
+    Rng move_rng(static_cast<std::uint64_t>(trial) + 1);
+    const std::function<void(PolishExpression&)> mutate = [&move_rng](PolishExpression& e) {
+      for (int tries = 0; tries < 8; ++tries) {
+        if (e.perturb(move_rng)) break;
+      }
+    };
+    PolishExpression committed = initial;
+    for (int step = 0; step < 120; ++step) {
+      // The proposal's cost is the oracle's cost of the same expression.
+      PolishExpression expected = committed;
+      Rng probe = move_rng;
+      for (int tries = 0; tries < 8; ++tries) {
+        if (expected.perturb(probe)) break;
+      }
+      const double cost = eval.propose(mutate);
+      ASSERT_TRUE(bits_equal(cost, root_min_area(compose_curve(leaves, expected, cap))))
+          << "trial " << trial << " step " << step;
+      if (rng.next_bool(0.7)) {
+        eval.commit();
+        committed = expected;
+      } else {
+        eval.rollback();
+      }
+      ASSERT_EQ(eval.expression(), committed);
+      ASSERT_TRUE(curves_bit_equal(eval.curve(), compose_curve(leaves, committed, cap)))
+          << "trial " << trial << " step " << step;
+    }
+  }
+}
+
+TEST(PackShapeCurve, IncrementalAndOracleMergeTheSameCurve) {
+  Rng rng(0xfeed);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::vector<ShapeCurve> leaves = random_leaves(rng);
+    AreaFloorplanOptions opt;
+    opt.anneal.seed = static_cast<std::uint64_t>(trial) * 7 + 1;
+    opt.anneal.moves_per_temperature = 30;
+    opt.anneal.cooling = 0.8;
+    opt.curve_points = static_cast<std::size_t>(rng.next_int(4, 32));
+    opt.anneal.incremental = true;
+    const ShapeCurve incremental = pack_shape_curve(leaves, opt);
+    opt.anneal.incremental = false;
+    const ShapeCurve oracle = pack_shape_curve(leaves, opt);
+    ASSERT_FALSE(incremental.empty());
+    ASSERT_TRUE(curves_bit_equal(incremental, oracle)) << "trial " << trial;
+  }
 }
 
 TEST(PackShapeCurve, EmptyInput) {

@@ -9,6 +9,7 @@
 #include "core/hidap.hpp"
 #include "gen/suite.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
 
 namespace hidap {
 namespace {
@@ -39,18 +40,81 @@ Fixture& fixture() {
 
 TEST(EstimateSnapshot, EmptySnapshotHasNoEstimates) {
   const EstimateSnapshot snap;
-  EXPECT_EQ(snap.cell_count(), 0u);
+  EXPECT_EQ(snap.macro_count(), 0u);
   EXPECT_FALSE(snap.has_estimate(0));
   EXPECT_FALSE(snap.has_estimate(123));
 }
 
 TEST(EstimateSnapshot, SetAndRead) {
-  EstimateSnapshot snap(8);
-  EXPECT_FALSE(snap.has_estimate(3));
-  snap.set(3, Point{1.5, -2.0});
-  ASSERT_TRUE(snap.has_estimate(3));
-  EXPECT_EQ(snap.estimate(3), (Point{1.5, -2.0}));
-  EXPECT_FALSE(snap.has_estimate(2));
+  auto& fx = fixture();
+  const std::vector<CellId> macros = fx.d.macros();
+  ASSERT_GE(macros.size(), 2u);
+  EstimateSnapshot snap(fx.ctx.ht);
+  EXPECT_EQ(snap.macro_count(), macros.size());
+  EXPECT_FALSE(snap.has_estimate(macros[1]));
+  snap.set(macros[1], Point{1.5, -2.0});
+  ASSERT_TRUE(snap.has_estimate(macros[1]));
+  EXPECT_EQ(snap.estimate(macros[1]), (Point{1.5, -2.0}));
+  EXPECT_FALSE(snap.has_estimate(macros[0]));
+}
+
+TEST(EstimateSnapshot, MacroOrdinalIsTheDesignMacroIndex) {
+  auto& fx = fixture();
+  const std::vector<CellId> macros = fx.d.macros();
+  ASSERT_EQ(fx.ctx.ht.total_macros(), macros.size());
+  for (std::size_t k = 0; k < macros.size(); ++k) {
+    EXPECT_EQ(fx.ctx.ht.macro_ordinal(macros[k]), k);
+  }
+  for (std::size_t c = 0; c < fx.d.cell_count(); ++c) {
+    const auto cell = static_cast<CellId>(c);
+    if (fx.d.cell(cell).kind != CellKind::Macro) {
+      ASSERT_EQ(fx.ctx.ht.macro_ordinal(cell), HierTree::kNoMacroOrdinal) << c;
+    }
+  }
+}
+
+TEST(EstimateSnapshot, MatchesDenseReferenceThroughCopiesAndWrites) {
+  // Differential: the per-macro snapshot against a dense per-cell
+  // reference (the storage it replaced), through the recursion's usage
+  // pattern -- derive a child by copying, write some macro centers --
+  // over random write streams. Every cell, macro or not, must read back
+  // identically.
+  auto& fx = fixture();
+  const std::vector<CellId> macros = fx.d.macros();
+  struct Dense {
+    std::vector<Point> pos;
+    std::vector<std::uint8_t> has;
+  };
+  Rng rng(0xe57);
+  for (int trial = 0; trial < 20; ++trial) {
+    EstimateSnapshot snap(fx.ctx.ht);
+    Dense dense{std::vector<Point>(fx.d.cell_count()),
+                std::vector<std::uint8_t>(fx.d.cell_count(), 0)};
+    for (int level = 0; level < 6; ++level) {
+      EstimateSnapshot child = snap;
+      Dense child_dense = dense;
+      const int writes = rng.next_int(0, static_cast<int>(macros.size()));
+      for (int w = 0; w < writes; ++w) {
+        const CellId m =
+            macros[static_cast<std::size_t>(rng.next_int(0, static_cast<int>(macros.size()) - 1))];
+        const Point p{rng.next_double(-50, 500), rng.next_double(-50, 500)};
+        child.set(m, p);
+        child_dense.pos[static_cast<std::size_t>(m)] = p;
+        child_dense.has[static_cast<std::size_t>(m)] = 1;
+      }
+      for (std::size_t c = 0; c < fx.d.cell_count(); ++c) {
+        const auto cell = static_cast<CellId>(c);
+        // The parent is untouched by its child's writes.
+        ASSERT_EQ(snap.has_estimate(cell), dense.has[c] != 0) << c;
+        ASSERT_EQ(child.has_estimate(cell), child_dense.has[c] != 0) << c;
+        if (child_dense.has[c] != 0) {
+          ASSERT_EQ(child.estimate(cell), child_dense.pos[c]) << c;
+        }
+      }
+      snap = std::move(child);
+      dense = std::move(child_dense);
+    }
+  }
 }
 
 TEST(DataflowInference, BlocksComeFirstInNodeOrder) {
@@ -141,10 +205,8 @@ TEST(DataflowInference, OutsideMacrosNeedEstimates) {
   }
   EXPECT_EQ(fixed_macros_without, 0);
 
-  EstimateSnapshot est(fx.d.cell_count());
-  for (std::size_t c = 0; c < fx.d.cell_count(); ++c) {
-    est.set(static_cast<CellId>(c), Point{100, 100});
-  }
+  EstimateSnapshot est(fx.ctx.ht);
+  for (const CellId m : fx.d.macros()) est.set(m, Point{100, 100});
   const LevelDataflow with = fx.infer(ss0, inner.hcb, &est);
   int fixed_macros_with = 0;
   for (const DfNode& n : with.gdf->nodes()) {

@@ -360,6 +360,23 @@ TEST_F(ObsDeterminism, PlacementRunRecordsSaAndPhaseMetrics) {
   EXPECT_GT(result.phases.curves_s, 0.0);
 }
 
+// Both slicing annealers report the slicing nodes they recomposed, so
+// `sa_temp` time reads per recomposed node. The count is a function of
+// the accept/reject streams alone, so it is the same at any lane count.
+TEST_F(ObsDeterminism, RecomposedNodesAreCountedAndThreadIndependent) {
+  TracingOff guard;
+  obs::Counter& recomposed = obs::default_registry().counter("sa.recomposed_nodes");
+  std::vector<std::uint64_t> per_run;
+  for (const int threads : {1, 4}) {
+    const std::uint64_t before = recomposed.value();
+    const PlacementResult result = place_macros(*design_, *context_, quick_options(threads));
+    ASSERT_EQ(result.status, JobStatus::Completed);
+    per_run.push_back(recomposed.value() - before);
+  }
+  EXPECT_GT(per_run[0], 0u);
+  EXPECT_EQ(per_run[0], per_run[1]);
+}
+
 // Per-level size counters move with every cold placement, and the
 // level's target-area and dataflow work appear as their own spans.
 TEST_F(ObsDeterminism, PlacementRecordsLevelSizesAndSpans) {

@@ -209,11 +209,16 @@ TEST_F(ServiceTest, MidAnnealCancelReturnsWithinBudget) {
   std::mutex m;
   std::condition_variable cv;
   bool annealing = false;
+  bool cancel_sent = false;
+  // The first level event holds its level (about to anneal) until the
+  // cancel has been sent, so the stop always lands mid-anneal; without
+  // the hand-off a fast job can finish before the main thread wakes.
   spec.progress = [&](const std::string& line) {
     if (line.rfind("level ", 0) == 0) {
-      std::lock_guard<std::mutex> lock(m);
+      std::unique_lock<std::mutex> lock(m);
       annealing = true;
       cv.notify_all();
+      cv.wait(lock, [&]() { return cancel_sent; });
     }
   };
 
@@ -225,6 +230,7 @@ TEST_F(ServiceTest, MidAnnealCancelReturnsWithinBudget) {
         cv.wait_for(lock, std::chrono::seconds(60), [&]() { return annealing; });
     if (!reached) {  // never saw a level event; fail without hanging
       spec.control->request_cancel();
+      cancel_sent = true;
       lock.unlock();
       job.join();
       FAIL() << "job produced no recursion-level progress event";
@@ -232,6 +238,11 @@ TEST_F(ServiceTest, MidAnnealCancelReturnsWithinBudget) {
   }
   const auto stop_start = std::chrono::steady_clock::now();
   spec.control->request_cancel();
+  {
+    std::lock_guard<std::mutex> lock(m);
+    cancel_sent = true;
+  }
+  cv.notify_all();
   job.join();
   EXPECT_LT(seconds_since(stop_start), kStopBudgetSeconds);
   EXPECT_EQ(outcome.status, JobStatus::Cancelled);
@@ -415,7 +426,8 @@ TEST(ArtifactCacheUnit, KeysSeparateTheirInputs) {
   const std::uint64_t k1 = ArtifactCache::curves_key(c1, 1, 0.0, fp);
   EXPECT_NE(ArtifactCache::curves_key(c1, 2, 0.0, fp), k1);  // seed
   EXPECT_NE(ArtifactCache::curves_key(c1, 1, 1.0, fp), k1);  // halo
-  // The curve packer never reads the layout evaluator switch.
+  // Both curve engines produce bit-identical curves, so the evaluator
+  // switch stays out of the key.
   fp.anneal.incremental = !fp.anneal.incremental;
   EXPECT_EQ(ArtifactCache::curves_key(c1, 1, 0.0, fp), k1);
   fp.curve_points = 64;

@@ -27,6 +27,19 @@ bool is_pareto_sorted(const ShapeCurve& c) {
   return true;
 }
 
+// Value-returning wrappers over the write-into composers.
+ShapeCurve horizontal(const ShapeCurve& a, const ShapeCurve& b) {
+  ShapeCurve out;
+  ShapeCurve::compose_horizontal(a, b, out);
+  return out;
+}
+
+ShapeCurve vertical(const ShapeCurve& a, const ShapeCurve& b) {
+  ShapeCurve out;
+  ShapeCurve::compose_vertical(a, b, out);
+  return out;
+}
+
 // Bit equality, stricter than operator== (distinguishes -0.0 from 0.0).
 ::testing::AssertionResult curves_bit_equal(const ShapeCurve& a, const ShapeCurve& b) {
   if (a.points().size() != b.points().size()) {
@@ -82,7 +95,7 @@ TEST(ShapeCurve, DominatedInsertIsNoop) {
 TEST(ShapeCurve, ComposeHorizontalAddsWidths) {
   const ShapeCurve a = ShapeCurve::for_rect(2, 1);
   const ShapeCurve b = ShapeCurve::for_rect(1, 1, false);
-  const ShapeCurve c = ShapeCurve::compose_horizontal(a, b);
+  const ShapeCurve c = horizontal(a, b);
   // (1,2)+(1,1) -> (2,2); (2,1)+(1,1) -> (3,1)
   EXPECT_TRUE(c.fits(2, 2));
   EXPECT_TRUE(c.fits(3, 1));
@@ -92,7 +105,7 @@ TEST(ShapeCurve, ComposeHorizontalAddsWidths) {
 TEST(ShapeCurve, ComposeVerticalAddsHeights) {
   const ShapeCurve a = ShapeCurve::for_rect(2, 1);
   const ShapeCurve b = ShapeCurve::for_rect(2, 1);
-  const ShapeCurve c = ShapeCurve::compose_vertical(a, b);
+  const ShapeCurve c = vertical(a, b);
   EXPECT_TRUE(c.fits(2, 2));   // stacked flat
   EXPECT_TRUE(c.fits(1, 4));   // stacked upright
   EXPECT_FALSE(c.fits(1.5, 2.5));
@@ -165,14 +178,6 @@ TEST(ShapeCurve, MergeIsParetoUnion) {
   EXPECT_TRUE(a.fits(2, 4));
 }
 
-TEST(ShapeCurve, FromSortedAdoptsFrontierVerbatim) {
-  const std::vector<Shape> pts = {{1, 9}, {3, 4}, {7, 2}};
-  const ShapeCurve c = ShapeCurve::from_sorted(pts);
-  EXPECT_EQ(c.points(), pts);
-  EXPECT_TRUE(is_pareto_sorted(c));
-  EXPECT_TRUE(ShapeCurve::from_sorted({}).empty());
-}
-
 // ---- sweep vs pairwise composition differential ---------------------------
 
 // Reference O(p_a * p_b) composers (the original implementation): every
@@ -227,8 +232,8 @@ TEST(ShapeCurveDifferential, SweepComposeMatchesPairwiseOracleBitForBit) {
   for (int trial = 0; trial < 3000; ++trial) {
     const ShapeCurve a = random_curve(rng);
     const ShapeCurve b = random_curve(rng);
-    const ShapeCurve h = ShapeCurve::compose_horizontal(a, b);
-    const ShapeCurve v = ShapeCurve::compose_vertical(a, b);
+    const ShapeCurve h = horizontal(a, b);
+    const ShapeCurve v = vertical(a, b);
     ASSERT_TRUE(is_pareto_sorted(h));
     ASSERT_TRUE(is_pareto_sorted(v));
     ASSERT_TRUE(curves_bit_equal(h, compose_horizontal_pairwise(a, b)))
@@ -249,9 +254,9 @@ TEST(ShapeCurveDifferential, SweepComposeTieHeightsAcrossCurves) {
   b.add({4, 5});
   b.add({5, 3});
   for (auto [sweep, pairwise] :
-       {std::pair{ShapeCurve::compose_horizontal(a, b),
+       {std::pair{horizontal(a, b),
                   compose_horizontal_pairwise(a, b)},
-        std::pair{ShapeCurve::compose_vertical(a, b),
+        std::pair{vertical(a, b),
                   compose_vertical_pairwise(a, b)}}) {
     EXPECT_TRUE(curves_bit_equal(sweep, pairwise));
   }
@@ -265,7 +270,7 @@ TEST(ShapeCurveDifferential, SweepComposeRoundingCollisionKeepsLowerPoint) {
   a.add({1.0, 10.0});
   a.add({1.0 + 0x1p-52, 5.0});
   const ShapeCurve b = ShapeCurve::for_rect(0x1p54, 1.0, /*rotate=*/false);
-  const ShapeCurve sweep = ShapeCurve::compose_horizontal(a, b);
+  const ShapeCurve sweep = horizontal(a, b);
   ASSERT_TRUE(curves_bit_equal(sweep, compose_horizontal_pairwise(a, b)));
   ASSERT_EQ(sweep.points().size(), 1u);
   EXPECT_EQ(sweep.points()[0], (Shape{0x1p54, 5.0}));
@@ -275,7 +280,7 @@ TEST(ShapeCurveDifferential, SweepComposeRoundingCollisionKeepsLowerPoint) {
   c.add({5.0, 1.0 + 0x1p-52});
   c.add({10.0, 1.0});
   const ShapeCurve d = ShapeCurve::for_rect(1.0, 0x1p54, /*rotate=*/false);
-  const ShapeCurve vsweep = ShapeCurve::compose_vertical(c, d);
+  const ShapeCurve vsweep = vertical(c, d);
   ASSERT_TRUE(curves_bit_equal(vsweep, compose_vertical_pairwise(c, d)));
   ASSERT_EQ(vsweep.points().size(), 1u);
 }
@@ -291,6 +296,51 @@ TEST(ShapeCurveDifferential, MergeMatchesPerPointAddOracleBitForBit) {
     for (const Shape& s : b.points()) oracle.add(s);
     ASSERT_TRUE(is_pareto_sorted(linear));
     ASSERT_TRUE(curves_bit_equal(linear, oracle)) << "trial " << trial;
+  }
+}
+
+TEST(ShapeCurveDifferential, ComposeIntoReusedCurveMatchesPairwiseOracle) {
+  // One output curve reused across every trial, as a slicing slot is:
+  // whatever the previous composition left in it (more points, fewer,
+  // none) must not leak into the next result.
+  Rng rng(0x5107);
+  ShapeCurve out;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const ShapeCurve a = random_curve(rng);
+    const ShapeCurve b = random_curve(rng);
+    ShapeCurve::compose_horizontal(a, b, out);
+    ASSERT_TRUE(curves_bit_equal(out, compose_horizontal_pairwise(a, b)))
+        << "horizontal, trial " << trial;
+    ShapeCurve::compose_vertical(a, b, out);
+    ASSERT_TRUE(curves_bit_equal(out, compose_vertical_pairwise(a, b)))
+        << "vertical, trial " << trial;
+  }
+}
+
+TEST(ShapeCurveDifferential, InPlacePruneMatchesCopyingOracle) {
+  // The copying prune it replaced: gather the spread indices into a new
+  // list, skipping repeats.
+  const auto prune_copying = [](const ShapeCurve& c, std::size_t max_points) {
+    const std::vector<Shape>& pts = c.points();
+    if (pts.size() <= max_points || max_points < 2) return c;
+    ShapeCurve kept;
+    const std::size_t n = pts.size();
+    for (std::size_t i = 0; i < max_points; ++i) {
+      const Shape& s = pts[i * (n - 1) / (max_points - 1)];
+      if (kept.empty() || !(kept.points().back() == s)) kept.add(s);
+    }
+    return kept;
+  };
+  Rng rng(0x9e7);
+  for (int trial = 0; trial < 3000; ++trial) {
+    // Compositions reach the long frontiers prune exists to cap.
+    const ShapeCurve a = random_curve(rng);
+    const ShapeCurve b = random_curve(rng);
+    ShapeCurve c = rng.next_bool(0.5) ? horizontal(a, b) : vertical(a, b);
+    const auto cap = static_cast<std::size_t>(rng.next_int(0, 30));
+    const ShapeCurve oracle = prune_copying(c, cap);
+    c.prune(cap);
+    ASSERT_TRUE(curves_bit_equal(c, oracle)) << "trial " << trial << " cap " << cap;
   }
 }
 
@@ -340,7 +390,7 @@ TEST_P(ShapeCurveProperty, CompositionContainsSumOfMinAreas) {
     b.add({rng.next_double(1, 20), rng.next_double(1, 20)});
   }
   for (const ShapeCurve& c :
-       {ShapeCurve::compose_horizontal(a, b), ShapeCurve::compose_vertical(a, b)}) {
+       {horizontal(a, b), vertical(a, b)}) {
     ASSERT_TRUE(is_pareto_sorted(c));
     const double min_area = c.min_area_shape()->area();
     // The composition cannot beat the sum of the children's min areas.

@@ -1,0 +1,136 @@
+// Steady-state allocation tests for both slicing annealers' move
+// engines: after warm-up, propose/commit/rollback cycles of
+// IncrementalLayoutEval (layout SA) and IncrementalCurveEval (shape-curve
+// SA), including the Polish perturbation that generates each move, must
+// not touch the heap. A counting global operator new, private to this
+// test binary, observes every allocation.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <new>
+#include <vector>
+
+#include "floorplan/area_floorplanner.hpp"
+#include "floorplan/incremental_eval.hpp"
+#include "util/rng.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace hidap {
+namespace {
+
+constexpr int kWarmupCycles = 2000;
+constexpr int kMeasuredCycles = 5000;
+
+// A macro curve like the ones pack_shape_curve hands the layout SA: the
+// rect orientations merged with a soft-area sweep.
+ShapeCurve macro_curve(Rng& rng, double area) {
+  ShapeCurve c = ShapeCurve::for_rect(rng.next_double(10, 60), rng.next_double(10, 60));
+  c.merge(ShapeCurve::soft_area(area, 0.4, 2.5, rng.next_int(1, 20)));
+  return c;
+}
+
+// Runs warm-up cycles, then counts the allocations of the measured ones.
+// `propose` must evaluate one perturbed proposal; about nine in ten are
+// committed, the rest rolled back, like the annealers' walks.
+std::uint64_t measured_allocations(Rng& rng, const std::function<void()>& propose,
+                                   const std::function<void()>& commit,
+                                   const std::function<void()>& rollback) {
+  const auto cycle = [&]() {
+    propose();
+    if (rng.next_bool(0.9)) {
+      commit();
+    } else {
+      rollback();
+    }
+  };
+  for (int i = 0; i < kWarmupCycles; ++i) cycle();
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < kMeasuredCycles; ++i) cycle();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(SteadyStateAllocation, CountingOperatorNewSeesAllocations) {
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  void* p = ::operator new(64);
+  ::operator delete(p);
+  EXPECT_GT(g_allocations.load(std::memory_order_relaxed), before);
+}
+
+TEST(SteadyStateAllocation, LayoutEngineMovesDoNotAllocate) {
+  for (const int n : {2, 7, 16}) {
+    Rng rng(static_cast<std::uint64_t>(n) * 31 + 1);
+    std::vector<BudgetBlock> blocks;
+    for (int i = 0; i < n; ++i) {
+      BudgetBlock b;
+      b.at = rng.next_double(2000, 12000);
+      b.am = b.at * 0.7;
+      if (i % 3 != 2) b.gamma = macro_curve(rng, b.am);  // some pure-soft blocks
+      blocks.push_back(b);
+    }
+    const std::vector<Point> terminals = {{0, 50}, {400, 320}};
+    AffinityMatrix affinity(static_cast<std::size_t>(n) + terminals.size());
+    for (std::size_t i = 0; i < affinity.size(); ++i) {
+      for (std::size_t j = i + 1; j < affinity.size(); ++j) {
+        if (rng.next_bool(0.4)) affinity.set(i, j, rng.next_double(0.05, 1.0));
+      }
+    }
+    IncrementalLayoutEval eval(blocks, Rect{0, 0, 400, 400}, terminals, affinity,
+                               PolishExpression::initial(n));
+    Rng move_rng(99);
+    const std::function<void(PolishExpression&)> mutate = [&move_rng](PolishExpression& e) {
+      for (int tries = 0; tries < 8; ++tries) {
+        if (e.perturb(move_rng)) break;
+      }
+    };
+    const std::uint64_t allocations = measured_allocations(
+        rng, [&]() { eval.propose(mutate); }, [&]() { eval.commit(); },
+        [&]() { eval.rollback(); });
+    EXPECT_EQ(allocations, 0u) << "n=" << n;
+  }
+}
+
+TEST(SteadyStateAllocation, ShapeCurveEngineMovesDoNotAllocate) {
+  for (const int n : {2, 6, 16}) {
+    Rng rng(static_cast<std::uint64_t>(n) * 17 + 3);
+    std::vector<ShapeCurve> leaves;
+    for (int i = 0; i < n; ++i) {
+      leaves.push_back(i % 2 == 0 ? macro_curve(rng, rng.next_double(500, 4000))
+                                  : ShapeCurve::for_rect(rng.next_double(5, 40),
+                                                         rng.next_double(5, 40)));
+    }
+    IncrementalCurveEval eval(leaves, 32, PolishExpression::initial(n));
+    Rng move_rng(7);
+    const std::function<void(PolishExpression&)> mutate = [&move_rng](PolishExpression& e) {
+      for (int tries = 0; tries < 8; ++tries) {
+        if (e.perturb(move_rng)) break;
+      }
+    };
+    const std::uint64_t allocations = measured_allocations(
+        rng, [&]() { eval.propose(mutate); }, [&]() { eval.commit(); },
+        [&]() { eval.rollback(); });
+    EXPECT_EQ(allocations, 0u) << "n=" << n;
+  }
+}
+
+}  // namespace
+}  // namespace hidap

@@ -59,9 +59,9 @@ TEST_P(SuiteMatrix, GeneratePlaceVerify) {
 
 TEST_P(SuiteMatrix, PlacementDefsAreThreadAndOracleIdentical) {
   // On every Table II circuit the emitted DEF must be byte-identical with
-  // the pool fanned out and with the full-recompute layout evaluator (the
-  // incremental engine's oracle) -- placement bytes are the strongest
-  // observable the pipeline has.
+  // the pool fanned out and with the full-recompute evaluators of both
+  // annealers (the incremental engines' oracles) -- placement bytes are
+  // the strongest observable the pipeline has.
   set_log_level(LogLevel::Warn);
   const SuiteEntry entry = suite_circuit(GetParam(), 0.003);
   const Design design = generate_circuit(entry.spec);
@@ -70,6 +70,7 @@ TEST_P(SuiteMatrix, PlacementDefsAreThreadAndOracleIdentical) {
   const auto def_bytes = [&](bool incremental, int threads) {
     HiDaPOptions o = quick();
     o.layout_anneal.incremental = incremental;
+    o.shape_fp.anneal.incremental = incremental;
     o.num_threads = threads;
     const PlacementResult result = place_macros(design, context, o);
     std::ostringstream out;
