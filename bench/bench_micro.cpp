@@ -1,10 +1,9 @@
 // Google-benchmark kernel timings for the library's hot paths: Verilog
-// parsing, shape curve composition, budget layout, Polish-expression
-// moves, Gseq extraction, multi-source BFS (target-area assignment),
-// affinity inference, full per-level layout annealing, one node's
-// shape-curve packing, the evaluation
-// placer, and the parallel runtime (fork-join overhead, parallel_for
-// scaling).
+// parsing, array clustering, shape curve composition, budget layout,
+// Polish-expression moves, Gseq extraction, multi-source BFS
+// (target-area assignment), affinity inference, full per-level layout
+// annealing, one node's shape-curve packing, the evaluation placer, and
+// the parallel runtime (fork-join overhead, parallel_for scaling).
 
 #include <benchmark/benchmark.h>
 
@@ -24,6 +23,7 @@
 #include "floorplan/budget_layout.hpp"
 #include "floorplan/incremental_eval.hpp"
 #include "gen/suite.hpp"
+#include "netlist/array_naming.hpp"
 #include "netlist/verilog_parser.hpp"
 #include "netlist/verilog_writer.hpp"
 #include "obs/metrics.hpp"
@@ -50,15 +50,28 @@ const Design& medium_design() {
   return *d;
 }
 
-// The cold-path netlist read: c4 of the suite at scale 0.002 (the
-// benchmark workloads' size), bytes/s over the Verilog text.
-void BM_ParseVerilog(benchmark::State& state) {
-  static const std::string text = [] {
+// c4 of the suite at scale 0.002 (the benchmark workloads' size), as
+// generated and as its Verilog text.
+const Design& c4_design() {
+  static const Design d = [] {
     set_log_level(LogLevel::Warn);
+    return generate_circuit(suite_circuit("c4", 0.002).spec);
+  }();
+  return d;
+}
+
+const std::string& c4_verilog() {
+  static const std::string text = [] {
     std::ostringstream out;
-    write_verilog(generate_circuit(suite_circuit("c4", 0.002).spec), out);
+    write_verilog(c4_design(), out);
     return out.str();
   }();
+  return text;
+}
+
+// The cold-path netlist read, bytes/s over the Verilog text.
+void BM_ParseVerilog(benchmark::State& state) {
+  const std::string& text = c4_verilog();
   for (auto _ : state) {
     benchmark::DoNotOptimize(parse_verilog_string(text));
   }
@@ -66,6 +79,19 @@ void BM_ParseVerilog(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_ParseVerilog)->Unit(benchmark::kMillisecond);
+
+// Array clustering (Gseq step 2) of c4: generated names ("q[3]") group
+// into arrays; names read back from Verilog are sanitized ("q_3_") and
+// stay singletons.
+void BM_ClusterArrays(benchmark::State& state, bool from_verilog) {
+  static const Design parsed = parse_verilog_string(c4_verilog());
+  const Design& design = from_verilog ? parsed : c4_design();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cluster_arrays(design));
+  }
+}
+BENCHMARK_CAPTURE(BM_ClusterArrays, memory, false)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ClusterArrays, verilog, true)->Unit(benchmark::kMillisecond);
 
 void BM_ShapeCurveCompose(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -29,17 +29,18 @@ SeqGraph extract_seq_graph(const Design& design, const CellAdjacency& adjacency,
 
   // --- steps 2 & 4: nodes ------------------------------------------------
   // Arrays for flops/ports; small register arrays are dropped right away.
-  const std::vector<ArrayGroup> groups = cluster_arrays(design);
-  for (const ArrayGroup& g : groups) {
+  const ArrayClusters clusters = cluster_arrays(design);
+  for (const ArrayGroup& g : clusters.groups) {
     if (g.kind == CellKind::Flop && g.width() < options.bit_threshold) continue;
+    const std::span<const CellId> bits = clusters.bits(g);
     SeqNode node;
     node.kind = (g.kind == CellKind::Flop) ? SeqKind::Register : SeqKind::Port;
     node.base_name = g.base;
     node.hier = g.hier;
-    node.bits = g.bits;
+    node.bits.assign(bits.begin(), bits.end());
     node.width = g.width();
     const SeqNodeId id = graph.add_node(std::move(node));
-    for (const CellId c : g.bits) graph.map_cell(c, id);
+    for (const CellId c : bits) graph.map_cell(c, id);
   }
   // One node per macro.
   for (std::size_t i = 0; i < design.cell_count(); ++i) {

@@ -84,6 +84,21 @@ void IncrementalCurveEval::commit() {
 
 void IncrementalCurveEval::rollback() { cache_.rollback(); }
 
+BestExpressions::BestExpressions(std::size_t keep) : keep_(keep) {
+  entries_.reserve(std::min<std::size_t>(keep_, 64));
+}
+
+void BestExpressions::record(double cost, const PolishExpression& expr) {
+  if (keep_ == 0) return;
+  if (entries_.size() < keep_) {
+    entries_.emplace(entries_.begin(), cost, expr);
+    return;
+  }
+  std::rotate(entries_.begin(), entries_.end() - 1, entries_.end());
+  entries_.front().first = cost;
+  entries_.front().second = expr;
+}
+
 ShapeCurve pack_shape_curve(const std::vector<ShapeCurve>& leaves,
                             const AreaFloorplanOptions& options) {
   if (leaves.empty()) return {};
@@ -93,15 +108,7 @@ ShapeCurve pack_shape_curve(const std::vector<ShapeCurve>& leaves,
 
   // Keep the few best expressions seen; their curves are merged at the end
   // ("a set of shape combinations with small area", paper IV-A).
-  std::vector<std::pair<double, PolishExpression>> best_set;
-  const auto record_best = [&](double cost, const PolishExpression& expr) {
-    best_set.emplace_back(cost, expr);
-    std::sort(best_set.begin(), best_set.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    if (best_set.size() > static_cast<std::size_t>(options.best_solutions_merged)) {
-      best_set.pop_back();
-    }
-  };
+  BestExpressions best_set(static_cast<std::size_t>(options.best_solutions_merged));
 
   // Both evaluation modes draw the identical RNG stream (the same
   // perturb retry loop) and produce bit-identical costs, so they accept
@@ -123,7 +130,7 @@ ShapeCurve pack_shape_curve(const std::vector<ShapeCurve>& leaves,
     hooks.propose = [&]() { return inc->propose(perturb_retry); };
     hooks.commit = [&]() { inc->commit(); };
     hooks.reject = [&]() { inc->rollback(); };
-    hooks.on_new_best = [&](double cost) { record_best(cost, inc->expression()); };
+    hooks.on_new_best = [&](double cost) { best_set.record(cost, inc->expression()); };
     hooks.recomposed_nodes = [&]() { return inc->recomposed_nodes(); };
   } else {
     current = initial;
@@ -137,9 +144,9 @@ ShapeCurve pack_shape_curve(const std::vector<ShapeCurve>& leaves,
       return cost_of(current);
     };
     hooks.reject = [&]() { current = backup; };
-    hooks.on_new_best = [&](double cost) { record_best(cost, current); };
+    hooks.on_new_best = [&](double cost) { best_set.record(cost, current); };
   }
-  record_best(initial_cost, initial);
+  best_set.record(initial_cost, initial);
 
   AnnealOptions anneal_options = options.anneal;
   anneal_options.moves_per_temperature =
@@ -149,7 +156,7 @@ ShapeCurve pack_shape_curve(const std::vector<ShapeCurve>& leaves,
   anneal(initial_cost, anneal_options, hooks);
 
   ShapeCurve merged;
-  for (const auto& [cost, expr] : best_set) {
+  for (const auto& [cost, expr] : best_set.entries()) {
     if (!std::isfinite(cost)) continue;
     merged.merge(compose_curve(leaves, expr, options.curve_points));
   }

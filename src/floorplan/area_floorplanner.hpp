@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "floorplan/annealer.hpp"
@@ -77,6 +78,26 @@ class IncrementalCurveEval {
   std::size_t curve_points_;
   double committed_cost_ = 0.0;
   double proposed_cost_ = 0.0;
+};
+
+/// The lowest-cost expressions an annealing walk has reported, lowest
+/// first, at most `keep` of them. The annealer reports a new best only
+/// when it beats every earlier one (anneal_improves_best is strict), so a
+/// record always goes to the front; once the set is full, the dropped
+/// last entry's storage takes the copy, so recording allocates only while
+/// the set fills.
+class BestExpressions {
+ public:
+  explicit BestExpressions(std::size_t keep);
+
+  /// `cost` must be lower than every cost recorded before.
+  void record(double cost, const PolishExpression& expr);
+
+  const std::vector<std::pair<double, PolishExpression>>& entries() const { return entries_; }
+
+ private:
+  std::size_t keep_;
+  std::vector<std::pair<double, PolishExpression>> entries_;
 };
 
 /// Runs SA minimizing the root min-area; returns the merged Pareto curve

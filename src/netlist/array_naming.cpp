@@ -1,52 +1,48 @@
 #include "netlist/array_naming.hpp"
 
 #include <algorithm>
-#include <map>
 #include <tuple>
 
 #include "util/string_utils.hpp"
 
 namespace hidap {
 
-std::vector<ArrayGroup> cluster_arrays(const Design& design) {
-  // Key: (hier, kind, base name). std::map keeps output deterministic.
-  std::map<std::tuple<HierId, int, std::string>, ArrayGroup> groups;
-  std::vector<std::pair<int, CellId>> index_of;  // bit index per grouped cell
-
-  for (std::size_t i = 0; i < design.cell_count(); ++i) {
-    const CellId id = static_cast<CellId>(i);
-    const Cell& c = design.cell(id);
-    if (c.kind != CellKind::Flop && !is_port(c.kind)) continue;
-    std::string base = c.name;
-    int bit = 0;
-    if (const auto parsed = parse_array_name(c.name)) {
-      base = parsed->base;
-      bit = parsed->index;
-    }
-    auto key = std::make_tuple(c.hier, static_cast<int>(c.kind), base);
-    auto [it, inserted] = groups.try_emplace(std::move(key));
-    ArrayGroup& g = it->second;
-    if (inserted) {
-      g.base = base;
-      g.hier = c.hier;
-      g.kind = c.kind;
-    }
-    g.bits.push_back(id);
-    index_of.emplace_back(bit, id);
+ArrayClusters cluster_arrays(const Design& design) {
+  // One record per flop and port cell, its name parsed once; sorting by
+  // (hier, kind, base, index, id) puts every group in one run, groups in
+  // key order and members by bit index (names may arrive shuffled).
+  struct Record {
+    HierId hier;
+    CellKind kind;
+    std::string_view base;
+    int index;
+    CellId id;
+    auto key() const { return std::tie(hier, kind, base, index, id); }
+  };
+  const std::vector<Cell>& cells = design.cells();
+  const auto grouped = [](const Cell& c) { return c.kind == CellKind::Flop || is_port(c.kind); };
+  std::vector<Record> records;
+  records.reserve(static_cast<std::size_t>(std::count_if(cells.begin(), cells.end(), grouped)));
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const Cell& c = cells[i];
+    if (!grouped(c)) continue;
+    const auto parsed = parse_array_name(c.name);
+    records.push_back({c.hier, c.kind, parsed ? parsed->base : std::string_view(c.name),
+                       parsed ? parsed->index : 0, static_cast<CellId>(i)});
   }
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) { return a.key() < b.key(); });
 
-  // Order member bits by their parsed index (names may arrive shuffled).
-  std::vector<ArrayGroup> out;
-  out.reserve(groups.size());
-  for (auto& [key, group] : groups) {
-    std::sort(group.bits.begin(), group.bits.end(), [&](CellId a, CellId b) {
-      const auto pa = parse_array_name(design.cell(a).name);
-      const auto pb = parse_array_name(design.cell(b).name);
-      const int ia = pa ? pa->index : 0;
-      const int ib = pb ? pb->index : 0;
-      return std::tie(ia, a) < std::tie(ib, b);
-    });
-    out.push_back(std::move(group));
+  ArrayClusters out;
+  out.members.reserve(records.size());
+  for (const Record& r : records) {
+    if (out.groups.empty() || out.groups.back().hier != r.hier ||
+        out.groups.back().kind != r.kind || out.groups.back().base != r.base) {
+      out.groups.push_back({r.base, r.hier, r.kind,
+                            static_cast<std::uint32_t>(out.members.size()), 0});
+    }
+    ++out.groups.back().count;
+    out.members.push_back(r.id);
   }
   return out;
 }

@@ -7,8 +7,15 @@
 
 namespace hidap {
 
-Design::Design(std::string name) : name_(std::move(name)) {
+Design::Design(std::string name) : name_(std::move(name)), net_name_end_{0} {
   hier_.push_back(HierNode{name_, kInvalidId, {}, {}});
+}
+
+void Design::reserve(std::size_t cells, std::size_t nets, std::size_t net_name_bytes) {
+  cells_.reserve(cells_.size() + cells);
+  nets_.reserve(nets_.size() + nets);
+  net_name_end_.reserve(net_name_end_.size() + nets);
+  net_names_.reserve(net_names_.size() + net_name_bytes);
 }
 
 HierId Design::add_hier(HierId parent, std::string name) {
@@ -53,9 +60,13 @@ std::string Design::cell_path(CellId id) const {
   return join_path(hier_path(c.hier), c.name);
 }
 
-NetId Design::add_net(std::string name) {
+NetId Design::add_net(std::string_view name) { return add_net({}, name); }
+
+NetId Design::add_net(std::string_view prefix, std::string_view local) {
   const NetId id = static_cast<NetId>(nets_.size());
-  nets_.push_back(Net{std::move(name), NetPin{}, {}});
+  nets_.emplace_back();
+  net_names_.append(prefix).append(local);
+  net_name_end_.push_back(net_names_.size());
   return id;
 }
 

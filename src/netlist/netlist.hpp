@@ -52,8 +52,8 @@ struct NetPin {
   float dy = 0.0f;
 };
 
+/// A net's name lives in its Design (Design::net_name).
 struct Net {
-  std::string name;
   NetPin driver;              ///< driver.cell == kInvalidId for floating nets
   std::vector<NetPin> sinks;
   int degree() const { return (driver.cell != kInvalidId ? 1 : 0) + static_cast<int>(sinks.size()); }
@@ -97,11 +97,25 @@ class Design {
   std::string cell_path(CellId id) const;
 
   // --- nets -----------------------------------------------------------
-  NetId add_net(std::string name);
+  /// Net names are stored back to back in one design-owned buffer.
+  NetId add_net(std::string_view name);
+  /// Adds the net named `prefix` + `local` (a hierarchy path and a local name).
+  NetId add_net(std::string_view prefix, std::string_view local);
   void set_driver(NetId net, CellId cell, float dx = 0.0f, float dy = 0.0f);
   void add_sink(NetId net, CellId cell, float dx = 0.0f, float dy = 0.0f);
   const Net& net(NetId id) const { return nets_[static_cast<std::size_t>(id)]; }
   std::size_t net_count() const { return nets_.size(); }
+  /// Full name of a net; the view is valid until the next add_net.
+  std::string_view net_name(NetId id) const {
+    const auto i = static_cast<std::size_t>(id);
+    return std::string_view(net_names_)
+        .substr(net_name_end_[i], net_name_end_[i + 1] - net_name_end_[i]);
+  }
+
+  /// Makes room for `cells` more cells, `nets` more nets and
+  /// `net_name_bytes` more bytes of net names, so a builder that counted
+  /// its output grows each store once.
+  void reserve(std::size_t cells, std::size_t nets, std::size_t net_name_bytes);
 
   // --- macro library / die -------------------------------------------
   MacroLibrary& library() { return library_; }
@@ -131,6 +145,8 @@ class Design {
   std::vector<HierNode> hier_;
   std::vector<Cell> cells_;
   std::vector<Net> nets_;
+  std::string net_names_;                  ///< every net name, in NetId order
+  std::vector<std::size_t> net_name_end_;  ///< [0] = 0, [i + 1] = end of net i's name
   MacroLibrary library_;
   Die die_;
 };

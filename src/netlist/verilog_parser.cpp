@@ -1,12 +1,16 @@
 #include "netlist/verilog_parser.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <charconv>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <system_error>
 #include <unordered_map>
@@ -15,369 +19,72 @@
 
 #include "obs/trace.hpp"
 #include "util/failpoint.hpp"
-#include "util/hash.hpp"
 #include "util/string_utils.hpp"
 
 namespace hidap {
 
 namespace {
 
-// ------------------------------------------------------------------ lexer
+// ------------------------------------------------------- character classes
 
-// Character classes of the "C" locale, tested in place.
-constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
-constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
-constexpr bool is_alpha(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'); }
-constexpr bool is_ident_char(char c) {
-  return is_alpha(c) || is_digit(c) || c == '_' || c == '$';
-}
-constexpr bool is_number_char(char c) {
-  return is_digit(c) || c == '.' || c == 'e' || c == 'E' || c == '-' || c == '+';
-}
-
-enum class TokKind { Ident, Number, Punct, End };
-
-struct Token {
-  TokKind kind = TokKind::End;
-  std::string_view text;  ///< view into the source buffer
-  int line = 1;
+// Classes of the "C" locale, one table lookup per byte.
+enum : std::uint8_t {
+  kSpace = 1,        ///< ' ' and '\t'..'\r'
+  kDigit = 2,        ///< '0'..'9'
+  kIdentStart = 4,   ///< letters and '_'
+  kIdentChar = 8,    ///< letters, digits, '_', '$'
+  kNumberChar = 16,  ///< digits, '.', 'e', 'E', '-', '+'
+  kSkipStart = 32,   ///< space or '/': where whitespace and comments may begin
 };
 
-/// A //HIDAP_ comment line: the text after "//" and its line number.
-struct Directive {
-  std::string_view text;
-  int line = 0;
-};
-
-class Lexer {
- public:
-  explicit Lexer(std::string_view src) : src_(src) { advance(); }
-
-  const Token& peek() const { return current_; }
-
-  Token take() {
-    const Token t = current_;
-    advance();
-    return t;
+constexpr std::array<std::uint8_t, 256> make_classes() {
+  std::array<std::uint8_t, 256> t{};
+  for (int c = 0; c < 256; ++c) {
+    const bool space = c == ' ' || (c >= '\t' && c <= '\r');
+    const bool digit = c >= '0' && c <= '9';
+    const bool alpha = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+    std::uint8_t k = 0;
+    if (space) k |= kSpace | kSkipStart;
+    if (c == '/') k |= kSkipStart;
+    if (digit) k |= kDigit;
+    if (alpha || c == '_') k |= kIdentStart;
+    if (alpha || digit || c == '_' || c == '$') k |= kIdentChar;
+    if (digit || c == '.' || c == 'e' || c == 'E' || c == '-' || c == '+') k |= kNumberChar;
+    t[static_cast<std::size_t>(c)] = k;
   }
-
-  /// Comment lines beginning with //HIDAP_ are surfaced here instead of
-  /// being skipped, so the macro header can be read.
-  const std::vector<Directive>& directives() const { return directives_; }
-
- private:
-  void advance() {
-    skip_space_and_comments();
-    const std::size_t start = pos_;
-    const std::size_t n = src_.size();
-    if (pos_ == n) {
-      current_ = {TokKind::End, {}, line_};
-      return;
-    }
-    const char c = src_[pos_++];
-    TokKind kind = TokKind::Punct;
-    if (is_alpha(c) || c == '_') {
-      while (pos_ < n && is_ident_char(src_[pos_])) ++pos_;
-      kind = TokKind::Ident;
-    } else if (c == '\\') {  // escaped identifier: up to whitespace
-      while (pos_ < n && !is_space(src_[pos_])) ++pos_;
-      current_ = {TokKind::Ident, src_.substr(start + 1, pos_ - start - 1), line_};
-      return;
-    } else if (is_digit(c) ||
-               // Only a sign followed by a digit or '.' begins a number; a
-               // lone '-' or '+' is punctuation.
-               ((c == '-' || c == '+') && pos_ < n &&
-                (is_digit(src_[pos_]) || src_[pos_] == '.'))) {
-      while (pos_ < n && is_number_char(src_[pos_])) ++pos_;
-      kind = TokKind::Number;
-    }
-    current_ = {kind, src_.substr(start, pos_ - start), line_};
-  }
-
-  void skip_space_and_comments() {
-    const std::size_t n = src_.size();
-    while (pos_ < n) {
-      const char c = src_[pos_];
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-      } else if (is_space(c)) {
-        ++pos_;
-      } else if (c == '/' && pos_ + 1 < n && src_[pos_ + 1] == '/') {
-        const std::size_t begin = pos_ + 2;
-        pos_ = std::min(src_.find('\n', begin), n);
-        const std::string_view rest = src_.substr(begin, pos_ - begin);
-        if (starts_with(rest, "HIDAP_")) directives_.push_back({rest, line_});
-      } else if (c == '/' && pos_ + 1 < n && src_[pos_ + 1] == '*') {
-        const std::size_t begin = pos_ + 2;
-        const std::size_t close = src_.find("*/", begin);
-        pos_ = close == std::string_view::npos ? n : close + 2;
-        line_ += static_cast<int>(std::count(src_.begin() + static_cast<std::ptrdiff_t>(begin),
-                                             src_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                             '\n'));
-      } else {
-        return;
-      }
-    }
-  }
-
-  std::string_view src_;
-  std::size_t pos_ = 0;
-  Token current_;
-  int line_ = 1;
-  std::vector<Directive> directives_;
-};
-
-// --------------------------------------------------------------- AST types
-// Names are views into the source buffer, which outlives the parse. An
-// instance's parameters and connections are ranges of its module's flat
-// `params` / `conns` vectors.
-
-struct NetRef {
-  std::string_view name;
-  int bit = -1;  ///< -1 = scalar reference
-};
-
-struct Connection {
-  std::string_view pin;
-  NetRef net;
-  bool connected = false;  ///< false = unconnected .pin()
-};
-
-struct Param {
-  std::string_view key;
-  double value = 0.0;
-};
-
-struct Instance {
-  std::string_view def_name;
-  std::string_view inst_name;
-  std::uint32_t param_begin = 0, param_end = 0;
-  std::uint32_t conn_begin = 0, conn_end = 0;
-  int line = 0;
-};
-
-struct WireDecl {
-  std::string_view name;
-  int msb = -1, lsb = -1;  ///< -1/-1 = scalar
-  bool is_port = false;
-};
-
-struct ModuleDef {
-  std::string_view name;
-  std::vector<WireDecl> wires;
-  std::vector<Instance> instances;
-  std::vector<Param> params;
-  std::vector<Connection> conns;
-};
-
-/// Value of an instance parameter (the last assignment wins), `fallback`
-/// when absent.
-double param(const ModuleDef& mod, const Instance& inst, std::string_view key,
-             double fallback) {
-  for (std::uint32_t i = inst.param_end; i > inst.param_begin; --i) {
-    if (mod.params[i - 1].key == key) return mod.params[i - 1].value;
-  }
-  return fallback;
+  return t;
 }
 
-// ------------------------------------------------------------------ parser
+constexpr std::array<std::uint8_t, 256> kClass = make_classes();
 
-class Parser {
- public:
-  explicit Parser(std::string_view src) : lex_(src), input_bytes_(src.size()) {}
-
-  std::vector<ModuleDef> parse_all() {
-    std::vector<ModuleDef> modules;
-    while (lex_.peek().kind != TokKind::End) {
-      expect_ident("module");
-      modules.push_back(parse_module());
-    }
-    return modules;
-  }
-
-  const std::vector<Directive>& directives() const { return lex_.directives(); }
-
- private:
-  [[noreturn]] void fail(const std::string& msg) {
-    throw VerilogParseError(msg, lex_.peek().line);
-  }
-
-  Token expect(TokKind kind, const char* what) {
-    if (lex_.peek().kind != kind) {
-      fail(std::string("expected ") + what + ", got '" + std::string(lex_.peek().text) + "'");
-    }
-    return lex_.take();
-  }
-
-  void expect_punct(char c) {
-    const Token t = expect(TokKind::Punct, "punctuation");
-    if (t.text[0] != c) {
-      throw VerilogParseError(
-          std::string("expected '") + c + "', got '" + std::string(t.text) + "'", t.line);
-    }
-  }
-
-  void expect_ident(const char* kw) {
-    const Token t = expect(TokKind::Ident, kw);
-    if (t.text != kw) {
-      throw VerilogParseError(
-          "expected '" + std::string(kw) + "', got '" + std::string(t.text) + "'", t.line);
-    }
-  }
-
-  bool accept_punct(char c) {
-    if (lex_.peek().kind == TokKind::Punct && lex_.peek().text[0] == c) {
-      lex_.take();
-      return true;
-    }
-    return false;
-  }
-
-  ModuleDef parse_module() {
-    ModuleDef mod;
-    mod.name = expect(TokKind::Ident, "module name").text;
-    // The header port list carries no information the declarations do not.
-    if (accept_punct('(')) {
-      if (!accept_punct(')')) {
-        while (true) {
-          expect(TokKind::Ident, "port name");
-          if (accept_punct(')')) break;
-          expect_punct(',');
-        }
-      }
-    }
-    expect_punct(';');
-    while (true) {
-      const Token& t = lex_.peek();
-      if (t.kind == TokKind::End) fail("unexpected end of file inside module");
-      if (t.kind != TokKind::Ident) fail("expected statement, got '" + std::string(t.text) + "'");
-      if (t.text == "endmodule") {
-        lex_.take();
-        break;
-      }
-      if (t.text == "wire" || t.text == "input" || t.text == "output") {
-        parse_decl(mod);
-      } else {
-        parse_instance(mod);
-      }
-    }
-    return mod;
-  }
-
-  void parse_decl(ModuleDef& mod) {
-    const Token kw = lex_.take();
-    WireDecl proto;
-    proto.is_port = (kw.text != "wire");
-    if (accept_punct('[')) {
-      const int line = lex_.peek().line;
-      proto.msb = parse_index();
-      expect_punct(':');
-      proto.lsb = parse_index();
-      expect_punct(']');
-      // A net per bit: a range wider than the whole input cannot be a
-      // real design, only a request to allocate without bound.
-      if (std::abs(std::int64_t{proto.msb} - proto.lsb) + 1 >
-          static_cast<std::int64_t>(input_bytes_)) {
-        throw VerilogParseError("range [" + std::to_string(proto.msb) + ":" +
-                                    std::to_string(proto.lsb) + "] is wider than the input",
-                                line);
-      }
-    }
-    while (true) {
-      WireDecl d = proto;
-      d.name = expect(TokKind::Ident, "wire name").text;
-      mod.wires.push_back(d);
-      if (accept_punct(';')) break;
-      expect_punct(',');
-    }
-  }
-
-  /// A real-valued parameter: the whole token must be a decimal number.
-  double parse_real() {
-    const Token t = expect(TokKind::Number, "number");
-    std::string_view s = t.text;
-    if (s.front() == '+') s.remove_prefix(1);  // from_chars takes no '+'
-    double value = 0.0;
-    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-    if (ec != std::errc{} || end != s.data() + s.size()) {
-      throw VerilogParseError("bad number '" + std::string(t.text) + "'", t.line);
-    }
-    return value;
-  }
-
-  /// A range bound or bit index: decimal digits only, within int32.
-  int parse_index() {
-    const Token t = expect(TokKind::Number, "number");
-    const char* const last = t.text.data() + t.text.size();
-    int value = 0;
-    const auto [end, ec] = std::from_chars(t.text.data(), last, value);
-    if (!is_digit(t.text.front()) || ec != std::errc{} || end != last) {
-      throw VerilogParseError("bad bit index '" + std::string(t.text) + "'", t.line);
-    }
-    return value;
-  }
-
-  void parse_instance(ModuleDef& mod) {
-    Instance inst;
-    inst.line = lex_.peek().line;
-    inst.def_name = expect(TokKind::Ident, "instance type").text;
-    inst.param_begin = static_cast<std::uint32_t>(mod.params.size());
-    if (accept_punct('#')) {
-      expect_punct('(');
-      if (!accept_punct(')')) {
-        while (true) {
-          expect_punct('.');
-          const std::string_view key = expect(TokKind::Ident, "parameter name").text;
-          expect_punct('(');
-          mod.params.push_back({key, parse_real()});
-          expect_punct(')');
-          if (accept_punct(')')) break;
-          expect_punct(',');
-        }
-      }
-    }
-    inst.param_end = static_cast<std::uint32_t>(mod.params.size());
-    inst.inst_name = expect(TokKind::Ident, "instance name").text;
-    inst.conn_begin = static_cast<std::uint32_t>(mod.conns.size());
-    expect_punct('(');
-    if (!accept_punct(')')) {
-      while (true) {
-        expect_punct('.');
-        Connection conn;
-        conn.pin = expect(TokKind::Ident, "pin name").text;
-        expect_punct('(');
-        if (!accept_punct(')')) {
-          conn.net.name = expect(TokKind::Ident, "net name").text;
-          if (accept_punct('[')) {
-            conn.net.bit = parse_index();
-            expect_punct(']');
-          }
-          conn.connected = true;
-          expect_punct(')');
-        }
-        mod.conns.push_back(conn);
-        if (accept_punct(')')) break;
-        expect_punct(',');
-      }
-    }
-    inst.conn_end = static_cast<std::uint32_t>(mod.conns.size());
-    expect_punct(';');
-    mod.instances.push_back(inst);
-  }
-
-  Lexer lex_;
-  std::size_t input_bytes_;
-};
-
-// -------------------------------------------------------------- elaborator
-
-bool is_primitive(std::string_view def_name) { return starts_with(def_name, "HIDAP_"); }
-
-// Output pins: O*, Q* on primitives.
-bool primitive_pin_is_output(std::string_view pin) {
-  return !pin.empty() && (pin[0] == 'O' || pin[0] == 'Q');
+inline bool is(char c, std::uint8_t cls) {
+  return (kClass[static_cast<unsigned char>(c)] & cls) != 0;
 }
+
+// ------------------------------------------------------------- name hashes
+
+// FNV-1a, one multiply per byte: net names are a few bytes long, too
+// short for the word-at-a-time hash of util/hash.hpp to pay off.
+std::uint64_t hash_name(std::string_view s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s) h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  return h;
+}
+
+// ------------------------------------------------------------ error lines
+// Tokens and AST nodes carry byte offsets; a line number is counted only
+// for an error actually thrown.
+
+int line_at(std::string_view src, std::size_t offset) {
+  return 1 + static_cast<int>(std::count(src.begin(),
+                                         src.begin() + static_cast<std::ptrdiff_t>(offset), '\n'));
+}
+
+[[noreturn]] void fail_at(std::string_view src, std::size_t offset, const std::string& msg) {
+  throw VerilogParseError(msg, line_at(src, offset));
+}
+
+// ---------------------------------------------------------- module scopes
 
 // Bit-blasted local net name.
 std::string bit_name(std::string_view base, int bit) {
@@ -386,104 +93,570 @@ std::string bit_name(std::string_view base, int bit) {
   return name;
 }
 
-/// Open-addressing map from a name (a view into the source buffer or a
-/// Scope's bit-name storage) to a Scope entry. Scope tables are the
-/// elaborator's hot path: one insert per declared wire and one lookup per
-/// connection, so no node allocation per name.
+/// Open-addressing map from a local net name (a view into the source
+/// buffer or a Scope's bit-name storage) and its hash_name to an entry.
+/// A name is hashed once, right after it is scanned, and probes with that
+/// value. Entries are dense in insertion order; the table holds entry
+/// indices, so a probe touches 4-byte cells and the one entry it compares.
 class NameTable {
  public:
   struct Entry {
+    std::string_view key;
+    std::uint64_t hash = 0;
     int slot = -1;             ///< net slot; -1 = name has none (yet)
     bool port_vector = false;  ///< first port declaration is a vector
     bool port = false;         ///< declared as a port
   };
 
-  const Entry* find(std::string_view key) const {
-    if (cells_.empty()) return nullptr;
-    const Cell& c = cells_[probe(key, hash_bytes(key))];
-    return c.used ? &c.entry : nullptr;
+  /// Index of `key`'s entry, -1 when absent.
+  int find(std::string_view key, std::uint64_t h) const {
+    if (cells_.empty()) return -1;
+    return static_cast<int>(cells_[probe(key, h)]) - 1;
   }
 
-  /// Sizes the table for `n` names without regrowth.
-  void reserve(std::size_t n) {
-    if (2 * n > cells_.size()) grow(std::bit_ceil(2 * n));
-  }
-
-  /// Entry of `key`, default-constructed on first use.
-  Entry& operator[](std::string_view key) {
-    if (2 * (size_ + 1) > cells_.size()) grow(std::max<std::size_t>(64, 2 * cells_.size()));
-    const std::uint64_t h = hash_bytes(key);
-    Cell& c = cells_[probe(key, h)];
-    if (!c.used) {
-      c = Cell{key, h, {}, true};
-      ++size_;
+  /// Index of `key`'s entry, created on first use.
+  int insert(std::string_view key, std::uint64_t h) {
+    if (2 * (entries_.size() + 1) > cells_.size()) grow();
+    std::uint32_t& cell = cells_[probe(key, h)];
+    if (cell == 0) {
+      entries_.push_back({key, h});
+      cell = static_cast<std::uint32_t>(entries_.size());
     }
-    return c.entry;
+    return static_cast<int>(cell) - 1;
   }
+
+  Entry& entry(int i) { return entries_[static_cast<std::size_t>(i)]; }
+  const Entry& entry(int i) const { return entries_[static_cast<std::size_t>(i)]; }
 
  private:
-  struct Cell {
-    std::string_view key;
-    std::uint64_t hash = 0;
-    Entry entry;
-    bool used = false;
-  };
-
+  // Fibonacci hashing: FNV-1a mixes upward only, so the start cell comes
+  // from the high bits of a product.
   std::size_t probe(std::string_view key, std::uint64_t h) const {
     const std::size_t mask = cells_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(h) & mask;
-    while (cells_[i].used && (cells_[i].hash != h || cells_[i].key != key)) i = (i + 1) & mask;
+    std::size_t i = static_cast<std::size_t>((h * 0x9E3779B97F4A7C15ull) >> shift_);
+    while (cells_[i] != 0) {
+      const Entry& e = entries_[cells_[i] - 1];
+      if (e.hash == h && e.key == key) break;
+      i = (i + 1) & mask;
+    }
     return i;
   }
 
-  void grow(std::size_t capacity) {
-    std::vector<Cell> old(capacity);
-    old.swap(cells_);
-    for (const Cell& c : old) {
-      if (c.used) cells_[probe(c.key, c.hash)] = c;
+  void grow() {
+    const std::size_t capacity = std::max<std::size_t>(64, 2 * cells_.size());
+    cells_.assign(capacity, 0);
+    shift_ = 64 - std::countr_zero(capacity);
+    for (std::size_t e = 0; e < entries_.size(); ++e) {
+      cells_[probe(entries_[e].key, entries_[e].hash)] = static_cast<std::uint32_t>(e + 1);
     }
   }
 
-  std::vector<Cell> cells_;  ///< power-of-two size, at most half full
-  std::size_t size_ = 0;
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> cells_;  ///< entry index + 1, 0 = empty; power-of-two size, at most half full
+  int shift_ = 64;                    ///< 64 - log2(cells_.size())
 };
 
-/// Per-definition net table, built once per ModuleDef: every local net
-/// name (scalar wire, port, vector bit, or implicitly declared net) gets
-/// a slot, and an instance of the module binds its nets in a
+/// Per-definition net table, built while the module is parsed: every
+/// local net name (scalar wire, port, vector bit, or implicitly declared
+/// net) gets a slot, and an instance of the module binds its nets in a
 /// std::vector<NetId> indexed by slot.
 struct Scope {
-  bool built = false;
   NameTable names;
   std::vector<std::string_view> slot_name;  ///< local (bit-blasted) name
+  std::size_t slot_name_bytes = 0;          ///< sum of the slot names' sizes
   /// Slots [0, declared) are declared wires and ports, in declaration
   /// order; each instance creates them on entry unless bound by the parent.
   /// Later slots are nets first named by a connection, created on first use.
   int declared = 0;
-  std::vector<int> conn_slot;  ///< per ModuleDef::conns entry; -1 = unconnected
-  std::deque<std::string> bit_names;  ///< storage behind vector-bit slot names
+  std::deque<std::string> bit_names;  ///< storage behind vector-bit names
+
+  /// Slot of entry `e`, assigned on first use.
+  int slot_of(int e) {
+    NameTable::Entry& entry = names.entry(e);
+    if (entry.slot < 0) {
+      entry.slot = static_cast<int>(slot_name.size());
+      slot_name.push_back(entry.key);
+      slot_name_bytes += entry.key.size();
+    }
+    return entry.slot;
+  }
+
+  /// Entry of the bit-blasted name "base[bit]".
+  int bit_entry(std::string_view base, int bit) {
+    const std::string name = bit_name(base, bit);
+    const std::uint64_t h = hash_name(name);
+    const int e = names.find(name, h);
+    return e >= 0 ? e : names.insert(bit_names.emplace_back(name), h);
+  }
+};
+
+// --------------------------------------------------------------- AST types
+// Names are views into the source buffer, which outlives the parse. The
+// whole file's AST lives in flat vectors: a module holds ranges of
+// `instances` and `conns`, an instance ranges of `params` and `conns`.
+
+/// A //HIDAP_ comment line: the text after "//" and its offset.
+struct Directive {
+  std::string_view text;
+  std::size_t offset = 0;
+};
+
+struct Connection {
+  std::string_view pin;
+  int slot = -1;         ///< net slot in the module's Scope (its name's entry until
+                         ///< the module ends); -1 = unconnected .pin()
+  bool bit_ref = false;  ///< the net was written as name[bit]
+};
+
+struct Param {
+  std::string_view key;
+  double value = 0.0;
+};
+
+/// What an instance's definition name says before elaboration.
+enum class DefKind : std::uint8_t { Dff, Comb, PinIn, PinOut, UnknownPrimitive, Other };
+
+DefKind classify(std::string_view def_name) {
+  if (!starts_with(def_name, "HIDAP_")) return DefKind::Other;  // a macro or a module
+  if (def_name == "HIDAP_DFF") return DefKind::Dff;
+  if (def_name == "HIDAP_COMB") return DefKind::Comb;
+  if (def_name == "HIDAP_PIN_IN") return DefKind::PinIn;
+  if (def_name == "HIDAP_PIN_OUT") return DefKind::PinOut;
+  return DefKind::UnknownPrimitive;
+}
+
+struct Instance {
+  std::string_view def_name;
+  std::string_view inst_name;
+  std::uint32_t param_begin = 0, param_end = 0;
+  std::uint32_t conn_begin = 0, conn_end = 0;
+  std::size_t offset = 0;  ///< of the definition name
+  DefKind kind = DefKind::Other;
+};
+
+struct ModuleDef {
+  std::string_view name;
+  std::uint32_t inst_begin = 0, inst_end = 0;
+  std::uint32_t conn_begin = 0, conn_end = 0;  ///< all connections of its instances
+};
+
+struct SourceFile {
+  std::vector<ModuleDef> modules;
+  std::deque<Scope> scopes;  ///< per module; a deque, as names view into its elements
+  std::vector<Instance> instances;
+  std::vector<Param> params;
+  std::vector<Connection> conns;
+  std::vector<Directive> directives;
+};
+
+/// Value of an instance parameter (the last assignment wins), `fallback`
+/// when absent.
+double param(const SourceFile& file, const Instance& inst, std::string_view key,
+             double fallback) {
+  for (std::uint32_t i = inst.param_end; i > inst.param_begin; --i) {
+    if (file.params[i - 1].key == key) return file.params[i - 1].value;
+  }
+  return fallback;
+}
+
+// ------------------------------------------------------------------ parser
+
+/// Recursive descent straight over the buffer: every rule scans the shape
+/// it expects at the cursor. A token is classified only for an error
+/// message or to tell a statement's kind.
+class Parser {
+ public:
+  explicit Parser(std::string_view src)
+      : begin_(src.data()), end_(src.data() + src.size()), p_(begin_) {
+    reserve();
+  }
+
+  SourceFile parse_all() {
+    skip();
+    while (p_ != end_) {
+      expect_keyword("module");
+      parse_module();
+      skip();
+    }
+    return std::move(file_);
+  }
+
+ private:
+  enum class TokKind { Ident, Number, Punct, End };
+
+  std::string_view src() const { return {begin_, static_cast<std::size_t>(end_ - begin_)}; }
+  std::size_t offset(const char* at) const { return static_cast<std::size_t>(at - begin_); }
+
+  // Sizes the flat vectors from a count of their marks: an instance ends
+  // in ';', a connection or parameter begins with '.', a parameter list
+  // with '#'. Fixed-size blocks with byte counters, so compilers
+  // vectorize the count.
+  void reserve() {
+    constexpr std::ptrdiff_t kBlock = 240;  // a multiple of the vector width, below 256
+    std::size_t semis = 0, dots = 0, hashes = 0;
+    const char* p = begin_;
+    for (; end_ - p >= kBlock; p += kBlock) {
+      std::uint8_t s = 0, d = 0, h = 0;
+      for (std::ptrdiff_t i = 0; i < kBlock; ++i) {
+        s += p[i] == ';';
+        d += p[i] == '.';
+        h += p[i] == '#';
+      }
+      semis += s;
+      dots += d;
+      hashes += h;
+    }
+    for (; p != end_; ++p) {
+      semis += *p == ';';
+      dots += *p == '.';
+      hashes += *p == '#';
+    }
+    file_.instances.reserve(semis);
+    file_.conns.reserve(dots);
+    file_.params.reserve(hashes);
+  }
+
+  // Skips whitespace and comments; //HIDAP_ comment lines are kept as
+  // directives. Inline only the test for the common case, a token
+  // right at the cursor.
+  void skip() {
+    if (p_ != end_ && is(*p_, kSkipStart)) skip_space();
+  }
+
+  [[gnu::noinline]] void skip_space() {
+    while (p_ != end_ && is(*p_, kSkipStart)) {
+      if (*p_ != '/') {
+        ++p_;
+      } else if (end_ - p_ >= 2 && p_[1] == '/') {
+        const char* const text = p_ + 2;
+        const void* const newline = std::memchr(text, '\n', static_cast<std::size_t>(end_ - text));
+        p_ = newline ? static_cast<const char*>(newline) : end_;
+        const std::string_view rest(text, static_cast<std::size_t>(p_ - text));
+        if (starts_with(rest, "HIDAP_")) file_.directives.push_back({rest, offset(text - 2)});
+      } else if (end_ - p_ >= 2 && p_[1] == '*') {
+        const std::size_t close = src().find("*/", offset(p_ + 2));
+        p_ = close == std::string_view::npos ? end_ : begin_ + close + 2;
+      } else {
+        return;  // a lone '/' is punctuation
+      }
+    }
+  }
+
+  // Kind and text of the token at the cursor (after skip()), without
+  // consuming it; `end` receives where it stops.
+  TokKind token_at(std::string_view& text, const char*& end) const {
+    const char* q = p_;
+    if (q == end_) {
+      text = {};
+      end = end_;
+      return TokKind::End;
+    }
+    const char c = *q++;
+    TokKind kind = TokKind::Punct;
+    if (is(c, kIdentStart)) {
+      while (q != end_ && is(*q, kIdentChar)) ++q;
+      kind = TokKind::Ident;
+    } else if (c == '\\') {  // escaped identifier: up to whitespace
+      while (q != end_ && !is(*q, kSpace)) ++q;
+      text = std::string_view(p_ + 1, static_cast<std::size_t>(q - p_ - 1));
+      end = q;
+      return TokKind::Ident;
+    } else if (is(c, kDigit) ||
+               // Only a sign followed by a digit or '.' begins a number; a
+               // lone '-' or '+' is punctuation.
+               ((c == '-' || c == '+') && q != end_ && (is(*q, kDigit) || *q == '.'))) {
+      while (q != end_ && is(*q, kNumberChar)) ++q;
+      kind = TokKind::Number;
+    }
+    text = std::string_view(p_, static_cast<std::size_t>(q - p_));
+    end = q;
+    return kind;
+  }
+
+  [[noreturn]] void fail(const std::string& msg) const { fail_at(src(), offset(p_), msg); }
+
+  [[noreturn]] void fail_expected(const char* what) const {
+    std::string_view text;
+    const char* end = nullptr;
+    token_at(text, end);
+    fail(std::string("expected ") + what + ", got '" + std::string(text) + "'");
+  }
+
+  // An identifier at the cursor, plain or escaped.
+  std::string_view ident(const char* what) {
+    skip();
+    const char* q = p_;
+    if (q == end_ || !is(*q, kIdentStart)) return escaped_ident(what);
+    for (++q; q != end_ && is(*q, kIdentChar); ++q) {
+    }
+    const std::string_view name(p_, static_cast<std::size_t>(q - p_));
+    p_ = q;
+    return name;
+  }
+
+  [[gnu::noinline]] std::string_view escaped_ident(const char* what) {
+    if (p_ == end_ || *p_ != '\\') fail_expected(what);
+    std::string_view name;
+    token_at(name, p_);
+    return name;
+  }
+
+  void expect_keyword(const char* kw) {
+    skip();
+    const char* const at = p_;
+    const std::string_view word = ident(kw);
+    if (word != kw) {
+      fail_at(src(), offset(at),
+              "expected '" + std::string(kw) + "', got '" + std::string(word) + "'");
+    }
+  }
+
+  bool accept(char c) {
+    skip();
+    if (p_ != end_ && *p_ == c) {
+      ++p_;
+      return true;
+    }
+    return false;
+  }
+
+  void expect(char c) {
+    if (!accept(c)) fail_punct(c);
+  }
+
+  [[noreturn, gnu::noinline]] void fail_punct(char c) const {
+    std::string_view text;
+    const char* end = nullptr;
+    if (token_at(text, end) != TokKind::Punct) fail_expected("punctuation");
+    fail(std::string("expected '") + c + "', got '" + std::string(text) + "'");
+  }
+
+  // The number token at the cursor, consumed.
+  std::string_view number() {
+    skip();
+    std::string_view text;
+    const char* end = nullptr;
+    if (token_at(text, end) != TokKind::Number) fail_expected("number");
+    p_ = end;
+    return text;
+  }
+
+  /// A real-valued parameter: the whole token must be a decimal number.
+  double parse_real() {
+    const std::string_view t = number();
+    std::string_view s = t;
+    if (s.front() == '+') s.remove_prefix(1);  // from_chars takes no '+'
+    double value = 0.0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+    if (ec != std::errc{} || end != s.data() + s.size()) {
+      fail_at(src(), offset(t.data()), "bad number '" + std::string(t) + "'");
+    }
+    return value;
+  }
+
+  /// A range bound or bit index: decimal digits only, within int32.
+  int parse_index() {
+    const std::string_view t = number();
+    const char* const last = t.data() + t.size();
+    int value = 0;
+    const auto [end, ec] = std::from_chars(t.data(), last, value);
+    if (!is(t.front(), kDigit) || ec != std::errc{} || end != last) {
+      fail_at(src(), offset(t.data()), "bad bit index '" + std::string(t) + "'");
+    }
+    return value;
+  }
+
+  void parse_module() {
+    ModuleDef mod;
+    mod.name = ident("module name");
+    // The header port list carries no information the declarations do not.
+    if (accept('(')) {
+      if (!accept(')')) {
+        while (true) {
+          ident("port name");
+          if (accept(')')) break;
+          expect(',');
+        }
+      }
+    }
+    expect(';');
+    Scope& scope = file_.scopes.emplace_back();
+    decls_.clear();
+    mod.inst_begin = static_cast<std::uint32_t>(file_.instances.size());
+    mod.conn_begin = static_cast<std::uint32_t>(file_.conns.size());
+    while (true) {
+      skip();
+      if (p_ == end_) fail("unexpected end of file inside module");
+      const char* const at = p_;
+      const std::string_view word = ident("statement");
+      if (word == "endmodule") break;
+      if (word == "wire" || word == "input" || word == "output") {
+        parse_decl(word != "wire");
+      } else {
+        parse_instance(scope, word, offset(at));
+      }
+    }
+    mod.inst_end = static_cast<std::uint32_t>(file_.instances.size());
+    mod.conn_end = static_cast<std::uint32_t>(file_.conns.size());
+    assign_slots(scope, mod);
+    file_.modules.push_back(mod);
+  }
+
+  // Slot order: declared wires and ports in declaration order, then the
+  // nets connections name first, in connection order. Until here a
+  // connection's `slot` holds its name's entry.
+  void assign_slots(Scope& scope, const ModuleDef& mod) {
+    for (const Decl& d : decls_) {
+      if (d.is_port) {
+        NameTable::Entry& e = scope.names.entry(scope.names.insert(d.name, d.hash));
+        if (!e.port) e.port_vector = d.msb >= 0;
+        e.port = true;
+      }
+      if (d.msb < 0) {
+        scope.slot_of(scope.names.insert(d.name, d.hash));
+        continue;
+      }
+      const int hi = std::max(d.msb, d.lsb);
+      for (std::int64_t b = std::min(d.msb, d.lsb); b <= hi; ++b) {
+        scope.slot_of(scope.bit_entry(d.name, static_cast<int>(b)));
+      }
+    }
+    scope.declared = static_cast<int>(scope.slot_name.size());
+    for (std::uint32_t c = mod.conn_begin; c < mod.conn_end; ++c) {
+      Connection& conn = file_.conns[c];
+      if (conn.slot >= 0) conn.slot = scope.slot_of(conn.slot);
+    }
+  }
+
+  void parse_decl(bool is_port) {
+    Decl proto;
+    proto.is_port = is_port;
+    if (accept('[')) {
+      skip();
+      const std::size_t at = offset(p_);
+      proto.msb = parse_index();
+      expect(':');
+      proto.lsb = parse_index();
+      expect(']');
+      // A net per bit: a range wider than the whole input cannot be a
+      // real design, only a request to allocate without bound.
+      if (std::abs(std::int64_t{proto.msb} - proto.lsb) + 1 > end_ - begin_) {
+        fail_at(src(), at, "range [" + std::to_string(proto.msb) + ":" +
+                               std::to_string(proto.lsb) + "] is wider than the input");
+      }
+    }
+    while (true) {
+      Decl& d = decls_.emplace_back(proto);
+      d.name = ident("wire name");
+      d.hash = hash_name(d.name);
+      if (accept(';')) break;
+      expect(',');
+    }
+  }
+
+  void parse_instance(Scope& scope, std::string_view def_name, std::size_t at) {
+    Instance inst;
+    inst.offset = at;
+    inst.def_name = def_name;
+    inst.kind = classify(def_name);
+    inst.param_begin = static_cast<std::uint32_t>(file_.params.size());
+    if (accept('#')) {
+      expect('(');
+      if (!accept(')')) {
+        while (true) {
+          expect('.');
+          const std::string_view key = ident("parameter name");
+          expect('(');
+          file_.params.push_back({key, parse_real()});
+          expect(')');
+          if (accept(')')) break;
+          expect(',');
+        }
+      }
+    }
+    inst.param_end = static_cast<std::uint32_t>(file_.params.size());
+    inst.inst_name = ident("instance name");
+    inst.conn_begin = static_cast<std::uint32_t>(file_.conns.size());
+    expect('(');
+    if (!accept(')')) {
+      while (true) {
+        expect('.');
+        Connection& conn = file_.conns.emplace_back();
+        conn.pin = ident("pin name");
+        expect('(');
+        if (!accept(')')) {
+          const std::string_view net = ident("net name");
+          if (accept('[')) {
+            conn.slot = scope.bit_entry(net, parse_index());
+            conn.bit_ref = true;
+            expect(']');
+          } else {
+            conn.slot = scope.names.insert(net, hash_name(net));
+          }
+          expect(')');
+        }
+        if (accept(')')) break;
+        expect(',');
+      }
+    }
+    inst.conn_end = static_cast<std::uint32_t>(file_.conns.size());
+    expect(';');
+    file_.instances.push_back(inst);
+  }
+
+  /// A declared wire or port, kept until its module's slots are assigned.
+  struct Decl {
+    std::string_view name;
+    std::uint64_t hash = 0;
+    int msb = -1, lsb = -1;  ///< -1/-1 = scalar
+    bool is_port = false;
+  };
+
+  const char* begin_;
+  const char* end_;
+  const char* p_;  ///< the cursor
+  SourceFile file_;
+  std::vector<Decl> decls_;  ///< of the module being parsed
+};
+
+// -------------------------------------------------------------- elaborator
+
+// Output pins: O*, Q* on primitives.
+bool primitive_pin_is_output(std::string_view pin) {
+  return !pin.empty() && (pin[0] == 'O' || pin[0] == 'Q');
+}
+
+/// Output sizes of an elaboration, counted before it runs.
+struct DesignSize {
+  std::size_t cells = 0;
+  std::size_t nets = 0;
+  std::size_t net_name_bytes = 0;
 };
 
 class Elaborator {
  public:
-  Elaborator(const std::vector<ModuleDef>& modules, const std::vector<Directive>& directives)
-      : modules_(modules), scopes_(modules.size()), active_(modules.size(), false) {
-    for (std::size_t m = 0; m < modules_.size(); ++m) {
-      by_name_[modules_[m].name] = static_cast<int>(m);
+  Elaborator(std::string_view src, const SourceFile& file)
+      : src_(src), file_(file), active_(file.modules.size(), false) {
+    for (std::size_t m = 0; m < file_.modules.size(); ++m) {
+      by_name_[file_.modules[m].name] = static_cast<int>(m);
     }
-    parse_directives(directives);
+    parse_directives();
   }
 
   Design elaborate() {
     const int top = find_top();
-    Design design{std::string(modules_[static_cast<std::size_t>(top)].name)};
+    Design design{std::string(module(top).name)};
     design.set_die(die_);
     for (std::size_t i = 0; i < macro_defs_.size(); ++i) {
       if (design.library().contains(macro_defs_[i].name)) {
-        throw VerilogParseError("duplicate macro '" + macro_defs_[i].name + "'",
-                                macro_lines_[i]);
+        fail_at(src_, macro_offsets_[i], "duplicate macro '" + macro_defs_[i].name + "'");
       }
       design.library().add(macro_defs_[i]);
+    }
+    DesignSize size;
+    std::vector<bool> counting(file_.modules.size(), false);
+    if (count(design, top, design.name().size(), {}, counting, size)) {
+      design.reserve(size.cells, size.nets, size.net_name_bytes);
     }
     std::vector<NetId> nets(scope_of(top).slot_name.size(), kInvalidId);
     active_[static_cast<std::size_t>(top)] = true;
@@ -492,8 +665,11 @@ class Elaborator {
   }
 
  private:
-  void parse_directives(const std::vector<Directive>& directives) {
-    for (const Directive& d : directives) {
+  const ModuleDef& module(int m) const { return file_.modules[static_cast<std::size_t>(m)]; }
+  const Scope& scope_of(int m) const { return file_.scopes[static_cast<std::size_t>(m)]; }
+
+  void parse_directives() {
+    for (const Directive& d : file_.directives) {
       std::istringstream fields{std::string(d.text)};
       std::string tag;
       fields >> tag;
@@ -501,7 +677,7 @@ class Elaborator {
         MacroDef def;
         fields >> def.name >> def.w >> def.h;
         macro_defs_.push_back(std::move(def));
-        macro_lines_.push_back(d.line);
+        macro_offsets_.push_back(d.offset);
       } else if (tag == "HIDAP_PIN") {
         std::string macro_name;
         MacroPin pin;
@@ -522,18 +698,15 @@ class Elaborator {
 
   int find_top() const {
     std::unordered_set<std::string_view> instantiated;
-    for (const ModuleDef& m : modules_) {
-      for (const Instance& inst : m.instances) {
-        if (!is_primitive(inst.def_name)) instantiated.insert(inst.def_name);
-      }
+    for (const Instance& inst : file_.instances) {
+      if (inst.kind == DefKind::Other) instantiated.insert(inst.def_name);
     }
     int top = -1;
-    for (std::size_t m = 0; m < modules_.size(); ++m) {
-      if (instantiated.count(modules_[m].name)) continue;
+    for (std::size_t m = 0; m < file_.modules.size(); ++m) {
+      if (instantiated.count(file_.modules[m].name)) continue;
       if (top >= 0) {
-        throw VerilogParseError("multiple top modules: " +
-                                    std::string(modules_[static_cast<std::size_t>(top)].name) +
-                                    ", " + std::string(modules_[m].name),
+        throw VerilogParseError("multiple top modules: " + std::string(module(top).name) +
+                                    ", " + std::string(file_.modules[m].name),
                                 0);
       }
       top = static_cast<int>(m);
@@ -542,111 +715,110 @@ class Elaborator {
     return top;
   }
 
-  const Scope& scope_of(int m) {
-    Scope& s = scopes_[static_cast<std::size_t>(m)];
-    if (s.built) return s;
-    s.built = true;
-    const ModuleDef& mod = modules_[static_cast<std::size_t>(m)];
-    s.names.reserve(mod.wires.size());
-    const auto slot = [&s](std::string_view name) {
-      NameTable::Entry& e = s.names[name];
-      if (e.slot < 0) {
-        e.slot = static_cast<int>(s.slot_name.size());
-        s.slot_name.push_back(name);
-      }
-      return e.slot;
-    };
-    const auto bit_slot = [&s, &slot](std::string_view base, int bit) {
-      const std::string name = bit_name(base, bit);
-      const NameTable::Entry* e = s.names.find(name);
-      return e && e->slot >= 0 ? e->slot : slot(s.bit_names.emplace_back(name));
-    };
-    for (const WireDecl& w : mod.wires) {
-      if (w.is_port) {
-        NameTable::Entry& e = s.names[w.name];
-        if (!e.port) e.port_vector = w.msb >= 0;
-        e.port = true;
-      }
-      if (w.msb < 0) {
-        slot(w.name);
+  /// The child slot a connection of a module instance binds: -1 = none.
+  /// Vector ports are reported by elaboration.
+  static int bound_slot(const Scope& child, std::string_view pin) {
+    const int e = child.names.find(pin, hash_name(pin));
+    return e >= 0 && !child.names.entry(e).port_vector ? child.names.entry(e).slot : -1;
+  }
+
+  // Adds the cells, nets and net-name bytes module `m` and its subtree
+  // will create to `size`, given the hierarchy path length of its node and
+  // the slots its parent binds. False when the tree cannot be counted
+  // (an unknown or recursive module): elaboration then reports it.
+  bool count(const Design& design, int m, std::size_t path_size,
+             const std::vector<bool>& bound, std::vector<bool>& counting, DesignSize& size) {
+    const ModuleDef& mod = module(m);
+    const Scope& scope = scope_of(m);
+    std::size_t created = scope.slot_name.size(), bytes = scope.slot_name_bytes;
+    for (std::size_t slot = 0; slot < bound.size(); ++slot) {
+      if (!bound[slot]) continue;
+      --created;
+      bytes -= scope.slot_name[slot].size();
+    }
+    size.nets += created;
+    size.net_name_bytes += bytes + created * (path_size + 1);  // "path/" + local name
+    counting[static_cast<std::size_t>(m)] = true;
+    for (std::uint32_t i = mod.inst_begin; i < mod.inst_end; ++i) {
+      const Instance& inst = file_.instances[i];
+      if (inst.kind != DefKind::Other || design.library().id_of(inst.def_name) != kNoMacroDef) {
+        ++size.cells;
         continue;
       }
-      const int hi = std::max(w.msb, w.lsb);
-      for (std::int64_t b = std::min(w.msb, w.lsb); b <= hi; ++b) {
-        bit_slot(w.name, static_cast<int>(b));
+      const auto it = by_name_.find(inst.def_name);
+      if (it == by_name_.end() || counting[static_cast<std::size_t>(it->second)]) return false;
+      const Scope& child = scope_of(it->second);
+      std::vector<bool> child_bound(child.slot_name.size(), false);
+      for (std::uint32_t c = inst.conn_begin; c < inst.conn_end; ++c) {
+        const int slot = file_.conns[c].slot >= 0 ? bound_slot(child, file_.conns[c].pin) : -1;
+        if (slot >= 0) child_bound[static_cast<std::size_t>(slot)] = true;
       }
+      const std::size_t child_path =
+          path_size == 0 ? inst.inst_name.size() : path_size + 1 + inst.inst_name.size();
+      if (!count(design, it->second, child_path, child_bound, counting, size)) return false;
     }
-    s.declared = static_cast<int>(s.slot_name.size());
-    s.conn_slot.assign(mod.conns.size(), -1);
-    for (std::size_t i = 0; i < mod.conns.size(); ++i) {
-      const NetRef& ref = mod.conns[i].net;
-      if (!mod.conns[i].connected) continue;
-      s.conn_slot[i] = ref.bit < 0 ? slot(ref.name) : bit_slot(ref.name, ref.bit);
-    }
-    return s;
+    counting[static_cast<std::size_t>(m)] = false;
+    return true;
   }
 
   // Elaborates module `m` into hierarchy node `hier`. `nets` is indexed
   // by the module's slots; entries the parent bound are already set.
   void elaborate_module(Design& design, int m, HierId hier, std::vector<NetId>& nets) {
-    const ModuleDef& mod = modules_[static_cast<std::size_t>(m)];
+    const ModuleDef& mod = module(m);
     const Scope& scope = scope_of(m);
     const std::string prefix = design.hier_path(hier) + "/";
     const auto create = [&](int slot) {
-      const std::string_view local = scope.slot_name[static_cast<std::size_t>(slot)];
-      std::string name;
-      name.reserve(prefix.size() + local.size());
-      name.append(prefix).append(local);
-      return design.add_net(std::move(name));
+      return design.add_net(prefix, scope.slot_name[static_cast<std::size_t>(slot)]);
     };
     for (int slot = 0; slot < scope.declared; ++slot) {
       if (nets[static_cast<std::size_t>(slot)] == kInvalidId) {
         nets[static_cast<std::size_t>(slot)] = create(slot);
       }
     }
-    const auto resolve = [&](std::uint32_t conn, int line) -> NetId {
-      const int slot = scope.conn_slot[conn];
+    const auto resolve = [&](std::uint32_t conn, std::size_t at) -> NetId {
+      const int slot = file_.conns[conn].slot;
       NetId& net = nets[static_cast<std::size_t>(slot)];
       if (net != kInvalidId) return net;
       // Implicit scalar net (plain Verilog allows it).
-      const NetRef& ref = mod.conns[conn].net;
-      if (ref.bit >= 0) {
-        throw VerilogParseError("undeclared vector net " + bit_name(ref.name, ref.bit), line);
+      if (file_.conns[conn].bit_ref) {
+        fail_at(src_, at,
+                "undeclared vector net " +
+                    std::string(scope.slot_name[static_cast<std::size_t>(slot)]));
       }
       return net = create(slot);
     };
 
-    for (const Instance& inst : mod.instances) {
-      if (is_primitive(inst.def_name)) {
-        elaborate_primitive(design, mod, inst, hier, resolve);
+    for (std::uint32_t i = mod.inst_begin; i < mod.inst_end; ++i) {
+      const Instance& inst = file_.instances[i];
+      if (inst.kind != DefKind::Other) {
+        elaborate_primitive(design, inst, hier, resolve);
       } else if (const MacroDefId mid = design.library().id_of(inst.def_name);
                  mid != kNoMacroDef) {
-        elaborate_macro(design, mod, inst, hier, mid, resolve);
+        elaborate_macro(design, inst, hier, mid, resolve);
       } else {
         const auto it = by_name_.find(inst.def_name);
         if (it == by_name_.end()) {
-          throw VerilogParseError("unknown module '" + std::string(inst.def_name) + "'",
-                                  inst.line);
+          fail_at(src_, inst.offset, "unknown module '" + std::string(inst.def_name) + "'");
         }
         const int child = it->second;
         if (active_[static_cast<std::size_t>(child)]) {
-          throw VerilogParseError(
-              "module '" + std::string(inst.def_name) + "' instantiates itself", inst.line);
+          fail_at(src_, inst.offset,
+                  "module '" + std::string(inst.def_name) + "' instantiates itself");
         }
         const Scope& child_scope = scope_of(child);
         const HierId child_hier = design.add_hier(hier, std::string(inst.inst_name));
         // Bind the child's port names to parent nets.
         std::vector<NetId> child_nets(child_scope.slot_name.size(), kInvalidId);
         for (std::uint32_t c = inst.conn_begin; c < inst.conn_end; ++c) {
-          const Connection& conn = mod.conns[c];
-          if (!conn.connected) continue;
-          const NameTable::Entry* port = child_scope.names.find(conn.pin);
+          const Connection& conn = file_.conns[c];
+          if (conn.slot < 0) continue;
+          const int e = child_scope.names.find(conn.pin, hash_name(conn.pin));
+          const NameTable::Entry* port = e >= 0 ? &child_scope.names.entry(e) : nullptr;
           if (port && port->port_vector) {
-            throw VerilogParseError(
-                "vector port binding unsupported for port '" + std::string(conn.pin) + "'",
-                inst.line);
+            fail_at(src_, inst.offset,
+                    "vector port binding unsupported for port '" + std::string(conn.pin) + "'");
           }
-          const NetId net = resolve(c, inst.line);
+          const NetId net = resolve(c, inst.offset);
           // A name the child never declares nor references binds nothing.
           if (port && port->slot >= 0) child_nets[static_cast<std::size_t>(port->slot)] = net;
         }
@@ -658,31 +830,27 @@ class Elaborator {
   }
 
   template <typename Resolve>
-  void elaborate_primitive(Design& design, const ModuleDef& mod, const Instance& inst,
-                           HierId hier, Resolve&& resolve) {
-    CellKind kind;
-    if (inst.def_name == "HIDAP_DFF") {
-      kind = CellKind::Flop;
-    } else if (inst.def_name == "HIDAP_COMB") {
-      kind = CellKind::Comb;
-    } else if (inst.def_name == "HIDAP_PIN_IN") {
-      kind = CellKind::PortIn;
-    } else if (inst.def_name == "HIDAP_PIN_OUT") {
-      kind = CellKind::PortOut;
-    } else {
-      throw VerilogParseError("unknown primitive '" + std::string(inst.def_name) + "'",
-                              inst.line);
+  void elaborate_primitive(Design& design, const Instance& inst, HierId hier,
+                           Resolve&& resolve) {
+    CellKind kind = CellKind::Comb;
+    switch (inst.kind) {
+      case DefKind::Dff: kind = CellKind::Flop; break;
+      case DefKind::Comb: kind = CellKind::Comb; break;
+      case DefKind::PinIn: kind = CellKind::PortIn; break;
+      case DefKind::PinOut: kind = CellKind::PortOut; break;
+      default:
+        fail_at(src_, inst.offset, "unknown primitive '" + std::string(inst.def_name) + "'");
     }
     const CellId cell = design.add_cell(hier, std::string(inst.inst_name), kind,
-                                        param(mod, inst, "AREA", 0.0));
+                                        param(file_, inst, "AREA", 0.0));
     if (is_port(kind)) {
       design.cell_mutable(cell).fixed_pos =
-          Point{param(mod, inst, "X", 0.0), param(mod, inst, "Y", 0.0)};
+          Point{param(file_, inst, "X", 0.0), param(file_, inst, "Y", 0.0)};
     }
     for (std::uint32_t c = inst.conn_begin; c < inst.conn_end; ++c) {
-      const Connection& conn = mod.conns[c];
-      if (!conn.connected) continue;
-      const NetId net = resolve(c, inst.line);
+      const Connection& conn = file_.conns[c];
+      if (conn.slot < 0) continue;
+      const NetId net = resolve(c, inst.offset);
       if (primitive_pin_is_output(conn.pin)) {
         design.set_driver(net, cell);
       } else {
@@ -692,21 +860,21 @@ class Elaborator {
   }
 
   template <typename Resolve>
-  void elaborate_macro(Design& design, const ModuleDef& mod, const Instance& inst,
-                       HierId hier, MacroDefId mid, Resolve&& resolve) {
+  void elaborate_macro(Design& design, const Instance& inst, HierId hier, MacroDefId mid,
+                       Resolve&& resolve) {
     const CellId cell =
         design.add_cell(hier, std::string(inst.inst_name), CellKind::Macro, 0.0, mid);
     const MacroDef& def = design.library().def(mid);
     for (std::uint32_t c = inst.conn_begin; c < inst.conn_end; ++c) {
-      const Connection& conn = mod.conns[c];
-      if (!conn.connected) continue;
+      const Connection& conn = file_.conns[c];
+      if (conn.slot < 0) continue;
       const int pin = def.pin_index(conn.pin);
       if (pin < 0) {
-        throw VerilogParseError(
-            "macro '" + def.name + "' has no pin '" + std::string(conn.pin) + "'", inst.line);
+        fail_at(src_, inst.offset,
+                "macro '" + def.name + "' has no pin '" + std::string(conn.pin) + "'");
       }
       const MacroPin& mp = def.pins[static_cast<std::size_t>(pin)];
-      const NetId net = resolve(c, inst.line);
+      const NetId net = resolve(c, inst.offset);
       if (mp.is_output) {
         design.set_driver(net, cell, static_cast<float>(mp.offset.x),
                           static_cast<float>(mp.offset.y));
@@ -717,12 +885,12 @@ class Elaborator {
     }
   }
 
-  const std::vector<ModuleDef>& modules_;
+  std::string_view src_;
+  const SourceFile& file_;
   std::unordered_map<std::string_view, int> by_name_;  ///< a later definition wins
-  std::vector<Scope> scopes_;
   std::vector<bool> active_;  ///< definitions on the elaboration stack
   std::vector<MacroDef> macro_defs_;
-  std::vector<int> macro_lines_;
+  std::vector<std::size_t> macro_offsets_;
   Die die_;
 };
 
@@ -732,10 +900,9 @@ Design parse_verilog_string(std::string_view text) {
   HIDAP_FAILPOINT("netlist.verilog_parse");
   obs::Span span("verilog_parse", "netlist");
   span.arg("bytes", static_cast<std::int64_t>(text.size()));
-  Parser parser(text);
-  const std::vector<ModuleDef> modules = parser.parse_all();
-  if (modules.empty()) throw VerilogParseError("empty netlist", 0);
-  Design design = Elaborator(modules, parser.directives()).elaborate();
+  const SourceFile file = Parser(text).parse_all();
+  if (file.modules.empty()) throw VerilogParseError("empty netlist", 0);
+  Design design = Elaborator(text, file).elaborate();
   span.arg("cells", static_cast<std::int64_t>(design.cell_count()));
   return design;
 }
@@ -744,10 +911,19 @@ Design parse_verilog_file(const std::string& path) {
   HIDAP_FAILPOINT("netlist.verilog_read");
   std::ifstream in(path, std::ios::binary);
   if (!in) throw HidapError(ErrorCode::IoError, "cannot open for read: " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
+  // A regular file is read in one call into a buffer of its size; a pipe
+  // or device has no size and is drained instead.
+  std::string text;
+  std::error_code ec;
+  if (std::filesystem::is_regular_file(path, ec)) {
+    text.resize(static_cast<std::size_t>(std::filesystem::file_size(path, ec)));
+    in.read(text.data(), static_cast<std::streamsize>(text.size()));
+    text.resize(static_cast<std::size_t>(in.gcount()));
+  } else {
+    text.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
   if (in.bad()) throw HidapError(ErrorCode::IoError, "read failed: " + path);
-  return parse_verilog_string(text.view());
+  return parse_verilog_string(text);
 }
 
 }  // namespace hidap

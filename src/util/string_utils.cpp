@@ -1,16 +1,19 @@
 #include "util/string_utils.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 namespace hidap {
 
 namespace {
-bool all_digits(std::string_view s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  }
-  return true;
+/// The value of a non-empty all-digit string that fits an int.
+std::optional<int> bit_index(std::string_view s) {
+  if (s.empty() || s.front() < '0' || s.front() > '9') return std::nullopt;  // no sign
+  int value = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc{} || end != s.data() + s.size()) return std::nullopt;
+  return value;
 }
 }  // namespace
 
@@ -19,20 +22,16 @@ std::optional<ArrayName> parse_array_name(std::string_view name) {
   if (!name.empty() && name.back() == ']') {
     const auto open = name.rfind('[');
     if (open != std::string_view::npos && open > 0) {
-      const std::string_view digits = name.substr(open + 1, name.size() - open - 2);
-      if (all_digits(digits)) {
-        return ArrayName{std::string(name.substr(0, open)),
-                         std::stoi(std::string(digits))};
+      if (const auto index = bit_index(name.substr(open + 1, name.size() - open - 2))) {
+        return ArrayName{name.substr(0, open), *index};
       }
     }
   }
   // Form "base_n".
   const auto us = name.rfind('_');
   if (us != std::string_view::npos && us > 0 && us + 1 < name.size()) {
-    const std::string_view digits = name.substr(us + 1);
-    if (all_digits(digits)) {
-      return ArrayName{std::string(name.substr(0, us)),
-                       std::stoi(std::string(digits))};
+    if (const auto index = bit_index(name.substr(us + 1))) {
+      return ArrayName{name.substr(0, us), *index};
     }
   }
   return std::nullopt;

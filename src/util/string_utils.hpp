@@ -14,13 +14,14 @@ namespace hidap {
 
 /// Result of decomposing a bit-cell name into (array base, bit index).
 struct ArrayName {
-  std::string base;  ///< e.g. "u_fifo/data_q" for "u_fifo/data_q[3]"
-  int index = 0;     ///< e.g. 3
+  std::string_view base;  ///< e.g. "u_fifo/data_q" for "u_fifo/data_q[3]"; views the input
+  int index = 0;          ///< e.g. 3
   bool operator==(const ArrayName&) const = default;
 };
 
 /// Recognizes "name[n]" and "name_n" suffixes; returns nullopt when the
-/// name carries no bit index.
+/// name carries no bit index. A digit suffix too large for an int is no
+/// bit index either.
 std::optional<ArrayName> parse_array_name(std::string_view name);
 
 /// Splits on a delimiter; empty tokens are kept.

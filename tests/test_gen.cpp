@@ -67,7 +67,7 @@ TEST(CircuitGen, HierarchyHasSubsystems) {
 
 TEST(CircuitGen, RegisterArraysDetectable) {
   const Design d = generate_circuit(fig1_spec());
-  const auto groups = cluster_arrays(d);
+  const auto groups = cluster_arrays(d).groups;
   int wide = 0;
   for (const ArrayGroup& g : groups) wide += (g.width() >= 16);
   EXPECT_GT(wide, 4);  // pipelines produce many wide arrays

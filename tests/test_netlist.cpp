@@ -119,7 +119,7 @@ TEST(CellAdjacency, NeighborIterationCoversBothDirections) {
 TEST(Net, DegreeCountsDriverAndSinks) {
   const Design d = tiny_design();
   EXPECT_EQ(d.net(0).degree(), 2);
-  Net floating{"f", NetPin{}, {}};
+  Net floating{NetPin{}, {}};
   EXPECT_EQ(floating.degree(), 0);
 }
 

@@ -5,6 +5,7 @@
 
 #include <sstream>
 
+#include "core/hidap.hpp"
 #include "gen/circuit_gen.hpp"
 #include "netlist/verilog_parser.hpp"
 #include "netlist/verilog_writer.hpp"
@@ -185,6 +186,20 @@ TEST(ParserRobustness, HugeTokenHandled) {
   const Design d =
       parse_verilog_string("module top ();\n  HIDAP_COMB " + name + " ();\nendmodule\n");
   EXPECT_EQ(d.cell(0).name.size(), 5000u);
+}
+
+// An instance name whose bit suffix overflows an int parses, and the
+// placement context built on it treats the cell as its own array instead
+// of failing with an untyped std::out_of_range.
+TEST(ParserRobustness, OversizeBitSuffixBuildsContext) {
+  const Design d = parse_verilog_string(
+      "module top ();\n  wire a;\n  HIDAP_PIN_IN #(.X(0), .Y(1)) p (.O0(a));\n"
+      "  HIDAP_DFF #(.AREA(2)) r_99999999999 (.D0(a));\nendmodule\n");
+  ASSERT_EQ(d.cell_count(), 2u);
+  EXPECT_EQ(d.cell(1).name, "r_99999999999");
+  const PlacementContext context(d);
+  EXPECT_EQ(context.seq.node_of_cell(1), kInvalidId);  // a 1-bit register is below the threshold
+  EXPECT_NE(context.seq.node_of_cell(0), kInvalidId);  // the port is a Gseq node
 }
 
 TEST(ParserRobustness, GarbageRejected) {

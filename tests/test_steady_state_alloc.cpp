@@ -2,8 +2,10 @@
 // engines: after warm-up, propose/commit/rollback cycles of
 // IncrementalLayoutEval (layout SA) and IncrementalCurveEval (shape-curve
 // SA), including the Polish perturbation that generates each move, must
-// not touch the heap. A counting global operator new, private to this
-// test binary, observes every allocation.
+// not touch the heap, and neither may the shape-curve SA's new-best
+// records once its best set is full. The Verilog parse is held to fewer
+// allocations than the nets it creates. A counting global operator new,
+// private to this test binary, observes every allocation.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +14,15 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "floorplan/area_floorplanner.hpp"
 #include "floorplan/incremental_eval.hpp"
+#include "gen/suite.hpp"
+#include "netlist/verilog_parser.hpp"
+#include "netlist/verilog_writer.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -130,6 +137,45 @@ TEST(SteadyStateAllocation, ShapeCurveEngineMovesDoNotAllocate) {
         [&]() { eval.rollback(); });
     EXPECT_EQ(allocations, 0u) << "n=" << n;
   }
+}
+
+// The shape-curve SA records every new best; the annealer reports one
+// only below all earlier ones, so costs fall strictly here too.
+TEST(SteadyStateAllocation, NewBestRecordsDoNotAllocateOnceFull) {
+  constexpr std::size_t kKeep = 4;
+  BestExpressions best(kKeep);
+  PolishExpression expr = PolishExpression::initial(12);
+  Rng rng(5);
+  double cost = 1e6;
+  const auto next_best = [&]() {
+    while (!expr.perturb(rng)) {
+    }
+    best.record(cost, expr);
+    cost -= 1.0;
+  };
+  for (std::size_t i = 0; i < kKeep; ++i) next_best();  // warm-up: the set fills
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < kMeasuredCycles; ++i) next_best();
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  ASSERT_EQ(best.entries().size(), kKeep);
+  for (std::size_t i = 0; i < kKeep; ++i) {
+    EXPECT_EQ(best.entries()[i].first, cost + 1.0 + static_cast<double>(i));  // lowest first
+  }
+  EXPECT_EQ(best.entries().front().second.elements(), expr.elements());
+}
+
+// Net names live in one design-owned buffer and every store is sized
+// from a count before the elaboration fills it, so a parse allocates
+// less than once per net (a heap string per net name alone would not).
+TEST(SteadyStateAllocation, VerilogParseAllocatesLessThanOncePerNet) {
+  std::ostringstream out;
+  write_verilog(generate_circuit(suite_circuit("c4", 0.002).spec), out);
+  const std::string text = out.str();
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const Design design = parse_verilog_string(text);
+  const std::uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_GT(design.net_count(), 40000u);
+  EXPECT_LE(allocations, design.net_count());
 }
 
 }  // namespace

@@ -136,6 +136,18 @@ TEST(ArrayName, PlainNameRejected) {
   EXPECT_FALSE(parse_array_name("_5").has_value());  // no base
 }
 
+// A digit suffix that does not fit an int is no bit index: the name
+// stands alone instead of throwing std::out_of_range.
+TEST(ArrayName, OversizeSuffixIsNoIndex) {
+  EXPECT_FALSE(parse_array_name("r_99999999999").has_value());
+  EXPECT_FALSE(parse_array_name("r[2147483648]").has_value());
+  EXPECT_FALSE(parse_array_name("r_-1").has_value());
+  const auto p = parse_array_name("r_2147483647");
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->base, "r");
+  EXPECT_EQ(p->index, 2147483647);
+}
+
 TEST(ArrayName, BracketTakesPrecedenceOverUnderscore) {
   const auto p = parse_array_name("bus_2[9]");
   ASSERT_TRUE(p.has_value());

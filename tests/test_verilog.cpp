@@ -78,6 +78,25 @@ constexpr const char* kLexicalCorners = R"(
     endmodule
   )";
 
+// Nets used before their declaration, implicit nets in a parent and a
+// child, and a pin the child does not declare: the slot order (declared
+// names first, then first use) fixes every NetId.
+constexpr const char* kDeclaredAfterUse = R"(
+    module leaf (a, y);
+      output y;
+      HIDAP_COMB #(.AREA(2.0)) g (.I0(a), .I1(loose), .O0(y));
+      input a;
+    endmodule
+    module top ();
+      HIDAP_COMB #(.AREA(1.0)) g0 (.I0(late), .I1(implicit_a), .O0(w[1]));
+      wire late;
+      leaf u (.a(implicit_a), .y(late), .nosuch(w[0]));
+      wire [1:0] w;
+      HIDAP_DFF f (.D0(implicit_b), .Q0(w[0]), .D1(after));
+      wire after;
+    endmodule
+  )";
+
 TEST(VerilogParser, MinimalModule) {
   const Design d = parse_verilog_string(kMinimalModule);
   EXPECT_EQ(d.cell_count(), 2u);
@@ -258,8 +277,9 @@ class DesignDigest {
       }
     }
     u64(d.net_count());
-    for (const Net& net : d.nets()) {
-      str(net.name);
+    for (std::size_t id = 0; id < d.net_count(); ++id) {
+      const Net& net = d.net(static_cast<NetId>(id));
+      str(d.net_name(static_cast<NetId>(id)));
       pin(net.driver);
       u64(net.sinks.size());
       for (const NetPin& sink : net.sinks) pin(sink);
@@ -294,8 +314,9 @@ class DesignDigest {
 };
 
 // The expected values were recorded by running this body against the
-// istream-based parser this one replaced; a parser change that moves any
-// parsed field (names, ids, areas, port positions, pin offsets) fails here.
+// istream-based parser (the declared-after-use case against the token
+// lexer that followed it); a parser change that moves any parsed field
+// (names, ids, areas, port positions, pin offsets) fails here.
 TEST(VerilogParser, ParsedDesignDigestIsPinned) {
   struct Case {
     std::string label;
@@ -308,6 +329,7 @@ TEST(VerilogParser, ParsedDesignDigestIsPinned) {
       {"vector", kVectorWires, 0x6773556a11fadad3ull},
       {"macro", kMacroHeaderAndPins, 0x73f37e2390ffdaecull},
       {"lexical", kLexicalCorners, 0x7b358d4af25322dcull},
+      {"declared after use", kDeclaredAfterUse, 0xef96e72f590dd819ull},
   };
   const std::uint64_t suite_expected[8] = {
       0x5435fa14a6b80c3dull, 0x47e3dec98b89280dull, 0x025e808cc52554f4ull, 0x0ddf71c6e09155faull,
