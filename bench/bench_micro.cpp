@@ -351,31 +351,44 @@ void BM_IncrementalEvaluate(benchmark::State& state) {
 BENCHMARK(BM_IncrementalEvaluate)->Arg(8)->Arg(16)->Arg(32);
 
 // Evaluation placer through a shared per-design model, as compare_flows
-// runs it once per evaluation: c1 at scale 0.002 under one fixed HiDaP
-// macro placement. ns_per_link_sweep divides the whole place_cells time
-// (fixed-pin resolve, Gauss-Seidel sweeps, spreading) by links x sweeps.
+// runs it once per sweep: c1 at scale 0.002, with a batch of Arg(0)
+// placements (HiDaP placements at seeds 1..Arg(0)) solved together.
+// ns_per_link_sweep divides the whole place_cells time (fixed-pin
+// resolve, Gauss-Seidel sweeps, spreading) by links x sweeps x
+// placements, so it reads per placement at any batch width.
 void BM_PlaceCells(benchmark::State& state) {
   static const Design* design = [] {
     set_log_level(LogLevel::Warn);
     return new Design(generate_circuit(suite_circuit("c1", 0.002).spec));
   }();
   static const PlacementContext* context = new PlacementContext(*design);
-  static const PlacementResult* placement =
-      new PlacementResult(place_macros(*design, *context, HiDaPOptions{}));
+  static const std::vector<PlacementResult>* sweep = [] {
+    auto* out = new std::vector<PlacementResult>;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      HiDaPOptions options;
+      options.job.seed = seed;
+      out->push_back(place_macros(*design, *context, options));
+    }
+    return out;
+  }();
+  const auto width = static_cast<std::size_t>(state.range(0));
+  std::vector<const PlacementResult*> batch;
+  for (std::size_t k = 0; k < width; ++k) batch.push_back(&(*sweep)[k]);
   const auto model = std::make_shared<const CellPlacementModel>(*design, context->ht);
   double seconds = 0.0;
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
-    const PlacedDesign placed = place_cells(model, *placement);
-    benchmark::DoNotOptimize(placed.cluster_positions().data());
+    const std::vector<PlacedDesign> placed = place_cells(model, batch);
+    benchmark::DoNotOptimize(placed.back().cluster_positions().data());
     seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   }
-  const double link_sweeps = static_cast<double>(model->link_count()) * model->sweeps();
+  const double link_sweeps = static_cast<double>(model->link_count()) * model->sweeps() *
+                             static_cast<double>(width);
   state.counters["links"] = static_cast<double>(model->link_count());
   state.counters["ns_per_link_sweep"] =
       seconds * 1e9 / (link_sweeps * static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_PlaceCells)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PlaceCells)->Arg(1)->Arg(3)->Arg(6)->Unit(benchmark::kMillisecond);
 
 // --- parallel runtime ------------------------------------------------
 

@@ -1,9 +1,11 @@
 #include "eval/flows.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
-#include <limits>
+#include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -17,23 +19,13 @@ namespace hidap {
 
 namespace {
 
-// One configuration of a sweep: the placement and its full evaluation,
-// produced by a pool task that only writes its own slot. The winner is
-// picked sequentially afterwards, in sweep order, so the selection -- and
-// therefore the returned placement -- is bit-identical at any thread
-// count (see runtime/thread_pool.hpp for the determinism contract).
-struct SweepSlot {
-  PlacementResult result;
-  Metrics metrics;
-};
-
-// A sweep's winning placement with the evaluation its slot already ran.
+// A sweep's winning placement with the evaluation the sweep's batch ran.
 struct SweepWinner {
   PlacementResult placement;
   Metrics metrics;
 };
 
-// The recursion plan and the curve sets every slot of a sweep adopts,
+// The recursion plan and the curve sets every slot of the sweeps adopts,
 // built once before the slots run: the plan depends on none of lambda,
 // seed or effort, and a curve set on the seed and the curve-packing
 // effort, never on lambda. Adopting them is bit-identical to each slot
@@ -41,22 +33,29 @@ struct SweepWinner {
 struct SweepArtifacts {
   std::shared_ptr<const RecursionPlan> plan;
   std::vector<std::shared_ptr<const std::vector<ShapeCurve>>> curves;  ///< per seed
-  double seconds = 0.0;  ///< precompute time, part of the flow's effort
+  double plan_seconds = 0.0;
+  std::vector<double> curve_seconds;  ///< per seed
 };
 
+// One parallel_for: task i < seeds.size() packs seed i's curves, the
+// last task plans. Each task's own time is kept, so a flow's effort
+// counts its own seeds' curves and not the fork-join span, which
+// overlaps other work on a shared pool.
 SweepArtifacts sweep_artifacts(const Design& design, const PlacementContext& context,
                                const std::vector<HiDaPOptions>& seeds) {
   SweepArtifacts out;
   if (seeds.empty()) return out;
   const obs::Phase phase("artifacts");
   out.curves.resize(seeds.size());
-  // Task i < seeds.size() packs seed i's curves; the last task plans.
+  out.curve_seconds.resize(seeds.size());
   parallel_for(
       seeds.size() + 1,
       [&](std::size_t i) {
+        const auto start = std::chrono::steady_clock::now();
         const HiDaPOptions& opts = seeds[std::min(i, seeds.size() - 1)];
         RecursiveFloorplanner floorplanner(design, context.adjacency, context.ht,
                                            context.seq, opts);
+        double& seconds = i == seeds.size() ? out.plan_seconds : out.curve_seconds[i];
         if (i == seeds.size()) {
           const obs::Span span("plan", "pipeline");
           out.plan = std::make_shared<const RecursionPlan>(floorplanner.plan());
@@ -66,98 +65,125 @@ SweepArtifacts sweep_artifacts(const Design& design, const PlacementContext& con
           out.curves[i] =
               std::make_shared<const std::vector<ShapeCurve>>(floorplanner.shape_curves());
         }
+        seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+                      .count();
       },
       effective_thread_count(seeds.front().num_threads));
-  out.seconds = phase.seconds();
   return out;
 }
 
-// The flow's reported effort is its shared precompute plus the SUM of
-// its configurations' runtime_seconds, not the fork-join span: on a
-// shared pool the span overlaps the other flows' and circuits' work,
-// which would inflate the Table II/III effort columns and make them
-// thread-count dependent. Evaluation is not effort: it is the
-// measurement, not the flow.
-SweepWinner take_best(std::vector<SweepSlot>& slots, double shared_seconds,
-                      const char* flow_name, const PlacementEvaluator& evaluator) {
-  SweepWinner best;
-  double effort = shared_seconds;
-  std::size_t winner = slots.size();
-  double best_wl = std::numeric_limits<double>::max();
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    effort += slots[i].result.runtime_seconds;
-    if (slots[i].metrics.wl_m < best_wl) {
-      best_wl = slots[i].metrics.wl_m;
-      winner = i;
-    }
-  }
-  if (winner < slots.size()) {
-    best.placement = std::move(slots[winner].result);
-    best.metrics = std::move(slots[winner].metrics);
-  } else {
-    best.metrics = evaluator.evaluate(best.placement);  // empty sweep
-  }
-  best.placement.runtime_seconds = effort;
-  best.placement.flow_name = flow_name;
-  best.metrics.runtime_s = effort;
-  best.metrics.flow = flow_name;
-  return best;
+// HiDaP runs the tool's own configuration; handFP's seed 0 re-runs it at
+// expert effort (the engineer starts from the tool output), later seeds
+// explore.
+HiDaPOptions hidap_seed(const FlowOptions& options) {
+  HiDaPOptions seed = options.hidap;  // copies the job state too
+  seed.job.seed = options.seed;
+  return seed;
 }
 
-SweepWinner hidap_sweep(const Design& design, const PlacementContext& context,
-                        const PlacementEvaluator& evaluator, const FlowOptions& options) {
-  HiDaPOptions base = options.hidap;  // copies the job state too
-  base.job.seed = options.seed;
-  const SweepArtifacts shared = sweep_artifacts(design, context, {base});
-  std::vector<SweepSlot> slots(std::size(HiDaPOptions::kLambdaSweep));
-  parallel_for(
-      slots.size(),
-      [&](std::size_t i) {
-        HiDaPOptions opts = base;
-        opts.lambda = HiDaPOptions::kLambdaSweep[i];
-        PlacementArtifacts artifacts{shared.curves.front(), shared.plan};
-        slots[i].result = place_macros(design, context, opts, &artifacts);
-        slots[i].metrics = evaluator.evaluate(slots[i].result);
-        if (JobControl* control = options.hidap.job.control) {
-          control->post_progress("hidap lambda=%.1f: WL=%.3f m (%.2fs)",
-                                 HiDaPOptions::kLambdaSweep[i], slots[i].metrics.wl_m,
-                                 slots[i].result.runtime_seconds);
-        }
-      },
-      effective_thread_count(options.hidap.num_threads));
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    HIDAP_LOG_INFO("HiDaP lambda=%.1f: WL=%.3f m", HiDaPOptions::kLambdaSweep[i],
-                   slots[i].metrics.wl_m);
-  }
-  return take_best(slots, shared.seconds, "HiDaP", evaluator);
-}
-
-SweepWinner handfp_sweep(const Design& design, const PlacementContext& context,
-                         const PlacementEvaluator& evaluator, const FlowOptions& options) {
-  constexpr std::size_t kLambdas = std::size(HiDaPOptions::kLambdaSweep);
+std::vector<HiDaPOptions> handfp_seeds(const FlowOptions& options) {
   std::vector<HiDaPOptions> seeds(static_cast<std::size_t>(std::max(0, options.handfp_seeds)),
                                   options.hidap);  // copies the job state too
   for (std::size_t s = 0; s < seeds.size(); ++s) {
-    // Seed 0 re-runs the tool's own configuration at expert effort (the
-    // engineer starts from the tool output); later seeds explore.
     seeds[s].job.seed =
         s == 0 ? options.seed : options.seed * 7919 + static_cast<std::uint64_t>(s) * 104729 + 13;
     seeds[s].scale_effort(options.handfp_effort);
   }
+  return seeds;
+}
+
+// One flow's sweep: the seeds [first_seed, end_seed) of the run's seed
+// list, each at every lambda. With `report_slots` (HiDaP's lambda
+// sweep) each slot's wirelength is logged and posted as job progress
+// once the sweep's batch is measured.
+struct Sweep {
+  const char* flow_name;
+  std::size_t first_seed;
+  std::size_t end_seed;
+  bool report_slots;
+};
+
+// Runs the sweeps in three flat pool stages, so every lane has work at
+// each join: (1) the shared plan and every seed's curves, (2) every
+// sweep's placements, plus `alongside` (IndEDA in compare_flows) as the
+// first and longest task, (3) one batched evaluation per sweep. Pool
+// tasks only write their own slot, and each winner is picked in slot
+// order, so the selection -- and therefore the returned placement -- is
+// bit-identical at any thread count (see runtime/thread_pool.hpp for the
+// determinism contract).
+//
+// A flow's reported effort is the plan, its own seeds' curves and the
+// SUM of its configurations' runtime_seconds, not a fork-join span: on a
+// shared pool the span overlaps the other flows' and circuits' work,
+// which would inflate the Table II/III effort columns and make them
+// thread-count dependent. Evaluation is not effort: it is the
+// measurement, not the flow.
+std::vector<SweepWinner> run_sweeps(const Design& design, const PlacementContext& context,
+                                    const PlacementEvaluator& evaluator,
+                                    const FlowOptions& options,
+                                    const std::vector<HiDaPOptions>& seeds,
+                                    std::span<const Sweep> sweeps,
+                                    const std::function<void()>& alongside = nullptr) {
+  constexpr std::size_t kLambdas = std::size(HiDaPOptions::kLambdaSweep);
+  const int lanes = effective_thread_count(options.hidap.num_threads);
   const SweepArtifacts shared = sweep_artifacts(design, context, seeds);
-  std::vector<SweepSlot> slots(seeds.size() * kLambdas);
+
+  // Slot t is seed t / kLambdas at lambda t % kLambdas.
+  const std::size_t extra = alongside ? 1 : 0;
+  std::vector<PlacementResult> slots(seeds.size() * kLambdas);
   parallel_for(
-      slots.size(),
-      [&](std::size_t t) {
+      extra + slots.size(),
+      [&](std::size_t task) {
+        if (task < extra) return alongside();
+        const std::size_t t = task - extra;
         const std::size_t s = t / kLambdas;
         HiDaPOptions opts = seeds[s];
         opts.lambda = HiDaPOptions::kLambdaSweep[t % kLambdas];
         PlacementArtifacts artifacts{shared.curves[s], shared.plan};
-        slots[t].result = place_macros(design, context, opts, &artifacts);
-        slots[t].metrics = evaluator.evaluate(slots[t].result);
+        slots[t] = place_macros(design, context, opts, &artifacts);
       },
-      effective_thread_count(options.hidap.num_threads));
-  return take_best(slots, shared.seconds, "handFP", evaluator);
+      lanes);
+
+  std::vector<SweepWinner> winners(sweeps.size());
+  parallel_for(
+      sweeps.size(),
+      [&](std::size_t w) {
+        const Sweep& sweep = sweeps[w];
+        const std::size_t first = sweep.first_seed * kLambdas;
+        const std::size_t end = sweep.end_seed * kLambdas;
+        double effort = first < end ? shared.plan_seconds : 0.0;
+        for (std::size_t s = sweep.first_seed; s < sweep.end_seed; ++s) {
+          effort += shared.curve_seconds[s];
+        }
+        std::vector<const PlacementResult*> batch;
+        for (std::size_t t = first; t < end; ++t) {
+          effort += slots[t].runtime_seconds;
+          batch.push_back(&slots[t]);
+        }
+        SweepMetrics measured = evaluator.evaluate_sweep(batch);
+        for (std::size_t i = 0; sweep.report_slots && i < batch.size(); ++i) {
+          const double lambda = HiDaPOptions::kLambdaSweep[i % kLambdas];
+          HIDAP_LOG_INFO("HiDaP lambda=%.1f: WL=%.3f m", lambda, measured.wl_m[i]);
+          if (JobControl* control = options.hidap.job.control) {
+            control->post_progress("hidap lambda=%.1f: WL=%.3f m (%.2fs)", lambda,
+                                   measured.wl_m[i], batch[i]->runtime_seconds);
+          }
+        }
+
+        SweepWinner& best = winners[w];
+        if (measured.winner < batch.size()) {
+          best.placement = std::move(slots[first + measured.winner]);
+          best.metrics = std::move(measured.best);
+        } else {
+          best.metrics = evaluator.evaluate(best.placement);  // empty sweep
+        }
+        best.placement.runtime_seconds = effort;
+        best.placement.flow_name = sweep.flow_name;
+        best.metrics.runtime_s = effort;
+        best.metrics.flow = sweep.flow_name;
+      },
+      lanes);
+  return winners;
 }
 
 }  // namespace
@@ -191,13 +217,20 @@ PlacementResult run_indeda_flow(const Design& design, const PlacementContext& co
 PlacementResult run_hidap_flow(const Design& design, const PlacementContext& context,
                                const FlowOptions& options) {
   const PlacementEvaluator evaluator(design, context.ht, context.seq, options.eval);
-  return hidap_sweep(design, context, evaluator, options).placement;
+  const Sweep sweep{"HiDaP", 0, 1, true};
+  return std::move(run_sweeps(design, context, evaluator, options, {hidap_seed(options)},
+                              {&sweep, 1})
+                       .front()
+                       .placement);
 }
 
 PlacementResult run_handfp_flow(const Design& design, const PlacementContext& context,
                                 const FlowOptions& options) {
   const PlacementEvaluator evaluator(design, context.ht, context.seq, options.eval);
-  return handfp_sweep(design, context, evaluator, options).placement;
+  const std::vector<HiDaPOptions> seeds = handfp_seeds(options);
+  const Sweep sweep{"handFP", 0, seeds.size(), false};
+  return std::move(
+      run_sweeps(design, context, evaluator, options, seeds, {&sweep, 1}).front().placement);
 }
 
 FlowComparison compare_flows(const Design& design, const FlowOptions& options) {
@@ -206,15 +239,19 @@ FlowComparison compare_flows(const Design& design, const FlowOptions& options) {
   const PlacementEvaluator evaluator(design, context.ht, context.seq, options.eval);
   FlowComparison cmp;
 
-  // The three flows only read the shared design/context/evaluator; each
-  // task fills its own Metrics member. Inner sweeps nest on the same
-  // pool. The sweeps' winners come with their slot's evaluation, so only
-  // the IndEDA result is evaluated here.
-  parallel_invoke(
-      {[&] { cmp.indeda = evaluator.evaluate(run_indeda_flow(design, context, options)); },
-       [&] { cmp.hidap = hidap_sweep(design, context, evaluator, options).metrics; },
-       [&] { cmp.handfp = handfp_sweep(design, context, evaluator, options).metrics; }},
-      effective_thread_count(options.hidap.num_threads));
+  // HiDaP's seed first, then handFP's: both sweeps adopt one plan. The
+  // flows only read the shared design/context/evaluator; IndEDA runs
+  // beside the sweeps' placements and is the only result evaluated on
+  // its own -- the sweeps' winners come with their batch's evaluation.
+  std::vector<HiDaPOptions> seeds = handfp_seeds(options);
+  seeds.insert(seeds.begin(), hidap_seed(options));
+  const Sweep sweeps[] = {{"HiDaP", 0, 1, true}, {"handFP", 1, seeds.size(), false}};
+  std::vector<SweepWinner> winners =
+      run_sweeps(design, context, evaluator, options, seeds, sweeps, [&] {
+        cmp.indeda = evaluator.evaluate(run_indeda_flow(design, context, options));
+      });
+  cmp.hidap = std::move(winners[0].metrics);
+  cmp.handfp = std::move(winners[1].metrics);
 
   const double ref = cmp.handfp.wl_m > 0 ? cmp.handfp.wl_m : 1.0;
   cmp.indeda.wl_norm = cmp.indeda.wl_m / ref;

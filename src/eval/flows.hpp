@@ -5,7 +5,7 @@
 //   HiDaP   -- this library, best wirelength of lambda in {0.2, 0.5, 0.8},
 //   handFP  -- expert-handcrafted proxy: oracle-assisted high-effort
 //              search (seed x lambda sweep at ~3x SA effort, winner
-//              selected by fully evaluated wirelength).
+//              selected by wirelength after cell placement).
 //
 // See DESIGN.md for why the proxies preserve the paper's comparison.
 
@@ -26,19 +26,22 @@ struct FlowOptions {
 PlacementResult run_indeda_flow(const Design& design, const PlacementContext& context,
                                 const FlowOptions& options = {});
 
-/// Lambda sweep; selection by fully evaluated wirelength (paper: "best WL
-/// of three"). runtime_seconds is the sum of the sweep's placement times.
+/// Lambda sweep; selection by wirelength after cell placement (paper:
+/// "best WL of three"), the sweep's slots evaluated as one batch.
+/// runtime_seconds is the sweep's precompute plus the sum of its
+/// placement times.
 PlacementResult run_hidap_flow(const Design& design, const PlacementContext& context,
                                const FlowOptions& options = {});
 
 PlacementResult run_handfp_flow(const Design& design, const PlacementContext& context,
                                 const FlowOptions& options = {});
 
-/// All three flows evaluated through one shared PlacementEvaluator; the
-/// sweep winners keep the metrics their slot computed, so only the IndEDA
-/// result is evaluated after its flow. wl_norm is filled relative to
-/// handFP (handFP = 1.000, like Table III); runtime_s is placement time
-/// only.
+/// All three flows evaluated through one shared PlacementEvaluator. The
+/// two sweeps share one recursion plan; each sweep's slots are evaluated
+/// as one batch that measures every slot's wirelength and the rest only
+/// for its winner, and IndEDA's result is a batch of one. wl_norm is
+/// filled relative to handFP (handFP = 1.000, like Table III); runtime_s
+/// is placement time only.
 struct FlowComparison {
   Metrics indeda;
   Metrics hidap;

@@ -1,7 +1,11 @@
 #include "eval/metrics.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <unordered_map>
 
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/log.hpp"
 
 namespace hidap {
@@ -13,25 +17,65 @@ PlacementEvaluator::PlacementEvaluator(const Design& design, const HierTree& ht,
       options_(options) {}
 
 Metrics PlacementEvaluator::evaluate(const PlacementResult& placement) const {
-  Metrics m;
+  const PlacementResult* one[] = {&placement};
+  return evaluate_sweep(one).best;
+}
+
+SweepMetrics PlacementEvaluator::evaluate_sweep(
+    std::span<const PlacementResult* const> placements) const {
+  static obs::Counter& evaluated = obs::default_registry().counter("eval.placements");
+  static obs::Counter& link_sweeps = obs::default_registry().counter("eval.link_sweeps");
+  SweepMetrics out;
+  out.winner = placements.size();
+  if (placements.empty()) return out;
+  const obs::Phase phase("eval");
+  evaluated.add(placements.size());
+  link_sweeps.add(model_->link_count() * static_cast<std::uint64_t>(model_->sweeps()) *
+                  placements.size());
+
+  const std::vector<PlacedDesign> placed = [&] {
+    const obs::Span span("place_cells", "eval");
+    return place_cells(model_, placements);
+  }();
+
+  // Rank by wirelength, first index on ties; the first placement when
+  // none compares below the largest double (all NaN).
+  out.wl_m.reserve(placements.size());
+  {
+    const obs::Span span("hpwl", "eval");
+    for (const PlacedDesign& p : placed) out.wl_m.push_back(total_hpwl(p).total_m);
+  }
+  out.winner = 0;
+  double best_wl = std::numeric_limits<double>::max();
+  for (std::size_t i = 0; i < out.wl_m.size(); ++i) {
+    if (out.wl_m[i] < best_wl) {
+      best_wl = out.wl_m[i];
+      out.winner = i;
+    }
+  }
+
+  const PlacementResult& placement = *placements[out.winner];
+  const PlacedDesign& winner = placed[out.winner];
+  Metrics& m = out.best;
   m.flow = placement.flow_name;
   m.runtime_s = placement.runtime_seconds;
-
-  const PlacedDesign placed = place_cells(model_, placement);
-
-  const WirelengthReport wl = total_hpwl(placed);
-  m.wl_m = wl.total_m;
-
-  const CongestionReport cong = estimate_congestion(placed, options_.congestion);
-  m.grc_percent = cong.grc_percent;
-
-  const TimingReport timing = analyze_timing(placed, *seq_, options_.timing);
-  m.wns_percent = timing.wns_percent;
-  m.tns_ns = timing.tns_ns;
-
-  const DensityMap density = compute_density(placed, options_.density_grid);
-  m.peak_density_near_macros = density.peak_density_near_macros();
-  return m;
+  m.wl_m = out.wl_m[out.winner];
+  {
+    const obs::Span span("congestion", "eval");
+    m.grc_percent = estimate_congestion(winner, options_.congestion).grc_percent;
+  }
+  {
+    const obs::Span span("timing", "eval");
+    const TimingReport timing = analyze_timing(winner, *seq_, options_.timing);
+    m.wns_percent = timing.wns_percent;
+    m.tns_ns = timing.tns_ns;
+  }
+  {
+    const obs::Span span("density", "eval");
+    m.peak_density_near_macros =
+        compute_density(winner, options_.density_grid).peak_density_near_macros();
+  }
+  return out;
 }
 
 Metrics evaluate_placement(const Design& design, const HierTree& ht,

@@ -2,9 +2,18 @@
 // End-to-end evaluation of a macro placement: standard-cell placement,
 // wirelength, congestion, timing, density -- the paper's "metrics after
 // placement using the same tool" protocol (Table III columns).
+//
+// A flow's sweep is evaluated as one batch: the cells of all of its
+// placements are placed in one batched solve (place_cells), each
+// placement's wirelength ranks it, and congestion, timing and density
+// run only for the winner -- the only placement a sweep reports. Every
+// number is bit-identical to evaluating the placement alone.
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/result.hpp"
 #include "dataflow/seq_graph.hpp"
@@ -34,11 +43,20 @@ struct Metrics {
   double peak_density_near_macros = 0.0;  ///< Fig. 9 discussion metric
 };
 
+/// A sweep's placements measured as one batch (see evaluate_sweep).
+struct SweepMetrics {
+  std::vector<double> wl_m;  ///< per placement, in input order
+  /// Index of the lowest wl_m, the first one on ties (0 when no wl_m is
+  /// below the largest double); wl_m.size() when the sweep is empty.
+  std::size_t winner = 0;
+  Metrics best;  ///< full metrics of the winner (default when empty)
+};
+
 /// Evaluates any number of macro placements of one design. The cell
 /// placement model (clustering + link template) is built once, in the
-/// constructor, and shared read-only by every evaluate() call, which may
-/// run concurrently. `ht`/`seq` must come from the same design (see
-/// PlacementContext) and outlive the evaluator.
+/// constructor, and shared read-only by every evaluate()/evaluate_sweep()
+/// call, which may run concurrently. `ht`/`seq` must come from the same
+/// design (see PlacementContext) and outlive the evaluator.
 class PlacementEvaluator {
  public:
   PlacementEvaluator(const Design& design, const HierTree& ht, const SeqGraph& seq,
@@ -46,6 +64,13 @@ class PlacementEvaluator {
 
   /// Places cells under the given macro placement and measures everything.
   Metrics evaluate(const PlacementResult& placement) const;
+
+  /// Places cells under all `placements` in one batched solve, measures
+  /// each one's wirelength, and measures everything else only for the
+  /// lowest-wirelength one: `best` is bit-identical to
+  /// evaluate(*placements[winner]), and wl_m[i] to
+  /// evaluate(*placements[i]).wl_m.
+  SweepMetrics evaluate_sweep(std::span<const PlacementResult* const> placements) const;
 
  private:
   std::shared_ptr<const CellPlacementModel> model_;

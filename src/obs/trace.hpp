@@ -77,8 +77,8 @@ class Span {
 };
 
 /// RAII phase clock for the coarse phases (a placement and its four
-/// steps, a service job, a flow's shared precompute, a baseline run, a
-/// bench circuit): a Span of the same extent plus a steady-clock
+/// steps, a service job, the flows' shared precompute, an evaluation
+/// batch, a baseline run, a bench circuit): a Span of the same extent plus a steady-clock
 /// reading, added on destruction as whole microseconds to
 /// `phase.<name>_us` in default_registry() whether or not tracing is on.
 /// The counter add looks its handle up by name, so a Phase is for

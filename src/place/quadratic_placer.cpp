@@ -1,8 +1,11 @@
 #include "place/quadratic_placer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <iterator>
+#include <stdexcept>
 #include <utility>
 
 namespace hidap {
@@ -10,6 +13,7 @@ namespace hidap {
 CellPlacementModel::CellPlacementModel(const Design& design, const HierTree& ht,
                                        const PlaceOptions& options)
     : design_(&design),
+      ht_(&ht),
       options_(options),
       clustering_(cluster_cells(design, ht,
                                 options.target_clusters > 0
@@ -72,12 +76,12 @@ CellPlacementModel::CellPlacementModel(const Design& design, const HierTree& ht,
   begin_.assign(n + 1, 0);
   for (const Emitted& e : emitted) ++begin_[static_cast<std::size_t>(e.owner) + 1];
   for (std::size_t i = 0; i < n; ++i) begin_[i + 1] += begin_[i];
-  other_.resize(emitted.size());
+  column_.resize(emitted.size());
   weight_.resize(emitted.size());
   std::vector<std::size_t> cursor(begin_.begin(), begin_.end() - 1);
   for (const Emitted& e : emitted) {
     const std::size_t slot = cursor[static_cast<std::size_t>(e.owner)]++;
-    other_[slot] = e.other;
+    column_[slot] = static_cast<std::uint32_t>(e.other >= 0 ? e.other : n + ~e.other);
     weight_[slot] = e.weight;
   }
   wsum_.assign(n, 0.0);
@@ -88,31 +92,26 @@ CellPlacementModel::CellPlacementModel(const Design& design, const HierTree& ht,
 
 PlacedDesign::PlacedDesign(std::shared_ptr<const CellPlacementModel> model,
                            const PlacementResult& macros)
-    : model_(std::move(model)), macros_(macros.macros) {
-  const Design& design = model_->design();
-  macro_index_.assign(design.cell_count(), -1);
-  for (std::size_t i = 0; i < macros_.size(); ++i) {
-    macro_index_[static_cast<std::size_t>(macros_[i].cell)] = static_cast<int>(i);
+    : model_(std::move(model)) {
+  const HierTree& ht = model_->ht();
+  macros_.resize(ht.total_macros());
+  for (const MacroPlacement& m : macros.macros) {
+    const std::uint32_t k = ht.macro_ordinal(m.cell);
+    if (k != HierTree::kNoMacroOrdinal) macros_[k] = m;
   }
-  // The blockage list visits macro cells in CellId order, each with its
-  // last placement entry -- the order every grid map sums in.
-  std::vector<CellId> placed;
-  for (std::size_t i = 0; i < macros_.size(); ++i) {
-    const CellId cell = macros_[i].cell;
-    if (macro_index_[static_cast<std::size_t>(cell)] == static_cast<int>(i) &&
-        design.cell(cell).kind == CellKind::Macro) {
-      placed.push_back(cell);
-    }
+  // Ordinal order is CellId order: the blockage list visits macro cells
+  // in that order, each with its last placement entry -- the order every
+  // grid map sums in.
+  for (const MacroPlacement& m : macros_) {
+    if (m.cell != kInvalidId) blockages_.push_back(m.rect);
   }
-  std::sort(placed.begin(), placed.end());
-  blockages_.reserve(placed.size());
-  for (const CellId cell : placed) blockages_.push_back(macro_of(cell)->rect);
   cluster_pos_.assign(clustering().clusters.size(), die().center());
 }
 
 const MacroPlacement* PlacedDesign::macro_of(CellId cell) const {
-  const int idx = macro_index_[static_cast<std::size_t>(cell)];
-  return idx < 0 ? nullptr : &macros_[static_cast<std::size_t>(idx)];
+  const std::uint32_t k = model_->ht().macro_ordinal(cell);
+  if (k == HierTree::kNoMacroOrdinal || macros_[k].cell == kInvalidId) return nullptr;
+  return &macros_[k];
 }
 
 Point PlacedDesign::cell_position(CellId cell) const {
@@ -135,35 +134,74 @@ Point PlacedDesign::pin_position(const NetPin& pin) const {
   return cell_position(pin.cell);
 }
 
-// Gauss-Seidel sweeps on the star model. `fixed` holds the positions of
-// the model's fixed pins under the current placement. When `anchors` is
-// non-null each cluster is additionally pulled toward anchors[i] with a
-// weight that is `anchor_strength` times its own connectivity weight
-// (the SimPL-style legalization pull).
-void CellPlacementModel::solve(const std::vector<Point>& fixed, std::vector<Point>& pos,
-                               int iterations, const std::vector<Point>* anchors,
+namespace {
+
+// One placement's (x, y), added and multiplied lane-wise: each lane does
+// the same IEEE operation as the scalar expression, so packing x with y
+// changes no bit -- it only halves the instructions per link.
+using XY = double __attribute__((vector_size(16)));
+
+XY load_xy(const double* p) {
+  XY v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+}  // namespace
+
+// Gauss-Seidel sweeps on the star model, for Width placements at once.
+// `pos` holds one row per column (clusters, then fixed pins), each row
+// the x, y pairs of the placements in batch order; fixed-pin rows are
+// read only. Each cluster is visited once per sweep, and for each
+// placement its weighted sum runs over the cluster's links in link
+// order, so a placement's arithmetic is the same at any batch width.
+// When `anchors` (cluster rows only) is non-null each cluster is
+// additionally pulled toward its anchor with a weight that is
+// `anchor_strength` times its own connectivity weight (the SimPL-style
+// legalization pull).
+template <std::size_t Width>
+void CellPlacementModel::sweep(std::vector<double>& pos, int iterations,
+                               const std::vector<double>* anchors,
                                double anchor_strength) const {
+  constexpr std::size_t kStride = 2 * Width;
+  const std::size_t n = wsum_.size();
   for (int it = 0; it < iterations; ++it) {
-    for (std::size_t i = 0; i < pos.size(); ++i) {
-      double wx = 0.0, wy = 0.0;
-      for (std::size_t l = begin_[i]; l < begin_[i + 1]; ++l) {
-        const int o = other_[l];
-        const Point& p = o >= 0 ? pos[static_cast<std::size_t>(o)]
-                                : fixed[static_cast<std::size_t>(~o)];
-        wx += weight_[l] * p.x;
-        wy += weight_[l] * p.y;
-      }
+    for (std::size_t i = 0; i < n; ++i) {
       double wsum = wsum_[i];
-      if (anchors && wsum > 0) {
+      if (wsum <= 0) continue;  // no links: the cluster never moves
+      std::array<XY, Width> acc{};
+      for (std::size_t l = begin_[i]; l < begin_[i + 1]; ++l) {
+        const XY w = {weight_[l], weight_[l]};
+        const double* p = &pos[column_[l] * kStride];
+        for (std::size_t k = 0; k < Width; ++k) acc[k] += w * load_xy(p + 2 * k);
+      }
+      if (anchors) {
         const double aw = anchor_strength * wsum;
-        wx += aw * (*anchors)[i].x;
-        wy += aw * (*anchors)[i].y;
+        const XY a2 = {aw, aw};
+        const double* a = &(*anchors)[i * kStride];
+        for (std::size_t k = 0; k < Width; ++k) acc[k] += a2 * load_xy(a + 2 * k);
         wsum += aw;
       }
-      if (wsum <= 0) continue;
-      pos[i].x = std::clamp(wx / wsum, die_.x, die_.xmax());
-      pos[i].y = std::clamp(wy / wsum, die_.y, die_.ymax());
+      double* out = &pos[i * kStride];
+      for (std::size_t k = 0; k < Width; ++k) {
+        out[2 * k] = std::clamp(acc[k][0] / wsum, die_.x, die_.xmax());
+        out[2 * k + 1] = std::clamp(acc[k][1] / wsum, die_.y, die_.ymax());
+      }
     }
+  }
+}
+
+void CellPlacementModel::solve(std::vector<double>& pos, std::size_t width, int iterations,
+                               const std::vector<double>* anchors,
+                               double anchor_strength) const {
+  switch (width) {
+    case 1: return sweep<1>(pos, iterations, anchors, anchor_strength);
+    case 2: return sweep<2>(pos, iterations, anchors, anchor_strength);
+    case 3: return sweep<3>(pos, iterations, anchors, anchor_strength);
+    case 4: return sweep<4>(pos, iterations, anchors, anchor_strength);
+    case 5: return sweep<5>(pos, iterations, anchors, anchor_strength);
+    case 6: return sweep<6>(pos, iterations, anchors, anchor_strength);
+    default: throw std::logic_error("CellPlacementModel::solve: batch wider than kMaxBatchWidth");
   }
 }
 
@@ -184,16 +222,13 @@ std::vector<double> bin_capacity(const PlacedDesign& placed, const PlaceOptions&
   return capacity;
 }
 
-namespace {
-
 // Grid spreading: clusters leave overfull bins for the least-full
 // neighbor, iterated; capacity excludes macro-covered area.
-void spread_clusters(const PlacedDesign& placed, std::vector<Point>& pos,
-                     const PlaceOptions& options) {
+void spread_clusters(const PlacedDesign& placed, const std::vector<double>& capacity,
+                     std::vector<Point>& pos, const PlaceOptions& options) {
   const Rect die = placed.die();
   const int g = options.grid;
   const double bw = die.w / g, bh = die.h / g;
-  const std::vector<double> capacity = bin_capacity(placed, options);
 
   const auto bin_of = [&](const Point& p) {
     const int bx = std::clamp(static_cast<int>((p.x - die.x) / bw), 0, g - 1);
@@ -312,6 +347,8 @@ void spread_clusters(const PlacedDesign& placed, std::vector<Point>& pos,
   }
 }
 
+namespace {
+
 // SimPL-style loop after the initial solve: legalize, then re-solve for
 // half the iterations with a pull of this strength toward the legal
 // slots; the interleave preserves connectivity order far better than a
@@ -325,25 +362,79 @@ int CellPlacementModel::sweeps() const {
          static_cast<int>(std::size(kAnchorStrengths)) * (options_.solver_iterations / 2);
 }
 
+std::vector<PlacedDesign> place_cells(std::shared_ptr<const CellPlacementModel> model,
+                                      std::span<const PlacementResult* const> placements) {
+  const CellPlacementModel& m = *model;
+  const PlaceOptions& options = m.options();
+  const std::size_t n = m.clustering().clusters.size();
+  std::vector<PlacedDesign> placed;
+  placed.reserve(placements.size());
+  for (const PlacementResult* macros : placements) placed.emplace_back(model, *macros);
+
+  std::vector<double> pos, legal;
+  std::vector<std::vector<double>> capacity;
+  std::vector<Point> slot(n);
+  for (std::size_t first = 0; first < placed.size();
+       first += CellPlacementModel::kMaxBatchWidth) {
+    const std::size_t width =
+        std::min(CellPlacementModel::kMaxBatchWidth, placed.size() - first);
+    const std::size_t stride = 2 * width;
+    const auto batch = std::span(placed).subspan(first, width);
+    capacity.clear();
+    for (const PlacedDesign& p : batch) capacity.push_back(bin_capacity(p, options));
+
+    // Placement k's cluster positions out of and into the batch rows.
+    const auto gather = [&](const std::vector<double>& rows, std::size_t k,
+                            std::vector<Point>& out) {
+      for (std::size_t i = 0; i < n; ++i) {
+        out[i] = Point{rows[i * stride + 2 * k], rows[i * stride + 2 * k + 1]};
+      }
+    };
+    const auto scatter = [&](const std::vector<Point>& in, std::size_t k,
+                             std::vector<double>& rows) {
+      for (std::size_t i = 0; i < n; ++i) {
+        rows[i * stride + 2 * k] = in[i].x;
+        rows[i * stride + 2 * k + 1] = in[i].y;
+      }
+    };
+
+    // Cluster rows start where each PlacedDesign starts them (the die
+    // center); each placement's fixed pins are resolved into the rows
+    // after them.
+    pos.resize((n + m.fixed_pins_.size()) * stride);
+    for (std::size_t k = 0; k < width; ++k) scatter(batch[k].cluster_positions(), k, pos);
+    for (std::size_t f = 0; f < m.fixed_pins_.size(); ++f) {
+      double* row = &pos[(n + f) * stride];
+      for (std::size_t k = 0; k < width; ++k) {
+        const Point p = batch[k].pin_position(m.fixed_pins_[f]);
+        row[2 * k] = p.x;
+        row[2 * k + 1] = p.y;
+      }
+    }
+
+    m.solve(pos, width, options.solver_iterations);
+    legal.resize(n * stride);
+    for (const double strength : kAnchorStrengths) {
+      for (std::size_t k = 0; k < width; ++k) {
+        gather(pos, k, slot);
+        spread_clusters(batch[k], capacity[k], slot, options);
+        scatter(slot, k, legal);
+      }
+      m.solve(pos, width, options.solver_iterations / 2, &legal, strength);
+    }
+    for (std::size_t k = 0; k < width; ++k) {
+      std::vector<Point>& out = batch[k].cluster_positions();
+      gather(pos, k, out);
+      spread_clusters(batch[k], capacity[k], out, options);
+    }
+  }
+  return placed;
+}
+
 PlacedDesign place_cells(std::shared_ptr<const CellPlacementModel> model,
                          const PlacementResult& macros) {
-  const CellPlacementModel& m = *model;
-  PlacedDesign placed(std::move(model), macros);
-  const PlaceOptions& options = m.options();
-
-  std::vector<Point> fixed;
-  fixed.reserve(m.fixed_pins_.size());
-  for (const NetPin& pin : m.fixed_pins_) fixed.push_back(placed.pin_position(pin));
-
-  std::vector<Point>& pos = placed.cluster_positions();
-  m.solve(fixed, pos, options.solver_iterations);
-  for (const double strength : kAnchorStrengths) {
-    std::vector<Point> legal = pos;
-    spread_clusters(placed, legal, options);
-    m.solve(fixed, pos, options.solver_iterations / 2, &legal, strength);
-  }
-  spread_clusters(placed, pos, options);
-  return placed;
+  const PlacementResult* one[] = {&macros};
+  return std::move(place_cells(std::move(model), one).front());
 }
 
 PlacedDesign place_cells(const Design& design, const HierTree& ht,

@@ -132,6 +132,10 @@ struct ThreadPool::ForState {
         first_error_index = i;
         first_error = error;
       }
+      // Drop this lane's reference before the caller can see the
+      // completion: the exception's last release must happen on the
+      // thread that catches it, never on a worker after the join.
+      error = nullptr;
       if (++completed == n) all_done.notify_all();
     }
   }
@@ -169,9 +173,15 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
     enqueue([state] { state->run_lane(); });
   }
   state->run_lane();
-  std::unique_lock<std::mutex> lock(state->mutex);
-  state->all_done.wait(lock, [&] { return state->completed == n; });
-  if (state->first_error) std::rethrow_exception(state->first_error);
+  std::exception_ptr first_error;
+  {
+    std::unique_lock<std::mutex> lock(state->mutex);
+    state->all_done.wait(lock, [&] { return state->completed == n; });
+    // Move the error out of the shared state: a helper task may still
+    // hold `state`, and must not own the exception the caller rethrows.
+    first_error = std::move(state->first_error);
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 void ThreadPool::parallel_invoke(const std::vector<std::function<void()>>& tasks,

@@ -25,12 +25,11 @@ void bump_cache_counter(const char* kind, const char* outcome) {
 
 template <typename T>
 std::shared_ptr<const T> ArtifactCache::single_flight(
-    std::map<std::uint64_t, std::shared_future<std::shared_ptr<const T>>>& store,
-    std::uint64_t key, std::uint64_t& hits, std::uint64_t& misses,
-    std::uint64_t& waits, const char* kind, const std::function<T()>& make,
-    bool* was_hit) {
-  std::promise<std::shared_ptr<const T>> promise;
-  std::shared_future<std::shared_ptr<const T>> future;
+    std::map<std::uint64_t, std::shared_future<Flight<T>>>& store, std::uint64_t key,
+    std::uint64_t& hits, std::uint64_t& misses, std::uint64_t& waits, const char* kind,
+    const std::function<T()>& make, bool* was_hit) {
+  std::promise<Flight<T>> promise;
+  std::shared_future<Flight<T>> future;
   bool leader = false;
   bool waited = false;
   {
@@ -54,19 +53,33 @@ std::shared_ptr<const T> ArtifactCache::single_flight(
   bump_cache_counter(kind, leader ? "miss" : "hit");
   if (waited) bump_cache_counter(kind, "wait");
   if (leader) {
-    try {
-      promise.set_value(std::make_shared<const T>(make()));
-    } catch (...) {
-      // Publish the error to waiters already parked on the future, but
-      // drop the entry so the key stays retriable (same content hashes
-      // to the same key, so a retry usually fails the same way -- but a
-      // transient failure, e.g. an I/O hiccup in the factory, heals).
-      promise.set_exception(std::current_exception());
+    // On failure, publish the error to waiters already parked on the
+    // future, but drop the entry so the key stays retriable (same
+    // content hashes to the same key, so a retry usually fails the same
+    // way -- but a transient failure, e.g. an I/O hiccup in the factory,
+    // heals). The leader rethrows its own exception; waiters get a copy
+    // each, so the last release of a shared exception object never
+    // happens on a thread other than the ones that read it.
+    const auto fail = [&](ErrorCode code, std::string error) {
+      promise.set_value(Flight<T>{nullptr, code, std::move(error)});
       std::lock_guard<std::mutex> lock(mutex_);
       store.erase(key);
+    };
+    try {
+      auto value = std::make_shared<const T>(make());
+      promise.set_value(Flight<T>{value, ErrorCode::Internal, {}});
+      return value;
+    } catch (const std::exception& e) {
+      fail(classify_exception(e), e.what());
+      throw;
+    } catch (...) {
+      fail(ErrorCode::Internal, "unknown non-standard exception");
+      throw;
     }
   }
-  return future.get();  // rethrows the factory's exception to every waiter
+  const Flight<T>& flight = future.get();
+  if (!flight.value) throw HidapError(flight.code, flight.error);
+  return flight.value;
 }
 
 std::shared_ptr<const Design> ArtifactCache::design(

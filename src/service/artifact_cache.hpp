@@ -28,11 +28,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/hidap.hpp"
 #include "core/recursive_floorplan.hpp"
+#include "util/error.hpp"
 
 namespace hidap {
 
@@ -92,18 +94,27 @@ class ArtifactCache {
                                 const std::vector<MacroPlacement>& preplaced);
 
  private:
+  // What a single-flight future delivers: the artifact, or the leader's
+  // failure as a code and a message (value null). Each waiter throws its
+  // own HidapError from it; no exception object is shared across threads.
+  template <typename T>
+  struct Flight {
+    std::shared_ptr<const T> value;
+    ErrorCode code = ErrorCode::Internal;
+    std::string error;
+  };
+
   template <typename T>
   std::shared_ptr<const T> single_flight(
-      std::map<std::uint64_t, std::shared_future<std::shared_ptr<const T>>>& store,
+      std::map<std::uint64_t, std::shared_future<Flight<T>>>& store,
       std::uint64_t key, std::uint64_t& hits, std::uint64_t& misses,
       std::uint64_t& waits, const char* kind, const std::function<T()>& make,
       bool* was_hit);
 
   mutable std::mutex mutex_;
   Stats stats_;
-  std::map<std::uint64_t, std::shared_future<std::shared_ptr<const Design>>> designs_;
-  std::map<std::uint64_t, std::shared_future<std::shared_ptr<const PlacementContext>>>
-      contexts_;
+  std::map<std::uint64_t, std::shared_future<Flight<Design>>> designs_;
+  std::map<std::uint64_t, std::shared_future<Flight<PlacementContext>>> contexts_;
   std::map<std::uint64_t, std::shared_ptr<const std::vector<ShapeCurve>>> curves_;
   std::map<std::uint64_t, std::shared_ptr<const RecursionPlan>> plans_;
 };

@@ -119,9 +119,10 @@ void expect_same_metrics(const Metrics& reported, const Metrics& fresh) {
 }
 
 TEST(Eval, CompareFlowsReusesWinnerEvaluationBitExactly) {
-  // compare_flows reports each sweep winner with the evaluation its slot
-  // ran on the shared per-design model; that must be exactly what a fresh,
-  // standalone evaluation of the winning placement gives.
+  // compare_flows reports each sweep winner with the evaluation its
+  // sweep's batch ran on the shared per-design model (one plan shared by
+  // both sweeps); that must be exactly what a fresh, standalone
+  // evaluation of the winning placement gives.
   auto& fx = fixture();
   for (const int lanes : {1, 4}) {
     SCOPED_TRACE(lanes);

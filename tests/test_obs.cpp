@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/hidap.hpp"
+#include "eval/metrics.hpp"
 #include "force_pool_lanes.hpp"
 #include "gen/suite.hpp"
 #include "netlist/def_io.hpp"
@@ -340,6 +341,59 @@ TEST_F(ObsDeterminism, DefBytesAreIdenticalTracingOnOrOff) {
     EXPECT_EQ(off, on) << "tracing changed the placement at num_threads=" << threads;
   }
   obs::Tracer::instance().clear();
+}
+
+// The evaluator's batches are a Phase with one span per sub-step and
+// two counters; none of it may move a metric. A three-placement sweep
+// and a lone evaluation, tracing off then on, at 1 and 8 lanes.
+TEST_F(ObsDeterminism, MetricsAreIdenticalTracingOnOrOff) {
+  TracingOff guard;
+  EvalOptions options;
+  options.place.target_clusters = 200;
+  options.place.solver_iterations = 30;
+  const PlacementEvaluator evaluator(*design_, context_->ht, context_->seq, options);
+  obs::Counter& evaluated = obs::default_registry().counter("eval.placements");
+  obs::Counter& link_sweeps = obs::default_registry().counter("eval.link_sweeps");
+  const auto measure = [&](int threads) {
+    std::vector<PlacementResult> sweep;
+    for (const double lambda : HiDaPOptions::kLambdaSweep) {
+      HiDaPOptions o = quick_options(threads);
+      o.lambda = lambda;
+      sweep.push_back(place_macros(*design_, *context_, o));
+    }
+    const std::vector<const PlacementResult*> batch{&sweep[0], &sweep[1], &sweep[2]};
+    SweepMetrics m = evaluator.evaluate_sweep(batch);
+    m.wl_m.push_back(evaluator.evaluate(sweep[1]).wl_m);
+    return m;
+  };
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE(threads);
+    const std::uint64_t evaluated_before = evaluated.value();
+    const std::uint64_t sweeps_before = link_sweeps.value();
+    const SweepMetrics off = measure(threads);
+    EXPECT_EQ(evaluated.value() - evaluated_before, 4u);
+    EXPECT_GT(link_sweeps.value(), sweeps_before);
+
+    obs::Tracer::instance().clear();
+    obs::set_tracing_enabled(true);
+    const SweepMetrics on = measure(threads);
+    obs::set_tracing_enabled(false);
+    EXPECT_EQ(off.wl_m, on.wl_m);
+    EXPECT_EQ(off.winner, on.winner);
+    EXPECT_EQ(off.best.wl_m, on.best.wl_m);
+    EXPECT_EQ(off.best.grc_percent, on.best.grc_percent);
+    EXPECT_EQ(off.best.wns_percent, on.best.wns_percent);
+    EXPECT_EQ(off.best.tns_ns, on.best.tns_ns);
+    EXPECT_EQ(off.best.peak_density_near_macros, on.best.peak_density_near_macros);
+
+    // Two batches: a sweep of three and a lone evaluation.
+    std::map<std::string, std::uint64_t> spans;
+    for (const obs::PhaseStat& stat : obs::phase_stats()) spans[stat.name] = stat.count;
+    for (const char* name : {"eval", "place_cells", "hpwl", "congestion", "timing", "density"}) {
+      EXPECT_EQ(spans[name], 2u) << name;
+    }
+    obs::Tracer::instance().clear();
+  }
 }
 
 TEST_F(ObsDeterminism, PlacementRunRecordsSaAndPhaseMetrics) {
