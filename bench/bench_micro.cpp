@@ -2,12 +2,14 @@
 // parsing, array clustering, shape curve composition, budget layout,
 // Polish-expression moves, Gseq extraction, multi-source BFS
 // (target-area assignment), affinity inference, full per-level layout
-// annealing, one node's shape-curve packing, the evaluation placer, and
-// the parallel runtime (fork-join overhead, parallel_for scaling).
+// annealing, one node's shape-curve packing, macro flipping, the
+// evaluation placer, and the parallel runtime (fork-join overhead,
+// parallel_for scaling).
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <memory>
 #include <numeric>
 #include <sstream>
 #include <utility>
@@ -17,6 +19,8 @@
 #include "core/decluster.hpp"
 #include "core/hidap.hpp"
 #include "core/layout_optimizer.hpp"
+#include "core/macro_flipping.hpp"
+#include "core/recursive_floorplan.hpp"
 #include "core/target_area.hpp"
 #include "dataflow/seq_extract.hpp"
 #include "floorplan/area_floorplanner.hpp"
@@ -252,7 +256,9 @@ void BM_LayoutAnneal(benchmark::State& state) {
     benchmark::DoNotOptimize(optimize_layout(lp.problem, a));
   }
 }
-BENCHMARK(BM_LayoutAnneal)->Arg(6)->Arg(12)->Unit(benchmark::kMillisecond);
+// Args 2 and 3 end early once every expression has been proposed (the
+// annealers' exhaustion exit); 6 and 12 run the whole schedule.
+BENCHMARK(BM_LayoutAnneal)->Arg(2)->Arg(3)->Arg(6)->Arg(12)->Unit(benchmark::kMillisecond);
 
 // One hierarchy node's shape-curve SA at the benches' calibrated effort
 // (bench_flow_options): n child curves like the ones
@@ -277,6 +283,50 @@ void BM_PackShapeCurve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PackShapeCurve)->Arg(4)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
+
+// Macro flipping over the eight Table III topologies at the benchmark
+// workloads' size (scale 0.002): each design's MacroNets index, region
+// tables and macros come from a real HiDaP recursion run, so one call
+// is exactly the post-pass place_macros runs. ms_per_call is per design.
+void BM_FlipMacros(benchmark::State& state) {
+  struct Case {
+    Design design;
+    std::unique_ptr<PlacementContext> context;
+    std::vector<Rect> region;
+    std::vector<std::uint8_t> region_valid;
+    std::vector<MacroPlacement> macros;
+  };
+  static const std::vector<Case>* cases = [] {
+    set_log_level(LogLevel::Warn);
+    auto* out = new std::vector<Case>;
+    for (const char* name : {"c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8"}) {
+      Case c{generate_circuit(suite_circuit(name, 0.002).spec), nullptr, {}, {}, {}};
+      c.context = std::make_unique<PlacementContext>(c.design);
+      const HiDaPOptions options;
+      RecursiveFloorplanner floorplanner(c.design, c.context->adjacency, c.context->ht,
+                                         c.context->seq, options);
+      c.macros = floorplanner.run(Rect{0, 0, c.design.die().w, c.design.die().h}).macros;
+      c.region = floorplanner.region_of_node();
+      c.region_valid = floorplanner.region_valid();
+      out->push_back(std::move(c));
+    }
+    return out;
+  }();
+  double seconds = 0.0;
+  for (auto _ : state) {
+    for (const Case& c : *cases) {
+      std::vector<MacroPlacement> macros = c.macros;
+      const auto start = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(flip_macros(c.design, c.context->ht, c.context->macro_nets,
+                                           c.region, c.region_valid, macros));
+      seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    }
+  }
+  const double calls =
+      static_cast<double>(state.iterations()) * static_cast<double>(cases->size());
+  state.counters["ms_per_call"] = seconds * 1e3 / calls;
+}
+BENCHMARK(BM_FlipMacros)->Unit(benchmark::kMillisecond);
 
 // --- incremental move evaluation -------------------------------------
 

@@ -86,6 +86,11 @@ LayoutSolution optimize_layout(const LayoutProblem& problem,
   };
   PolishExpression best, backup;
   std::unique_ptr<IncrementalLayoutEval> inc;
+  ExpressionSpaceTracker space(static_cast<int>(n));
+  const auto perturb_tracked = [&](PolishExpression& expr) {
+    perturb_retry(expr);
+    space.record(expr);
+  };
   double initial_cost = 0.0;
   AnnealHooks hooks;
   if (opts.incremental) {
@@ -94,11 +99,16 @@ LayoutSolution optimize_layout(const LayoutProblem& problem,
                                                   current);
     best = inc->expression();
     initial_cost = inc->cost();
-    hooks.propose = [&]() { return inc->propose(perturb_retry); };
+    // A cost is a pure function of the expression, so once a two- or
+    // three-block walk has proposed all of its 4 or 36 expressions the
+    // schedule can end without changing `best`.
+    space.record(best);
+    hooks.propose = [&]() { return inc->propose(perturb_tracked); };
     hooks.commit = [&]() { inc->commit(); };
     hooks.reject = [&]() { inc->rollback(); };
     hooks.on_new_best = [&](double) { best = inc->expression(); };
     hooks.recomposed_nodes = [&]() { return inc->recomposed_nodes(); };
+    if (space.tracking()) hooks.exhausted = [&]() { return space.exhausted(); };
   } else {
     best = current;
     initial_cost = evaluate_layout_full(problem, current, nullptr);

@@ -25,40 +25,34 @@ std::array<Orientation, 4> candidates_for(Orientation current) {
   }
 }
 
-// Bounding box of a point set; min/max do not depend on absorb order.
-struct Box {
-  double xmin = std::numeric_limits<double>::max();
-  double xmax = -std::numeric_limits<double>::max();
-  double ymin = std::numeric_limits<double>::max();
-  double ymax = -std::numeric_limits<double>::max();
+// The four candidates of a footprint group put a pin at one of two x
+// and one of two y positions: candidate 0 takes the first of each,
+// candidate 3 the second of each, and kPick[group][c] says which x
+// (first) and which y (second) candidate c takes. Group 0 is {R0, MX,
+// MY, R180}, group 1 {R90, MX90, MY90, R270} (see transform_pin).
+constexpr std::uint8_t kPick[2][4][2] = {{{0, 0}, {0, 1}, {1, 0}, {1, 1}},
+                                         {{0, 0}, {1, 0}, {0, 1}, {1, 1}}};
 
-  void absorb(const Point& p) {
-    xmin = std::min(xmin, p.x);
-    xmax = std::max(xmax, p.x);
-    ymin = std::min(ymin, p.y);
-    ymax = std::max(ymax, p.y);
-  }
-};
+double box_hpwl(const FlipBox& box) {
+  if (box.xmax < box.xmin) return 0.0;
+  return (box.xmax - box.xmin) + (box.ymax - box.ymin);
+}
 
 // One placement's view of the MacroNets index: each net's fixed
-// endpoints folded into one box, and the pins of the macros this
-// placement holds. Nets none of whose macros are placed drop out.
+// endpoints folded into one box and its count of placed pins. Nets none
+// of whose macros are placed drop out.
 class FlipEvaluator {
  public:
   FlipEvaluator(const Design& design, const HierTree& ht, const MacroNets& nets,
                 const std::vector<Rect>& region,
                 const std::vector<std::uint8_t>& region_valid,
                 std::vector<MacroPlacement>& macros)
-      : macros_(macros) {
+      : nets_(nets), macros_(macros), slot_(nets.macro_cells.size(), -1) {
     // Placement index of each indexed macro; the last entry of a cell
     // wins.
-    std::vector<int> slot(nets.macro_cells.size(), -1);
     for (std::size_t i = 0; i < macros.size(); ++i) {
-      const auto it = std::lower_bound(nets.macro_cells.begin(), nets.macro_cells.end(),
-                                       macros[i].cell);
-      if (it != nets.macro_cells.end() && *it == macros[i].cell) {
-        slot[static_cast<std::size_t>(it - nets.macro_cells.begin())] = static_cast<int>(i);
-      }
+      const int m = ordinal_of(macros[i].cell);
+      if (m >= 0) slot_[static_cast<std::size_t>(m)] = static_cast<int>(i);
     }
     // Estimated position of every HT node's cells: the center of its
     // innermost valid region (the origin when not even the root has
@@ -74,103 +68,140 @@ class FlipEvaluator {
       }
     }
 
+    fixed_.reserve(nets.net_count());
     for (std::size_t n = 0; n < nets.net_count(); ++n) {
-      Box fixed;
-      for (std::uint32_t k = nets.port_start[n]; k < nets.port_start[n + 1]; ++k) {
-        fixed.absorb(nets.ports[k]);
-      }
+      FixedNet& net = fixed_.emplace_back(FixedNet{nets.port_boxes[nets.port_box_of[n]], 0});
       for (std::uint32_t k = nets.node_start[n]; k < nets.node_start[n + 1]; ++k) {
-        fixed.absorb(center[static_cast<std::size_t>(nets.nodes[k])]);
+        net.box.absorb(center[static_cast<std::size_t>(nets.nodes[k])]);
       }
-      const auto first = static_cast<std::uint32_t>(pins_.size());
       for (std::uint32_t k = nets.pin_start[n]; k < nets.pin_start[n + 1]; ++k) {
-        const MacroNets::Pin& pin = nets.pins[k];
-        const int pl = slot[pin.macro];
-        if (pl >= 0) {
-          pins_.push_back({pl, pin.dx, pin.dy});
+        const std::uint32_t m = nets.pins[k].macro;
+        if (slot_[m] >= 0) {
+          ++net.placed;
           continue;
         }
         // An unplaced macro is a fixed endpoint like any other cell.
-        const CellId cell = nets.macro_cells[pin.macro];
+        const CellId cell = nets.macro_cells[m];
         const Cell& c = design.cell(cell);
-        fixed.absorb(c.fixed_pos ? *c.fixed_pos
-                                 : center[static_cast<std::size_t>(ht.node_of_cell(cell))]);
+        net.box.absorb(c.fixed_pos ? *c.fixed_pos
+                                   : center[static_cast<std::size_t>(ht.node_of_cell(cell))]);
       }
-      const auto last = static_cast<std::uint32_t>(pins_.size());
-      if (last == first) continue;
-      live_.push_back({fixed, first, last});
-    }
-
-    // Nets of each placed macro in net order, once per pin (CSR).
-    net_start_.assign(macros.size() + 1, 0);
-    for (const LivePin& p : pins_) ++net_start_[static_cast<std::size_t>(p.pl) + 1];
-    for (std::size_t i = 0; i < macros.size(); ++i) net_start_[i + 1] += net_start_[i];
-    nets_of_.resize(pins_.size());
-    std::vector<std::uint32_t> fill(net_start_.begin(), net_start_.end() - 1);
-    for (std::size_t n = 0; n < live_.size(); ++n) {
-      for (std::uint32_t k = live_[n].pin_begin; k < live_[n].pin_end; ++k) {
-        nets_of_[fill[static_cast<std::size_t>(pins_[k].pl)]++] = static_cast<std::uint32_t>(n);
-      }
+      if (net.placed == 0) continue;
+      ++live_nets_;
+      initial_hpwl_ += net_hpwl(n);
     }
   }
 
-  std::size_t net_count() const { return live_.size(); }
+  std::size_t net_count() const { return live_nets_; }
+
+  /// total_hpwl() as the placement came in, summed while indexing.
+  double initial_hpwl() const { return initial_hpwl_; }
 
   double total_hpwl() const {
     double sum = 0.0;
-    for (std::size_t n = 0; n < live_.size(); ++n) sum += net_hpwl(n);
+    for (std::size_t n = 0; n < fixed_.size(); ++n) {
+      if (fixed_[n].placed > 0) sum += net_hpwl(n);
+    }
     return sum;
   }
 
-  /// HPWL of the nets touching macro `pl` if it had orientation `o`.
-  double macro_hpwl(std::size_t pl, Orientation o) const {
-    const Orientation saved = macros_[pl].orientation;
-    macros_[pl].orientation = o;
-    double sum = 0.0;
-    for (std::uint32_t k = net_start_[pl]; k < net_start_[pl + 1]; ++k) {
-      sum += net_hpwl(nets_of_[k]);
+  /// Writes into `cost[c]` the HPWL of the nets of placement entry `pl`
+  /// (once per pin) with it in orientation `candidates[c]`, the other
+  /// macros as placed. An entry that is not its cell's last scores 0.
+  void score(std::size_t pl, const std::array<Orientation, 4>& candidates,
+             std::array<double, 4>& cost) const {
+    cost = {0.0, 0.0, 0.0, 0.0};
+    const int m = ordinal_of(macros_[pl].cell);
+    if (m < 0 || slot_[static_cast<std::size_t>(m)] != static_cast<int>(pl)) return;
+    // pin_position() of candidates[0] and [3] (R0 and R180, or R90 and
+    // R270) with the footprint work hoisted out of the pin loop.
+    const bool rotated = swaps_dimensions(candidates[0]);
+    const int group = rotated ? 1 : 0;
+    const Rect& rect = macros_[pl].rect;
+    const double w0 = rotated ? rect.h : rect.w;
+    const double h0 = rotated ? rect.w : rect.h;
+    const auto corner = [&](const Point& offset, Orientation o) {
+      const Point local = transform_pin(offset, w0, h0, o);
+      return Point{rect.x + local.x, rect.y + local.y};
+    };
+    const auto mu = static_cast<std::size_t>(m);
+    for (std::uint32_t k = nets_.macro_pin_start[mu]; k < nets_.macro_pin_start[mu + 1]; ++k) {
+      const MacroNets::MacroPin& pin = nets_.macro_pins[k];
+      const FixedNet& net = fixed_[pin.net];
+      if (net.placed == 1) {
+        // This pin is the net's only placed one: each candidate's box is
+        // the fixed box plus one of two x and one of two y positions.
+        const Point offset{pin.dx, pin.dy};
+        const Point a =
+            rotated ? corner(offset, Orientation::R90) : corner(offset, Orientation::R0);
+        const Point b =
+            rotated ? corner(offset, Orientation::R270) : corner(offset, Orientation::R180);
+        const double xs[2] = {std::max(net.box.xmax, a.x) - std::min(net.box.xmin, a.x),
+                              std::max(net.box.xmax, b.x) - std::min(net.box.xmin, b.x)};
+        const double ys[2] = {std::max(net.box.ymax, a.y) - std::min(net.box.ymin, a.y),
+                              std::max(net.box.ymax, b.y) - std::min(net.box.ymin, b.y)};
+        for (std::size_t c = 0; c < 4; ++c) {
+          cost[c] += xs[kPick[group][c][0]] + ys[kPick[group][c][1]];
+        }
+        continue;
+      }
+      for (std::size_t c = 0; c < 4; ++c) {
+        FlipBox box = net.box;
+        for (std::uint32_t q = nets_.pin_start[pin.net]; q < nets_.pin_start[pin.net + 1]; ++q) {
+          const MacroNets::Pin& other = nets_.pins[q];
+          if (slot_[other.macro] < 0) continue;
+          const auto at = static_cast<std::size_t>(slot_[other.macro]);
+          const Orientation o = at == pl ? candidates[c] : macros_[at].orientation;
+          box.absorb(pin_position(at, other.dx, other.dy, o));
+        }
+        cost[c] += box_hpwl(box);
+      }
     }
-    macros_[pl].orientation = saved;
-    return sum;
   }
 
  private:
-  struct LiveNet {
-    Box fixed;
-    std::uint32_t pin_begin;
-    std::uint32_t pin_end;
-  };
-  struct LivePin {
-    int pl;  // placement index
-    float dx;
-    float dy;
+  struct FixedNet {
+    FlipBox box;
+    std::uint32_t placed = 0;  ///< pins whose macro this placement places
   };
 
-  Point macro_pin_position(const LivePin& pin) const {
-    const MacroPlacement& m = macros_[static_cast<std::size_t>(pin.pl)];
+  int ordinal_of(CellId cell) const {
+    const auto it = std::lower_bound(nets_.macro_cells.begin(), nets_.macro_cells.end(), cell);
+    return it != nets_.macro_cells.end() && *it == cell
+               ? static_cast<int>(it - nets_.macro_cells.begin())
+               : -1;
+  }
+
+  // HPWL of net `n` with every placed macro in its current orientation.
+  double net_hpwl(std::size_t n) const {
+    FlipBox box = fixed_[n].box;
+    for (std::uint32_t k = nets_.pin_start[n]; k < nets_.pin_start[n + 1]; ++k) {
+      const MacroNets::Pin& pin = nets_.pins[k];
+      if (slot_[pin.macro] < 0) continue;
+      const auto at = static_cast<std::size_t>(slot_[pin.macro]);
+      box.absorb(pin_position(at, pin.dx, pin.dy, macros_[at].orientation));
+    }
+    return box_hpwl(box);
+  }
+
+  // Where the pin at R0 offset (dx, dy) of placement entry `pl` lands in
+  // orientation `o`, which shares the placed footprint.
+  Point pin_position(std::size_t pl, float dx, float dy, Orientation o) const {
+    const MacroPlacement& m = macros_[pl];
     // The placed rect stores the oriented footprint; recover the R0 size.
-    const bool swapped = swaps_dimensions(m.orientation);
+    const bool swapped = swaps_dimensions(o);
     const double w0 = swapped ? m.rect.h : m.rect.w;
     const double h0 = swapped ? m.rect.w : m.rect.h;
-    const Point local = transform_pin(Point{pin.dx, pin.dy}, w0, h0, m.orientation);
+    const Point local = transform_pin(Point{dx, dy}, w0, h0, o);
     return {m.rect.x + local.x, m.rect.y + local.y};
   }
 
-  double net_hpwl(std::size_t n) const {
-    const LiveNet& net = live_[n];
-    Box box = net.fixed;
-    for (std::uint32_t k = net.pin_begin; k < net.pin_end; ++k) {
-      box.absorb(macro_pin_position(pins_[k]));
-    }
-    if (box.xmax < box.xmin) return 0.0;
-    return (box.xmax - box.xmin) + (box.ymax - box.ymin);
-  }
-
-  std::vector<MacroPlacement>& macros_;
-  std::vector<LiveNet> live_;
-  std::vector<LivePin> pins_;
-  std::vector<std::uint32_t> net_start_;  // per placement index, into nets_of_
-  std::vector<std::uint32_t> nets_of_;    // live net indices
+  const MacroNets& nets_;
+  const std::vector<MacroPlacement>& macros_;
+  std::vector<int> slot_;        // per macro ordinal: placement index, -1 = unplaced
+  std::vector<FixedNet> fixed_;  // per indexed net
+  std::size_t live_nets_ = 0;
+  double initial_hpwl_ = 0.0;
 };
 
 }  // namespace
@@ -180,8 +211,8 @@ MacroNets::MacroNets(const Design& design, const HierTree& ht) : macro_cells(des
   // Per HT node: the stamp of the last net that listed it.
   std::vector<std::uint32_t> listed(ht.size(), 0);
   pin_start.push_back(0);
-  port_start.push_back(0);
   node_start.push_back(0);
+  port_boxes.emplace_back();  // the empty box of nets without ports
   for (const Net& net : design.nets()) {
     const auto is_macro = [&](const NetPin& p) {
       return design.cell(p.cell).kind == CellKind::Macro;
@@ -191,12 +222,15 @@ MacroNets::MacroNets(const Design& design, const HierTree& ht) : macro_cells(des
       continue;
     }
     const auto stamp = static_cast<std::uint32_t>(pin_start.size());
+    FlipBox ports;
+    bool has_ports = false;
     const auto add = [&](const NetPin& p) {
       const Cell& c = design.cell(p.cell);
       if (c.kind == CellKind::Macro) {
         pins.push_back({ht.macro_ordinal(p.cell), p.dx, p.dy});
       } else if (c.fixed_pos) {
-        ports.push_back(*c.fixed_pos);
+        ports.absorb(*c.fixed_pos);
+        has_ports = true;
       } else {
         const HtNodeId node = ht.node_of_cell(p.cell);
         std::uint32_t& last = listed[static_cast<std::size_t>(node)];
@@ -209,14 +243,28 @@ MacroNets::MacroNets(const Design& design, const HierTree& ht) : macro_cells(des
     if (net.driver.cell != kInvalidId) add(net.driver);
     for (const NetPin& p : net.sinks) add(p);
     pin_start.push_back(static_cast<std::uint32_t>(pins.size()));
-    port_start.push_back(static_cast<std::uint32_t>(ports.size()));
+    port_box_of.push_back(has_ports ? static_cast<std::uint32_t>(port_boxes.size()) : 0);
+    if (has_ports) port_boxes.push_back(ports);
     node_start.push_back(static_cast<std::uint32_t>(nodes.size()));
+  }
+  // Each macro's pins in net order: a counting sort of `pins` by macro.
+  macro_pin_start.assign(macro_cells.size() + 1, 0);
+  for (const Pin& pin : pins) ++macro_pin_start[pin.macro + 1];
+  for (std::size_t m = 0; m < macro_cells.size(); ++m) {
+    macro_pin_start[m + 1] += macro_pin_start[m];
+  }
+  macro_pins.resize(pins.size());
+  std::vector<std::uint32_t> fill(macro_pin_start.begin(), macro_pin_start.end() - 1);
+  for (std::uint32_t n = 0; n + 1 < pin_start.size(); ++n) {
+    for (std::uint32_t k = pin_start[n]; k < pin_start[n + 1]; ++k) {
+      macro_pins[fill[pins[k].macro]++] = {n, pins[k].dx, pins[k].dy};
+    }
   }
   // The index lives as long as its cached context.
   pin_start.shrink_to_fit();
   pins.shrink_to_fit();
-  port_start.shrink_to_fit();
-  ports.shrink_to_fit();
+  port_box_of.shrink_to_fit();
+  port_boxes.shrink_to_fit();
   node_start.shrink_to_fit();
   nodes.shrink_to_fit();
 }
@@ -230,21 +278,26 @@ FlippingStats flip_macros(const Design& design, const HierTree& ht, const MacroN
   FlipEvaluator eval(design, ht, nets, region, region_valid, macros);
   static obs::Counter& evaluated = obs::default_registry().counter("flip.macro_nets");
   evaluated.add(eval.net_count());
-  stats.hpwl_before = eval.total_hpwl();
+  stats.hpwl_before = eval.initial_hpwl();
   for (int pass = 0; pass < max_passes; ++pass) {
     ++stats.passes;
     int flips_this_pass = 0;
     for (std::size_t i = 0; i < macros.size(); ++i) {
       if (skip && skip->count(macros[i].cell)) continue;
       const Orientation current = macros[i].orientation;
+      const std::array<Orientation, 4> candidates = candidates_for(current);
+      std::array<double, 4> cost;
+      eval.score(i, candidates, cost);
+      // The current orientation first, then the others in candidate order.
+      const auto at = static_cast<std::size_t>(
+          std::find(candidates.begin(), candidates.end(), current) - candidates.begin());
       Orientation best = current;
-      double best_cost = eval.macro_hpwl(i, current);
-      for (const Orientation o : candidates_for(current)) {
-        if (o == current) continue;
-        const double cost = eval.macro_hpwl(i, o);
-        if (cost + 1e-9 < best_cost) {
-          best_cost = cost;
-          best = o;
+      double best_cost = cost[at];
+      for (std::size_t c = 0; c < 4; ++c) {
+        if (c == at) continue;
+        if (cost[c] + 1e-9 < best_cost) {
+          best_cost = cost[c];
+          best = candidates[c];
         }
       }
       if (best != current) {

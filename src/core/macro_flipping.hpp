@@ -15,7 +15,9 @@
 // (MacroNets, held by PlacementContext); a placement then only resolves
 // region centers and moves macro pins.
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -32,37 +34,72 @@ struct FlippingStats {
   double hpwl_after = 0.0;
 };
 
-/// Every net with at least one macro pin, in net order, as three CSR
-/// tables over the indexed nets (u32 offsets, one more than the nets):
-///  * pins: the net's macro pins, as an index into `macro_cells` (the
-///    HierTree::macro_ordinal the recursion keys its estimates by) plus
-///    the R0 pin offset exactly as NetPin stores it;
-///  * ports: the positions of its fixed (port) endpoints;
-///  * nodes: the distinct HT nodes of its other endpoints, whose
-///    positions are the innermost valid region centers of a placement.
-/// A pin's macro counts as a macro endpoint only when the placement
-/// places it; otherwise it is a fixed endpoint like any other cell.
+/// Bounding box of a point set; min/max do not depend on absorb order.
+struct FlipBox {
+  double xmin = std::numeric_limits<double>::max();
+  double xmax = -std::numeric_limits<double>::max();
+  double ymin = std::numeric_limits<double>::max();
+  double ymax = -std::numeric_limits<double>::max();
+
+  void absorb(const Point& p) {
+    xmin = std::min(xmin, p.x);
+    xmax = std::max(xmax, p.x);
+    ymin = std::min(ymin, p.y);
+    ymax = std::max(ymax, p.y);
+  }
+};
+
+/// Every net with at least one macro pin, in net order, indexed once per
+/// design (PlacementContext holds it):
+///  * pins: CSR of the net's macro pins, as an index into `macro_cells`
+///    (the HierTree::macro_ordinal the recursion keys its estimates by)
+///    plus the R0 pin offset exactly as NetPin stores it;
+///  * port_box_of: the net's entry in `port_boxes`, the box of its fixed
+///    (port) endpoints; entry 0 is the empty box of every net without
+///    ports, so a net costs one index, not a box;
+///  * nodes: CSR of the distinct HT nodes of its other endpoints, whose
+///    positions are the innermost valid region centers of a placement;
+///  * macro_pins: CSR per macro ordinal of that macro's pins in net
+///    order (a macro with two pins on one net lists the net twice), so
+///    flipping scores a macro by walking only its own nets.
+/// CSR offsets are u32, one more than the rows. A pin's macro counts as
+/// a macro endpoint only when the placement places it; otherwise it is
+/// a fixed endpoint like any other cell.
 struct MacroNets {
   struct Pin {
     std::uint32_t macro;  ///< index into macro_cells
     float dx;
     float dy;
   };
+  struct MacroPin {
+    std::uint32_t net;  ///< index of an indexed net
+    float dx;
+    float dy;
+  };
 
   MacroNets(const Design& design, const HierTree& ht);
 
-  std::size_t net_count() const { return pin_start.empty() ? 0 : pin_start.size() - 1; }
+  std::size_t net_count() const { return port_box_of.size(); }
 
   std::vector<CellId> macro_cells;  ///< every macro cell, ascending (index = macro ordinal)
   std::vector<std::uint32_t> pin_start;
   std::vector<Pin> pins;
-  std::vector<std::uint32_t> port_start;
-  std::vector<Point> ports;
+  std::vector<std::uint32_t> port_box_of;
+  std::vector<FlipBox> port_boxes;
   std::vector<std::uint32_t> node_start;
   std::vector<HtNodeId> nodes;
+  std::vector<std::uint32_t> macro_pin_start;
+  std::vector<MacroPin> macro_pins;
 };
 
-/// Mutates `macros` orientations in place. `region`/`region_valid` come
+/// Mutates `macros` orientations in place: each pass visits the
+/// placement in order and keeps, per macro, the cheapest of its four
+/// footprint-preserving orientations by the HPWL of its nets (the
+/// current one unless another undercuts it by 1e-9). All four are scored
+/// in one walk over the macro's nets: O(1) per net whose only placed pin
+/// is the macro's, a fold over the net's placed pins otherwise. When a
+/// cell has several placement entries the last one is its position and
+/// the earlier ones score 0 (they never flip). `region`/`region_valid` come
 /// from RecursiveFloorplanner::region_of_node() (one byte per node --
 /// the recursion's sibling-subtree tasks write the flags concurrently,
 /// which std::vector<bool>'s packed bits could not tolerate). Macros in

@@ -24,6 +24,7 @@ void flush_anneal_metrics(const AnnealStats& stats, const AnnealHooks& hooks) {
   static obs::Counter& temperature_steps =
       obs::default_registry().counter("sa.temperature_steps");
   static obs::Counter& stopped_runs = obs::default_registry().counter("sa.stopped_runs");
+  static obs::Counter& exhausted_runs = obs::default_registry().counter("sa.exhausted_runs");
   static obs::Counter& recomposed = obs::default_registry().counter("sa.recomposed_nodes");
   runs.add(1);
   proposed.add(static_cast<std::uint64_t>(stats.moves_attempted));
@@ -32,6 +33,7 @@ void flush_anneal_metrics(const AnnealStats& stats, const AnnealHooks& hooks) {
   improvements.add(static_cast<std::uint64_t>(stats.best_improvements));
   temperature_steps.add(static_cast<std::uint64_t>(stats.temperature_steps));
   if (stats.stopped) stopped_runs.add(1);
+  if (stats.exhausted) exhausted_runs.add(1);
   if (hooks.recomposed_nodes) recomposed.add(hooks.recomposed_nodes());
 }
 
@@ -53,6 +55,12 @@ AnnealStats anneal(double initial_cost, const AnnealOptions& options,
   const auto stop_requested = [&options] {
     return options.control != nullptr && options.control->should_stop();
   };
+  // Exhaustion exit: every state has been proposed, so no later move
+  // can refresh the best (see AnnealHooks::exhausted).
+  const auto exhausted = [&hooks, &stats] {
+    stats.exhausted = hooks.exhausted && hooks.exhausted();
+    return stats.exhausted;
+  };
 
   // --- temperature calibration: average uphill magnitude of random moves.
   double uphill_sum = 0.0;
@@ -65,6 +73,7 @@ AnnealStats anneal(double initial_cost, const AnnealOptions& options,
         flush_anneal_metrics(stats, hooks);
         return stats;
       }
+      if (exhausted()) break;
       const double cost = hooks.propose();
       const double delta = cost - current;
       if (delta > 0) {
@@ -88,7 +97,7 @@ AnnealStats anneal(double initial_cost, const AnnealOptions& options,
   const double t_frozen = temperature * options.frozen_temperature_ratio;
 
   int stagnant = 0;
-  while (!stats.stopped && temperature > t_frozen &&
+  while (!stats.stopped && !stats.exhausted && temperature > t_frozen &&
          stagnant < options.max_stagnant_temperatures) {
     obs::Span temperature_span("sa_temp", "sa");
     temperature_span.arg("step", stats.temperature_steps);
@@ -98,6 +107,7 @@ AnnealStats anneal(double initial_cost, const AnnealOptions& options,
         stats.stopped = true;
         break;
       }
+      if (exhausted()) break;
       ++stats.moves_attempted;
       const double cost = hooks.propose();
       const double delta = cost - current;

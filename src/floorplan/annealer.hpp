@@ -33,10 +33,12 @@ struct AnnealOptions {
   /// Selects the move evaluator of both slicing annealers: the
   /// incremental engines (IncrementalLayoutEval for optimize_layout,
   /// IncrementalCurveEval for pack_shape_curve) or, when off, a full
-  /// recompute on every proposal, their reference oracles. Both modes
-  /// draw the same RNG stream and produce bit-identical costs, so the
-  /// result is the same either way; the switch exists for differential
-  /// testing.
+  /// recompute on every proposal, their reference oracles. The oracle
+  /// mode also runs the unabridged schedule: only the incremental mode
+  /// arms the exhaustion exit (AnnealHooks::exhausted) of two- and
+  /// three-block problems. Both modes draw the same RNG stream and
+  /// produce bit-identical costs, so the result is the same either way;
+  /// the switch exists for differential testing.
   bool incremental = true;
 
   /// Cooperative stop handle, polled before every calibration and
@@ -82,6 +84,16 @@ struct AnnealHooks {
   /// Called when a new global best cost is observed (after acceptance
   /// and after `commit`). Typical use: snapshot the current solution.
   std::function<void(double)> on_new_best;
+  /// Optional: true once every state the caller's search can reach has
+  /// been proposed. Polled before every calibration and cooling move,
+  /// like AnnealOptions::control; when it answers true the schedule ends
+  /// with AnnealStats::exhausted set. Sound only when a cost is a pure
+  /// function of the state: a new best must undercut, by
+  /// kAnnealBestImprovementEps, every cost the walk accepted, and a
+  /// rejected cost already lay above the best of its time, so no repeat
+  /// of a seen state can ever call on_new_best again. The result is the
+  /// one the full schedule would return.
+  std::function<bool()> exhausted;
   /// Optional: the running total of slicing-tree nodes the caller's
   /// incremental evaluator recomposed. Read once, when the schedule's
   /// counters are flushed (`sa.recomposed_nodes`), never per move.
@@ -100,6 +112,8 @@ struct AnnealStats {
   /// True when AnnealOptions::control stopped the schedule early; the
   /// best cost/solution seen so far is still valid.
   bool stopped = false;
+  /// True when AnnealHooks::exhausted ended the schedule early.
+  bool exhausted = false;
 };
 
 /// Runs the schedule; `initial_cost` is the cost of the starting state.

@@ -121,17 +121,26 @@ ShapeCurve pack_shape_curve(const std::vector<ShapeCurve>& leaves,
     }
   };
   std::unique_ptr<IncrementalCurveEval> inc;
+  ExpressionSpaceTracker space(static_cast<int>(leaves.size()));
+  const auto perturb_tracked = [&](PolishExpression& expr) {
+    perturb_retry(expr);
+    space.record(expr);
+  };
   PolishExpression current, backup;
   double initial_cost = 0.0;
   AnnealHooks hooks;
   if (options.anneal.incremental) {
     inc = std::make_unique<IncrementalCurveEval>(leaves, options.curve_points, initial);
     initial_cost = inc->cost();
-    hooks.propose = [&]() { return inc->propose(perturb_retry); };
+    // Once a two- or three-leaf walk has proposed every expression, no
+    // later move can enter the best set (see AnnealHooks::exhausted).
+    space.record(initial);
+    hooks.propose = [&]() { return inc->propose(perturb_tracked); };
     hooks.commit = [&]() { inc->commit(); };
     hooks.reject = [&]() { inc->rollback(); };
     hooks.on_new_best = [&](double cost) { best_set.record(cost, inc->expression()); };
     hooks.recomposed_nodes = [&]() { return inc->recomposed_nodes(); };
+    if (space.tracking()) hooks.exhausted = [&]() { return space.exhausted(); };
   } else {
     current = initial;
     const auto cost_of = [&](const PolishExpression& expr) {

@@ -25,7 +25,7 @@ IncrementalLayoutEval::IncrementalLayoutEval(const std::vector<BudgetBlock>& blo
     : blocks_(blocks),
       region_(region),
       leaf_infos_(leaf_infos_of(blocks)),
-      cache_(leaf_infos_, std::move(initial)) {
+      cache_(leaf_infos_, std::move(initial), /*compose_root=*/false) {
   const std::size_t n = blocks.size();
   const std::size_t total = n + terminals.size();
   assert(affinity.size() == total);

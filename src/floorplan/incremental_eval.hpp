@@ -17,7 +17,8 @@
 // (floorplan/slicing_cache.hpp, shared with the shape-curve annealer)
 // re-parses the expression (O(n), no curve work) and recomposes node
 // infos only along the paths from mutated positions to the root, into
-// reused slots; the top-down budget split reruns in full (a cheap O(n)
+// reused slots -- the root itself excepted, as the top-down budget split
+// reads only children's infos. The split reruns in full (a cheap O(n)
 // walk). One pass over the affinity pairs then refreshes the terms of
 // pairs with a relocated endpoint and adds every term left to right, in
 // the oracle's exact accumulation order. A warm propose/commit/rollback

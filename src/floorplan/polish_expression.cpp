@@ -1,6 +1,8 @@
 #include "floorplan/polish_expression.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 
 namespace hidap {
@@ -126,6 +128,51 @@ std::string PolishExpression::to_string() const {
     }
   }
   return out;
+}
+
+std::uint64_t normalized_expression_count(int operand_count) {
+  if (operand_count < 1) return 0;
+  if (operand_count > 12) return std::numeric_limits<std::uint64_t>::max();
+  // Large Schroeder numbers: S(0) = 1, S(1) = 2 and
+  // (k+1) S(k) = 3(2k-1) S(k-1) - (k-2) S(k-2); exact in 64 bits here.
+  const auto n = static_cast<std::uint64_t>(operand_count);
+  std::uint64_t prev = 1, schroeder = 1;  // S(k-2), S(k-1)
+  std::uint64_t factorial = 1;
+  for (std::uint64_t k = 1; k < n; ++k) {
+    const std::uint64_t next =
+        k == 1 ? 2 : (3 * (2 * k - 1) * schroeder - (k - 2) * prev) / (k + 1);
+    prev = schroeder;
+    schroeder = next;
+    factorial *= k + 1;
+  }
+  return factorial * schroeder;
+}
+
+namespace {
+
+// Base-5 digits: operands 0..2, then H and V. Distinct for the
+// expressions of one operand count <= 3 (at most 5 elements: < 5^5).
+std::uint16_t expression_key(const PolishExpression& expr) {
+  std::uint32_t key = 0;
+  for (const int e : expr.elements()) {
+    key = key * 5 + static_cast<std::uint32_t>(e == kOpH ? 3 : e == kOpV ? 4 : e);
+  }
+  return static_cast<std::uint16_t>(key);
+}
+
+}  // namespace
+
+ExpressionSpaceTracker::ExpressionSpaceTracker(int operand_count) {
+  const std::uint64_t size = normalized_expression_count(operand_count);
+  if (size <= kCapacity) size_ = static_cast<std::size_t>(size);
+}
+
+void ExpressionSpaceTracker::record(const PolishExpression& expr) {
+  if (!tracking() || seen_ == size_) return;
+  assert(expr.is_valid() && expr.size() <= 5);
+  const std::uint16_t key = expression_key(expr);
+  const auto seen_end = keys_.begin() + static_cast<std::ptrdiff_t>(seen_);
+  if (std::find(keys_.begin(), seen_end, key) == seen_end) keys_[seen_++] = key;
 }
 
 SlicingTree SlicingTree::from_polish(const PolishExpression& expr) {

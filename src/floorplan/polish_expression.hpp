@@ -13,6 +13,8 @@
 // operand-operator pair) -- the paper's "operand swap, operator inversion,
 // operand-operator swap".
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -58,6 +60,36 @@ class PolishExpression {
 
  private:
   std::vector<int> elems_;
+};
+
+/// Number of normalized Polish expressions over `operand_count` distinct
+/// operands: n! * S(n-1), S the large Schroeder numbers -- 1, 4, 36, 528,
+/// 10800 for n = 1..5. Exact up to n = 12; UINT64_MAX beyond.
+std::uint64_t normalized_expression_count(int operand_count);
+
+/// The distinct normalized expressions a search over `operand_count`
+/// operands has proposed, tracked only when that whole state space fits
+/// kCapacity entries (n <= 3: at most 36 expressions). A slicing
+/// annealer whose cost is a pure function of the expression can stop
+/// once exhausted(): every later proposal repeats a cost it has already
+/// weighed. Larger problems are not tracked and never exhaust.
+class ExpressionSpaceTracker {
+ public:
+  static constexpr std::size_t kCapacity = 36;
+
+  explicit ExpressionSpaceTracker(int operand_count);
+
+  bool tracking() const { return size_ != 0; }
+  /// Notes `expr` (a valid expression over the tracked operands) as
+  /// seen; a no-op when not tracking.
+  void record(const PolishExpression& expr);
+  /// True once every expression of the state space has been recorded.
+  bool exhausted() const { return tracking() && seen_ == size_; }
+
+ private:
+  std::array<std::uint16_t, kCapacity> keys_{};  ///< seen_ distinct keys
+  std::size_t seen_ = 0;
+  std::size_t size_ = 0;  ///< state-space size; 0 = not tracking
 };
 
 /// Slicing tree decoded from a Polish expression. Node 0..n-1 are not

@@ -20,6 +20,11 @@
 // slot has reached its working size (see reserve_slots), a
 // propose/evaluate/commit-or-rollback cycle does not touch the heap.
 //
+// A caller that reads only children's infos (the layout engine's
+// top-down budget split never reads the root's) can leave the root
+// uncomposed: it is dirty after every move, so that saves one
+// composition per proposal.
+//
 // Info is the per-node value type; the compose callable passed to
 // evaluate() has the signature
 //   void(int op, const Info& left, const Info& right, Info& out)
@@ -41,8 +46,11 @@ class SlicingCache {
   /// `leaves[k]` is operand k's info; the vector must outlive the cache.
   /// The initial expression is an open proposal: evaluate() it (every
   /// internal node composes) and commit() before the first propose().
-  SlicingCache(const std::vector<Info>& leaves, PolishExpression initial)
-      : leaves_(leaves), committed_(std::move(initial)) {
+  /// With `compose_root` off, an internal root is never composed and its
+  /// infos() entry is null; root() and committed_root() are then unusable.
+  SlicingCache(const std::vector<Info>& leaves, PolishExpression initial,
+               bool compose_root = true)
+      : leaves_(leaves), committed_(std::move(initial)), compose_root_(compose_root) {
     proposed_ = committed_;
     const std::size_t len = committed_.size();
     committed_slots_.resize(len);
@@ -112,8 +120,10 @@ class SlicingCache {
         parse_stack_.pop_back();
         node.op = e;
         span_start_[p] = span_start_[static_cast<std::size_t>(node.left)];
-        if (primed_ && changed_prefix_[p + 1] ==
-                           changed_prefix_[static_cast<std::size_t>(span_start_[p])]) {
+        if (!compose_root_ && p + 1 == len) {
+          ptrs_[p] = nullptr;
+        } else if (primed_ && changed_prefix_[p + 1] ==
+                                  changed_prefix_[static_cast<std::size_t>(span_start_[p])]) {
           ptrs_[p] = &committed_slots_[p];
         } else {
           Info& slot = proposed_slots_[p];
@@ -152,12 +162,16 @@ class SlicingCache {
   /// its commit() or rollback()).
   const SlicingTree& tree() const { return tree_; }
   const Info* const* infos() const { return ptrs_.data(); }
-  const Info& root() const { return *ptrs_[static_cast<std::size_t>(tree_.root)]; }
+  const Info& root() const {
+    assert(compose_root_);
+    return *ptrs_[static_cast<std::size_t>(tree_.root)];
+  }
 
   /// The committed expression and its root info (a postfix root sits at
   /// the last position).
   const PolishExpression& expression() const { return committed_; }
   const Info& committed_root() const {
+    assert(compose_root_);
     const int last = committed_.elements().back();
     return is_operator(last) ? committed_slots_.back()
                              : leaves_[static_cast<std::size_t>(last)];
@@ -184,6 +198,7 @@ class SlicingCache {
   std::vector<int> span_start_;
   std::vector<std::uint32_t> changed_prefix_;  ///< prefix count of mutated positions
   std::uint64_t recomposed_ = 0;
+  bool compose_root_;
   bool primed_ = false;   ///< a first evaluation has been committed
   bool pending_ = true;   ///< the initial expression awaits evaluate + commit
 };

@@ -2,18 +2,6 @@
 
 namespace hidap {
 
-bool swaps_dimensions(Orientation o) {
-  switch (o) {
-    case Orientation::R90:
-    case Orientation::R270:
-    case Orientation::MX90:
-    case Orientation::MY90:
-      return true;
-    default:
-      return false;
-  }
-}
-
 std::string_view to_string(Orientation o) {
   switch (o) {
     case Orientation::R0: return "R0";
@@ -26,22 +14,6 @@ std::string_view to_string(Orientation o) {
     case Orientation::MY90: return "MY90";
   }
   return "R0";
-}
-
-Point transform_pin(const Point& pin, double w, double h, Orientation o) {
-  // First apply the linear part around the origin, then shift so the
-  // transformed macro's bounding box sits at the origin again.
-  switch (o) {
-    case Orientation::R0: return {pin.x, pin.y};
-    case Orientation::R90: return {h - pin.y, pin.x};
-    case Orientation::R180: return {w - pin.x, h - pin.y};
-    case Orientation::R270: return {pin.y, w - pin.x};
-    case Orientation::MX: return {pin.x, h - pin.y};      // mirror about X axis
-    case Orientation::MY: return {w - pin.x, pin.y};      // mirror about Y axis
-    case Orientation::MX90: return {pin.y, pin.x};        // MX then R90
-    case Orientation::MY90: return {h - pin.y, w - pin.x};
-  }
-  return pin;
 }
 
 Point oriented_size(double w, double h, Orientation o) {

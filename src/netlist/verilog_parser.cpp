@@ -653,6 +653,7 @@ class Elaborator {
       }
       design.library().add(macro_defs_[i]);
     }
+    resolve_child_ports();
     DesignSize size;
     std::vector<bool> counting(file_.modules.size(), false);
     if (count(design, top, design.name().size(), {}, counting, size)) {
@@ -715,10 +716,29 @@ class Elaborator {
     return top;
   }
 
-  /// The child slot a connection of a module instance binds: -1 = none.
+  /// Looks up, once per connection of a module instance, the entry its
+  /// pin names in the child definition's table; counting and elaboration
+  /// visit an instance once per instantiation of its parent and both
+  /// read the result. Instances of unknown modules resolve nothing (they
+  /// fail elaboration first).
+  void resolve_child_ports() {
+    child_port_.assign(file_.conns.size(), -1);
+    for (const Instance& inst : file_.instances) {
+      if (inst.kind != DefKind::Other) continue;
+      const auto it = by_name_.find(inst.def_name);
+      if (it == by_name_.end()) continue;
+      const NameTable& names = scope_of(it->second).names;
+      for (std::uint32_t c = inst.conn_begin; c < inst.conn_end; ++c) {
+        const Connection& conn = file_.conns[c];
+        if (conn.slot >= 0) child_port_[c] = names.find(conn.pin, hash_name(conn.pin));
+      }
+    }
+  }
+
+  /// The child slot connection `c` of a module instance binds: -1 = none.
   /// Vector ports are reported by elaboration.
-  static int bound_slot(const Scope& child, std::string_view pin) {
-    const int e = child.names.find(pin, hash_name(pin));
+  int bound_slot(const Scope& child, std::uint32_t c) const {
+    const int e = child_port_[c];
     return e >= 0 && !child.names.entry(e).port_vector ? child.names.entry(e).slot : -1;
   }
 
@@ -750,7 +770,7 @@ class Elaborator {
       const Scope& child = scope_of(it->second);
       std::vector<bool> child_bound(child.slot_name.size(), false);
       for (std::uint32_t c = inst.conn_begin; c < inst.conn_end; ++c) {
-        const int slot = file_.conns[c].slot >= 0 ? bound_slot(child, file_.conns[c].pin) : -1;
+        const int slot = file_.conns[c].slot >= 0 ? bound_slot(child, c) : -1;
         if (slot >= 0) child_bound[static_cast<std::size_t>(slot)] = true;
       }
       const std::size_t child_path =
@@ -812,7 +832,7 @@ class Elaborator {
         for (std::uint32_t c = inst.conn_begin; c < inst.conn_end; ++c) {
           const Connection& conn = file_.conns[c];
           if (conn.slot < 0) continue;
-          const int e = child_scope.names.find(conn.pin, hash_name(conn.pin));
+          const int e = child_port_[c];
           const NameTable::Entry* port = e >= 0 ? &child_scope.names.entry(e) : nullptr;
           if (port && port->port_vector) {
             fail_at(src_, inst.offset,
@@ -888,6 +908,7 @@ class Elaborator {
   std::string_view src_;
   const SourceFile& file_;
   std::unordered_map<std::string_view, int> by_name_;  ///< a later definition wins
+  std::vector<int> child_port_;  ///< per connection: the child's port entry, -1 = none
   std::vector<bool> active_;  ///< definitions on the elaboration stack
   std::vector<MacroDef> macro_defs_;
   std::vector<std::size_t> macro_offsets_;

@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "floorplan/annealer.hpp"
+#include "obs/metrics.hpp"
 #include "util/job_control.hpp"
 
 namespace hidap {
@@ -235,6 +239,73 @@ TEST(AnnealerCancel, NullAndUncancelledControlAreBitIdentical) {
   };
   JobControl idle;
   EXPECT_EQ(run(nullptr), run(&idle));
+}
+
+// The exhaustion hook is polled before every calibration and cooling
+// move; once it answers true the schedule proposes nothing more, never
+// reports another best, and says why it ended.
+TEST(AnnealerExhausted, PolledBeforeEveryMoveAndEndsTheSchedule) {
+  AnnealOptions opt;
+  opt.seed = 5;
+  opt.moves_per_temperature = 40;
+  // 10 and 45 fire inside the 50-move calibration walk, 51 on the first
+  // cooling move, 200 mid-cooling; 1e9 never fires.
+  for (const long fire_at : {10L, 45L, 51L, 200L, 1000000000L}) {
+    Bowl bowl;
+    long proposals = 0, polls = 0;
+    bool polled = false, fired = false;
+    AnnealHooks hooks;
+    hooks.propose = [&]() {
+      EXPECT_TRUE(polled) << "move " << proposals << " was not preceded by a poll";
+      EXPECT_FALSE(fired) << "move proposed after exhaustion";
+      polled = false;
+      ++proposals;
+      bowl.backup = bowl.x;
+      bowl.x += bowl.rng.next_bool() ? 1 : -1;
+      return bowl.cost();
+    };
+    hooks.reject = [&]() { bowl.x = bowl.backup; };
+    hooks.on_new_best = [&](double) { EXPECT_FALSE(fired) << "new best after exhaustion"; };
+    hooks.exhausted = [&]() {
+      ++polls;
+      polled = true;
+      fired = proposals >= fire_at;
+      return fired;
+    };
+    obs::Counter& runs = obs::default_registry().counter("sa.exhausted_runs");
+    const std::uint64_t runs_before = runs.value();
+    const AnnealStats stats = anneal(bowl.cost(), opt, hooks);
+    EXPECT_EQ(stats.exhausted, fired) << "fire_at " << fire_at;
+    EXPECT_EQ(runs.value() - runs_before, fired ? 1u : 0u) << "fire_at " << fire_at;
+    if (fired) {
+      EXPECT_EQ(proposals, fire_at);
+      EXPECT_EQ(polls, proposals + 1);  // the last poll fired
+      EXPECT_EQ(stats.moves_attempted, std::max(0L, fire_at - opt.calibration_moves));
+    } else {
+      EXPECT_EQ(polls, proposals);
+    }
+  }
+}
+
+// An armed hook that never fires walks the exact trajectory of no hook.
+TEST(AnnealerExhausted, UnfiredHookIsBitIdenticalToNone) {
+  const auto run = [](bool armed) {
+    Bowl bowl;
+    AnnealOptions opt;
+    opt.seed = 23;
+    AnnealHooks hooks;
+    hooks.propose = [&]() {
+      bowl.backup = bowl.x;
+      bowl.x += bowl.rng.next_bool() ? 1 : -1;
+      return bowl.cost();
+    };
+    hooks.reject = [&]() { bowl.x = bowl.backup; };
+    if (armed) hooks.exhausted = [] { return false; };
+    const AnnealStats stats = anneal(bowl.cost(), opt, hooks);
+    EXPECT_FALSE(stats.exhausted);
+    return std::make_tuple(stats.best_cost, stats.moves_attempted, stats.moves_accepted, bowl.x);
+  };
+  EXPECT_EQ(run(false), run(true));
 }
 
 }  // namespace

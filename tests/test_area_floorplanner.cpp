@@ -9,6 +9,7 @@
 
 #include "floorplan/area_floorplanner.hpp"
 #include "floorplan/polish_expression.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace hidap {
@@ -103,8 +104,7 @@ bool bits_equal(double a, double b) {
 // Random leaf sets over the curve kinds the packer sees: two-orientation
 // rects, soft-area sweeps, single-point curves, and coarse-grid curves
 // whose widths and heights tie across leaves.
-std::vector<ShapeCurve> random_leaves(Rng& rng) {
-  const int n = rng.next_int(2, 14);
+std::vector<ShapeCurve> random_leaves(Rng& rng, int n) {
   std::vector<ShapeCurve> leaves;
   for (int i = 0; i < n; ++i) {
     switch (rng.next_int(0, 3)) {
@@ -131,6 +131,10 @@ std::vector<ShapeCurve> random_leaves(Rng& rng) {
     }
   }
   return leaves;
+}
+
+std::vector<ShapeCurve> random_leaves(Rng& rng) {
+  return random_leaves(rng, rng.next_int(2, 14));
 }
 
 TEST(IncrementalCurveEval, RandomWalkMatchesFullRecomputeBitForBit) {
@@ -187,6 +191,33 @@ TEST(PackShapeCurve, IncrementalAndOracleMergeTheSameCurve) {
     const ShapeCurve oracle = pack_shape_curve(leaves, opt);
     ASSERT_FALSE(incremental.empty());
     ASSERT_TRUE(curves_bit_equal(incremental, oracle)) << "trial " << trial;
+  }
+}
+
+// Two- and three-leaf problems: the incremental run ends once it has
+// proposed all 4 or 36 expressions, the oracle runs the whole schedule,
+// and both merge the same curve.
+TEST(PackShapeCurve, ExhaustedTinyProblemsMergeTheOraclesCurve) {
+  obs::Counter& exhausted = obs::default_registry().counter("sa.exhausted_runs");
+  obs::Counter& moves = obs::default_registry().counter("sa.moves_proposed");
+  Rng rng(0xabc);
+  for (int n = 2; n <= 3; ++n) {
+    for (int seed = 1; seed <= 60; ++seed) {
+      const std::vector<ShapeCurve> leaves = random_leaves(rng, n);
+      AreaFloorplanOptions opt;
+      opt.anneal.seed = static_cast<std::uint64_t>(seed);
+      opt.curve_points = static_cast<std::size_t>(rng.next_int(4, 32));
+      opt.anneal.incremental = true;
+      const std::uint64_t exhausted0 = exhausted.value(), moves0 = moves.value();
+      const ShapeCurve incremental = pack_shape_curve(leaves, opt);
+      const std::uint64_t exhausted1 = exhausted.value(), moves1 = moves.value();
+      opt.anneal.incremental = false;
+      const ShapeCurve oracle = pack_shape_curve(leaves, opt);
+      ASSERT_TRUE(curves_bit_equal(incremental, oracle)) << "n " << n << " seed " << seed;
+      EXPECT_EQ(exhausted1 - exhausted0, 1u) << "n " << n << " seed " << seed;
+      EXPECT_EQ(exhausted.value(), exhausted1) << "the oracle never exits early";
+      EXPECT_LT(moves1 - moves0, moves.value() - moves1) << "n " << n << " seed " << seed;
+    }
   }
 }
 

@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "core/layout_optimizer.hpp"
+#include "obs/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace hidap {
 namespace {
@@ -155,6 +161,63 @@ TEST(LayoutOptimizer, IncrementalAndFullRecomputeAreByteIdentical) {
   EXPECT_EQ(a.cost, b.cost);
   ASSERT_EQ(a.rects.size(), b.rects.size());
   for (std::size_t i = 0; i < a.rects.size(); ++i) EXPECT_EQ(a.rects[i], b.rects[i]);
+}
+
+// Two- and three-block problems, with and without affinity, terminals
+// and macro curves: the incremental run ends once it has proposed all 4
+// or 36 expressions, the oracle runs the whole schedule, and both land
+// on the same expression, cost and rects, bit for bit.
+TEST(LayoutOptimizer, ExhaustedTinyProblemsMatchTheOracle) {
+  obs::Counter& exhausted = obs::default_registry().counter("sa.exhausted_runs");
+  obs::Counter& moves = obs::default_registry().counter("sa.moves_proposed");
+  Rng rng(0x1a7);
+  for (int n = 2; n <= 3; ++n) {
+    for (int variant = 0; variant < 3; ++variant) {
+      // 0: no affinity; 1: block pairs; 2: block pairs and terminals.
+      for (int seed = 1; seed <= 50; ++seed) {
+        LayoutProblem p;
+        p.region = {0, 0, rng.next_double(20, 60), rng.next_double(20, 60)};
+        for (int i = 0; i < n; ++i) {
+          BudgetBlock b = soft(rng.next_double(50, 400));
+          if (rng.next_bool(0.5)) {
+            b.gamma = ShapeCurve::for_rect(rng.next_double(2, 15), rng.next_double(2, 15));
+          }
+          p.blocks.push_back(b);
+        }
+        if (variant == 2) {
+          p.terminals = {Point{0, rng.next_double(0, 20)}, Point{rng.next_double(0, 60), 60}};
+        }
+        const std::size_t total = p.blocks.size() + p.terminals.size();
+        AffinityMatrix aff(total);
+        if (variant > 0) {
+          for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
+            for (std::size_t j = i + 1; j < total; ++j) {
+              if (rng.next_bool(0.7)) aff.set(i, j, rng.next_double(0.1, 1.0));
+            }
+          }
+        }
+        p.affinity = &aff;
+
+        AnnealOptions on = quick_anneal(static_cast<std::uint64_t>(seed));
+        AnnealOptions off = on;
+        off.incremental = false;
+        const std::uint64_t exhausted0 = exhausted.value(), moves0 = moves.value();
+        const LayoutSolution a = optimize_layout(p, on);
+        const std::uint64_t exhausted1 = exhausted.value(), moves1 = moves.value();
+        const LayoutSolution b = optimize_layout(p, off);
+        const std::string where = "n " + std::to_string(n) + " variant " +
+                                  std::to_string(variant) + " seed " + std::to_string(seed);
+        ASSERT_EQ(a.expression.elements(), b.expression.elements()) << where;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.cost), std::bit_cast<std::uint64_t>(b.cost))
+            << where;
+        ASSERT_EQ(a.rects.size(), b.rects.size());
+        for (std::size_t i = 0; i < a.rects.size(); ++i) EXPECT_EQ(a.rects[i], b.rects[i]) << where;
+        EXPECT_EQ(exhausted1 - exhausted0, 1u) << where;
+        EXPECT_EQ(exhausted.value(), exhausted1) << "the oracle never exits early; " << where;
+        EXPECT_LT(moves1 - moves0, moves.value() - moves1) << where;
+      }
+    }
+  }
 }
 
 TEST(LayoutOptimizer, EmptyProblem) {

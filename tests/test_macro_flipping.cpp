@@ -332,6 +332,150 @@ TEST(MacroFlippingOracle, IndexedEvaluatorMatchesReference) {
   }
 }
 
+// Hand-built corner cases, each on its own net: macro-to-macro nets, a
+// macro with two pins on one net, a net whose other macro is left out
+// of the placement, and placements that list a cell twice (the last
+// entry is its position; earlier entries score 0 and never flip).
+// Orientations, flips, passes and both HPWL sums must equal the
+// reference bit for bit.
+TEST(MacroFlippingOracle, CornerCasesMatchReference) {
+  Design d("top");
+  MacroDef m_def;
+  m_def.name = "M";
+  m_def.w = 10;
+  m_def.h = 6;
+  m_def.pins = {{"Q", {10.0, 3.0}, 8, true},
+                {"D", {0.0, 2.0}, 8, false},
+                {"Q2", {7.0, 6.0}, 8, true},
+                {"D2", {3.0, 0.0}, 8, false}};
+  const MacroDefId m_id = d.library().add(m_def);
+  MacroDef n_def;
+  n_def.name = "N";
+  n_def.w = 8;
+  n_def.h = 12;
+  n_def.pins = {{"A", {8.0, 11.0}, 8, true}, {"B", {1.0, 0.0}, 8, false}};
+  const MacroDefId n_id = d.library().add(n_def);
+  const HierId a = d.add_hier(d.root(), "a");
+  const HierId b = d.add_hier(d.root(), "b");
+  const CellId m0 = d.add_cell(a, "m0", CellKind::Macro, 0.0, m_id);
+  const CellId m1 = d.add_cell(b, "m1", CellKind::Macro, 0.0, m_id);
+  const CellId m2 = d.add_cell(d.root(), "m2", CellKind::Macro, 0.0, n_id);
+  const CellId m3 = d.add_cell(a, "m3", CellKind::Macro, 0.0, n_id);
+  const CellId m4 = d.add_cell(b, "m4", CellKind::Macro, 0.0, m_id);
+  const CellId c0 = d.add_cell(a, "c0", CellKind::Comb, 1.0);
+  const CellId c1 = d.add_cell(b, "c1", CellKind::Comb, 1.0);
+  const CellId f0 = d.add_cell(d.root(), "f0", CellKind::Flop, 1.0);
+  const CellId p0 = d.add_cell(d.root(), "p0", CellKind::PortIn, 0.0);
+  const CellId p1 = d.add_cell(d.root(), "p1", CellKind::PortOut, 0.0);
+  d.cell_mutable(p0).fixed_pos = Point{0.0, 50.0};
+  d.cell_mutable(p1).fixed_pos = Point{100.0, 20.0};
+  const auto pin = [&](NetId net, CellId cell, const MacroDef& def, int k) {
+    const MacroPin& mp = def.pins[static_cast<std::size_t>(k)];
+    const auto dx = static_cast<float>(mp.offset.x), dy = static_cast<float>(mp.offset.y);
+    if (mp.is_output) {
+      d.set_driver(net, cell, dx, dy);
+    } else {
+      d.add_sink(net, cell, dx, dy);
+    }
+  };
+  const NetId to_macro = d.add_net("m0_to_m1");  // macro to macro
+  pin(to_macro, m0, m_def, 0);
+  pin(to_macro, m1, m_def, 1);
+  const NetId loop = d.add_net("m0_loop");  // two pins of one macro and a port
+  pin(loop, m0, m_def, 2);
+  pin(loop, m0, m_def, 3);
+  d.add_sink(loop, p1);
+  const NetId pair = d.add_net("m2_to_m3");  // m3 is often left out
+  pin(pair, m2, n_def, 0);
+  pin(pair, m3, n_def, 1);
+  const NetId fanout = d.add_net("m1_fanout");  // cells of three HT nodes
+  pin(fanout, m1, m_def, 2);
+  d.add_sink(fanout, c0);
+  d.add_sink(fanout, c1);
+  d.add_sink(fanout, f0);
+  const NetId mixed = d.add_net("p0_mixed");  // ports, cells and two macros
+  d.set_driver(mixed, p0);
+  pin(mixed, m4, m_def, 1);
+  pin(mixed, m2, n_def, 1);
+  d.add_sink(mixed, c1);
+  const NetId three = d.add_net("m3_three");  // three macros, two of one def
+  pin(three, m3, n_def, 0);
+  pin(three, m4, m_def, 3);
+  pin(three, m1, m_def, 3);
+  const NetId cells = d.add_net("cells_only");  // not indexed
+  d.set_driver(cells, c0);
+  d.add_sink(cells, c1);
+  d.set_die(Die{100, 100});
+
+  const HierTree ht(d);
+  const MacroNets nets(d, ht);
+  EXPECT_EQ(nets.net_count(), 6u);
+  const std::vector<CellId> macro_cells = {m0, m1, m2, m3, m4};
+  Rng rng(31);
+  int duplicates = 0, absent = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<Rect> region(ht.size());
+    std::vector<std::uint8_t> region_valid(ht.size(), 0);
+    for (std::size_t n = 0; n < ht.size(); ++n) {
+      if (!rng.next_bool(0.6)) continue;
+      const double w = rng.next_double(1.0, 50), h = rng.next_double(1.0, 50);
+      region[n] = Rect{rng.next_double(0, 100 - w), rng.next_double(0, 100 - h), w, h};
+      region_valid[n] = 1;
+    }
+    std::vector<MacroPlacement> placement;
+    const auto random_entry = [&](CellId cell) {
+      const MacroDef& def = d.macro_def_of(cell);
+      const Orientation o = kAllOrientations[rng.next_below(kAllOrientations.size())];
+      const Point size = oriented_size(def.w, def.h, o);
+      return MacroPlacement{
+          cell, Rect{rng.next_double(0, 100 - size.x), rng.next_double(0, 100 - size.y), size.x,
+                     size.y},
+          o};
+    };
+    for (const CellId cell : macro_cells) {
+      if (rng.next_bool(0.25)) {
+        ++absent;
+        continue;
+      }
+      placement.push_back(random_entry(cell));
+    }
+    // Second entries of placed cells, at random positions (before or
+    // after the first).
+    const std::size_t placed = placement.size();
+    for (std::size_t i = 0; i < placed; ++i) {
+      if (!rng.next_bool(0.25)) continue;
+      const MacroPlacement twin = random_entry(placement[i].cell);
+      placement.insert(placement.begin() +
+                           static_cast<std::ptrdiff_t>(rng.next_below(placement.size() + 1)),
+                       twin);
+      ++duplicates;
+    }
+    std::set<CellId> skip;
+    if (rng.next_bool(0.2)) skip.insert(macro_cells[rng.next_below(macro_cells.size())]);
+    const std::set<CellId>* skip_ptr = skip.empty() ? nullptr : &skip;
+    std::vector<MacroPlacement> expected = placement;
+    const FlippingStats want =
+        reference_flip_macros(d, ht, region, region_valid, expected, 4, skip_ptr);
+    const FlippingStats got =
+        flip_macros(d, ht, nets, region, region_valid, placement, 4, skip_ptr);
+    ASSERT_EQ(placement.size(), expected.size());
+    for (std::size_t i = 0; i < placement.size(); ++i) {
+      EXPECT_EQ(placement[i].orientation, expected[i].orientation)
+          << "trial " << trial << " entry " << i;
+    }
+    EXPECT_EQ(got.flips, want.flips) << "trial " << trial;
+    EXPECT_EQ(got.passes, want.passes) << "trial " << trial;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.hpwl_before),
+              std::bit_cast<std::uint64_t>(want.hpwl_before))
+        << "trial " << trial;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.hpwl_after),
+              std::bit_cast<std::uint64_t>(want.hpwl_after))
+        << "trial " << trial;
+  }
+  EXPECT_GT(duplicates, 50);
+  EXPECT_GT(absent, 50);
+}
+
 // A macro missing from the placement is a fixed endpoint at its HT
 // node's region center: here it sits west of the placed macro, so the
 // placed macro mirrors its output pin toward it.

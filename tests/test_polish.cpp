@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "floorplan/polish_expression.hpp"
 
@@ -101,6 +105,74 @@ TEST(SlicingTree, InvalidExpressionThrows) {
 TEST(Polish, ToStringReadable) {
   const PolishExpression e({0, 1, kOpV, 2, kOpH});
   EXPECT_EQ(e.to_string(), "0 1 V 2 H");
+}
+
+// Every valid normalized expression over n operands, by depth-first
+// construction: an unused operand, or an operator that keeps the
+// balloting property and differs from the element before it.
+void enumerate_normalized(int n, std::vector<int>& elems, unsigned used, int operators,
+                          std::vector<PolishExpression>& out) {
+  const int operands = std::popcount(used);
+  if (operands == n && operators == n - 1) {
+    out.emplace_back(elems);
+    return;
+  }
+  for (int k = 0; k < n; ++k) {
+    if ((used & (1u << k)) != 0) continue;
+    elems.push_back(k);
+    enumerate_normalized(n, elems, used | (1u << k), operators, out);
+    elems.pop_back();
+  }
+  for (const int op : {kOpH, kOpV}) {
+    if (operators + 1 >= operands || elems.back() == op) continue;
+    elems.push_back(op);
+    enumerate_normalized(n, elems, used, operators + 1, out);
+    elems.pop_back();
+  }
+}
+
+TEST(ExpressionSpace, CountMatchesBruteForceAndTracksOnlyUpToThreeOperands) {
+  const std::uint64_t expected[] = {1, 4, 36, 528, 10800};
+  for (int n = 1; n <= 5; ++n) {
+    std::vector<PolishExpression> all;
+    std::vector<int> elems;
+    enumerate_normalized(n, elems, 0, 0, all);
+    for (const PolishExpression& e : all) ASSERT_TRUE(e.is_valid()) << e.to_string();
+    EXPECT_EQ(all.size(), expected[n - 1]) << "n " << n;
+    EXPECT_EQ(normalized_expression_count(n), all.size()) << "n " << n;
+
+    ExpressionSpaceTracker tracker(n);
+    EXPECT_EQ(tracker.tracking(), n <= 3) << "n " << n;
+    // Each expression twice, the second pass in reverse: repeats never
+    // count, and only the last new one exhausts the space.
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      EXPECT_FALSE(tracker.exhausted()) << "n " << n << " after " << i;
+      tracker.record(all[i]);
+      tracker.record(all[i / 2]);
+    }
+    EXPECT_EQ(tracker.exhausted(), n <= 3) << "n " << n;
+  }
+  EXPECT_EQ(normalized_expression_count(0), 0u);
+  EXPECT_EQ(normalized_expression_count(12), 479001600ull * 5293446ull);
+  EXPECT_EQ(normalized_expression_count(13), std::numeric_limits<std::uint64_t>::max());
+}
+
+// The annealers' walk stays inside the tracked space: random Polish
+// moves from the initial expression reach all 4 and 36 expressions.
+TEST(ExpressionSpace, RandomMovesReachEveryTinyExpression) {
+  for (int n = 2; n <= 3; ++n) {
+    ExpressionSpaceTracker tracker(n);
+    PolishExpression e = PolishExpression::initial(n);
+    tracker.record(e);
+    Rng rng(static_cast<std::uint64_t>(n));
+    int moves = 0;
+    while (!tracker.exhausted() && moves < 10000) {
+      e.perturb(rng);
+      tracker.record(e);
+      ++moves;
+    }
+    EXPECT_TRUE(tracker.exhausted()) << "n " << n;
+  }
 }
 
 }  // namespace
