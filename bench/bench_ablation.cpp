@@ -1,4 +1,4 @@
-// Ablation bench for the design choices DESIGN.md calls out:
+// Ablation bench for the main design choices of this reproduction:
 //   1. lambda sweep  -- block-flow vs macro-flow balance (paper IV-D)
 //   2. k sweep       -- latency decay exponent in score(h, k)
 //   3. flow ablation -- HiDaP vs flat SA (no hierarchy/dataflow) vs walls

@@ -61,7 +61,7 @@ inline FlowOptions bench_flow_options(std::uint64_t seed = 1) {
   o.hidap.shape_fp.anneal.max_stagnant_temperatures = 4;
   // The commercial tool the paper compares against is wall-constrained
   // and not dataflow-aware; a low ring-order budget keeps the proxy
-  // competent but blind, as described (DESIGN.md substitution table).
+  // competent but blind, as the paper describes that tool.
   o.indeda_effort = 0.3;
   o.handfp_effort = 2.0;
   o.handfp_seeds = 2;

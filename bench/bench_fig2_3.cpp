@@ -67,6 +67,7 @@ Design build_fig2_system() {
   }
   const double side = std::sqrt(d.total_cell_area() / 0.5);
   d.set_die(Die{side, side});
+  d.freeze();
   return d;
 }
 

@@ -25,7 +25,7 @@ int main() {
   for (int i = 0; i < width; ++i) {
     const CellId pad = design.add_cell(design.root(), "in[" + std::to_string(i) + "]",
                                        CellKind::PortIn, 0.0);
-    design.cell_mutable(pad).fixed_pos = Point{0.0, 100.0 + i};
+    design.set_fixed_pos(pad, Point{0.0, 100.0 + i});
     const NetId n = design.add_net("in");
     design.set_driver(n, pad);
     bus.push_back(n);
@@ -59,10 +59,11 @@ int main() {
   for (int i = 0; i < width; ++i) {
     const CellId pad = design.add_cell(design.root(), "out[" + std::to_string(i) + "]",
                                        CellKind::PortOut, 0.0);
-    design.cell_mutable(pad).fixed_pos = Point{die_side, 100.0 + i};
+    design.set_fixed_pos(pad, Point{die_side, 100.0 + i});
     design.add_sink(bus[static_cast<std::size_t>(i)], pad);
   }
   design.set_die(Die{die_side, die_side});
+  design.freeze();  // the netlist is complete: lay it out for the readers
   std::printf("design: %zu cells, %zu nets, %zu macros\n", design.cell_count(),
               design.net_count(), design.macro_count());
 

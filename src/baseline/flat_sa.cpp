@@ -84,7 +84,7 @@ PlacementResult place_macros_flat_sa(const Design& design, const SeqGraph& seq,
   std::vector<MacroPlacement> state;
   {
     // Initial grid.
-    const std::vector<CellId> macros = design.macros();
+    const std::vector<CellId>& macros = design.macros();
     const int cols = std::max(1, static_cast<int>(std::ceil(std::sqrt(macros.size()))));
     for (std::size_t i = 0; i < macros.size(); ++i) {
       const MacroDef& def = design.macro_def_of(macros[i]);

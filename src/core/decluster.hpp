@@ -5,10 +5,11 @@
 // modeled as blocks (big area or containing macros), HCG the small glue
 // nodes whose area is later folded into blocks by target-area assignment.
 //
-// Per DESIGN.md interpretation #1, the queue is seeded with children(nh)
-// -- nh itself is always opened, otherwise a macro-bearing root would
-// degenerate into a single block. Childless nodes that satisfy the "open"
-// condition are classified by the block test instead (interpretation #2).
+// Two readings of Algorithm 3 that the paper leaves open: the queue is
+// seeded with children(nh) -- nh itself is always opened, otherwise a
+// macro-bearing root would degenerate into a single block -- and
+// childless nodes that satisfy the "open" condition are classified by
+// the block test instead.
 
 #include <vector>
 

@@ -34,9 +34,7 @@ PlacementResult place_macros(const Design& design, const PlacementContext& conte
   JobControl* control = options.job.control;
   const Rect die{0, 0, design.die().w, design.die().h};
   if (die.area() <= 0) throw std::invalid_argument("place_macros: empty die");
-  // The context's tree counts the design's macros (MacroNets asserts it);
-  // Design::macro_count() would scan every cell on every job.
-  if (context.ht.total_macros() == 0) throw std::invalid_argument("place_macros: no macros");
+  if (design.macro_count() == 0) throw std::invalid_argument("place_macros: no macros");
 
   RecursiveFloorplanner floorplanner(design, context.adjacency, context.ht, context.seq,
                                      options);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <limits>
 
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
@@ -32,11 +31,6 @@ std::array<Orientation, 4> candidates_for(Orientation current) {
 // MY, R180}, group 1 {R90, MX90, MY90, R270} (see transform_pin).
 constexpr std::uint8_t kPick[2][4][2] = {{{0, 0}, {0, 1}, {1, 0}, {1, 1}},
                                          {{0, 0}, {1, 0}, {0, 1}, {1, 1}}};
-
-double box_hpwl(const FlipBox& box) {
-  if (box.xmax < box.xmin) return 0.0;
-  return (box.xmax - box.xmin) + (box.ymax - box.ymin);
-}
 
 // One placement's view of the MacroNets index: each net's fixed
 // endpoints folded into one box and its count of placed pins. Nets none
@@ -125,8 +119,7 @@ class FlipEvaluator {
       return Point{rect.x + local.x, rect.y + local.y};
     };
     const auto mu = static_cast<std::size_t>(m);
-    for (std::uint32_t k = nets_.macro_pin_start[mu]; k < nets_.macro_pin_start[mu + 1]; ++k) {
-      const MacroNets::MacroPin& pin = nets_.macro_pins[k];
+    for (const MacroNets::MacroPin& pin : nets_.macro_pins[mu]) {
       const FixedNet& net = fixed_[pin.net];
       if (net.placed == 1) {
         // This pin is the net's only placed one: each candidate's box is
@@ -146,7 +139,7 @@ class FlipEvaluator {
         continue;
       }
       for (std::size_t c = 0; c < 4; ++c) {
-        FlipBox box = net.box;
+        BoundingBox box = net.box;
         for (std::uint32_t q = nets_.pin_start[pin.net]; q < nets_.pin_start[pin.net + 1]; ++q) {
           const MacroNets::Pin& other = nets_.pins[q];
           if (slot_[other.macro] < 0) continue;
@@ -154,14 +147,14 @@ class FlipEvaluator {
           const Orientation o = at == pl ? candidates[c] : macros_[at].orientation;
           box.absorb(pin_position(at, other.dx, other.dy, o));
         }
-        cost[c] += box_hpwl(box);
+        cost[c] += box.half_perimeter();
       }
     }
   }
 
  private:
   struct FixedNet {
-    FlipBox box;
+    BoundingBox box;
     std::uint32_t placed = 0;  ///< pins whose macro this placement places
   };
 
@@ -174,14 +167,14 @@ class FlipEvaluator {
 
   // HPWL of net `n` with every placed macro in its current orientation.
   double net_hpwl(std::size_t n) const {
-    FlipBox box = fixed_[n].box;
+    BoundingBox box = fixed_[n].box;
     for (std::uint32_t k = nets_.pin_start[n]; k < nets_.pin_start[n + 1]; ++k) {
       const MacroNets::Pin& pin = nets_.pins[k];
       if (slot_[pin.macro] < 0) continue;
       const auto at = static_cast<std::size_t>(slot_[pin.macro]);
       box.absorb(pin_position(at, pin.dx, pin.dy, macros_[at].orientation));
     }
-    return box_hpwl(box);
+    return box.half_perimeter();
   }
 
   // Where the pin at R0 offset (dx, dy) of placement entry `pl` lands in
@@ -213,16 +206,14 @@ MacroNets::MacroNets(const Design& design, const HierTree& ht) : macro_cells(des
   pin_start.push_back(0);
   node_start.push_back(0);
   port_boxes.emplace_back();  // the empty box of nets without ports
-  for (const Net& net : design.nets()) {
-    const auto is_macro = [&](const NetPin& p) {
-      return design.cell(p.cell).kind == CellKind::Macro;
-    };
-    if (!(net.driver.cell != kInvalidId && is_macro(net.driver)) &&
-        std::none_of(net.sinks.begin(), net.sinks.end(), is_macro)) {
-      continue;
-    }
+  const auto is_macro = [&](const NetPin& p) {
+    return design.cell(p.cell).kind == CellKind::Macro;
+  };
+  for (std::size_t n = 0; n < design.net_count(); ++n) {
+    const std::span<const NetPin> net_pins = design.pins(static_cast<NetId>(n));
+    if (std::none_of(net_pins.begin(), net_pins.end(), is_macro)) continue;
     const auto stamp = static_cast<std::uint32_t>(pin_start.size());
-    FlipBox ports;
+    BoundingBox ports;
     bool has_ports = false;
     const auto add = [&](const NetPin& p) {
       const Cell& c = design.cell(p.cell);
@@ -240,26 +231,20 @@ MacroNets::MacroNets(const Design& design, const HierTree& ht) : macro_cells(des
         }
       }
     };
-    if (net.driver.cell != kInvalidId) add(net.driver);
-    for (const NetPin& p : net.sinks) add(p);
+    for (const NetPin& p : net_pins) add(p);
     pin_start.push_back(static_cast<std::uint32_t>(pins.size()));
     port_box_of.push_back(has_ports ? static_cast<std::uint32_t>(port_boxes.size()) : 0);
     if (has_ports) port_boxes.push_back(ports);
     node_start.push_back(static_cast<std::uint32_t>(nodes.size()));
   }
-  // Each macro's pins in net order: a counting sort of `pins` by macro.
-  macro_pin_start.assign(macro_cells.size() + 1, 0);
-  for (const Pin& pin : pins) ++macro_pin_start[pin.macro + 1];
-  for (std::size_t m = 0; m < macro_cells.size(); ++m) {
-    macro_pin_start[m + 1] += macro_pin_start[m];
-  }
-  macro_pins.resize(pins.size());
-  std::vector<std::uint32_t> fill(macro_pin_start.begin(), macro_pin_start.end() - 1);
-  for (std::uint32_t n = 0; n + 1 < pin_start.size(); ++n) {
-    for (std::uint32_t k = pin_start[n]; k < pin_start[n + 1]; ++k) {
-      macro_pins[fill[pins[k].macro]++] = {n, pins[k].dx, pins[k].dy};
+  // Each macro's pins in net order.
+  macro_pins = Csr<MacroPin>::group(macro_cells.size(), [&](auto&& emit) {
+    for (std::uint32_t n = 0; n + 1 < pin_start.size(); ++n) {
+      for (std::uint32_t k = pin_start[n]; k < pin_start[n + 1]; ++k) {
+        emit(pins[k].macro, MacroPin{n, pins[k].dx, pins[k].dy});
+      }
     }
-  }
+  });
   // The index lives as long as its cached context.
   pin_start.shrink_to_fit();
   pins.shrink_to_fit();

@@ -15,9 +15,7 @@
 // (MacroNets, held by PlacementContext); a placement then only resolves
 // region centers and moves macro pins.
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <set>
 #include <vector>
 
@@ -32,21 +30,6 @@ struct FlippingStats {
   int passes = 0;
   double hpwl_before = 0.0;
   double hpwl_after = 0.0;
-};
-
-/// Bounding box of a point set; min/max do not depend on absorb order.
-struct FlipBox {
-  double xmin = std::numeric_limits<double>::max();
-  double xmax = -std::numeric_limits<double>::max();
-  double ymin = std::numeric_limits<double>::max();
-  double ymax = -std::numeric_limits<double>::max();
-
-  void absorb(const Point& p) {
-    xmin = std::min(xmin, p.x);
-    xmax = std::max(xmax, p.x);
-    ymin = std::min(ymin, p.y);
-    ymax = std::max(ymax, p.y);
-  }
 };
 
 /// Every net with at least one macro pin, in net order, indexed once per
@@ -85,11 +68,10 @@ struct MacroNets {
   std::vector<std::uint32_t> pin_start;
   std::vector<Pin> pins;
   std::vector<std::uint32_t> port_box_of;
-  std::vector<FlipBox> port_boxes;
+  std::vector<BoundingBox> port_boxes;
   std::vector<std::uint32_t> node_start;
   std::vector<HtNodeId> nodes;
-  std::vector<std::uint32_t> macro_pin_start;
-  std::vector<MacroPin> macro_pins;
+  Csr<MacroPin> macro_pins;
 };
 
 /// Mutates `macros` orientations in place: each pass visits the

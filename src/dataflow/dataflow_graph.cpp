@@ -103,9 +103,8 @@ void DataflowGraph::block_flow_from(DfNodeId src, const DataflowOptions& options
     (void)pred_width;
     if (dist >= options.max_latency) continue;
     const int u_width = seq_->node(u).width;
-    auto [b, e] = seq_->out_edges(u);
-    for (const std::uint32_t* p = b; p != e; ++p) {
-      const SeqEdge& edge = seq_->edge(*p);
+    for (const std::uint32_t e : seq_->out_edges(u)) {
+      const SeqEdge& edge = seq_->edge(e);
       const SeqNodeId v = edge.to;
       if (stamp_[static_cast<std::size_t>(v)] == epoch_) continue;
       stamp_[static_cast<std::size_t>(v)] = epoch_;
@@ -138,9 +137,8 @@ void DataflowGraph::macro_flow_from(DfNodeId src, const DataflowOptions& options
     (void)pred_width;
     if (dist >= options.max_latency) continue;
     const int u_width = seq_->node(u).width;
-    auto [b, e] = seq_->out_edges(u);
-    for (const std::uint32_t* p = b; p != e; ++p) {
-      const SeqEdge& edge = seq_->edge(*p);
+    for (const std::uint32_t e : seq_->out_edges(u)) {
+      const SeqEdge& edge = seq_->edge(e);
       const SeqNodeId v = edge.to;
       if (stamp_[static_cast<std::size_t>(v)] == epoch_) continue;
       stamp_[static_cast<std::size_t>(v)] = epoch_;

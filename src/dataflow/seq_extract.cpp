@@ -49,7 +49,7 @@ SeqGraph extract_seq_graph(const Design& design, const CellAdjacency& adjacency,
     if (cell.kind != CellKind::Macro) continue;
     SeqNode node;
     node.kind = SeqKind::Macro;
-    node.base_name = cell.name;
+    node.base_name = design.cell_name(cid);
     node.hier = cell.hier;
     node.macro_cell = cid;
     node.bits = {cid};
@@ -76,17 +76,15 @@ SeqGraph extract_seq_graph(const Design& design, const CellAdjacency& adjacency,
     // upstream cell, so an 8-bit bus into one macro contributes 8 bits);
     // combinational fan-outs join the cone once.
     const auto expand = [&](CellId u, int depth) {
-      auto [b, e] = adjacency.out(u);
-      for (const CellId* p = b; p != e; ++p) {
-        const Cell& nc = design.cell(*p);
-        if (is_sequential(nc.kind)) {
-          const SeqNodeId dst = graph.node_of_cell(*p);
+      for (const CellId v : adjacency.out(u)) {
+        if (is_sequential(design.cell(v).kind)) {
+          const SeqNodeId dst = graph.node_of_cell(v);
           if (dst != kInvalidId && dst != src) graph.add_edge(src, dst, 1, depth);
           continue;  // sequential elements terminate the cone
         }
-        if (stamp[static_cast<std::size_t>(*p)] == epoch) continue;
-        stamp[static_cast<std::size_t>(*p)] = epoch;
-        queue.emplace_back(*p, depth + 1);
+        if (stamp[static_cast<std::size_t>(v)] == epoch) continue;
+        stamp[static_cast<std::size_t>(v)] = epoch;
+        queue.emplace_back(v, depth + 1);
       }
     };
     for (const CellId bit : graph.node(src).bits) expand(bit, 0);

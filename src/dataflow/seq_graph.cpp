@@ -48,24 +48,12 @@ void SeqGraph::add_edge(SeqNodeId from, SeqNodeId to, int bits, int comb_depth) 
 }
 
 void SeqGraph::build_adjacency() {
-  const std::size_t n = nodes_.size();
-  out_start_.assign(n + 1, 0);
-  for (const SeqEdge& e : edges_) ++out_start_[static_cast<std::size_t>(e.from) + 1];
-  for (std::size_t i = 0; i < n; ++i) out_start_[i + 1] += out_start_[i];
-  out_list_.resize(edges_.size());
-  std::vector<std::uint32_t> ofill(out_start_.begin(), out_start_.end() - 1);
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    out_list_[ofill[static_cast<std::size_t>(edges_[i].from)]++] =
-        static_cast<std::uint32_t>(i);
-  }
+  out_edges_ = Csr<std::uint32_t>::group(nodes_.size(), [&](auto&& emit) {
+    for (std::size_t i = 0; i < edges_.size(); ++i) {
+      emit(static_cast<std::size_t>(edges_[i].from), static_cast<std::uint32_t>(i));
+    }
+  });
   adjacency_built_ = true;
-}
-
-std::pair<const std::uint32_t*, const std::uint32_t*> SeqGraph::out_edges(
-    SeqNodeId n) const {
-  assert(adjacency_built_);
-  return {out_list_.data() + out_start_[static_cast<std::size_t>(n)],
-          out_list_.data() + out_start_[static_cast<std::size_t>(n) + 1]};
 }
 
 void SeqGraph::map_cell(CellId cell, SeqNodeId node) {

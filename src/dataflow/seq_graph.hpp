@@ -6,6 +6,7 @@
 // Each edge carries the wire count crossing it and the deepest
 // combinational path it summarizes (used by the timing proxy).
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -58,7 +59,10 @@ class SeqGraph {
   void build_adjacency();
 
   /// Outgoing edge indices of a node.
-  std::pair<const std::uint32_t*, const std::uint32_t*> out_edges(SeqNodeId n) const;
+  std::span<const std::uint32_t> out_edges(SeqNodeId n) const {
+    assert(adjacency_built_);
+    return out_edges_[static_cast<std::size_t>(n)];
+  }
 
   /// Gseq node of a sequential bit cell (kInvalidId for comb cells and
   /// for elements dropped by the bit-width threshold).
@@ -75,9 +79,9 @@ class SeqGraph {
   std::vector<SeqEdge> edges_;
   std::unordered_map<std::uint64_t, std::size_t> edge_index_;  ///< (from,to) -> edge
   std::vector<SeqNodeId> cell_node_;
-  // CSR out-adjacency over edge indices (the Gseq BFSs walk edges
-  // forward only).
-  std::vector<std::uint32_t> out_start_, out_list_;
+  // Out-adjacency over edge indices (the Gseq BFSs walk edges forward
+  // only).
+  Csr<std::uint32_t> out_edges_;
   bool adjacency_built_ = false;
 };
 

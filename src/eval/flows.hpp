@@ -7,7 +7,8 @@
 //              search (seed x lambda sweep at ~3x SA effort, winner
 //              selected by wirelength after cell placement).
 //
-// See DESIGN.md for why the proxies preserve the paper's comparison.
+// Each proxy keeps the trait the paper's comparison rests on: IndEDA is
+// wall-constrained and blind to dataflow, handFP buys quality by search.
 
 #include "core/hidap.hpp"
 #include "eval/metrics.hpp"

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
@@ -315,12 +317,13 @@ class CircuitBuilder {
         const double t = (static_cast<double>(i) + 1.0) / (pads.size() + 1.0);
         const Point pos = vertical ? Point{x, side * (0.1 + 0.8 * t)}
                                    : Point{side * (0.1 + 0.8 * t), x};
-        design_.cell_mutable(pads[i]).fixed_pos = pos;
+        design_.set_fixed_pos(pads[i], pos);
       }
     };
     spread(in_pads_, 0.0, /*vertical=*/true);          // west edge
     spread(out_pads_, side, /*vertical=*/true);        // east edge
     spread(cfg_pads_, side, /*vertical=*/false);       // north edge
+    design_.freeze();
 
     HIDAP_LOG_DEBUG("gen %s: %zu cells (%ld std), %zu macros, die %.0fx%.0f",
                     spec_.name.c_str(), design_.cell_count(), std_cells_,
@@ -341,8 +344,15 @@ class CircuitBuilder {
 }  // namespace
 
 Design generate_circuit(const CircuitSpec& spec) {
-  CircuitBuilder builder(spec);
-  return builder.build();
+  static obs::Counter& cells = obs::default_registry().counter("generate.cells");
+  static obs::Counter& nets = obs::default_registry().counter("generate.nets");
+  static obs::Counter& pins = obs::default_registry().counter("generate.pins");
+  const obs::Phase phase("generate", "gen");
+  Design design = CircuitBuilder(spec).build();
+  cells.add(design.cell_count());
+  nets.add(design.net_count());
+  pins.add(design.pin_count());
+  return design;
 }
 
 }  // namespace hidap

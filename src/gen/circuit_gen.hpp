@@ -1,13 +1,13 @@
 #pragma once
 // Synthetic hierarchical SoC generator.
 //
-// Substitute for the paper's proprietary industrial circuits (see
-// DESIGN.md, substitution table). The generator emits exactly the
-// structure HiDaP consumes: an RTL-style hierarchy tree, memory-macro
-// banks, *named* multi-bit register arrays ("stage_q[17]"), combinational
-// clouds between pipeline stages, cross-subsystem buses of configurable
-// width and latency, narrow control glue, and boundary ports with die
-// locations.
+// Substitute for the paper's proprietary industrial circuits, which are
+// not public; gen/suite.cpp sizes one per row of the paper's Table III.
+// The generator emits exactly the structure HiDaP consumes: an RTL-style
+// hierarchy tree, memory-macro banks, *named* multi-bit register arrays
+// ("stage_q[17]"), combinational clouds between pipeline stages,
+// cross-subsystem buses of configurable width and latency, narrow
+// control glue, and boundary ports with die locations.
 //
 // Topology: `subsystems` top-level units arranged in a logical pipeline
 // ring (ss0 -> ss1 -> ... -> ss0), each containing memory banks fed and

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace hidap {
 
@@ -55,6 +56,23 @@ struct Rect {
   }
 
   bool operator==(const Rect&) const = default;
+};
+
+/// Bounding box of a point set; min/max do not depend on absorb order.
+struct BoundingBox {
+  double xmin = std::numeric_limits<double>::max();
+  double xmax = -std::numeric_limits<double>::max();
+  double ymin = std::numeric_limits<double>::max();
+  double ymax = -std::numeric_limits<double>::max();
+
+  void absorb(const Point& p) {
+    xmin = std::min(xmin, p.x);
+    xmax = std::max(xmax, p.x);
+    ymin = std::min(ymin, p.y);
+    ymax = std::max(ymax, p.y);
+  }
+  /// 0 for an empty box.
+  double half_perimeter() const { return xmax < xmin ? 0.0 : (xmax - xmin) + (ymax - ymin); }
 };
 
 /// Smallest rectangle containing both arguments.

@@ -45,7 +45,7 @@ HierTree::HierTree(const Design& design) {
       node.parent = owner;
       node.hier = cell.hier;
       node.macro_cell = cid;
-      node.name = cell.name;
+      node.name = design.cell_name(cid);
       nodes_.push_back(std::move(node));
       nodes_[static_cast<std::size_t>(owner)].children.push_back(leaf);
       cell_node_[i] = leaf;

@@ -2,10 +2,11 @@
 // Hierarchy tree HT = (Vht, Eht) (paper sect. II-C).
 //
 // Every node represents a level of the RTL hierarchy; additionally every
-// macro cell gets a private leaf node (DESIGN.md interpretation #3) so
-// that hierarchical declustering can always descend to single-macro
-// blocks. The tree caches per-subtree area and macro counts, the two
-// quantities Algorithm 3 consults.
+// macro cell gets a private leaf node (the paper does not say where a
+// macro sits in HT; a leaf of its own is our reading) so that
+// hierarchical declustering can always descend to single-macro blocks.
+// The tree caches per-subtree area and macro counts, the two quantities
+// Algorithm 3 consults.
 
 #include <cstdint>
 #include <string>

@@ -26,8 +26,9 @@ ArrayClusters cluster_arrays(const Design& design) {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
     if (!grouped(c)) continue;
-    const auto parsed = parse_array_name(c.name);
-    records.push_back({c.hier, c.kind, parsed ? parsed->base : std::string_view(c.name),
+    const std::string_view name = design.cell_name(static_cast<CellId>(i));
+    const auto parsed = parse_array_name(name);
+    records.push_back({c.hier, c.kind, parsed ? parsed->base : name,
                        parsed ? parsed->index : 0, static_cast<CellId>(i)});
   }
   std::sort(records.begin(), records.end(),

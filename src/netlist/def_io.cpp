@@ -84,7 +84,7 @@ void write_def(const Design& design, const PlacementResult& placement,
   out << "END COMPONENTS\n";
 
   if (options.include_pins) {
-    const std::vector<CellId> ports = design.ports();
+    const std::vector<CellId>& ports = design.ports();
     out << "PINS " << ports.size() << " ;\n";
     for (const CellId p : ports) {
       const Cell& cell = design.cell(p);

@@ -1,29 +1,57 @@
 #include "netlist/netlist.hpp"
 
 #include <stdexcept>
-#include <unordered_set>
 
 #include "util/string_utils.hpp"
 
 namespace hidap {
 
-Design::Design(std::string name) : name_(std::move(name)), net_name_end_{0} {
-  hier_.push_back(HierNode{name_, kInvalidId, {}, {}});
+Design::Design(std::string name) : name_(std::move(name)) {
+  hier_.push_back(HierNode{name_, kInvalidId, {}});
 }
 
-void Design::reserve(std::size_t cells, std::size_t nets, std::size_t net_name_bytes) {
-  cells_.reserve(cells_.size() + cells);
-  nets_.reserve(nets_.size() + nets);
-  net_name_end_.reserve(net_name_end_.size() + nets);
-  net_names_.reserve(net_names_.size() + net_name_bytes);
+void Design::reserve(const DesignSize& more) {
+  cells_.reserve(cells_.size() + more.cells);
+  cell_names_.reserve(more.cells, more.cell_name_bytes);
+  net_names_.reserve(more.nets, more.net_name_bytes);
+  driver_.reserve(driver_.size() + more.nets);
+  sink_net_.reserve(sink_net_.size() + more.pins);
+  staged_sinks_.reserve(staged_sinks_.size() + more.pins);
+}
+
+void Design::freeze() {
+  if (frozen_) return;
+  frozen_ = true;
+  // Every driver is emitted before every sink, so the stable sort puts
+  // each net's driver first and its sinks after it in call order.
+  pins_ = Csr<NetPin>::group(net_count(), [&](auto&& emit) {
+    for (std::size_t n = 0; n < driver_.size(); ++n) {
+      if (driver_[n].cell != kInvalidId) emit(n, driver_[n]);
+    }
+    for (std::size_t i = 0; i < sink_net_.size(); ++i) {
+      emit(static_cast<std::size_t>(sink_net_[i]), staged_sinks_[i]);
+    }
+  });
+  std::vector<NetId>().swap(sink_net_);
+  std::vector<NetPin>().swap(staged_sinks_);
+  hier_cells_ = Csr<CellId>::group(hier_.size(), [&](auto&& emit) {
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      emit(static_cast<std::size_t>(cells_[i].hier), static_cast<CellId>(i));
+    }
+  });
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    if (cells_[i].kind == CellKind::Macro) macros_.push_back(static_cast<CellId>(i));
+    if (is_port(cells_[i].kind)) ports_.push_back(static_cast<CellId>(i));
+  }
 }
 
 HierId Design::add_hier(HierId parent, std::string name) {
+  assert(!frozen_);
   if (parent < 0 || static_cast<std::size_t>(parent) >= hier_.size()) {
     throw std::out_of_range("add_hier: bad parent");
   }
   const HierId id = static_cast<HierId>(hier_.size());
-  hier_.push_back(HierNode{std::move(name), parent, {}, {}});
+  hier_.push_back(HierNode{std::move(name), parent, {}});
   hier_[static_cast<std::size_t>(parent)].children.push_back(id);
   return id;
 }
@@ -34,70 +62,46 @@ std::string Design::hier_path(HierId id) const {
   return join_path(hier_path(node.parent), node.name);
 }
 
-CellId Design::add_cell(HierId hier_id, std::string name, CellKind kind, double area,
+CellId Design::add_cell(HierId hier_id, std::string_view name, CellKind kind, double area,
                         MacroDefId macro_def) {
+  assert(!frozen_);
   if (hier_id < 0 || static_cast<std::size_t>(hier_id) >= hier_.size()) {
     throw std::out_of_range("add_cell: bad hier node");
   }
-  const CellId id = static_cast<CellId>(cells_.size());
-  Cell c;
-  c.name = std::move(name);
-  c.kind = kind;
-  c.hier = hier_id;
-  c.area = area;
-  c.macro_def = macro_def;
   if (kind == CellKind::Macro) {
     if (macro_def == kNoMacroDef) throw std::invalid_argument("macro cell without def");
-    c.area = library_.def(macro_def).area();
+    area = library_.def(macro_def).area();
   }
-  cells_.push_back(std::move(c));
-  hier_[static_cast<std::size_t>(hier_id)].cells.push_back(id);
+  const CellId id = static_cast<CellId>(cells_.size());
+  cells_.push_back(Cell{kind, hier_id, area, macro_def, std::nullopt});
+  cell_names_.push({}, name);
   return id;
 }
 
 std::string Design::cell_path(CellId id) const {
-  const Cell& c = cell(id);
-  return join_path(hier_path(c.hier), c.name);
+  return join_path(hier_path(cell(id).hier), cell_name(id));
 }
 
 NetId Design::add_net(std::string_view name) { return add_net({}, name); }
 
 NetId Design::add_net(std::string_view prefix, std::string_view local) {
-  const NetId id = static_cast<NetId>(nets_.size());
-  nets_.emplace_back();
-  net_names_.append(prefix).append(local);
-  net_name_end_.push_back(net_names_.size());
+  assert(!frozen_);
+  const NetId id = static_cast<NetId>(net_count());
+  net_names_.push(prefix, local);
+  driver_.emplace_back();
   return id;
 }
 
 void Design::set_driver(NetId net, CellId cell, float dx, float dy) {
-  nets_[static_cast<std::size_t>(net)].driver = NetPin{cell, dx, dy};
+  assert(!frozen_);
+  if (has_driver(net) && redriven_net_ == kInvalidId) redriven_net_ = net;
+  driver_[static_cast<std::size_t>(net)] = NetPin{cell, dx, dy};
 }
 
 void Design::add_sink(NetId net, CellId cell, float dx, float dy) {
-  nets_[static_cast<std::size_t>(net)].sinks.push_back(NetPin{cell, dx, dy});
-}
-
-std::vector<CellId> Design::macros() const {
-  std::vector<CellId> out;
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (cells_[i].kind == CellKind::Macro) out.push_back(static_cast<CellId>(i));
-  }
-  return out;
-}
-
-std::vector<CellId> Design::ports() const {
-  std::vector<CellId> out;
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (is_port(cells_[i].kind)) out.push_back(static_cast<CellId>(i));
-  }
-  return out;
-}
-
-std::size_t Design::macro_count() const {
-  std::size_t n = 0;
-  for (const Cell& c : cells_) n += (c.kind == CellKind::Macro) ? 1 : 0;
-  return n;
+  assert(!frozen_);
+  sink_net_.push_back(net);
+  staged_sinks_.push_back(NetPin{cell, dx, dy});
 }
 
 double Design::total_cell_area() const {
@@ -117,16 +121,14 @@ std::string Design::validate() const {
       return "macro cell " + std::to_string(i) + " has bad macro def";
     }
   }
-  for (std::size_t i = 0; i < nets_.size(); ++i) {
-    const Net& n = nets_[i];
-    const auto check = [&](CellId c) {
-      return c >= 0 && static_cast<std::size_t>(c) < cells_.size();
-    };
-    if (n.driver.cell != kInvalidId && !check(n.driver.cell)) {
-      return "net " + std::to_string(i) + " has bad driver";
-    }
-    for (const NetPin& p : n.sinks) {
-      if (!check(p.cell)) return "net " + std::to_string(i) + " has bad sink";
+  if (redriven_net_ != kInvalidId) {
+    return "net " + std::to_string(redriven_net_) + " has two drivers";
+  }
+  for (std::size_t i = 0; i < net_count(); ++i) {
+    for (const NetPin& p : pins(static_cast<NetId>(i))) {
+      if (p.cell < 0 || static_cast<std::size_t>(p.cell) >= cells_.size()) {
+        return "net " + std::to_string(i) + " has a pin on a bad cell";
+      }
     }
   }
   // Hierarchy must be a tree rooted at 0.
@@ -145,32 +147,22 @@ std::string Design::validate() const {
 }
 
 CellAdjacency::CellAdjacency(const Design& design) {
-  const std::size_t n = design.cell_count();
-  std::vector<std::uint32_t> out_deg(n, 0), in_deg(n, 0);
-  for (const Net& net : design.nets()) {
-    if (net.driver.cell == kInvalidId) continue;
-    out_deg[static_cast<std::size_t>(net.driver.cell)] +=
-        static_cast<std::uint32_t>(net.sinks.size());
-    for (const NetPin& s : net.sinks) in_deg[static_cast<std::size_t>(s.cell)] += 1;
-  }
-  out_start_.assign(n + 1, 0);
-  in_start_.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    out_start_[i + 1] = out_start_[i] + out_deg[i];
-    in_start_[i + 1] = in_start_[i] + in_deg[i];
-  }
-  out_adj_.resize(out_start_[n]);
-  in_adj_.resize(in_start_[n]);
-  std::vector<std::uint32_t> out_fill(out_start_.begin(), out_start_.end() - 1);
-  std::vector<std::uint32_t> in_fill(in_start_.begin(), in_start_.end() - 1);
-  for (const Net& net : design.nets()) {
-    if (net.driver.cell == kInvalidId) continue;
-    const auto d = static_cast<std::size_t>(net.driver.cell);
-    for (const NetPin& s : net.sinks) {
-      out_adj_[out_fill[d]++] = s.cell;
-      in_adj_[in_fill[static_cast<std::size_t>(s.cell)]++] = net.driver.cell;
+  // One (driver, sink) edge per sink of a driven net.
+  const auto edges = [&](auto&& edge) {
+    for (std::size_t i = 0; i < design.net_count(); ++i) {
+      const auto net = static_cast<NetId>(i);
+      if (!design.has_driver(net)) continue;
+      const CellId d = design.driver(net).cell;
+      for (const NetPin& s : design.sinks(net)) edge(d, s.cell);
     }
-  }
+  };
+  const std::size_t n = design.cell_count();
+  out_ = Csr<CellId>::group(n, [&](auto&& emit) {
+    edges([&](CellId d, CellId s) { emit(static_cast<std::size_t>(d), s); });
+  });
+  in_ = Csr<CellId>::group(n, [&](auto&& emit) {
+    edges([&](CellId d, CellId s) { emit(static_cast<std::size_t>(s), d); });
+  });
 }
 
 }  // namespace hidap

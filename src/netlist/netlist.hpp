@@ -7,14 +7,17 @@
 // traversals (target-area assignment, Gseq extraction) and the
 // hierarchy-driven declustering operate on the same object.
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "geometry/geometry.hpp"
 #include "netlist/macro_library.hpp"
+#include "util/csr.hpp"
 
 namespace hidap {
 
@@ -36,7 +39,6 @@ inline bool is_sequential(CellKind k) { return k != CellKind::Comb; }
 inline bool is_port(CellKind k) { return k == CellKind::PortIn || k == CellKind::PortOut; }
 
 struct Cell {
-  std::string name;                 ///< local name, unique within its hier node
   CellKind kind = CellKind::Comb;
   HierId hier = 0;                  ///< owning hierarchy node
   double area = 0.0;                ///< footprint in um^2
@@ -52,18 +54,10 @@ struct NetPin {
   float dy = 0.0f;
 };
 
-/// A net's name lives in its Design (Design::net_name).
-struct Net {
-  NetPin driver;              ///< driver.cell == kInvalidId for floating nets
-  std::vector<NetPin> sinks;
-  int degree() const { return (driver.cell != kInvalidId ? 1 : 0) + static_cast<int>(sinks.size()); }
-};
-
 struct HierNode {
   std::string name;           ///< local name ("top" for the root)
   HierId parent = kInvalidId;
   std::vector<HierId> children;
-  std::vector<CellId> cells;  ///< leaf cells directly under this node
 };
 
 /// Die outline: the floorplanning area handed to the top flow.
@@ -73,11 +67,48 @@ struct Die {
   double area() const { return w * h; }
 };
 
+/// Output sizes a builder counted before building (Design::reserve).
+struct DesignSize {
+  std::size_t cells = 0, nets = 0, pins = 0, cell_name_bytes = 0, net_name_bytes = 0;
+};
+
+/// Strings stored back to back in one buffer, read as views by index; a
+/// view is valid until the next push.
+class NameBuffer {
+ public:
+  void reserve(std::size_t count, std::size_t bytes) {
+    end_.reserve(end_.size() + count);
+    bytes_.reserve(bytes_.size() + bytes);
+  }
+  void push(std::string_view prefix, std::string_view local) {
+    end_.push_back(bytes_.append(prefix).append(local).size());
+  }
+  std::size_t size() const { return end_.size() - 1; }
+  std::string_view operator[](std::size_t i) const {
+    return std::string_view(bytes_).substr(end_[i], end_[i + 1] - end_[i]);
+  }
+
+ private:
+  std::string bytes_;
+  std::vector<std::size_t> end_{0};  ///< end_[i + 1] = end of string i
+};
+
+/// Built with add_hier/add_cell/add_net/set_driver/add_sink, then frozen
+/// once: freeze() lays out every net's pins as one range, driver first
+/// and sinks in call order, and every hierarchy node's cells as one
+/// CellId-ordered range. Adding anything after freeze(), or reading
+/// pins, cells_of, macros or ports before it, is an asserted error.
 class Design {
  public:
   explicit Design(std::string name = "top");
 
   const std::string& name() const { return name_; }
+
+  /// Makes room for `more` of each store, so a builder that counted its
+  /// output grows each store once.
+  void reserve(const DesignSize& more);
+  /// Idempotent.
+  void freeze();
 
   // --- hierarchy ------------------------------------------------------
   HierId root() const { return 0; }
@@ -86,36 +117,46 @@ class Design {
   std::size_t hier_count() const { return hier_.size(); }
   /// Full path of a hierarchy node, e.g. "top/core0/lsu".
   std::string hier_path(HierId id) const;
+  /// Leaf cells directly under `id`, in CellId order.
+  std::span<const CellId> cells_of(HierId id) const {
+    assert(frozen_);
+    return hier_cells_[static_cast<std::size_t>(id)];
+  }
 
   // --- cells ----------------------------------------------------------
-  CellId add_cell(HierId hier, std::string name, CellKind kind, double area,
+  /// `name` is the local name, unique within its hierarchy node.
+  CellId add_cell(HierId hier, std::string_view name, CellKind kind, double area,
                   MacroDefId macro_def = kNoMacroDef);
   const Cell& cell(CellId id) const { return cells_[static_cast<std::size_t>(id)]; }
-  Cell& cell_mutable(CellId id) { return cells_[static_cast<std::size_t>(id)]; }
+  /// The one cell field that may change after freeze().
+  void set_fixed_pos(CellId id, std::optional<Point> pos) {
+    cells_[static_cast<std::size_t>(id)].fixed_pos = pos;
+  }
   std::size_t cell_count() const { return cells_.size(); }
+  std::string_view cell_name(CellId id) const { return cell_names_[static_cast<std::size_t>(id)]; }
   /// Full hierarchical name of a cell.
   std::string cell_path(CellId id) const;
 
   // --- nets -----------------------------------------------------------
-  /// Net names are stored back to back in one design-owned buffer.
   NetId add_net(std::string_view name);
   /// Adds the net named `prefix` + `local` (a hierarchy path and a local name).
   NetId add_net(std::string_view prefix, std::string_view local);
+  /// A second driver on one net replaces the first; validate() reports it.
   void set_driver(NetId net, CellId cell, float dx = 0.0f, float dy = 0.0f);
   void add_sink(NetId net, CellId cell, float dx = 0.0f, float dy = 0.0f);
-  const Net& net(NetId id) const { return nets_[static_cast<std::size_t>(id)]; }
-  std::size_t net_count() const { return nets_.size(); }
-  /// Full name of a net; the view is valid until the next add_net.
-  std::string_view net_name(NetId id) const {
-    const auto i = static_cast<std::size_t>(id);
-    return std::string_view(net_names_)
-        .substr(net_name_end_[i], net_name_end_[i + 1] - net_name_end_[i]);
+  std::size_t net_count() const { return net_names_.size(); }
+  std::size_t pin_count() const { return pins_.size(); }
+  std::string_view net_name(NetId id) const { return net_names_[static_cast<std::size_t>(id)]; }
+  /// NetPin{} for a floating net. Valid before freeze() too.
+  const NetPin& driver(NetId id) const { return driver_[static_cast<std::size_t>(id)]; }
+  bool has_driver(NetId id) const { return driver(id).cell != kInvalidId; }
+  /// The driver first (when there is one), then the sinks.
+  std::span<const NetPin> pins(NetId id) const {
+    assert(frozen_);
+    return pins_[static_cast<std::size_t>(id)];
   }
-
-  /// Makes room for `cells` more cells, `nets` more nets and
-  /// `net_name_bytes` more bytes of net names, so a builder that counted
-  /// its output grows each store once.
-  void reserve(std::size_t cells, std::size_t nets, std::size_t net_name_bytes);
+  std::span<const NetPin> sinks(NetId id) const { return pins(id).subspan(has_driver(id)); }
+  int degree(NetId id) const { return static_cast<int>(pins(id).size()); }
 
   // --- macro library / die -------------------------------------------
   MacroLibrary& library() { return library_; }
@@ -126,29 +167,34 @@ class Design {
   const Die& die() const { return die_; }
 
   // --- derived stats ---------------------------------------------------
-  std::vector<CellId> macros() const;
-  std::vector<CellId> ports() const;
-  std::size_t macro_count() const;
+  /// Macro and port cells, ascending.
+  const std::vector<CellId>& macros() const { assert(frozen_); return macros_; }
+  const std::vector<CellId>& ports() const { assert(frozen_); return ports_; }
+  std::size_t macro_count() const { return macros().size(); }
   double total_cell_area() const;  ///< macros + standard cells
 
-  /// Consistency check: ids in range, drivers unique, hierarchy a tree.
-  /// Returns an empty string when valid, else a description of the issue.
+  /// Consistency check of a frozen design: ids in range, one driver per
+  /// net at most, hierarchy a tree. Empty when valid, else the issue.
   std::string validate() const;
 
   // Direct (read-only) access for graph construction hot paths.
   const std::vector<Cell>& cells() const { return cells_; }
-  const std::vector<Net>& nets() const { return nets_; }
-  const std::vector<HierNode>& hier_nodes() const { return hier_; }
 
  private:
   std::string name_;
   std::vector<HierNode> hier_;
   std::vector<Cell> cells_;
-  std::vector<Net> nets_;
-  std::string net_names_;                  ///< every net name, in NetId order
-  std::vector<std::size_t> net_name_end_;  ///< [0] = 0, [i + 1] = end of net i's name
+  NameBuffer cell_names_, net_names_;
+  std::vector<NetPin> driver_;  ///< per net
+  std::vector<NetId> sink_net_;  ///< until freeze(): each sink's net and pin, in call order
+  std::vector<NetPin> staged_sinks_;
+  NetId redriven_net_ = kInvalidId;  ///< the first net given a second driver
+  Csr<NetPin> pins_;                 ///< from freeze() on
+  Csr<CellId> hier_cells_;
+  std::vector<CellId> macros_, ports_;
   MacroLibrary library_;
   Die die_;
+  bool frozen_ = false;
 };
 
 /// Compact adjacency (CSR) over cells derived from the nets, used by the
@@ -157,30 +203,21 @@ class CellAdjacency {
  public:
   explicit CellAdjacency(const Design& design);
 
-  std::size_t cell_count() const { return out_start_.size() - 1; }
+  std::size_t cell_count() const { return out_.rows(); }
 
   /// Fan-out cells of `c` (cells driven through any net driven by `c`).
-  std::pair<const CellId*, const CellId*> out(CellId c) const {
-    return {out_adj_.data() + out_start_[static_cast<std::size_t>(c)],
-            out_adj_.data() + out_start_[static_cast<std::size_t>(c) + 1]};
-  }
+  std::span<const CellId> out(CellId c) const { return out_[static_cast<std::size_t>(c)]; }
   /// Fan-in cells of `c`.
-  std::pair<const CellId*, const CellId*> in(CellId c) const {
-    return {in_adj_.data() + in_start_[static_cast<std::size_t>(c)],
-            in_adj_.data() + in_start_[static_cast<std::size_t>(c) + 1]};
-  }
+  std::span<const CellId> in(CellId c) const { return in_[static_cast<std::size_t>(c)]; }
   /// Undirected neighbor iteration = out then in.
   template <typename Fn>
   void for_each_neighbor(CellId c, Fn&& fn) const {
-    auto [ob, oe] = out(c);
-    for (const CellId* p = ob; p != oe; ++p) fn(*p);
-    auto [ib, ie] = in(c);
-    for (const CellId* p = ib; p != ie; ++p) fn(*p);
+    for (const CellId n : out(c)) fn(n);
+    for (const CellId n : in(c)) fn(n);
   }
 
  private:
-  std::vector<std::uint32_t> out_start_, in_start_;
-  std::vector<CellId> out_adj_, in_adj_;
+  Csr<CellId> out_, in_;
 };
 
 }  // namespace hidap

@@ -626,13 +626,6 @@ bool primitive_pin_is_output(std::string_view pin) {
   return !pin.empty() && (pin[0] == 'O' || pin[0] == 'Q');
 }
 
-/// Output sizes of an elaboration, counted before it runs.
-struct DesignSize {
-  std::size_t cells = 0;
-  std::size_t nets = 0;
-  std::size_t net_name_bytes = 0;
-};
-
 class Elaborator {
  public:
   Elaborator(std::string_view src, const SourceFile& file)
@@ -657,11 +650,12 @@ class Elaborator {
     DesignSize size;
     std::vector<bool> counting(file_.modules.size(), false);
     if (count(design, top, design.name().size(), {}, counting, size)) {
-      design.reserve(size.cells, size.nets, size.net_name_bytes);
+      design.reserve(size);
     }
     std::vector<NetId> nets(scope_of(top).slot_name.size(), kInvalidId);
     active_[static_cast<std::size_t>(top)] = true;
     elaborate_module(design, top, design.root(), nets);
+    design.freeze();
     return design;
   }
 
@@ -742,10 +736,10 @@ class Elaborator {
     return e >= 0 && !child.names.entry(e).port_vector ? child.names.entry(e).slot : -1;
   }
 
-  // Adds the cells, nets and net-name bytes module `m` and its subtree
-  // will create to `size`, given the hierarchy path length of its node and
-  // the slots its parent binds. False when the tree cannot be counted
-  // (an unknown or recursive module): elaboration then reports it.
+  // Adds the cells, nets, pins (at most) and name bytes module `m` and
+  // its subtree will create to `size`, given the hierarchy path length of
+  // its node and the slots its parent binds. False when the tree cannot
+  // be counted (an unknown or recursive module): elaboration reports it.
   bool count(const Design& design, int m, std::size_t path_size,
              const std::vector<bool>& bound, std::vector<bool>& counting, DesignSize& size) {
     const ModuleDef& mod = module(m);
@@ -763,6 +757,8 @@ class Elaborator {
       const Instance& inst = file_.instances[i];
       if (inst.kind != DefKind::Other || design.library().id_of(inst.def_name) != kNoMacroDef) {
         ++size.cells;
+        size.cell_name_bytes += inst.inst_name.size();
+        size.pins += inst.conn_end - inst.conn_begin;  // at most one pin per connection
         continue;
       }
       const auto it = by_name_.find(inst.def_name);
@@ -861,18 +857,17 @@ class Elaborator {
       default:
         fail_at(src_, inst.offset, "unknown primitive '" + std::string(inst.def_name) + "'");
     }
-    const CellId cell = design.add_cell(hier, std::string(inst.inst_name), kind,
-                                        param(file_, inst, "AREA", 0.0));
+    const CellId cell =
+        design.add_cell(hier, inst.inst_name, kind, param(file_, inst, "AREA", 0.0));
     if (is_port(kind)) {
-      design.cell_mutable(cell).fixed_pos =
-          Point{param(file_, inst, "X", 0.0), param(file_, inst, "Y", 0.0)};
+      design.set_fixed_pos(cell, Point{param(file_, inst, "X", 0.0), param(file_, inst, "Y", 0.0)});
     }
     for (std::uint32_t c = inst.conn_begin; c < inst.conn_end; ++c) {
       const Connection& conn = file_.conns[c];
       if (conn.slot < 0) continue;
       const NetId net = resolve(c, inst.offset);
       if (primitive_pin_is_output(conn.pin)) {
-        design.set_driver(net, cell);
+        drive(design, inst, net, cell);
       } else {
         design.add_sink(net, cell);
       }
@@ -882,8 +877,7 @@ class Elaborator {
   template <typename Resolve>
   void elaborate_macro(Design& design, const Instance& inst, HierId hier, MacroDefId mid,
                        Resolve&& resolve) {
-    const CellId cell =
-        design.add_cell(hier, std::string(inst.inst_name), CellKind::Macro, 0.0, mid);
+    const CellId cell = design.add_cell(hier, inst.inst_name, CellKind::Macro, 0.0, mid);
     const MacroDef& def = design.library().def(mid);
     for (std::uint32_t c = inst.conn_begin; c < inst.conn_end; ++c) {
       const Connection& conn = file_.conns[c];
@@ -896,13 +890,24 @@ class Elaborator {
       const MacroPin& mp = def.pins[static_cast<std::size_t>(pin)];
       const NetId net = resolve(c, inst.offset);
       if (mp.is_output) {
-        design.set_driver(net, cell, static_cast<float>(mp.offset.x),
-                          static_cast<float>(mp.offset.y));
+        drive(design, inst, net, cell, static_cast<float>(mp.offset.x),
+              static_cast<float>(mp.offset.y));
       } else {
         design.add_sink(net, cell, static_cast<float>(mp.offset.x),
                         static_cast<float>(mp.offset.y));
       }
     }
+  }
+
+  /// Sets `cell` as the driver of `net`; a second driver is an error at
+  /// the instance that adds it.
+  void drive(Design& design, const Instance& inst, NetId net, CellId cell, float dx = 0.0f,
+             float dy = 0.0f) const {
+    if (design.has_driver(net)) {
+      fail_at(src_, inst.offset,
+              "net '" + std::string(design.net_name(net)) + "' has a second driver");
+    }
+    design.set_driver(net, cell, dx, dy);
   }
 
   std::string_view src_;

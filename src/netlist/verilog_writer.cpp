@@ -27,7 +27,7 @@ struct ModulePlan {
 // Identifier-safe local name for a net inside any module.
 std::string net_token(NetId id) { return "n" + std::to_string(id); }
 
-std::string sanitize(const std::string& name) {
+std::string sanitize(std::string_view name) {
   std::string out;
   out.reserve(name.size());
   for (char c : name) {
@@ -40,15 +40,6 @@ std::string sanitize(const std::string& name) {
 std::string module_name(const Design& d, HierId h) {
   if (h == d.root()) return sanitize(d.name());
   return sanitize(d.hier(h).name) + "_h" + std::to_string(h);
-}
-
-int depth_of(const Design& d, HierId h) {
-  int depth = 0;
-  while (h != d.root()) {
-    h = d.hier(h).parent;
-    ++depth;
-  }
-  return depth;
 }
 
 HierId lca(const Design& d, HierId a, HierId b, const std::vector<int>& depth) {
@@ -66,45 +57,28 @@ HierId lca(const Design& d, HierId a, HierId b, const std::vector<int>& depth) {
 // are declared locally.
 std::vector<ModulePlan> plan_modules(const Design& d) {
   std::vector<ModulePlan> plans(d.hier_count());
-  std::vector<int> depth(d.hier_count());
-  for (std::size_t h = 0; h < d.hier_count(); ++h) {
-    depth[h] = depth_of(d, static_cast<HierId>(h));
+  std::vector<int> depth(d.hier_count(), 0);  // a parent's id is below its children's
+  for (std::size_t h = 1; h < d.hier_count(); ++h) {
+    depth[h] = depth[static_cast<std::size_t>(d.hier(static_cast<HierId>(h)).parent)] + 1;
   }
-  for (std::size_t n = 0; n < d.net_count(); ++n) {
-    const Net& net = d.net(static_cast<NetId>(n));
-    if (net.driver.cell == kInvalidId && net.sinks.empty()) continue;
+  for (std::size_t i = 0; i < d.net_count(); ++i) {
+    const auto net = static_cast<NetId>(i);
+    const std::span<const NetPin> pins = d.pins(net);
+    if (pins.empty()) continue;
     // LCA of all pin hier nodes.
-    HierId anchor = kInvalidId;
-    auto absorb = [&](CellId c) {
-      const HierId h = d.cell(c).hier;
-      anchor = (anchor == kInvalidId) ? h : lca(d, anchor, h, depth);
-    };
-    if (net.driver.cell != kInvalidId) absorb(net.driver.cell);
-    for (const NetPin& p : net.sinks) absorb(p.cell);
-    plans[static_cast<std::size_t>(anchor)].wires.push_back(static_cast<NetId>(n));
-    // Walk each pin's hier chain up to (excluding) the LCA: every node on
-    // the way needs a port for this net. Deduplicate with a local set.
-    auto add_ports = [&](CellId c, bool is_driver) {
-      HierId h = d.cell(c).hier;
-      while (h != anchor) {
+    HierId anchor = d.cell(pins.front().cell).hier;
+    for (const NetPin& p : pins.subspan(1)) anchor = lca(d, anchor, d.cell(p.cell).hier, depth);
+    plans[static_cast<std::size_t>(anchor)].wires.push_back(net);
+    // Every node on each pin's hier chain below the LCA needs a port for
+    // this net. Nets are planned in order, so a node that already has
+    // one holds it last.
+    for (std::size_t k = 0; k < pins.size(); ++k) {
+      for (HierId h = d.cell(pins[k].cell).hier; h != anchor; h = d.hier(h).parent) {
         auto& ports = plans[static_cast<std::size_t>(h)].ports;
-        bool found = false;
-        for (auto& [pn, dir] : ports) {
-          if (pn == static_cast<NetId>(n)) {
-            if (is_driver) dir = PortDir::Out;
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
-          ports.emplace_back(static_cast<NetId>(n),
-                             is_driver ? PortDir::Out : PortDir::In);
-        }
-        h = d.hier(h).parent;
+        if (ports.empty() || ports.back().first != net) ports.emplace_back(net, PortDir::In);
+        if (k == 0 && d.has_driver(net)) ports.back().second = PortDir::Out;
       }
-    };
-    if (net.driver.cell != kInvalidId) add_ports(net.driver.cell, true);
-    for (const NetPin& p : net.sinks) add_ports(p.cell, false);
+    }
   }
   return plans;
 }
@@ -154,29 +128,18 @@ void write_verilog(const Design& design, std::ostream& out) {
   std::vector<std::vector<CellConn>> conns(design.cell_count());
   std::vector<int> in_count(design.cell_count(), 0), out_count(design.cell_count(), 0);
   for (std::size_t n = 0; n < design.net_count(); ++n) {
-    const Net& net = design.net(static_cast<NetId>(n));
     auto label = [&](const NetPin& p, bool driver) {
-      const Cell& c = design.cell(p.cell);
-      switch (c.kind) {
-        case CellKind::Macro:
-          return macro_pin_name(design.macro_def_of(p.cell), p.dx, p.dy);
-        case CellKind::Flop:
-          return std::string(driver ? "Q" : "D") +
-                 std::to_string(driver ? out_count[static_cast<std::size_t>(p.cell)]++
-                                       : in_count[static_cast<std::size_t>(p.cell)]++);
-        default:
-          return std::string(driver ? "O" : "I") +
-                 std::to_string(driver ? out_count[static_cast<std::size_t>(p.cell)]++
-                                       : in_count[static_cast<std::size_t>(p.cell)]++);
-      }
+      const CellKind kind = design.cell(p.cell).kind;
+      if (kind == CellKind::Macro) return macro_pin_name(design.macro_def_of(p.cell), p.dx, p.dy);
+      const char* prefix = kind == CellKind::Flop ? (driver ? "Q" : "D") : (driver ? "O" : "I");
+      int& count = (driver ? out_count : in_count)[static_cast<std::size_t>(p.cell)];
+      return prefix + std::to_string(count++);
     };
-    if (net.driver.cell != kInvalidId) {
-      conns[static_cast<std::size_t>(net.driver.cell)].push_back(
-          {label(net.driver, true), static_cast<NetId>(n)});
-    }
-    for (const NetPin& p : net.sinks) {
-      conns[static_cast<std::size_t>(p.cell)].push_back(
-          {label(p, false), static_cast<NetId>(n)});
+    const std::span<const NetPin> pins = design.pins(static_cast<NetId>(n));
+    const bool driven = design.has_driver(static_cast<NetId>(n));
+    for (std::size_t i = 0; i < pins.size(); ++i) {
+      conns[static_cast<std::size_t>(pins[i].cell)].push_back(
+          {label(pins[i], driven && i == 0), static_cast<NetId>(n)});
     }
   }
 
@@ -207,7 +170,7 @@ void write_verilog(const Design& design, std::ostream& out) {
     for (const NetId net : plan.wires) out << "  wire " << net_token(net) << ";\n";
 
     // Leaf cells.
-    for (const CellId cid : design.hier(h).cells) {
+    for (const CellId cid : design.cells_of(h)) {
       const Cell& c = design.cell(cid);
       switch (c.kind) {
         case CellKind::Macro:
@@ -228,7 +191,7 @@ void write_verilog(const Design& design, std::ostream& out) {
               << "), .Y(" << (c.fixed_pos ? c.fixed_pos->y : 0.0) << "))";
           break;
       }
-      out << ' ' << sanitize(c.name) << " (";
+      out << ' ' << sanitize(design.cell_name(cid)) << " (";
       const auto& cc = conns[static_cast<std::size_t>(cid)];
       for (std::size_t i = 0; i < cc.size(); ++i) {
         out << (i ? ", " : "") << '.' << cc[i].pin << '(' << net_token(cc[i].net) << ')';

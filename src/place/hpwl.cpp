@@ -1,27 +1,13 @@
 #include "place/hpwl.hpp"
 
-#include <algorithm>
-#include <limits>
-
 namespace hidap {
 
 double net_hpwl(const PlacedDesign& placed, NetId net_id) {
-  const Net& net = placed.design().net(net_id);
-  double xmin = std::numeric_limits<double>::max(), xmax = -xmin;
-  double ymin = xmin, ymax = -xmin;
-  int endpoints = 0;
-  const auto absorb = [&](const NetPin& p) {
-    const Point pos = placed.pin_position(p);
-    xmin = std::min(xmin, pos.x);
-    xmax = std::max(xmax, pos.x);
-    ymin = std::min(ymin, pos.y);
-    ymax = std::max(ymax, pos.y);
-    ++endpoints;
-  };
-  if (net.driver.cell != kInvalidId) absorb(net.driver);
-  for (const NetPin& p : net.sinks) absorb(p);
-  if (endpoints < 2) return 0.0;
-  return (xmax - xmin) + (ymax - ymin);
+  const std::span<const NetPin> pins = placed.design().pins(net_id);
+  if (pins.size() < 2) return 0.0;
+  BoundingBox box;
+  for (const NetPin& p : pins) box.absorb(placed.pin_position(p));
+  return box.half_perimeter();
 }
 
 WirelengthReport total_hpwl(const PlacedDesign& placed) {
@@ -29,7 +15,7 @@ WirelengthReport total_hpwl(const PlacedDesign& placed) {
   const std::size_t n = placed.design().net_count();
   for (std::size_t i = 0; i < n; ++i) {
     const double wl = net_hpwl(placed, static_cast<NetId>(i));
-    if (wl > 0 || placed.design().net(static_cast<NetId>(i)).degree() >= 2) {
+    if (wl > 0 || placed.design().degree(static_cast<NetId>(i)) >= 2) {
       ++report.nets;
     }
     report.total_um += wl;

@@ -31,7 +31,7 @@ CellPlacementModel::CellPlacementModel(const Design& design, const HierTree& ht,
   std::vector<Emitted> emitted;
   std::vector<std::pair<int, NetPin>> ends;  // (cluster or -1, pin)
   std::vector<int> fixed;                    // per end: ~fixed-pin index
-  for (const Net& net : design.nets()) {
+  for (std::size_t n = 0; n < design.net_count(); ++n) {
     // Small nets dominate; a flat scan is fine.
     ends.clear();
     bool clustered = false;
@@ -45,8 +45,7 @@ CellPlacementModel::CellPlacementModel(const Design& design, const HierTree& ht,
       }
       ends.emplace_back(cl, p);
     };
-    if (net.driver.cell != kInvalidId) add_end(net.driver);
-    for (const NetPin& p : net.sinks) add_end(p);
+    for (const NetPin& p : design.pins(static_cast<NetId>(n))) add_end(p);
     if (ends.size() < 2 || !clustered) continue;
     const double w = 1.0 / static_cast<double>(ends.size() - 1);
     fixed.assign(ends.size(), 0);

@@ -1,7 +1,6 @@
 #include "route/congestion.hpp"
 
 #include <algorithm>
-#include <limits>
 
 namespace hidap {
 
@@ -38,24 +37,15 @@ CongestionReport estimate_congestion(const PlacedDesign& placed,
   CongestionReport report;
   const Design& design = placed.design();
   for (std::size_t n = 0; n < design.net_count(); ++n) {
-    const Net& net = design.net(static_cast<NetId>(n));
-    if (net.degree() < 2) continue;
-    double xmin = std::numeric_limits<double>::max(), xmax = -xmin;
-    double ymin = xmin, ymax = -xmin;
-    const auto absorb = [&](const NetPin& p) {
-      const Point pos = placed.pin_position(p);
-      xmin = std::min(xmin, pos.x);
-      xmax = std::max(xmax, pos.x);
-      ymin = std::min(ymin, pos.y);
-      ymax = std::max(ymax, pos.y);
-    };
-    if (net.driver.cell != kInvalidId) absorb(net.driver);
-    for (const NetPin& p : net.sinks) absorb(p);
+    const std::span<const NetPin> pins = design.pins(static_cast<NetId>(n));
+    if (pins.size() < 2) continue;
+    BoundingBox box;
+    for (const NetPin& p : pins) box.absorb(placed.pin_position(p));
 
-    const int x0 = std::clamp(static_cast<int>((xmin - die.x) / bw), 0, g - 1);
-    const int x1 = std::clamp(static_cast<int>((xmax - die.x) / bw), 0, g - 1);
-    const int y0 = std::clamp(static_cast<int>((ymin - die.y) / bh), 0, g - 1);
-    const int y1 = std::clamp(static_cast<int>((ymax - die.y) / bh), 0, g - 1);
+    const int x0 = std::clamp(static_cast<int>((box.xmin - die.x) / bw), 0, g - 1);
+    const int x1 = std::clamp(static_cast<int>((box.xmax - die.x) / bw), 0, g - 1);
+    const int y0 = std::clamp(static_cast<int>((box.ymin - die.y) / bh), 0, g - 1);
+    const int y1 = std::clamp(static_cast<int>((box.ymax - die.y) / bh), 0, g - 1);
     const int rows = y1 - y0 + 1;
     const int cols = x1 - x0 + 1;
     // One horizontal traversal spread over the rows of the box, one

@@ -80,8 +80,8 @@ std::vector<OracleGroup> oracle_cluster(const Design& design) {
     const CellId id = static_cast<CellId>(i);
     const Cell& c = design.cell(id);
     if (c.kind != CellKind::Flop && !is_port(c.kind)) continue;
-    std::string base = c.name;
-    if (const auto parsed = oracle_parse(c.name)) base = parsed->base;
+    std::string base(design.cell_name(id));
+    if (const auto parsed = oracle_parse(base)) base = parsed->base;
     auto [it, inserted] =
         groups.try_emplace(std::make_tuple(c.hier, static_cast<int>(c.kind), base));
     if (inserted) it->second = OracleGroup{base, c.hier, c.kind, {}};
@@ -90,8 +90,8 @@ std::vector<OracleGroup> oracle_cluster(const Design& design) {
   std::vector<OracleGroup> out;
   for (auto& [key, group] : groups) {
     std::sort(group.bits.begin(), group.bits.end(), [&](CellId a, CellId b) {
-      const auto pa = oracle_parse(design.cell(a).name);
-      const auto pb = oracle_parse(design.cell(b).name);
+      const auto pa = oracle_parse(std::string(design.cell_name(a)));
+      const auto pb = oracle_parse(std::string(design.cell_name(b)));
       const int ia = pa ? pa->index : 0;
       const int ib = pb ? pb->index : 0;
       return std::tie(ia, a) < std::tie(ib, b);

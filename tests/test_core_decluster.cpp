@@ -32,6 +32,7 @@ struct Fixture {
     d.add_cell(unit, "mem1", CellKind::Macro, 0.0, m);
     for (int i = 0; i < 50; ++i) d.add_cell(unit, "c" + std::to_string(i), CellKind::Comb, 1.0);
     for (int i = 0; i < 5; ++i) d.add_cell(tiny, "c" + std::to_string(i), CellKind::Comb, 1.0);
+    d.freeze();
   }
 };
 
@@ -104,6 +105,7 @@ TEST(Decluster, MacroLeafChildrenBecomeIndividualBlocks) {
 TEST(Decluster, EmptyNodeYieldsNothing) {
   Design d("top");
   d.add_hier(d.root(), "empty");
+  d.freeze();
   const HierTree ht(d);
   const Declustering dec = hierarchical_declustering(ht, ht.root(), 1.0, 2.0);
   EXPECT_TRUE(dec.hcb.empty());

@@ -78,7 +78,8 @@ struct Fixture {
   HierId ha, hb, hglue;
   CellId macro_a, macro_b, ga1, ga2, gb1;
 
-  Fixture() {
+  /// `freeze` = false leaves the design open for a test to add to.
+  explicit Fixture(bool freeze = true) {
     ha = d.add_hier(d.root(), "A");
     hb = d.add_hier(d.root(), "B");
     hglue = d.add_hier(d.root(), "glue");
@@ -93,6 +94,7 @@ struct Fixture {
     connect(ga1, ga2);
     connect(macro_b, gb1);
     connect(gb1, ga2);
+    if (freeze) d.freeze();
   }
 
   void connect(CellId from, CellId to) {
@@ -138,9 +140,10 @@ TEST(TargetArea, MinimumAreaIsSubtreeArea) {
 }
 
 TEST(TargetArea, DisconnectedGlueSpreadProportionally) {
-  Fixture fx;
+  Fixture fx(/*freeze=*/false);
   // An orphan cell connected to nothing.
   fx.d.add_cell(fx.hglue, "orphan", CellKind::Comb, 11.0);
+  fx.d.freeze();
   const HierTree ht(fx.d);
   const CellAdjacency adj(fx.d);
   const std::vector<HtNodeId> hcb = {ht.node_of_hier(fx.ha), ht.node_of_hier(fx.hb)};
@@ -154,9 +157,10 @@ TEST(TargetArea, DisconnectedGlueSpreadProportionally) {
 }
 
 TEST(TargetArea, BlockCellsNotCountedAsGlue) {
-  Fixture fx;
+  Fixture fx(/*freeze=*/false);
   const CellId inner = fx.d.add_cell(fx.ha, "inner", CellKind::Comb, 2.0);
   fx.connect(fx.macro_a, inner);
+  fx.d.freeze();
   const HierTree ht(fx.d);
   const CellAdjacency adj(fx.d);
   const std::vector<HtNodeId> hcb = {ht.node_of_hier(fx.ha), ht.node_of_hier(fx.hb)};
@@ -169,10 +173,11 @@ TEST(TargetArea, BlockCellsNotCountedAsGlue) {
 }
 
 TEST(TargetArea, ScopeExcludesOutsideCells) {
-  Fixture fx;
+  Fixture fx(/*freeze=*/false);
   const HierId outside = fx.d.add_hier(fx.d.root(), "outside");
   const CellId far_cell = fx.d.add_cell(outside, "far", CellKind::Comb, 9.0);
   fx.connect(fx.macro_a, far_cell);
+  fx.d.freeze();
   const HierTree ht(fx.d);
   const CellAdjacency adj(fx.d);
   const std::vector<HtNodeId> hcb = {ht.node_of_hier(fx.ha)};

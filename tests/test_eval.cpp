@@ -88,6 +88,7 @@ TEST(Eval, QuickWirelengthTracksDistance) {
   d.set_driver(n, ma);
   d.add_sink(n, mb);
   d.set_die(Die{500, 500});
+  d.freeze();
   const PlacementContext ctx(d);
   const auto wl_at = [&](double bx) {
     PlacementResult pr;

@@ -190,6 +190,7 @@ TEST(HidapFlowErrors, NoMacrosRejected) {
   Design d("empty");
   d.add_cell(d.root(), "c", CellKind::Comb, 1.0);
   d.set_die(Die{10, 10});
+  d.freeze();
   EXPECT_THROW(place_macros(d), std::invalid_argument);
 }
 
@@ -197,6 +198,7 @@ TEST(HidapFlowErrors, EmptyDieRejected) {
   Design d("nodie");
   const MacroDefId m = d.library().add(MacroLibrary::make_sram("M", 4, 4, 8));
   d.add_cell(d.root(), "mem", CellKind::Macro, 0.0, m);
+  d.freeze();
   EXPECT_THROW(place_macros(d), std::invalid_argument);
 }
 
@@ -220,6 +222,7 @@ TEST(HidapFlowSmall, TwoMacroDesignWorks) {
     d.add_sink(n1, m1, 0.0f, 4.0f);
   }
   d.set_die(Die{60, 60});
+  d.freeze();
   const PlacementResult result = place_macros(d, HiDaPOptions{});
   EXPECT_EQ(result.macros.size(), 2u);
   const PlacementCheck check = check_placement(d, result, Rect{0, 0, 60, 60});

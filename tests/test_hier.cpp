@@ -19,6 +19,7 @@ Design layered_design() {
   d.add_cell(b, "f[0]", CellKind::Flop, 2.0);
   d.add_cell(b, "f[1]", CellKind::Flop, 2.0);
   d.add_cell(d.root(), "in[0]", CellKind::PortIn, 0.0);
+  d.freeze();
   return d;
 }
 

@@ -16,6 +16,7 @@ Design make_design(int macro_count, double die = 200.0) {
     d.add_cell(d.root(), "m" + std::to_string(i), CellKind::Macro, 0.0, m);
   }
   d.set_die(Die{die, die});
+  d.freeze();
   return d;
 }
 

@@ -46,13 +46,10 @@ class ReferenceFlipEvaluator {
       placement_of_[macros[i].cell] = static_cast<int>(i);
     }
     for (std::size_t n = 0; n < design.net_count(); ++n) {
-      const Net& net = design.net(static_cast<NetId>(n));
-      bool touches_macro = false;
-      auto scan = [&](const NetPin& p) {
-        if (design.cell(p.cell).kind == CellKind::Macro) touches_macro = true;
-      };
-      if (net.driver.cell != kInvalidId) scan(net.driver);
-      for (const NetPin& p : net.sinks) scan(p);
+      const std::span<const NetPin> pins = design.pins(static_cast<NetId>(n));
+      const bool touches_macro = std::any_of(pins.begin(), pins.end(), [&](const NetPin& p) {
+        return design.cell(p.cell).kind == CellKind::Macro;
+      });
       if (!touches_macro) continue;
       MacroNet mn;
       auto classify = [&](const NetPin& p) {
@@ -66,8 +63,7 @@ class ReferenceFlipEvaluator {
         }
         mn.fixed_points.push_back(endpoint_position(p));
       };
-      if (net.driver.cell != kInvalidId) classify(net.driver);
-      for (const NetPin& p : net.sinks) classify(p);
+      for (const NetPin& p : pins) classify(p);
       if (mn.macro_pins.empty()) continue;
       const std::size_t idx = macro_nets_.size();
       macro_nets_.push_back(std::move(mn));
@@ -198,11 +194,12 @@ struct FlipFixture {
     const MacroDefId id = d.library().add(def);
     const CellId macro = d.add_cell(d.root(), "mem", CellKind::Macro, 0.0, id);
     const CellId port = d.add_cell(d.root(), "sink", CellKind::PortOut, 0.0);
-    d.cell_mutable(port).fixed_pos = Point{0.0, 23.0};  // west of the macro
+    d.set_fixed_pos(port, Point{0.0, 23.0});  // west of the macro
     const NetId n = d.add_net("q");
     d.set_driver(n, macro, 10.0f, 3.0f);
     d.add_sink(n, port);
     d.set_die(Die{100, 100});
+    d.freeze();
     return d;
   }
 
@@ -250,7 +247,7 @@ TEST(MacroFlipping, NeverWorsensHpwl) {
 TEST(MacroFlipping, AlreadyOptimalStaysPut) {
   FlipFixture fx;
   // Move the consumer to the right side: R0 is already optimal.
-  fx.d.cell_mutable(fx.port).fixed_pos = Point{100.0, 23.0};
+  fx.d.set_fixed_pos(fx.port, Point{100.0, 23.0});
   const FlippingStats stats =
       flip_macros(fx.d, fx.ht, fx.region, fx.region_valid, fx.placement);
   EXPECT_EQ(fx.placement[0].orientation, Orientation::R0);
@@ -367,8 +364,8 @@ TEST(MacroFlippingOracle, CornerCasesMatchReference) {
   const CellId f0 = d.add_cell(d.root(), "f0", CellKind::Flop, 1.0);
   const CellId p0 = d.add_cell(d.root(), "p0", CellKind::PortIn, 0.0);
   const CellId p1 = d.add_cell(d.root(), "p1", CellKind::PortOut, 0.0);
-  d.cell_mutable(p0).fixed_pos = Point{0.0, 50.0};
-  d.cell_mutable(p1).fixed_pos = Point{100.0, 20.0};
+  d.set_fixed_pos(p0, Point{0.0, 50.0});
+  d.set_fixed_pos(p1, Point{100.0, 20.0});
   const auto pin = [&](NetId net, CellId cell, const MacroDef& def, int k) {
     const MacroPin& mp = def.pins[static_cast<std::size_t>(k)];
     const auto dx = static_cast<float>(mp.offset.x), dy = static_cast<float>(mp.offset.y);
@@ -406,6 +403,7 @@ TEST(MacroFlippingOracle, CornerCasesMatchReference) {
   d.set_driver(cells, c0);
   d.add_sink(cells, c1);
   d.set_die(Die{100, 100});
+  d.freeze();
 
   const HierTree ht(d);
   const MacroNets nets(d, ht);
@@ -493,6 +491,7 @@ TEST(MacroFlippingOracle, AbsentMacroIsAFixedEndpoint) {
   d.set_driver(n, placed, 10.0f, 3.0f);
   d.add_sink(n, absent, 0.0f, 3.0f);
   d.set_die(Die{100, 100});
+  d.freeze();
   const HierTree ht(d);
   std::vector<Rect> region(ht.size());
   std::vector<std::uint8_t> region_valid(ht.size(), 0);

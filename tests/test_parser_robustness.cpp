@@ -37,9 +37,9 @@ std::string tiny_netlist() {
   const HierId core = d.add_hier(d.root(), "core");
   const HierId alu = d.add_hier(core, "alu");
   const CellId in = d.add_cell(d.root(), "in0", CellKind::PortIn, 0.0);
-  d.cell_mutable(in).fixed_pos = Point{0.0, 75.0};
+  d.set_fixed_pos(in, Point{0.0, 75.0});
   const CellId out = d.add_cell(d.root(), "out0", CellKind::PortOut, 0.0);
-  d.cell_mutable(out).fixed_pos = Point{200.0, 75.0};
+  d.set_fixed_pos(out, Point{200.0, 75.0});
   const CellId mem = d.add_cell(core, "mem", CellKind::Macro, 0.0, ram);
   std::vector<CellId> chain = {in};
   for (int i = 0; i < 20; ++i) {
@@ -57,6 +57,7 @@ std::string tiny_netlist() {
   const NetId q = d.add_net("q");
   d.set_driver(q, mem, 40.0, 6.0);
   d.add_sink(q, chain[5]);
+  d.freeze();
   std::ostringstream text;
   write_verilog(d, text);
   return text.str();
@@ -141,6 +142,34 @@ TEST(ParserRobustness, DuplicateMacroRejected) {
       "//HIDAP_MACRO RAM 2 2\n//HIDAP_MACRO RAM 3 3\nmodule top (); endmodule\n", 2);
 }
 
+// A net wired to two outputs fails at the second driver's instance
+// line, for primitives, macro output pins and drivers reached through a
+// module port alike.
+TEST(ParserRobustness, SecondDriverRejectedAtItsInstance) {
+  expect_clean_error_at_line(
+      "module top ();\n wire a;\n HIDAP_DFF r0 (.Q0(a));\n HIDAP_COMB g (.I0(a));\n"
+      " HIDAP_COMB g2 (.O0(a));\nendmodule\n",
+      5);
+  expect_clean_error_at_line(
+      "module top ();\n wire a;\n HIDAP_COMB g (.O0(a), .O1(a));\nendmodule\n", 3);
+  expect_clean_error_at_line(
+      "//HIDAP_MACRO RAM 4 4\n//HIDAP_PIN RAM Q 4 2 8 1\nmodule top ();\n wire a;\n"
+      " HIDAP_DFF r0 (.Q0(a));\n RAM mem (.Q(a));\nendmodule\n",
+      6);
+  expect_clean_error_at_line(
+      "module child (o);\n output o;\n HIDAP_COMB g (.O0(o));\nendmodule\n"
+      "module top ();\n wire a;\n HIDAP_DFF r0 (.Q0(a));\n child u (.o(a));\nendmodule\n",
+      3);
+  // One driver and any number of sinks is fine.
+  const Design d = parse_verilog_string(
+      "module top ();\n wire a;\n HIDAP_DFF r0 (.Q0(a));\n HIDAP_COMB g (.I0(a), .I1(a));\n"
+      "endmodule\n");
+  EXPECT_TRUE(d.validate().empty()) << d.validate();
+  ASSERT_EQ(d.net_count(), 1u);
+  EXPECT_EQ(d.driver(0).cell, 0);
+  EXPECT_EQ(d.sinks(0).size(), 2u);
+}
+
 class ParserFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParserFuzz, RandomByteMutations) {
@@ -166,6 +195,21 @@ TEST_P(ParserFuzz, RandomLineDeletions) {
   expect_parse_or_clean_error(kept.str());
 }
 
+// A duplicated instance line double-drives its output nets, so this leg
+// exercises the second-driver check as well as repeated declarations.
+TEST_P(ParserFuzz, RandomLineDuplications) {
+  std::string text = sample_netlist();
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 69069ULL + 5);
+  std::istringstream in(text);
+  std::ostringstream mutated;
+  std::string line;
+  while (std::getline(in, line)) {
+    mutated << line << '\n';
+    if (rng.next_double() < 0.08) mutated << line << '\n';
+  }
+  expect_parse_or_clean_error(mutated.str());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz, ::testing::Range(1, 17));
 
 TEST(ParserRobustness, DeepNestingBounded) {
@@ -185,7 +229,7 @@ TEST(ParserRobustness, HugeTokenHandled) {
   std::string name(5000, 'x');
   const Design d =
       parse_verilog_string("module top ();\n  HIDAP_COMB " + name + " ();\nendmodule\n");
-  EXPECT_EQ(d.cell(0).name.size(), 5000u);
+  EXPECT_EQ(d.cell_name(0).size(), 5000u);
 }
 
 // An instance name whose bit suffix overflows an int parses, and the
@@ -196,7 +240,7 @@ TEST(ParserRobustness, OversizeBitSuffixBuildsContext) {
       "module top ();\n  wire a;\n  HIDAP_PIN_IN #(.X(0), .Y(1)) p (.O0(a));\n"
       "  HIDAP_DFF #(.AREA(2)) r_99999999999 (.D0(a));\nendmodule\n");
   ASSERT_EQ(d.cell_count(), 2u);
-  EXPECT_EQ(d.cell(1).name, "r_99999999999");
+  EXPECT_EQ(d.cell_name(1), "r_99999999999");
   const PlacementContext context(d);
   EXPECT_EQ(context.seq.node_of_cell(1), kInvalidId);  // a 1-bit register is below the threshold
   EXPECT_NE(context.seq.node_of_cell(0), kInvalidId);  // the port is a Gseq node

@@ -228,11 +228,9 @@ TEST(PlacementModel, SharedModelMatchesStandaloneWrapper) {
     // Every other port loses its die-boundary pin: such fixed endpoints
     // resolve to the die center.
     bool drop = false;
-    for (std::size_t c = 0; c < d.cell_count(); ++c) {
-      Cell& cell = d.cell_mutable(static_cast<CellId>(c));
-      if (!is_port(cell.kind)) continue;
+    for (const CellId port : d.ports()) {
       drop = !drop;
-      if (drop) cell.fixed_pos.reset();
+      if (drop) d.set_fixed_pos(port, std::nullopt);
     }
     const HierTree ht(d);
     const PlaceOptions options = small_place_options();
@@ -316,7 +314,7 @@ class OraclePlacer {
     std::vector<Emitted> emitted;
     std::vector<std::pair<int, NetPin>> ends;
     std::vector<int> fixed;
-    for (const Net& net : design.nets()) {
+    for (std::size_t n = 0; n < design.net_count(); ++n) {
       ends.clear();
       bool clustered = false;
       const auto add_end = [&](const NetPin& p) {
@@ -329,8 +327,7 @@ class OraclePlacer {
         }
         ends.emplace_back(cl, p);
       };
-      if (net.driver.cell != kInvalidId) add_end(net.driver);
-      for (const NetPin& p : net.sinks) add_end(p);
+      for (const NetPin& p : design.pins(static_cast<NetId>(n))) add_end(p);
       if (ends.size() < 2 || !clustered) continue;
       const double w = 1.0 / static_cast<double>(ends.size() - 1);
       fixed.assign(ends.size(), 0);
@@ -432,11 +429,9 @@ class OraclePlacer {
 Design pinless_port_circuit(const char* name) {
   Design d = generate_circuit(suite_circuit(name, 0.002).spec);
   bool drop = false;
-  for (std::size_t c = 0; c < d.cell_count(); ++c) {
-    Cell& cell = d.cell_mutable(static_cast<CellId>(c));
-    if (!is_port(cell.kind)) continue;
+  for (const CellId port : d.ports()) {
     drop = !drop;
-    if (drop) cell.fixed_pos.reset();
+    if (drop) d.set_fixed_pos(port, std::nullopt);
   }
   return d;
 }

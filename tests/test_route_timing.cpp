@@ -108,6 +108,7 @@ TEST(Timing, WireDelayPenalizesDistance) {
   d.set_driver(n, ma);
   d.add_sink(n, mb);
   d.set_die(Die{1000, 1000});
+  d.freeze();
   const PlacementContext ctx(d);
   const HierTree& ht = ctx.ht;
 

@@ -393,6 +393,7 @@ TEST(ArtifactCacheUnit, SingleFlightParsesOnce) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     Design d("d");
     d.add_cell(d.root(), "c", CellKind::Comb, 1.0);
+    d.freeze();
     return d;
   };
   constexpr int kThreads = 6;

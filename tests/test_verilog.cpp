@@ -114,9 +114,9 @@ TEST(VerilogParser, HierarchyElaboration) {
   // w2 is driven inside u0 and consumed inside u1.
   bool found_cross = false;
   for (std::size_t i = 0; i < d.net_count(); ++i) {
-    const Net& n = d.net(static_cast<NetId>(i));
-    if (n.driver.cell != kInvalidId && !n.sinks.empty() &&
-        d.cell(n.driver.cell).hier != d.cell(n.sinks[0].cell).hier) {
+    const auto n = static_cast<NetId>(i);
+    if (d.has_driver(n) && !d.sinks(n).empty() &&
+        d.cell(d.driver(n).cell).hier != d.cell(d.sinks(n)[0].cell).hier) {
       found_cross = true;
     }
   }
@@ -138,9 +138,9 @@ TEST(VerilogParser, MacroHeaderAndPins) {
   // Q0 drives net b with its pin offset.
   bool q_found = false;
   for (std::size_t i = 0; i < d.net_count(); ++i) {
-    const Net& n = d.net(static_cast<NetId>(i));
-    if (n.driver.cell == mac) {
-      EXPECT_FLOAT_EQ(n.driver.dx, 20.0f);
+    const NetPin driver = d.driver(static_cast<NetId>(i));
+    if (driver.cell == mac) {
+      EXPECT_FLOAT_EQ(driver.dx, 20.0f);
       q_found = true;
     }
   }
@@ -203,8 +203,8 @@ TEST(VerilogRoundTrip, GeneratedCircuitSurvives) {
   auto pin_pairs = [](const Design& d) {
     std::size_t pairs = 0;
     for (std::size_t i = 0; i < d.net_count(); ++i) {
-      const Net& n = d.net(static_cast<NetId>(i));
-      if (n.driver.cell != kInvalidId) pairs += n.sinks.size();
+      const auto n = static_cast<NetId>(i);
+      if (d.has_driver(n)) pairs += d.sinks(n).size();
     }
     return pairs;
   };
@@ -230,9 +230,9 @@ TEST(VerilogRoundTrip, SecondRoundTripIsStable) {
   EXPECT_EQ(d2.hier_count(), d3.hier_count());
 }
 
-// Field-by-field digest of a parsed Design: every Cell, Net/NetPin,
-// HierNode, MacroDef/MacroPin and Die field in id order, floating-point
-// values by bit pattern. Self-contained FNV-1a so the pinned values do
+// Field-by-field digest of a parsed Design: every Cell, net and NetPin,
+// HierNode (with its cells_of range), MacroDef/MacroPin and Die field in
+// id order, floating-point values by bit pattern. Self-contained FNV-1a so the pinned values do
 // not move when util/hash.hpp changes.
 class DesignDigest {
  public:
@@ -255,17 +255,20 @@ class DesignDigest {
       }
     }
     u64(d.hier_count());
-    for (const HierNode& node : d.hier_nodes()) {
+    for (std::size_t h = 0; h < d.hier_count(); ++h) {
+      const HierNode& node = d.hier(static_cast<HierId>(h));
       str(node.name);
       i64(node.parent);
       u64(node.children.size());
       for (const HierId child : node.children) i64(child);
-      u64(node.cells.size());
-      for (const CellId cell : node.cells) i64(cell);
+      const std::span<const CellId> cells = d.cells_of(static_cast<HierId>(h));
+      u64(cells.size());
+      for (const CellId cell : cells) i64(cell);
     }
     u64(d.cell_count());
-    for (const Cell& cell : d.cells()) {
-      str(cell.name);
+    for (std::size_t id = 0; id < d.cell_count(); ++id) {
+      const Cell& cell = d.cell(static_cast<CellId>(id));
+      str(d.cell_name(static_cast<CellId>(id)));
       u64(static_cast<std::uint64_t>(cell.kind));
       i64(cell.hier);
       f64(cell.area);
@@ -278,11 +281,11 @@ class DesignDigest {
     }
     u64(d.net_count());
     for (std::size_t id = 0; id < d.net_count(); ++id) {
-      const Net& net = d.net(static_cast<NetId>(id));
-      str(d.net_name(static_cast<NetId>(id)));
-      pin(net.driver);
-      u64(net.sinks.size());
-      for (const NetPin& sink : net.sinks) pin(sink);
+      const auto net = static_cast<NetId>(id);
+      str(d.net_name(net));
+      pin(d.driver(net));
+      u64(d.sinks(net).size());
+      for (const NetPin& sink : d.sinks(net)) pin(sink);
     }
   }
 
