@@ -3,8 +3,8 @@
 // Polish-expression moves, Gseq extraction, multi-source BFS
 // (target-area assignment), affinity inference, full per-level layout
 // annealing, one node's shape-curve packing, macro flipping, the
-// evaluation placer, and the parallel runtime (fork-join overhead,
-// parallel_for scaling).
+// evaluation placer (solve, spreading, wirelength), and the parallel
+// runtime (fork-join overhead, parallel_for scaling).
 
 #include <benchmark/benchmark.h>
 
@@ -32,6 +32,7 @@
 #include "netlist/verilog_writer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "place/hpwl.hpp"
 #include "place/quadratic_placer.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/failpoint.hpp"
@@ -439,6 +440,60 @@ void BM_PlaceCells(benchmark::State& state) {
       seconds * 1e9 / (link_sweeps * static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_PlaceCells)->Arg(1)->Arg(3)->Arg(6)->Unit(benchmark::kMillisecond);
+
+// One spreading pass of the evaluation placer on its real input: c1 at
+// scale 0.002, the initial solve under a HiDaP placement, the default
+// 32 x 32 grid and 200 rounds. rounds_per_call reads the rounds the
+// cycle exit leaves to run.
+void BM_SpreadClusters(benchmark::State& state) {
+  static const Design* design = [] {
+    set_log_level(LogLevel::Warn);
+    return new Design(generate_circuit(suite_circuit("c1", 0.002).spec));
+  }();
+  static const PlacementContext* context = new PlacementContext(*design);
+  static const PlacementResult* placement =
+      new PlacementResult(place_macros(*design, *context, HiDaPOptions{}));
+  const auto model = std::make_shared<const CellPlacementModel>(*design, context->ht);
+  const PlacedDesign placed(model, *placement);
+  const std::vector<double> capacity = bin_capacity(placed, model->options());
+  const std::vector<Point> solved = initial_solve(model, *placement);
+  obs::Counter& rounds = obs::default_registry().counter("eval.spread_rounds");
+  const std::uint64_t before = rounds.value();
+  std::vector<Point> pos;
+  for (auto _ : state) {
+    pos = solved;
+    spread_clusters(model->die(), model->clustering().clusters, capacity, pos, model->options());
+    benchmark::DoNotOptimize(pos.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["rounds_per_call"] = static_cast<double>(rounds.value() - before) /
+                                      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_SpreadClusters)->Unit(benchmark::kMicrosecond);
+
+// Wirelength of one placement of c2 at scale 0.1 (a HiDaP placement):
+// Arg(0) walks every pin of every net (total_hpwl_per_net), Arg(1) the
+// model's net template (total_hpwl).
+void BM_TotalHpwl(benchmark::State& state) {
+  static const Design* design = [] {
+    set_log_level(LogLevel::Warn);
+    return new Design(generate_circuit(suite_circuit("c2", 0.1).spec));
+  }();
+  static const PlacementContext* context = new PlacementContext(*design);
+  static const PlacedDesign* placed = [] {
+    const auto model = std::make_shared<const CellPlacementModel>(*design, context->ht);
+    return new PlacedDesign(
+        place_cells(model, place_macros(*design, *context, HiDaPOptions{})));
+  }();
+  const bool use_template = state.range(0) != 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(use_template ? total_hpwl(*placed).total_um
+                                          : total_hpwl_per_net(*placed).total_um);
+  }
+  state.counters["template_nets"] = static_cast<double>(placed->model().template_nets());
+  state.counters["nets"] = static_cast<double>(placed->model().multi_pin_nets());
+}
+BENCHMARK(BM_TotalHpwl)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // --- parallel runtime ------------------------------------------------
 

@@ -12,6 +12,15 @@ double net_hpwl(const PlacedDesign& placed, NetId net_id) {
 
 WirelengthReport total_hpwl(const PlacedDesign& placed) {
   WirelengthReport report;
+  report.nets = placed.model().multi_pin_nets();
+  placed.for_each_net_box(
+      [&](const BoundingBox& box) { report.total_um += box.half_perimeter(); });
+  report.total_m = report.total_um * 1e-6;
+  return report;
+}
+
+WirelengthReport total_hpwl_per_net(const PlacedDesign& placed) {
+  WirelengthReport report;
   const std::size_t n = placed.design().net_count();
   for (std::size_t i = 0; i < n; ++i) {
     const double wl = net_hpwl(placed, static_cast<NetId>(i));

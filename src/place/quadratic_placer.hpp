@@ -15,6 +15,10 @@
 // multiply-adds of a solve of its own, in the same order. A batch of one
 // is the one-placement place_cells, and every position of a batched
 // placement is bit-identical to placing it alone.
+//
+// The model also holds the net template HPWL and congestion walk: each
+// net as its distinct position sources, with the nets that collapse to
+// one source (most of them at paper scale) left out.
 
 #include <cstdint>
 #include <memory>
@@ -41,14 +45,17 @@ struct PlaceOptions {
 
 class PlacedDesign;
 
-/// The placement-independent half of cell placement: the clustering and
+/// The placement-independent half of cell placement: the clustering,
 /// the cluster-level star model's link template (clique links with
-/// 1/(p-1) weights, in CSR form). Both depend only on (design, ht,
-/// options), so one model serves every macro placement of a design.
-/// Immutable after construction; safe to share across pool tasks.
-/// `design` and `ht` must outlive the model and every PlacedDesign of it.
+/// 1/(p-1) weights, in CSR form) and the net template. All depend only
+/// on (design, ht, options), so one model serves every macro placement
+/// of a design. Immutable after construction; safe to share across pool
+/// tasks. `design` and `ht` must outlive the model and every
+/// PlacedDesign of it, and must not change while it lives.
 class CellPlacementModel {
  public:
+  /// Builds the clustering and both templates inside an `eval_model`
+  /// phase, counting clusters, links and net-template sources.
   CellPlacementModel(const Design& design, const HierTree& ht, const PlaceOptions& options = {});
 
   const Design& design() const { return *design_; }
@@ -63,9 +70,32 @@ class CellPlacementModel {
   /// anchored re-solves.
   int sweeps() const;
 
+  /// Net template: the nets whose pins resolve to at least two distinct
+  /// sources, in net order, each as its sources in first-appearance
+  /// order. A source is a position column: cluster c is column c, fixed
+  /// source f (a macro pin, a port, an unclustered or pinned cell) is
+  /// column clusters + f. A net left out is one point at every
+  /// placement: zero wirelength and no routing demand.
+  std::size_t template_nets() const { return net_begin_.size() - 1; }
+  std::span<const std::uint32_t> net_sources(std::size_t k) const {
+    return std::span(net_source_).subspan(net_begin_[k], net_begin_[k + 1] - net_begin_[k]);
+  }
+  std::size_t template_sources() const { return net_source_.size(); }
+  /// Fixed sources, resolved per placement (PlacedDesign::source_positions).
+  const std::vector<NetPin>& fixed_sources() const { return fixed_sources_; }
+  /// Nets with at least two pins: WirelengthReport::nets at any placement.
+  std::size_t multi_pin_nets() const { return multi_pin_nets_; }
+
  private:
   friend std::vector<PlacedDesign> place_cells(std::shared_ptr<const CellPlacementModel>,
                                                std::span<const PlacementResult* const>);
+  friend std::vector<Point> initial_solve(std::shared_ptr<const CellPlacementModel>,
+                                          const PlacementResult&);
+
+  void build_templates();
+  // Loads cluster rows (each placement's current positions) and fixed-pin
+  // rows (resolved under each placement) of a batch into `pos`.
+  void load_rows(std::span<const PlacedDesign> batch, std::vector<double>& pos) const;
 
   // Widest batch one solve runs; place_cells splits larger ones.
   static constexpr std::size_t kMaxBatchWidth = 6;
@@ -92,12 +122,19 @@ class CellPlacementModel {
   std::vector<double> weight_;
   std::vector<double> wsum_;      ///< per cluster: its link weights summed in link order
   std::vector<NetPin> fixed_pins_;  ///< fixed endpoints, resolved per placement
+  // Net template: kept net k's source columns are
+  // net_source_[net_begin_[k], net_begin_[k+1]).
+  std::vector<std::size_t> net_begin_;
+  std::vector<std::uint32_t> net_source_;
+  std::vector<NetPin> fixed_sources_;
+  std::size_t multi_pin_nets_ = 0;
 };
 
 class PlacedDesign {
  public:
   PlacedDesign(std::shared_ptr<const CellPlacementModel> model, const PlacementResult& macros);
 
+  const CellPlacementModel& model() const { return *model_; }
   const Design& design() const { return model_->design(); }
   const Rect& die() const { return model_->die(); }
   const Clustering& clustering() const { return model_->clustering(); }
@@ -114,8 +151,23 @@ class PlacedDesign {
   /// Footprints of the placed macros in CellId order: the blockage the
   /// spreading, density and congestion grids subtract.
   const std::vector<Rect>& macro_blockages() const { return blockages_; }
+  /// Calls fn(box) with the bounding box of each net of the model's net
+  /// template, over its distinct sources, in net order.
+  template <typename Fn>
+  void for_each_net_box(Fn&& fn) const {
+    const std::vector<Point> at = source_positions();
+    for (std::size_t k = 0; k < model_->template_nets(); ++k) {
+      BoundingBox box;
+      for (const std::uint32_t s : model_->net_sources(k)) box.absorb(at[s]);
+      fn(box);
+    }
+  }
 
  private:
+  // Position of every net-template source column: the cluster positions,
+  // then each fixed source's pin_position.
+  std::vector<Point> source_positions() const;
+
   std::shared_ptr<const CellPlacementModel> model_;
   std::vector<Point> cluster_pos_;
   /// Per macro, keyed by HierTree::macro_ordinal: its last placement
@@ -129,12 +181,22 @@ class PlacedDesign {
 /// times bin_capacity_ratio, with the macro blockage subtracted.
 std::vector<double> bin_capacity(const PlacedDesign& placed, const PlaceOptions& options);
 
-/// One spreading pass over cluster positions `pos`: clusters leave
-/// overfull bins for freer neighbors, any surplus goes to the nearest
-/// bins with room, and each bin's clusters take slots on a sub-grid of
-/// it. `capacity` is bin_capacity(placed, options).
-void spread_clusters(const PlacedDesign& placed, const std::vector<double>& capacity,
-                     std::vector<Point>& pos, const PlaceOptions& options);
+/// One spreading pass over the positions `pos` of `clusters` on a
+/// `die`: clusters leave overfull bins for freer neighbors for up to
+/// options.spreading_rounds rounds, any surplus goes to the nearest bins
+/// with room, and each bin's clusters take slots on a sub-grid of it.
+/// `capacity` is bin_capacity(placed, options). The rounds are a pure
+/// function of the bins' loads and stacks; once that state repeats, the
+/// rounds left are cut to the remainder of the cycle, which ends in the
+/// state the last round would have reached.
+void spread_clusters(const Rect& die, std::span<const CellCluster> clusters,
+                     const std::vector<double>& capacity, std::vector<Point>& pos,
+                     const PlaceOptions& options);
+
+/// The cluster positions the first spreading pass of place_cells sees
+/// under `macros`: the initial Gauss-Seidel solve from the die centre.
+std::vector<Point> initial_solve(std::shared_ptr<const CellPlacementModel> model,
+                                 const PlacementResult& macros);
 
 /// Solve and spread the clusters of `model` under each of `placements`,
 /// as one batch (see the file comment); result i belongs to

@@ -4,8 +4,13 @@
 
 namespace hidap {
 
-CongestionReport estimate_congestion(const PlacedDesign& placed,
-                                     const CongestionOptions& options) {
+namespace {
+
+// The congestion report of the net boxes `each_box` yields, in its order.
+// `each_box(demand)` calls demand(box) once per net.
+template <typename EachBox>
+CongestionReport congestion(const PlacedDesign& placed, const CongestionOptions& options,
+                            EachBox&& each_box) {
   const Rect die = placed.die();
   const int g = options.grid;
   const double bw = die.w / g, bh = die.h / g;
@@ -35,13 +40,7 @@ CongestionReport estimate_congestion(const PlacedDesign& placed,
 
   // Net demand over bounding boxes.
   CongestionReport report;
-  const Design& design = placed.design();
-  for (std::size_t n = 0; n < design.net_count(); ++n) {
-    const std::span<const NetPin> pins = design.pins(static_cast<NetId>(n));
-    if (pins.size() < 2) continue;
-    BoundingBox box;
-    for (const NetPin& p : pins) box.absorb(placed.pin_position(p));
-
+  each_box([&](const BoundingBox& box) {
     const int x0 = std::clamp(static_cast<int>((box.xmin - die.x) / bw), 0, g - 1);
     const int x1 = std::clamp(static_cast<int>((box.xmax - die.x) / bw), 0, g - 1);
     const int y0 = std::clamp(static_cast<int>((box.ymin - die.y) / bh), 0, g - 1);
@@ -68,7 +67,7 @@ CongestionReport estimate_congestion(const PlacedDesign& placed,
         }
       }
     }
-  }
+  });
 
   long edges = 0, overflowed = 0;
   const auto tally = [&](const std::vector<double>& demand,
@@ -85,6 +84,28 @@ CongestionReport estimate_congestion(const PlacedDesign& placed,
   tally(vdemand, vcap);
   report.grc_percent = edges > 0 ? 100.0 * overflowed / edges : 0.0;
   return report;
+}
+
+}  // namespace
+
+CongestionReport estimate_congestion(const PlacedDesign& placed,
+                                     const CongestionOptions& options) {
+  return congestion(placed, options,
+                    [&](const auto& demand) { placed.for_each_net_box(demand); });
+}
+
+CongestionReport estimate_congestion_per_net(const PlacedDesign& placed,
+                                             const CongestionOptions& options) {
+  const Design& design = placed.design();
+  return congestion(placed, options, [&](const auto& demand) {
+    for (std::size_t n = 0; n < design.net_count(); ++n) {
+      const std::span<const NetPin> pins = design.pins(static_cast<NetId>(n));
+      if (pins.size() < 2) continue;
+      BoundingBox box;
+      for (const NetPin& p : pins) box.absorb(placed.pin_position(p));
+      demand(box);
+    }
+  });
 }
 
 }  // namespace hidap

@@ -23,7 +23,15 @@ struct CongestionReport {
   double total_demand = 0.0;
 };
 
+/// Spreads the demand of the model's net template (CellPlacementModel):
+/// each kept net's box over its distinct sources, in net order.
+/// Bit-identical to estimate_congestion_per_net.
 CongestionReport estimate_congestion(const PlacedDesign& placed,
                                      const CongestionOptions& options = {});
+
+/// The same report from every pin of every net: the differential oracle
+/// of estimate_congestion.
+CongestionReport estimate_congestion_per_net(const PlacedDesign& placed,
+                                             const CongestionOptions& options = {});
 
 }  // namespace hidap

@@ -396,6 +396,58 @@ TEST_F(ObsDeterminism, MetricsAreIdenticalTracingOnOrOff) {
   }
 }
 
+// The evaluator's model build is an `eval_model` phase that counts its
+// clusters, links and net-template sources, and spreading counts the
+// rounds it runs. All four are functions of the design and the
+// placements alone, so sweeps evaluated concurrently on 1 or 4 lanes
+// read the same.
+TEST_F(ObsDeterminism, EvalCountersAreThreadIndependent) {
+  TracingOff guard;
+  const char* const counters[] = {"eval_model.clusters", "eval_model.links",
+                                  "eval_model.sources", "eval.spread_rounds"};
+  std::vector<PlacementResult> sweep;
+  for (const double lambda : HiDaPOptions::kLambdaSweep) {
+    HiDaPOptions o = quick_options(1);
+    o.lambda = lambda;
+    sweep.push_back(place_macros(*design_, *context_, o));
+  }
+  EvalOptions options;
+  options.place.target_clusters = 200;
+  options.place.solver_iterations = 30;
+  std::vector<std::vector<std::uint64_t>> per_run;
+  for (const int lanes : {1, 4}) {
+    SCOPED_TRACE(lanes);
+    std::vector<std::uint64_t> before;
+    for (const char* name : counters) {
+      before.push_back(obs::default_registry().counter(name).value());
+    }
+    obs::Tracer::instance().clear();
+    obs::set_tracing_enabled(true);
+    const PlacementEvaluator evaluator(*design_, context_->ht, context_->seq, options);
+    parallel_for(
+        sweep.size(),
+        [&](std::size_t r) {
+          std::vector<const PlacementResult*> batch;
+          for (std::size_t k = 0; k < sweep.size(); ++k) {
+            batch.push_back(&sweep[(r + k) % sweep.size()]);
+          }
+          evaluator.evaluate_sweep(batch);
+        },
+        lanes);
+    obs::set_tracing_enabled(false);
+    std::map<std::string, std::uint64_t> spans;
+    for (const obs::PhaseStat& stat : obs::phase_stats()) spans[stat.name] = stat.count;
+    EXPECT_EQ(spans["eval_model"], 1u);
+    obs::Tracer::instance().clear();
+    per_run.emplace_back();
+    for (std::size_t i = 0; i < std::size(counters); ++i) {
+      per_run.back().push_back(obs::default_registry().counter(counters[i]).value() - before[i]);
+      EXPECT_GT(per_run.back().back(), 0u) << counters[i];
+    }
+  }
+  EXPECT_EQ(per_run[0], per_run[1]);
+}
+
 TEST_F(ObsDeterminism, PlacementRunRecordsSaAndPhaseMetrics) {
   TracingOff guard;
   const std::uint64_t runs_before =

@@ -1,12 +1,16 @@
 // Cell-placement proxy tests: clustering, quadratic solve, spreading,
-// HPWL, density maps, the shared per-design placement model, and the
-// batched solve and sweep evaluation against a one-placement oracle.
+// HPWL, density maps, the shared per-design placement model, spreading
+// against an all-rounds reference, and the batched solve and sweep
+// evaluation against a one-placement oracle.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,11 +19,13 @@
 #include "eval/metrics.hpp"
 #include "force_pool_lanes.hpp"
 #include "gen/suite.hpp"
+#include "obs/metrics.hpp"
 #include "place/density.hpp"
 #include "place/hpwl.hpp"
 #include "place/quadratic_placer.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
 
 namespace hidap {
 namespace {
@@ -293,13 +299,269 @@ TEST(PlacementModel, HoistedBlockageCapacityEqualsPerBinMacroScan) {
   }
 }
 
+// --- Spreading: differential checks against an all-rounds reference ---
+
+// spread_clusters as it was before its cycle exit: one std::vector stack
+// per bin, and every one of the spreading_rounds rounds run unless one
+// moves nothing.
+void reference_spread(const Rect& die, std::span<const CellCluster> clusters,
+                      const std::vector<double>& capacity, std::vector<Point>& pos,
+                      const PlaceOptions& options) {
+  const int g = options.grid;
+  const double bw = die.w / g, bh = die.h / g;
+  const auto bin_of = [&](const Point& p) {
+    const int bx = std::clamp(static_cast<int>((p.x - die.x) / bw), 0, g - 1);
+    const int by = std::clamp(static_cast<int>((p.y - die.y) / bh), 0, g - 1);
+    return std::pair{bx, by};
+  };
+  std::vector<double> load(capacity.size(), 0.0);
+  std::vector<std::vector<int>> content(capacity.size());
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    const auto [bx, by] = bin_of(pos[i]);
+    load[static_cast<std::size_t>(by) * g + bx] += clusters[i].area;
+    content[static_cast<std::size_t>(by) * g + bx].push_back(static_cast<int>(i));
+  }
+  for (int round = 0; round < options.spreading_rounds; ++round) {
+    bool moved = false;
+    for (int by = 0; by < g; ++by) {
+      for (int bx = 0; bx < g; ++bx) {
+        const std::size_t b = static_cast<std::size_t>(by) * g + bx;
+        while (load[b] > capacity[b] && !content[b].empty()) {
+          std::size_t best = b;
+          double best_free = -1e30;
+          for (const auto& [dx, dy] : {std::pair{1, 0}, {-1, 0}, {0, 1}, {0, -1}}) {
+            const int nx = bx + dx, ny = by + dy;
+            if (nx < 0 || ny < 0 || nx >= g || ny >= g) continue;
+            const std::size_t nb = static_cast<std::size_t>(ny) * g + nx;
+            const double free = capacity[nb] - load[nb];
+            if (free > best_free) {
+              best_free = free;
+              best = nb;
+            }
+          }
+          const double current_free = capacity[b] - load[b];
+          if (best == b || best_free <= current_free) break;
+          const int cl = content[b].back();
+          content[b].pop_back();
+          content[best].push_back(cl);
+          load[b] -= clusters[static_cast<std::size_t>(cl)].area;
+          load[best] += clusters[static_cast<std::size_t>(cl)].area;
+          moved = true;
+        }
+      }
+    }
+    if (!moved) break;
+  }
+  std::vector<int> surplus;
+  std::vector<std::size_t> origin;
+  for (std::size_t b = 0; b < capacity.size(); ++b) {
+    while (load[b] > capacity[b] && !content[b].empty()) {
+      const int cl = content[b].back();
+      content[b].pop_back();
+      load[b] -= clusters[static_cast<std::size_t>(cl)].area;
+      surplus.push_back(cl);
+      origin.push_back(b);
+    }
+  }
+  for (std::size_t s = 0; s < surplus.size(); ++s) {
+    const int ox = static_cast<int>(origin[s]) % g;
+    const int oy = static_cast<int>(origin[s]) / g;
+    const double area = clusters[static_cast<std::size_t>(surplus[s])].area;
+    std::size_t best = origin[s];
+    double best_score = -1e30;
+    for (int y = 0; y < g; ++y) {
+      for (int x = 0; x < g; ++x) {
+        const std::size_t b = static_cast<std::size_t>(y) * g + x;
+        const double free = capacity[b] - load[b];
+        if (free < area * 0.5) continue;
+        const double score = -static_cast<double>(std::abs(x - ox) + std::abs(y - oy));
+        if (score > best_score) {
+          best_score = score;
+          best = b;
+        }
+      }
+    }
+    content[best].push_back(surplus[s]);
+    load[best] += area;
+  }
+  for (int by = 0; by < g; ++by) {
+    for (int bx = 0; bx < g; ++bx) {
+      auto& members = content[static_cast<std::size_t>(by) * g + bx];
+      const std::size_t n = members.size();
+      if (n == 0) continue;
+      std::sort(members.begin(), members.end(), [&](int a, int c) {
+        const Point& pa = pos[static_cast<std::size_t>(a)];
+        const Point& pc = pos[static_cast<std::size_t>(c)];
+        return pa.y != pc.y ? pa.y < pc.y : pa.x < pc.x;
+      });
+      const int side = std::max(1, static_cast<int>(std::ceil(std::sqrt(n))));
+      for (std::size_t k = 0; k < n; ++k) {
+        const int sx = static_cast<int>(k) % side;
+        const int sy = static_cast<int>(k) / side;
+        pos[static_cast<std::size_t>(members[k])] = Point{
+            die.x + bx * bw + (sx + 0.5) * bw / side, die.y + by * bh + (sy + 0.5) * bh / side};
+      }
+    }
+  }
+}
+
+// A random spreading problem on a `g` x `g` grid: about three clusters
+// per bin (one on a 32 x 32 grid) of random area, a quarter of them
+// stacked on the die centre and a few on a second point (sort ties),
+// the rest uniform; bins of
+// random capacity, one in five zero (macro-covered). `tight` makes the
+// total capacity fall short of the cluster area, so the global
+// rebalance runs out of room. With `dyadic` areas (multiples of 1/8,
+// like sums of cell areas on a site grid) every load update is exact,
+// so the rounds cycle; other areas round, and the loads may never
+// repeat bit for bit.
+struct SpreadProblem {
+  Rect die{3.0, -2.0, 400.0, 250.0};
+  std::vector<CellCluster> clusters;
+  std::vector<double> capacity;
+  std::vector<Point> pos;
+
+  SpreadProblem(int g, std::uint64_t seed, bool tight, bool dyadic) {
+    Rng rng(seed);
+    const std::size_t bins = static_cast<std::size_t>(g) * g;
+    const std::size_t n = (g < 32 ? 3 : 1) * bins + static_cast<std::size_t>(rng.next_int(0, 5));
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      CellCluster c;
+      c.area = dyadic ? rng.next_int(8, 400) / 8.0 : rng.next_double(1.0, 50.0);
+      total += c.area;
+      clusters.push_back(c);
+      const int kind = rng.next_int(0, 7);
+      if (kind < 2) {
+        pos.push_back(die.center());
+      } else if (kind == 2) {
+        pos.push_back(Point{die.x + die.w * 0.25, die.y + die.h * 0.75});
+      } else {
+        pos.push_back(
+            Point{rng.next_double(die.x, die.xmax()), rng.next_double(die.y, die.ymax())});
+      }
+    }
+    const double mean = total / static_cast<double>(bins) * (tight ? 0.8 : 1.3);
+    for (std::size_t b = 0; b < bins; ++b) {
+      capacity.push_back(rng.next_int(0, 4) == 0 ? 0.0 : rng.next_double(0.2, 1.8) * mean);
+    }
+  }
+};
+
+void expect_same_points(const std::vector<Point>& a, const std::vector<Point>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].x, b[i].x) << "cluster " << i;
+    EXPECT_EQ(a[i].y, b[i].y) << "cluster " << i;
+  }
+}
+
+// Every spreading_rounds from 0 to 260, on grids of 1, 2, 8 and 32 bins a
+// side: the cycle exit lands every position on the bits the all-rounds
+// reference reaches. The exit must also really engage where the rounds
+// cycle early.
+TEST(SpreadClusters, CycleExitMatchesAllRoundsReference) {
+  obs::Counter& rounds_run = obs::default_registry().counter("eval.spread_rounds");
+  for (const int g : {1, 2, 8, 32}) {
+    for (const auto& [tight, dyadic] : {std::pair{false, true}, {true, true}, {false, false}}) {
+      if (g == 32 && (tight || !dyadic)) continue;  // the costliest grid: one problem
+      SCOPED_TRACE(::testing::Message() << "grid " << g << (tight ? " tight" : "")
+                                        << (dyadic ? " dyadic" : ""));
+      const SpreadProblem problem(g, static_cast<std::uint64_t>(g) * 7 + (tight ? 1 : 0), tight,
+                                  dyadic);
+      PlaceOptions options;
+      options.grid = g;
+      std::uint64_t run = 0, asked = 0;
+      for (int rounds = 0; rounds <= 260; ++rounds) {
+        SCOPED_TRACE(rounds);
+        options.spreading_rounds = rounds;
+        std::vector<Point> expected = problem.pos;
+        reference_spread(problem.die, problem.clusters, problem.capacity, expected, options);
+        std::vector<Point> got = problem.pos;
+        const std::uint64_t before = rounds_run.value();
+        spread_clusters(problem.die, problem.clusters, problem.capacity, got, options);
+        run += rounds_run.value() - before;
+        asked += static_cast<std::uint64_t>(rounds);
+        expect_same_points(got, expected);
+        if (::testing::Test::HasFailure()) return;
+      }
+      if (dyadic && g == 8) {
+        EXPECT_LT(run * 2, asked);
+      }
+    }
+  }
+}
+
+// Small problems whose loads round: areas of 0.1, 0.2, 0.3 and 0.7 sum to
+// bits that depend on their order, on capacities those sums straddle
+// (0.1 + 0.2 + 0.3 > 0.6, 0.3 + 0.2 + 0.1 == 0.6). The same clusters in
+// the same stacks can then carry loads whose comparisons differ, so only
+// a repeat of the exact load bits proves a cycle.
+TEST(SpreadClusters, CycleExitMatchesReferenceWhenLoadsRound) {
+  const Rect die{0.0, 0.0, 100.0, 100.0};
+  const double areas[] = {0.1, 0.2, 0.3, 0.7};
+  const double capacities[] = {0.0, 0.3, 0.6, 0.9, 1.0};
+  for (std::uint64_t seed = 1; seed <= 3000; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    PlaceOptions options;
+    options.grid = rng.next_int(2, 4);
+    std::vector<CellCluster> clusters(static_cast<std::size_t>(rng.next_int(3, 14)));
+    std::vector<Point> pos;
+    for (CellCluster& c : clusters) {
+      c.area = areas[rng.next_int(0, 3)];
+      pos.push_back(rng.next_bool() ? die.center()
+                                    : Point{rng.next_int(0, 3) * 25.0 + 1.0,
+                                            rng.next_int(0, 3) * 25.0 + 1.0});
+    }
+    std::vector<double> capacity;
+    for (int b = 0; b < options.grid * options.grid; ++b) {
+      capacity.push_back(capacities[rng.next_int(0, 4)]);
+    }
+    for (int rounds = 0; rounds <= 40; ++rounds) {
+      SCOPED_TRACE(rounds);
+      options.spreading_rounds = rounds;
+      std::vector<Point> expected = pos;
+      reference_spread(die, clusters, capacity, expected, options);
+      std::vector<Point> got = pos;
+      spread_clusters(die, clusters, capacity, got, options);
+      expect_same_points(got, expected);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+// The real inputs of the evaluation placer: each placement's initial
+// solve, spread at the default 200 rounds on the default 32 x 32 grid.
+TEST(SpreadClusters, CycleExitMatchesReferenceOnSolvedPositions) {
+  set_log_level(LogLevel::Warn);
+  const Design d = generate_circuit(suite_circuit("c1", 0.002).spec);
+  const HierTree ht(d);
+  const auto model = std::make_shared<const CellPlacementModel>(d, ht);
+  std::vector<CellId> macros = d.macros();
+  for (int variant = 0; variant < 3; ++variant) {
+    SCOPED_TRACE(variant);
+    std::rotate(macros.begin(), macros.begin() + 1, macros.end());
+    const PlacementResult placement = row_placement(d, macros);
+    const PlacedDesign placed(model, placement);
+    const std::vector<double> capacity = bin_capacity(placed, model->options());
+    const std::vector<Point> solved = initial_solve(model, placement);
+    std::vector<Point> expected = solved;
+    reference_spread(model->die(), model->clustering().clusters, capacity, expected,
+                     model->options());
+    std::vector<Point> got = solved;
+    spread_clusters(model->die(), model->clustering().clusters, capacity, got, model->options());
+    expect_same_points(got, expected);
+  }
+}
+
 // --- Batched solve: differential checks against a one-placement oracle ---
 
 // The one-placement evaluation placer as it was before batching: its own
 // star model over the model's clustering, a Gauss-Seidel solve that
 // branches between movable and fixed ends, and the anchored spreading
-// rounds. It shares nothing with the batched kernel but the clustering
-// and spread_clusters, which both run per placement.
+// rounds, spreading with reference_spread. It shares nothing with the
+// batched kernel but the clustering and bin_capacity.
 class OraclePlacer {
  public:
   explicit OraclePlacer(std::shared_ptr<const CellPlacementModel> model)
@@ -381,10 +643,10 @@ class OraclePlacer {
     solve(fixed, pos, options.solver_iterations);
     for (const double strength : {0.25, 0.6}) {
       std::vector<Point> legal = pos;
-      spread_clusters(placed, capacity, legal, options);
+      reference_spread(placed.die(), placed.clustering().clusters, capacity, legal, options);
       solve(fixed, pos, options.solver_iterations / 2, &legal, strength);
     }
-    spread_clusters(placed, capacity, pos, options);
+    reference_spread(placed.die(), placed.clustering().clusters, capacity, pos, options);
     return placed;
   }
 

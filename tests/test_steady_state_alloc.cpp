@@ -4,8 +4,9 @@
 // SA), including the Polish perturbation that generates each move, must
 // not touch the heap, and neither may the shape-curve SA's new-best
 // records once its best set is full. The Verilog parse is held to fewer
-// allocations than the nets it creates, and parsing or generating suite
-// c4 to a fixed bound far below that. A counting global operator new,
+// allocations than the nets it creates, parsing or generating suite c4
+// to a fixed bound far below that, and a spreading pass of the
+// evaluation placer to a fixed handful. A counting global operator new,
 // private to this test binary, observes every allocation.
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <new>
 #include <sstream>
 #include <string>
@@ -24,6 +26,7 @@
 #include "gen/suite.hpp"
 #include "netlist/verilog_parser.hpp"
 #include "netlist/verilog_writer.hpp"
+#include "place/quadratic_placer.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -193,6 +196,26 @@ TEST(SteadyStateAllocation, VerilogParseOfSuiteC4AllocatesPerModuleNotPerNet) {
   const std::uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
   EXPECT_GT(design.net_count(), 40000u);
   EXPECT_LE(allocations, 4000u);
+}
+
+// Spreading keeps its bins' stacks in flat arrays (a head per bin, a
+// link per cluster) and its snapshot in three more, so a call allocates
+// a fixed handful of buffers (eight); one vector per bin made this call
+// allocate 787 times.
+TEST(SteadyStateAllocation, SpreadClustersAllocatesAFixedHandful) {
+  const Design design = generate_circuit(suite_circuit("c1", 0.002).spec);
+  const HierTree ht(design);
+  const auto model = std::make_shared<const CellPlacementModel>(design, ht);
+  const PlacementResult unplaced;
+  const PlacedDesign placed(model, unplaced);
+  const std::vector<double> capacity = bin_capacity(placed, model->options());
+  const std::vector<Point> solved = initial_solve(model, unplaced);
+  std::vector<Point> pos = solved;
+  spread_clusters(model->die(), model->clustering().clusters, capacity, pos, model->options());
+  pos = solved;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  spread_clusters(model->die(), model->clustering().clusters, capacity, pos, model->options());
+  EXPECT_LE(g_allocations.load(std::memory_order_relaxed) - before, 12u);
 }
 
 TEST(SteadyStateAllocation, GenerateOfSuiteC4AllocatesPerModuleNotPerNet) {
