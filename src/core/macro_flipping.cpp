@@ -41,12 +41,11 @@ class FlipEvaluator {
                 const std::vector<Rect>& region,
                 const std::vector<std::uint8_t>& region_valid,
                 std::vector<MacroPlacement>& macros)
-      : nets_(nets), macros_(macros), slot_(nets.macro_cells.size(), -1) {
-    // Placement index of each indexed macro; the last entry of a cell
-    // wins.
+      : ht_(ht), nets_(nets), macros_(macros), slot_(ht.total_macros(), -1) {
+    // Placement index of each macro; the last entry of a cell wins.
     for (std::size_t i = 0; i < macros.size(); ++i) {
-      const int m = ordinal_of(macros[i].cell);
-      if (m >= 0) slot_[static_cast<std::size_t>(m)] = static_cast<int>(i);
+      const std::uint32_t m = ht.macro_ordinal(macros[i].cell);
+      if (m != HierTree::kNoMacroOrdinal) slot_[m] = static_cast<int>(i);
     }
     // Estimated position of every HT node's cells: the center of its
     // innermost valid region (the origin when not even the root has
@@ -75,7 +74,7 @@ class FlipEvaluator {
           continue;
         }
         // An unplaced macro is a fixed endpoint like any other cell.
-        const CellId cell = nets.macro_cells[m];
+        const CellId cell = design.macros()[m];
         const Cell& c = design.cell(cell);
         net.box.absorb(c.fixed_pos ? *c.fixed_pos
                                    : center[static_cast<std::size_t>(ht.node_of_cell(cell))]);
@@ -105,8 +104,8 @@ class FlipEvaluator {
   void score(std::size_t pl, const std::array<Orientation, 4>& candidates,
              std::array<double, 4>& cost) const {
     cost = {0.0, 0.0, 0.0, 0.0};
-    const int m = ordinal_of(macros_[pl].cell);
-    if (m < 0 || slot_[static_cast<std::size_t>(m)] != static_cast<int>(pl)) return;
+    const std::uint32_t m = ht_.macro_ordinal(macros_[pl].cell);
+    if (m == HierTree::kNoMacroOrdinal || slot_[m] != static_cast<int>(pl)) return;
     // pin_position() of candidates[0] and [3] (R0 and R180, or R90 and
     // R270) with the footprint work hoisted out of the pin loop.
     const bool rotated = swaps_dimensions(candidates[0]);
@@ -118,8 +117,7 @@ class FlipEvaluator {
       const Point local = transform_pin(offset, w0, h0, o);
       return Point{rect.x + local.x, rect.y + local.y};
     };
-    const auto mu = static_cast<std::size_t>(m);
-    for (const MacroNets::MacroPin& pin : nets_.macro_pins[mu]) {
+    for (const MacroNets::MacroPin& pin : nets_.macro_pins[m]) {
       const FixedNet& net = fixed_[pin.net];
       if (net.placed == 1) {
         // This pin is the net's only placed one: each candidate's box is
@@ -158,13 +156,6 @@ class FlipEvaluator {
     std::uint32_t placed = 0;  ///< pins whose macro this placement places
   };
 
-  int ordinal_of(CellId cell) const {
-    const auto it = std::lower_bound(nets_.macro_cells.begin(), nets_.macro_cells.end(), cell);
-    return it != nets_.macro_cells.end() && *it == cell
-               ? static_cast<int>(it - nets_.macro_cells.begin())
-               : -1;
-  }
-
   // HPWL of net `n` with every placed macro in its current orientation.
   double net_hpwl(std::size_t n) const {
     BoundingBox box = fixed_[n].box;
@@ -189,6 +180,7 @@ class FlipEvaluator {
     return {m.rect.x + local.x, m.rect.y + local.y};
   }
 
+  const HierTree& ht_;
   const MacroNets& nets_;
   const std::vector<MacroPlacement>& macros_;
   std::vector<int> slot_;        // per macro ordinal: placement index, -1 = unplaced
@@ -199,8 +191,8 @@ class FlipEvaluator {
 
 }  // namespace
 
-MacroNets::MacroNets(const Design& design, const HierTree& ht) : macro_cells(design.macros()) {
-  assert(macro_cells.size() == ht.total_macros());
+MacroNets::MacroNets(const Design& design, const HierTree& ht) {
+  assert(design.macro_count() == ht.total_macros());
   // Per HT node: the stamp of the last net that listed it.
   std::vector<std::uint32_t> listed(ht.size(), 0);
   pin_start.push_back(0);
@@ -238,7 +230,7 @@ MacroNets::MacroNets(const Design& design, const HierTree& ht) : macro_cells(des
     node_start.push_back(static_cast<std::uint32_t>(nodes.size()));
   }
   // Each macro's pins in net order.
-  macro_pins = Csr<MacroPin>::group(macro_cells.size(), [&](auto&& emit) {
+  macro_pins = Csr<MacroPin>::group(ht.total_macros(), [&](auto&& emit) {
     for (std::uint32_t n = 0; n + 1 < pin_start.size(); ++n) {
       for (std::uint32_t k = pin_start[n]; k < pin_start[n + 1]; ++k) {
         emit(pins[k].macro, MacroPin{n, pins[k].dx, pins[k].dy});

@@ -34,9 +34,10 @@ struct FlippingStats {
 
 /// Every net with at least one macro pin, in net order, indexed once per
 /// design (PlacementContext holds it):
-///  * pins: CSR of the net's macro pins, as an index into `macro_cells`
-///    (the HierTree::macro_ordinal the recursion keys its estimates by)
-///    plus the R0 pin offset exactly as NetPin stores it;
+///  * pins: CSR of the net's macro pins, as the macro's
+///    HierTree::macro_ordinal (its index in Design::macros(), which the
+///    recursion keys its estimates by) plus the R0 pin offset exactly as
+///    NetPin stores it;
 ///  * port_box_of: the net's entry in `port_boxes`, the box of its fixed
 ///    (port) endpoints; entry 0 is the empty box of every net without
 ///    ports, so a net costs one index, not a box;
@@ -50,7 +51,7 @@ struct FlippingStats {
 /// a fixed endpoint like any other cell.
 struct MacroNets {
   struct Pin {
-    std::uint32_t macro;  ///< index into macro_cells
+    std::uint32_t macro;  ///< HierTree::macro_ordinal
     float dx;
     float dy;
   };
@@ -64,7 +65,6 @@ struct MacroNets {
 
   std::size_t net_count() const { return port_box_of.size(); }
 
-  std::vector<CellId> macro_cells;  ///< every macro cell, ascending (index = macro ordinal)
   std::vector<std::uint32_t> pin_start;
   std::vector<Pin> pins;
   std::vector<std::uint32_t> port_box_of;

@@ -13,16 +13,6 @@ namespace {
 // Zone of an in-scope cell: >= 0 = owning block, kGlue = unclaimed glue.
 constexpr int kGlue = -1;
 
-// Visits every cell in the subtree of `node` (macro leaves and own cells).
-template <typename Fn>
-void for_each_cell_under(const HierTree& ht, HtNodeId node, Fn&& fn) {
-  for (const HtNodeId n : ht.preorder(node)) {
-    const HtNode& nd = ht.node(n);
-    if (nd.is_macro_leaf()) fn(nd.macro_cell);
-    for (const CellId c : nd.own_cells) fn(c);
-  }
-}
-
 // Calls fn(i) for every set bit i of words [lo, hi), ascending.
 template <typename Fn>
 void for_each_set_bit(const std::vector<std::uint64_t>& bits, std::size_t lo, std::size_t hi,
@@ -57,11 +47,11 @@ TargetAreaResult assign_target_areas(const Design& design, const CellAdjacency& 
     hi = std::max(hi, i / 64 + 1);
   };
   const auto in_scope = [&](std::size_t i) { return (scope[i / 64] >> (i % 64)) & 1; };
-  for_each_cell_under(ht, nh, [&](CellId c) { mark(c, kGlue); });
+  ht.for_each_cell_under(design, nh, [&](CellId c) { mark(c, kGlue); });
   for (std::size_t b = 0; b < hcb.size(); ++b) {
     result.minimum_area[b] = ht.area(hcb[b]);
     result.target_area[b] = result.minimum_area[b];
-    for_each_cell_under(ht, hcb[b], [&](CellId c) { mark(c, static_cast<int>(b)); });
+    ht.for_each_cell_under(design, hcb[b], [&](CellId c) { mark(c, static_cast<int>(b)); });
   }
 
   // Multi-source BFS over the undirected Gnet adjacency. Sources: every

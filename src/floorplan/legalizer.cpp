@@ -11,6 +11,9 @@ namespace hidap {
 
 namespace {
 
+constexpr int kSpiralSteps = 400;       // fallback search budget per macro
+constexpr double kStepFraction = 0.02;  // spiral step as a fraction of die size
+
 Rect inflate(const Rect& r, double halo) {
   return Rect{r.x - halo, r.y - halo, r.w + 2 * halo, r.h + 2 * halo};
 }
@@ -72,8 +75,7 @@ LegalizeStats legalize_macros(const Design& design, std::vector<MacroPlacement>&
 
   std::vector<std::size_t> placed;
   placed.reserve(macros.size());
-  const double step =
-      options.step_fraction * std::max(die.w, die.h) + 1e-9;
+  const double step = kStepFraction * std::max(die.w, die.h) + 1e-9;
 
   for (const std::size_t idx : order) {
     if (options.fixed.count(macros[idx].cell)) {
@@ -123,7 +125,7 @@ LegalizeStats legalize_macros(const Design& design, std::vector<MacroPlacement>&
       // Spiral search around the original center.
       bool found = false;
       double angle = 0.0, radius = step;
-      for (int s = 0; s < options.spiral_steps; ++s) {
+      for (int s = 0; s < kSpiralSteps; ++s) {
         Rect candidate = r;
         candidate.x = original_center.x - r.w / 2 + radius * std::cos(angle);
         candidate.y = original_center.y - r.h / 2 + radius * std::sin(angle);

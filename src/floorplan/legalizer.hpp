@@ -20,8 +20,6 @@ namespace hidap {
 
 struct LegalizeOptions {
   double halo = 0.0;        ///< required clearance around every macro (um)
-  int spiral_steps = 400;   ///< fallback search budget per macro
-  double step_fraction = 0.02;  ///< spiral step as a fraction of die size
   std::set<CellId> fixed;   ///< macros that must not move (preplaced)
 };
 

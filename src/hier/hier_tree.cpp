@@ -31,28 +31,26 @@ HierTree::HierTree(const Design& design) {
 
   hier_node_ = hier_to_ht;
 
-  // Pass 2: distribute cells; macros get private leaf nodes, appended
-  // in CellId order after every hierarchy node.
+  // Pass 2: map cells to nodes; macros get private leaf nodes, appended
+  // in CellId order after every hierarchy node. Other cells map to their
+  // level and stay in the Design's per-level lists.
   first_macro_leaf_ = static_cast<HtNodeId>(nodes_.size());
   cell_node_.assign(design.cell_count(), kInvalidId);
   for (std::size_t i = 0; i < design.cell_count(); ++i) {
     const CellId cid = static_cast<CellId>(i);
     const Cell& cell = design.cell(cid);
     const HtNodeId owner = hier_to_ht[static_cast<std::size_t>(cell.hier)];
-    if (cell.kind == CellKind::Macro) {
-      const HtNodeId leaf = static_cast<HtNodeId>(nodes_.size());
-      HtNode node;
-      node.parent = owner;
-      node.hier = cell.hier;
-      node.macro_cell = cid;
-      node.name = design.cell_name(cid);
-      nodes_.push_back(std::move(node));
-      nodes_[static_cast<std::size_t>(owner)].children.push_back(leaf);
-      cell_node_[i] = leaf;
-    } else {
-      nodes_[static_cast<std::size_t>(owner)].own_cells.push_back(cid);
-      cell_node_[i] = owner;
-    }
+    cell_node_[i] = owner;
+    if (cell.kind != CellKind::Macro) continue;
+    const HtNodeId leaf = static_cast<HtNodeId>(nodes_.size());
+    HtNode node;
+    node.parent = owner;
+    node.hier = cell.hier;
+    node.macro_cell = cid;
+    node.name = design.cell_name(cid);
+    nodes_.push_back(std::move(node));
+    nodes_[static_cast<std::size_t>(owner)].children.push_back(leaf);
+    cell_node_[i] = leaf;
   }
 
   // Pass 3: subtree aggregates, children have larger ids than parents for
@@ -70,7 +68,11 @@ HierTree::HierTree(const Design& design) {
       node.subtree_macro_area = cell.area;
       node.subtree_macros = 1;
     } else {
-      for (const CellId cid : node.own_cells) node.subtree_area += design.cell(cid).area;
+      for (const CellId cid : design.cells_of(node.hier)) {
+        if (node_of_cell(cid) == static_cast<HtNodeId>(i)) {
+          node.subtree_area += design.cell(cid).area;
+        }
+      }
     }
     if (node.parent != kInvalidId) {
       HtNode& parent = nodes_[static_cast<std::size_t>(node.parent)];
@@ -85,16 +87,6 @@ std::vector<CellId> HierTree::macros_under(HtNodeId id) const {
   std::vector<CellId> out;
   for (const HtNodeId n : preorder(id)) {
     if (node(n).is_macro_leaf()) out.push_back(node(n).macro_cell);
-  }
-  return out;
-}
-
-std::vector<CellId> HierTree::cells_under(HtNodeId id) const {
-  std::vector<CellId> out;
-  for (const HtNodeId n : preorder(id)) {
-    const HtNode& nd = node(n);
-    if (nd.is_macro_leaf()) out.push_back(nd.macro_cell);
-    out.insert(out.end(), nd.own_cells.begin(), nd.own_cells.end());
   }
   return out;
 }

@@ -6,7 +6,8 @@
 // macro sits in HT; a leaf of its own is our reading) so that
 // hierarchical declustering can always descend to single-macro blocks.
 // The tree caches per-subtree area and macro counts, the two quantities
-// Algorithm 3 consults.
+// Algorithm 3 consults. It copies no cell lists: a level's cells stay in
+// Design::cells_of, and for_each_cell_under reads them in place.
 
 #include <cstdint>
 #include <string>
@@ -23,7 +24,6 @@ struct HtNode {
   std::vector<HtNodeId> children;
   HierId hier = kInvalidId;        ///< originating hierarchy node (or parent's for macro leaves)
   CellId macro_cell = kInvalidId;  ///< valid for macro leaf nodes only
-  std::vector<CellId> own_cells;   ///< non-macro cells directly at this level
 
   double subtree_area = 0.0;       ///< macros + std cells below (um^2)
   double subtree_macro_area = 0.0;
@@ -54,8 +54,24 @@ class HierTree {
   /// All macro cells in the subtree of `id`.
   std::vector<CellId> macros_under(HtNodeId id) const;
 
-  /// All cells (of any kind) in the subtree of `id`.
-  std::vector<CellId> cells_under(HtNodeId id) const;
+  /// Calls fn(cell) for every cell (of any kind) in the subtree of `id`
+  /// of `design`, the design the tree was built from: nodes in preorder,
+  /// a macro leaf's macro, a level's non-macro cells in CellId order read
+  /// in place from Design::cells_of.
+  template <typename Fn>
+  void for_each_cell_under(const Design& design, HtNodeId id, Fn&& fn) const {
+    for (const HtNodeId n : preorder(id)) {
+      const HtNode& nd = node(n);
+      if (nd.is_macro_leaf()) {
+        fn(nd.macro_cell);
+        continue;
+      }
+      // A level's macros belong to their own leaves.
+      for (const CellId c : design.cells_of(nd.hier)) {
+        if (node_of_cell(c) == n) fn(c);
+      }
+    }
+  }
 
   /// HT node owning each cell: macro cells map to their leaf, other cells
   /// to the node of their hierarchy level.

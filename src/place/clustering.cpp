@@ -26,30 +26,21 @@ Clustering cluster_cells(const Design& design, const HierTree& ht, int target_cl
   const double threshold =
       total_std_area / std::max(1, target_clusters);
 
-  const auto flush = [&](CellCluster&& cluster) {
-    if (cluster.cells.empty()) return;
-    const int idx = static_cast<int>(out.clusters.size());
-    for (const CellId c : cluster.cells) out.cluster_of[static_cast<std::size_t>(c)] = idx;
-    out.clusters.push_back(std::move(cluster));
-  };
-  // Oversized groups (flat glue modules can dwarf the threshold) are
-  // chunked so every cluster stays near the target granularity --
-  // spreading cannot legalize clusters larger than a grid bin.
-  const auto add_cluster = [&](const std::vector<CellId>& cells, HtNodeId anchor) {
-    CellCluster cluster;
-    cluster.node = anchor;
-    for (const CellId c : cells) {
-      const CellKind kind = design.cell(c).kind;
-      if (kind != CellKind::Flop && kind != CellKind::Comb) continue;
-      cluster.cells.push_back(c);
-      cluster.area += design.cell(c).area;
-      if (cluster.area >= threshold) {
-        flush(std::move(cluster));
-        cluster = CellCluster{};
-        cluster.node = anchor;
-      }
-    }
-    flush(std::move(cluster));
+  // Each group of cells (a subtree, or a level's own cells) fills fresh
+  // clusters in visit order. Oversized groups (flat glue modules can
+  // dwarf the threshold) are chunked so every cluster stays near the
+  // target granularity -- spreading cannot legalize clusters larger than
+  // a grid bin. A cluster is opened by its first std cell and closed once
+  // its area reaches the threshold or its group ends.
+  bool open = false;
+  const auto add = [&](CellId c) {
+    const Cell& cell = design.cell(c);
+    if (cell.kind != CellKind::Flop && cell.kind != CellKind::Comb) return;
+    if (!open) out.clusters.emplace_back();
+    out.cluster_of[static_cast<std::size_t>(c)] = static_cast<int>(out.clusters.size()) - 1;
+    double& area = out.clusters.back().area;
+    area += cell.area;
+    open = !(area >= threshold);
   };
 
   // Top-down: close a subtree into one cluster once it is small enough;
@@ -61,11 +52,13 @@ Clustering cluster_cells(const Design& design, const HierTree& ht, int target_cl
     const HtNode& node = ht.node(n);
     if (node.is_macro_leaf()) continue;
     if (std_cell_area(ht, n) <= threshold || node.children.empty()) {
-      add_cluster(ht.cells_under(n), n);
-      continue;
+      ht.for_each_cell_under(design, n, add);
+    } else {
+      // The level's macros are not std cells: `add` passes over them.
+      for (const CellId c : design.cells_of(node.hier)) add(c);
+      for (const HtNodeId c : node.children) stack.push_back(c);
     }
-    add_cluster(node.own_cells, n);
-    for (const HtNodeId c : node.children) stack.push_back(c);
+    open = false;
   }
   HIDAP_LOG_DEBUG("clustering: %zu clusters for %zu cells (threshold %.0f um^2)",
                   out.clusters.size(), design.cell_count(), threshold);

@@ -7,7 +7,9 @@
 // comparison between macro-placement flows at a tiny fraction of the
 // cost. Clusters follow the RTL hierarchy: subtrees are cut once their
 // standard-cell area drops below a threshold derived from the requested
-// cluster count.
+// cluster count. A clustering keeps each cell's cluster and each
+// cluster's area; a cluster's members are the cells whose cluster_of
+// names it.
 
 #include <vector>
 
@@ -17,14 +19,12 @@
 namespace hidap {
 
 struct CellCluster {
-  std::vector<CellId> cells;  ///< member std cells (flops + comb)
-  double area = 0.0;
-  HtNodeId node = kInvalidId;  ///< hierarchy anchor of the cluster
+  double area = 0.0;  ///< summed area of the member std cells (flops + comb)
 };
 
 struct Clustering {
   std::vector<CellCluster> clusters;
-  std::vector<int> cluster_of;  ///< per cell; -1 for macros and ports
+  std::vector<int> cluster_of;  ///< per cell; -1 for macros, ports and other non-std cells
 };
 
 /// Splits the design into roughly `target_clusters` clusters.

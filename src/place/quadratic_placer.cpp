@@ -7,10 +7,12 @@
 #include <cstring>
 #include <iterator>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/hash.hpp"
 
 namespace hidap {
 
@@ -23,6 +25,7 @@ CellPlacementModel::CellPlacementModel(const Design& design, const HierTree& ht,
   static obs::Counter& clusters = obs::default_registry().counter("eval_model.clusters");
   static obs::Counter& links = obs::default_registry().counter("eval_model.links");
   static obs::Counter& sources = obs::default_registry().counter("eval_model.sources");
+  static obs::Counter& fixed = obs::default_registry().counter("eval_model.fixed_sources");
   const obs::Phase phase("eval_model");
   clustering_ = cluster_cells(design, ht,
                               options.target_clusters > 0 ? options.target_clusters
@@ -31,7 +34,23 @@ CellPlacementModel::CellPlacementModel(const Design& design, const HierTree& ht,
   clusters.add(clustering_.clusters.size());
   links.add(link_count());
   sources.add(template_sources());
+  fixed.add(fixed_sources_.size());
 }
+
+namespace {
+
+// Fixed sources are keyed by their bytes: a cell and its offset bits.
+static_assert(sizeof(NetPin) == sizeof(CellId) + 2 * sizeof(float), "NetPin has padding");
+struct SourceHash {
+  std::size_t operator()(const NetPin& p) const { return hash_bytes(&p, sizeof p); }
+};
+struct SameSource {
+  bool operator()(const NetPin& a, const NetPin& b) const {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  }
+};
+
+}  // namespace
 
 // One pass over the nets builds both templates; each net's pins are read
 // once, while they are in cache.
@@ -39,117 +58,92 @@ void CellPlacementModel::build_templates() {
   const Design& design = *design_;
   const std::size_t clusters = clustering_.clusters.size();
 
-  // Clique model with 1/(p-1) weighting over each net's distinct
-  // endpoints at cluster granularity; fixed endpoints (macro pins, ports,
-  // unclustered cells) are kept as pins and resolved per placement.
+  // Fixed columns follow the clusters, one per distinct fixed source in
+  // first-appearance order: a macro pin keyed by its macro and offsets,
+  // any other cell by the cell alone (pin_position ignores a non-macro
+  // cell's offsets). Every reference to a source reads one column, whose
+  // value is the pin_position each reference would resolve.
+  std::vector<std::size_t> listed_by(clusters, SIZE_MAX);  // per column: last net that listed it
+  std::unordered_map<NetPin, std::uint32_t, SourceHash, SameSource> fixed_column;
+  const auto fixed_column_of = [&](const NetPin& p) {
+    const NetPin source =
+        ht_->macro_ordinal(p.cell) != HierTree::kNoMacroOrdinal ? p : NetPin{p.cell};
+    const auto [it, added] =
+        fixed_column.try_emplace(source, static_cast<std::uint32_t>(listed_by.size()));
+    if (added) {
+      fixed_sources_.push_back(source);
+      listed_by.push_back(SIZE_MAX);
+    }
+    return it->second;
+  };
+
+  // Links: the clique model with 1/(p-1) weighting over each net's
+  // distinct clusters and every fixed end (macro pins, ports, unclustered
+  // cells; a repeated fixed end still counts, its links reading one
+  // column). Net template: a net's sources are the distinct columns its
+  // pins resolve to -- a pinned cell is its own fixed source, not its
+  // cluster. Bounding boxes only take min and max, so a repeated source
+  // changes no bit; a net with one source has box half-perimeter
+  // x - x + y - y = +0.0 and a one-bin box, so leaving it out changes no
+  // sum. The kept nets stay in net order, so every sum adds in the order
+  // of the per-net walk.
   struct Emitted {
-    int owner;
-    int other;
+    std::uint32_t owner;
+    std::uint32_t other;
     double weight;
   };
   std::vector<Emitted> emitted;
-  std::vector<std::pair<int, NetPin>> ends;  // (cluster or -1, pin)
-  std::vector<int> fixed;                    // per end: ~fixed-pin index
-  const auto emit_links = [&](std::span<const NetPin> pins) {
-    // Small nets dominate; a flat scan is fine.
+  std::vector<std::uint32_t> ends;  // link ends as columns
+  net_begin_.assign(1, 0);
+  for (std::size_t n = 0; n < design.net_count(); ++n) {
+    const std::span<const NetPin> pins = design.pins(static_cast<NetId>(n));
+    if (pins.size() < 2) continue;
+    ++multi_pin_nets_;
     ends.clear();
     bool clustered = false;
-    const auto add_end = [&](const NetPin& p) {
-      const int cl = clustering_.cluster_of[static_cast<std::size_t>(p.cell)];
-      if (cl >= 0) {
-        for (const auto& [c, pin] : ends) {
-          if (c == cl) return;
-        }
-        clustered = true;
-      }
-      ends.emplace_back(cl, p);
-    };
-    for (const NetPin& p : pins) add_end(p);
-    if (ends.size() < 2 || !clustered) return;
-    const double w = 1.0 / static_cast<double>(ends.size() - 1);
-    fixed.assign(ends.size(), 0);
-    for (std::size_t i = 0; i < ends.size(); ++i) {
-      if (ends[i].first >= 0) continue;
-      fixed[i] = ~static_cast<int>(fixed_pins_.size());
-      fixed_pins_.push_back(ends[i].second);
-    }
-    for (std::size_t i = 0; i < ends.size(); ++i) {
-      for (std::size_t j = i + 1; j < ends.size(); ++j) {
-        const int ci = ends[i].first;
-        const int cj = ends[j].first;
-        if (ci >= 0 && cj >= 0) {
-          emitted.push_back({ci, cj, w});
-          emitted.push_back({cj, ci, w});
-        } else if (ci >= 0) {
-          emitted.push_back({ci, fixed[j], w});
-        } else if (cj >= 0) {
-          emitted.push_back({cj, fixed[i], w});
-        }
-      }
-    }
-  };
-
-  // A net's sources are the distinct positions pin_position can give its
-  // pins: a cluster (a clustered cell without a fixed position), a macro
-  // pin (the macro and its offsets), or any other cell (a port, an
-  // unclustered or pinned cell: pin_position ignores its offsets).
-  // Bounding boxes only take min and max, so a repeated source changes no
-  // bit; a net with one source has box half-perimeter x - x + y - y =
-  // +0.0 and a one-bin box, so leaving it out changes no sum. The kept
-  // nets stay in net order, so every sum adds in the order of the per-net
-  // walk.
-  std::vector<std::size_t> listed_by(clusters, SIZE_MAX);  // last net that listed the cluster
-  net_begin_.assign(1, 0);
-  const auto list_sources = [&](std::size_t n, std::span<const NetPin> pins) {
-    if (pins.size() < 2) return;
-    ++multi_pin_nets_;
     const std::size_t first = net_source_.size();
-    const std::size_t first_fixed = fixed_sources_.size();
     for (const NetPin& p : pins) {
       const int cl = clustering_.cluster_of[static_cast<std::size_t>(p.cell)];
-      if (cl >= 0 && !design.cell(p.cell).fixed_pos) {
-        const auto c = static_cast<std::size_t>(cl);
-        if (listed_by[c] == n) continue;
-        listed_by[c] = n;
-        net_source_.push_back(static_cast<std::uint32_t>(c));
-        continue;
+      const auto c = static_cast<std::uint32_t>(cl);
+      const bool at_cluster = cl >= 0 && !design.cell(p.cell).fixed_pos;
+      const std::uint32_t column = at_cluster ? c : fixed_column_of(p);
+      if (listed_by[column] != n) {
+        listed_by[column] = n;
+        net_source_.push_back(column);
       }
-      const NetPin source =
-          ht_->macro_ordinal(p.cell) != HierTree::kNoMacroOrdinal ? p : NetPin{p.cell};
-      const auto same = [&](const NetPin& f) {
-        return f.cell == source.cell && f.dx == source.dx && f.dy == source.dy;
-      };
-      if (std::any_of(fixed_sources_.begin() + static_cast<std::ptrdiff_t>(first_fixed),
-                      fixed_sources_.end(), same)) {
-        continue;
+      // Small nets dominate; a flat scan is fine.
+      if (cl < 0) {
+        ends.push_back(column);
+      } else if (std::find(ends.begin(), ends.end(), c) == ends.end()) {
+        ends.push_back(c);
+        clustered = true;
       }
-      net_source_.push_back(static_cast<std::uint32_t>(clusters + fixed_sources_.size()));
-      fixed_sources_.push_back(source);
     }
     if (net_source_.size() - first < 2) {
       net_source_.resize(first);
-      fixed_sources_.resize(first_fixed);
-      return;
+    } else {
+      net_begin_.push_back(net_source_.size());
     }
-    net_begin_.push_back(net_source_.size());
-  };
-
-  for (std::size_t n = 0; n < design.net_count(); ++n) {
-    const std::span<const NetPin> pins = design.pins(static_cast<NetId>(n));
-    list_sources(n, pins);
-    emit_links(pins);
+    if (ends.size() < 2 || !clustered) continue;
+    const double w = 1.0 / static_cast<double>(ends.size() - 1);
+    for (std::size_t i = 0; i < ends.size(); ++i) {
+      for (std::size_t j = i + 1; j < ends.size(); ++j) {
+        if (ends[i] < clusters) emitted.push_back({ends[i], ends[j], w});
+        if (ends[j] < clusters) emitted.push_back({ends[j], ends[i], w});
+      }
+    }
   }
 
   // Stable bucket by owner: each cluster's links keep emission order.
   begin_.assign(clusters + 1, 0);
-  for (const Emitted& e : emitted) ++begin_[static_cast<std::size_t>(e.owner) + 1];
+  for (const Emitted& e : emitted) ++begin_[e.owner + 1];
   for (std::size_t i = 0; i < clusters; ++i) begin_[i + 1] += begin_[i];
   column_.resize(emitted.size());
   weight_.resize(emitted.size());
   std::vector<std::size_t> cursor(begin_.begin(), begin_.end() - 1);
   for (const Emitted& e : emitted) {
-    const std::size_t slot = cursor[static_cast<std::size_t>(e.owner)]++;
-    column_[slot] = static_cast<std::uint32_t>(e.other >= 0 ? e.other : clusters + ~e.other);
+    const std::size_t slot = cursor[e.owner]++;
+    column_[slot] = e.other;
     weight_[slot] = e.weight;
   }
   wsum_.assign(clusters, 0.0);
@@ -162,20 +156,17 @@ void CellPlacementModel::load_rows(std::span<const PlacedDesign> batch,
                                    std::vector<double>& pos) const {
   const std::size_t n = clustering_.clusters.size();
   const std::size_t stride = 2 * batch.size();
-  pos.resize((n + fixed_pins_.size()) * stride);
+  pos.resize((n + fixed_sources_.size()) * stride);
   for (std::size_t k = 0; k < batch.size(); ++k) {
-    const std::vector<Point>& at = batch[k].cluster_positions();
+    const std::vector<Point>& clustered = batch[k].cluster_positions();
     for (std::size_t i = 0; i < n; ++i) {
-      pos[i * stride + 2 * k] = at[i].x;
-      pos[i * stride + 2 * k + 1] = at[i].y;
+      pos[i * stride + 2 * k] = clustered[i].x;
+      pos[i * stride + 2 * k + 1] = clustered[i].y;
     }
-  }
-  for (std::size_t f = 0; f < fixed_pins_.size(); ++f) {
-    double* row = &pos[(n + f) * stride];
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      const Point p = batch[k].pin_position(fixed_pins_[f]);
-      row[2 * k] = p.x;
-      row[2 * k + 1] = p.y;
+    const std::vector<Point>& fixed = batch[k].fixed_positions();
+    for (std::size_t f = 0; f < fixed.size(); ++f) {
+      pos[(n + f) * stride + 2 * k] = fixed[f].x;
+      pos[(n + f) * stride + 2 * k + 1] = fixed[f].y;
     }
   }
 }
@@ -196,6 +187,9 @@ PlacedDesign::PlacedDesign(std::shared_ptr<const CellPlacementModel> model,
     if (m.cell != kInvalidId) blockages_.push_back(m.rect);
   }
   cluster_pos_.assign(clustering().clusters.size(), die().center());
+  // No fixed source is a cluster's cell, so none reads cluster_pos_.
+  fixed_pos_.reserve(model_->fixed_sources().size());
+  for (const NetPin& source : model_->fixed_sources()) fixed_pos_.push_back(pin_position(source));
 }
 
 const MacroPlacement* PlacedDesign::macro_of(CellId cell) const {
@@ -211,14 +205,6 @@ Point PlacedDesign::cell_position(CellId cell) const {
   const int cl = clustering().cluster_of[static_cast<std::size_t>(cell)];
   if (cl >= 0) return cluster_pos_[static_cast<std::size_t>(cl)];
   return die().center();
-}
-
-std::vector<Point> PlacedDesign::source_positions() const {
-  std::vector<Point> at;
-  at.reserve(cluster_pos_.size() + model_->fixed_sources().size());
-  at.insert(at.end(), cluster_pos_.begin(), cluster_pos_.end());
-  for (const NetPin& pin : model_->fixed_sources()) at.push_back(pin_position(pin));
-  return at;
 }
 
 Point PlacedDesign::pin_position(const NetPin& pin) const {
@@ -248,8 +234,8 @@ XY load_xy(const double* p) {
 }  // namespace
 
 // Gauss-Seidel sweeps on the star model, for Width placements at once.
-// `pos` holds one row per column (clusters, then fixed pins), each row
-// the x, y pairs of the placements in batch order; fixed-pin rows are
+// `pos` holds one row per column (clusters, then fixed sources), each
+// row the x, y pairs of the placements in batch order; fixed rows are
 // read only. Each cluster is visited once per sweep, and for each
 // placement its weighted sum runs over the cluster's links in link
 // order, so a placement's arithmetic is the same at any batch width.
@@ -555,7 +541,7 @@ std::vector<PlacedDesign> place_cells(std::shared_ptr<const CellPlacementModel> 
     };
 
     // Cluster rows start where each PlacedDesign starts them (the die
-    // center); each placement's fixed pins are resolved into the rows
+    // center); each placement's resolved fixed sources fill the rows
     // after them.
     m.load_rows(batch, pos);
     m.solve(pos, width, options.solver_iterations);

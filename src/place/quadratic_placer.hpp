@@ -8,7 +8,7 @@
 // PlacedDesign every downstream metric (HPWL, congestion, timing,
 // density) reads positions from. The clustering and the link template
 // are built once per design (CellPlacementModel); each macro placement
-// only resolves its fixed-pin positions, runs the sweeps and spreads.
+// only resolves its fixed-source positions, runs the sweeps and spreads.
 //
 // Placements are solved in batches: every sweep walks the link template
 // once for all placements of the batch, each placement doing exactly the
@@ -19,6 +19,11 @@
 // The model also holds the net template HPWL and congestion walk: each
 // net as its distinct position sources, with the nets that collapse to
 // one source (most of them at paper scale) left out.
+//
+// Both templates index one column space: cluster c is column c, and each
+// distinct fixed source -- a macro pin keyed by macro and offsets, any
+// other cell by the cell alone -- is one column after the clusters. A
+// PlacedDesign resolves the fixed columns once, when it is constructed.
 
 #include <cstdint>
 #include <memory>
@@ -55,7 +60,8 @@ class PlacedDesign;
 class CellPlacementModel {
  public:
   /// Builds the clustering and both templates inside an `eval_model`
-  /// phase, counting clusters, links and net-template sources.
+  /// phase, counting clusters, links, net-template sources and fixed
+  /// sources.
   CellPlacementModel(const Design& design, const HierTree& ht, const PlaceOptions& options = {});
 
   const Design& design() const { return *design_; }
@@ -71,17 +77,18 @@ class CellPlacementModel {
   int sweeps() const;
 
   /// Net template: the nets whose pins resolve to at least two distinct
-  /// sources, in net order, each as its sources in first-appearance
-  /// order. A source is a position column: cluster c is column c, fixed
-  /// source f (a macro pin, a port, an unclustered or pinned cell) is
-  /// column clusters + f. A net left out is one point at every
-  /// placement: zero wirelength and no routing demand.
+  /// sources, in net order, each as its source columns in
+  /// first-appearance order. A clustered cell without a fixed position
+  /// resolves to its cluster; a macro pin, a port, an unclustered or a
+  /// pinned cell to its fixed column. A net left out is one point at
+  /// every placement: zero wirelength and no routing demand.
   std::size_t template_nets() const { return net_begin_.size() - 1; }
   std::span<const std::uint32_t> net_sources(std::size_t k) const {
     return std::span(net_source_).subspan(net_begin_[k], net_begin_[k + 1] - net_begin_[k]);
   }
   std::size_t template_sources() const { return net_source_.size(); }
-  /// Fixed sources, resolved per placement (PlacedDesign::source_positions).
+  /// Fixed source f is column clusters + f of both templates; a
+  /// placement resolves it once (PlacedDesign::fixed_positions).
   const std::vector<NetPin>& fixed_sources() const { return fixed_sources_; }
   /// Nets with at least two pins: WirelengthReport::nets at any placement.
   std::size_t multi_pin_nets() const { return multi_pin_nets_; }
@@ -93,7 +100,7 @@ class CellPlacementModel {
                                           const PlacementResult&);
 
   void build_templates();
-  // Loads cluster rows (each placement's current positions) and fixed-pin
+  // Loads cluster rows (each placement's current positions) and fixed
   // rows (resolved under each placement) of a batch into `pos`.
   void load_rows(std::span<const PlacedDesign> batch, std::vector<double>& pos) const;
 
@@ -116,17 +123,15 @@ class CellPlacementModel {
   Rect die_;
   // Cluster i's links are [begin_[i], begin_[i+1]), in net order.
   std::vector<std::size_t> begin_;
-  /// Position column of the link's other end: a linked cluster c is
-  /// column c, fixed pin k is column clusters + k.
+  /// Column of the link's other end: a linked cluster or a fixed source.
   std::vector<std::uint32_t> column_;
   std::vector<double> weight_;
   std::vector<double> wsum_;      ///< per cluster: its link weights summed in link order
-  std::vector<NetPin> fixed_pins_;  ///< fixed endpoints, resolved per placement
   // Net template: kept net k's source columns are
   // net_source_[net_begin_[k], net_begin_[k+1]).
   std::vector<std::size_t> net_begin_;
   std::vector<std::uint32_t> net_source_;
-  std::vector<NetPin> fixed_sources_;
+  std::vector<NetPin> fixed_sources_;  ///< the key of each fixed column
   std::size_t multi_pin_nets_ = 0;
 };
 
@@ -140,6 +145,8 @@ class PlacedDesign {
   const Clustering& clustering() const { return model_->clustering(); }
   const std::vector<Point>& cluster_positions() const { return cluster_pos_; }
   std::vector<Point>& cluster_positions() { return cluster_pos_; }
+  /// pin_position of each of the model's fixed sources, in column order.
+  const std::vector<Point>& fixed_positions() const { return fixed_pos_; }
 
   /// Position of any cell: macro center / port location / cluster site.
   Point cell_position(CellId cell) const;
@@ -155,21 +162,20 @@ class PlacedDesign {
   /// template, over its distinct sources, in net order.
   template <typename Fn>
   void for_each_net_box(Fn&& fn) const {
-    const std::vector<Point> at = source_positions();
+    const std::size_t clusters = cluster_pos_.size();
     for (std::size_t k = 0; k < model_->template_nets(); ++k) {
       BoundingBox box;
-      for (const std::uint32_t s : model_->net_sources(k)) box.absorb(at[s]);
+      for (const std::uint32_t s : model_->net_sources(k)) {
+        box.absorb(s < clusters ? cluster_pos_[s] : fixed_pos_[s - clusters]);
+      }
       fn(box);
     }
   }
 
  private:
-  // Position of every net-template source column: the cluster positions,
-  // then each fixed source's pin_position.
-  std::vector<Point> source_positions() const;
-
   std::shared_ptr<const CellPlacementModel> model_;
   std::vector<Point> cluster_pos_;
+  std::vector<Point> fixed_pos_;
   /// Per macro, keyed by HierTree::macro_ordinal: its last placement
   /// entry, or cell == kInvalidId when unplaced. A placement costs
   /// per-macro storage, never a per-cell table.

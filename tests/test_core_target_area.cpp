@@ -14,6 +14,19 @@
 namespace hidap {
 namespace {
 
+// Cells under `node` by a dense scan: every cell whose HT node lies in
+// the subtree, independent of the tree's cell walk.
+std::vector<CellId> dense_cells_under(const HierTree& ht, std::size_t cells, HtNodeId node) {
+  std::vector<char> in_subtree(ht.size(), 0);
+  for (const HtNodeId n : ht.preorder(node)) in_subtree[static_cast<std::size_t>(n)] = 1;
+  std::vector<CellId> out;
+  for (std::size_t i = 0; i < cells; ++i) {
+    const CellId c = static_cast<CellId>(i);
+    if (in_subtree[static_cast<std::size_t>(ht.node_of_cell(c))]) out.push_back(c);
+  }
+  return out;
+}
+
 // Reference: the dense BFS, with a fresh cell_count() zone array and two
 // full cell scans per call.
 TargetAreaResult reference_target_areas(const Design& design, const CellAdjacency& adjacency,
@@ -23,11 +36,13 @@ TargetAreaResult reference_target_areas(const Design& design, const CellAdjacenc
   result.minimum_area.resize(hcb.size());
   result.target_area.resize(hcb.size());
   std::vector<int> zone(design.cell_count(), -1);
-  for (const CellId c : ht.cells_under(nh)) zone[static_cast<std::size_t>(c)] = -2;
+  for (const CellId c : dense_cells_under(ht, design.cell_count(), nh)) {
+    zone[static_cast<std::size_t>(c)] = -2;
+  }
   for (std::size_t b = 0; b < hcb.size(); ++b) {
     result.minimum_area[b] = ht.area(hcb[b]);
     result.target_area[b] = result.minimum_area[b];
-    for (const CellId c : ht.cells_under(hcb[b])) {
+    for (const CellId c : dense_cells_under(ht, design.cell_count(), hcb[b])) {
       zone[static_cast<std::size_t>(c)] = static_cast<int>(b);
     }
   }

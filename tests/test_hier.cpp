@@ -67,7 +67,9 @@ TEST(HierTree, MacrosUnder) {
 TEST(HierTree, CellsUnderCoversEverything) {
   const Design d = layered_design();
   const HierTree ht(d);
-  EXPECT_EQ(ht.cells_under(ht.root()).size(), d.cell_count());
+  std::vector<int> seen(d.cell_count(), 0);
+  ht.for_each_cell_under(d, ht.root(), [&](CellId c) { ++seen[static_cast<std::size_t>(c)]; });
+  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], 1) << "cell " << i;
 }
 
 TEST(HierTree, IsAncestor) {

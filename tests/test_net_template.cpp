@@ -203,6 +203,9 @@ TEST(NetTemplate, RepeatedSourcesCollapse) {
   EXPECT_EQ(model->template_nets(), 4u);
   // mem.A + port, mem.A + mem.B, cluster + flop 5, cluster + port.
   EXPECT_EQ(model->template_sources(), 8u);
+  // One column per distinct fixed source: mem.A, port, mem.B, flop 5 --
+  // the nets left out and the link end (port) reuse them.
+  EXPECT_EQ(model->fixed_sources().size(), 4u);
 
   std::vector<PlacementResult> mix(3);
   mix[0].macros.push_back({d.macros()[0], Rect{30, 20, 20, 10}, Orientation::R0});

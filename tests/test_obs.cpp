@@ -397,14 +397,15 @@ TEST_F(ObsDeterminism, MetricsAreIdenticalTracingOnOrOff) {
 }
 
 // The evaluator's model build is an `eval_model` phase that counts its
-// clusters, links and net-template sources, and spreading counts the
-// rounds it runs. All four are functions of the design and the
-// placements alone, so sweeps evaluated concurrently on 1 or 4 lanes
+// clusters, links, net-template sources and fixed sources, and spreading
+// counts the rounds it runs. All five are functions of the design and
+// the placements alone, so sweeps evaluated concurrently on 1 or 4 lanes
 // read the same.
 TEST_F(ObsDeterminism, EvalCountersAreThreadIndependent) {
   TracingOff guard;
   const char* const counters[] = {"eval_model.clusters", "eval_model.links",
-                                  "eval_model.sources", "eval.spread_rounds"};
+                                  "eval_model.sources", "eval_model.fixed_sources",
+                                  "eval.spread_rounds"};
   std::vector<PlacementResult> sweep;
   for (const double lambda : HiDaPOptions::kLambdaSweep) {
     HiDaPOptions o = quick_options(1);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -69,20 +70,115 @@ TEST(Clustering, RoughlyTargetCount) {
 TEST(Clustering, EveryStdCellAssignedExactlyOnce) {
   auto& fx = fixture();
   const Clustering c = cluster_cells(fx.d, fx.ctx.ht, 50);
-  std::vector<int> seen(fx.d.cell_count(), 0);
-  for (std::size_t i = 0; i < c.clusters.size(); ++i) {
-    for (const CellId cell : c.clusters[i].cells) {
-      ++seen[static_cast<std::size_t>(cell)];
-      EXPECT_EQ(c.cluster_of[static_cast<std::size_t>(cell)], static_cast<int>(i));
-    }
-  }
+  ASSERT_EQ(c.cluster_of.size(), fx.d.cell_count());
+  std::vector<int> members(c.clusters.size(), 0);
   for (std::size_t i = 0; i < fx.d.cell_count(); ++i) {
     const CellKind k = fx.d.cell(static_cast<CellId>(i)).kind;
+    const int cl = c.cluster_of[i];
     if (k == CellKind::Flop || k == CellKind::Comb) {
-      EXPECT_EQ(seen[i], 1) << "cell " << i;
+      ASSERT_GE(cl, 0) << "cell " << i;
+      ASSERT_LT(static_cast<std::size_t>(cl), c.clusters.size()) << "cell " << i;
+      ++members[static_cast<std::size_t>(cl)];
     } else {
-      EXPECT_EQ(seen[i], 0);
-      EXPECT_EQ(c.cluster_of[i], -1);
+      EXPECT_EQ(cl, -1) << "cell " << i;
+    }
+  }
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    EXPECT_GT(members[i], 0) << "cluster " << i;
+  }
+}
+
+// The clustering as it was written with member lists: each group of
+// cells is copied out of the tree (a subtree's cells in preorder, or a
+// level's own cells) and chunked into clusters that list their cells.
+Clustering member_list_clustering(const Design& design, const HierTree& ht,
+                                  int target_clusters) {
+  // A level's non-macro cells in CellId order, as the tree once copied them.
+  std::vector<std::vector<CellId>> own(ht.size());
+  for (std::size_t i = 0; i < design.cell_count(); ++i) {
+    const CellId c = static_cast<CellId>(i);
+    if (design.cell(c).kind == CellKind::Macro) continue;
+    own[static_cast<std::size_t>(ht.node_of_hier(design.cell(c).hier))].push_back(c);
+  }
+  const auto cells_under = [&](HtNodeId id) {
+    std::vector<CellId> out;
+    for (const HtNodeId n : ht.preorder(id)) {
+      const HtNode& nd = ht.node(n);
+      if (nd.is_macro_leaf()) out.push_back(nd.macro_cell);
+      const std::vector<CellId>& cells = own[static_cast<std::size_t>(n)];
+      out.insert(out.end(), cells.begin(), cells.end());
+    }
+    return out;
+  };
+
+  Clustering out;
+  out.cluster_of.assign(design.cell_count(), -1);
+  double total_std_area = 0.0;
+  for (const Cell& c : design.cells()) {
+    if (c.kind == CellKind::Flop || c.kind == CellKind::Comb) total_std_area += c.area;
+  }
+  const double threshold = total_std_area / std::max(1, target_clusters);
+  struct Members {
+    std::vector<CellId> cells;
+    double area = 0.0;
+  };
+  const auto flush = [&](Members&& cluster) {
+    if (cluster.cells.empty()) return;
+    const int idx = static_cast<int>(out.clusters.size());
+    for (const CellId c : cluster.cells) out.cluster_of[static_cast<std::size_t>(c)] = idx;
+    out.clusters.push_back(CellCluster{cluster.area});
+  };
+  const auto add_cluster = [&](const std::vector<CellId>& cells) {
+    Members cluster;
+    for (const CellId c : cells) {
+      const CellKind kind = design.cell(c).kind;
+      if (kind != CellKind::Flop && kind != CellKind::Comb) continue;
+      cluster.cells.push_back(c);
+      cluster.area += design.cell(c).area;
+      if (cluster.area >= threshold) {
+        flush(std::move(cluster));
+        cluster = Members{};
+      }
+    }
+    flush(std::move(cluster));
+  };
+  std::vector<HtNodeId> stack = {ht.root()};
+  while (!stack.empty()) {
+    const HtNodeId n = stack.back();
+    stack.pop_back();
+    const HtNode& node = ht.node(n);
+    if (node.is_macro_leaf()) continue;
+    if (node.subtree_area - node.subtree_macro_area <= threshold || node.children.empty()) {
+      add_cluster(cells_under(n));
+      continue;
+    }
+    add_cluster(own[static_cast<std::size_t>(n)]);
+    for (const HtNodeId c : node.children) stack.push_back(c);
+  }
+  return out;
+}
+
+// cluster_cells fills clusters while it walks the tree; the member-list
+// copy is the oracle. Cluster count, every cluster_of and every area bit
+// must match, from the default count (3 per spreading bin: the most
+// chunking) down to a single cluster (a target of 0 counts as 1).
+TEST(Clustering, MatchesMemberListReference) {
+  set_log_level(LogLevel::Warn);
+  const PlaceOptions defaults;
+  for (const char* name : {"c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8"}) {
+    const Design d = generate_circuit(suite_circuit(name, 0.002).spec);
+    const HierTree ht(d);
+    for (const int target : {3 * defaults.grid * defaults.grid, 50, 1, 0}) {
+      SCOPED_TRACE(::testing::Message() << name << " target " << target);
+      const Clustering got = cluster_cells(d, ht, target);
+      const Clustering want = member_list_clustering(d, ht, target);
+      ASSERT_EQ(got.clusters.size(), want.clusters.size());
+      EXPECT_EQ(got.cluster_of, want.cluster_of);
+      for (std::size_t i = 0; i < got.clusters.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.clusters[i].area),
+                  std::bit_cast<std::uint64_t>(want.clusters[i].area))
+            << "cluster " << i;
+      }
     }
   }
 }

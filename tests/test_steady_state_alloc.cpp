@@ -26,6 +26,7 @@
 #include "gen/suite.hpp"
 #include "netlist/verilog_parser.hpp"
 #include "netlist/verilog_writer.hpp"
+#include "place/hpwl.hpp"
 #include "place/quadratic_placer.hpp"
 #include "util/rng.hpp"
 
@@ -216,6 +217,27 @@ TEST(SteadyStateAllocation, SpreadClustersAllocatesAFixedHandful) {
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   spread_clusters(model->die(), model->clustering().clusters, capacity, pos, model->options());
   EXPECT_LE(g_allocations.load(std::memory_order_relaxed) - before, 12u);
+}
+
+// A placement resolves its fixed sources once, when it is built, so
+// measuring HPWL walks the net template without a buffer of its own; a
+// per-call position vector fails this.
+TEST(SteadyStateAllocation, TotalHpwlAllocatesNothing) {
+  const Design design = generate_circuit(suite_circuit("c1", 0.002).spec);
+  const HierTree ht(design);
+  const auto model = std::make_shared<const CellPlacementModel>(design, ht);
+  PlacementResult macros;
+  for (const CellId m : design.macros()) {
+    const MacroDef& def = design.macro_def_of(m);
+    macros.macros.push_back({m, Rect{0.0, 0.0, def.w, def.h}, Orientation::R0});
+  }
+  const PlacedDesign placed = place_cells(model, macros);
+  ASSERT_GT(model->fixed_sources().size(), 0u);
+  const double first = total_hpwl(placed).total_um;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const double again = total_hpwl(placed).total_um;
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(again, first);
 }
 
 TEST(SteadyStateAllocation, GenerateOfSuiteC4AllocatesPerModuleNotPerNet) {
