@@ -40,8 +40,10 @@ void Design::freeze() {
     }
   });
   for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (cells_[i].kind == CellKind::Macro) macros_.push_back(static_cast<CellId>(i));
-    if (is_port(cells_[i].kind)) ports_.push_back(static_cast<CellId>(i));
+    const CellKind kind = cells_[i].kind;
+    if (kind == CellKind::Macro) macros_.push_back(static_cast<CellId>(i));
+    if (is_port(kind)) ports_.push_back(static_cast<CellId>(i));
+    if (kind == CellKind::Flop || kind == CellKind::Comb) std_cell_area_ += cells_[i].area;
   }
 }
 

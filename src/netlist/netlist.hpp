@@ -172,6 +172,8 @@ class Design {
   const std::vector<CellId>& ports() const { assert(frozen_); return ports_; }
   std::size_t macro_count() const { return macros().size(); }
   double total_cell_area() const;  ///< macros + standard cells
+  /// Flop and Comb area, summed in CellId order.
+  double std_cell_area() const { assert(frozen_); return std_cell_area_; }
 
   /// Consistency check of a frozen design: ids in range, one driver per
   /// net at most, hierarchy a tree. Empty when valid, else the issue.
@@ -192,6 +194,7 @@ class Design {
   Csr<NetPin> pins_;                 ///< from freeze() on
   Csr<CellId> hier_cells_;
   std::vector<CellId> macros_, ports_;
+  double std_cell_area_ = 0.0;
   MacroLibrary library_;
   Die die_;
   bool frozen_ = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <charconv>
 #include <cstdint>
 #include <cstdlib>
@@ -11,6 +12,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <system_error>
 #include <unordered_map>
@@ -18,6 +22,7 @@
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/failpoint.hpp"
 #include "util/string_utils.hpp"
 
@@ -191,9 +196,10 @@ struct Scope {
 };
 
 // --------------------------------------------------------------- AST types
-// Names are views into the source buffer, which outlives the parse. The
-// whole file's AST lives in flat vectors: a module holds ranges of
+// Names are views into the source buffer, which outlives the parse. A
+// chunk's AST lives in flat vectors: a module holds ranges of its chunk's
 // `instances` and `conns`, an instance ranges of `params` and `conns`.
+// Offsets are into the whole buffer.
 
 /// A //HIDAP_ comment line: the text after "//" and its offset.
 struct Directive {
@@ -240,7 +246,9 @@ struct ModuleDef {
   std::uint32_t conn_begin = 0, conn_end = 0;  ///< all connections of its instances
 };
 
-struct SourceFile {
+/// The AST of one chunk of the source: whole module definitions and the
+/// directives between them, in source order.
+struct ChunkAst {
   std::vector<ModuleDef> modules;
   std::deque<Scope> scopes;  ///< per module; a deque, as names view into its elements
   std::vector<Instance> instances;
@@ -251,10 +259,10 @@ struct SourceFile {
 
 /// Value of an instance parameter (the last assignment wins), `fallback`
 /// when absent.
-double param(const SourceFile& file, const Instance& inst, std::string_view key,
+double param(const ChunkAst& ast, const Instance& inst, std::string_view key,
              double fallback) {
   for (std::uint32_t i = inst.param_end; i > inst.param_begin; --i) {
-    if (file.params[i - 1].key == key) return file.params[i - 1].value;
+    if (ast.params[i - 1].key == key) return ast.params[i - 1].value;
   }
   return fallback;
 }
@@ -264,28 +272,35 @@ double param(const SourceFile& file, const Instance& inst, std::string_view key,
 /// Recursive descent straight over the buffer: every rule scans the shape
 /// it expects at the cursor. A token is classified only for an error
 /// message or to tell a statement's kind.
+///
+/// A parser reads the chunk [begin, end) of `text` into `ast`. Error
+/// lines and offsets count from the start of `text`. A chunk that is not
+/// the last must end where a block comment is closed: one left open
+/// might close in the next chunk, so the parser fails there instead.
 class Parser {
  public:
-  explicit Parser(std::string_view src)
-      : begin_(src.data()), end_(src.data() + src.size()), p_(begin_) {
+  Parser(std::string_view text, std::size_t begin, std::size_t end, ChunkAst& ast)
+      : text_(text),
+        end_(text.data() + end),
+        p_(text.data() + begin),
+        last_chunk_(end == text.size()),
+        ast_(ast) {
     reserve();
   }
 
-  SourceFile parse_all() {
+  void parse_all() {
     skip();
     while (p_ != end_) {
       expect_keyword("module");
       parse_module();
       skip();
     }
-    return std::move(file_);
   }
 
  private:
   enum class TokKind { Ident, Number, Punct, End };
 
-  std::string_view src() const { return {begin_, static_cast<std::size_t>(end_ - begin_)}; }
-  std::size_t offset(const char* at) const { return static_cast<std::size_t>(at - begin_); }
+  std::size_t offset(const char* at) const { return static_cast<std::size_t>(at - text_.data()); }
 
   // Sizes the flat vectors from a count of their marks: an instance ends
   // in ';', a connection or parameter begins with '.', a parameter list
@@ -294,7 +309,7 @@ class Parser {
   void reserve() {
     constexpr std::ptrdiff_t kBlock = 240;  // a multiple of the vector width, below 256
     std::size_t semis = 0, dots = 0, hashes = 0;
-    const char* p = begin_;
+    const char* p = p_;
     for (; end_ - p >= kBlock; p += kBlock) {
       std::uint8_t s = 0, d = 0, h = 0;
       for (std::ptrdiff_t i = 0; i < kBlock; ++i) {
@@ -311,9 +326,9 @@ class Parser {
       dots += *p == '.';
       hashes += *p == '#';
     }
-    file_.instances.reserve(semis);
-    file_.conns.reserve(dots);
-    file_.params.reserve(hashes);
+    ast_.instances.reserve(semis);
+    ast_.conns.reserve(dots);
+    ast_.params.reserve(hashes);
   }
 
   // Skips whitespace and comments; //HIDAP_ comment lines are kept as
@@ -332,10 +347,16 @@ class Parser {
         const void* const newline = std::memchr(text, '\n', static_cast<std::size_t>(end_ - text));
         p_ = newline ? static_cast<const char*>(newline) : end_;
         const std::string_view rest(text, static_cast<std::size_t>(p_ - text));
-        if (starts_with(rest, "HIDAP_")) file_.directives.push_back({rest, offset(text - 2)});
+        if (starts_with(rest, "HIDAP_")) ast_.directives.push_back({rest, offset(text - 2)});
       } else if (end_ - p_ >= 2 && p_[1] == '*') {
-        const std::size_t close = src().find("*/", offset(p_ + 2));
-        p_ = close == std::string_view::npos ? end_ : begin_ + close + 2;
+        const std::string_view rest(p_ + 2, static_cast<std::size_t>(end_ - p_ - 2));
+        const std::size_t close = rest.find("*/");
+        if (close == std::string_view::npos) {
+          if (!last_chunk_) fail("block comment open at a chunk cut");
+          p_ = end_;
+        } else {
+          p_ = rest.data() + close + 2;
+        }
       } else {
         return;  // a lone '/' is punctuation
       }
@@ -373,7 +394,7 @@ class Parser {
     return kind;
   }
 
-  [[noreturn]] void fail(const std::string& msg) const { fail_at(src(), offset(p_), msg); }
+  [[noreturn]] void fail(const std::string& msg) const { fail_at(text_, offset(p_), msg); }
 
   [[noreturn]] void fail_expected(const char* what) const {
     std::string_view text;
@@ -406,7 +427,7 @@ class Parser {
     const char* const at = p_;
     const std::string_view word = ident(kw);
     if (word != kw) {
-      fail_at(src(), offset(at),
+      fail_at(text_, offset(at),
               "expected '" + std::string(kw) + "', got '" + std::string(word) + "'");
     }
   }
@@ -449,7 +470,7 @@ class Parser {
     double value = 0.0;
     const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
     if (ec != std::errc{} || end != s.data() + s.size()) {
-      fail_at(src(), offset(t.data()), "bad number '" + std::string(t) + "'");
+      fail_at(text_, offset(t.data()), "bad number '" + std::string(t) + "'");
     }
     return value;
   }
@@ -461,7 +482,7 @@ class Parser {
     int value = 0;
     const auto [end, ec] = std::from_chars(t.data(), last, value);
     if (!is(t.front(), kDigit) || ec != std::errc{} || end != last) {
-      fail_at(src(), offset(t.data()), "bad bit index '" + std::string(t) + "'");
+      fail_at(text_, offset(t.data()), "bad bit index '" + std::string(t) + "'");
     }
     return value;
   }
@@ -480,10 +501,10 @@ class Parser {
       }
     }
     expect(';');
-    Scope& scope = file_.scopes.emplace_back();
+    Scope& scope = ast_.scopes.emplace_back();
     decls_.clear();
-    mod.inst_begin = static_cast<std::uint32_t>(file_.instances.size());
-    mod.conn_begin = static_cast<std::uint32_t>(file_.conns.size());
+    mod.inst_begin = static_cast<std::uint32_t>(ast_.instances.size());
+    mod.conn_begin = static_cast<std::uint32_t>(ast_.conns.size());
     while (true) {
       skip();
       if (p_ == end_) fail("unexpected end of file inside module");
@@ -496,10 +517,10 @@ class Parser {
         parse_instance(scope, word, offset(at));
       }
     }
-    mod.inst_end = static_cast<std::uint32_t>(file_.instances.size());
-    mod.conn_end = static_cast<std::uint32_t>(file_.conns.size());
+    mod.inst_end = static_cast<std::uint32_t>(ast_.instances.size());
+    mod.conn_end = static_cast<std::uint32_t>(ast_.conns.size());
     assign_slots(scope, mod);
-    file_.modules.push_back(mod);
+    ast_.modules.push_back(mod);
   }
 
   // Slot order: declared wires and ports in declaration order, then the
@@ -523,7 +544,7 @@ class Parser {
     }
     scope.declared = static_cast<int>(scope.slot_name.size());
     for (std::uint32_t c = mod.conn_begin; c < mod.conn_end; ++c) {
-      Connection& conn = file_.conns[c];
+      Connection& conn = ast_.conns[c];
       if (conn.slot >= 0) conn.slot = scope.slot_of(conn.slot);
     }
   }
@@ -540,8 +561,9 @@ class Parser {
       expect(']');
       // A net per bit: a range wider than the whole input cannot be a
       // real design, only a request to allocate without bound.
-      if (std::abs(std::int64_t{proto.msb} - proto.lsb) + 1 > end_ - begin_) {
-        fail_at(src(), at, "range [" + std::to_string(proto.msb) + ":" +
+      if (std::abs(std::int64_t{proto.msb} - proto.lsb) + 1 >
+          static_cast<std::int64_t>(text_.size())) {
+        fail_at(text_, at, "range [" + std::to_string(proto.msb) + ":" +
                                std::to_string(proto.lsb) + "] is wider than the input");
       }
     }
@@ -559,7 +581,7 @@ class Parser {
     inst.offset = at;
     inst.def_name = def_name;
     inst.kind = classify(def_name);
-    inst.param_begin = static_cast<std::uint32_t>(file_.params.size());
+    inst.param_begin = static_cast<std::uint32_t>(ast_.params.size());
     if (accept('#')) {
       expect('(');
       if (!accept(')')) {
@@ -567,21 +589,21 @@ class Parser {
           expect('.');
           const std::string_view key = ident("parameter name");
           expect('(');
-          file_.params.push_back({key, parse_real()});
+          ast_.params.push_back({key, parse_real()});
           expect(')');
           if (accept(')')) break;
           expect(',');
         }
       }
     }
-    inst.param_end = static_cast<std::uint32_t>(file_.params.size());
+    inst.param_end = static_cast<std::uint32_t>(ast_.params.size());
     inst.inst_name = ident("instance name");
-    inst.conn_begin = static_cast<std::uint32_t>(file_.conns.size());
+    inst.conn_begin = static_cast<std::uint32_t>(ast_.conns.size());
     expect('(');
     if (!accept(')')) {
       while (true) {
         expect('.');
-        Connection& conn = file_.conns.emplace_back();
+        Connection& conn = ast_.conns.emplace_back();
         conn.pin = ident("pin name");
         expect('(');
         if (!accept(')')) {
@@ -599,9 +621,9 @@ class Parser {
         expect(',');
       }
     }
-    inst.conn_end = static_cast<std::uint32_t>(file_.conns.size());
+    inst.conn_end = static_cast<std::uint32_t>(ast_.conns.size());
     expect(';');
-    file_.instances.push_back(inst);
+    ast_.instances.push_back(inst);
   }
 
   /// A declared wire or port, kept until its module's slots are assigned.
@@ -612,10 +634,11 @@ class Parser {
     bool is_port = false;
   };
 
-  const char* begin_;
-  const char* end_;
-  const char* p_;  ///< the cursor
-  SourceFile file_;
+  std::string_view text_;  ///< the whole input
+  const char* end_;        ///< of the chunk
+  const char* p_;          ///< the cursor
+  bool last_chunk_;
+  ChunkAst& ast_;
   std::vector<Decl> decls_;  ///< of the module being parsed
 };
 
@@ -628,17 +651,23 @@ bool primitive_pin_is_output(std::string_view pin) {
 
 class Elaborator {
  public:
-  Elaborator(std::string_view src, const SourceFile& file)
-      : src_(src), file_(file), active_(file.modules.size(), false) {
-    for (std::size_t m = 0; m < file_.modules.size(); ++m) {
-      by_name_[file_.modules[m].name] = static_cast<int>(m);
+  Elaborator(std::string_view src, std::span<const ChunkAst> chunks)
+      : src_(src), chunks_(chunks) {
+    std::size_t conn_base = 0;
+    for (const ChunkAst& ast : chunks_) {
+      for (std::size_t m = 0; m < ast.modules.size(); ++m) {
+        by_name_[ast.modules[m].name] = static_cast<int>(modules_.size());
+        modules_.push_back({&ast.modules[m], &ast.scopes[m], &ast, conn_base});
+      }
+      conn_base += ast.conns.size();
     }
+    active_.assign(modules_.size(), false);
     parse_directives();
   }
 
   Design elaborate() {
     const int top = find_top();
-    Design design{std::string(module(top).name)};
+    Design design{std::string(module(top).def->name)};
     design.set_die(die_);
     for (std::size_t i = 0; i < macro_defs_.size(); ++i) {
       if (design.library().contains(macro_defs_[i].name)) {
@@ -647,61 +676,82 @@ class Elaborator {
       design.library().add(macro_defs_[i]);
     }
     resolve_child_ports();
-    DesignSize size;
-    std::vector<bool> counting(file_.modules.size(), false);
-    if (count(design, top, design.name().size(), {}, counting, size)) {
-      design.reserve(size);
-    }
-    std::vector<NetId> nets(scope_of(top).slot_name.size(), kInvalidId);
+    const std::optional<DesignSize> size = count_design(design, top);
+    if (size) design.reserve(*size);
+    std::vector<NetId> nets(module(top).scope->slot_name.size(), kInvalidId);
     active_[static_cast<std::size_t>(top)] = true;
     elaborate_module(design, top, design.root(), nets);
+    assert(!size || (design.cell_count() == size->cells && design.net_count() == size->nets &&
+                     design.pin_count() <= size->pins));
     design.freeze();
     return design;
   }
 
  private:
-  const ModuleDef& module(int m) const { return file_.modules[static_cast<std::size_t>(m)]; }
-  const Scope& scope_of(int m) const { return file_.scopes[static_cast<std::size_t>(m)]; }
+  /// A module definition, its net table and the chunk that holds both.
+  struct Module {
+    const ModuleDef* def;
+    const Scope* scope;
+    const ChunkAst* ast;
+    std::size_t conn_base;  ///< of the chunk's connections in child_port_
+  };
+
+  /// What a module's subtree creates when the parent binds none of its
+  /// slots: cells, nets, pins (at most one per connection), and name
+  /// bytes. Net names are "path/local", so a node with a non-empty path
+  /// of length P spends nets * (P + 1) + rel_bytes; `empty_path_bytes`
+  /// is the spend when the path is empty (join_path adds no '/').
+  struct SubtreeSize {
+    std::uint64_t cells = 0, nets = 0, pins = 0, cell_name_bytes = 0;
+    std::uint64_t rel_bytes = 0, empty_path_bytes = 0;
+  };
+
+  const Module& module(int m) const { return modules_[static_cast<std::size_t>(m)]; }
 
   void parse_directives() {
-    for (const Directive& d : file_.directives) {
-      std::istringstream fields{std::string(d.text)};
-      std::string tag;
-      fields >> tag;
-      if (tag == "HIDAP_MACRO") {
-        MacroDef def;
-        fields >> def.name >> def.w >> def.h;
-        macro_defs_.push_back(std::move(def));
-        macro_offsets_.push_back(d.offset);
-      } else if (tag == "HIDAP_PIN") {
-        std::string macro_name;
-        MacroPin pin;
-        int is_out = 0;
-        fields >> macro_name >> pin.name >> pin.offset.x >> pin.offset.y >> pin.bits >> is_out;
-        pin.is_output = is_out != 0;
-        for (MacroDef& def : macro_defs_) {
-          if (def.name == macro_name) {
-            def.pins.push_back(pin);
-            break;
+    for (const ChunkAst& ast : chunks_) {
+      for (const Directive& d : ast.directives) {
+        std::istringstream fields{std::string(d.text)};
+        std::string tag;
+        fields >> tag;
+        if (tag == "HIDAP_MACRO") {
+          MacroDef def;
+          fields >> def.name >> def.w >> def.h;
+          macro_defs_.push_back(std::move(def));
+          macro_offsets_.push_back(d.offset);
+        } else if (tag == "HIDAP_PIN") {
+          std::string macro_name;
+          MacroPin pin;
+          int is_out = 0;
+          fields >> macro_name >> pin.name >> pin.offset.x >> pin.offset.y >> pin.bits >> is_out;
+          pin.is_output = is_out != 0;
+          for (MacroDef& def : macro_defs_) {
+            if (def.name == macro_name) {
+              def.pins.push_back(pin);
+              break;
+            }
           }
+        } else if (tag == "HIDAP_DIE") {
+          fields >> die_.w >> die_.h;
         }
-      } else if (tag == "HIDAP_DIE") {
-        fields >> die_.w >> die_.h;
       }
     }
   }
 
   int find_top() const {
     std::unordered_set<std::string_view> instantiated;
-    for (const Instance& inst : file_.instances) {
-      if (inst.kind == DefKind::Other) instantiated.insert(inst.def_name);
+    for (const ChunkAst& ast : chunks_) {
+      for (const Instance& inst : ast.instances) {
+        if (inst.kind == DefKind::Other) instantiated.insert(inst.def_name);
+      }
     }
     int top = -1;
-    for (std::size_t m = 0; m < file_.modules.size(); ++m) {
-      if (instantiated.count(file_.modules[m].name)) continue;
+    for (std::size_t m = 0; m < modules_.size(); ++m) {
+      const std::string_view name = modules_[m].def->name;
+      if (instantiated.count(name)) continue;
       if (top >= 0) {
-        throw VerilogParseError("multiple top modules: " + std::string(module(top).name) +
-                                    ", " + std::string(file_.modules[m].name),
+        throw VerilogParseError("multiple top modules: " + std::string(module(top).def->name) +
+                                    ", " + std::string(name),
                                 0);
       }
       top = static_cast<int>(m);
@@ -712,76 +762,128 @@ class Elaborator {
 
   /// Looks up, once per connection of a module instance, the entry its
   /// pin names in the child definition's table; counting and elaboration
-  /// visit an instance once per instantiation of its parent and both
-  /// read the result. Instances of unknown modules resolve nothing (they
-  /// fail elaboration first).
+  /// both read the result. Instances of unknown modules resolve nothing
+  /// (they fail elaboration first).
   void resolve_child_ports() {
-    child_port_.assign(file_.conns.size(), -1);
-    for (const Instance& inst : file_.instances) {
-      if (inst.kind != DefKind::Other) continue;
-      const auto it = by_name_.find(inst.def_name);
-      if (it == by_name_.end()) continue;
-      const NameTable& names = scope_of(it->second).names;
-      for (std::uint32_t c = inst.conn_begin; c < inst.conn_end; ++c) {
-        const Connection& conn = file_.conns[c];
-        if (conn.slot >= 0) child_port_[c] = names.find(conn.pin, hash_name(conn.pin));
+    child_port_.clear();
+    for (const ChunkAst& ast : chunks_) {
+      child_port_.resize(child_port_.size() + ast.conns.size(), -1);
+      int* const ports = child_port_.data() + child_port_.size() - ast.conns.size();
+      for (const Instance& inst : ast.instances) {
+        if (inst.kind != DefKind::Other) continue;
+        const auto it = by_name_.find(inst.def_name);
+        if (it == by_name_.end()) continue;
+        const NameTable& names = module(it->second).scope->names;
+        for (std::uint32_t c = inst.conn_begin; c < inst.conn_end; ++c) {
+          const Connection& conn = ast.conns[c];
+          if (conn.slot >= 0) ports[c] = names.find(conn.pin, hash_name(conn.pin));
+        }
       }
     }
   }
 
-  /// The child slot connection `c` of a module instance binds: -1 = none.
-  /// Vector ports are reported by elaboration.
-  int bound_slot(const Scope& child, std::uint32_t c) const {
-    const int e = child_port_[c];
+  /// The child slot connection `c` of module `mod`'s instance binds: -1 =
+  /// none. Vector ports are reported by elaboration.
+  int bound_slot(const Module& mod, const Scope& child, std::uint32_t c) const {
+    const int e = child_port_[mod.conn_base + c];
     return e >= 0 && !child.names.entry(e).port_vector ? child.names.entry(e).slot : -1;
   }
 
-  // Adds the cells, nets, pins (at most) and name bytes module `m` and
-  // its subtree will create to `size`, given the hierarchy path length of
-  // its node and the slots its parent binds. False when the tree cannot
-  // be counted (an unknown or recursive module): elaboration reports it.
-  bool count(const Design& design, int m, std::size_t path_size,
-             const std::vector<bool>& bound, std::vector<bool>& counting, DesignSize& size) {
-    const ModuleDef& mod = module(m);
-    const Scope& scope = scope_of(m);
-    std::size_t created = scope.slot_name.size(), bytes = scope.slot_name_bytes;
-    for (std::size_t slot = 0; slot < bound.size(); ++slot) {
-      if (!bound[slot]) continue;
-      --created;
-      bytes -= scope.slot_name[slot].size();
+  // What the design elaborated from `top` will hold, counted bottom-up
+  // once per module definition, so a deep tree of repeated instances is
+  // counted in time linear in the source. Nothing when the tree cannot be
+  // counted (an unknown or recursive module): elaboration reports it.
+  // Throws when a cell, net or pin count leaves the int32 id range.
+  std::optional<DesignSize> count_design(const Design& design, int top) {
+    subtree_.assign(modules_.size(), {});
+    count_state_.assign(modules_.size(), CountState::New);
+    if (!count(design, top)) return std::nullopt;
+    const SubtreeSize& s = subtree_[static_cast<std::size_t>(top)];
+    const std::uint64_t path = design.name().size();
+    std::uint64_t net_bytes = s.empty_path_bytes;
+    if (path > 0 && (__builtin_mul_overflow(s.nets, path + 1, &net_bytes) ||
+                     __builtin_add_overflow(net_bytes, s.rel_bytes, &net_bytes))) {
+      throw VerilogParseError(kTooLarge, 0);
     }
-    size.nets += created;
-    size.net_name_bytes += bytes + created * (path_size + 1);  // "path/" + local name
-    counting[static_cast<std::size_t>(m)] = true;
-    for (std::uint32_t i = mod.inst_begin; i < mod.inst_end; ++i) {
-      const Instance& inst = file_.instances[i];
+    return DesignSize{s.cells, s.nets, s.pins, s.cell_name_bytes, net_bytes};
+  }
+
+  static constexpr const char* kTooLarge = "design exceeds 2147483647 cells, nets or pins";
+
+  enum class CountState : std::uint8_t { New, Counting, Done };
+
+  // Fills subtree_[m]; false when `m`'s tree cannot be counted.
+  bool count(const Design& design, int m) {
+    count_state_[static_cast<std::size_t>(m)] = CountState::Counting;
+    const Module& mod = module(m);
+    const ChunkAst& ast = *mod.ast;
+    SubtreeSize s;
+    s.nets = mod.scope->slot_name.size();
+    s.rel_bytes = mod.scope->slot_name_bytes;
+    s.empty_path_bytes = s.nets + s.rel_bytes;
+    for (std::uint32_t i = mod.def->inst_begin; i < mod.def->inst_end; ++i) {
+      const Instance& inst = ast.instances[i];
+      bool wrapped = false;
+      const auto add = [&](std::uint64_t& total, std::uint64_t more) {
+        wrapped |= __builtin_add_overflow(total, more, &total);
+      };
       if (inst.kind != DefKind::Other || design.library().id_of(inst.def_name) != kNoMacroDef) {
-        ++size.cells;
-        size.cell_name_bytes += inst.inst_name.size();
-        size.pins += inst.conn_end - inst.conn_begin;  // at most one pin per connection
-        continue;
+        add(s.cells, 1);
+        add(s.cell_name_bytes, inst.inst_name.size());
+        add(s.pins, inst.conn_end - inst.conn_begin);
+      } else {
+        const auto it = by_name_.find(inst.def_name);
+        if (it == by_name_.end()) return false;
+        const int child = it->second;
+        const CountState state = count_state_[static_cast<std::size_t>(child)];
+        if (state == CountState::Counting) return false;
+        if (state == CountState::New && !count(design, child)) return false;
+        const Scope& child_scope = *module(child).scope;
+        child_bound_.assign(child_scope.slot_name.size(), false);
+        std::uint64_t bound = 0, bound_bytes = 0;
+        for (std::uint32_t c = inst.conn_begin; c < inst.conn_end; ++c) {
+          const int slot = ast.conns[c].slot >= 0 ? bound_slot(mod, child_scope, c) : -1;
+          if (slot < 0 || child_bound_[static_cast<std::size_t>(slot)]) continue;
+          child_bound_[static_cast<std::size_t>(slot)] = true;
+          ++bound;
+          bound_bytes += child_scope.slot_name[static_cast<std::size_t>(slot)].size();
+        }
+        const SubtreeSize& sub = subtree_[static_cast<std::size_t>(child)];
+        const std::uint64_t name = inst.inst_name.size();
+        const std::uint64_t nets = sub.nets - bound;
+        add(s.cells, sub.cells);
+        add(s.pins, sub.pins);
+        add(s.cell_name_bytes, sub.cell_name_bytes);
+        add(s.nets, nets);
+        // The child's path is this node's path, '/' and its name (its name
+        // alone when this node's path is empty).
+        std::uint64_t named = 0;
+        wrapped |= __builtin_mul_overflow(nets, name + 1, &named);
+        add(s.rel_bytes, named);
+        add(s.rel_bytes, sub.rel_bytes - bound_bytes);
+        if (name > 0) {
+          add(s.empty_path_bytes, named);
+          add(s.empty_path_bytes, sub.rel_bytes - bound_bytes);
+        } else {
+          add(s.empty_path_bytes, sub.empty_path_bytes - bound - bound_bytes);
+        }
       }
-      const auto it = by_name_.find(inst.def_name);
-      if (it == by_name_.end() || counting[static_cast<std::size_t>(it->second)]) return false;
-      const Scope& child = scope_of(it->second);
-      std::vector<bool> child_bound(child.slot_name.size(), false);
-      for (std::uint32_t c = inst.conn_begin; c < inst.conn_end; ++c) {
-        const int slot = file_.conns[c].slot >= 0 ? bound_slot(child, c) : -1;
-        if (slot >= 0) child_bound[static_cast<std::size_t>(slot)] = true;
+      constexpr std::uint64_t kMaxIds = std::numeric_limits<std::int32_t>::max();
+      if (wrapped || s.cells > kMaxIds || s.nets > kMaxIds || s.pins > kMaxIds) {
+        fail_at(src_, inst.offset, kTooLarge);
       }
-      const std::size_t child_path =
-          path_size == 0 ? inst.inst_name.size() : path_size + 1 + inst.inst_name.size();
-      if (!count(design, it->second, child_path, child_bound, counting, size)) return false;
     }
-    counting[static_cast<std::size_t>(m)] = false;
+    subtree_[static_cast<std::size_t>(m)] = s;
+    count_state_[static_cast<std::size_t>(m)] = CountState::Done;
     return true;
   }
 
   // Elaborates module `m` into hierarchy node `hier`. `nets` is indexed
   // by the module's slots; entries the parent bound are already set.
   void elaborate_module(Design& design, int m, HierId hier, std::vector<NetId>& nets) {
-    const ModuleDef& mod = module(m);
-    const Scope& scope = scope_of(m);
+    const Module& mod = module(m);
+    const ChunkAst& ast = *mod.ast;
+    const Scope& scope = *mod.scope;
     const std::string prefix = design.hier_path(hier) + "/";
     const auto create = [&](int slot) {
       return design.add_net(prefix, scope.slot_name[static_cast<std::size_t>(slot)]);
@@ -792,11 +894,11 @@ class Elaborator {
       }
     }
     const auto resolve = [&](std::uint32_t conn, std::size_t at) -> NetId {
-      const int slot = file_.conns[conn].slot;
+      const int slot = ast.conns[conn].slot;
       NetId& net = nets[static_cast<std::size_t>(slot)];
       if (net != kInvalidId) return net;
       // Implicit scalar net (plain Verilog allows it).
-      if (file_.conns[conn].bit_ref) {
+      if (ast.conns[conn].bit_ref) {
         fail_at(src_, at,
                 "undeclared vector net " +
                     std::string(scope.slot_name[static_cast<std::size_t>(slot)]));
@@ -804,13 +906,13 @@ class Elaborator {
       return net = create(slot);
     };
 
-    for (std::uint32_t i = mod.inst_begin; i < mod.inst_end; ++i) {
-      const Instance& inst = file_.instances[i];
+    for (std::uint32_t i = mod.def->inst_begin; i < mod.def->inst_end; ++i) {
+      const Instance& inst = ast.instances[i];
       if (inst.kind != DefKind::Other) {
-        elaborate_primitive(design, inst, hier, resolve);
+        elaborate_primitive(design, ast, inst, hier, resolve);
       } else if (const MacroDefId mid = design.library().id_of(inst.def_name);
                  mid != kNoMacroDef) {
-        elaborate_macro(design, inst, hier, mid, resolve);
+        elaborate_macro(design, ast, inst, hier, mid, resolve);
       } else {
         const auto it = by_name_.find(inst.def_name);
         if (it == by_name_.end()) {
@@ -821,14 +923,14 @@ class Elaborator {
           fail_at(src_, inst.offset,
                   "module '" + std::string(inst.def_name) + "' instantiates itself");
         }
-        const Scope& child_scope = scope_of(child);
+        const Scope& child_scope = *module(child).scope;
         const HierId child_hier = design.add_hier(hier, std::string(inst.inst_name));
         // Bind the child's port names to parent nets.
         std::vector<NetId> child_nets(child_scope.slot_name.size(), kInvalidId);
         for (std::uint32_t c = inst.conn_begin; c < inst.conn_end; ++c) {
-          const Connection& conn = file_.conns[c];
+          const Connection& conn = ast.conns[c];
           if (conn.slot < 0) continue;
-          const int e = child_port_[c];
+          const int e = child_port_[mod.conn_base + c];
           const NameTable::Entry* port = e >= 0 ? &child_scope.names.entry(e) : nullptr;
           if (port && port->port_vector) {
             fail_at(src_, inst.offset,
@@ -846,8 +948,8 @@ class Elaborator {
   }
 
   template <typename Resolve>
-  void elaborate_primitive(Design& design, const Instance& inst, HierId hier,
-                           Resolve&& resolve) {
+  void elaborate_primitive(Design& design, const ChunkAst& ast, const Instance& inst,
+                           HierId hier, Resolve&& resolve) {
     CellKind kind = CellKind::Comb;
     switch (inst.kind) {
       case DefKind::Dff: kind = CellKind::Flop; break;
@@ -858,12 +960,12 @@ class Elaborator {
         fail_at(src_, inst.offset, "unknown primitive '" + std::string(inst.def_name) + "'");
     }
     const CellId cell =
-        design.add_cell(hier, inst.inst_name, kind, param(file_, inst, "AREA", 0.0));
+        design.add_cell(hier, inst.inst_name, kind, param(ast, inst, "AREA", 0.0));
     if (is_port(kind)) {
-      design.set_fixed_pos(cell, Point{param(file_, inst, "X", 0.0), param(file_, inst, "Y", 0.0)});
+      design.set_fixed_pos(cell, Point{param(ast, inst, "X", 0.0), param(ast, inst, "Y", 0.0)});
     }
     for (std::uint32_t c = inst.conn_begin; c < inst.conn_end; ++c) {
-      const Connection& conn = file_.conns[c];
+      const Connection& conn = ast.conns[c];
       if (conn.slot < 0) continue;
       const NetId net = resolve(c, inst.offset);
       if (primitive_pin_is_output(conn.pin)) {
@@ -875,12 +977,12 @@ class Elaborator {
   }
 
   template <typename Resolve>
-  void elaborate_macro(Design& design, const Instance& inst, HierId hier, MacroDefId mid,
-                       Resolve&& resolve) {
+  void elaborate_macro(Design& design, const ChunkAst& ast, const Instance& inst, HierId hier,
+                       MacroDefId mid, Resolve&& resolve) {
     const CellId cell = design.add_cell(hier, inst.inst_name, CellKind::Macro, 0.0, mid);
     const MacroDef& def = design.library().def(mid);
     for (std::uint32_t c = inst.conn_begin; c < inst.conn_end; ++c) {
-      const Connection& conn = file_.conns[c];
+      const Connection& conn = ast.conns[c];
       if (conn.slot < 0) continue;
       const int pin = def.pin_index(conn.pin);
       if (pin < 0) {
@@ -911,26 +1013,95 @@ class Elaborator {
   }
 
   std::string_view src_;
-  const SourceFile& file_;
+  std::span<const ChunkAst> chunks_;
+  std::vector<Module> modules_;  ///< every chunk's, in source order
   std::unordered_map<std::string_view, int> by_name_;  ///< a later definition wins
   std::vector<int> child_port_;  ///< per connection: the child's port entry, -1 = none
   std::vector<bool> active_;  ///< definitions on the elaboration stack
+  std::vector<SubtreeSize> subtree_;  ///< per definition, once counted
+  std::vector<CountState> count_state_;
+  std::vector<bool> child_bound_;  ///< count()'s scratch: the child slots one instance binds
   std::vector<MacroDef> macro_defs_;
   std::vector<std::size_t> macro_offsets_;
   Die die_;
 };
 
+// ------------------------------------------------------------------ chunks
+
+/// Below this many bytes per chunk a split saves about what it costs: the
+/// hand-off to a lane, and the cache misses of elaborating an AST another
+/// core wrote. On a 4-vCPU host a 266 KB text parsed 10% faster as two
+/// chunks and a 133 KB one no faster.
+constexpr std::size_t kMinChunkBytes = 128 << 10;
+
+/// Chunk bounds of `text`: 0, then the first line that starts with
+/// "module " at or after each of `chunks` - 1 equal byte offsets, then
+/// the end. Offsets that reach no new such line add no cut.
+std::vector<std::size_t> module_cuts(std::string_view text, int chunks) {
+  std::vector<std::size_t> cuts{0};
+  for (int i = 1; i < chunks; ++i) {
+    const std::size_t at =
+        text.size() * static_cast<std::size_t>(i) / static_cast<std::size_t>(chunks);
+    if (at == 0) continue;
+    const std::size_t line = text.find("\nmodule ", at - 1);
+    if (line == std::string_view::npos) break;
+    if (line + 1 > cuts.back()) cuts.push_back(line + 1);
+  }
+  cuts.push_back(text.size());
+  return cuts;
+}
+
+/// Lexes `text` in up to `chunks` module-aligned chunks on the global
+/// pool. A chunk parse sees what a parse of the whole text sees at the
+/// same bytes once every chunk before it ended cleanly at its cut, so
+/// the chunks' ASTs in order are the whole text's. When any chunk fails,
+/// the whole text is parsed as one chunk, which reports the first error.
+std::vector<ChunkAst> lex(std::string_view text, int chunks) {
+  const auto parse = [text](std::size_t begin, std::size_t end, ChunkAst& ast) {
+    obs::Span span("verilog_lex", "netlist");
+    span.arg("bytes", static_cast<std::int64_t>(end - begin));
+    Parser(text, begin, end, ast).parse_all();
+  };
+  const std::vector<std::size_t> cuts = module_cuts(text, chunks);
+  if (cuts.size() > 2) {
+    std::vector<ChunkAst> asts(cuts.size() - 1);
+    try {
+      parallel_for(asts.size(), [&](std::size_t i) { parse(cuts[i], cuts[i + 1], asts[i]); });
+      return asts;
+    } catch (const VerilogParseError&) {
+      // Parsed again below as one chunk.
+    }
+  }
+  std::vector<ChunkAst> asts(1);
+  parse(0, text.size(), asts[0]);
+  return asts;
+}
+
 }  // namespace
 
-Design parse_verilog_string(std::string_view text) {
+namespace detail {
+
+Design parse_verilog_chunks(std::string_view text, int chunks) {
   HIDAP_FAILPOINT("netlist.verilog_parse");
   obs::Span span("verilog_parse", "netlist");
   span.arg("bytes", static_cast<std::int64_t>(text.size()));
-  const SourceFile file = Parser(text).parse_all();
-  if (file.modules.empty()) throw VerilogParseError("empty netlist", 0);
-  Design design = Elaborator(text, file).elaborate();
+  const std::vector<ChunkAst> asts = lex(text, chunks);
+  if (std::all_of(asts.begin(), asts.end(),
+                  [](const ChunkAst& ast) { return ast.modules.empty(); })) {
+    throw VerilogParseError("empty netlist", 0);
+  }
+  obs::Span elaborate("verilog_elaborate", "netlist");
+  Design design = Elaborator(text, asts).elaborate();
   span.arg("cells", static_cast<std::int64_t>(design.cell_count()));
   return design;
+}
+
+}  // namespace detail
+
+Design parse_verilog_string(std::string_view text) {
+  const std::size_t lanes = static_cast<std::size_t>(ThreadPool::global().size());
+  const std::size_t chunks = std::clamp<std::size_t>(text.size() / kMinChunkBytes, 1, lanes);
+  return detail::parse_verilog_chunks(text, static_cast<int>(chunks));
 }
 
 Design parse_verilog_file(const std::string& path) {

@@ -19,12 +19,7 @@ Clustering cluster_cells(const Design& design, const HierTree& ht, int target_cl
   Clustering out;
   out.cluster_of.assign(design.cell_count(), -1);
 
-  double total_std_area = 0.0;
-  for (const Cell& c : design.cells()) {
-    if (c.kind == CellKind::Flop || c.kind == CellKind::Comb) total_std_area += c.area;
-  }
-  const double threshold =
-      total_std_area / std::max(1, target_clusters);
+  const double threshold = design.std_cell_area() / std::max(1, target_clusters);
 
   // Each group of cells (a subtree, or a level's own cells) fills fresh
   // clusters in visit order. Oversized groups (flat glue modules can

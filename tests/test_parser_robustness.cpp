@@ -3,12 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 
 #include "core/hidap.hpp"
+#include "design_digest.hpp"
 #include "gen/circuit_gen.hpp"
 #include "netlist/verilog_parser.hpp"
 #include "netlist/verilog_writer.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace hidap {
@@ -80,6 +83,15 @@ void expect_clean_error_at_line(const std::string& text, int line) {
     ADD_FAILURE() << "expected a parse error for: " << text;
   } catch (const VerilogParseError& e) {
     EXPECT_EQ(e.line(), line) << e.what();
+  }
+}
+
+// A parse forced into 2, 3 and 7 chunks gives the one-chunk outcome:
+// the same design, or the same error at the same line.
+void expect_chunked_matches_one(const std::string& text) {
+  const ParseOutcome one = parse_outcome(text, 1);
+  for (const int chunks : {2, 3, 7}) {
+    EXPECT_EQ(parse_outcome(text, chunks), one) << chunks << " chunks";
   }
 }
 
@@ -181,6 +193,7 @@ TEST_P(ParserFuzz, RandomByteMutations) {
     text[at] = static_cast<char>(' ' + rng.next_below(94));
   }
   expect_parse_or_clean_error(text);
+  expect_chunked_matches_one(text);
 }
 
 TEST_P(ParserFuzz, RandomLineDeletions) {
@@ -193,6 +206,7 @@ TEST_P(ParserFuzz, RandomLineDeletions) {
     if (rng.next_double() > 0.08) kept << line << '\n';
   }
   expect_parse_or_clean_error(kept.str());
+  expect_chunked_matches_one(kept.str());
 }
 
 // A duplicated instance line double-drives its output nets, so this leg
@@ -208,9 +222,116 @@ TEST_P(ParserFuzz, RandomLineDuplications) {
     if (rng.next_double() < 0.08) mutated << line << '\n';
   }
   expect_parse_or_clean_error(mutated.str());
+  expect_chunked_matches_one(mutated.str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz, ::testing::Range(1, 17));
+
+// Each module instantiates the next twice, 40 levels deep: 2^39 cells.
+// The count per definition refuses it at the instance that takes the
+// cell count past the int32 id range (m8's second instance, 2^31 cells),
+// before anything is allocated and without visiting 2^40 instances.
+TEST(ParserRobustness, ExponentialHierarchyRefused) {
+  std::string text;
+  for (int i = 0; i < 39; ++i) {
+    const std::string next = "m" + std::to_string(i + 1);
+    text += "module m" + std::to_string(i) + " ();\n  " + next + " a ();\n  " + next +
+            " b ();\nendmodule\n";
+  }
+  text += "module m39 ();\n  HIDAP_COMB g ();\nendmodule\n";
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    parse_verilog_string(text);
+    ADD_FAILURE() << "a 2^39-cell design parsed";
+  } catch (const VerilogParseError& e) {
+    EXPECT_EQ(e.line(), 4 * 8 + 3) << e.what();
+    EXPECT_NE(std::string(e.what()).find("2147483647"), std::string::npos) << e.what();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+}
+
+// ------------------------------------------------------------ chunk cuts
+// A cut goes at the first line starting with "module " at or after each
+// of k equal byte offsets. Each fixture below puts more bytes before its
+// interesting line than after it, so at 2 chunks the cut lands there.
+
+std::string padding() { return "// " + std::string(400, '.') + "\n"; }
+
+/// verilog_lex spans of one parse at `chunks` chunks: one per chunk,
+/// plus one when the chunks are dropped and the text is parsed whole.
+std::size_t lexes(const std::string& text, int chunks) {
+  obs::set_tracing_enabled(true);
+  obs::Tracer::instance().clear();
+  parse_outcome(text, chunks);
+  std::size_t n = 0;
+  for (const obs::TraceEvent& e : obs::Tracer::instance().collect()) {
+    n += std::string_view(e.name) == "verilog_lex";
+  }
+  obs::set_tracing_enabled(false);
+  return n;
+}
+
+TEST(ChunkCuts, ModuleInsideCommentAcrossCut) {
+  const std::string text = "module top ();\n" + padding() + "  a u0 ();\nendmodule\n/* hides\n" +
+                           "module x ();\nendmodule\n*/\nmodule a ();\nendmodule\n";
+  expect_chunked_matches_one(text);
+  EXPECT_EQ(lexes(text, 2), 3u);  // the open comment drops the chunks
+  EXPECT_EQ(parse_outcome(text, 1).error, "");
+}
+
+TEST(ChunkCuts, BlockCommentClosedInLineComment) {
+  const std::string text = "module top ();\n" + padding() +
+                           "  a u0 ();\nendmodule\n/* closed by\n// */\nmodule a ();\nendmodule\n";
+  expect_chunked_matches_one(text);
+  EXPECT_EQ(lexes(text, 2), 2u);
+  EXPECT_EQ(parse_outcome(text, 1).error, "");
+  // "/*" inside a line comment opens nothing.
+  const std::string line = "module top ();\n" + padding() + "  a u0 ();\nendmodule\n// /*\n" +
+                           "module a ();\nendmodule\n";
+  expect_chunked_matches_one(line);
+  EXPECT_EQ(lexes(line, 2), 2u);
+}
+
+TEST(ChunkCuts, UnterminatedCommentAtEnd) {
+  const std::string text =
+      "module top ();\n" + padding() + "endmodule\n/* never closed\nmodule x ();\nendmodule\n";
+  expect_chunked_matches_one(text);
+  EXPECT_EQ(lexes(text, 2), 3u);
+  EXPECT_EQ(parse_outcome(text, 1).error, "");  // a comment may run to the end
+}
+
+TEST(ChunkCuts, FirstErrorInTheFileWins) {
+  const std::string text =
+      "module top ();\n  a u0 ();\n  b u1 ();\nendmodule\nmodule a ();\n"
+      "  HIDAP_COMB g (.I0(x)) oops;\nendmodule\n" + padding() + "module b ();\n"
+      "  HIDAP_COMB g (.I0(y)) worse;\nendmodule\n";
+  expect_chunked_matches_one(text);
+  EXPECT_EQ(lexes(text, 2), 3u);  // both chunks fail, then the whole text
+  for (const int chunks : {1, 2, 3, 7}) {
+    EXPECT_EQ(parse_outcome(text, chunks).line, 6) << chunks << " chunks";
+  }
+}
+
+TEST(ChunkCuts, CrlfLineEndings) {
+  const std::string lf = tiny_netlist();
+  std::string crlf;
+  for (const char c : lf) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  expect_chunked_matches_one(crlf);
+  EXPECT_EQ(parse_outcome(crlf, 2), parse_outcome(lf, 1));
+  EXPECT_EQ(lexes(crlf, 2), 2u);
+}
+
+TEST(ChunkCuts, EscapedIdentifierBeforeCut) {
+  const std::string text = "module top ();\n" + padding() +
+                           "  a u0 ();\n  HIDAP_COMB \\g[0] ();\n\\endmodule\n" +
+                           "module a ();\nendmodule\n";
+  expect_chunked_matches_one(text);
+  EXPECT_EQ(lexes(text, 2), 2u);
+  EXPECT_EQ(parse_outcome(text, 1).error, "");
+}
 
 TEST(ParserRobustness, DeepNestingBounded) {
   // A module chain 64 deep elaborates fine (recursion is depth-bounded by

@@ -183,6 +183,20 @@ TEST(Clustering, MatchesMemberListReference) {
   }
 }
 
+// cluster_cells takes its threshold from the std-cell area freeze()
+// sums; it must be the bits of a per-cell sum in CellId order.
+TEST(Clustering, StdCellAreaIsPerCellSum) {
+  for (const char* name : {"c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8"}) {
+    const Design d = generate_circuit(suite_circuit(name, 0.002).spec);
+    double sum = 0.0;
+    for (const Cell& c : d.cells()) {
+      if (c.kind == CellKind::Flop || c.kind == CellKind::Comb) sum += c.area;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(d.std_cell_area()), std::bit_cast<std::uint64_t>(sum))
+        << name;
+  }
+}
+
 TEST(Clustering, AreasAddUp) {
   auto& fx = fixture();
   const Clustering c = cluster_cells(fx.d, fx.ctx.ht, 50);

@@ -9,10 +9,12 @@
 #include <sstream>
 #include <string_view>
 
+#include "design_digest.hpp"
 #include "gen/circuit_gen.hpp"
 #include "gen/suite.hpp"
 #include "netlist/verilog_parser.hpp"
 #include "netlist/verilog_writer.hpp"
+#include "obs/trace.hpp"
 
 namespace hidap {
 namespace {
@@ -230,103 +232,20 @@ TEST(VerilogRoundTrip, SecondRoundTripIsStable) {
   EXPECT_EQ(d2.hier_count(), d3.hier_count());
 }
 
-// Field-by-field digest of a parsed Design: every Cell, net and NetPin,
-// HierNode (with its cells_of range), MacroDef/MacroPin and Die field in
-// id order, floating-point values by bit pattern. Self-contained FNV-1a so the pinned values do
-// not move when util/hash.hpp changes.
-class DesignDigest {
- public:
-  explicit DesignDigest(const Design& d) {
-    str(d.name());
-    f64(d.die().w);
-    f64(d.die().h);
-    u64(d.library().size());
-    for (const MacroDef& def : d.library().defs()) {
-      str(def.name);
-      f64(def.w);
-      f64(def.h);
-      u64(def.pins.size());
-      for (const MacroPin& pin : def.pins) {
-        str(pin.name);
-        f64(pin.offset.x);
-        f64(pin.offset.y);
-        i64(pin.bits);
-        u64(pin.is_output ? 1 : 0);
-      }
-    }
-    u64(d.hier_count());
-    for (std::size_t h = 0; h < d.hier_count(); ++h) {
-      const HierNode& node = d.hier(static_cast<HierId>(h));
-      str(node.name);
-      i64(node.parent);
-      u64(node.children.size());
-      for (const HierId child : node.children) i64(child);
-      const std::span<const CellId> cells = d.cells_of(static_cast<HierId>(h));
-      u64(cells.size());
-      for (const CellId cell : cells) i64(cell);
-    }
-    u64(d.cell_count());
-    for (std::size_t id = 0; id < d.cell_count(); ++id) {
-      const Cell& cell = d.cell(static_cast<CellId>(id));
-      str(d.cell_name(static_cast<CellId>(id)));
-      u64(static_cast<std::uint64_t>(cell.kind));
-      i64(cell.hier);
-      f64(cell.area);
-      i64(cell.macro_def);
-      u64(cell.fixed_pos.has_value() ? 1 : 0);
-      if (cell.fixed_pos) {
-        f64(cell.fixed_pos->x);
-        f64(cell.fixed_pos->y);
-      }
-    }
-    u64(d.net_count());
-    for (std::size_t id = 0; id < d.net_count(); ++id) {
-      const auto net = static_cast<NetId>(id);
-      str(d.net_name(net));
-      pin(d.driver(net));
-      u64(d.sinks(net).size());
-      for (const NetPin& sink : d.sinks(net)) pin(sink);
-    }
-  }
-
-  std::uint64_t value() const { return h_; }
-
- private:
-  void bytes(const void* data, std::size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      h_ ^= p[i];
-      h_ *= 1099511628211ull;
-    }
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void f32(float v) { u64(std::bit_cast<std::uint32_t>(v)); }
-  void str(std::string_view s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
-  void pin(const NetPin& p) {
-    i64(p.cell);
-    f32(p.dx);
-    f32(p.dy);
-  }
-
-  std::uint64_t h_ = 1469598103934665603ull;
-};
-
 // The expected values were recorded by running this body against the
 // istream-based parser (the declared-after-use case against the token
 // lexer that followed it); a parser change that moves any parsed field
 // (names, ids, areas, port positions, pin offsets) fails here.
-TEST(VerilogParser, ParsedDesignDigestIsPinned) {
-  struct Case {
-    std::string label;
-    std::string text;
-    std::uint64_t expected;
-  };
-  std::vector<Case> cases = {
+struct DigestCase {
+  std::string label;
+  std::string text;
+  std::uint64_t expected;
+  bool suite = false;  ///< writer output of a suite circuit
+};
+
+// The fixtures and the writer output of suite c1-c8 at scale 0.002.
+std::vector<DigestCase> digest_cases() {
+  std::vector<DigestCase> cases = {
       {"minimal", kMinimalModule, 0xde52ca78149166f4ull},
       {"hierarchy", kHierarchyElaboration, 0xe4480263de2f0076ull},
       {"vector", kVectorWires, 0x6773556a11fadad3ull},
@@ -343,12 +262,39 @@ TEST(VerilogParser, ParsedDesignDigestIsPinned) {
     spec.seed = 1000 + static_cast<std::uint64_t>(i);
     std::ostringstream text;
     write_verilog(generate_circuit(spec), text);
-    cases.push_back({name, text.str(), suite_expected[i]});
+    cases.push_back({name, text.str(), suite_expected[i], true});
   }
-  for (const Case& c : cases) {
+  return cases;
+}
+
+TEST(VerilogParser, ParsedDesignDigestIsPinned) {
+  for (const DigestCase& c : digest_cases()) {
     const std::uint64_t got = DesignDigest(parse_verilog_string(c.text)).value();
     EXPECT_EQ(got, c.expected) << c.label << ": got 0x" << std::hex << got;
   }
+}
+
+// A parse cut into module-aligned chunks and lexed on the pool gives the
+// one-chunk design at any chunk count. On the suite designs every chunk
+// must be accepted: one verilog_lex span per chunk and none for a
+// one-chunk re-parse.
+TEST(VerilogParser, ChunkedParseDigestIsPinned) {
+  obs::set_tracing_enabled(true);
+  for (const DigestCase& c : digest_cases()) {
+    for (const int chunks : {1, 2, 3, 7}) {
+      obs::Tracer::instance().clear();
+      const std::uint64_t got = DesignDigest(detail::parse_verilog_chunks(c.text, chunks)).value();
+      EXPECT_EQ(got, c.expected) << c.label << " at " << chunks << " chunks: got 0x" << std::hex
+                                 << got;
+      if (!c.suite) continue;
+      std::size_t lexes = 0;
+      for (const obs::TraceEvent& e : obs::Tracer::instance().collect()) {
+        lexes += std::string_view(e.name) == "verilog_lex";
+      }
+      EXPECT_EQ(lexes, static_cast<std::size_t>(chunks)) << c.label;
+    }
+  }
+  obs::set_tracing_enabled(false);
 }
 
 }  // namespace
