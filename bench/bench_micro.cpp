@@ -1,5 +1,5 @@
 // Google-benchmark kernel timings for the library's hot paths: Verilog
-// parsing, array clustering, shape curve composition, budget layout,
+// parsing and writing, array clustering, shape curve composition, budget layout,
 // Polish-expression moves, Gseq extraction, multi-source BFS
 // (target-area assignment), affinity inference, full per-level layout
 // annealing, one node's shape-curve packing, macro flipping, the
@@ -84,6 +84,19 @@ void BM_ParseVerilog(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_ParseVerilog)->Unit(benchmark::kMillisecond);
+
+// The netlist write of the same design, bytes/s over the text it writes.
+void BM_WriteVerilog(benchmark::State& state) {
+  const Design& design = c4_design();
+  for (auto _ : state) {
+    std::ostringstream out;
+    write_verilog(design, out);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(c4_verilog().size()));
+}
+BENCHMARK(BM_WriteVerilog)->Unit(benchmark::kMillisecond);
 
 // Array clustering (Gseq step 2) of c4: generated names ("q[3]") group
 // into arrays; names read back from Verilog are sanitized ("q_3_") and

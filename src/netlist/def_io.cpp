@@ -101,9 +101,13 @@ void write_def(const Design& design, const PlacementResult& placement,
 
 void write_def_file(const Design& design, const PlacementResult& placement,
                     const std::string& path, const DefWriteOptions& options) {
+  HIDAP_FAILPOINT("netlist.def_write");
   std::ofstream out(path);
   if (!out) throw HidapError(ErrorCode::IoError, "cannot write " + path);
   write_def(design, placement, out, options);
+  if (!out) throw HidapError(ErrorCode::IoError, "cannot write " + path);
+  out.close();
+  if (!out) throw HidapError(ErrorCode::IoError, "cannot close " + path);
 }
 
 DefContents parse_def(std::istream& in) {

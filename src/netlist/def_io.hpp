@@ -38,6 +38,8 @@ struct DefWriteOptions {
 /// Writes the die, all placed macros and the port locations.
 void write_def(const Design& design, const PlacementResult& placement,
                std::ostream& out, const DefWriteOptions& options = {});
+/// Throws HidapError(IoError) naming the path when the file cannot be
+/// opened, written or closed (a full disk included).
 void write_def_file(const Design& design, const PlacementResult& placement,
                     const std::string& path, const DefWriteOptions& options = {});
 

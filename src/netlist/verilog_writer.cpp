@@ -1,16 +1,23 @@
 #include "netlist/verilog_writer.hpp"
 
-#include <cctype>
-#include <cmath>
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <charconv>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
-#include <iomanip>
+#include <memory>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
-#include <unordered_map>
+#include <span>
+#include <string_view>
 #include <vector>
 
-#include "util/log.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "util/csr.hpp"
+#include "util/error.hpp"
+#include "util/failpoint.hpp"
 
 namespace hidap {
 
@@ -23,24 +30,6 @@ struct ModulePlan {
   std::vector<std::pair<NetId, PortDir>> ports;  // nets crossing the boundary
   std::vector<NetId> wires;                      // nets declared here (LCA)
 };
-
-// Identifier-safe local name for a net inside any module.
-std::string net_token(NetId id) { return "n" + std::to_string(id); }
-
-std::string sanitize(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    out.push_back((std::isalnum(static_cast<unsigned char>(c)) || c == '_') ? c : '_');
-  }
-  if (out.empty() || std::isdigit(static_cast<unsigned char>(out[0]))) out.insert(out.begin(), '_');
-  return out;
-}
-
-std::string module_name(const Design& d, HierId h) {
-  if (h == d.root()) return sanitize(d.name());
-  return sanitize(d.hier(h).name) + "_h" + std::to_string(h);
-}
 
 HierId lca(const Design& d, HierId a, HierId b, const std::vector<int>& depth) {
   while (a != b) {
@@ -83,67 +72,236 @@ std::vector<ModulePlan> plan_modules(const Design& d) {
   return plans;
 }
 
-// Pin name of a macro connection recovered from its geometric offset.
-// NetPin stores offsets as float, MacroDef as double: match the nearest
-// pin within a loose micron tolerance (pin pitches are far larger).
-std::string macro_pin_name(const MacroDef& def, float dx, float dy) {
-  const MacroPin* best = nullptr;
+// One connection of a cell. A macro's label is the index of its def pin
+// (-1 when no pin sits at the offset); any other cell's is 1 when it
+// drives the net and 0 when it sinks it.
+struct Conn {
+  NetId net;
+  std::int32_t label;
+};
+
+// Index of the macro pin at a connection's geometric offset. NetPin
+// stores offsets as float, MacroDef as double: match the nearest pin
+// within a loose micron tolerance (pin pitches are far larger).
+std::int32_t macro_pin_index(const MacroDef& def, float dx, float dy) {
+  std::int32_t best = -1;
   double best_d2 = 1e-2;  // 0.1 um in each axis, squared
-  for (const MacroPin& p : def.pins) {
-    const double ex = p.offset.x - dx;
-    const double ey = p.offset.y - dy;
+  for (std::size_t i = 0; i < def.pins.size(); ++i) {
+    const double ex = def.pins[i].offset.x - dx;
+    const double ey = def.pins[i].offset.y - dy;
     const double d2 = ex * ex + ey * ey;
     if (d2 < best_d2) {
       best_d2 = d2;
-      best = &p;
+      best = static_cast<std::int32_t>(i);
     }
   }
-  return best ? best->name : "PIN";
+  return best;
 }
 
-void write_macro_header(const Design& d, std::ostream& out) {
+// Every cell's connections in net order, then pin order within a net.
+Csr<Conn> cell_connections(const Design& d) {
+  return Csr<Conn>::group(d.cell_count(), [&d](auto&& emit) {
+    for (std::size_t n = 0; n < d.net_count(); ++n) {
+      const auto net = static_cast<NetId>(n);
+      const std::span<const NetPin> pins = d.pins(net);
+      const bool driven = d.has_driver(net);
+      for (std::size_t i = 0; i < pins.size(); ++i) {
+        const NetPin& p = pins[i];
+        const bool macro = d.cell(p.cell).kind == CellKind::Macro;
+        const std::int32_t label =
+            macro ? macro_pin_index(d.macro_def_of(p.cell), p.dx, p.dy) : (driven && i == 0);
+        emit(static_cast<std::size_t>(p.cell), Conn{net, label});
+      }
+    }
+  });
+}
+
+// The byte an identifier keeps: ASCII letters, digits and '_' stay, any
+// other byte becomes '_'.
+constexpr std::array<char, 256> kIdentByte = [] {
+  std::array<char, 256> table{};
+  for (int c = 0; c < 256; ++c) {
+    const bool keep = (c >= '0' && c <= '9') || (c >= 'A' && c <= 'Z') ||
+                      (c >= 'a' && c <= 'z') || c == '_';
+    table[static_cast<std::size_t>(c)] = keep ? static_cast<char>(c) : '_';
+  }
+  return table;
+}();
+
+// Formats into one fixed block and hands each full block to the stream
+// with ostream::write, so memory does not grow with the design and no
+// token is built as a string.
+class BlockWriter {
+ public:
+  explicit BlockWriter(std::ostream& out) : out_(out), block_(new char[kBlock]) {}
+
+  BlockWriter& operator<<(std::string_view s) {
+    while (s.size() > kBlock - used_) {
+      const std::size_t n = kBlock - used_;
+      std::memcpy(block_.get() + used_, s.data(), n);
+      used_ = kBlock;
+      s.remove_prefix(n);
+      flush();
+    }
+    std::memcpy(block_.get() + used_, s.data(), s.size());
+    used_ += s.size();
+    return *this;
+  }
+  /// A literal: its length is known at compile time.
+  template <std::size_t N>
+  BlockWriter& operator<<(const char (&s)[N]) {
+    return *this << std::string_view(s, N - 1);
+  }
+  BlockWriter& operator<<(char c) {
+    if (used_ == kBlock) flush();
+    block_[used_++] = c;
+    return *this;
+  }
+  /// `%.12g`, which is what `<<` prints under setprecision(12). The
+  /// last value's text is kept: cells of one library size repeat their
+  /// area, and formatting costs far more than the compare.
+  BlockWriter& operator<<(double v) {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+    if (bits != last_bits_ || last_size_ == 0) {
+      last_size_ = static_cast<std::size_t>(
+          std::to_chars(last_text_, last_text_ + kMaxNumber, v, std::chars_format::general, 12)
+              .ptr -
+          last_text_);
+      last_bits_ = bits;
+    }
+    return *this << std::string_view(last_text_, last_size_);
+  }
+  BlockWriter& operator<<(int v) {
+    char* first = room(kMaxNumber);
+    used_ = static_cast<std::size_t>(std::to_chars(first, first + kMaxNumber, v).ptr -
+                                     block_.get());
+    return *this;
+  }
+
+  /// `name` as a Verilog identifier: every byte through kIdentByte, and
+  /// a leading '_' when it is empty or starts with a digit.
+  void identifier(std::string_view name) {
+    if (name.empty() || (name[0] >= '0' && name[0] <= '9')) *this << '_';
+    while (!name.empty()) {
+      if (used_ == kBlock) flush();
+      const std::size_t n = std::min(name.size(), kBlock - used_);
+      char* out = block_.get() + used_;
+      for (std::size_t i = 0; i < n; ++i) {
+        out[i] = kIdentByte[static_cast<unsigned char>(name[i])];
+      }
+      used_ += n;
+      name.remove_prefix(n);
+    }
+  }
+  void net(NetId id) { *this << 'n' << id; }
+
+  void flush() {
+    out_.write(block_.get(), static_cast<std::streamsize>(used_));
+    written_ += used_;
+    used_ = 0;
+  }
+  /// Bytes handed to the stream so far.
+  std::size_t written() const { return written_; }
+
+ private:
+  static constexpr std::size_t kBlock = 64 * 1024;
+  static constexpr std::size_t kMaxNumber = 32;  // longest %.12g double or int
+
+  char* room(std::size_t n) {
+    if (kBlock - used_ < n) flush();
+    return block_.get() + used_;
+  }
+
+  std::ostream& out_;
+  std::unique_ptr<char[]> block_;
+  std::size_t used_ = 0;
+  std::size_t written_ = 0;
+  std::uint64_t last_bits_ = 0;
+  std::size_t last_size_ = 0;  // 0: nothing formatted yet
+  char last_text_[kMaxNumber] = {};
+};
+
+void write_module_name(BlockWriter& w, const Design& d, HierId h) {
+  if (h == d.root()) {
+    w.identifier(d.name());
+  } else {
+    w.identifier(d.hier(h).name);
+    w << "_h" << h;
+  }
+}
+
+void write_macro_header(BlockWriter& w, const Design& d) {
   // Macro definitions ride along as structured comments the parser reads
   // back, keeping a netlist file self-contained.
   for (const MacroDef& def : d.library().defs()) {
-    out << "//HIDAP_MACRO " << def.name << ' ' << def.w << ' ' << def.h << '\n';
+    w << "//HIDAP_MACRO " << def.name << ' ' << def.w << ' ' << def.h << '\n';
     for (const MacroPin& p : def.pins) {
-      out << "//HIDAP_PIN " << def.name << ' ' << p.name << ' ' << p.offset.x << ' '
-          << p.offset.y << ' ' << p.bits << ' ' << (p.is_output ? 1 : 0) << '\n';
+      w << "//HIDAP_PIN " << def.name << ' ' << p.name << ' ' << p.offset.x << ' ' << p.offset.y
+        << ' ' << p.bits << ' ' << (p.is_output ? '1' : '0') << '\n';
     }
   }
-  out << "//HIDAP_DIE " << d.die().w << ' ' << d.die().h << "\n\n";
+  w << "//HIDAP_DIE " << d.die().w << ' ' << d.die().h << "\n\n";
+}
+
+void write_cell(BlockWriter& w, const Design& d, CellId cid, std::span<const Conn> conns) {
+  const Cell& c = d.cell(cid);
+  const Point pos = c.fixed_pos.value_or(Point{0.0, 0.0});
+  switch (c.kind) {
+    case CellKind::Macro:
+      w << "  ";
+      w.identifier(d.macro_def_of(cid).name);
+      break;
+    case CellKind::Flop:
+      w << "  HIDAP_DFF #(.AREA(" << c.area << "))";
+      break;
+    case CellKind::Comb:
+      w << "  HIDAP_COMB #(.AREA(" << c.area << "))";
+      break;
+    case CellKind::PortIn:
+      w << "  HIDAP_PIN_IN #(.X(" << pos.x << "), .Y(" << pos.y << "))";
+      break;
+    case CellKind::PortOut:
+      w << "  HIDAP_PIN_OUT #(.X(" << pos.x << "), .Y(" << pos.y << "))";
+      break;
+  }
+  w << ' ';
+  w.identifier(d.cell_name(cid));
+  w << " (";
+  // Non-macro pins are numbered per direction in connection order.
+  const char in_prefix = c.kind == CellKind::Flop ? 'D' : 'I';
+  const char out_prefix = c.kind == CellKind::Flop ? 'Q' : 'O';
+  int ins = 0, outs = 0;
+  for (std::size_t i = 0; i < conns.size(); ++i) {
+    if (i) w << ", ";
+    w << '.';
+    if (c.kind == CellKind::Macro) {
+      const std::int32_t pin = conns[i].label;
+      if (pin < 0) {
+        w << "PIN";
+      } else {
+        w << d.macro_def_of(cid).pins[static_cast<std::size_t>(pin)].name;
+      }
+    } else if (conns[i].label) {
+      w << out_prefix << outs++;
+    } else {
+      w << in_prefix << ins++;
+    }
+    w << '(';
+    w.net(conns[i].net);
+    w << ')';
+  }
+  w << ");\n";
 }
 
 }  // namespace
 
 void write_verilog(const Design& design, std::ostream& out) {
-  out << std::setprecision(12);  // geometry must survive the round trip
+  obs::Span span("verilog_write", "netlist");
   const std::vector<ModulePlan> plans = plan_modules(design);
+  const Csr<Conn> conns = cell_connections(design);
 
-  // Per-cell connection lists (pin label + net), built in one sweep.
-  struct CellConn {
-    std::string pin;
-    NetId net;
-  };
-  std::vector<std::vector<CellConn>> conns(design.cell_count());
-  std::vector<int> in_count(design.cell_count(), 0), out_count(design.cell_count(), 0);
-  for (std::size_t n = 0; n < design.net_count(); ++n) {
-    auto label = [&](const NetPin& p, bool driver) {
-      const CellKind kind = design.cell(p.cell).kind;
-      if (kind == CellKind::Macro) return macro_pin_name(design.macro_def_of(p.cell), p.dx, p.dy);
-      const char* prefix = kind == CellKind::Flop ? (driver ? "Q" : "D") : (driver ? "O" : "I");
-      int& count = (driver ? out_count : in_count)[static_cast<std::size_t>(p.cell)];
-      return prefix + std::to_string(count++);
-    };
-    const std::span<const NetPin> pins = design.pins(static_cast<NetId>(n));
-    const bool driven = design.has_driver(static_cast<NetId>(n));
-    for (std::size_t i = 0; i < pins.size(); ++i) {
-      conns[static_cast<std::size_t>(pins[i].cell)].push_back(
-          {label(pins[i], driven && i == 0), static_cast<NetId>(n)});
-    }
-  }
-
-  write_macro_header(design, out);
+  BlockWriter w(out);
+  write_macro_header(w, design);
 
   // Emit child modules before parents (post-order) so the file parses in
   // one pass even though our parser does not require it.
@@ -158,66 +316,64 @@ void write_verilog(const Design& design, std::ostream& out) {
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const HierId h = *it;
     const ModulePlan& plan = plans[static_cast<std::size_t>(h)];
-    out << "module " << module_name(design, h) << " (";
+    w << "module ";
+    write_module_name(w, design, h);
+    w << " (";
     for (std::size_t i = 0; i < plan.ports.size(); ++i) {
-      out << (i ? ", " : "") << net_token(plan.ports[i].first);
+      if (i) w << ", ";
+      w.net(plan.ports[i].first);
     }
-    out << ");\n";
+    w << ");\n";
     for (const auto& [net, dir] : plan.ports) {
-      out << "  " << (dir == PortDir::Out ? "output" : "input") << ' '
-          << net_token(net) << ";\n";
+      w << (dir == PortDir::Out ? "  output " : "  input ");
+      w.net(net);
+      w << ";\n";
     }
-    for (const NetId net : plan.wires) out << "  wire " << net_token(net) << ";\n";
+    for (const NetId net : plan.wires) {
+      w << "  wire ";
+      w.net(net);
+      w << ";\n";
+    }
 
-    // Leaf cells.
     for (const CellId cid : design.cells_of(h)) {
-      const Cell& c = design.cell(cid);
-      switch (c.kind) {
-        case CellKind::Macro:
-          out << "  " << sanitize(design.macro_def_of(cid).name);
-          break;
-        case CellKind::Flop:
-          out << "  HIDAP_DFF #(.AREA(" << c.area << "))";
-          break;
-        case CellKind::Comb:
-          out << "  HIDAP_COMB #(.AREA(" << c.area << "))";
-          break;
-        case CellKind::PortIn:
-          out << "  HIDAP_PIN_IN #(.X(" << (c.fixed_pos ? c.fixed_pos->x : 0.0) << "), .Y("
-              << (c.fixed_pos ? c.fixed_pos->y : 0.0) << "))";
-          break;
-        case CellKind::PortOut:
-          out << "  HIDAP_PIN_OUT #(.X(" << (c.fixed_pos ? c.fixed_pos->x : 0.0)
-              << "), .Y(" << (c.fixed_pos ? c.fixed_pos->y : 0.0) << "))";
-          break;
-      }
-      out << ' ' << sanitize(design.cell_name(cid)) << " (";
-      const auto& cc = conns[static_cast<std::size_t>(cid)];
-      for (std::size_t i = 0; i < cc.size(); ++i) {
-        out << (i ? ", " : "") << '.' << cc[i].pin << '(' << net_token(cc[i].net) << ')';
-      }
-      out << ");\n";
+      write_cell(w, design, cid, conns[static_cast<std::size_t>(cid)]);
     }
 
     // Child instances.
     for (const HierId child : design.hier(h).children) {
       const ModulePlan& cplan = plans[static_cast<std::size_t>(child)];
-      out << "  " << module_name(design, child) << ' '
-          << sanitize(design.hier(child).name) << " (";
+      w << "  ";
+      write_module_name(w, design, child);
+      w << ' ';
+      w.identifier(design.hier(child).name);
+      w << " (";
       for (std::size_t i = 0; i < cplan.ports.size(); ++i) {
-        out << (i ? ", " : "") << '.' << net_token(cplan.ports[i].first) << '('
-            << net_token(cplan.ports[i].first) << ')';
+        if (i) w << ", ";
+        w << '.';
+        w.net(cplan.ports[i].first);
+        w << '(';
+        w.net(cplan.ports[i].first);
+        w << ')';
       }
-      out << ");\n";
+      w << ");\n";
     }
-    out << "endmodule\n\n";
+    w << "endmodule\n\n";
   }
+  w.flush();
+
+  static obs::Counter& bytes = obs::default_registry().counter("verilog_write.bytes");
+  bytes.add(w.written());
+  span.arg("bytes", static_cast<std::int64_t>(w.written()));
 }
 
 void write_verilog_file(const Design& design, const std::string& path) {
+  HIDAP_FAILPOINT("netlist.verilog_write");
   std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for write: " + path);
+  if (!out) throw HidapError(ErrorCode::IoError, "cannot open for write: " + path);
   write_verilog(design, out);
+  if (!out) throw HidapError(ErrorCode::IoError, "cannot write " + path);
+  out.close();
+  if (!out) throw HidapError(ErrorCode::IoError, "cannot close " + path);
 }
 
 }  // namespace hidap

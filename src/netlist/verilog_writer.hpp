@@ -12,6 +12,14 @@
 // lowest common ancestor of their pins and exported through module ports
 // where they cross hierarchy boundaries, so the RTL hierarchy survives a
 // write/parse round trip bit-exactly.
+//
+// Format guarantee: every double (areas, port positions, macro and die
+// geometry) is written as `%.12g` in the C locale (std::to_chars,
+// general format, precision 12), integers and net ids in plain decimal.
+// The output depends on the design only: not on the stream's flags,
+// precision or locale, and the writer changes none of them. Text is
+// formatted into one fixed 64 KiB block handed to the stream with
+// ostream::write, so the writer's memory does not grow with the design.
 
 #include <iosfwd>
 #include <string>
@@ -21,10 +29,12 @@
 namespace hidap {
 
 /// Writes the whole design (including macro definitions as a comment
-/// header consumed by the parser) to `out`.
+/// header consumed by the parser) to `out`. A failing stream is not
+/// checked here; its state tells the caller.
 void write_verilog(const Design& design, std::ostream& out);
 
-/// Convenience: writes to a file; throws std::runtime_error on IO failure.
+/// Writes to a file. Throws HidapError(IoError) naming the path when the
+/// file cannot be opened, written or closed (a full disk included).
 void write_verilog_file(const Design& design, const std::string& path);
 
 }  // namespace hidap

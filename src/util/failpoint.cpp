@@ -23,7 +23,9 @@ struct KnownPoint {
 constexpr KnownPoint kKnownPoints[] = {
     {"netlist.verilog_read", ErrorCode::IoError},
     {"netlist.verilog_parse", ErrorCode::ParseError},
+    {"netlist.verilog_write", ErrorCode::IoError},
     {"netlist.def_read", ErrorCode::IoError},
+    {"netlist.def_write", ErrorCode::IoError},
     {"netlist.def_parse", ErrorCode::ParseError},
     {"cache.design_parse", ErrorCode::ParseError},
     {"cache.context_build", ErrorCode::Internal},

@@ -302,5 +302,51 @@ TEST_F(FaultSweepTest, FileReaderFaultsAreTypedIoErrors) {
   std::remove(def_path.c_str());
 }
 
+// --- Writer fail points and full disks ---
+
+// Calls `write` and expects a HidapError carrying IoError.
+template <typename Write>
+void expect_io_error(const char* what, Write&& write) {
+  try {
+    write();
+    ADD_FAILURE() << what << ": no error surfaced";
+  } catch (const HidapError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::IoError) << what << ": " << e.what();
+  }
+}
+
+TEST_F(FaultSweepTest, FileWriterFaultsAreTypedIoErrors) {
+  const Design design = parse_verilog_string(*verilog_text_);
+  const PlacementResult unplaced;
+  const std::string verilog_path = scratch_name("fault_sweep_write") + ".v";
+  const std::string def_path = scratch_name("fault_sweep_write") + ".def";
+  const auto armed_write = [](const char* point, const auto& write) {
+    FailPoint& fp = FailPointRegistry::instance().point(point);
+    fp.reset_counts();
+    ASSERT_TRUE(failpoints::arm(point, "throw"));
+    expect_io_error(point, write);
+    EXPECT_EQ(fp.fire_count(), 1u) << point;
+    failpoints::disarm(point);
+  };
+  armed_write("netlist.verilog_write", [&] { write_verilog_file(design, verilog_path); });
+  armed_write("netlist.def_write", [&] { write_def_file(design, unplaced, def_path); });
+  // Disarmed, both writers succeed.
+  write_verilog_file(design, verilog_path);
+  write_def_file(design, unplaced, def_path);
+  EXPECT_EQ(parse_verilog_file(verilog_path).cell_count(), design.cell_count());
+  EXPECT_EQ(parse_def_file(def_path).design_name, design.name());
+  std::remove(verilog_path.c_str());
+  std::remove(def_path.c_str());
+}
+
+// A full disk fails the write or the close, never reports success over
+// a truncated file.
+TEST_F(FaultSweepTest, FullDiskWritesAreTypedIoErrors) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "/dev/full is absent";
+  const Design design = parse_verilog_string(*verilog_text_);
+  expect_io_error("verilog", [&] { write_verilog_file(design, "/dev/full"); });
+  expect_io_error("def", [&] { write_def_file(design, PlacementResult{}, "/dev/full"); });
+}
+
 }  // namespace
 }  // namespace hidap

@@ -240,6 +240,20 @@ TEST(SteadyStateAllocation, TotalHpwlAllocatesNothing) {
   EXPECT_EQ(again, first);
 }
 
+// The writer formats into one fixed block and keeps every cell's
+// connections in one array, so writing suite c4 allocates per hierarchy
+// node (its module plan) and per store, not per cell or connection; a
+// heap string per token and a vector per cell made it 83k allocations.
+TEST(SteadyStateAllocation, WriteVerilogAllocatesPerModule) {
+  const Design design = generate_circuit(suite_circuit("c4", 0.002).spec);
+  std::ostringstream out;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  write_verilog(design, out);
+  const std::uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_GT(design.cell_count(), 30000u);
+  EXPECT_LT(allocations, 64 * design.hier_count());
+}
+
 TEST(SteadyStateAllocation, GenerateOfSuiteC4AllocatesPerModuleNotPerNet) {
   const CircuitSpec spec = suite_circuit("c4", 0.002).spec;
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
