@@ -202,8 +202,9 @@ void BM_TargetAreaBfs(benchmark::State& state) {
   const double area = ht.area(ht.root());
   const Declustering dec =
       hierarchical_declustering(ht, ht.root(), 0.01 * area, 0.4 * area);
+  TargetAreaScratch scratch(d.cell_count());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(assign_target_areas(d, adj, ht, ht.root(), dec.hcb));
+    benchmark::DoNotOptimize(assign_target_areas(d, adj, ht, ht.root(), dec.hcb, scratch));
   }
 }
 BENCHMARK(BM_TargetAreaBfs);
@@ -232,14 +233,15 @@ BENCHMARK(BM_DataflowInference);
 // affinity. The caller owns the returned matrix.
 struct LayoutBenchProblem {
   LayoutProblem problem;
-  AffinityMatrix affinity{0};
+  AffinityMatrix affinity{0, 0};
 };
 
 LayoutBenchProblem make_layout_problem(int n) {
   Rng rng(5);
   LayoutBenchProblem lp;
   lp.problem.region = {0, 0, 400, 400};
-  lp.affinity = AffinityMatrix(static_cast<std::size_t>(n));
+  const auto nodes = static_cast<std::size_t>(n);
+  lp.affinity = AffinityMatrix(nodes, nodes);
   for (int i = 0; i < n; ++i) {
     BudgetBlock b;
     b.at = rng.next_double(2000, 12000);
@@ -484,9 +486,8 @@ void BM_SpreadClusters(benchmark::State& state) {
 }
 BENCHMARK(BM_SpreadClusters)->Unit(benchmark::kMicrosecond);
 
-// Wirelength of one placement of c2 at scale 0.1 (a HiDaP placement):
-// Arg(0) walks every pin of every net (total_hpwl_per_net), Arg(1) the
-// model's net template (total_hpwl).
+// Wirelength of one placement of c2 at scale 0.1 (a HiDaP placement)
+// over the model's net template (total_hpwl).
 void BM_TotalHpwl(benchmark::State& state) {
   static const Design* design = [] {
     set_log_level(LogLevel::Warn);
@@ -498,15 +499,11 @@ void BM_TotalHpwl(benchmark::State& state) {
     return new PlacedDesign(
         place_cells(model, place_macros(*design, *context, HiDaPOptions{})));
   }();
-  const bool use_template = state.range(0) != 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(use_template ? total_hpwl(*placed).total_um
-                                          : total_hpwl_per_net(*placed).total_um);
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(total_hpwl(*placed).total_um);
   state.counters["template_nets"] = static_cast<double>(placed->model().template_nets());
   state.counters["nets"] = static_cast<double>(placed->model().multi_pin_nets());
 }
-BENCHMARK(BM_TotalHpwl)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TotalHpwl)->Unit(benchmark::kMillisecond);
 
 // --- parallel runtime ------------------------------------------------
 

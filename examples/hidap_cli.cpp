@@ -37,18 +37,20 @@ using namespace hidap;
 
 namespace {
 
+// The library's defaults, which the flags below override.
+const HiDaPOptions kDefaults;
+
 struct Args {
   std::string command;
   std::string input, output, placement, svg, csv, fix;
   std::string cancel_file;
   std::string trace_json, metrics_json, log_level;
-  double lambda = 0.5, k = 2.0, halo = 0.0, effort = 1.0;
+  double lambda = kDefaults.lambda, k = kDefaults.k, halo = kDefaults.macro_halo;
+  double effort = 1.0;  ///< HiDaPOptions::scale_effort factor
   double timeout_s = 0.0;
-  std::uint64_t seed = 1;
+  std::uint64_t seed = kDefaults.job.seed;
   int cells = 20000, macros = 24;
-  int threads = 0;
-  bool incremental = true;
-  bool parallel_levels = true;
+  int threads = kDefaults.num_threads;
   bool phase_summary = false;
 };
 
@@ -73,12 +75,6 @@ struct Args {
                "               and the flows' sweeps\n"
                "               (default: HIDAP_THREADS or hardware concurrency;\n"
                "               results are identical at any N, 1 = sequential)\n"
-               "  --no-incremental  full-recompute move evaluation in both\n"
-               "               annealers, layout and shape curve (the reference\n"
-               "               oracles; results are identical, only slower)\n"
-               "  --no-parallel-levels  run the recursion scheduler as a plain\n"
-               "               sequential DFS (results are identical; the\n"
-               "               scheduler's oracle)\n"
                "  --log-level {debug,info,warn,error}  console verbosity\n"
                "               (default warn; progress lines are always on)\n"
                "  observability (any command; placements are byte-identical\n"
@@ -117,8 +113,6 @@ Args parse_args(int argc, char** argv) {
     else if (flag == "--cells") args.cells = std::atoi(next().c_str());
     else if (flag == "--macros") args.macros = std::atoi(next().c_str());
     else if (flag == "--threads") args.threads = std::atoi(next().c_str());
-    else if (flag == "--no-incremental") args.incremental = false;
-    else if (flag == "--no-parallel-levels") args.parallel_levels = false;
     else if (flag == "--trace-json") args.trace_json = next();
     else if (flag == "--metrics-json") args.metrics_json = next();
     else if (flag == "--phase-summary") args.phase_summary = true;
@@ -137,9 +131,6 @@ int cmd_place(const Args& args) {
   options.macro_halo = args.halo;
   options.job.seed = args.seed;
   options.num_threads = args.threads;
-  options.parallel_levels = args.parallel_levels;
-  options.layout_anneal.incremental = args.incremental;
-  options.shape_fp.anneal.incremental = args.incremental;
   options.scale_effort(args.effort);
   if (!args.fix.empty()) {
     const DefContents fixed = parse_def_file(args.fix);
@@ -211,9 +202,6 @@ int cmd_flows(const Args& args) {
   FlowOptions options;
   options.seed = args.seed;
   options.hidap.num_threads = args.threads;
-  options.hidap.parallel_levels = args.parallel_levels;
-  options.hidap.layout_anneal.incremental = args.incremental;
-  options.hidap.shape_fp.anneal.incremental = args.incremental;
   const FlowComparison cmp = compare_flows(design, options);
   ReportTable table({"flow", "WL(m)", "norm", "GRC%", "WNS%", "TNS(ns)", "time(s)"});
   for (const Metrics* m : {&cmp.indeda, &cmp.hidap, &cmp.handfp}) {

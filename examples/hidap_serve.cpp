@@ -135,12 +135,14 @@ struct Server {
     spec.verilog_path = json_string(req, "verilog");
     spec.verilog_text = json_string(req, "verilog_text");
     spec.fix_def_path = json_string(req, "fix");
-    spec.seed = static_cast<std::uint64_t>(json_number(req, "seed", 1));
-    spec.lambda = json_number(req, "lambda", 0.5);
-    spec.k = json_number(req, "k", 2.0);
-    spec.macro_halo = json_number(req, "halo", 0.0);
-    spec.effort = json_number(req, "effort", 1.0);
-    spec.timeout_s = json_number(req, "timeout_s", 0.0);
+    // Absent fields keep the spec's defaults.
+    spec.seed = static_cast<std::uint64_t>(
+        json_number(req, "seed", static_cast<double>(spec.seed)));
+    spec.lambda = json_number(req, "lambda", spec.lambda);
+    spec.k = json_number(req, "k", spec.k);
+    spec.macro_halo = json_number(req, "halo", spec.macro_halo);
+    spec.effort = json_number(req, "effort", spec.effort);
+    spec.timeout_s = json_number(req, "timeout_s", spec.timeout_s);
     spec.max_input_bytes = limits.max_input_bytes;
     if (spec.verilog_path.empty() && spec.verilog_text.empty()) {
       emit_error(ErrorCode::InvalidRequest,

@@ -1,15 +1,16 @@
 // File-based flow: generate a circuit, write it as structural Verilog,
-// parse it back (as an external tool would), place macros and emit a
-// simple placement report plus DEF-style coordinates.
+// parse it back (as an external tool would), place macros and write the
+// placement as DEF.
 //
 //   $ ./verilog_flow [netlist.v]     # uses a self-generated netlist when
 //                                    # no file is given
 
 #include <cstdio>
-#include <fstream>
+#include <string>
 
 #include "core/hidap.hpp"
 #include "gen/suite.hpp"
+#include "netlist/def_io.hpp"
 #include "netlist/verilog_parser.hpp"
 #include "netlist/verilog_writer.hpp"
 #include "util/log.hpp"
@@ -44,18 +45,8 @@ int main(int argc, char** argv) {
 
   const PlacementResult result = place_macros(design);
 
-  // DEF-style COMPONENTS section (microns x1000, as DEF does).
   const std::string def_path = "verilog_flow_macros.def";
-  std::ofstream def(def_path);
-  def << "COMPONENTS " << result.macros.size() << " ;\n";
-  for (const MacroPlacement& m : result.macros) {
-    def << "- " << design.cell_path(m.cell) << ' '
-        << design.macro_def_of(m.cell).name << " + PLACED ( "
-        << static_cast<long>(m.rect.x * 1000) << ' '
-        << static_cast<long>(m.rect.y * 1000) << " ) " << to_string(m.orientation)
-        << " ;\n";
-  }
-  def << "END COMPONENTS\n";
+  write_def_file(design, result, def_path);
   std::printf("placed %zu macros in %.2f s -> %s\n", result.macros.size(),
               result.runtime_seconds, def_path.c_str());
   return 0;

@@ -11,14 +11,16 @@ namespace hidap {
 
 namespace {
 
+// Cost per um^2 of overlap (or of area outside the die), against the
+// bit-weighted wirelength.
+constexpr double kOverlapWeight = 4.0;
+
 // Bit-weighted sequential wirelength between macro centers and fixed
 // port centroids, plus overlap and out-of-die area, recomputed from
 // scratch on every call.
 class FlatCostModel {
  public:
-  FlatCostModel(const Design& design, const SeqGraph& seq, const Rect& die,
-                double overlap_weight)
-      : die_(die), overlap_weight_(overlap_weight) {
+  FlatCostModel(const Design& design, const SeqGraph& seq, const Rect& die) : die_(die) {
     // Edges between macros / macro and port, precomputed.
     for (const SeqEdge& e : seq.edges()) {
       const SeqNode& a = seq.node(e.from);
@@ -55,7 +57,7 @@ class FlatCostModel {
       const double inside = r.overlap_area(die_);
       overlap += r.area() - inside;
     }
-    return wl + overlap_weight_ * overlap;
+    return wl + kOverlapWeight * overlap;
   }
 
  private:
@@ -69,7 +71,6 @@ class FlatCostModel {
     double w;
   };
   Rect die_;
-  double overlap_weight_;
   std::vector<MacroEdge> macro_edges_;
   std::vector<PortEdge> port_edges_;
 };
@@ -97,7 +98,7 @@ PlacementResult place_macros_flat_sa(const Design& design, const SeqGraph& seq,
     }
   }
 
-  const FlatCostModel cost(design, seq, die, options.overlap_weight);
+  const FlatCostModel cost(design, seq, die);
   std::vector<MacroPlacement> best = state;
   const double initial = cost(state);
 

@@ -15,7 +15,6 @@ namespace hidap {
 
 struct FlatSaOptions {
   AnnealOptions anneal;
-  double overlap_weight = 4.0;   ///< penalty per um^2 of overlap vs wl scale
 };
 
 PlacementResult place_macros_flat_sa(const Design& design, const SeqGraph& seq,

@@ -14,15 +14,15 @@ namespace {
 
 // Places macros in `order` along the die walls in a pinwheel: west wall
 // bottom-up, north wall left-right, east wall top-down, south wall
-// right-left; overflow starts a second (inset) ring. Each ring reserves a
-// uniform band of thickness t = max min-dimension of the remaining
-// macros, and every side stops one band short of the next side's corner,
-// which makes rings overlap-free by construction. Orientation keeps the
+// right-left; the first ring touches the die edge and overflow starts a
+// second ring right inside it. Each ring reserves a uniform band of
+// thickness t = max min-dimension of the remaining macros, and every
+// side stops one band short of the next side's corner, which makes rings
+// overlap-free by construction. Orientation keeps the
 // smaller dimension perpendicular to the wall (thin rings, maximal open
 // center).
 std::vector<MacroPlacement> pack_ring(const Design& design,
-                                      const std::vector<CellId>& order, const Rect& die,
-                                      double margin) {
+                                      const std::vector<CellId>& order, const Rect& die) {
   std::vector<MacroPlacement> placements;
   placements.reserve(order.size());
 
@@ -34,7 +34,7 @@ std::vector<MacroPlacement> pack_ring(const Design& design,
     return std::tuple{depth, length, swapped ? Orientation::R90 : Orientation::R0};
   };
 
-  double inset = margin;
+  double inset = 0.0;
   std::size_t idx = 0;
   while (idx < order.size()) {
     // Band thickness for this ring.
@@ -91,7 +91,7 @@ std::vector<MacroPlacement> pack_ring(const Design& design,
       }
     }
     if (idx == ring_start) break;  // no progress: fall through to grid dump
-    inset += t + margin;
+    inset += t;
   }
 
   // Remainder (pathological shapes / ring exhaustion): center grid.
@@ -166,7 +166,7 @@ PlacementResult place_macros_walls(const Design& design, const HierTree& ht,
   std::vector<CellId> best = current;
 
   const auto cost_of = [&](const std::vector<CellId>& o) {
-    return seq_wirelength(design, seq, pack_ring(design, o, die, options.ring_margin));
+    return seq_wirelength(design, seq, pack_ring(design, o, die));
   };
   const double initial = cost_of(current);
 
@@ -200,7 +200,7 @@ PlacementResult place_macros_walls(const Design& design, const HierTree& ht,
   anneal(initial, anneal_options, hooks);
 
   PlacementResult result;
-  result.macros = pack_ring(design, best, die, options.ring_margin);
+  result.macros = pack_ring(design, best, die);
   result.runtime_seconds = phase.seconds();
   result.flow_name = "IndEDA";
   HIDAP_LOG_INFO("IndEDA (wall packer) placed %zu macros in %.2fs",

@@ -18,8 +18,7 @@
 namespace hidap {
 
 struct WallPackOptions {
-  AnnealOptions anneal;   ///< ring-order optimization effort
-  double ring_margin = 0.0;  ///< gap between die edge and first ring (um)
+  AnnealOptions anneal;  ///< ring-order optimization effort
 };
 
 PlacementResult place_macros_walls(const Design& design, const HierTree& ht,

@@ -128,7 +128,7 @@ LevelDataflow infer_level_dataflow(const Design& design, const HierTree& ht,
     out.gdf->add_node(std::move(node));
   }
 
-  out.gdf->infer_edges(DataflowOptions{options.max_latency});
+  out.gdf->infer_edges();
   out.affinity =
       compute_affinity(*out.gdf, AffinityOptions{options.lambda, options.k, true});
   return out;

@@ -73,7 +73,7 @@ class EstimateSnapshot {
 
 struct LevelDataflow {
   std::unique_ptr<DataflowGraph> gdf;  ///< nodes: blocks first, then terminals
-  AffinityMatrix affinity{0};
+  AffinityMatrix affinity{0, 0};
   std::size_t movable_count = 0;
   std::vector<Point> terminal_positions;  ///< gdf node movable_count + i
 

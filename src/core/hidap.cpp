@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
-#include <stdexcept>
 
 #include "core/recursive_floorplan.hpp"
 #include "floorplan/legalizer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/error.hpp"
 #include "util/log.hpp"
 
 namespace hidap {
@@ -33,8 +33,12 @@ PlacementResult place_macros(const Design& design, const PlacementContext& conte
   const obs::Phase place("place");
   JobControl* control = options.job.control;
   const Rect die{0, 0, design.die().w, design.die().h};
-  if (die.area() <= 0) throw std::invalid_argument("place_macros: empty die");
-  if (design.macro_count() == 0) throw std::invalid_argument("place_macros: no macros");
+  if (die.area() <= 0) {
+    throw HidapError(ErrorCode::InvalidRequest, "place_macros: empty die");
+  }
+  if (design.macro_count() == 0) {
+    throw HidapError(ErrorCode::InvalidRequest, "place_macros: no macros");
+  }
 
   RecursiveFloorplanner floorplanner(design, context.adjacency, context.ht, context.seq,
                                      options);

@@ -42,8 +42,9 @@ struct PlacementContext {
 /// layer's ArtifactCache.
 struct PlacementArtifacts;
 
-/// Runs the full HiDaP flow on a design. Throws std::invalid_argument
-/// when the design has no macros or no usable die area.
+/// Runs the full HiDaP flow on a design. Throws HidapError with
+/// ErrorCode::InvalidRequest when the design has no macros or no usable
+/// die area.
 ///
 /// Per-job state (seed, preplaced macros, the cancellation/deadline/
 /// progress handle) rides in options.job. A controlled job whose

@@ -17,7 +17,6 @@ struct HiDaPOptions {
   // Dataflow affinity (sect. IV-D).
   double lambda = 0.5;  ///< block-flow vs macro-flow balance
   double k = 2.0;       ///< latency decay exponent in score(h, k)
-  int max_latency = 24; ///< BFS horizon (register hops)
 
   // Gseq extraction.
   SeqExtractOptions seq;

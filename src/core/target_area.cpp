@@ -99,11 +99,4 @@ TargetAreaResult assign_target_areas(const Design& design, const CellAdjacency& 
   return result;
 }
 
-TargetAreaResult assign_target_areas(const Design& design, const CellAdjacency& adjacency,
-                                     const HierTree& ht, HtNodeId nh,
-                                     const std::vector<HtNodeId>& hcb) {
-  TargetAreaScratch scratch(design.cell_count());
-  return assign_target_areas(design, adjacency, ht, nh, hcb, scratch);
-}
-
 }  // namespace hidap

@@ -53,9 +53,4 @@ TargetAreaResult assign_target_areas(const Design& design, const CellAdjacency& 
                                      const std::vector<HtNodeId>& hcb,
                                      TargetAreaScratch& scratch);
 
-/// Same, with a scratch of its own.
-TargetAreaResult assign_target_areas(const Design& design, const CellAdjacency& adjacency,
-                                     const HierTree& ht, HtNodeId nh,
-                                     const std::vector<HtNodeId>& hcb);
-
 }  // namespace hidap

@@ -28,9 +28,7 @@ struct AffinityOptions {
 /// stored value equals the dense matrix's bit for bit.
 class AffinityMatrix {
  public:
-  /// Dense n x n.
-  explicit AffinityMatrix(std::size_t n) : AffinityMatrix(n, n) {}
-  /// Rows 0..rows-1 of an n x n matrix (rows <= n).
+  /// Rows 0..rows-1 of an n x n matrix (rows <= n); rows == n is dense.
   AffinityMatrix(std::size_t n, std::size_t rows) : n_(n), rows_(rows), m_(rows * n, 0.0) {
     assert(rows <= n);
   }

@@ -10,6 +10,9 @@ namespace hidap {
 
 namespace {
 
+// Safety cap on the cells one source's comb-cone BFS visits.
+constexpr int kMaxConeCells = 200000;
+
 // Estimated data width of a macro: sum of its output pin widths, at least 1.
 int macro_width(const Design& design, CellId macro) {
   const MacroDef& def = design.macro_def_of(macro);
@@ -91,7 +94,7 @@ SeqGraph extract_seq_graph(const Design& design, const CellAdjacency& adjacency,
     while (!queue.empty()) {
       const auto [cell, depth] = queue.front();
       queue.pop_front();
-      if (++visited > options.max_cone_cells) {
+      if (++visited > kMaxConeCells) {
         HIDAP_LOG_WARN("seq_extract: cone cap hit at node %d", src);
         break;
       }

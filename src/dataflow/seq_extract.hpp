@@ -14,8 +14,7 @@
 namespace hidap {
 
 struct SeqExtractOptions {
-  int bit_threshold = 4;        ///< drop registers narrower than this
-  int max_cone_cells = 200000;  ///< safety cap per-source BFS cone
+  int bit_threshold = 4;  ///< drop registers narrower than this
 };
 
 /// Builds Gseq. `adjacency` must be built from `design`.

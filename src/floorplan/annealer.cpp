@@ -12,6 +12,11 @@ namespace hidap {
 
 namespace {
 
+// T0 accepts the mean uphill move with this probability.
+constexpr double kInitialAcceptance = 0.9;
+// The schedule freezes once T falls below this fraction of T0.
+constexpr double kFrozenTemperatureRatio = 1e-4;
+
 // One flush per completed schedule: the move loop keeps its counts in
 // AnnealStats exactly as before (zero added work per move) and the
 // totals land in the process registry only here.
@@ -92,9 +97,9 @@ AnnealStats anneal(double initial_cost, const AnnealOptions& options,
   }
   const double avg_uphill = uphill_count > 0 ? uphill_sum / uphill_count
                                              : std::max(1e-12, std::abs(initial_cost) * 0.05);
-  const double t0 = -avg_uphill / std::log(options.initial_acceptance);
+  const double t0 = -avg_uphill / std::log(kInitialAcceptance);
   double temperature = std::max(t0, 1e-12);
-  const double t_frozen = temperature * options.frozen_temperature_ratio;
+  const double t_frozen = temperature * kFrozenTemperatureRatio;
 
   int stagnant = 0;
   while (!stats.stopped && !stats.exhausted && temperature > t_frozen &&

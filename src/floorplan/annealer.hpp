@@ -17,11 +17,9 @@ namespace hidap {
 class JobControl;  // util/job_control.hpp
 
 struct AnnealOptions {
-  double initial_acceptance = 0.9;   ///< target uphill acceptance at T0
   double cooling = 0.9;              ///< geometric cooling factor
   int moves_per_temperature = 200;   ///< attempts at each temperature step
   int calibration_moves = 50;        ///< random moves sampled to set T0
-  double frozen_temperature_ratio = 1e-4;  ///< stop when T < ratio * T0
   int max_stagnant_temperatures = 8;       ///< stop after this many temperatures without improvement
   std::uint64_t seed = 1;
 

@@ -13,14 +13,8 @@ struct WirelengthReport {
 
 /// Sums the HPWL of the model's net template (CellPlacementModel): each
 /// kept net's box over its distinct sources, in net order. Bit-identical
-/// to total_hpwl_per_net.
+/// to a walk over every pin of every net (tests/test_net_template.cpp
+/// holds that oracle).
 WirelengthReport total_hpwl(const PlacedDesign& placed);
-
-/// The same report from every pin of every net: the differential oracle
-/// of total_hpwl.
-WirelengthReport total_hpwl_per_net(const PlacedDesign& placed);
-
-/// HPWL of a single net (0 for degenerate nets).
-double net_hpwl(const PlacedDesign& placed, NetId net);
 
 }  // namespace hidap

@@ -300,7 +300,7 @@ std::vector<double> bin_capacity(const PlacedDesign& placed, const PlaceOptions&
       double blocked = 0.0;
       for (const Rect& macro : placed.macro_blockages()) blocked += bin.overlap_area(macro);
       capacity[static_cast<std::size_t>(by) * g + bx] =
-          std::max(0.0, (bin.area() - blocked) * options.bin_capacity_ratio);
+          std::max(0.0, (bin.area() - blocked) * kBinCapacityRatio);
     }
   }
   return capacity;

@@ -45,8 +45,10 @@ struct PlaceOptions {
   int solver_iterations = 80;
   int grid = 32;              ///< spreading grid resolution
   int spreading_rounds = 200;
-  double bin_capacity_ratio = 0.9;  ///< usable fraction of free bin area
 };
+
+/// Usable fraction of a spreading bin's free area.
+inline constexpr double kBinCapacityRatio = 0.9;
 
 class PlacedDesign;
 
@@ -184,7 +186,7 @@ class PlacedDesign {
 };
 
 /// Usable area of each spreading bin (row-major, grid x grid): free area
-/// times bin_capacity_ratio, with the macro blockage subtracted.
+/// times kBinCapacityRatio, with the macro blockage subtracted.
 std::vector<double> bin_capacity(const PlacedDesign& placed, const PlaceOptions& options);
 
 /// One spreading pass over the positions `pos` of `clusters` on a

@@ -25,13 +25,9 @@ struct CongestionReport {
 
 /// Spreads the demand of the model's net template (CellPlacementModel):
 /// each kept net's box over its distinct sources, in net order.
-/// Bit-identical to estimate_congestion_per_net.
+/// Bit-identical to a walk over every pin of every net
+/// (tests/test_net_template.cpp holds that oracle).
 CongestionReport estimate_congestion(const PlacedDesign& placed,
                                      const CongestionOptions& options = {});
-
-/// The same report from every pin of every net: the differential oracle
-/// of estimate_congestion.
-CongestionReport estimate_congestion_per_net(const PlacedDesign& placed,
-                                             const CongestionOptions& options = {});
 
 }  // namespace hidap

@@ -166,7 +166,6 @@ std::uint64_t ArtifactCache::context_key(std::uint64_t design_key,
   return HashBuilder(0xc785)
       .u64(design_key)
       .i32(seq.bit_threshold)
-      .i32(seq.max_cone_cells)
       .digest();
 }
 
@@ -184,11 +183,9 @@ std::uint64_t ArtifactCache::curves_key(std::uint64_t context_key, std::uint64_t
       .u64(context_key)
       .u64(seed)
       .f64(macro_halo)
-      .f64(fp.anneal.initial_acceptance)
       .f64(fp.anneal.cooling)
       .i32(fp.anneal.moves_per_temperature)
       .i32(fp.anneal.calibration_moves)
-      .f64(fp.anneal.frozen_temperature_ratio)
       .i32(fp.anneal.max_stagnant_temperatures)
       .u64(fp.curve_points)
       .i32(fp.best_solutions_merged)

@@ -6,17 +6,16 @@
 
 namespace hidap {
 
-double derive_clock_period(const Design& design, const SeqGraph& seq,
-                           const TimingOptions& options) {
+double derive_clock_period(const Design& design, const SeqGraph& seq) {
   int max_depth = 0;
   for (const SeqEdge& e : seq.edges()) max_depth = std::max(max_depth, e.comb_depth);
-  const double logic = options.clk_to_q_ns + max_depth * options.gate_delay_ns;
+  const double logic = kClkToQNs + max_depth * kGateDelayNs;
   // Wire allowance: roughly half of the half-perimeter of the die --
   // tight enough that wall-hugging placements of dataflow pipelines
   // violate, generous enough that good placements get close to closing
   // timing (calibrated so suite WNS lands in the paper's -10..-50% band).
   const double wire =
-      0.55 * (design.die().w + design.die().h) / 2.0 * options.wire_delay_ns_per_um;
+      0.55 * (design.die().w + design.die().h) / 2.0 * kWireDelayNsPerUm;
   return logic + wire;
 }
 
@@ -50,7 +49,7 @@ TimingReport analyze_timing(const PlacedDesign& placed, const SeqGraph& seq,
   TimingReport report;
   report.clock_period_ns = options.clock_period_ns > 0
                                ? options.clock_period_ns
-                               : derive_clock_period(placed.design(), seq, options);
+                               : derive_clock_period(placed.design(), seq);
 
   // Cache node positions.
   std::vector<Point> pos(seq.node_count());
@@ -63,8 +62,7 @@ TimingReport analyze_timing(const PlacedDesign& placed, const SeqGraph& seq,
   for (const SeqEdge& e : seq.edges()) {
     const double dist = manhattan(pos[static_cast<std::size_t>(e.from)],
                                   pos[static_cast<std::size_t>(e.to)]);
-    const double delay = options.clk_to_q_ns + e.comb_depth * options.gate_delay_ns +
-                         dist * options.wire_delay_ns_per_um;
+    const double delay = kClkToQNs + e.comb_depth * kGateDelayNs + dist * kWireDelayNsPerUm;
     const double slack = report.clock_period_ns - delay;
     ++report.paths;
     wns = std::min(wns, slack);

@@ -13,10 +13,13 @@
 
 namespace hidap {
 
+// The terms of the delay model above: clk_to_q and gate_delay in ns,
+// wire_delay in ns per um.
+inline constexpr double kClkToQNs = 0.08;
+inline constexpr double kGateDelayNs = 0.045;
+inline constexpr double kWireDelayNsPerUm = 0.0018;
+
 struct TimingOptions {
-  double clk_to_q_ns = 0.08;
-  double gate_delay_ns = 0.045;
-  double wire_delay_ns_per_um = 0.0018;
   /// Clock period; <= 0 selects it automatically from the design (see
   /// derive_clock_period).
   double clock_period_ns = 0.0;
@@ -33,8 +36,7 @@ struct TimingReport {
 
 /// Placement-independent period choice: logic delay of the deepest edge
 /// plus a die-geometry wire allowance. All flows of a circuit share it.
-double derive_clock_period(const Design& design, const SeqGraph& seq,
-                           const TimingOptions& options);
+double derive_clock_period(const Design& design, const SeqGraph& seq);
 
 TimingReport analyze_timing(const PlacedDesign& placed, const SeqGraph& seq,
                             const TimingOptions& options = {});

@@ -106,7 +106,7 @@ TEST(Affinity, NormalizationCapsAtOne) {
 }
 
 TEST(AffinityMatrix, AccumulateAddsBothDirections) {
-  AffinityMatrix m(3);
+  AffinityMatrix m(3, 3);
   m.accumulate(0, 2, 1.5);
   m.accumulate(2, 0, 0.5);
   EXPECT_DOUBLE_EQ(m.at(0, 2), 2.0);
@@ -114,7 +114,7 @@ TEST(AffinityMatrix, AccumulateAddsBothDirections) {
 }
 
 TEST(AffinityMatrix, NormalizeZeroMatrixIsNoop) {
-  AffinityMatrix m(2);
+  AffinityMatrix m(2, 2);
   m.normalize_max();
   EXPECT_DOUBLE_EQ(m.max_value(), 0.0);
 }
@@ -122,7 +122,7 @@ TEST(AffinityMatrix, NormalizeZeroMatrixIsNoop) {
 // Reference: the dense (n x n) matrix compute_affinity stored before it
 // kept only block rows.
 AffinityMatrix dense_affinity(const DataflowGraph& gdf, const AffinityOptions& options) {
-  AffinityMatrix m(gdf.node_count());
+  AffinityMatrix m(gdf.node_count(), gdf.node_count());
   for (const DfEdge& e : gdf.edges()) {
     const double score = options.lambda * e.block_flow.score(options.k) +
                          (1.0 - options.lambda) * e.macro_flow.score(options.k);

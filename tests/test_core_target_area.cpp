@@ -124,7 +124,8 @@ TEST(TargetArea, GlueClaimedByNearestBlock) {
   const HierTree ht(fx.d);
   const CellAdjacency adj(fx.d);
   const std::vector<HtNodeId> hcb = {ht.node_of_hier(fx.ha), ht.node_of_hier(fx.hb)};
-  const TargetAreaResult res = assign_target_areas(fx.d, adj, ht, ht.root(), hcb);
+  TargetAreaScratch scratch(fx.d.cell_count());
+  const TargetAreaResult res = assign_target_areas(fx.d, adj, ht, ht.root(), hcb, scratch);
   // The glue areas 3/5/7 are distinct, so each block's claimed area
   // names its cells: ga1 (dist 1 from A, dist 3 from B) and the tied
   // ga2 -> block 0; gb1 -> block 1.
@@ -137,7 +138,8 @@ TEST(TargetArea, InstanceAreaConserved) {
   const HierTree ht(fx.d);
   const CellAdjacency adj(fx.d);
   const std::vector<HtNodeId> hcb = {ht.node_of_hier(fx.ha), ht.node_of_hier(fx.hb)};
-  const TargetAreaResult res = assign_target_areas(fx.d, adj, ht, ht.root(), hcb);
+  TargetAreaScratch scratch(fx.d.cell_count());
+  const TargetAreaResult res = assign_target_areas(fx.d, adj, ht, ht.root(), hcb, scratch);
   const double total = res.target_area[0] + res.target_area[1];
   EXPECT_NEAR(total, ht.area(ht.root()), 1e-9);
   EXPECT_GE(res.target_area[0], res.minimum_area[0]);
@@ -149,7 +151,8 @@ TEST(TargetArea, MinimumAreaIsSubtreeArea) {
   const HierTree ht(fx.d);
   const CellAdjacency adj(fx.d);
   const std::vector<HtNodeId> hcb = {ht.node_of_hier(fx.ha), ht.node_of_hier(fx.hb)};
-  const TargetAreaResult res = assign_target_areas(fx.d, adj, ht, ht.root(), hcb);
+  TargetAreaScratch scratch(fx.d.cell_count());
+  const TargetAreaResult res = assign_target_areas(fx.d, adj, ht, ht.root(), hcb, scratch);
   EXPECT_DOUBLE_EQ(res.minimum_area[0], 100.0);
   EXPECT_DOUBLE_EQ(res.minimum_area[1], 100.0);
 }
@@ -162,7 +165,8 @@ TEST(TargetArea, DisconnectedGlueSpreadProportionally) {
   const HierTree ht(fx.d);
   const CellAdjacency adj(fx.d);
   const std::vector<HtNodeId> hcb = {ht.node_of_hier(fx.ha), ht.node_of_hier(fx.hb)};
-  const TargetAreaResult res = assign_target_areas(fx.d, adj, ht, ht.root(), hcb);
+  TargetAreaScratch scratch(fx.d.cell_count());
+  const TargetAreaResult res = assign_target_areas(fx.d, adj, ht, ht.root(), hcb, scratch);
   // The reachable glue (3 + 5 + 7) is claimed as before; the 11 um^2
   // orphan is spread over the blocks by their equal am, half each.
   EXPECT_DOUBLE_EQ(res.target_area[0] - res.minimum_area[0], 3.0 + 5.0 + 5.5);
@@ -179,7 +183,8 @@ TEST(TargetArea, BlockCellsNotCountedAsGlue) {
   const HierTree ht(fx.d);
   const CellAdjacency adj(fx.d);
   const std::vector<HtNodeId> hcb = {ht.node_of_hier(fx.ha), ht.node_of_hier(fx.hb)};
-  const TargetAreaResult res = assign_target_areas(fx.d, adj, ht, ht.root(), hcb);
+  TargetAreaScratch scratch(fx.d.cell_count());
+  const TargetAreaResult res = assign_target_areas(fx.d, adj, ht, ht.root(), hcb, scratch);
   // inner's area is inside am of block 0, not double counted: block 0
   // claims only the glue ga1 + ga2.
   EXPECT_DOUBLE_EQ(res.minimum_area[0], 102.0);
@@ -197,8 +202,9 @@ TEST(TargetArea, ScopeExcludesOutsideCells) {
   const CellAdjacency adj(fx.d);
   const std::vector<HtNodeId> hcb = {ht.node_of_hier(fx.ha)};
   // Scope = subtree of A's parent-level node "A" itself: only block A.
+  TargetAreaScratch scratch(fx.d.cell_count());
   const TargetAreaResult res =
-      assign_target_areas(fx.d, adj, ht, ht.node_of_hier(fx.ha), hcb);
+      assign_target_areas(fx.d, adj, ht, ht.node_of_hier(fx.ha), hcb, scratch);
   // far_cell is a neighbor of macro A but outside scope: never claimed.
   ASSERT_EQ(res.target_area.size(), 1u);
   EXPECT_DOUBLE_EQ(res.target_area[0], res.minimum_area[0]);
@@ -250,8 +256,10 @@ TEST(TargetArea, PlanCarriesFreshAreas) {
       continue;
     }
     ++levels;
-    const TargetAreaResult fresh = assign_target_areas(
-        design, context.adjacency, context.ht, static_cast<HtNodeId>(nh), plan[nh].hcb);
+    TargetAreaScratch scratch(design.cell_count());
+    const TargetAreaResult fresh = assign_target_areas(design, context.adjacency, context.ht,
+                                                       static_cast<HtNodeId>(nh),
+                                                       plan[nh].hcb, scratch);
     const std::string what = "level " + std::to_string(nh);
     expect_bitwise_equal(plan[nh].minimum_area, fresh.minimum_area, what);
     expect_bitwise_equal(plan[nh].target_area, fresh.target_area, what);

@@ -10,6 +10,7 @@
 #include "force_pool_lanes.hpp"
 #include "gen/suite.hpp"
 #include "runtime/thread_pool.hpp"
+#include "util/error.hpp"
 #include "util/log.hpp"
 
 namespace hidap {
@@ -186,12 +187,23 @@ TEST_F(HidapFlowTest, ShapeCurvesThreadCountIdentity) {
   EXPECT_GT(nonempty, 0u);
 }
 
+// `run` throws a HidapError coded InvalidRequest.
+template <typename Run>
+void expect_invalid_request(Run&& run) {
+  try {
+    run();
+    ADD_FAILURE() << "no HidapError thrown";
+  } catch (const HidapError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::InvalidRequest) << e.what();
+  }
+}
+
 TEST(HidapFlowErrors, NoMacrosRejected) {
   Design d("empty");
   d.add_cell(d.root(), "c", CellKind::Comb, 1.0);
   d.set_die(Die{10, 10});
   d.freeze();
-  EXPECT_THROW(place_macros(d), std::invalid_argument);
+  expect_invalid_request([&] { place_macros(d); });
 }
 
 TEST(HidapFlowErrors, EmptyDieRejected) {
@@ -199,7 +211,7 @@ TEST(HidapFlowErrors, EmptyDieRejected) {
   const MacroDefId m = d.library().add(MacroLibrary::make_sram("M", 4, 4, 8));
   d.add_cell(d.root(), "mem", CellKind::Macro, 0.0, m);
   d.freeze();
-  EXPECT_THROW(place_macros(d), std::invalid_argument);
+  expect_invalid_request([&] { place_macros(d); });
 }
 
 TEST(HidapFlowSmall, TwoMacroDesignWorks) {

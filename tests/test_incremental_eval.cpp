@@ -25,7 +25,7 @@ struct GeneratedProblem {
   LayoutProblem problem;
   std::vector<BudgetBlock> blocks;
   std::vector<Point> terminals;
-  AffinityMatrix affinity{0};
+  AffinityMatrix affinity{0, 0};
 };
 
 GeneratedProblem make_problem(std::uint64_t seed) {
@@ -51,7 +51,8 @@ GeneratedProblem make_problem(std::uint64_t seed) {
   for (int i = 0; i < t; ++i) {
     g.terminals.push_back({rng.next_double(0, side), rng.next_double(0, side)});
   }
-  g.affinity = AffinityMatrix(static_cast<std::size_t>(n + t));
+  const auto nodes = static_cast<std::size_t>(n + t);
+  g.affinity = AffinityMatrix(nodes, nodes);
   const int edges = rng.next_int(1, n * 2);
   for (int e = 0; e < edges; ++e) {
     const auto i = static_cast<std::size_t>(rng.next_int(0, n + t - 1));

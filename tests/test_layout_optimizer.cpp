@@ -35,7 +35,7 @@ TEST(LayoutOptimizer, HighAffinityPairEndsUpAdjacent) {
   LayoutProblem p;
   p.region = {0, 0, 20, 20};
   for (int i = 0; i < 4; ++i) p.blocks.push_back(soft(100));
-  AffinityMatrix aff(4);
+  AffinityMatrix aff(4, 4);
   aff.set(0, 3, 1.0);
   p.affinity = &aff;
   const LayoutSolution sol = optimize_layout(p, quick_anneal(3));
@@ -59,7 +59,7 @@ TEST(LayoutOptimizer, TerminalAttractsItsBlock) {
   p.region = {0, 0, 10, 10};
   p.blocks = {soft(50), soft(50)};
   p.terminals = {Point{0, 0}};
-  AffinityMatrix aff(3);
+  AffinityMatrix aff(3, 3);
   aff.set(0, 2, 1.0);  // block 0 <-> terminal
   p.affinity = &aff;
   const LayoutSolution sol = optimize_layout(p, quick_anneal(5));
@@ -71,7 +71,7 @@ TEST(LayoutOptimizer, SingleBlockTakesWholeRegion) {
   LayoutProblem p;
   p.region = {2, 3, 8, 6};
   p.blocks = {soft(48)};
-  AffinityMatrix aff(1);
+  AffinityMatrix aff(1, 1);
   p.affinity = &aff;
   const LayoutSolution sol = optimize_layout(p, quick_anneal(1));
   ASSERT_EQ(sol.rects.size(), 1u);
@@ -91,7 +91,7 @@ TEST(LayoutOptimizer, MacroBlocksGetFeasibleRects) {
     b.at = 300;
     p.blocks.push_back(b);
   }
-  AffinityMatrix aff(3);
+  AffinityMatrix aff(3, 3);
   aff.set(0, 1, 0.5);
   aff.set(1, 2, 0.5);
   p.affinity = &aff;
@@ -107,7 +107,7 @@ TEST(LayoutOptimizer, CostMatchesConnectivityHelper) {
   LayoutProblem p;
   p.region = {0, 0, 10, 10};
   p.blocks = {soft(50), soft(50)};
-  AffinityMatrix aff(2);
+  AffinityMatrix aff(2, 2);
   aff.set(0, 1, 2.0);
   p.affinity = &aff;
   const LayoutSolution sol = optimize_layout(p, quick_anneal(11));
@@ -121,7 +121,7 @@ TEST(LayoutOptimizer, DeterministicAcrossRuns) {
   LayoutProblem p;
   p.region = {0, 0, 12, 12};
   for (int i = 0; i < 5; ++i) p.blocks.push_back(soft(20 + 3 * i));
-  AffinityMatrix aff(5);
+  AffinityMatrix aff(5, 5);
   aff.set(0, 4, 1.0);
   aff.set(1, 2, 0.7);
   p.affinity = &aff;
@@ -143,7 +143,7 @@ TEST(LayoutOptimizer, IncrementalAndFullRecomputeAreByteIdentical) {
     p.blocks.push_back(b);
   }
   p.terminals = {Point{0, 0}, Point{40, 30}};
-  AffinityMatrix aff(9);
+  AffinityMatrix aff(9, 9);
   aff.set(0, 6, 1.0);
   aff.set(1, 3, 0.8);
   aff.set(2, 7, 0.4);  // block 2 <-> terminal 0
@@ -188,7 +188,7 @@ TEST(LayoutOptimizer, ExhaustedTinyProblemsMatchTheOracle) {
           p.terminals = {Point{0, rng.next_double(0, 20)}, Point{rng.next_double(0, 60), 60}};
         }
         const std::size_t total = p.blocks.size() + p.terminals.size();
-        AffinityMatrix aff(total);
+        AffinityMatrix aff(total, total);
         if (variant > 0) {
           for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
             for (std::size_t j = i + 1; j < total; ++j) {
@@ -223,7 +223,7 @@ TEST(LayoutOptimizer, ExhaustedTinyProblemsMatchTheOracle) {
 TEST(LayoutOptimizer, EmptyProblem) {
   LayoutProblem p;
   p.region = {0, 0, 4, 4};
-  AffinityMatrix aff(0);
+  AffinityMatrix aff(0, 0);
   p.affinity = &aff;
   const LayoutSolution sol = optimize_layout(p, quick_anneal(1));
   EXPECT_TRUE(sol.rects.empty());

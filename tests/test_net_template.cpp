@@ -1,7 +1,8 @@
 // Net-template differential tests: total_hpwl and estimate_congestion
 // walk the per-design net template of CellPlacementModel (each net's
-// distinct sources, one-source nets left out); total_hpwl_per_net and
-// estimate_congestion_per_net walk every pin of every net. Every report
+// distinct sources, one-source nets left out); their test-local oracles
+// total_hpwl_per_net and estimate_congestion_per_net walk every pin of
+// every net. Every report
 // field must be bit-equal, on c1-c8 and on a hand-built design whose nets
 // repeat sources, under placements with unplaced, duplicated and flipped
 // macros, evaluated concurrently through one shared model.
@@ -14,6 +15,7 @@
 #include <iterator>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,96 @@ namespace {
 // Enough lanes that the concurrent evaluations really overlap, even on a
 // single-core host.
 const int kForcedPoolLanes = test_support::force_pool_lanes();
+
+// Calls fn(box) with the box over every pin of each net of at least
+// two pins, in net order.
+template <typename Fn>
+void for_each_pin_box(const PlacedDesign& placed, Fn&& fn) {
+  const Design& design = placed.design();
+  for (std::size_t n = 0; n < design.net_count(); ++n) {
+    const std::span<const NetPin> pins = design.pins(static_cast<NetId>(n));
+    if (pins.size() < 2) continue;
+    BoundingBox box;
+    for (const NetPin& p : pins) box.absorb(placed.pin_position(p));
+    fn(box);
+  }
+}
+
+// Oracle of total_hpwl: the HPWL of every pin of every net.
+WirelengthReport total_hpwl_per_net(const PlacedDesign& placed) {
+  WirelengthReport report;
+  for_each_pin_box(placed, [&](const BoundingBox& box) {
+    ++report.nets;
+    report.total_um += box.half_perimeter();
+  });
+  report.total_m = report.total_um * 1e-6;
+  return report;
+}
+
+// Oracle of estimate_congestion: the same demand model over the boxes
+// of every pin of every net.
+CongestionReport estimate_congestion_per_net(const PlacedDesign& placed,
+                                             const CongestionOptions& options = {}) {
+  const Rect die = placed.die();
+  const int g = options.grid;
+  const double bw = die.w / g, bh = die.h / g;
+  const std::size_t tiles = static_cast<std::size_t>(g) * g;
+  std::vector<double> hdemand(tiles, 0.0), vdemand(tiles, 0.0);
+  std::vector<double> hcap(tiles, bh * options.tracks_per_um);
+  std::vector<double> vcap(tiles, bw * options.tracks_per_um);
+  const auto tile_of = [&](double v, double origin, double size) {
+    return std::clamp(static_cast<int>((v - origin) / size), 0, g - 1);
+  };
+  for (const Rect& macro : placed.macro_blockages()) {
+    for (int y = tile_of(macro.y, die.y, bh); y <= tile_of(macro.ymax(), die.y, bh); ++y) {
+      for (int x = tile_of(macro.x, die.x, bw); x <= tile_of(macro.xmax(), die.x, bw); ++x) {
+        const Rect tile{die.x + x * bw, die.y + y * bh, bw, bh};
+        const double derate =
+            1.0 - options.macro_blockage * (tile.overlap_area(macro) / tile.area());
+        hcap[static_cast<std::size_t>(y) * g + x] *= derate;
+        vcap[static_cast<std::size_t>(y) * g + x] *= derate;
+      }
+    }
+  }
+
+  CongestionReport report;
+  for_each_pin_box(placed, [&](const BoundingBox& box) {
+    const int x0 = tile_of(box.xmin, die.x, bw), x1 = tile_of(box.xmax, die.x, bw);
+    const int y0 = tile_of(box.ymin, die.y, bh), y1 = tile_of(box.ymax, die.y, bh);
+    const int rows = y1 - y0 + 1, cols = x1 - x0 + 1;
+    if (cols > 1) {
+      for (int y = y0; y <= y1; ++y) {
+        for (int x = x0; x < x1; ++x) {
+          hdemand[static_cast<std::size_t>(y) * g + x] += 1.0 / rows;
+          report.total_demand += 1.0 / rows;
+        }
+      }
+    }
+    if (rows > 1) {
+      for (int x = x0; x <= x1; ++x) {
+        for (int y = y0; y < y1; ++y) {
+          vdemand[static_cast<std::size_t>(y) * g + x] += 1.0 / cols;
+          report.total_demand += 1.0 / cols;
+        }
+      }
+    }
+  });
+
+  long edges = 0, overflowed = 0;
+  const auto tally = [&](const std::vector<double>& demand, const std::vector<double>& cap) {
+    for (std::size_t i = 0; i < demand.size(); ++i) {
+      if (cap[i] <= 0) continue;
+      ++edges;
+      const double ratio = demand[i] / cap[i];
+      report.worst_overflow = std::max(report.worst_overflow, ratio);
+      if (ratio > 1.0) ++overflowed;
+    }
+  };
+  tally(hdemand, hcap);
+  tally(vdemand, vcap);
+  report.grc_percent = edges > 0 ? 100.0 * overflowed / edges : 0.0;
+  return report;
+}
 
 // Macros packed row by row from the die origin, in the given order.
 PlacementResult row_placement(const Design& d, const std::vector<CellId>& macros) {

@@ -261,7 +261,11 @@ TEST(Hpwl, SingleNetBoundingBox) {
   // Any net's HPWL must be at most the die half-perimeter.
   const double cap = placed.die().w + placed.die().h;
   for (std::size_t i = 0; i < std::min<std::size_t>(fx.d.net_count(), 500); ++i) {
-    EXPECT_LE(net_hpwl(placed, static_cast<NetId>(i)), cap + 1e-6);
+    const std::span<const NetPin> pins = fx.d.pins(static_cast<NetId>(i));
+    if (pins.size() < 2) continue;
+    BoundingBox box;
+    for (const NetPin& p : pins) box.absorb(placed.pin_position(p));
+    EXPECT_LE(box.half_perimeter(), cap + 1e-6);
   }
 }
 
@@ -402,7 +406,7 @@ TEST(PlacementModel, HoistedBlockageCapacityEqualsPerBinMacroScan) {
       for (const CellId m : fx.d.macros()) {
         if (const MacroPlacement* mp = placed.macro_of(m)) blocked += bin.overlap_area(mp->rect);
       }
-      const double expected = std::max(0.0, (bin.area() - blocked) * options.bin_capacity_ratio);
+      const double expected = std::max(0.0, (bin.area() - blocked) * kBinCapacityRatio);
       EXPECT_EQ(capacity[static_cast<std::size_t>(by) * g + bx], expected)
           << "bin " << bx << "," << by;
     }

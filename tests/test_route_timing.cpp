@@ -61,13 +61,12 @@ TEST(Congestion, MacroBlockageMatters) {
 
 TEST(Timing, DerivedPeriodCoversLogicDelay) {
   auto& fx = fixture();
-  TimingOptions opt;
-  const double period = derive_clock_period(fx.d, fx.ctx.seq, opt);
+  const double period = derive_clock_period(fx.d, fx.ctx.seq);
   int max_depth = 0;
   for (const SeqEdge& e : fx.ctx.seq.edges()) {
     max_depth = std::max(max_depth, e.comb_depth);
   }
-  EXPECT_GT(period, opt.clk_to_q_ns + max_depth * opt.gate_delay_ns);
+  EXPECT_GT(period, kClkToQNs + max_depth * kGateDelayNs);
 }
 
 TEST(Timing, ReportConsistent) {

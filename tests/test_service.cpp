@@ -320,6 +320,24 @@ TEST_F(ServiceTest, EmptySpecIsInvalidRequest) {
   EXPECT_EQ(retries.value(), retries_before);
 }
 
+TEST_F(ServiceTest, MacrolessNetlistIsInvalidRequest) {
+  // A netlist that parses but has no macro to place is refused typed,
+  // not reported as an internal failure.
+  CircuitSpec no_macros;
+  no_macros.name = "no_macros";
+  no_macros.target_cells = 400;
+  no_macros.macro_count = 0;
+  std::ostringstream verilog;
+  write_verilog(generate_circuit(no_macros), verilog);
+  PlacementSession session(quick_base());
+  PlacementJobSpec spec;
+  spec.id = "no-macros";
+  spec.verilog_text = verilog.str();
+  const JobOutcome outcome = session.run(spec);
+  EXPECT_EQ(outcome.status, JobStatus::Failed);
+  EXPECT_STREQ(to_string(outcome.error_code), "invalid_request") << outcome.error;
+}
+
 TEST_F(ServiceTest, ConcurrentJobsShareOneSessionAndCache) {
   ASSERT_GE(kForcedPoolLanes, 2);
   PlacementSession session(quick_base());

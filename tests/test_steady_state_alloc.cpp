@@ -7,16 +7,15 @@
 // allocations than the nets it creates, parsing or generating suite c4
 // to a fixed bound far below that, and a spreading pass of the
 // evaluation placer to a fixed handful. A counting global operator new,
-// private to this test binary, observes every allocation.
+// private to this test binary (counting_new.cpp), observes every
+// allocation.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <memory>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,22 +29,8 @@
 #include "place/quadratic_placer.hpp"
 #include "util/rng.hpp"
 
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Counts every global operator new; defined in counting_new.cpp.
+extern std::atomic<std::uint64_t> g_allocations;
 
 namespace hidap {
 namespace {
@@ -100,7 +85,8 @@ TEST(SteadyStateAllocation, LayoutEngineMovesDoNotAllocate) {
       blocks.push_back(b);
     }
     const std::vector<Point> terminals = {{0, 50}, {400, 320}};
-    AffinityMatrix affinity(static_cast<std::size_t>(n) + terminals.size());
+    const std::size_t nodes = static_cast<std::size_t>(n) + terminals.size();
+    AffinityMatrix affinity(nodes, nodes);
     for (std::size_t i = 0; i < affinity.size(); ++i) {
       for (std::size_t j = i + 1; j < affinity.size(); ++j) {
         if (rng.next_bool(0.4)) affinity.set(i, j, rng.next_double(0.05, 1.0));
