@@ -586,7 +586,7 @@ void BM_ObsCounterAdd(benchmark::State& state) {
     counter.add(1);
   }
 }
-BENCHMARK(BM_ObsCounterAdd);
+BENCHMARK(BM_ObsCounterAdd)->Threads(1)->Threads(2)->Threads(4);
 
 void BM_ObsHistogramRecord(benchmark::State& state) {
   obs::Histogram& hist = obs::default_registry().histogram(
@@ -597,7 +597,7 @@ void BM_ObsHistogramRecord(benchmark::State& state) {
     v = v < 20000 ? v * 3 : 0.5;
   }
 }
-BENCHMARK(BM_ObsHistogramRecord);
+BENCHMARK(BM_ObsHistogramRecord)->Threads(1)->Threads(2)->Threads(4);
 
 // --- fail-point overhead kernel (ISSUE 9 gate: a disarmed site must
 // cost one relaxed load + branch, same bar as BM_ObsSpanDisabled --

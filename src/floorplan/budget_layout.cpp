@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <optional>
 
 namespace hidap {
 
@@ -11,23 +12,6 @@ namespace {
 // Pruning cap for composed subtree curves.
 constexpr std::size_t kCurvePoints = 24;
 
-// Index of the first minimum-area point, as std::min_element keeps the
-// first of equal minima.
-std::uint32_t first_min_area_point(const ShapeCurve& gamma) {
-  const std::vector<Shape>& pts = gamma.points();
-  if (pts.empty()) return 0;
-  std::uint32_t best = 0;
-  double best_area = pts[0].w * pts[0].h;
-  for (std::size_t i = 1; i < pts.size(); ++i) {
-    const double area = pts[i].w * pts[i].h;
-    if (area < best_area) {
-      best = static_cast<std::uint32_t>(i);
-      best_area = area;
-    }
-  }
-  return best;
-}
-
 }  // namespace
 
 BudgetNodeInfo budget_leaf_info(const BudgetBlock& block) {
@@ -35,7 +19,7 @@ BudgetNodeInfo budget_leaf_info(const BudgetBlock& block) {
   info.gamma = block.gamma;
   info.am = block.am;
   info.at = block.at;
-  info.min_area_point = first_min_area_point(info.gamma);
+  info.min_area_point = static_cast<std::uint32_t>(info.gamma.min_area_index());
   return info;
 }
 
@@ -53,7 +37,7 @@ void budget_compose_info(int op, const BudgetNodeInfo& l, const BudgetNodeInfo& 
     ShapeCurve::compose_vertical(l.gamma, r.gamma, out.gamma);
   }
   out.gamma.prune(kCurvePoints);
-  out.min_area_point = first_min_area_point(out.gamma);
+  out.min_area_point = static_cast<std::uint32_t>(out.gamma.min_area_index());
 }
 
 std::size_t budget_compose_capacity(std::size_t child_points) {
@@ -65,44 +49,15 @@ namespace {
 // Minimal extent a subtree needs along the split axis, given the fixed
 // extent of the other axis; 0 when the subtree has no macros. When the
 // curve cannot fit the cross extent at all, the cheapest (min-area)
-// point defines the demand. Replicates ShapeCurve::min_width_for_height
-// / min_height_for_width / min_area_shape bit for bit (same partition
-// boundaries, same eps, first minimum wins -- cached per info).
+// point defines the demand; the overflow is charged as macro deficit at
+// the leaves.
 double min_extent(const BudgetNodeInfo& info, double cross, bool along_width) {
-  const std::vector<Shape>& pts = info.gamma.points();
-  const std::size_t n = pts.size();
-  if (n == 0) return 0.0;
-  const double limit = cross + 1e-9;
-  if (along_width) {
-    // Fitting points (h <= limit) are a suffix; the first of them has the
-    // smallest width.
-    std::size_t lo = 0, hi = n;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (pts[mid].h > limit) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (lo < n) return pts[lo].w;
-  } else {
-    // Fitting points (w <= limit) are a prefix; the last of them has the
-    // smallest height.
-    std::size_t lo = 0, hi = n;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (pts[mid].w <= limit) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (lo > 0) return pts[lo - 1].h;
-  }
-  // No point fits the cross extent: the cheapest (min-area) point defines
-  // the demand; the overflow is charged as macro deficit at the leaves.
-  const Shape& cheapest = pts[info.min_area_point];
+  const ShapeCurve& gamma = info.gamma;
+  if (gamma.empty()) return 0.0;
+  const std::optional<double> fit = along_width ? gamma.min_width_for_height(cross)
+                                                : gamma.min_height_for_width(cross);
+  if (fit) return *fit;
+  const Shape& cheapest = gamma.points()[info.min_area_point];
   return along_width ? cheapest.w : cheapest.h;
 }
 

@@ -174,49 +174,17 @@ bool ShapeCurve::fits(double w, double h, double eps) const {
   return (it - 1)->h <= h + eps;
 }
 
-std::optional<Shape> ShapeCurve::min_area_shape() const {
-  if (points_.empty()) return std::nullopt;
-  const auto it =
-      std::min_element(points_.begin(), points_.end(),
-                       [](const Shape& a, const Shape& b) { return a.area() < b.area(); });
-  return *it;
-}
-
-std::optional<double> ShapeCurve::min_width_for_height(double h, double eps) const {
-  // Increasing w, decreasing h: the fitting points are a suffix; return
-  // the first of them (smallest width).
-  const auto it = std::partition_point(
-      points_.begin(), points_.end(),
-      [limit = h + eps](const Shape& s) { return s.h > limit; });
-  if (it == points_.end()) return std::nullopt;
-  return it->w;
-}
-
-std::optional<double> ShapeCurve::min_height_for_width(double w, double eps) const {
-  // The fitting points are a prefix; the last of them has the smallest
-  // height.
-  const auto it = std::partition_point(
-      points_.begin(), points_.end(),
-      [limit = w + eps](const Shape& s) { return s.w <= limit; });
-  if (it == points_.begin()) return std::nullopt;
-  return (it - 1)->h;
-}
-
-std::optional<Shape> ShapeCurve::best_fit(double w, double h, double eps) const {
-  // The width-fitting points are a prefix and, within it, the
-  // height-fitting points a suffix; binary-search both boundaries and
-  // min-area scan only the fitting range (first minimum wins ties, as
-  // the full scan did).
-  const auto w_end = std::partition_point(
-      points_.begin(), points_.end(),
-      [limit = w + eps](const Shape& s) { return s.w <= limit; });
-  const auto h_begin = std::partition_point(
-      points_.begin(), w_end, [limit = h + eps](const Shape& s) { return s.h > limit; });
-  std::optional<Shape> best;
-  for (auto it = h_begin; it != w_end; ++it) {
-    if (!best || it->area() < best->area()) best = *it;
+std::size_t ShapeCurve::min_area_index() const {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < points_.size(); ++i) {
+    if (points_[i].area() < points_[best].area()) best = i;
   }
   return best;
+}
+
+std::optional<Shape> ShapeCurve::min_area_shape() const {
+  if (points_.empty()) return std::nullopt;
+  return points_[min_area_index()];
 }
 
 void ShapeCurve::prune(std::size_t max_points) {

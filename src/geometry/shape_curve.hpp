@@ -13,6 +13,8 @@
 // floorplanner (shape curve generation, paper sect. IV-A) and by the
 // top-down budget layout's legality checks (sect. IV-E).
 
+#include <algorithm>
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -72,19 +74,40 @@ class ShapeCurve {
   /// True when some curve point fits inside a w x h box.
   bool fits(double w, double h, double eps = 1e-9) const;
 
+  /// Index of the smallest-area point (the first of equal minima); 0 for
+  /// an empty curve.
+  std::size_t min_area_index() const;
+
   /// The smallest-area point of the curve.
   std::optional<Shape> min_area_shape() const;
+
+  // The two extent queries sit on the budget layout's per-move split, so
+  // they are defined here, inline. Points are sorted by increasing w and
+  // decreasing h, so each is one binary search.
 
   /// Smallest width whose curve point has height <= h (i.e. minimum
   /// horizontal extent needed when the available height is h).
   /// Returns nullopt when no point fits in that height.
-  std::optional<double> min_width_for_height(double h, double eps = 1e-9) const;
+  std::optional<double> min_width_for_height(double h, double eps = 1e-9) const {
+    // The fitting points are a suffix; the first of them has the
+    // smallest width.
+    const auto it = std::partition_point(
+        points_.begin(), points_.end(),
+        [limit = h + eps](const Shape& s) { return s.h > limit; });
+    if (it == points_.end()) return std::nullopt;
+    return it->w;
+  }
 
   /// Symmetric query: smallest height for a given available width.
-  std::optional<double> min_height_for_width(double w, double eps = 1e-9) const;
-
-  /// Best (smallest-area) point that fits in a w x h box, if any.
-  std::optional<Shape> best_fit(double w, double h, double eps = 1e-9) const;
+  std::optional<double> min_height_for_width(double w, double eps = 1e-9) const {
+    // The fitting points are a prefix; the last of them has the smallest
+    // height.
+    const auto it = std::partition_point(
+        points_.begin(), points_.end(),
+        [limit = w + eps](const Shape& s) { return s.w <= limit; });
+    if (it == points_.begin()) return std::nullopt;
+    return (it - 1)->h;
+  }
 
   /// Caps the number of Pareto points, keeping an area-spread subset
   /// (point i*(n-1)/(max_points-1) for i < max_points). Compacts in place.

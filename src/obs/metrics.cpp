@@ -5,23 +5,10 @@
 
 namespace hidap::obs {
 
-std::size_t shard_index() {
-  // Round-robin by thread creation order: with <= kShards live threads
-  // (the common case -- pool lanes are bounded by core count) every
-  // writer owns a private cacheline.
-  static std::atomic<std::size_t> next{0};
-  static thread_local const std::size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed) & (kShards - 1);
-  return slot;
-}
-
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   std::sort(bounds_.begin(), bounds_.end());
   bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  shards_ = std::vector<Shard>(kShards);
-  for (Shard& s : shards_) {
-    s.buckets = std::vector<std::atomic<std::uint64_t>>(bounds_.size() + 1);
-  }
+  buckets_ = std::vector<std::atomic<std::uint64_t>>(bounds_.size() + 1);
 }
 
 void Histogram::record(double value) {
@@ -29,111 +16,68 @@ void Histogram::record(double value) {
   // is the overflow. lower_bound over a handful of doubles.
   const std::size_t bucket = static_cast<std::size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), value) - bounds_.begin());
-  Shard& shard = shards_[shard_index()];
-  shard.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  double sum = shard.sum.load(std::memory_order_relaxed);
-  while (!shard.sum.compare_exchange_weak(sum, sum + value, std::memory_order_relaxed)) {
-  }
+  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(value, std::memory_order_relaxed);
 }
 
 HistogramSnapshot Histogram::read() const {
   HistogramSnapshot snap;
   snap.bounds = bounds_;
-  snap.counts.assign(bounds_.size() + 1, 0);
-  for (const Shard& shard : shards_) {
-    for (std::size_t b = 0; b < snap.counts.size(); ++b) {
-      snap.counts[b] += shard.buckets[b].load(std::memory_order_relaxed);
-    }
-    snap.sum += shard.sum.load(std::memory_order_relaxed);
+  snap.counts.reserve(buckets_.size());
+  for (const std::atomic<std::uint64_t>& b : buckets_) {
+    snap.counts.push_back(b.load(std::memory_order_relaxed));
+    snap.count += snap.counts.back();
   }
-  for (const std::uint64_t c : snap.counts) snap.count += c;
+  snap.sum = sum_.load(std::memory_order_relaxed);
   return snap;
 }
 
 void Histogram::reset() {
-  for (Shard& shard : shards_) {
-    for (std::atomic<std::uint64_t>& b : shard.buckets) {
-      b.store(0, std::memory_order_relaxed);
-    }
-    shard.sum.store(0.0, std::memory_order_relaxed);
-  }
+  for (std::atomic<std::uint64_t>& b : buckets_) b.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = counters_.find(name);
-  if (it != counters_.end()) return *it->second;
-  return *counters_.emplace(std::string(name), std::make_unique<Counter>())
-              .first->second;
+  if (it != counters_.end()) return it->second;
+  return counters_.try_emplace(std::string(name)).first->second;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = gauges_.find(name);
-  if (it != gauges_.end()) return *it->second;
-  return *gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first->second;
+  if (it != gauges_.end()) return it->second;
+  return gauges_.try_emplace(std::string(name)).first->second;
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       const std::vector<double>& bounds) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return *it->second;
-  return *histograms_.emplace(std::string(name), std::make_unique<Histogram>(bounds))
-              .first->second;
-}
-
-std::vector<MetricsRegistry::Sample> MetricsRegistry::snapshot() const {
-  std::vector<Sample> out;
-  std::lock_guard<std::mutex> lock(mutex_);
-  out.reserve(counters_.size() + gauges_.size() + histograms_.size());
-  for (const auto& [name, c] : counters_) {
-    Sample s;
-    s.name = name;
-    s.kind = Sample::Kind::Counter;
-    s.counter = c->value();
-    out.push_back(std::move(s));
-  }
-  for (const auto& [name, g] : gauges_) {
-    Sample s;
-    s.name = name;
-    s.kind = Sample::Kind::Gauge;
-    s.gauge = g->value();
-    out.push_back(std::move(s));
-  }
-  for (const auto& [name, h] : histograms_) {
-    Sample s;
-    s.name = name;
-    s.kind = Sample::Kind::Histogram;
-    s.hist = h->read();
-    out.push_back(std::move(s));
-  }
-  return out;
+  if (it != histograms_.end()) return it->second;
+  return histograms_.try_emplace(std::string(name), bounds).first->second;
 }
 
 std::vector<std::pair<std::string, double>> MetricsRegistry::flat_values() const {
   std::vector<std::pair<std::string, double>> out;
-  for (const Sample& s : snapshot()) {
-    switch (s.kind) {
-      case Sample::Kind::Counter:
-        out.emplace_back(s.name, static_cast<double>(s.counter));
-        break;
-      case Sample::Kind::Gauge:
-        out.emplace_back(s.name, static_cast<double>(s.gauge));
-        break;
-      case Sample::Kind::Histogram: {
-        out.emplace_back(s.name + ".count", static_cast<double>(s.hist.count));
-        out.emplace_back(s.name + ".sum", s.hist.sum);
-        for (std::size_t b = 0; b < s.hist.bounds.size(); ++b) {
-          char key[64];
-          std::snprintf(key, sizeof(key), ".le_%g", s.hist.bounds[b]);
-          out.emplace_back(s.name + key, static_cast<double>(s.hist.counts[b]));
-        }
-        out.emplace_back(s.name + ".overflow",
-                         static_cast<double>(s.hist.counts.back()));
-        break;
-      }
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [name, c] : counters_) {
+    out.emplace_back(name, static_cast<double>(c.value()));
+  }
+  for (const auto& [name, g] : gauges_) {
+    out.emplace_back(name, static_cast<double>(g.value()));
+  }
+  for (const auto& [name, h] : histograms_) {
+    const HistogramSnapshot snap = h.read();
+    out.emplace_back(name + ".count", static_cast<double>(snap.count));
+    out.emplace_back(name + ".sum", snap.sum);
+    for (std::size_t b = 0; b < snap.bounds.size(); ++b) {
+      char key[64];
+      std::snprintf(key, sizeof(key), ".le_%g", snap.bounds[b]);
+      out.emplace_back(name + key, static_cast<double>(snap.counts[b]));
     }
+    out.emplace_back(name + ".overflow", static_cast<double>(snap.counts.back()));
   }
   return out;
 }
@@ -160,9 +104,9 @@ std::string MetricsRegistry::to_json() const {
 
 void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
+  for (auto& [name, c] : counters_) c.reset();
+  for (auto& [name, g] : gauges_) g.reset();
+  for (auto& [name, h] : histograms_) h.reset();
 }
 
 MetricsRegistry& default_registry() {

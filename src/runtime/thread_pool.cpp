@@ -27,7 +27,7 @@ std::int64_t pool_now_us() {
 // Tracing-only queue instrumentation (enqueue checks tracing_enabled()
 // once): dispatch-to-start wait, task run time, and live queue depth.
 // Metric handles are created once; the wrapped closure only does two
-// clock reads and three sharded counter bumps around the task.
+// clock reads, one gauge write and two histogram records around the task.
 std::function<void()> instrument_pool_task(std::function<void()> task) {
   static obs::Histogram& queue_wait = obs::default_registry().histogram(
       "pool.queue_wait_us", {10, 100, 1000, 10000, 100000, 1000000});

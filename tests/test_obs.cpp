@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -31,8 +33,8 @@
 namespace hidap {
 namespace {
 
-// 8-lane pool (or HIDAP_THREADS) so the sharded cells see genuinely
-// concurrent writers; see force_pool_lanes.hpp.
+// 8-lane pool (or HIDAP_THREADS) so every metric's one atomic sees
+// genuinely concurrent writers; see force_pool_lanes.hpp.
 const int kForcedPoolLanes = test_support::force_pool_lanes();
 
 struct TracingOff {
@@ -132,6 +134,42 @@ TEST(ObsMetrics, ToJsonIsOneFlatParseableObject) {
   ASSERT_TRUE(parse_json_object(registry.to_json(), parsed, error)) << error;
   EXPECT_EQ(json_number(parsed, "sa.runs"), 2.0);
   EXPECT_EQ(json_number(parsed, "pool.queue_depth"), 3.0);
+}
+
+// A counter is one atomic, not a padded array of per-thread cells.
+static_assert(sizeof(obs::Counter) == sizeof(std::atomic<std::uint64_t>));
+
+// The export order and key spelling that --metrics-json and the serve
+// "metrics" event carry: counters, then gauges, then histograms, each
+// group name-sorted; histograms exploded with %g bounds, values printed
+// at %.17g. Registration order is scrambled on purpose.
+TEST(ObsMetrics, ExportOrderAndSpellingArePinned) {
+  TracingOff guard;
+  obs::MetricsRegistry registry;
+  registry.histogram("pool.wait_us", {1000000, 0.5, 10}).record(0.1);
+  registry.counter("sa.runs").add(3);
+  registry.gauge("pool.depth").add(-2);
+  registry.histogram("a.hist", {2.5}).record(7);
+  registry.counter("a.count").add(1);
+  registry.histogram("pool.wait_us", {1}).record(0.2);  // first bounds win
+  registry.gauge("z.level").add(4);
+  registry.counter("m.zero");
+  std::vector<std::string> names;
+  for (const auto& [name, value] : registry.flat_values()) names.push_back(name);
+  const std::vector<std::string> expected = {
+      "a.count", "m.zero", "sa.runs",  // counters
+      "pool.depth", "z.level",         // gauges
+      "a.hist.count", "a.hist.sum", "a.hist.le_2.5", "a.hist.overflow",
+      "pool.wait_us.count", "pool.wait_us.sum", "pool.wait_us.le_0.5",
+      "pool.wait_us.le_10", "pool.wait_us.le_1e+06", "pool.wait_us.overflow"};
+  EXPECT_EQ(names, expected);
+  EXPECT_EQ(registry.to_json(),
+            "{\"a.count\":1,\"m.zero\":0,\"sa.runs\":3,\"pool.depth\":-2,"
+            "\"z.level\":4,\"a.hist.count\":1,\"a.hist.sum\":7,"
+            "\"a.hist.le_2.5\":0,\"a.hist.overflow\":1,"
+            "\"pool.wait_us.count\":2,\"pool.wait_us.sum\":0.30000000000000004,"
+            "\"pool.wait_us.le_0.5\":2,\"pool.wait_us.le_10\":0,"
+            "\"pool.wait_us.le_1e+06\":0,\"pool.wait_us.overflow\":0}");
 }
 
 TEST(ObsTrace, SpanIsInertWhenDisabled) {

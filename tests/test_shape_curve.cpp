@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "geometry/shape_curve.hpp"
@@ -138,17 +137,6 @@ TEST(ShapeCurve, MinHeightForWidth) {
   EXPECT_EQ(c.min_height_for_width(5).value(), 4.0);
   EXPECT_EQ(c.min_height_for_width(100).value(), 2.0);
   EXPECT_FALSE(c.min_height_for_width(1).has_value());
-}
-
-TEST(ShapeCurve, BestFitPicksSmallestArea) {
-  ShapeCurve c;
-  c.add({2, 6});   // area 12
-  c.add({4, 4});   // area 16
-  c.add({6, 2});   // area 12
-  const auto best = c.best_fit(6, 6);
-  ASSERT_TRUE(best.has_value());
-  EXPECT_DOUBLE_EQ(best->area(), 12.0);
-  EXPECT_FALSE(c.best_fit(1, 1).has_value());
 }
 
 TEST(ShapeCurve, SoftAreaCurveCoversAspects) {
@@ -341,26 +329,6 @@ TEST(ShapeCurveDifferential, InPlacePruneMatchesCopyingOracle) {
     const ShapeCurve oracle = prune_copying(c, cap);
     c.prune(cap);
     ASSERT_TRUE(curves_bit_equal(c, oracle)) << "trial " << trial << " cap " << cap;
-  }
-}
-
-TEST(ShapeCurveDifferential, BestFitMatchesLinearScanOracle) {
-  Rng rng(0xbe57f17);
-  for (int trial = 0; trial < 2000; ++trial) {
-    const ShapeCurve c = random_curve(rng);
-    const double w = rng.next_double(0.5, 60);
-    const double h = rng.next_double(0.5, 60);
-    // The original full linear scan, verbatim.
-    std::optional<Shape> oracle;
-    for (const Shape& s : c.points()) {
-      if (s.w > w + 1e-9) break;
-      if (s.h <= h + 1e-9 && (!oracle || s.area() < oracle->area())) oracle = s;
-    }
-    const auto got = c.best_fit(w, h);
-    ASSERT_EQ(got.has_value(), oracle.has_value()) << "trial " << trial;
-    if (got) {
-      ASSERT_EQ(*got, *oracle) << "trial " << trial;
-    }
   }
 }
 
