@@ -1,5 +1,5 @@
 // Google-benchmark kernel timings for the library's hot paths: Verilog
-// parsing and writing, array clustering, shape curve composition, budget layout,
+// parsing and writing, circuit generation, array clustering, shape curve composition, budget layout,
 // Polish-expression moves, Gseq extraction, multi-source BFS
 // (target-area assignment), affinity inference, full per-level layout
 // annealing, one node's shape-curve packing, macro flipping, the
@@ -86,17 +86,40 @@ void BM_ParseVerilog(benchmark::State& state) {
 BENCHMARK(BM_ParseVerilog)->Unit(benchmark::kMillisecond);
 
 // The netlist write of the same design, bytes/s over the text it writes.
+// The argument is the lanes of the pool the writer formats on.
 void BM_WriteVerilog(benchmark::State& state) {
   const Design& design = c4_design();
+  ThreadPool pool(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     std::ostringstream out;
-    write_verilog(design, out);
+    write_verilog(design, out, pool);
     benchmark::DoNotOptimize(out);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(c4_verilog().size()));
 }
-BENCHMARK(BM_WriteVerilog)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WriteVerilog)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// Circuit generation on a pool of `lanes` lanes: suite c4 at scale 0.002
+// (the benchmark workloads' size, no filler) and c1 at 0.1 (mostly
+// filler modules, one zone each). Reports cells/s of wall time.
+void BM_GenerateCircuit(benchmark::State& state, const char* circuit, double scale) {
+  const CircuitSpec spec = suite_circuit(circuit, scale).spec;
+  ThreadPool pool(static_cast<int>(state.range(0)));
+  std::size_t cells = 0;
+  for (auto _ : state) {
+    const Design design = generate_circuit(spec, pool);
+    cells = design.cell_count();
+    benchmark::DoNotOptimize(cells);
+  }
+  state.counters["cells_per_s"] = benchmark::Counter(
+      static_cast<double>(cells) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_GenerateCircuit, c4_0_002, "c4", 0.002)
+    ->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GenerateCircuit, c1_0_1, "c1", 0.1)
+    ->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // Array clustering (Gseq step 2) of c4: generated names ("q[3]") group
 // into arrays; names read back from Verilog are sanitized ("q_3_") and

@@ -1,10 +1,18 @@
 #include "gen/circuit_gen.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <charconv>
 #include <cmath>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
@@ -12,66 +20,348 @@ namespace hidap {
 
 namespace {
 
-// Builder helpers carrying the design under construction.
+// Consecutive ids first .. first + count - 1. Every array the builder
+// makes creates its cells, and the nets they drive, one after another,
+// so a bus is a range and costs no allocation.
+struct IdRange {
+  std::int32_t first = 0;
+  std::int32_t count = 0;
+  std::size_t size() const { return static_cast<std::size_t>(count); }
+  std::int32_t operator[](std::size_t i) const { return first + static_cast<std::int32_t>(i); }
+};
+
+// The first `n` ids of `r`.
+IdRange head(IdRange r, std::int32_t n) { return {r.first, std::min(r.count, n)}; }
+
+// A name piece built on the stack.
+class Text {
+ public:
+  Text& operator<<(std::string_view s) {
+    assert(size_ + s.size() <= kCapacity);
+    size_ += s.copy(buf_ + size_, s.size());
+    return *this;
+  }
+  Text& operator<<(long v) {
+    const auto [end, ec] = std::to_chars(buf_ + size_, buf_ + kCapacity, v);
+    assert(ec == std::errc());
+    size_ = static_cast<std::size_t>(end - buf_);
+    return *this;
+  }
+  operator std::string_view() const { return {buf_, size_}; }
+
+ private:
+  static constexpr std::size_t kCapacity = 128;  // names here stay far shorter
+  char buf_[kCapacity];
+  std::size_t size_ = 0;
+};
+
+std::size_t decimal_digits(long v) {
+  std::size_t n = 1;
+  for (; v >= 10; v /= 10) ++n;
+  return n;
+}
+
+// A generated name: `prefix`, the decimal `number` when it is not
+// negative, then `suffix` ("in_bus[" 3 "]", "dp_c2_" 17). The dry pass
+// only needs its size.
+struct GenName {
+  std::string_view prefix;
+  long number = -1;
+  std::string_view suffix;
+
+  std::size_t size() const {
+    return prefix.size() + (number < 0 ? 0 : decimal_digits(number)) + suffix.size();
+  }
+  std::string_view format(Text& out) const {
+    out << prefix;
+    if (number >= 0) out << number;
+    return out << suffix;
+  }
+};
+
+// Where each SRAM pin group sits on one macro def, looked up once.
+struct SramPins {
+  struct Offset {
+    float x = 0.0f, y = 0.0f;
+  };
+  Offset d[4], q[4], addr;
+};
+
+// One zone of the build: a piece whose ids, sinks and name bytes are one
+// contiguous range of every store. The dry pass records where the zone
+// begins and the random state it begins with; the fill pass replays it
+// from there, so zones fill concurrently and land where one sequential
+// build would put them.
+struct Zone {
+  enum class Kind { Ports, Subsystem, Outputs, Control, Filler };
+  Kind kind = Kind::Ports;
+  long index = 0;     ///< Subsystem: its index; Filler: the glue module's index
+  int macros = 0;     ///< Subsystem: macro budget
+  long cells = 0;     ///< Filler: module cells
+  HierId parent = 0;  ///< Filler: the glue module's parent
+  IdRange bus;        ///< Subsystem and Outputs: the incoming bus; Control: cfg nets
+  IdRange pads;       ///< Outputs: the output pads
+
+  DesignSize start;
+  HierId first_hier = 0;
+  Rng rng;
+};
+
+// What a zone hands the next zones (dry pass only).
+struct ZoneOut {
+  IdRange bus;                            ///< Ports: input nets; Subsystem: output bus
+  IdRange cfg, in_pads, out_pads, cfg_pads;  ///< Ports only
+};
+
+// The dry pass: builds the hierarchy (a few hundred nodes), makes every
+// random draw and counts the cells, nets, sinks and name bytes the fill
+// pass will write, without storing any of them.
+class CountPass {
+ public:
+  CountPass(Design& design, std::uint64_t seed) : design_(design), rng_(seed) {}
+
+  Rng& rng() { return rng_; }
+  const DesignSize& at() const { return at_; }
+  long std_cells() const { return std_cells_; }
+
+  HierId add_hier(HierId parent, const GenName& name) {
+    Text text;
+    return design_.add_hier(parent, std::string(name.format(text)));
+  }
+  CellId add_cell(HierId, const GenName& name, CellKind kind, double,
+                  MacroDefId = kNoMacroDef) {
+    at_.cell_name_bytes += name.size();
+    std_cells_ += kind == CellKind::Flop || kind == CellKind::Comb;
+    return static_cast<CellId>(at_.cells++);
+  }
+  NetId add_net(std::string_view name) {
+    at_.net_name_bytes += name.size();
+    return static_cast<NetId>(at_.nets++);
+  }
+  void set_driver(NetId, CellId, float = 0.0f, float = 0.0f) {}
+  void add_sink(NetId, CellId, float = 0.0f, float = 0.0f) { ++at_.pins; }
+
+ private:
+  Design& design_;
+  Rng rng_;
+  DesignSize at_;
+  long std_cells_ = 0;
+};
+
+// The fill pass of one zone: replays its draws from the recorded state
+// and writes into its counted ranges. Its hierarchy nodes exist already.
+class FillPass {
+ public:
+  FillPass(Design& design, const Zone& zone)
+      : cursor_(design, zone.start), rng_(zone.rng), next_hier_(zone.first_hier) {}
+
+  Rng& rng() { return rng_; }
+  const DesignSize& at() const { return cursor_.at(); }
+
+  HierId add_hier(HierId, const GenName&) { return next_hier_++; }
+  CellId add_cell(HierId hier, const GenName& name, CellKind kind, double area,
+                  MacroDefId macro_def = kNoMacroDef) {
+    Text text;
+    return cursor_.add_cell(hier, name.format(text), kind, area, macro_def);
+  }
+  NetId add_net(std::string_view name) { return cursor_.add_net(name); }
+  void set_driver(NetId net, CellId cell, float dx = 0.0f, float dy = 0.0f) {
+    cursor_.set_driver(net, cell, dx, dy);
+  }
+  void add_sink(NetId net, CellId cell, float dx = 0.0f, float dy = 0.0f) {
+    cursor_.add_sink(net, cell, dx, dy);
+  }
+
+ private:
+  DesignCursor cursor_;
+  Rng rng_;
+  HierId next_hier_;
+};
+
+// Bit b of a subsystem's output stage input: read bus b % R, or the
+// stage itself when the subsystem has no banks.
+struct MergedBus {
+  std::span<const IdRange> reads;
+  IdRange stage;
+  std::size_t size() const { return stage.size(); }
+  NetId operator[](std::size_t b) const {
+    if (reads.empty()) return stage[b];
+    const IdRange& src = reads[b % reads.size()];
+    return src[b % src.size()];
+  }
+};
+
+// Counts the design, then fills its zones on the pool.
 class CircuitBuilder {
  public:
-  CircuitBuilder(const CircuitSpec& spec)
-      : spec_(spec), design_(spec.name), rng_(spec.seed) {}
+  CircuitBuilder(const CircuitSpec& spec) : spec_(spec), design_(spec.name) {}
 
-  Design build() {
+  Design build(ThreadPool& pool) {
     make_macro_defs();
-    make_ports();
-    make_subsystems();
-    make_control();
-    add_filler();
-    finalize_die_and_ports();
+    const DesignSize total = count();
+    {
+      obs::Span span("generate_fill", "gen");
+      // A fresh design: the counted positions are the stores' indices.
+      [[maybe_unused]] const DesignSize at = design_.extend(total);
+      assert(at == DesignSize{});
+      pool.parallel_for(zones_.size(), [&](std::size_t i) {
+        FillPass fill(design_, zones_[i]);
+        run_zone(fill, zones_[i]);
+        if (!(fill.at() == (i + 1 < zones_.size() ? zones_[i + 1].start : total))) {
+          throw std::logic_error("generate_circuit: a zone left its counted range");
+        }
+      });
+      finalize_die_and_ports(pool);
+    }
     return std::move(design_);
   }
 
  private:
+  // ------------------------------------------------------------ passes
+
+  /// The dry pass over every zone in build order; returns the totals.
+  DesignSize count() {
+    obs::Span span("generate_count", "gen");
+    CountPass pass(design_, spec_.seed);
+    const ZoneOut ports = count_zone(pass, Zone::Kind::Ports, [](Zone&) {});
+    in_pads_ = ports.in_pads;
+    out_pads_ = ports.out_pads;
+    cfg_pads_ = ports.cfg_pads;
+
+    // Distribute macros over subsystems (remainder spread from ss0).
+    const int s = spec_.subsystems;
+    IdRange bus = ports.bus;
+    for (int i = 0; i < s; ++i) {
+      bus = count_zone(pass, Zone::Kind::Subsystem, [&](Zone& zone) {
+              zone.index = i;
+              zone.macros = spec_.macro_count / s + (i < spec_.macro_count % s);
+              zone.bus = bus;
+            }).bus;
+      ss_hiers_.push_back(zones_.back().first_hier);
+    }
+    // Close the pipeline at the output pads.
+    count_zone(pass, Zone::Kind::Outputs, [&](Zone& zone) {
+      zone.bus = bus;
+      zone.pads = ports.out_pads;
+    });
+    count_zone(pass, Zone::Kind::Control, [&](Zone& zone) { zone.bus = ports.cfg; });
+    const HierId ctrl = zones_.back().first_hier;
+
+    // 40% of the filler goes under ctrl, the rest is spread over the
+    // subsystems, each in a handful of glue modules so declustering sees
+    // realistic small HCG nodes. Each glue module is a zone.
+    const long deficit = static_cast<long>(spec_.target_cells) - pass.std_cells();
+    if (deficit > 0) {
+      const auto fill_under = [&](HierId hier, double share) {
+        long budget = static_cast<long>(deficit * share);
+        for (long module = 0; budget > 0; ++module) {
+          const long cells = std::min<long>(
+              budget, 500 + static_cast<long>(pass.rng().next_below(4000)));
+          count_zone(pass, Zone::Kind::Filler, [&](Zone& zone) {
+            zone.index = module;
+            zone.cells = cells;
+            zone.parent = hier;
+          });
+          budget -= cells;
+        }
+      };
+      fill_under(ctrl, 0.4);
+      for (const HierId ss : ss_hiers_) {
+        fill_under(ss, 0.6 / static_cast<double>(ss_hiers_.size()));
+      }
+    }
+    std_cells_ = pass.std_cells();
+    return pass.at();
+  }
+
+  /// Records a zone of `kind` that `set` gives its inputs, and where it
+  /// begins, then counts it.
+  template <typename Set>
+  ZoneOut count_zone(CountPass& pass, Zone::Kind kind, Set&& set) {
+    Zone zone;
+    zone.kind = kind;
+    set(zone);
+    zone.start = pass.at();
+    zone.first_hier = static_cast<HierId>(design_.hier_count());
+    zone.rng = pass.rng();
+    zones_.push_back(zone);
+    return run_zone(pass, zones_.back());
+  }
+
+  template <typename Pass>
+  ZoneOut run_zone(Pass& p, const Zone& zone) const {
+    switch (zone.kind) {
+      case Zone::Kind::Ports:
+        return make_ports(p);
+      case Zone::Kind::Subsystem: {
+        ZoneOut out;
+        out.bus = make_subsystem(p, static_cast<int>(zone.index), zone.macros, zone.bus);
+        return out;
+      }
+      case Zone::Kind::Outputs:
+        for (std::size_t i = 0; i < zone.pads.size() && i < zone.bus.size(); ++i) {
+          p.add_sink(zone.bus[i], zone.pads[i]);
+        }
+        return {};
+      case Zone::Kind::Control:
+        make_control(p, zone.bus);
+        return {};
+      case Zone::Kind::Filler:
+        make_filler_module(p, p.add_hier(zone.parent, {"glue", zone.index, ""}), zone.cells);
+        return {};
+    }
+    return {};
+  }
+
   // ------------------------------------------------------------ primitives
 
   /// Creates `width` flops named base[i] under `hier`; bit i sinks
-  /// inputs[i] when provided. Returns the nets driven by the flops.
-  std::vector<NetId> reg_array(HierId hier, const std::string& base, int width,
-                               const std::vector<NetId>* inputs) {
-    std::vector<NetId> out(static_cast<std::size_t>(width));
+  /// inputs[i] when there is one. Returns the nets driven by the flops.
+  template <typename Pass>
+  IdRange reg_array(Pass& p, HierId hier, std::string_view base, int width,
+                    IdRange inputs) const {
+    Text cell_prefix, net_name;
+    cell_prefix << base << "[";
+    net_name << base << "_q";
+    IdRange out{0, width};
     for (int i = 0; i < width; ++i) {
-      const CellId flop = design_.add_cell(
-          hier, base + "[" + std::to_string(i) + "]", CellKind::Flop, spec_.avg_cell_area);
-      if (inputs && i < static_cast<int>(inputs->size())) {
-        design_.add_sink((*inputs)[static_cast<std::size_t>(i)], flop);
-      }
-      const NetId q = design_.add_net(base + "_q");
-      design_.set_driver(q, flop);
-      out[static_cast<std::size_t>(i)] = q;
-      ++std_cells_;
+      const CellId flop =
+          p.add_cell(hier, {cell_prefix, i, "]"}, CellKind::Flop, spec_.avg_cell_area);
+      if (i < inputs.count) p.add_sink(inputs[static_cast<std::size_t>(i)], flop);
+      const NetId q = p.add_net(net_name);
+      p.set_driver(q, flop);
+      if (i == 0) out.first = q;
     }
     return out;
   }
 
-  /// Chain of `depth` comb cells per bit, with light cross-bit mixing.
-  std::vector<NetId> comb_cloud(HierId hier, const std::string& base,
-                                const std::vector<NetId>& in, int depth) {
-    std::vector<NetId> cur = in;
-    for (int d = 0; d < depth; ++d) {
-      std::vector<NetId> next(cur.size());
-      for (std::size_t b = 0; b < cur.size(); ++b) {
-        const CellId cell = design_.add_cell(
-            hier, base + "_c" + std::to_string(d) + "_" + std::to_string(b),
-            CellKind::Comb, spec_.avg_cell_area);
-        design_.add_sink(cur[b], cell);
-        if (b % 8 == 3 && b + 1 < cur.size()) {
-          design_.add_sink(cur[b + 1], cell);  // cross-bit mixing
-        }
-        const NetId y = design_.add_net(base + "_y");
-        design_.set_driver(y, cell);
-        next[b] = y;
-        ++std_cells_;
-      }
-      cur = std::move(next);
+  /// One layer of comb cells, one per bit of `in`, with light cross-bit
+  /// mixing; `layer` numbers the cells' names.
+  template <typename Pass, typename Bus>
+  IdRange comb_layer(Pass& p, HierId hier, std::string_view base, std::string_view net_name,
+                     int layer, const Bus& in) const {
+    Text cell_prefix;
+    cell_prefix << base << "_c" << layer << "_";
+    IdRange out{0, static_cast<std::int32_t>(in.size())};
+    for (std::size_t b = 0; b < in.size(); ++b) {
+      const CellId cell = p.add_cell(hier, {cell_prefix, static_cast<long>(b), ""}, CellKind::Comb,
+                                     spec_.avg_cell_area);
+      p.add_sink(in[b], cell);
+      if (b % 8 == 3 && b + 1 < in.size()) p.add_sink(in[b + 1], cell);  // cross-bit mixing
+      const NetId y = p.add_net(net_name);
+      p.set_driver(y, cell);
+      if (b == 0) out.first = y;
     }
-    return cur;
+    return out;
+  }
+
+  /// Chain of `depth` comb cells per bit.
+  template <typename Pass>
+  IdRange comb_cloud(Pass& p, HierId hier, std::string_view base, IdRange in, int depth) const {
+    Text net_name;
+    net_name << base << "_y";
+    for (int d = 0; d < depth; ++d) in = comb_layer(p, hier, base, net_name, d, in);
+    return in;
   }
 
   // ------------------------------------------------------------ macro defs
@@ -84,235 +374,181 @@ class CircuitBuilder {
       MacroDef def = MacroLibrary::make_sram(
           "SRAM_" + std::to_string(c), spec_.macro_w * scale,
           spec_.macro_h * (1.3 - 0.18 * c), spec_.bus_width);
+      const auto offset = [&def](std::string_view pin) {
+        const Point& at = def.pins[static_cast<std::size_t>(def.pin_index(pin))].offset;
+        return SramPins::Offset{static_cast<float>(at.x), static_cast<float>(at.y)};
+      };
+      SramPins pins;
+      for (int g = 0; g < 4; ++g) {
+        pins.d[g] = offset("D" + std::to_string(g));
+        pins.q[g] = offset("Q" + std::to_string(g));
+      }
+      pins.addr = offset("ADDR");
+      sram_pins_.push_back(pins);
       macro_defs_.push_back(design_.library().add(std::move(def)));
     }
   }
 
   // ------------------------------------------------------------ ports
 
-  void make_ports() {
+  template <typename Pass>
+  ZoneOut make_ports(Pass& p) const {
     const int w = spec_.bus_width;
-    in_nets_.resize(static_cast<std::size_t>(w));
+    ZoneOut out;
     for (int i = 0; i < w; ++i) {
-      const CellId pad = design_.add_cell(
-          design_.root(), "in_bus[" + std::to_string(i) + "]", CellKind::PortIn, 0.0);
-      const NetId net = design_.add_net("in_bus_n");
-      design_.set_driver(net, pad);
-      in_nets_[static_cast<std::size_t>(i)] = net;
-      in_pads_.push_back(pad);
+      const CellId pad = p.add_cell(design_.root(), {"in_bus[", i, "]"}, CellKind::PortIn, 0.0);
+      const NetId net = p.add_net("in_bus_n");
+      p.set_driver(net, pad);
+      if (i == 0) out.in_pads.first = pad, out.bus.first = net;
     }
+    out.in_pads.count = out.bus.count = w;
     for (int i = 0; i < w; ++i) {
-      out_pads_.push_back(design_.add_cell(
-          design_.root(), "out_bus[" + std::to_string(i) + "]", CellKind::PortOut, 0.0));
+      const CellId pad = p.add_cell(design_.root(), {"out_bus[", i, "]"}, CellKind::PortOut, 0.0);
+      if (i == 0) out.out_pads.first = pad;
     }
+    out.out_pads.count = w;
     for (int i = 0; i < 8; ++i) {
-      const CellId pad = design_.add_cell(
-          design_.root(), "cfg_in[" + std::to_string(i) + "]", CellKind::PortIn, 0.0);
-      const NetId net = design_.add_net("cfg_in_n");
-      design_.set_driver(net, pad);
-      cfg_nets_.push_back(net);
-      cfg_pads_.push_back(pad);
+      const CellId pad = p.add_cell(design_.root(), {"cfg_in[", i, "]"}, CellKind::PortIn, 0.0);
+      const NetId net = p.add_net("cfg_in_n");
+      p.set_driver(net, pad);
+      if (i == 0) out.cfg_pads.first = pad, out.cfg.first = net;
     }
+    out.cfg_pads.count = out.cfg.count = 8;
+    return out;
   }
 
   // ------------------------------------------------------------ subsystems
 
-  void make_subsystems() {
-    // Distribute macros over subsystems (remainder spread from ss0).
-    const int s = spec_.subsystems;
-    std::vector<int> macros_per_ss(static_cast<std::size_t>(s), spec_.macro_count / s);
-    for (int i = 0; i < spec_.macro_count % s; ++i) ++macros_per_ss[static_cast<std::size_t>(i)];
-
-    std::vector<NetId> bus = in_nets_;
-    for (int i = 0; i < s; ++i) {
-      bus = make_subsystem(i, macros_per_ss[static_cast<std::size_t>(i)], bus);
-    }
-    // Close the pipeline at the output pads.
-    for (std::size_t i = 0; i < out_pads_.size() && i < bus.size(); ++i) {
-      design_.add_sink(bus[i], out_pads_[i]);
-    }
-  }
-
-  std::vector<NetId> make_subsystem(int index, int macro_budget,
-                                    const std::vector<NetId>& input_bus) {
-    const HierId ss = design_.add_hier(design_.root(), "ss" + std::to_string(index));
-    ss_hiers_.push_back(ss);
+  template <typename Pass>
+  IdRange make_subsystem(Pass& p, int index, int macro_budget, IdRange input_bus) const {
+    const HierId ss = p.add_hier(design_.root(), {"ss", index, ""});
     const int w = spec_.bus_width;
 
     // Input stage.
-    std::vector<NetId> stage = comb_cloud(ss, "inmux", input_bus, 1);
-    stage = reg_array(ss, "inbuf_q", w, &stage);
+    IdRange stage = comb_cloud(p, ss, "inmux", input_bus, 1);
+    stage = reg_array(p, ss, "inbuf_q", w, stage);
 
     // Pipeline stages in their own child modules.
-    const int depth = std::max(1, spec_.pipeline_depth + rng_.next_int(-1, 1));
+    const int depth = std::max(1, spec_.pipeline_depth + p.rng().next_int(-1, 1));
     for (int d = 0; d < depth; ++d) {
-      const HierId ps = design_.add_hier(ss, "pipe" + std::to_string(d));
-      std::vector<NetId> cloud = comb_cloud(ps, "dp", stage, spec_.comb_depth);
-      stage = reg_array(ps, "st" + std::to_string(d) + "_q", w, &cloud);
+      const HierId ps = p.add_hier(ss, {"pipe", d, ""});
+      const IdRange cloud = comb_cloud(p, ps, "dp", stage, spec_.comb_depth);
+      Text base;
+      base << "st" << d << "_q";
+      stage = reg_array(p, ps, base, w, cloud);
     }
 
     // Memory banks: up to 8 macros each.
-    std::vector<std::vector<NetId>> read_buses;
+    std::vector<IdRange> read_buses;
     int remaining = macro_budget;
-    int bank_idx = 0;
-    while (remaining > 0) {
-      const int in_bank = std::min(remaining, 4 + rng_.next_int(0, 4));
-      read_buses.push_back(make_bank(ss, bank_idx++, in_bank, stage));
+    for (int bank = 0; remaining > 0; ++bank) {
+      const int in_bank = std::min(remaining, 4 + p.rng().next_int(0, 4));
+      read_buses.push_back(make_bank(p, ss, bank, in_bank, stage));
       remaining -= in_bank;
     }
 
     // Merge the read buses into the output stage (bit-interleaved).
-    std::vector<NetId> merged(static_cast<std::size_t>(w));
-    if (read_buses.empty()) {
-      merged = stage;
-    } else {
-      for (int b = 0; b < w; ++b) {
-        const auto& src = read_buses[static_cast<std::size_t>(b) % read_buses.size()];
-        merged[static_cast<std::size_t>(b)] = src[static_cast<std::size_t>(b) % src.size()];
-      }
-    }
-    std::vector<NetId> out_cloud = comb_cloud(ss, "outmux", merged, 1);
-    return reg_array(ss, "outbuf_q", w, &out_cloud);
+    const IdRange out_cloud =
+        comb_layer(p, ss, "outmux", "outmux_y", 0, MergedBus{read_buses, stage});
+    return reg_array(p, ss, "outbuf_q", w, out_cloud);
   }
 
   /// A bank: several macros fed from `stage`, each with write logic, an
   /// address register and a read register array. Returns the bank's read
   /// bus (one macro's read registers, representative).
-  std::vector<NetId> make_bank(HierId ss, int bank_index, int macro_count,
-                               const std::vector<NetId>& stage) {
-    const HierId bank = design_.add_hier(ss, "bank" + std::to_string(bank_index));
-    std::vector<NetId> read_bus;
+  template <typename Pass>
+  IdRange make_bank(Pass& p, HierId ss, int bank_index, int macro_count, IdRange stage) const {
+    const HierId bank = p.add_hier(ss, {"bank", bank_index, ""});
+    IdRange read_bus;
     for (int m = 0; m < macro_count; ++m) {
-      const MacroDefId def_id =
-          macro_defs_[rng_.next_below(macro_defs_.size())];
-      const MacroDef& def = design_.library().def(def_id);
-      const CellId macro = design_.add_cell(bank, "mem" + std::to_string(m),
-                                            CellKind::Macro, 0.0, def_id);
+      const std::size_t def_index = p.rng().next_below(macro_defs_.size());
+      const SramPins& pins = sram_pins_[def_index];
+      const CellId macro =
+          p.add_cell(bank, {"mem", m, ""}, CellKind::Macro, 0.0, macro_defs_[def_index]);
 
       // Write path: stage -> comb -> D pins (4 pin groups along the left edge).
-      std::vector<NetId> wr =
-          comb_cloud(bank, "wr" + std::to_string(m), stage, 1);
-      for (std::size_t b = 0; b < wr.size(); ++b) {
-        const int group = static_cast<int>(b * 4 / wr.size());
-        const int pin = def.pin_index("D" + std::to_string(group));
-        const MacroPin& mp = def.pins[static_cast<std::size_t>(pin)];
-        design_.add_sink(wr[b], macro, static_cast<float>(mp.offset.x),
-                         static_cast<float>(mp.offset.y));
+      Text wr_base, addr_base, rd_base;
+      wr_base << "wr" << m;
+      const IdRange wr = comb_cloud(p, bank, wr_base, stage, 1);
+      const std::size_t wr_bits = wr.size();
+      for (std::size_t b = 0; b < wr_bits; ++b) {
+        const SramPins::Offset& at = pins.d[b * 4 / wr_bits];
+        p.add_sink(wr[b], macro, at.x, at.y);
       }
       // Address registers (16 bit) from the stage's low bits.
-      std::vector<NetId> addr_in(stage.begin(),
-                                 stage.begin() + std::min<std::size_t>(16, stage.size()));
-      std::vector<NetId> addr =
-          reg_array(bank, "addr" + std::to_string(m) + "_q", 16, &addr_in);
-      {
-        const int pin = def.pin_index("ADDR");
-        const MacroPin& mp = def.pins[static_cast<std::size_t>(pin)];
-        for (const NetId a : addr) {
-          design_.add_sink(a, macro, static_cast<float>(mp.offset.x),
-                           static_cast<float>(mp.offset.y));
-        }
-      }
+      addr_base << "addr" << m << "_q";
+      const IdRange addr = reg_array(p, bank, addr_base, 16, head(stage, 16));
+      for (std::size_t a = 0; a < 16; ++a) p.add_sink(addr[a], macro, pins.addr.x, pins.addr.y);
       // Read path: Q pins -> read registers.
-      std::vector<NetId> q_nets(static_cast<std::size_t>(spec_.bus_width));
-      for (std::size_t b = 0; b < q_nets.size(); ++b) {
-        const int group = static_cast<int>(b * 4 / q_nets.size());
-        const int pin = def.pin_index("Q" + std::to_string(group));
-        const MacroPin& mp = def.pins[static_cast<std::size_t>(pin)];
-        const NetId q = design_.add_net("mem_q");
-        design_.set_driver(q, macro, static_cast<float>(mp.offset.x),
-                           static_cast<float>(mp.offset.y));
-        q_nets[b] = q;
+      const auto q_bits = static_cast<std::size_t>(spec_.bus_width);
+      IdRange q_nets{0, spec_.bus_width};
+      for (std::size_t b = 0; b < q_bits; ++b) {
+        const SramPins::Offset& at = pins.q[b * 4 / q_bits];
+        const NetId q = p.add_net("mem_q");
+        p.set_driver(q, macro, at.x, at.y);
+        if (b == 0) q_nets.first = q;
       }
-      std::vector<NetId> rd =
-          reg_array(bank, "rd" + std::to_string(m) + "_q", spec_.bus_width, &q_nets);
-      if (read_bus.empty()) read_bus = rd;
+      rd_base << "rd" << m << "_q";
+      const IdRange rd = reg_array(p, bank, rd_base, spec_.bus_width, q_nets);
+      if (m == 0) read_bus = rd;
     }
     return read_bus;
   }
 
   // ------------------------------------------------------------ control
 
-  void make_control() {
-    ctrl_hier_ = design_.add_hier(design_.root(), "ctrl");
-    std::vector<NetId> cfg = reg_array(ctrl_hier_, "cfg_q", 8, &cfg_nets_);
+  template <typename Pass>
+  void make_control(Pass& p, IdRange cfg_nets) const {
+    const HierId ctrl = p.add_hier(design_.root(), {"ctrl", -1, ""});
+    const IdRange cfg = reg_array(p, ctrl, "cfg_q", 8, cfg_nets);
     // Narrow command links to every subsystem: ctrl cmd regs -> comb ->
     // subsystem control regs. This is the low-bandwidth flow the affinity
     // metric must rank below the wide datapath.
     for (std::size_t i = 0; i < ss_hiers_.size(); ++i) {
-      const std::string tag = "ss" + std::to_string(i);
-      std::vector<NetId> cmd =
-          reg_array(ctrl_hier_, tag + "_cmd_q", 8, &cfg);
-      std::vector<NetId> link = comb_cloud(ctrl_hier_, tag + "_lnk", cmd, 2);
-      reg_array(ss_hiers_[i], "ctl_q", 8, &link);
+      Text cmd_base, link_base;
+      cmd_base << "ss" << static_cast<long>(i) << "_cmd_q";
+      link_base << "ss" << static_cast<long>(i) << "_lnk";
+      const IdRange cmd = reg_array(p, ctrl, cmd_base, 8, cfg);
+      const IdRange link = comb_cloud(p, ctrl, link_base, cmd, 2);
+      reg_array(p, ss_hiers_[i], "ctl_q", 8, link);
     }
   }
 
   // ------------------------------------------------------------ filler
 
-  void add_filler() {
-    const long target = spec_.target_cells;
-    long deficit = target - std_cells_;
-    if (deficit <= 0) return;
-    // 40% of the filler goes under ctrl, the rest is spread over the
-    // subsystems, each in a handful of glue modules so declustering sees
-    // realistic small HCG nodes.
-    struct Zone {
-      HierId hier;
-      double share;
-    };
-    std::vector<Zone> zones;
-    zones.push_back({ctrl_hier_, 0.4});
-    for (const HierId ss : ss_hiers_) {
-      zones.push_back({ss, 0.6 / static_cast<double>(ss_hiers_.size())});
-    }
-    for (const Zone& zone : zones) {
-      long budget = static_cast<long>(deficit * zone.share);
-      int module_idx = 0;
-      while (budget > 0) {
-        const long module_cells = std::min<long>(
-            budget, 500 + static_cast<long>(rng_.next_below(4000)));
-        const HierId glue = design_.add_hier(
-            zone.hier, "glue" + std::to_string(module_idx++));
-        make_filler_module(glue, module_cells);
-        budget -= module_cells;
-      }
-    }
-  }
-
   /// A filler module: an 8-bit driver register array plus dangling comb
   /// chains hanging off it (kept narrow so it reads as glue, not datapath).
-  void make_filler_module(HierId glue, long cells) {
-    std::vector<NetId> drv = reg_array(glue, "lcl_q", 8, nullptr);
+  template <typename Pass>
+  void make_filler_module(Pass& p, HierId glue, long cells) const {
+    const IdRange drv = reg_array(p, glue, "lcl_q", 8, IdRange{});
     cells -= 8;
     const int chain_len = 12;
-    int chain_idx = 0;
-    while (cells > 0) {
-      NetId cur = drv[rng_.next_below(drv.size())];
+    for (long chain = 0; cells > 0; ++chain) {
+      NetId cur = drv[p.rng().next_below(drv.size())];
+      Text cell_prefix;
+      cell_prefix << "f" << chain << "_";
       const int len = static_cast<int>(std::min<long>(chain_len, cells));
       for (int i = 0; i < len; ++i) {
-        const CellId cell = design_.add_cell(
-            glue, "f" + std::to_string(chain_idx) + "_" + std::to_string(i),
-            CellKind::Comb, spec_.avg_cell_area);
-        design_.add_sink(cur, cell);
-        const NetId y = design_.add_net("f_y");
-        design_.set_driver(y, cell);
+        const CellId cell =
+            p.add_cell(glue, {cell_prefix, i, ""}, CellKind::Comb, spec_.avg_cell_area);
+        p.add_sink(cur, cell);
+        const NetId y = p.add_net("f_y");
+        p.set_driver(y, cell);
         cur = y;
-        ++std_cells_;
       }
       cells -= len;
-      ++chain_idx;
     }
   }
 
   // ------------------------------------------------------------ finishing
 
-  void finalize_die_and_ports() {
+  void finalize_die_and_ports(ThreadPool& pool) {
     const double total = design_.total_cell_area();
     const double die_area = total / spec_.utilization;
     const double side = std::sqrt(die_area);
     design_.set_die(Die{side, side});
 
-    const auto spread = [&](const std::vector<CellId>& pads, double x, bool vertical) {
+    const auto spread = [&](IdRange pads, double x, bool vertical) {
       for (std::size_t i = 0; i < pads.size(); ++i) {
         const double t = (static_cast<double>(i) + 1.0) / (pads.size() + 1.0);
         const Point pos = vertical ? Point{x, side * (0.1 + 0.8 * t)}
@@ -323,7 +559,7 @@ class CircuitBuilder {
     spread(in_pads_, 0.0, /*vertical=*/true);          // west edge
     spread(out_pads_, side, /*vertical=*/true);        // east edge
     spread(cfg_pads_, side, /*vertical=*/false);       // north edge
-    design_.freeze();
+    design_.freeze(pool);
 
     HIDAP_LOG_DEBUG("gen %s: %zu cells (%ld std), %zu macros, die %.0fx%.0f",
                     spec_.name.c_str(), design_.cell_count(), std_cells_,
@@ -332,23 +568,26 @@ class CircuitBuilder {
 
   CircuitSpec spec_;
   Design design_;
-  Rng rng_;
   std::vector<MacroDefId> macro_defs_;
-  std::vector<NetId> in_nets_, cfg_nets_;
-  std::vector<CellId> in_pads_, out_pads_, cfg_pads_;
+  std::vector<SramPins> sram_pins_;  ///< per macro_defs_ entry
+  std::vector<Zone> zones_;          ///< in build order
+  IdRange in_pads_, out_pads_, cfg_pads_;
   std::vector<HierId> ss_hiers_;
-  HierId ctrl_hier_ = kInvalidId;
   long std_cells_ = 0;
 };
 
 }  // namespace
 
 Design generate_circuit(const CircuitSpec& spec) {
+  return generate_circuit(spec, ThreadPool::global());
+}
+
+Design generate_circuit(const CircuitSpec& spec, ThreadPool& pool) {
   static obs::Counter& cells = obs::default_registry().counter("generate.cells");
   static obs::Counter& nets = obs::default_registry().counter("generate.nets");
   static obs::Counter& pins = obs::default_registry().counter("generate.pins");
   const obs::Phase phase("generate", "gen");
-  Design design = CircuitBuilder(spec).build();
+  Design design = CircuitBuilder(spec).build(pool);
   cells.add(design.cell_count());
   nets.add(design.net_count());
   pins.add(design.pin_count());

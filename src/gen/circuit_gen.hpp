@@ -37,7 +37,14 @@ struct CircuitSpec {
   std::uint64_t seed = 1;
 };
 
-/// Generates the design; die and port locations are set.
+class ThreadPool;
+
+/// Generates the design; die and port locations are set. A dry pass
+/// counts the design zone by zone (each subsystem, the control unit,
+/// each filler module), then the zones fill their reserved ranges as
+/// tasks on ThreadPool::global(), or on `pool`. The design does not
+/// depend on the pool's size.
 Design generate_circuit(const CircuitSpec& spec);
+Design generate_circuit(const CircuitSpec& spec, ThreadPool& pool);
 
 }  // namespace hidap

@@ -15,6 +15,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/csr.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
@@ -128,22 +129,13 @@ constexpr std::array<char, 256> kIdentByte = [] {
   return table;
 }();
 
-// Formats into one fixed block and hands each full block to the stream
-// with ostream::write, so memory does not grow with the design and no
-// token is built as a string.
+// Formats into a buffer of its own that grows to the largest text it
+// is given between clear() calls (one task's range), so no token is
+// built as a string.
 class BlockWriter {
  public:
-  explicit BlockWriter(std::ostream& out) : out_(out), block_(new char[kBlock]) {}
-
   BlockWriter& operator<<(std::string_view s) {
-    while (s.size() > kBlock - used_) {
-      const std::size_t n = kBlock - used_;
-      std::memcpy(block_.get() + used_, s.data(), n);
-      used_ = kBlock;
-      s.remove_prefix(n);
-      flush();
-    }
-    std::memcpy(block_.get() + used_, s.data(), s.size());
+    std::memcpy(room(s.size()), s.data(), s.size());
     used_ += s.size();
     return *this;
   }
@@ -153,8 +145,8 @@ class BlockWriter {
     return *this << std::string_view(s, N - 1);
   }
   BlockWriter& operator<<(char c) {
-    if (used_ == kBlock) flush();
-    block_[used_++] = c;
+    *room(1) = c;
+    ++used_;
     return *this;
   }
   /// `%.12g`, which is what `<<` prints under setprecision(12). The
@@ -173,8 +165,7 @@ class BlockWriter {
   }
   BlockWriter& operator<<(int v) {
     char* first = room(kMaxNumber);
-    used_ = static_cast<std::size_t>(std::to_chars(first, first + kMaxNumber, v).ptr -
-                                     block_.get());
+    used_ = static_cast<std::size_t>(std::to_chars(first, first + kMaxNumber, v).ptr - buf_.get());
     return *this;
   }
 
@@ -182,40 +173,34 @@ class BlockWriter {
   /// a leading '_' when it is empty or starts with a digit.
   void identifier(std::string_view name) {
     if (name.empty() || (name[0] >= '0' && name[0] <= '9')) *this << '_';
-    while (!name.empty()) {
-      if (used_ == kBlock) flush();
-      const std::size_t n = std::min(name.size(), kBlock - used_);
-      char* out = block_.get() + used_;
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i] = kIdentByte[static_cast<unsigned char>(name[i])];
-      }
-      used_ += n;
-      name.remove_prefix(n);
+    char* out = room(name.size());
+    for (std::size_t i = 0; i < name.size(); ++i) {
+      out[i] = kIdentByte[static_cast<unsigned char>(name[i])];
     }
+    used_ += name.size();
   }
   void net(NetId id) { *this << 'n' << id; }
 
-  void flush() {
-    out_.write(block_.get(), static_cast<std::streamsize>(used_));
-    written_ += used_;
-    used_ = 0;
-  }
-  /// Bytes handed to the stream so far.
-  std::size_t written() const { return written_; }
+  std::string_view text() const { return {buf_.get(), used_}; }
+  void clear() { used_ = 0; }
 
  private:
-  static constexpr std::size_t kBlock = 64 * 1024;
+  static constexpr std::size_t kInitial = 64 * 1024;
   static constexpr std::size_t kMaxNumber = 32;  // longest %.12g double or int
 
   char* room(std::size_t n) {
-    if (kBlock - used_ < n) flush();
-    return block_.get() + used_;
+    if (capacity_ - used_ < n) {
+      capacity_ = std::max({kInitial, 2 * capacity_, used_ + n});
+      std::unique_ptr<char[]> grown(new char[capacity_]);
+      if (used_ > 0) std::memcpy(grown.get(), buf_.get(), used_);
+      buf_ = std::move(grown);
+    }
+    return buf_.get() + used_;
   }
 
-  std::ostream& out_;
-  std::unique_ptr<char[]> block_;
+  std::unique_ptr<char[]> buf_;
+  std::size_t capacity_ = 0;
   std::size_t used_ = 0;
-  std::size_t written_ = 0;
   std::uint64_t last_bits_ = 0;
   std::size_t last_size_ = 0;  // 0: nothing formatted yet
   char last_text_[kMaxNumber] = {};
@@ -293,15 +278,61 @@ void write_cell(BlockWriter& w, const Design& d, CellId cid, std::span<const Con
   w << ");\n";
 }
 
+// `module name (ports);`, the port directions and the wires declared here.
+void write_module_head(BlockWriter& w, const Design& d, HierId h, const ModulePlan& plan) {
+  w << "module ";
+  write_module_name(w, d, h);
+  w << " (";
+  for (std::size_t i = 0; i < plan.ports.size(); ++i) {
+    if (i) w << ", ";
+    w.net(plan.ports[i].first);
+  }
+  w << ");\n";
+  for (const auto& [net, dir] : plan.ports) {
+    w << (dir == PortDir::Out ? "  output " : "  input ");
+    w.net(net);
+    w << ";\n";
+  }
+  for (const NetId net : plan.wires) {
+    w << "  wire ";
+    w.net(net);
+    w << ";\n";
+  }
+}
+
+// The child instances and `endmodule`.
+void write_module_tail(BlockWriter& w, const Design& d, HierId h,
+                       const std::vector<ModulePlan>& plans) {
+  for (const HierId child : d.hier(h).children) {
+    const ModulePlan& cplan = plans[static_cast<std::size_t>(child)];
+    w << "  ";
+    write_module_name(w, d, child);
+    w << ' ';
+    w.identifier(d.hier(child).name);
+    w << " (";
+    for (std::size_t i = 0; i < cplan.ports.size(); ++i) {
+      if (i) w << ", ";
+      w << '.';
+      w.net(cplan.ports[i].first);
+      w << '(';
+      w.net(cplan.ports[i].first);
+      w << ')';
+    }
+    w << ");\n";
+  }
+  w << "endmodule\n\n";
+}
+
 }  // namespace
 
 void write_verilog(const Design& design, std::ostream& out) {
-  obs::Span span("verilog_write", "netlist");
+  write_verilog(design, out, ThreadPool::global());
+}
+
+void write_verilog(const Design& design, std::ostream& out, ThreadPool& pool) {
+  obs::Phase phase("verilog_write", "netlist");
   const std::vector<ModulePlan> plans = plan_modules(design);
   const Csr<Conn> conns = cell_connections(design);
-
-  BlockWriter w(out);
-  write_macro_header(w, design);
 
   // Emit child modules before parents (post-order) so the file parses in
   // one pass even though our parser does not require it.
@@ -313,57 +344,76 @@ void write_verilog(const Design& design, std::ostream& out) {
     order.push_back(h);
     for (const HierId c : design.hier(h).children) stack.push_back(c);
   }
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const HierId h = *it;
-    const ModulePlan& plan = plans[static_cast<std::size_t>(h)];
-    w << "module ";
-    write_module_name(w, design, h);
-    w << " (";
-    for (std::size_t i = 0; i < plan.ports.size(); ++i) {
-      if (i) w << ", ";
-      w.net(plan.ports[i].first);
-    }
-    w << ");\n";
-    for (const auto& [net, dir] : plan.ports) {
-      w << (dir == PortDir::Out ? "  output " : "  input ");
-      w.net(net);
-      w << ";\n";
-    }
-    for (const NetId net : plan.wires) {
-      w << "  wire ";
-      w.net(net);
-      w << ";\n";
-    }
+  std::reverse(order.begin(), order.end());
 
-    for (const CellId cid : design.cells_of(h)) {
-      write_cell(w, design, cid, conns[static_cast<std::size_t>(cid)]);
-    }
-
-    // Child instances.
-    for (const HierId child : design.hier(h).children) {
-      const ModulePlan& cplan = plans[static_cast<std::size_t>(child)];
-      w << "  ";
-      write_module_name(w, design, child);
-      w << ' ';
-      w.identifier(design.hier(child).name);
-      w << " (";
-      for (std::size_t i = 0; i < cplan.ports.size(); ++i) {
-        if (i) w << ", ";
-        w << '.';
-        w.net(cplan.ports[i].first);
-        w << '(';
-        w.net(cplan.ports[i].first);
-        w << ')';
-      }
-      w << ");\n";
-    }
-    w << "endmodule\n\n";
+  // The file after the header is one sequence of positions: per module,
+  // its head, one per cell and its tail. Module m begins at first[m].
+  std::vector<std::size_t> first(order.size() + 1, 0);
+  for (std::size_t m = 0; m < order.size(); ++m) {
+    first[m + 1] = first[m] + design.cells_of(order[m]).size() + 2;
   }
-  w.flush();
+  const auto format = [&](BlockWriter& w, std::size_t begin, std::size_t end) {
+    std::size_t m = static_cast<std::size_t>(
+        std::upper_bound(first.begin(), first.end(), begin) - first.begin() - 1);
+    for (std::size_t p = begin; p < end; ++m) {
+      const HierId h = order[m];
+      const std::span<const CellId> cells = design.cells_of(h);
+      const std::size_t stop = std::min(end, first[m + 1]);
+      if (p == first[m]) write_module_head(w, design, h, plans[static_cast<std::size_t>(h)]);
+      p = std::max(p, first[m] + 1);
+      for (; p < stop && p - first[m] - 1 < cells.size(); ++p) {
+        const CellId cid = cells[p - first[m] - 1];
+        write_cell(w, design, cid, conns[static_cast<std::size_t>(cid)]);
+      }
+      if (p < stop) {
+        write_module_tail(w, design, h, plans);
+        ++p;
+      }
+    }
+  };
 
+  // Tasks of kTaskPositions positions are formatted on the pool a round
+  // at a time, each into a buffer of its own, while one more task hands
+  // the previous round's buffers to the stream in file order: memory
+  // stays at two rounds of buffers, whatever the design's size.
+  constexpr std::size_t kTaskPositions = 1024;
+  const std::size_t positions = first.back();
+  const std::size_t tasks = (positions + kTaskPositions - 1) / kTaskPositions;
+  const std::size_t per_round = 2 * static_cast<std::size_t>(pool.size());
+  const std::size_t rounds = (tasks + per_round - 1) / per_round;
+  std::vector<BlockWriter> buffers(2 * per_round);
+  BlockWriter header;
+  write_macro_header(header, design);
+  std::size_t written = header.text().size();
+  out.write(header.text().data(), static_cast<std::streamsize>(written));
+  const auto task_size = [&](std::size_t round) {
+    return round < rounds ? std::min(per_round, tasks - round * per_round) : 0;
+  };
+  for (std::size_t round = 0; round <= rounds; ++round) {
+    BlockWriter* now = buffers.data() + (round % 2) * per_round;
+    BlockWriter* before = buffers.data() + ((round + 1) % 2) * per_round;
+    pool.parallel_for(1 + task_size(round), [&](std::size_t i) {
+      if (i == 0) {
+        for (std::size_t k = 0; round > 0 && k < task_size(round - 1); ++k) {
+          const std::string_view text = before[k].text();
+          out.write(text.data(), static_cast<std::streamsize>(text.size()));
+          written += text.size();
+        }
+        return;
+      }
+      const std::size_t task = round * per_round + i - 1;
+      BlockWriter& w = now[i - 1];
+      w.clear();
+      format(w, task * kTaskPositions, std::min(positions, (task + 1) * kTaskPositions));
+    });
+  }
+
+  static obs::Counter& cells = obs::default_registry().counter("verilog_write.cells");
   static obs::Counter& bytes = obs::default_registry().counter("verilog_write.bytes");
-  bytes.add(w.written());
-  span.arg("bytes", static_cast<std::int64_t>(w.written()));
+  cells.add(design.cell_count());
+  bytes.add(written);
+  phase.arg("cells", static_cast<std::int64_t>(design.cell_count()));
+  phase.arg("bytes", static_cast<std::int64_t>(written));
 }
 
 void write_verilog_file(const Design& design, const std::string& path) {

@@ -17,9 +17,11 @@
 // geometry) is written as `%.12g` in the C locale (std::to_chars,
 // general format, precision 12), integers and net ids in plain decimal.
 // The output depends on the design only: not on the stream's flags,
-// precision or locale, and the writer changes none of them. Text is
-// formatted into one fixed 64 KiB block handed to the stream with
-// ostream::write, so the writer's memory does not grow with the design.
+// precision or locale, and the writer changes none of them. Contiguous
+// runs of modules and cells are formatted as tasks on the pool, a
+// bounded round at a time, each into a buffer of its own, and handed
+// to the stream with ostream::write in file order, so the writer's
+// memory grows with the pool's lanes, not with the design.
 
 #include <iosfwd>
 #include <string>
@@ -28,10 +30,15 @@
 
 namespace hidap {
 
+class ThreadPool;
+
 /// Writes the whole design (including macro definitions as a comment
-/// header consumed by the parser) to `out`. A failing stream is not
-/// checked here; its state tells the caller.
+/// header consumed by the parser) to `out`, formatting on
+/// ThreadPool::global(), or on `pool`; the bytes do not depend on the
+/// pool's size. A failing stream is not checked here; its state tells
+/// the caller.
 void write_verilog(const Design& design, std::ostream& out);
+void write_verilog(const Design& design, std::ostream& out, ThreadPool& pool);
 
 /// Writes to a file. Throws HidapError(IoError) naming the path when the
 /// file cannot be opened, written or closed (a full disk included).

@@ -92,6 +92,9 @@ class Phase {
   Phase(const Phase&) = delete;
   Phase& operator=(const Phase&) = delete;
 
+  /// Span::arg on the phase's span.
+  void arg(const char* name, std::int64_t value) { span_.arg(name, value); }
+
   /// Seconds since construction.
   double seconds() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();

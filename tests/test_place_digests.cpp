@@ -19,6 +19,7 @@
 #include "netlist/def_io.hpp"
 #include "netlist/verilog_parser.hpp"
 #include "netlist/verilog_writer.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
 
@@ -114,6 +115,28 @@ TEST(VerilogDigests, WriterBytesArePinned) {
     char got[32];
     std::snprintf(got, sizeof got, "0x%016" PRIx64 "ull", digest);
     EXPECT_EQ(digest, kExpected[i]) << name << ": got " << got;
+  }
+}
+
+// The writer formats on the pool: its bytes are the pinned ones on
+// pools of 1, 2 and 4 lanes (the values WriterBytesArePinned pins).
+TEST(VerilogDigests, WriterBytesMatchOnAnyPool) {
+  constexpr std::uint64_t kExpected[8] = {
+      0x029c44d9033ccac3ull, 0x56ac52d4b5f17c03ull, 0x2b092355a671b8afull, 0x41865ca0c550a7b2ull,
+      0xc44678847f458283ull, 0x0d47cf4881589aefull, 0x271e946f35a071b3ull, 0x26a94c2801708592ull};
+  ThreadPool pools[] = {ThreadPool(1), ThreadPool(2), ThreadPool(4)};
+  for (int i = 0; i < 8; ++i) {
+    const std::string name = "c" + std::to_string(i + 1);
+    const Design design = generate_circuit(suite_circuit(name, 0.002).spec);
+    for (ThreadPool& pool : pools) {
+      std::ostringstream text;
+      write_verilog(design, text, pool);
+      const std::string bytes = text.str();
+      const std::uint64_t digest = hash_bytes(bytes.data(), bytes.size());
+      char got[32];
+      std::snprintf(got, sizeof got, "0x%016" PRIx64 "ull", digest);
+      EXPECT_EQ(digest, kExpected[i]) << name << " on " << pool.size() << " lanes: got " << got;
+    }
   }
 }
 
