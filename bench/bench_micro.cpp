@@ -1,6 +1,6 @@
 // Google-benchmark kernel timings for the library's hot paths: Verilog
-// parsing and writing, circuit generation, array clustering, shape curve composition, budget layout,
-// Polish-expression moves, Gseq extraction, multi-source BFS
+// parsing and writing, circuit generation, array clustering, shape
+// curve composition, budget layout, Polish-expression moves, Gseq extraction, multi-source BFS
 // (target-area assignment), affinity inference, full per-level layout
 // annealing, one node's shape-curve packing, macro flipping, the
 // evaluation placer (solve, spreading, wirelength), and the parallel
@@ -100,15 +100,14 @@ void BM_WriteVerilog(benchmark::State& state) {
 }
 BENCHMARK(BM_WriteVerilog)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
 
-// Circuit generation on a pool of `lanes` lanes: suite c4 at scale 0.002
-// (the benchmark workloads' size, no filler) and c1 at 0.1 (mostly
-// filler modules, one zone each). Reports cells/s of wall time.
+// Circuit generation: suite c4 at scale 0.002 (the benchmark workloads'
+// size, no filler) and c1 at 0.1 (mostly filler modules). Reports
+// cells/s.
 void BM_GenerateCircuit(benchmark::State& state, const char* circuit, double scale) {
   const CircuitSpec spec = suite_circuit(circuit, scale).spec;
-  ThreadPool pool(static_cast<int>(state.range(0)));
   std::size_t cells = 0;
   for (auto _ : state) {
-    const Design design = generate_circuit(spec, pool);
+    const Design design = generate_circuit(spec);
     cells = design.cell_count();
     benchmark::DoNotOptimize(cells);
   }
@@ -116,10 +115,8 @@ void BM_GenerateCircuit(benchmark::State& state, const char* circuit, double sca
       static_cast<double>(cells) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK_CAPTURE(BM_GenerateCircuit, c4_0_002, "c4", 0.002)
-    ->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_GenerateCircuit, c1_0_1, "c1", 0.1)
-    ->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GenerateCircuit, c4_0_002, "c4", 0.002)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GenerateCircuit, c1_0_1, "c1", 0.1)->Unit(benchmark::kMillisecond);
 
 // Array clustering (Gseq step 2) of c4: generated names ("q[3]") group
 // into arrays; names read back from Verilog are sanitized ("q_3_") and

@@ -71,8 +71,7 @@ struct Args {
                "  eval:  -p placed.def\n"
                "  flows: [--csv table.csv] [--seed S]\n"
                "  gen:   -o out.v [--cells N] [--macros M] [--seed S]\n"
-               "  --threads N  worker lanes for Verilog parse, circuit\n"
-               "               generation, netlist freeze and Verilog write,\n"
+               "  --threads N  worker lanes for Verilog parse and write,\n"
                "               shape curves, sibling levels and the flows' sweeps\n"
                "               (default: HIDAP_THREADS or hardware concurrency;\n"
                "               results are identical at any N, 1 = sequential)\n"

@@ -5,14 +5,12 @@
 #include <charconv>
 #include <cmath>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
@@ -87,95 +85,75 @@ struct SramPins {
   Offset d[4], q[4], addr;
 };
 
-// One zone of the build: a piece whose ids, sinks and name bytes are one
-// contiguous range of every store. The dry pass records where the zone
-// begins and the random state it begins with; the fill pass replays it
-// from there, so zones fill concurrently and land where one sequential
-// build would put them.
-struct Zone {
-  enum class Kind { Ports, Subsystem, Outputs, Control, Filler };
-  Kind kind = Kind::Ports;
-  long index = 0;     ///< Subsystem: its index; Filler: the glue module's index
-  int macros = 0;     ///< Subsystem: macro budget
-  long cells = 0;     ///< Filler: module cells
-  HierId parent = 0;  ///< Filler: the glue module's parent
-  IdRange bus;        ///< Subsystem and Outputs: the incoming bus; Control: cfg nets
-  IdRange pads;       ///< Outputs: the output pads
-
-  DesignSize start;
-  HierId first_hier = 0;
-  Rng rng;
-};
-
-// What a zone hands the next zones (dry pass only).
-struct ZoneOut {
-  IdRange bus;                            ///< Ports: input nets; Subsystem: output bus
-  IdRange cfg, in_pads, out_pads, cfg_pads;  ///< Ports only
-};
-
-// The dry pass: builds the hierarchy (a few hundred nodes), makes every
-// random draw and counts the cells, nets, sinks and name bytes the fill
-// pass will write, without storing any of them.
+// The dry pass: makes every random draw and counts the cells, nets,
+// sinks and name bytes the build will write, without storing any of
+// them. Hierarchy ids are numbered as the build numbers them.
 class CountPass {
  public:
-  CountPass(Design& design, std::uint64_t seed) : design_(design), rng_(seed) {}
+  explicit CountPass(std::uint64_t seed) : rng_(seed) {}
 
   Rng& rng() { return rng_; }
-  const DesignSize& at() const { return at_; }
+  const DesignSize& size() const { return size_; }
+  long std_cells() const { return std_cells_; }
+
+  HierId add_hier(HierId, const GenName&) { return next_hier_++; }
+  CellId add_cell(HierId, const GenName& name, CellKind kind, double,
+                  MacroDefId = kNoMacroDef) {
+    size_.cell_name_bytes += name.size();
+    std_cells_ += kind == CellKind::Flop || kind == CellKind::Comb;
+    return static_cast<CellId>(size_.cells++);
+  }
+  NetId add_net(std::string_view name) {
+    size_.net_name_bytes += name.size();
+    return static_cast<NetId>(size_.nets++);
+  }
+  void set_driver(NetId, CellId, float = 0.0f, float = 0.0f) {}
+  void add_sink(NetId, CellId, float = 0.0f, float = 0.0f) { ++size_.pins; }
+
+ private:
+  Rng rng_;
+  DesignSize size_;
+  HierId next_hier_ = 1;  // after the root
+  long std_cells_ = 0;
+};
+
+// The build: replays the same draws into the design, formatting each
+// name on the stack.
+class FillPass {
+ public:
+  FillPass(Design& design, std::uint64_t seed) : design_(design), rng_(seed) {}
+
+  Rng& rng() { return rng_; }
   long std_cells() const { return std_cells_; }
 
   HierId add_hier(HierId parent, const GenName& name) {
     Text text;
     return design_.add_hier(parent, std::string(name.format(text)));
   }
-  CellId add_cell(HierId, const GenName& name, CellKind kind, double,
-                  MacroDefId = kNoMacroDef) {
-    at_.cell_name_bytes += name.size();
+  CellId add_cell(HierId hier, const GenName& name, CellKind kind, double area,
+                  MacroDefId macro_def = kNoMacroDef) {
+    Text text;
     std_cells_ += kind == CellKind::Flop || kind == CellKind::Comb;
-    return static_cast<CellId>(at_.cells++);
+    return design_.add_cell(hier, name.format(text), kind, area, macro_def);
   }
-  NetId add_net(std::string_view name) {
-    at_.net_name_bytes += name.size();
-    return static_cast<NetId>(at_.nets++);
+  NetId add_net(std::string_view name) { return design_.add_net(name); }
+  void set_driver(NetId net, CellId cell, float dx = 0.0f, float dy = 0.0f) {
+    design_.set_driver(net, cell, dx, dy);
   }
-  void set_driver(NetId, CellId, float = 0.0f, float = 0.0f) {}
-  void add_sink(NetId, CellId, float = 0.0f, float = 0.0f) { ++at_.pins; }
+  void add_sink(NetId net, CellId cell, float dx = 0.0f, float dy = 0.0f) {
+    design_.add_sink(net, cell, dx, dy);
+  }
 
  private:
   Design& design_;
   Rng rng_;
-  DesignSize at_;
   long std_cells_ = 0;
 };
 
-// The fill pass of one zone: replays its draws from the recorded state
-// and writes into its counted ranges. Its hierarchy nodes exist already.
-class FillPass {
- public:
-  FillPass(Design& design, const Zone& zone)
-      : cursor_(design, zone.start), rng_(zone.rng), next_hier_(zone.first_hier) {}
-
-  Rng& rng() { return rng_; }
-  const DesignSize& at() const { return cursor_.at(); }
-
-  HierId add_hier(HierId, const GenName&) { return next_hier_++; }
-  CellId add_cell(HierId hier, const GenName& name, CellKind kind, double area,
-                  MacroDefId macro_def = kNoMacroDef) {
-    Text text;
-    return cursor_.add_cell(hier, name.format(text), kind, area, macro_def);
-  }
-  NetId add_net(std::string_view name) { return cursor_.add_net(name); }
-  void set_driver(NetId net, CellId cell, float dx = 0.0f, float dy = 0.0f) {
-    cursor_.set_driver(net, cell, dx, dy);
-  }
-  void add_sink(NetId net, CellId cell, float dx = 0.0f, float dy = 0.0f) {
-    cursor_.add_sink(net, cell, dx, dy);
-  }
-
- private:
-  DesignCursor cursor_;
-  Rng rng_;
-  HierId next_hier_;
+// The top-level ports: input pads and the nets they drive, output pads,
+// config pads and their nets.
+struct Ports {
+  IdRange in_pads, in_nets, out_pads, cfg_pads, cfg_nets;
 };
 
 // Bit b of a subsystem's output stage input: read bus b % R, or the
@@ -191,126 +169,67 @@ struct MergedBus {
   }
 };
 
-// Counts the design, then fills its zones on the pool.
+// Counts the design, reserves every store once, then builds it.
 class CircuitBuilder {
  public:
   CircuitBuilder(const CircuitSpec& spec) : spec_(spec), design_(spec.name) {}
 
-  Design build(ThreadPool& pool) {
+  Design build() {
     make_macro_defs();
-    const DesignSize total = count();
     {
-      obs::Span span("generate_fill", "gen");
-      // A fresh design: the counted positions are the stores' indices.
-      [[maybe_unused]] const DesignSize at = design_.extend(total);
-      assert(at == DesignSize{});
-      pool.parallel_for(zones_.size(), [&](std::size_t i) {
-        FillPass fill(design_, zones_[i]);
-        run_zone(fill, zones_[i]);
-        if (!(fill.at() == (i + 1 < zones_.size() ? zones_[i + 1].start : total))) {
-          throw std::logic_error("generate_circuit: a zone left its counted range");
-        }
-      });
-      finalize_die_and_ports(pool);
+      obs::Span span("generate_count", "gen");
+      CountPass count(spec_.seed);
+      make_design(count);
+      design_.reserve(count.size());
     }
+    obs::Span span("generate_fill", "gen");
+    FillPass fill(design_, spec_.seed);
+    const Ports ports = make_design(fill);
+    finalize_die_and_ports(ports, fill.std_cells());
     return std::move(design_);
   }
 
  private:
-  // ------------------------------------------------------------ passes
-
-  /// The dry pass over every zone in build order; returns the totals.
-  DesignSize count() {
-    obs::Span span("generate_count", "gen");
-    CountPass pass(design_, spec_.seed);
-    const ZoneOut ports = count_zone(pass, Zone::Kind::Ports, [](Zone&) {});
-    in_pads_ = ports.in_pads;
-    out_pads_ = ports.out_pads;
-    cfg_pads_ = ports.cfg_pads;
+  /// The whole design in build order; both passes run it.
+  template <typename Pass>
+  Ports make_design(Pass& p) const {
+    const Ports ports = make_ports(p);
 
     // Distribute macros over subsystems (remainder spread from ss0).
     const int s = spec_.subsystems;
-    IdRange bus = ports.bus;
+    std::vector<HierId> ss_hiers;
+    IdRange bus = ports.in_nets;
     for (int i = 0; i < s; ++i) {
-      bus = count_zone(pass, Zone::Kind::Subsystem, [&](Zone& zone) {
-              zone.index = i;
-              zone.macros = spec_.macro_count / s + (i < spec_.macro_count % s);
-              zone.bus = bus;
-            }).bus;
-      ss_hiers_.push_back(zones_.back().first_hier);
+      ss_hiers.push_back(p.add_hier(design_.root(), {"ss", i, ""}));
+      bus = make_subsystem(p, ss_hiers.back(),
+                           spec_.macro_count / s + (i < spec_.macro_count % s), bus);
     }
     // Close the pipeline at the output pads.
-    count_zone(pass, Zone::Kind::Outputs, [&](Zone& zone) {
-      zone.bus = bus;
-      zone.pads = ports.out_pads;
-    });
-    count_zone(pass, Zone::Kind::Control, [&](Zone& zone) { zone.bus = ports.cfg; });
-    const HierId ctrl = zones_.back().first_hier;
+    for (std::size_t i = 0; i < ports.out_pads.size() && i < bus.size(); ++i) {
+      p.add_sink(bus[i], ports.out_pads[i]);
+    }
+    const HierId ctrl = make_control(p, ports.cfg_nets, ss_hiers);
 
     // 40% of the filler goes under ctrl, the rest is spread over the
     // subsystems, each in a handful of glue modules so declustering sees
-    // realistic small HCG nodes. Each glue module is a zone.
-    const long deficit = static_cast<long>(spec_.target_cells) - pass.std_cells();
+    // realistic small HCG nodes.
+    const long deficit = static_cast<long>(spec_.target_cells) - p.std_cells();
     if (deficit > 0) {
       const auto fill_under = [&](HierId hier, double share) {
         long budget = static_cast<long>(deficit * share);
         for (long module = 0; budget > 0; ++module) {
           const long cells = std::min<long>(
-              budget, 500 + static_cast<long>(pass.rng().next_below(4000)));
-          count_zone(pass, Zone::Kind::Filler, [&](Zone& zone) {
-            zone.index = module;
-            zone.cells = cells;
-            zone.parent = hier;
-          });
+              budget, 500 + static_cast<long>(p.rng().next_below(4000)));
+          make_filler_module(p, p.add_hier(hier, {"glue", module, ""}), cells);
           budget -= cells;
         }
       };
       fill_under(ctrl, 0.4);
-      for (const HierId ss : ss_hiers_) {
-        fill_under(ss, 0.6 / static_cast<double>(ss_hiers_.size()));
+      for (const HierId ss : ss_hiers) {
+        fill_under(ss, 0.6 / static_cast<double>(ss_hiers.size()));
       }
     }
-    std_cells_ = pass.std_cells();
-    return pass.at();
-  }
-
-  /// Records a zone of `kind` that `set` gives its inputs, and where it
-  /// begins, then counts it.
-  template <typename Set>
-  ZoneOut count_zone(CountPass& pass, Zone::Kind kind, Set&& set) {
-    Zone zone;
-    zone.kind = kind;
-    set(zone);
-    zone.start = pass.at();
-    zone.first_hier = static_cast<HierId>(design_.hier_count());
-    zone.rng = pass.rng();
-    zones_.push_back(zone);
-    return run_zone(pass, zones_.back());
-  }
-
-  template <typename Pass>
-  ZoneOut run_zone(Pass& p, const Zone& zone) const {
-    switch (zone.kind) {
-      case Zone::Kind::Ports:
-        return make_ports(p);
-      case Zone::Kind::Subsystem: {
-        ZoneOut out;
-        out.bus = make_subsystem(p, static_cast<int>(zone.index), zone.macros, zone.bus);
-        return out;
-      }
-      case Zone::Kind::Outputs:
-        for (std::size_t i = 0; i < zone.pads.size() && i < zone.bus.size(); ++i) {
-          p.add_sink(zone.bus[i], zone.pads[i]);
-        }
-        return {};
-      case Zone::Kind::Control:
-        make_control(p, zone.bus);
-        return {};
-      case Zone::Kind::Filler:
-        make_filler_module(p, p.add_hier(zone.parent, {"glue", zone.index, ""}), zone.cells);
-        return {};
-    }
-    return {};
+    return ports;
   }
 
   // ------------------------------------------------------------ primitives
@@ -392,16 +311,16 @@ class CircuitBuilder {
   // ------------------------------------------------------------ ports
 
   template <typename Pass>
-  ZoneOut make_ports(Pass& p) const {
+  Ports make_ports(Pass& p) const {
     const int w = spec_.bus_width;
-    ZoneOut out;
+    Ports out;
     for (int i = 0; i < w; ++i) {
       const CellId pad = p.add_cell(design_.root(), {"in_bus[", i, "]"}, CellKind::PortIn, 0.0);
       const NetId net = p.add_net("in_bus_n");
       p.set_driver(net, pad);
-      if (i == 0) out.in_pads.first = pad, out.bus.first = net;
+      if (i == 0) out.in_pads.first = pad, out.in_nets.first = net;
     }
-    out.in_pads.count = out.bus.count = w;
+    out.in_pads.count = out.in_nets.count = w;
     for (int i = 0; i < w; ++i) {
       const CellId pad = p.add_cell(design_.root(), {"out_bus[", i, "]"}, CellKind::PortOut, 0.0);
       if (i == 0) out.out_pads.first = pad;
@@ -411,17 +330,16 @@ class CircuitBuilder {
       const CellId pad = p.add_cell(design_.root(), {"cfg_in[", i, "]"}, CellKind::PortIn, 0.0);
       const NetId net = p.add_net("cfg_in_n");
       p.set_driver(net, pad);
-      if (i == 0) out.cfg_pads.first = pad, out.cfg.first = net;
+      if (i == 0) out.cfg_pads.first = pad, out.cfg_nets.first = net;
     }
-    out.cfg_pads.count = out.cfg.count = 8;
+    out.cfg_pads.count = out.cfg_nets.count = 8;
     return out;
   }
 
   // ------------------------------------------------------------ subsystems
 
   template <typename Pass>
-  IdRange make_subsystem(Pass& p, int index, int macro_budget, IdRange input_bus) const {
-    const HierId ss = p.add_hier(design_.root(), {"ss", index, ""});
+  IdRange make_subsystem(Pass& p, HierId ss, int macro_budget, IdRange input_bus) const {
     const int w = spec_.bus_width;
 
     // Input stage.
@@ -497,21 +415,23 @@ class CircuitBuilder {
 
   // ------------------------------------------------------------ control
 
+  /// The control unit; returns its hierarchy node.
   template <typename Pass>
-  void make_control(Pass& p, IdRange cfg_nets) const {
+  HierId make_control(Pass& p, IdRange cfg_nets, const std::vector<HierId>& ss_hiers) const {
     const HierId ctrl = p.add_hier(design_.root(), {"ctrl", -1, ""});
     const IdRange cfg = reg_array(p, ctrl, "cfg_q", 8, cfg_nets);
     // Narrow command links to every subsystem: ctrl cmd regs -> comb ->
     // subsystem control regs. This is the low-bandwidth flow the affinity
     // metric must rank below the wide datapath.
-    for (std::size_t i = 0; i < ss_hiers_.size(); ++i) {
+    for (std::size_t i = 0; i < ss_hiers.size(); ++i) {
       Text cmd_base, link_base;
       cmd_base << "ss" << static_cast<long>(i) << "_cmd_q";
       link_base << "ss" << static_cast<long>(i) << "_lnk";
       const IdRange cmd = reg_array(p, ctrl, cmd_base, 8, cfg);
       const IdRange link = comb_cloud(p, ctrl, link_base, cmd, 2);
-      reg_array(p, ss_hiers_[i], "ctl_q", 8, link);
+      reg_array(p, ss_hiers[i], "ctl_q", 8, link);
     }
+    return ctrl;
   }
 
   // ------------------------------------------------------------ filler
@@ -542,7 +462,7 @@ class CircuitBuilder {
 
   // ------------------------------------------------------------ finishing
 
-  void finalize_die_and_ports(ThreadPool& pool) {
+  void finalize_die_and_ports(const Ports& ports, long std_cells) {
     const double total = design_.total_cell_area();
     const double die_area = total / spec_.utilization;
     const double side = std::sqrt(die_area);
@@ -556,13 +476,13 @@ class CircuitBuilder {
         design_.set_fixed_pos(pads[i], pos);
       }
     };
-    spread(in_pads_, 0.0, /*vertical=*/true);          // west edge
-    spread(out_pads_, side, /*vertical=*/true);        // east edge
-    spread(cfg_pads_, side, /*vertical=*/false);       // north edge
-    design_.freeze(pool);
+    spread(ports.in_pads, 0.0, /*vertical=*/true);          // west edge
+    spread(ports.out_pads, side, /*vertical=*/true);        // east edge
+    spread(ports.cfg_pads, side, /*vertical=*/false);       // north edge
+    design_.freeze();
 
     HIDAP_LOG_DEBUG("gen %s: %zu cells (%ld std), %zu macros, die %.0fx%.0f",
-                    spec_.name.c_str(), design_.cell_count(), std_cells_,
+                    spec_.name.c_str(), design_.cell_count(), std_cells,
                     design_.macro_count(), side, side);
   }
 
@@ -570,24 +490,16 @@ class CircuitBuilder {
   Design design_;
   std::vector<MacroDefId> macro_defs_;
   std::vector<SramPins> sram_pins_;  ///< per macro_defs_ entry
-  std::vector<Zone> zones_;          ///< in build order
-  IdRange in_pads_, out_pads_, cfg_pads_;
-  std::vector<HierId> ss_hiers_;
-  long std_cells_ = 0;
 };
 
 }  // namespace
 
 Design generate_circuit(const CircuitSpec& spec) {
-  return generate_circuit(spec, ThreadPool::global());
-}
-
-Design generate_circuit(const CircuitSpec& spec, ThreadPool& pool) {
   static obs::Counter& cells = obs::default_registry().counter("generate.cells");
   static obs::Counter& nets = obs::default_registry().counter("generate.nets");
   static obs::Counter& pins = obs::default_registry().counter("generate.pins");
   const obs::Phase phase("generate", "gen");
-  Design design = CircuitBuilder(spec).build(pool);
+  Design design = CircuitBuilder(spec).build();
   cells.add(design.cell_count());
   nets.add(design.net_count());
   pins.add(design.pin_count());

@@ -37,14 +37,9 @@ struct CircuitSpec {
   std::uint64_t seed = 1;
 };
 
-class ThreadPool;
-
 /// Generates the design; die and port locations are set. A dry pass
-/// counts the design zone by zone (each subsystem, the control unit,
-/// each filler module), then the zones fill their reserved ranges as
-/// tasks on ThreadPool::global(), or on `pool`. The design does not
-/// depend on the pool's size.
+/// makes the same random draws and counts the cells, nets, pins and
+/// name bytes, so every store of the design grows once.
 Design generate_circuit(const CircuitSpec& spec);
-Design generate_circuit(const CircuitSpec& spec, ThreadPool& pool);
 
 }  // namespace hidap

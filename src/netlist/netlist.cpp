@@ -1,9 +1,7 @@
 #include "netlist/netlist.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
-#include "runtime/thread_pool.hpp"
 #include "util/string_utils.hpp"
 
 namespace hidap {
@@ -21,59 +19,26 @@ void Design::reserve(const DesignSize& more) {
   staged_sinks_.reserve(staged_sinks_.size() + more.pins);
 }
 
-DesignSize Design::extend(const DesignSize& more) {
-  assert(!frozen_);
-  const DesignSize at{cells_.size(), net_count(), sink_net_.size(), cell_names_.bytes(),
-                      net_names_.bytes()};
-  cells_.resize(at.cells + more.cells);
-  cell_names_.extend(more.cells, more.cell_name_bytes);
-  net_names_.extend(more.nets, more.net_name_bytes);
-  driver_.resize(at.nets + more.nets);
-  sink_net_.resize(at.pins + more.pins);
-  staged_sinks_.resize(at.pins + more.pins);
-  return at;
-}
-
-void Design::freeze() { freeze(ThreadPool::global()); }
-
-void Design::freeze(ThreadPool& pool) {
+void Design::freeze() {
   if (frozen_) return;
   frozen_ = true;
-  // Both sorts take one run per lane, none under kMinRun items, so
-  // small designs sort inline.
-  constexpr std::size_t kMinRun = 65536;
-  const auto runs = [&pool](std::size_t items) {
-    return std::clamp<std::size_t>(items / kMinRun, 1, static_cast<std::size_t>(pool.size()));
-  };
-  const auto cut = [](std::size_t items, std::size_t runs, std::size_t r) {
-    return std::pair{items * r / runs, items * (r + 1) / runs};
-  };
   // Every driver is emitted before every sink, so the stable sort puts
-  // each net's driver first and its sinks after it in call order. A net
-  // has about two pins, so the sort cuts the nets, not the pins.
-  pins_ = Csr<NetPin>::group_key_ranges(
-      net_count(), runs(driver_.size() + sink_net_.size()),
-      [&](auto&& emit) {
-        for (std::size_t n = 0; n < driver_.size(); ++n) {
-          if (driver_[n].cell != kInvalidId) emit(n, driver_[n]);
-        }
-        for (std::size_t i = 0; i < sink_net_.size(); ++i) {
-          emit(static_cast<std::size_t>(sink_net_[i]), staged_sinks_[i]);
-        }
-      },
-      pool);
+  // each net's driver first and its sinks after it in call order.
+  pins_ = Csr<NetPin>::group(net_count(), [&](auto&& emit) {
+    for (std::size_t n = 0; n < driver_.size(); ++n) {
+      if (driver_[n].cell != kInvalidId) emit(n, driver_[n]);
+    }
+    for (std::size_t i = 0; i < sink_net_.size(); ++i) {
+      emit(static_cast<std::size_t>(sink_net_[i]), staged_sinks_[i]);
+    }
+  });
   std::vector<NetId>().swap(sink_net_);
   std::vector<NetPin>().swap(staged_sinks_);
-  const std::size_t cell_runs = runs(cells_.size());
-  hier_cells_ = Csr<CellId>::group_runs(
-      hier_.size(), cell_runs,
-      [&](std::size_t r, auto&& emit) {
-        const auto [first, last] = cut(cells_.size(), cell_runs, r);
-        for (std::size_t i = first; i < last; ++i) {
-          emit(static_cast<std::size_t>(cells_[i].hier), static_cast<CellId>(i));
-        }
-      },
-      pool);
+  hier_cells_ = Csr<CellId>::group(hier_.size(), [&](auto&& emit) {
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      emit(static_cast<std::size_t>(cells_[i].hier), static_cast<CellId>(i));
+    }
+  });
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     const CellKind kind = cells_[i].kind;
     if (kind == CellKind::Macro) macros_.push_back(static_cast<CellId>(i));
@@ -99,7 +64,8 @@ std::string Design::hier_path(HierId id) const {
   return join_path(hier_path(node.parent), node.name);
 }
 
-Cell Design::make_cell(HierId hier_id, CellKind kind, double area, MacroDefId macro_def) const {
+CellId Design::add_cell(HierId hier_id, std::string_view name, CellKind kind, double area,
+                        MacroDefId macro_def) {
   assert(!frozen_);
   if (hier_id < 0 || static_cast<std::size_t>(hier_id) >= hier_.size()) {
     throw std::out_of_range("add_cell: bad hier node");
@@ -108,13 +74,8 @@ Cell Design::make_cell(HierId hier_id, CellKind kind, double area, MacroDefId ma
     if (macro_def == kNoMacroDef) throw std::invalid_argument("macro cell without def");
     area = library_.def(macro_def).area();
   }
-  return Cell{kind, hier_id, area, macro_def, std::nullopt};
-}
-
-CellId Design::add_cell(HierId hier_id, std::string_view name, CellKind kind, double area,
-                        MacroDefId macro_def) {
   const CellId id = static_cast<CellId>(cells_.size());
-  cells_.push_back(make_cell(hier_id, kind, area, macro_def));
+  cells_.push_back(Cell{kind, hier_id, area, macro_def, std::nullopt});
   cell_names_.push({}, name);
   return id;
 }

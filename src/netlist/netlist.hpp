@@ -67,15 +67,10 @@ struct Die {
   double area() const { return w * h; }
 };
 
-/// Output sizes a builder counted before building (Design::reserve,
-/// Design::extend), or a position in a design's stores (DesignCursor).
-/// `pins` counts sinks.
+/// Output sizes a builder counted before building (Design::reserve).
 struct DesignSize {
   std::size_t cells = 0, nets = 0, pins = 0, cell_name_bytes = 0, net_name_bytes = 0;
-  bool operator==(const DesignSize&) const = default;
 };
-
-class ThreadPool;
 
 /// Strings stored back to back in one buffer, read as views by index; a
 /// view is valid until the next push.
@@ -88,19 +83,7 @@ class NameBuffer {
   void push(std::string_view prefix, std::string_view local) {
     end_.push_back(bytes_.append(prefix).append(local).size());
   }
-  /// Adds `count` slots over `bytes` bytes for put() to fill.
-  void extend(std::size_t count, std::size_t bytes) {
-    end_.resize(end_.size() + count);
-    bytes_.resize(bytes_.size() + bytes);
-  }
-  /// Fills slot `i` with `s` at byte `at`, where slot i - 1 ends.
-  void put(std::size_t i, std::size_t at, std::string_view s) {
-    assert(at + s.size() <= bytes_.size());
-    s.copy(bytes_.data() + at, s.size());
-    end_[i + 1] = at + s.size();
-  }
   std::size_t size() const { return end_.size() - 1; }
-  std::size_t bytes() const { return bytes_.size(); }
   std::string_view operator[](std::size_t i) const {
     return std::string_view(bytes_).substr(end_[i], end_[i + 1] - end_[i]);
   }
@@ -110,10 +93,9 @@ class NameBuffer {
   std::vector<std::size_t> end_{0};  ///< end_[i + 1] = end of string i
 };
 
-/// Built with add_hier/add_cell/add_net/set_driver/add_sink (or a
-/// DesignCursor over ranges made by extend()), then frozen once:
-/// freeze() lays out every net's pins as one range, driver first and
-/// sinks in call order, and every hierarchy node's cells as one
+/// Built with add_hier/add_cell/add_net/set_driver/add_sink, then frozen
+/// once: freeze() lays out every net's pins as one range, driver first
+/// and sinks in call order, and every hierarchy node's cells as one
 /// CellId-ordered range. Adding anything after freeze(), or reading
 /// pins, cells_of, macros or ports before it, is an asserted error.
 class Design {
@@ -125,14 +107,8 @@ class Design {
   /// Makes room for `more` of each store, so a builder that counted its
   /// output grows each store once.
   void reserve(const DesignSize& more);
-  /// Appends `more` empty cells, nets, sinks and name bytes for
-  /// DesignCursors to fill, and returns where they begin. Every slot
-  /// must be filled, in order, before freeze().
-  DesignSize extend(const DesignSize& more);
-  /// Idempotent. Sorts on ThreadPool::global(), or on `pool`; the
-  /// result does not depend on the pool's size.
+  /// Idempotent.
   void freeze();
-  void freeze(ThreadPool& pool);
 
   // --- hierarchy ------------------------------------------------------
   HierId root() const { return 0; }
@@ -207,11 +183,6 @@ class Design {
   const std::vector<Cell>& cells() const { return cells_; }
 
  private:
-  friend class DesignCursor;
-
-  /// The cell add_cell stores; throws on a bad hierarchy node or def.
-  Cell make_cell(HierId hier, CellKind kind, double area, MacroDefId macro_def) const;
-
   std::string name_;
   std::vector<HierNode> hier_;
   std::vector<Cell> cells_;
@@ -227,42 +198,6 @@ class Design {
   MacroLibrary library_;
   Die die_;
   bool frozen_ = false;
-};
-
-/// Fills ranges made by Design::extend from position `at` on, with the
-/// add_cell/add_net/set_driver/add_sink contract of Design itself: ids
-/// are the cursor's next positions and a sink's pin order is its slot
-/// order. Cursors over disjoint ranges may fill concurrently; set_driver
-/// must only name nets of the cursor's own range.
-class DesignCursor {
- public:
-  DesignCursor(Design& design, const DesignSize& at) : d_(design), at_(at) {}
-
-  CellId add_cell(HierId hier, std::string_view name, CellKind kind, double area,
-                  MacroDefId macro_def = kNoMacroDef) {
-    d_.cells_[at_.cells] = d_.make_cell(hier, kind, area, macro_def);
-    d_.cell_names_.put(at_.cells, at_.cell_name_bytes, name);
-    at_.cell_name_bytes += name.size();
-    return static_cast<CellId>(at_.cells++);
-  }
-  NetId add_net(std::string_view name) {
-    d_.net_names_.put(at_.nets, at_.net_name_bytes, name);
-    at_.net_name_bytes += name.size();
-    return static_cast<NetId>(at_.nets++);
-  }
-  void set_driver(NetId net, CellId cell, float dx = 0.0f, float dy = 0.0f) {
-    d_.driver_[static_cast<std::size_t>(net)] = NetPin{cell, dx, dy};
-  }
-  void add_sink(NetId net, CellId cell, float dx = 0.0f, float dy = 0.0f) {
-    d_.sink_net_[at_.pins] = net;
-    d_.staged_sinks_[at_.pins++] = NetPin{cell, dx, dy};
-  }
-  /// The next position: where the range filled so far ends.
-  const DesignSize& at() const { return at_; }
-
- private:
-  Design& d_;
-  DesignSize at_;
 };
 
 /// Compact adjacency (CSR) over cells derived from the nets, used by the

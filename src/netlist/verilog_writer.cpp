@@ -373,39 +373,29 @@ void write_verilog(const Design& design, std::ostream& out, ThreadPool& pool) {
   };
 
   // Tasks of kTaskPositions positions are formatted on the pool a round
-  // at a time, each into a buffer of its own, while one more task hands
-  // the previous round's buffers to the stream in file order: memory
-  // stays at two rounds of buffers, whatever the design's size.
+  // at a time, each into a buffer of its own, and the calling thread
+  // then hands the round's buffers to the stream in file order: memory
+  // stays at one round of buffers, whatever the design's size.
   constexpr std::size_t kTaskPositions = 1024;
   const std::size_t positions = first.back();
   const std::size_t tasks = (positions + kTaskPositions - 1) / kTaskPositions;
   const std::size_t per_round = 2 * static_cast<std::size_t>(pool.size());
-  const std::size_t rounds = (tasks + per_round - 1) / per_round;
-  std::vector<BlockWriter> buffers(2 * per_round);
-  BlockWriter header;
-  write_macro_header(header, design);
-  std::size_t written = header.text().size();
-  out.write(header.text().data(), static_cast<std::streamsize>(written));
-  const auto task_size = [&](std::size_t round) {
-    return round < rounds ? std::min(per_round, tasks - round * per_round) : 0;
+  std::vector<BlockWriter> buffers(per_round);
+  std::size_t written = 0;
+  const auto hand_over = [&](const BlockWriter& w) {
+    out.write(w.text().data(), static_cast<std::streamsize>(w.text().size()));
+    written += w.text().size();
   };
-  for (std::size_t round = 0; round <= rounds; ++round) {
-    BlockWriter* now = buffers.data() + (round % 2) * per_round;
-    BlockWriter* before = buffers.data() + ((round + 1) % 2) * per_round;
-    pool.parallel_for(1 + task_size(round), [&](std::size_t i) {
-      if (i == 0) {
-        for (std::size_t k = 0; round > 0 && k < task_size(round - 1); ++k) {
-          const std::string_view text = before[k].text();
-          out.write(text.data(), static_cast<std::streamsize>(text.size()));
-          written += text.size();
-        }
-        return;
-      }
-      const std::size_t task = round * per_round + i - 1;
-      BlockWriter& w = now[i - 1];
-      w.clear();
-      format(w, task * kTaskPositions, std::min(positions, (task + 1) * kTaskPositions));
+  write_macro_header(buffers.front(), design);
+  hand_over(buffers.front());
+  for (std::size_t round = 0; round * per_round < tasks; ++round) {
+    const std::size_t count = std::min(per_round, tasks - round * per_round);
+    pool.parallel_for(count, [&](std::size_t i) {
+      const std::size_t task = round * per_round + i;
+      buffers[i].clear();
+      format(buffers[i], task * kTaskPositions, std::min(positions, (task + 1) * kTaskPositions));
     });
+    for (std::size_t i = 0; i < count; ++i) hand_over(buffers[i]);
   }
 
   static obs::Counter& cells = obs::default_registry().counter("verilog_write.cells");

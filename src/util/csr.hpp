@@ -4,10 +4,7 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
-
-#include "runtime/thread_pool.hpp"
 
 namespace hidap {
 
@@ -27,84 +24,6 @@ class Csr {
     csr.items_.resize(csr.start_[keys]);
     std::vector<std::uint32_t> next(csr.start_.begin(), csr.start_.end() - 1);
     each([&](std::size_t key, const T& item) { csr.items_[next[key]++] = item; });
-    return csr;
-  }
-
-  /// group() with the item sequence cut into `runs` consecutive runs,
-  /// each counted and filled as one task on `pool`: `each(r, emit)`
-  /// yields run r's items, as group()'s `each` would. Run r's items of
-  /// a key go after those of runs 0..r-1, so every row comes out as
-  /// group() makes it. For few keys (a hierarchy node's cells): the
-  /// runs x keys offsets are summed on the calling thread.
-  template <typename Each>
-  static Csr group_runs(std::size_t keys, std::size_t runs, Each&& each, ThreadPool& pool) {
-    if (runs <= 1) {
-      return group(keys, [&](auto&& emit) { each(std::size_t{0}, emit); });
-    }
-    Csr csr;
-    // count[r * keys + k]: run r's items of key k, then where the next
-    // of them goes.
-    std::vector<std::uint32_t> count(runs * keys, 0);
-    pool.parallel_for(runs, [&](std::size_t r) {
-      std::uint32_t* mine = count.data() + r * keys;
-      each(r, [mine](std::size_t key, const T&) { ++mine[key]; });
-    });
-    csr.start_.assign(keys + 1, 0);
-    std::uint32_t next = 0;
-    for (std::size_t k = 0; k < keys; ++k) {
-      for (std::size_t r = 0; r < runs; ++r) next += std::exchange(count[r * keys + k], next);
-      csr.start_[k + 1] = next;
-    }
-    csr.items_.resize(next);
-    pool.parallel_for(runs, [&](std::size_t r) {
-      std::uint32_t* mine = count.data() + r * keys;
-      each(r, [&csr, mine](std::size_t key, const T& item) { csr.items_[mine[key]++] = item; });
-    });
-    return csr;
-  }
-
-  /// group() with the rows cut into `runs` key ranges, each counted and
-  /// filled as one task on `pool`: every task reads the whole sequence
-  /// `each` yields (as group()'s) and keeps its own keys' items, in
-  /// sequence order. For items spread over about as many keys (a net's
-  /// pins), where group_runs' per-run histograms cost what they save.
-  template <typename Each>
-  static Csr group_key_ranges(std::size_t keys, std::size_t runs, Each&& each, ThreadPool& pool) {
-    if (runs <= 1) return group(keys, each);
-    Csr csr;
-    csr.start_.assign(keys + 1, 0);
-    const auto range = [keys, runs](std::size_t r) {
-      return std::pair{keys * r / runs, keys * (r + 1) / runs};
-    };
-    // Each task's start_[k + 1] first counts key k's items, then holds
-    // the items of its keys up to k; `base` places its range.
-    std::vector<std::uint32_t> base(runs + 1, 0);
-    pool.parallel_for(runs, [&](std::size_t r) {
-      const auto [first, last] = range(r);
-      std::uint32_t* count = csr.start_.data() + 1;
-      each([&](std::size_t key, const T&) {
-        if (key - first < last - first) ++count[key];
-      });
-      std::uint32_t sum = 0;
-      for (std::size_t k = first; k < last; ++k) sum = count[k] += sum;
-      base[r + 1] = sum;
-    });
-    for (std::size_t r = 0; r < runs; ++r) base[r + 1] += base[r];
-    csr.items_.resize(base[runs]);
-    // next[k]: where key k's next item goes. Allocated on the calling
-    // thread: a block a pool lane allocates stays in that lane's malloc
-    // arena after it is freed.
-    std::vector<std::uint32_t> next(keys);
-    pool.parallel_for(runs, [&](std::size_t r) {
-      const auto [first, last] = range(r);
-      for (std::size_t k = first; k < last; ++k) {
-        next[k] = base[r] + (k == first ? 0 : csr.start_[k]);
-      }
-      for (std::size_t k = first; k < last; ++k) csr.start_[k + 1] += base[r];
-      each([&](std::size_t key, const T& item) {
-        if (key - first < last - first) csr.items_[next[key]++] = item;
-      });
-    });
     return csr;
   }
 

@@ -1,8 +1,8 @@
 // Generator digests: the DesignDigest of generate_circuit on every
-// Table III topology, pinned, on pools of 1, 2 and 4 lanes. The
-// generator counts its zones, then fills them as pool tasks; a zone
-// that fills a range other than the one a sequential build would give
-// it moves a digest here.
+// Table III topology, pinned. The generator runs its builder twice (a
+// dry pass that counts, then the build into reserved stores); a name,
+// id or pin the build writes other than where the one-pass generator
+// wrote it moves a digest here.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 
 #include "design_digest.hpp"
 #include "gen/suite.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace hidap {
 namespace {
@@ -24,7 +23,7 @@ struct Pinned {
   std::uint64_t digest;
 };
 
-// Recorded from the sequential generator the pooled one replaced.
+// Recorded from the one-pass generator the counting one replaced.
 constexpr Pinned kPinned[] = {
     {"c1", 0.002, 0xe282e68e0383e3c4ull}, {"c2", 0.002, 0x9b2420cbac8de746ull},
     {"c3", 0.002, 0xa9631ac9175fcd59ull}, {"c4", 0.002, 0x58ae1699a4e69f6cull},
@@ -34,16 +33,12 @@ constexpr Pinned kPinned[] = {
 };
 
 TEST(GeneratorDigest, GeneratedDesignsArePinned) {
-  for (const int lanes : {1, 2, 4}) {
-    ThreadPool pool(lanes);
-    for (const Pinned& p : kPinned) {
-      const Design design = generate_circuit(suite_circuit(p.circuit, p.scale).spec, pool);
-      const std::uint64_t digest = DesignDigest(design).value();
-      char got[32];
-      std::snprintf(got, sizeof got, "0x%016" PRIx64 "ull", digest);
-      EXPECT_EQ(digest, p.digest) << p.circuit << " at scale " << p.scale << " on " << lanes
-                                  << " lanes: got " << got;
-    }
+  for (const Pinned& p : kPinned) {
+    const Design design = generate_circuit(suite_circuit(p.circuit, p.scale).spec);
+    const std::uint64_t digest = DesignDigest(design).value();
+    char got[32];
+    std::snprintf(got, sizeof got, "0x%016" PRIx64 "ull", digest);
+    EXPECT_EQ(digest, p.digest) << p.circuit << " at scale " << p.scale << ": got " << got;
   }
 }
 
